@@ -7,7 +7,7 @@
 //
 //	mnsim-dse -case largebank [-errlimit 0.25]
 //	mnsim-dse -case vgg16 [-errlimit 0.5]
-//	mnsim-dse -case largebank -metrics-out m.prom -trace-out t.json -pprof localhost:6060
+//	mnsim-dse -case largebank -metrics-out m.prom -trace-out t.json -serve localhost:6060
 //	mnsim-dse -case largebank -journal run.jsonl -fail-candidate 64:16:45  # flight recorder + fault injection
 package main
 

@@ -238,8 +238,6 @@ type solveEnd struct {
 	newton, cg, flops float64
 	decay             float64
 	stagnated         bool
-	precond           string
-	warm, cacheHit    bool
 	errMsg            string
 	spanID            string
 	cost              map[string]float64 // phase -> flops
@@ -259,9 +257,6 @@ func solveEnds(events []telemetry.Event) []solveEnd {
 		s.flops, _ = ev.Data["flops"].(float64)
 		s.decay, _ = ev.Data["decay_rate"].(float64)
 		s.stagnated, _ = ev.Data["stagnated"].(bool)
-		s.precond, _ = ev.Data["precond"].(string)
-		s.warm, _ = ev.Data["warm_start"].(bool)
-		s.cacheHit, _ = ev.Data["cache_hit"].(bool)
 		s.errMsg, _ = ev.Data["err"].(string)
 		s.spanID, _ = ev.Data["span_id"].(string)
 		if cost, ok := ev.Data["cost"].(map[string]any); ok {

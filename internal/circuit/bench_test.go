@@ -10,6 +10,26 @@ import (
 	"mnsim/internal/telemetry"
 )
 
+// benchCrossbar builds the size×size non-linear benchmark crossbar and its
+// drive vector from a fixed seed, so every solver benchmark times the same
+// system.
+func benchCrossbar(size int) (*Crossbar, []float64) {
+	dev := device.RRAM()
+	rng := rand.New(rand.NewSource(1))
+	c := &Crossbar{
+		M: size, N: size,
+		R:      randomR(size, size, dev, rng),
+		WireR:  2.5,
+		RSense: 1e3,
+		Dev:    dev,
+	}
+	vin := make([]float64, size)
+	for i := range vin {
+		vin[i] = 2 * dev.ReadVoltage * rng.Float64()
+	}
+	return c, vin
+}
+
 // BenchmarkSolve times one non-linear crossbar solve and reports the
 // Newton and CG iteration counts alongside ns/op, so an iteration-count
 // regression (a solver that still converges but works harder for it)
@@ -18,19 +38,7 @@ import (
 func BenchmarkSolve(b *testing.B) {
 	for _, size := range []int{16, 32, 64, 256} {
 		b.Run(benchName(size), func(b *testing.B) {
-			dev := device.RRAM()
-			rng := rand.New(rand.NewSource(1))
-			c := &Crossbar{
-				M: size, N: size,
-				R:      randomR(size, size, dev, rng),
-				WireR:  2.5,
-				RSense: 1e3,
-				Dev:    dev,
-			}
-			vin := make([]float64, size)
-			for i := range vin {
-				vin[i] = 2 * dev.ReadVoltage * rng.Float64()
-			}
+			c, vin := benchCrossbar(size)
 			var newton, cg, flops, refreshes int64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -54,30 +62,15 @@ func BenchmarkSolve(b *testing.B) {
 
 // BenchmarkSolveWarm times the warm-start path: one SolverState threaded
 // through a stream of solves whose inputs drift deterministically, the
-// shape of a DSE candidate evaluation or Monte-Carlo trial sequence. The
-// interesting metric is cg-iters/op relative to the cold BenchmarkSolve.
+// shape of the Table II solve stream. The interesting metric is
+// cg-iters/op relative to the cold BenchmarkSolve.
 func BenchmarkSolveWarm(b *testing.B) {
-	const size = 64
-	dev := device.RRAM()
-	rng := rand.New(rand.NewSource(1))
-	c := &Crossbar{
-		M: size, N: size,
-		R:      randomR(size, size, dev, rng),
-		WireR:  2.5,
-		RSense: 1e3,
-		Dev:    dev,
-	}
-	base := make([]float64, size)
-	for i := range base {
-		base[i] = 2 * dev.ReadVoltage * rng.Float64()
-	}
-	vin := make([]float64, size)
+	c, base := benchCrossbar(64)
+	vin := append([]float64(nil), base...)
 	st := NewSolverState()
 	// One warm-up solve outside the timer so the state's scratch buffers
 	// (CG work vectors, preconditioner factors, warm vector) are already
-	// grown: the timed region then measures the steady state, which is
-	// what the allocs/op gate pins to ~0 solver-side allocations.
-	copy(vin, base)
+	// grown: the timed region then measures the steady state.
 	if _, err := c.Solve(vin, SolveOptions{State: st}); err != nil {
 		b.Fatal(err)
 	}
@@ -85,10 +78,10 @@ func BenchmarkSolveWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Deterministic per-iteration drift (no mid-loop rand): each solve
-		// sees a slightly different input, so the memo never hits and the
-		// warm start does real work.
-		scale := 1 + 1e-3*float64(i%7)
+		// Deterministic per-iteration drift (no mid-loop rand), never
+		// scale 1: every timed solve, the first included, sees an input
+		// other than the warm-up's, so the warm start does real work.
+		scale := 1 + 1e-3*float64(i%7+1)
 		for m := range vin {
 			vin[m] = base[m] * scale
 		}
@@ -103,140 +96,38 @@ func BenchmarkSolveWarm(b *testing.B) {
 	b.ReportMetric(float64(refreshes)/float64(b.N), "precond-refreshes/op")
 }
 
-// BenchmarkSolveAccounting isolates the cost-accounting overhead at the
-// largest BenchmarkSolve size: the on/off pair bounds what the always-on
-// attribution costs (the acceptance budget is 5% on ns/op — in practice
-// nil-receiver count methods on int64 fields disappear into the CG
-// memory traffic).
-func BenchmarkSolveAccounting(b *testing.B) {
-	const size = 64
-	for _, bc := range []struct {
-		name string
-		opt  SolveOptions
-	}{
-		{"on", SolveOptions{}},
-		{"off", SolveOptions{NoCostAccounting: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			dev := device.RRAM()
-			rng := rand.New(rand.NewSource(1))
-			c := &Crossbar{
-				M: size, N: size,
-				R:      randomR(size, size, dev, rng),
-				WireR:  2.5,
-				RSense: 1e3,
-				Dev:    dev,
-			}
-			vin := make([]float64, size)
-			for i := range vin {
-				vin[i] = 2 * dev.ReadVoltage * rng.Float64()
-			}
-			var cg int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := c.Solve(vin, bc.opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cg += int64(res.CGIters)
-			}
-			b.ReportMetric(float64(cg)/float64(b.N), "cg-iters/op")
-		})
-	}
-}
-
-// BenchmarkSolveTraced isolates the causal-tracing overhead, mirroring the
-// BenchmarkSolveAccounting on/off pair: "on" retains span records in the
-// trace ring (plus the gated per-phase sub-spans), "off" is the plain
-// solve. The acceptance budget is 5% on ns/op; the off side must stay in
-// the noise because the only added cost there is one atomic load per
-// solve. Results are bit-identity-asserted separately in
-// TestTracingNumericallyNeutral.
-func BenchmarkSolveTraced(b *testing.B) {
-	const size = 64
-	for _, bc := range []struct {
-		name   string
-		traced bool
-	}{
-		{"on", true},
-		{"off", false},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			if bc.traced {
-				telemetry.SetTraceSeed(1)
-				telemetry.EnableTraceEvents(1 << 12)
-				b.Cleanup(func() { telemetry.DefaultTracer().ResetTraceEvents() })
-			}
-			dev := device.RRAM()
-			rng := rand.New(rand.NewSource(1))
-			c := &Crossbar{
-				M: size, N: size,
-				R:      randomR(size, size, dev, rng),
-				WireR:  2.5,
-				RSense: 1e3,
-				Dev:    dev,
-			}
-			vin := make([]float64, size)
-			for i := range vin {
-				vin[i] = 2 * dev.ReadVoltage * rng.Float64()
-			}
-			var cg int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := c.Solve(vin, SolveOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cg += int64(res.CGIters)
-			}
-			b.ReportMetric(float64(cg)/float64(b.N), "cg-iters/op")
-		})
-	}
-}
-
-// BenchmarkSolveSampled isolates the resource-sampler overhead, mirroring
-// the BenchmarkSolveAccounting / BenchmarkSolveTraced on/off pairs: "on"
-// runs the runtime/metrics sampler concurrently at its default 1s cadence,
-// "off" is the plain solve. The sampler never touches solver state — the
-// acceptance budget is 5% on ns/op, and in practice the on side is pure
-// scheduler noise because a 1s tick amortizes to nothing per solve.
-// Bit-identity is asserted separately in
+// BenchmarkSolveOverhead bounds what the observability layers cost a
+// 64×64 solve: "plain" is the bare solve, "traced" retains span records in
+// the trace ring (plus the gated per-phase sub-spans), and "sampled" runs
+// the runtime/metrics sampler concurrently at its default 1s cadence. The
+// acceptance budget is 5% on ns/op against plain; bit-identity is asserted
+// separately in TestTracingNumericallyNeutral and
 // TestResourceSamplingNumericallyNeutral.
-func BenchmarkSolveSampled(b *testing.B) {
-	const size = 64
+func BenchmarkSolveOverhead(b *testing.B) {
 	for _, bc := range []struct {
-		name    string
-		sampled bool
+		name  string
+		setup func(b *testing.B)
 	}{
-		{"on", true},
-		{"off", false},
+		{"plain", func(*testing.B) {}},
+		{"traced", func(b *testing.B) {
+			telemetry.SetTraceSeed(1)
+			telemetry.EnableTraceEvents(1 << 12)
+			b.Cleanup(func() { telemetry.DefaultTracer().ResetTraceEvents() })
+		}},
+		{"sampled", func(b *testing.B) {
+			// The benchmark body re-runs during iteration-count
+			// calibration; the sampler from the previous invocation is
+			// still up then, so an already-running error is expected and
+			// fine — the registered Stop is idempotent either way.
+			s := telemetry.DefaultResourceSampler()
+			if err := s.Start(context.Background(), telemetry.ResourceConfig{}); err == nil {
+				b.Cleanup(s.Stop)
+			}
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			if bc.sampled {
-				// The benchmark body re-runs during iteration-count
-				// calibration; the sampler from the previous invocation is
-				// still up then, so an already-running error is expected and
-				// fine — the registered Stop is idempotent either way.
-				s := telemetry.DefaultResourceSampler()
-				if err := s.Start(context.Background(), telemetry.ResourceConfig{}); err == nil {
-					b.Cleanup(s.Stop)
-				}
-			}
-			dev := device.RRAM()
-			rng := rand.New(rand.NewSource(1))
-			c := &Crossbar{
-				M: size, N: size,
-				R:      randomR(size, size, dev, rng),
-				WireR:  2.5,
-				RSense: 1e3,
-				Dev:    dev,
-			}
-			vin := make([]float64, size)
-			for i := range vin {
-				vin[i] = 2 * dev.ReadVoltage * rng.Float64()
-			}
+			bc.setup(b)
+			c, vin := benchCrossbar(64)
 			var cg int64
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -9,8 +9,8 @@
 // interconnect resistance r, every column terminates in a sensing resistor
 // R_s, and each memristor follows the non-linear sinh I–V law of the device
 // model. The non-linear system is solved with Newton–Raphson over a
-// Jacobi-preconditioned conjugate-gradient linear core (the conductance
-// matrix is symmetric positive definite).
+// block-Jacobi-preconditioned conjugate-gradient linear core (the
+// conductance matrix is symmetric positive definite).
 //
 // The package can also emit the crossbar as a SPICE netlist (Section IV.A:
 // "MNSIM can generate the netlist file for circuit-level simulators like
@@ -26,34 +26,6 @@ import (
 	"mnsim/internal/device"
 	"mnsim/internal/linalg"
 	"mnsim/internal/telemetry"
-)
-
-// Solver telemetry: per-solve Newton and cumulative CG iteration
-// histograms (the quantities behind the paper's Table III timing claims),
-// plus solve and divergence counters. Registered at package init so every
-// export lists the solver families, observed or not.
-var (
-	telSolves        = telemetry.GetCounter("mnsim_circuit_solves_total")
-	telDiverged      = telemetry.GetCounter("mnsim_circuit_newton_divergence_total")
-	telNewtonIters   = telemetry.GetHistogram("mnsim_circuit_newton_iterations", telemetry.LinearBuckets(1, 1, 20))
-	telCGIters       = telemetry.GetHistogram("mnsim_circuit_cg_iterations_per_solve", telemetry.ExponentialBuckets(8, 2, 12))
-	telZeroWireSolve = telemetry.GetCounter("mnsim_circuit_zero_wire_solves_total")
-	telWarmSolves    = telemetry.GetCounter("mnsim_circuit_warm_start_solves_total")
-	telCacheHits     = telemetry.GetCounter("mnsim_circuit_solve_cache_hits_total")
-	telPreRefreshes  = telemetry.GetCounter("mnsim_circuit_precond_refreshes_total")
-)
-
-// Cost-attribution telemetry: process-wide flop/byte totals plus per-solve
-// per-phase flop histograms, so /metrics answers "where does solve cost go"
-// without a journal.
-var (
-	telSolveFlops    = telemetry.GetCounter("mnsim_solve_flops_total")
-	telSolveBytes    = telemetry.GetCounter("mnsim_solve_bytes_total")
-	telPhaseAssembly = telemetry.GetHistogram("mnsim_circuit_phase_assembly_flops", telemetry.ExponentialBuckets(1024, 4, 14))
-	telPhaseNewton   = telemetry.GetHistogram("mnsim_circuit_phase_newton_update_flops", telemetry.ExponentialBuckets(1024, 4, 14))
-	telPhaseCG       = telemetry.GetHistogram("mnsim_circuit_phase_cg_flops", telemetry.ExponentialBuckets(1024, 4, 14))
-	telPhasePrecond  = telemetry.GetHistogram("mnsim_circuit_phase_precond_flops", telemetry.ExponentialBuckets(1024, 4, 14))
-	telPhaseDiag     = telemetry.GetHistogram("mnsim_circuit_phase_diagnostics_flops", telemetry.ExponentialBuckets(1024, 4, 14))
 )
 
 // deviceEvalFlops is the modeled flop cost of one transcendental device
@@ -158,7 +130,7 @@ func (c *Crossbar) wireG() float64 {
 //
 // Cost attribution: the bisection loop is this path's inner solver, so its
 // modeled device-evaluation cost lands in CostModel.CGLoop.
-func (c *Crossbar) solveZeroWire(ctx context.Context, vin []float64, cost *CostModel) (*Result, error) {
+func (c *Crossbar) solveZeroWire(ctx context.Context, vin []float64, ops *linalg.OpCount) (*Result, error) {
 	res := &Result{
 		VOut:        make([]float64, c.N),
 		NodeV:       make([]float64, 2*c.M*c.N),
@@ -211,7 +183,7 @@ func (c *Crossbar) solveZeroWire(ctx context.Context, vin []float64, cost *CostM
 		}
 		// 100 bisection steps, each evaluating M device currents plus the
 		// sense-resistor term.
-		cost.cgLoop().CountFlops(100 * (int64(c.M)*(deviceEvalFlops+2) + 3))
+		ops.CountFlops(100 * (int64(c.M)*(deviceEvalFlops+2) + 3))
 		v := (lo + hi) / 2
 		res.VOut[n] = v
 		for m := 0; m < c.M; m++ {
@@ -225,7 +197,7 @@ func (c *Crossbar) solveZeroWire(ctx context.Context, vin []float64, cost *CostM
 		}
 		res.Power += vin[m] * rowI
 	}
-	cost.cgLoop().CountFlops(int64(c.M) * int64(c.N) * (deviceEvalFlops + 3))
+	ops.CountFlops(int64(c.M) * int64(c.N) * (deviceEvalFlops + 3))
 	return res, nil
 }
 
@@ -419,16 +391,6 @@ func (c *Crossbar) restamp(a *assembly, v []float64, ops *linalg.OpCount) []floa
 	return rhs
 }
 
-// Preconditioner kinds SolveOptions.Precond accepts.
-const (
-	// PrecondBlockJacobi factors each wire-chain block (row chains and
-	// column chains, tridiagonal in their local index) with banded
-	// Cholesky — the structure-aware default.
-	PrecondBlockJacobi = "block-jacobi"
-	// PrecondJacobi is the legacy diagonal preconditioner.
-	PrecondJacobi = "jacobi"
-)
-
 // SolveOptions tunes the non-linear solve.
 type SolveOptions struct {
 	// Tol is the Newton convergence threshold on the max node-voltage
@@ -439,28 +401,17 @@ type SolveOptions struct {
 	// CGTol is the relative tolerance of each inner linear solve;
 	// default 1e-10.
 	CGTol float64
-	// Precond selects the inner linear preconditioner: PrecondBlockJacobi
-	// (the default, resolved in on empty) or PrecondJacobi. The resolved
-	// value is recorded in Diagnostics.Precond and in snapshots, so a
-	// replay runs the path the original solve ran.
-	Precond string `json:"precond,omitempty"`
 	// State, when non-nil, carries reusable solver structures across
 	// repeated solves of same-shaped crossbars: the assembled sparsity
-	// pattern, the block preconditioner, the previous operating point
-	// (warm start), and a memo that answers bit-identical re-solves
-	// without running the solver. A state must be used from one strictly
-	// sequential solve stream; see SolverState.
+	// pattern, the block preconditioner, and the previous operating point
+	// (warm start). A state must be used from one strictly sequential
+	// solve stream; see SolverState.
 	State *SolverState `json:"-"`
 	// Diagnostics additionally computes the Jacobian condition estimate on
 	// successful solves (Diagnostics.CondEstimate); the estimate always
 	// runs on divergence. The convergence trajectory itself is recorded
 	// regardless — this only gates the extra eigenvalue work.
 	Diagnostics bool `json:"diagnostics,omitempty"`
-	// NoCostAccounting disables the per-phase operation cost model
-	// (Diagnostics.Cost). Accounting is on by default: it is pure integer
-	// counting, costs a few percent at most, and is observational only —
-	// solve outputs are bit-identical either way (asserted in tests).
-	NoCostAccounting bool `json:"no_cost_accounting,omitempty"`
 }
 
 // ErrNewtonDiverged is the sentinel a failed Newton solve matches with
@@ -468,6 +419,13 @@ type SolveOptions struct {
 // iteration budget spent, the final residual, and the full diagnostics
 // trajectory (use errors.As to get at it).
 var ErrNewtonDiverged = errors.New("circuit: Newton iteration did not converge")
+
+// Solver paths recorded in Diagnostics.Path.
+const (
+	pathNewtonCG = "newton-cg"
+	pathLinearCG = "linear-cg"
+	pathZeroWire = "zero-wire-bisection"
+)
 
 // Solve computes the DC operating point for the given input voltage vector
 // (length M). It is a convenience wrapper over SolveContext with a
@@ -479,73 +437,65 @@ func (c *Crossbar) Solve(vin []float64, opt SolveOptions) (*Result, error) {
 // SolveContext is Solve with a caller-supplied context: the solve's
 // telemetry span nests under any span already open in ctx, so a DSE sweep
 // or validation run attributes solver time to the candidate that spent it.
-func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOptions) (res *Result, err error) {
+//
+// The solve runs in three steps: input validation and option defaults;
+// the numeric steps (assemble and precondition, setup CG or warm start,
+// the Newton loop), each wrapped in its gated phase span; and one
+// observer (solveObserver.finish) that turns the outcome into metrics,
+// journal events, and divergence snapshots.
+//
+// Cancellation contract: ctx is checked before the solve and before every
+// Newton step's linear solve, and per bisection column, so an aborted
+// sweep stops burning CPU mid-Newton-loop; the error wraps ctx.Err().
+func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOptions) (*Result, error) {
 	ctx, sp := telemetry.StartSpan(ctx, "circuit.solve")
-	// jid correlates this solve's journal events; snapPath carries the
-	// divergence snapshot location into solve_end. Both are set below but
-	// declared here so the deferred solve_end — emitted after sp.End(), so
-	// it can carry the span's duration and trace/span IDs — sees them.
-	jid, snapPath := "", ""
-	defer func() {
-		dur := sp.End()
-		if res != nil {
-			telSolves.Inc()
-			telNewtonIters.Observe(float64(res.NewtonIters))
-			telCGIters.Observe(float64(res.CGIters))
-		}
-		if d := diagOf(res, err); d != nil && d.Cost != nil {
-			total := d.Cost.Total()
-			telSolveFlops.Add(total.Flops)
-			telSolveBytes.Add(total.Bytes)
-			telPhaseAssembly.Observe(float64(d.Cost.Assembly.Flops))
-			telPhaseNewton.Observe(float64(d.Cost.NewtonUpdate.Flops))
-			telPhaseCG.Observe(float64(d.Cost.CGLoop.Flops))
-			telPhasePrecond.Observe(float64(d.Cost.Precond.Flops))
-			telPhaseDiag.Observe(float64(d.Cost.Diagnostics.Flops))
-		}
-		if jid == "" {
-			return
-		}
-		// The solve_end event is deferred so every exit path — success,
-		// divergence, CG failure, cancellation — is recorded.
-		data := map[string]any{"ok": err == nil, "dur_us": float64(dur.Nanoseconds()) / 1e3}
-		if res != nil {
-			data["newton_iters"] = res.NewtonIters
-			data["cg_iters"] = res.CGIters
-		}
-		if d := diagOf(res, err); d != nil {
-			if d.Precond != "" {
-				data["precond"] = d.Precond
-				data["precond_refreshes"] = d.PrecondRefreshes
-			}
-			if d.WarmStart {
-				data["warm_start"] = true
-			}
-			if d.CacheHit {
-				data["cache_hit"] = true
-			}
-			if d.Cost != nil {
-				data["cost"] = d.Cost
-				data["flops"] = d.Cost.Total().Flops
-			}
-			if d.Convergence != nil {
-				data["decay_rate"] = d.Convergence.DecayRate
-				data["stagnated"] = d.Convergence.Stagnated
-			}
-		}
-		if err != nil {
-			data["err"] = err.Error()
-		}
-		if snapPath != "" {
-			data["snapshot"] = snapPath
-		}
-		telemetry.EmitEventCtx(ctx, telemetry.EvSolveEnd, jid, data)
-	}()
-	if err := c.Validate(); err != nil {
+	opt, err := c.resolveOptions(ctx, vin, opt)
+	if err != nil {
+		sp.End()
 		return nil, err
 	}
+	o := &solveObserver{ctx: ctx, span: sp, traced: telemetry.TraceEventsOn()}
+	r := &solveRun{c: c, opt: opt, st: opt.State, diag: &Diagnostics{Path: pathNewtonCG, Cost: &CostModel{}}}
+	var res *Result
+	switch {
+	case c.WireR == 0:
+		r.diag.Path = pathZeroWire
+		if res, err = c.solveZeroWire(ctx, vin, &r.diag.Cost.CGLoop); res != nil {
+			res.Diag = r.diag
+		}
+	default:
+		if c.Linear {
+			r.diag.Path = pathLinearCG
+		}
+		o.startPhase("assemble")
+		err = r.assemble(vin)
+		o.endPhase()
+		if err == nil && !r.warmStart() {
+			o.startPhase("setup")
+			err = r.setup()
+			o.endPhase()
+		}
+		if err == nil && !c.Linear {
+			// The observer closes this span after emitting the Newton
+			// trajectory, so the per-iteration events nest inside it.
+			o.startPhase("newton")
+			err = r.newton(ctx)
+		}
+		if err == nil {
+			res = r.result(vin)
+		}
+	}
+	return o.finish(c, vin, opt, res, r.diag, err)
+}
+
+// resolveOptions validates the inputs, applies the option defaults, and
+// honours an already-cancelled context.
+func (c *Crossbar) resolveOptions(ctx context.Context, vin []float64, opt SolveOptions) (SolveOptions, error) {
+	if err := c.Validate(); err != nil {
+		return opt, err
+	}
 	if len(vin) != c.M {
-		return nil, fmt.Errorf("circuit: input vector length %d, want %d", len(vin), c.M)
+		return opt, fmt.Errorf("circuit: input vector length %d, want %d", len(vin), c.M)
 	}
 	if opt.Tol <= 0 {
 		opt.Tol = 1e-9
@@ -556,260 +506,193 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 	if opt.CGTol <= 0 {
 		opt.CGTol = 1e-10
 	}
-	switch opt.Precond {
-	case "":
-		opt.Precond = PrecondBlockJacobi
-	case PrecondBlockJacobi, PrecondJacobi:
-	default:
-		return nil, fmt.Errorf("circuit: unknown preconditioner %q", opt.Precond)
-	}
-	// Cancellation contract: ctx is checked before every linear (CG) solve
-	// and per bisection column, so an aborted sweep stops burning CPU
-	// mid-Newton-loop; the error wraps ctx.Err().
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("circuit: solve aborted: %w", err)
+		return opt, fmt.Errorf("circuit: solve aborted: %w", err)
 	}
-	// Cost accounting is on unless opted out: a nil model threads nil
-	// accumulators through every kernel, which is the off switch.
-	var cost *CostModel
-	if !opt.NoCostAccounting {
-		cost = &CostModel{}
-	}
-	// Flight recorder: the correlation id ties this solve's journal events
-	// together (the matching solve_end is emitted by the deferred block
-	// above, after the span closes).
-	if telemetry.JournalOn() {
-		jid = nextSolveID("solve")
-		telemetry.EmitEventCtx(ctx, telemetry.EvSolveStart, jid, map[string]any{
-			"m": c.M, "n": c.N, "wire_r": c.WireR, "rsense": c.RSense,
-			"linear": c.Linear, "tol": opt.Tol, "max_newton": opt.MaxNewton,
-			"cg_tol": opt.CGTol, "precond": opt.Precond,
-		})
-	}
-	if c.WireR == 0 {
-		telZeroWireSolve.Inc()
-		res, err = c.solveZeroWire(ctx, vin, cost)
-		if res != nil {
-			res.Diag = &Diagnostics{Path: "zero-wire-bisection", Cost: cost}
-		}
-		return res, err
-	}
-	st := opt.State
-	// Memo: a re-solve with bit-identical inputs returns the memoized
-	// result (deep-copied) without touching the solver, so solving the
-	// same crossbar with and without a reused state stays bit-identical.
-	if hit := st.memoLookup(c, vin, opt); hit != nil {
-		telCacheHits.Inc()
-		res = hit
-		return res, nil
-	}
-	// Per-phase sub-spans (assemble / setup / newton) are gated on trace
-	// events being on: they exist purely for the causal timeline, and the
-	// gate keeps a plain run's span count (and cost) unchanged. A nil span
-	// is safe to End.
-	traced := telemetry.TraceEventsOn()
-	var phaseSpan *telemetry.Span
-	startPhase := func(name string) {
-		if traced {
-			_, phaseSpan = telemetry.StartSpan(ctx, name)
-		}
-	}
-	startPhase("assemble")
-	var a *assembly
+	return opt, nil
+}
+
+// solveRun is the numeric state one MNA solve threads through its steps:
+// plain numerics, with ctx used only for cancellation and no telemetry.
+type solveRun struct {
+	c    *Crossbar
+	opt  SolveOptions
+	st   *SolverState
+	diag *Diagnostics
+	a    *assembly
+	pre  *linalg.BlockJacobi
+	// v is the current operating point; newtonIters and cgIters are the
+	// Result's iteration counts.
+	v                    []float64
+	newtonIters, cgIters int
+	// baseline is the inner CG iteration count of the first solve after
+	// the last (re)factorization — the refresh policy's reference point.
+	baseline int
+}
+
+// assemble builds (or, through a state, restamps) the MNA system and
+// factors the block-Jacobi preconditioner from the current calibrated
+// matrix. Both are rebuilt from the crossbar at every solve start, so no
+// numeric state beyond the warm vector crosses solves.
+func (r *solveRun) assemble(vin []float64) error {
+	c, st, cost := r.c, r.st, r.diag.Cost
 	if st != nil && st.asm != nil && st.asmM == c.M && st.asmN == c.N {
 		// Reuse the cached sparsity pattern: re-stamp values and refresh
 		// the CSR via UpdateValues, whose per-slot summation order matches
 		// NewCSR's, so the matrix is bit-identical to a fresh assembly.
-		a = st.asm
-		c.stampValues(a, vin, cost.assembly())
-		if err := a.mat.UpdateValues(a.trips); err != nil {
-			return nil, err
+		r.a = st.asm
+		c.stampValues(r.a, vin, &cost.Assembly)
+		if err := r.a.mat.UpdateValues(r.a.trips); err != nil {
+			return err
 		}
-		cost.assembly().CountBytes(16*int64(len(a.trips)) + 8*int64(len(a.mat.Vals)))
+		cost.Assembly.CountBytes(16*int64(len(r.a.trips)) + 8*int64(len(r.a.mat.Vals)))
 	} else {
-		a, err = c.assemble(vin, cost.assembly())
+		a, err := c.assemble(vin, &cost.Assembly)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		r.a = a
 		if st != nil {
 			st.asm, st.asmM, st.asmN = a, c.M, c.N
 			st.pre = nil
 		}
 	}
-	phaseSpan.End()
-	diag := &Diagnostics{Path: "newton-cg", Precond: opt.Precond, Cost: cost}
-	if c.Linear {
-		diag.Path = "linear-cg"
-	}
-	// Structure-aware preconditioner, factored from the current calibrated
-	// matrix at every solve start (so no numeric state beyond the warm
-	// vector crosses solves), then frozen across Newton iterations
-	// (modified Newton) and refreshed only when CG effort regresses.
-	var pre linalg.Preconditioner
-	var bj *linalg.BlockJacobi
-	if opt.Precond == PrecondBlockJacobi {
-		if st != nil && st.pre != nil {
-			bj = st.pre
-			if err := bj.Refresh(a.mat, cost.precond()); err != nil {
-				return nil, fmt.Errorf("circuit: preconditioner: %w", err)
-			}
-		} else {
-			bj, err = linalg.NewBlockJacobi(a.mat, c.precondBlocks(), 1, cost.precond())
-			if err != nil {
-				return nil, fmt.Errorf("circuit: preconditioner: %w", err)
-			}
-			if st != nil {
-				st.pre = bj
-			}
+	// The factorization is then frozen across Newton iterations (modified
+	// Newton) and refreshed only when CG effort regresses.
+	if st != nil && st.pre != nil {
+		r.pre = st.pre
+		if err := r.pre.Refresh(r.a.mat, &cost.Precond); err != nil {
+			return fmt.Errorf("circuit: preconditioner: %w", err)
 		}
-		pre = bj
+		return nil
 	}
-	res = &Result{}
-	n2 := 2 * c.M * c.N
-	// baseline is the inner CG iteration count of the first solve after
-	// the last (re)factorization — the refresh policy's reference point.
-	baseline := -1
-	var v []float64
-	if !c.Linear && st.warmFor(c) {
-		// Warm start: resume Newton from the previous operating point; the
-		// setup linear solve is skipped entirely.
-		v = st.warmCopy()
-		cost.assembly().CountBytes(16 * int64(n2))
-		diag.WarmStart = true
-		telWarmSolves.Inc()
-	} else {
-		startPhase("setup")
-		var x0 []float64
-		if c.Linear && st.warmFor(c) {
-			x0 = st.v
-			diag.WarmStart = true
-			telWarmSolves.Inc()
+	pre, err := linalg.NewBlockJacobi(r.a.mat, c.precondBlocks(), 1, &cost.Precond)
+	if err != nil {
+		return fmt.Errorf("circuit: preconditioner: %w", err)
+	}
+	r.pre = pre
+	if st != nil {
+		st.pre = pre
+	}
+	return nil
+}
+
+// warmStart resumes a non-linear solve from the state's previous operating
+// point, skipping the setup linear solve; it reports whether it did.
+func (r *solveRun) warmStart() bool {
+	if r.c.Linear || !r.st.warmFor(r.c) {
+		return false
+	}
+	r.baseline = -1 // no CG call has run against the fresh factorization
+	r.v = r.st.warmCopy()
+	r.diag.Cost.Assembly.CountBytes(16 * int64(len(r.v)))
+	r.diag.WarmStart = true
+	return true
+}
+
+// setup runs the initial linear solve at calibrated resistances — the whole
+// solve in linear mode, where it warm-starts from the state's operating
+// point when one fits.
+func (r *solveRun) setup() error {
+	var x0 []float64
+	if r.c.Linear && r.st.warmFor(r.c) {
+		x0 = r.st.v
+		r.diag.WarmStart = true
+	}
+	v, it, err := linalg.SolveCG(r.a.mat, r.a.rhsBase, x0, r.cgOptions())
+	if err != nil {
+		return fmt.Errorf("circuit: linear solve: %w", err)
+	}
+	r.v = v
+	r.cgIters += it
+	r.newtonIters = 1
+	r.diag.SetupCGIters = it
+	r.baseline = it
+	return nil
+}
+
+func (r *solveRun) cgOptions() linalg.CGOptions {
+	return linalg.CGOptions{Tol: r.opt.CGTol, Ops: &r.diag.Cost.CGLoop, Precond: r.pre, Work: r.st.cgWork()}
+}
+
+// newton iterates companion-model restamps and linear solves until the max
+// node-voltage update drops below opt.Tol, recording the trajectory in the
+// diagnostics; exhausting opt.MaxNewton returns a *DivergenceError.
+func (r *solveRun) newton(ctx context.Context) error {
+	c, a, diag, cost := r.c, r.a, r.diag, r.diag.Cost
+	needRefresh := false
+	for iter := 0; iter < r.opt.MaxNewton; iter++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("circuit: Newton iteration aborted: %w", err)
 		}
-		// Initial linear solve at calibrated resistances.
-		var it int
-		v, it, err = linalg.SolveCG(a.mat, a.rhsBase, x0, linalg.CGOptions{Tol: opt.CGTol, Ops: cost.cgLoop(), Precond: pre, Work: st.cgWork()})
+		rhs := c.restamp(a, r.v, &cost.NewtonUpdate)
+		if err := a.mat.UpdateValues(a.trips); err != nil {
+			return err
+		}
+		cost.NewtonUpdate.CountBytes(8*int64(len(a.mat.Vals)) + 16*int64(len(a.trips)))
+		if needRefresh {
+			// The frozen factorization fell behind the Newton stamps;
+			// refactor against the current matrix and re-baseline.
+			if err := r.pre.Refresh(a.mat, &cost.Precond); err != nil {
+				return fmt.Errorf("circuit: preconditioner refresh: %w", err)
+			}
+			diag.PrecondRefreshes++
+			r.baseline = -1
+			needRefresh = false
+		}
+		vNew, it, err := linalg.SolveCG(a.mat, rhs, r.v, r.cgOptions())
 		if err != nil {
-			return nil, fmt.Errorf("circuit: linear solve: %w", err)
+			return fmt.Errorf("circuit: Newton linear solve: %w", err)
 		}
-		res.CGIters += it
-		res.NewtonIters = 1
-		diag.SetupCGIters = it
-		baseline = it
-		phaseSpan.End()
-	}
-	if !c.Linear {
-		startPhase("newton")
-		defer phaseSpan.End()
-		needRefresh := false
-		for iter := 0; iter < opt.MaxNewton; iter++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("circuit: Newton iteration aborted: %w", err)
-			}
-			rhs := c.restamp(a, v, cost.newtonUpdate())
-			if err := a.mat.UpdateValues(a.trips); err != nil {
-				return nil, err
-			}
-			cost.newtonUpdate().CountBytes(8*int64(len(a.mat.Vals)) + 16*int64(len(a.trips)))
-			if bj != nil && needRefresh {
-				// The frozen factorization fell behind the Newton stamps;
-				// refactor against the current matrix and re-baseline.
-				if err := bj.Refresh(a.mat, cost.precond()); err != nil {
-					return nil, fmt.Errorf("circuit: preconditioner refresh: %w", err)
-				}
-				diag.PrecondRefreshes++
-				telPreRefreshes.Inc()
-				baseline = -1
-				needRefresh = false
-			}
-			vNew, it, err := linalg.SolveCG(a.mat, rhs, v, linalg.CGOptions{Tol: opt.CGTol, Ops: cost.cgLoop(), Precond: pre, Work: st.cgWork()})
-			if err != nil {
-				return nil, fmt.Errorf("circuit: Newton linear solve: %w", err)
-			}
-			if bj != nil {
-				// Deterministic modified-Newton refresh policy: refresh
-				// before the next solve when this one needed more than
-				// 2·baseline+8 iterations — regression past the slack means
-				// the frozen factorization stopped pulling its weight.
-				if baseline < 0 {
-					baseline = it
-				} else if it > 2*baseline+8 {
-					needRefresh = true
-				}
-			}
-			res.CGIters += it
-			res.NewtonIters++
-			delta := 0.0
-			for i := range v {
-				if d := math.Abs(vNew[i] - v[i]); d > delta {
-					delta = d
-				}
-			}
-			cost.newtonUpdate().CountVecOp(len(v), 2) // ΔV convergence scan
-			v = vNew
-			diag.Residuals = append(diag.Residuals, delta)
-			diag.CGIters = append(diag.CGIters, it)
-			if jid != "" {
-				telemetry.EmitEventCtx(ctx, telemetry.EvNewtonIter, jid, map[string]any{
-					"iter": iter, "max_dv": jsonFinite(delta), "cg_iters": it,
-				})
-			}
-			if delta < opt.Tol {
-				break
-			}
-			if iter == opt.MaxNewton-1 {
-				telDiverged.Inc()
-				diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.mat, cost.diagnostics()))
-				diag.analyze()
-				derr := &DivergenceError{Iters: opt.MaxNewton, FinalResidual: delta, Diag: diag}
-				telemetry.Log().Warn("newton iteration diverged",
-					"size", fmt.Sprintf("%dx%d", c.M, c.N), "max_newton", opt.MaxNewton, "tol", opt.Tol)
-				if telemetry.JournalOn() {
-					snap := c.NewSnapshot(vin, opt, nil, derr)
-					if diag.WarmStart {
-						// Record the warm-start vector the trajectory began
-						// from, so a replay reproduces it bit-identically.
-						snap.WarmV = st.WarmV()
-					}
-					snapPath = saveSnapshot("divergence", snap)
-				}
-				return nil, derr
+		// Deterministic modified-Newton refresh policy: refresh before the
+		// next solve when this one needed more than 2·baseline+8
+		// iterations — regression past the slack means the frozen
+		// factorization stopped pulling its weight.
+		if r.baseline < 0 {
+			r.baseline = it
+		} else if it > 2*r.baseline+8 {
+			needRefresh = true
+		}
+		r.cgIters += it
+		r.newtonIters++
+		delta := 0.0
+		for i := range r.v {
+			if d := math.Abs(vNew[i] - r.v[i]); d > delta {
+				delta = d
 			}
 		}
+		cost.NewtonUpdate.CountVecOp(len(r.v), 2) // ΔV convergence scan
+		r.v = vNew
+		diag.Residuals = append(diag.Residuals, delta)
+		diag.CGIters = append(diag.CGIters, it)
+		if delta < r.opt.Tol {
+			return nil
+		}
 	}
-	// Idempotent: closes the newton phase span on the converged path (the
-	// deferred End covers the error returns above).
-	phaseSpan.End()
-	if opt.Diagnostics {
-		diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.mat, cost.diagnostics()))
+	diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.mat, &cost.Diagnostics))
+	diag.analyze()
+	return &DivergenceError{Iters: r.opt.MaxNewton, FinalResidual: diag.Residuals[len(diag.Residuals)-1], Diag: diag}
+}
+
+// result packages the converged operating point and feeds the state: the
+// operating point warm-starts the next solve through it.
+func (r *solveRun) result(vin []float64) *Result {
+	c, diag := r.c, r.diag
+	if r.opt.Diagnostics {
+		diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(r.a.mat, &diag.Cost.Diagnostics))
 	}
 	diag.analyze()
-	res.Diag = diag
-	res.NodeV = v
-	if st != nil {
+	res := &Result{NewtonIters: r.newtonIters, CGIters: r.cgIters, NodeV: r.v, Diag: diag}
+	if r.st != nil {
 		// With a state, v aliases its reusable CG/warm scratch; the result
 		// outlives the next solve through the state, so it gets its own
 		// storage.
-		res.NodeV = append([]float64(nil), v...)
+		res.NodeV = append([]float64(nil), r.v...)
 	}
-	res.VOut = c.extractVOut(v)
-	res.Power = c.sourcePower(vin, v)
-	// A converged solve feeds the state: its operating point warm-starts
-	// the next solve, and its result answers bit-identical re-solves.
-	st.store(c, vin, opt, res)
-	return res, nil
-}
-
-// diagOf extracts the diagnostics of a finished solve from whichever side
-// carries them: the result on success, the typed error on divergence.
-func diagOf(res *Result, err error) *Diagnostics {
-	if res != nil && res.Diag != nil {
-		return res.Diag
-	}
-	var de *DivergenceError
-	if errors.As(err, &de) {
-		return de.Diag
-	}
-	return nil
+	res.VOut = c.extractVOut(r.v)
+	res.Power = c.sourcePower(vin, r.v)
+	r.st.store(c, res)
+	return res
 }
 
 // extractVOut reads the sense-node voltages of the solved network.

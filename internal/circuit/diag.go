@@ -58,9 +58,6 @@ type Diagnostics struct {
 	// at calibrated resistances (zero on the bisection path and on
 	// warm-started non-linear solves, which skip the setup solve).
 	SetupCGIters int `json:"setup_cg_iters,omitempty"`
-	// Precond names the inner linear preconditioner ("block-jacobi",
-	// "jacobi"); empty on the bisection path, which has no linear core.
-	Precond string `json:"precond,omitempty"`
 	// PrecondRefreshes counts mid-Newton preconditioner refactorizations:
 	// the factorization is frozen across Newton iterations
 	// (modified-Newton) and refreshed only when the inner CG iteration
@@ -69,10 +66,6 @@ type Diagnostics struct {
 	// WarmStart marks a solve that resumed from a SolverState operating
 	// point instead of running the setup linear solve.
 	WarmStart bool `json:"warm_start,omitempty"`
-	// CacheHit marks a solve answered from the SolverState result memo —
-	// the inputs were bit-identical to the previous solve, so its result
-	// was returned without touching the solver (Cost is nil).
-	CacheHit bool `json:"cache_hit,omitempty"`
 	// Residuals is the max node-voltage update (volts) after each Newton
 	// iteration — the convergence trajectory. Empty for linear solves.
 	Residuals []float64 `json:"residuals,omitempty"`
@@ -83,8 +76,7 @@ type Diagnostics struct {
 	// MNA Jacobian (linalg.EstimateCond). Computed on divergence and when
 	// SolveOptions.Diagnostics is set; zero otherwise.
 	CondEstimate float64 `json:"cond_estimate,omitempty"`
-	// Cost is the solve's per-phase operation cost model; nil when the
-	// solve ran with SolveOptions.NoCostAccounting.
+	// Cost is the solve's per-phase operation cost model.
 	Cost *CostModel `json:"cost,omitempty"`
 	// Convergence carries analytics derived from the recorded trajectory
 	// (residual decay rate, stagnation flag); nil for linear solves.
@@ -133,43 +125,6 @@ func (c *CostModel) Total() linalg.OpCount {
 	t.Add(&c.Precond)
 	t.Add(&c.Diagnostics)
 	return t
-}
-
-// Nil-safe phase accessors: a disabled cost model threads nil *OpCount
-// into the kernels, which is the zero-overhead off switch.
-func (c *CostModel) assembly() *linalg.OpCount {
-	if c == nil {
-		return nil
-	}
-	return &c.Assembly
-}
-
-func (c *CostModel) newtonUpdate() *linalg.OpCount {
-	if c == nil {
-		return nil
-	}
-	return &c.NewtonUpdate
-}
-
-func (c *CostModel) cgLoop() *linalg.OpCount {
-	if c == nil {
-		return nil
-	}
-	return &c.CGLoop
-}
-
-func (c *CostModel) precond() *linalg.OpCount {
-	if c == nil {
-		return nil
-	}
-	return &c.Precond
-}
-
-func (c *CostModel) diagnostics() *linalg.OpCount {
-	if c == nil {
-		return nil
-	}
-	return &c.Diagnostics
 }
 
 // Convergence analytics derived from a solve's recorded Newton trajectory.
@@ -481,12 +436,23 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	s, err := decodeSnapshot(b)
+	if err != nil {
+		return nil, fmt.Errorf("%w (in %s)", err, path)
+	}
+	return s, nil
+}
+
+// decodeSnapshot parses and schema-validates one snapshot document. Keys
+// the schema does not know — such as the retired "precond" and
+// "no_cost_accounting" options of older snapshots — are ignored.
+func decodeSnapshot(b []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, fmt.Errorf("circuit: snapshot %s: %w", path, err)
+		return nil, fmt.Errorf("circuit: snapshot: %w", err)
 	}
 	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("%w (in %s)", err, path)
+		return nil, err
 	}
 	return &s, nil
 }

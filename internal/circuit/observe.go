@@ -1,0 +1,155 @@
+// Solve observation: the single place a finished solve is turned into
+// metrics, journal events, logs, and divergence snapshots. The numeric
+// steps in circuit.go only fill Result and Diagnostics; everything the
+// outside world sees about a solve is derived from those here.
+package circuit
+
+import (
+	"context"
+	"fmt"
+
+	"mnsim/internal/telemetry"
+)
+
+// Solver telemetry: per-solve Newton and cumulative CG iteration
+// histograms (the quantities behind the paper's Table III timing claims),
+// solve and divergence counters, and cost attribution — process-wide
+// flop/byte totals plus per-solve per-phase flop histograms, so /metrics
+// answers "where does solve cost go" without a journal. Registered at
+// package init so every export lists the solver families, observed or not.
+var (
+	telSolves        = telemetry.GetCounter("mnsim_circuit_solves_total")
+	telDiverged      = telemetry.GetCounter("mnsim_circuit_newton_divergence_total")
+	telNewtonIters   = telemetry.GetHistogram("mnsim_circuit_newton_iterations", telemetry.LinearBuckets(1, 1, 20))
+	telCGIters       = telemetry.GetHistogram("mnsim_circuit_cg_iterations_per_solve", telemetry.ExponentialBuckets(8, 2, 12))
+	telZeroWireSolve = telemetry.GetCounter("mnsim_circuit_zero_wire_solves_total")
+	telWarmSolves    = telemetry.GetCounter("mnsim_circuit_warm_start_solves_total")
+	telPreRefreshes  = telemetry.GetCounter("mnsim_circuit_precond_refreshes_total")
+	telSolveFlops    = telemetry.GetCounter("mnsim_solve_flops_total")
+	telSolveBytes    = telemetry.GetCounter("mnsim_solve_bytes_total")
+	telPhaseAssembly = telemetry.GetHistogram("mnsim_circuit_phase_assembly_flops", telemetry.ExponentialBuckets(1024, 4, 14))
+	telPhaseNewton   = telemetry.GetHistogram("mnsim_circuit_phase_newton_update_flops", telemetry.ExponentialBuckets(1024, 4, 14))
+	telPhaseCG       = telemetry.GetHistogram("mnsim_circuit_phase_cg_flops", telemetry.ExponentialBuckets(1024, 4, 14))
+	telPhasePrecond  = telemetry.GetHistogram("mnsim_circuit_phase_precond_flops", telemetry.ExponentialBuckets(1024, 4, 14))
+	telPhaseDiag     = telemetry.GetHistogram("mnsim_circuit_phase_diagnostics_flops", telemetry.ExponentialBuckets(1024, 4, 14))
+)
+
+// solveObserver watches one solve from its circuit.solve span. Its
+// per-phase sub-spans (assemble / setup / newton) are gated on trace events
+// being on: they exist purely for the causal timeline, and the gate keeps a
+// plain run's span count (and cost) unchanged.
+type solveObserver struct {
+	ctx    context.Context
+	span   *telemetry.Span
+	traced bool
+	phase  *telemetry.Span // nil when untraced; End is nil-safe and idempotent
+}
+
+func (o *solveObserver) startPhase(name string) {
+	if o.traced {
+		_, o.phase = telemetry.StartSpan(o.ctx, name)
+	}
+}
+
+func (o *solveObserver) endPhase() { o.phase.End() }
+
+// finish observes a finished solve — success, divergence, CG failure, or
+// cancellation alike — and passes its outcome through. diag is the solve's
+// trajectory as far as it got, so a failed solve still journals the Newton
+// steps it completed.
+func (o *solveObserver) finish(c *Crossbar, vin []float64, opt SolveOptions, res *Result, diag *Diagnostics, err error) (*Result, error) {
+	jid := ""
+	if telemetry.JournalOn() {
+		// The correlation id ties this solve's journal events together.
+		jid = nextSolveID("solve")
+		telemetry.EmitEventCtx(o.ctx, telemetry.EvSolveStart, jid, map[string]any{
+			"m": c.M, "n": c.N, "wire_r": c.WireR, "rsense": c.RSense,
+			"linear": c.Linear, "tol": opt.Tol, "max_newton": opt.MaxNewton,
+			"cg_tol": opt.CGTol,
+		})
+		for i, dv := range diag.Residuals {
+			telemetry.EmitEventCtx(o.ctx, telemetry.EvNewtonIter, jid, map[string]any{
+				"iter": i, "max_dv": jsonFinite(dv), "cg_iters": diag.CGIters[i],
+			})
+		}
+	}
+	o.endPhase()
+	if diag.Path == pathZeroWire {
+		telZeroWireSolve.Inc()
+	}
+	if diag.WarmStart {
+		telWarmSolves.Inc()
+	}
+	telPreRefreshes.Add(int64(diag.PrecondRefreshes))
+	snapPath := ""
+	// The numeric steps return a divergence unwrapped.
+	de, _ := err.(*DivergenceError)
+	if de != nil {
+		telDiverged.Inc()
+		telemetry.Log().Warn("newton iteration diverged",
+			"size", fmt.Sprintf("%dx%d", c.M, c.N), "max_newton", opt.MaxNewton, "tol", opt.Tol)
+		if jid != "" {
+			snap := c.NewSnapshot(vin, opt, nil, err)
+			if diag.WarmStart {
+				// Record the warm-start vector the trajectory began from (a
+				// diverged solve leaves the state untouched), so a replay
+				// reproduces it bit-identically.
+				snap.WarmV = opt.State.WarmV()
+			}
+			snapPath = saveSnapshot("divergence", snap)
+		}
+	}
+	// solve_end is emitted after the span closes so it can carry the
+	// span's duration.
+	dur := o.span.End()
+	if res != nil {
+		telSolves.Inc()
+		telNewtonIters.Observe(float64(res.NewtonIters))
+		telCGIters.Observe(float64(res.CGIters))
+	}
+	// Cost and outcome analytics come from a result or a divergence only.
+	var d *Diagnostics
+	if res != nil || de != nil {
+		d = diag
+	}
+	if d != nil {
+		total := d.Cost.Total()
+		telSolveFlops.Add(total.Flops)
+		telSolveBytes.Add(total.Bytes)
+		telPhaseAssembly.Observe(float64(d.Cost.Assembly.Flops))
+		telPhaseNewton.Observe(float64(d.Cost.NewtonUpdate.Flops))
+		telPhaseCG.Observe(float64(d.Cost.CGLoop.Flops))
+		telPhasePrecond.Observe(float64(d.Cost.Precond.Flops))
+		telPhaseDiag.Observe(float64(d.Cost.Diagnostics.Flops))
+	}
+	if jid == "" {
+		return res, err
+	}
+	data := map[string]any{"ok": err == nil, "dur_us": float64(dur.Nanoseconds()) / 1e3}
+	if res != nil {
+		data["newton_iters"] = res.NewtonIters
+		data["cg_iters"] = res.CGIters
+	}
+	if d != nil {
+		if d.Path != pathZeroWire {
+			data["precond_refreshes"] = d.PrecondRefreshes
+		}
+		if d.WarmStart {
+			data["warm_start"] = true
+		}
+		data["cost"] = d.Cost
+		data["flops"] = d.Cost.Total().Flops
+		if d.Convergence != nil {
+			data["decay_rate"] = d.Convergence.DecayRate
+			data["stagnated"] = d.Convergence.Stagnated
+		}
+	}
+	if err != nil {
+		data["err"] = err.Error()
+	}
+	if snapPath != "" {
+		data["snapshot"] = snapPath
+	}
+	telemetry.EmitEventCtx(o.ctx, telemetry.EvSolveEnd, jid, data)
+	return res, err
+}

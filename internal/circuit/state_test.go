@@ -11,8 +11,9 @@ import (
 // TestSolverStateDeterminism is the state-reuse bit-identity contract:
 // solving the same crossbar with and without a reused SolverState yields
 // bit-identical VOut. A fresh state changes nothing (only warm data ever
-// alters the path), and a re-solve of bit-identical inputs is answered from
-// the memo with a bit-identical copy.
+// alters the path), and a same-input re-solve through the reused state
+// lands on the same bits by doing the work: it warm-starts from the stored
+// operating point, which CG's warm-start early exit reproduces exactly.
 func TestSolverStateDeterminism(t *testing.T) {
 	c, vin := costCrossbar(8, 6)
 	bare, err := c.Solve(vin, SolveOptions{})
@@ -38,23 +39,24 @@ func TestSolverStateDeterminism(t *testing.T) {
 				n, second.VOut[n], bare.VOut[n])
 		}
 	}
-	if first.Diag.CacheHit {
-		t.Error("first solve through a fresh state flagged as cache hit")
+	// Every solve reports work it actually did.
+	for name, res := range map[string]*Result{"fresh": first, "reused": second} {
+		if res.Diag.Cost == nil {
+			t.Errorf("%s-state solve carries no cost model", name)
+		}
+		if res.NewtonIters < 1 {
+			t.Errorf("%s-state solve reports %d Newton iterations", name, res.NewtonIters)
+		}
+		cg := res.Diag.SetupCGIters
+		for _, it := range res.Diag.CGIters {
+			cg += it
+		}
+		if res.CGIters != cg {
+			t.Errorf("%s-state solve reports %d CG iterations, trajectory sums to %d", name, res.CGIters, cg)
+		}
 	}
-	if !second.Diag.CacheHit {
-		t.Error("bit-identical re-solve not answered from the memo")
-	}
-	if second.Diag.Cost != nil {
-		t.Error("memo hit carries a cost model — no solver work should have run")
-	}
-	// The memoized copy must be isolated from the caller's result.
-	second.VOut[0] = 42
-	third, err := c.Solve(vin, SolveOptions{State: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.VOut[0] == 42 {
-		t.Error("memo result aliases a previously returned slice")
+	if !second.Diag.WarmStart {
+		t.Error("same-input re-solve through the state did not warm-start")
 	}
 }
 
@@ -149,41 +151,20 @@ func TestSolverStateShapeChange(t *testing.T) {
 	}
 }
 
-// TestPrecondSelection: both preconditioners agree on the answer, the
-// resolved kind is recorded, and an unknown kind is rejected.
+// TestPrecondSelection: the block-Jacobi preconditioner is the solve's
+// inner preconditioner, and its work is booked where it happens — band
+// factorizations in the precond phase, applies in the CG loop.
 func TestPrecondSelection(t *testing.T) {
 	c, vin := costCrossbar(10, 10)
 	blk, err := c.Solve(vin, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blk.Diag.Precond != PrecondBlockJacobi {
-		t.Errorf("default precond = %q, want %q", blk.Diag.Precond, PrecondBlockJacobi)
-	}
-	jac, err := c.Solve(vin, SolveOptions{Precond: PrecondJacobi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jac.Diag.Precond != PrecondJacobi {
-		t.Errorf("precond = %q, want %q", jac.Diag.Precond, PrecondJacobi)
-	}
-	for n := range blk.VOut {
-		if math.Abs(blk.VOut[n]-jac.VOut[n]) > 1e-7*(1+math.Abs(jac.VOut[n])) {
-			t.Fatalf("col %d: block-jacobi %v vs jacobi %v", n, blk.VOut[n], jac.VOut[n])
-		}
-	}
-	if blk.CGIters >= jac.CGIters {
-		t.Errorf("block-jacobi spent %d CG iters, jacobi %d — expected a reduction",
-			blk.CGIters, jac.CGIters)
-	}
 	if blk.Diag.Cost.Precond.BandFactorizations == 0 {
 		t.Error("block-jacobi solve booked no band factorizations")
 	}
 	if blk.Diag.Cost.CGLoop.PrecondApplies == 0 {
 		t.Error("block-jacobi solve booked no preconditioner applies in the CG loop")
-	}
-	if _, err := c.Solve(vin, SolveOptions{Precond: "cholesky"}); err == nil {
-		t.Error("unknown preconditioner accepted")
 	}
 }
 

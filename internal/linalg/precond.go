@@ -10,9 +10,6 @@ type Preconditioner interface {
 	// Apply computes z = M⁻¹·r. A non-nil ops accumulates the apply's
 	// operation counts; accounting is observational only.
 	Apply(r, z []float64, ops *OpCount)
-	// Kind names the preconditioner for diagnostics ("jacobi",
-	// "block-jacobi", ...).
-	Kind() string
 }
 
 // jacobiPrecond is the classic diagonal preconditioner — the SolveCG
@@ -45,8 +42,6 @@ func (p *jacobiPrecond) Apply(r, z []float64, ops *OpCount) {
 	ops.CountVecOp(len(z), 1)
 	ops.CountPrecondApply()
 }
-
-func (p *jacobiPrecond) Kind() string { return "jacobi" }
 
 // Block describes one strided index set of a matrix: the global indices
 // Start + k·Stride for k ∈ [0, Len). The crossbar MNA ordering makes every
@@ -198,8 +193,6 @@ func (p *BlockJacobi) Apply(r, z []float64, ops *OpCount) {
 	ops.CountBytes(32 * int64(p.n)) // gather + scatter traffic
 	ops.CountPrecondApply()
 }
-
-func (p *BlockJacobi) Kind() string { return "block-jacobi" }
 
 // findPos returns the position of element (i,j) in the CSR value array, or
 // −1 when the pattern has no such entry. Column indices are sorted within

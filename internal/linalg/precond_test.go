@@ -38,9 +38,6 @@ func TestBlockJacobiExactOnBlockDiagonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Kind() != "block-jacobi" {
-		t.Fatalf("Kind = %q", p.Kind())
-	}
 	r := []float64{1, -2, 3, 0.5, -1, 2}
 	z := make([]float64, 6)
 	p.Apply(r, z, nil)

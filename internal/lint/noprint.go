@@ -10,7 +10,7 @@ import (
 // or the print/println builtins. PR 1's telemetry logger exists exactly
 // so diagnostics are leveled and machine-readable, and the CLIs own
 // stdout for their result tables — a stray fmt.Println in a solver
-// corrupts piped output (mnsim-benchjson parses it) and dodges -log-level.
+// corrupts piped output (mnsim-bench json parses it) and dodges -log-level.
 // fmt.Fprint* to an explicit io.Writer is fine: the caller chose the sink.
 var NoPrint = &Analyzer{
 	Name:       "noprint",

@@ -185,8 +185,7 @@ func replayTransient(c *circuit.Crossbar, s *circuit.Snapshot, w io.Writer, verb
 
 // compareCost checks a re-run's cost model against the recorded one.
 // Operation counts are integers, so the comparison is exact; a recorded
-// snapshot without cost (accounting off, or pre-cost schema) skips the
-// check.
+// snapshot without cost (written by a pre-cost build) skips the check.
 func compareCost(d *circuit.Diagnostics, recorded *circuit.CostModel) error {
 	if recorded == nil {
 		return nil
@@ -215,11 +214,8 @@ func printDiagnostics(w io.Writer, res *circuit.Result, err error) {
 		return
 	}
 	fmt.Fprintf(w, "  path %s", d.Path)
-	if d.Precond != "" {
-		fmt.Fprintf(w, "  precond %s", d.Precond)
-		if d.PrecondRefreshes > 0 {
-			fmt.Fprintf(w, " (%d refreshes)", d.PrecondRefreshes)
-		}
+	if d.PrecondRefreshes > 0 {
+		fmt.Fprintf(w, "  precond refreshes %d", d.PrecondRefreshes)
 	}
 	if d.WarmStart {
 		fmt.Fprint(w, "  warm-start")

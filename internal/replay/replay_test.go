@@ -231,22 +231,54 @@ func TestReplayCostRoundTrip(t *testing.T) {
 	}
 }
 
-// A snapshot recorded with accounting off (or by a pre-cost build) has no
-// cost model; replay must skip the check rather than flag a mismatch.
-func TestReplayCostAbsentSkipsCheck(t *testing.T) {
+// A snapshot written before the preconditioner and cost-accounting knobs
+// were retired still carries their option keys; it must load (the keys are
+// ignored) and replay bit-identically.
+func TestReplayLegacyOptionKeys(t *testing.T) {
 	c := testCrossbar()
 	vin := []float64{0.3, 0.2, 0.1, 0.3}
-	opt := circuit.SolveOptions{NoCostAccounting: true}
+	opt := circuit.SolveOptions{Tol: 1e-9, MaxNewton: 50, CGTol: 1e-10}
 	res, err := c.Solve(vin, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := c.NewSnapshot(vin, opt, res, nil)
-	if snap.Outcome.Cost != nil {
-		t.Fatalf("accounting-off snapshot recorded a cost model: %+v", snap.Outcome.Cost)
+	var sb strings.Builder
+	if err := circuit.WriteSnapshot(&sb, c.NewSnapshot(vin, opt, res, nil)); err != nil {
+		t.Fatal(err)
 	}
-	// Replays re-solve with the recorded options, so the re-run is also
-	// accounting-off and the recorded/absent cost must compare clean.
+	doc := strings.Replace(sb.String(), `"options": {`,
+		`"options": {"precond":"block-jacobi","no_cost_accounting":false,`, 1)
+	if doc == sb.String() {
+		t.Fatal("options object not found in the written snapshot")
+	}
+	path := filepath.Join(t.TempDir(), "legacy.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := circuit.LoadSnapshot(path)
+	if err != nil {
+		t.Fatalf("legacy snapshot rejected: %v", err)
+	}
+	var out strings.Builder
+	if err := Snapshot(context.Background(), loaded, &out, false); err != nil {
+		t.Fatalf("legacy snapshot replay mismatch: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "bit-identical") {
+		t.Fatalf("replay report lacks the bit-identity verdict:\n%s", out.String())
+	}
+}
+
+// A snapshot written by a pre-cost build has no cost model; replay must
+// skip the check rather than flag a mismatch.
+func TestReplayCostAbsentSkipsCheck(t *testing.T) {
+	c := testCrossbar()
+	vin := []float64{0.3, 0.2, 0.1, 0.3}
+	res, err := c.Solve(vin, circuit.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := c.NewSnapshot(vin, circuit.SolveOptions{}, res, nil)
+	snap.Outcome.Cost = nil
 	var sb strings.Builder
 	if err := Snapshot(context.Background(), snap, &sb, false); err != nil {
 		t.Fatalf("cost-less snapshot failed replay: %v\n%s", err, sb.String())

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 )
 
@@ -30,8 +29,6 @@ import (
 //	                    /events, /healthz, /debug/pprof/*)
 //	-serve-hold d       keep the -serve server up for d after the run so
 //	                    a scraper can take a final sample
-//	-pprof addr         deprecated alias of -serve exposing only
-//	                    /debug/pprof/*
 //	-progress           print a rate-limited live progress line to stderr
 //	-log-level level    default-logger verbosity (debug|info|warn|error|off)
 //	-resource-interval d  sample runtime/metrics (heap, GC, goroutines,
@@ -63,7 +60,6 @@ type Flags struct {
 	Journal     string
 	ServeAddr   string
 	ServeHold   time.Duration
-	PprofAddr   string
 	Progress    bool
 	LogLevel    string
 
@@ -85,7 +81,6 @@ type Flags struct {
 	ctx       context.Context
 	servers   []*http.Server
 	serveAddr string
-	pprofAddr string
 	progStop  chan struct{}
 	progDone  chan struct{}
 	sampling  bool
@@ -108,8 +103,6 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 		"serve the observability endpoints on this address (e.g. localhost:6060): /metrics, /metrics.json, /trace, /progress, /runinfo, /events, /healthz, /debug/pprof/*")
 	fs.DurationVar(&f.ServeHold, "serve-hold", 0,
 		"keep the -serve server up this long after the run completes, for a final scrape (Ctrl-C ends the hold early)")
-	fs.StringVar(&f.PprofAddr, "pprof", "",
-		"deprecated: use -serve (which includes /debug/pprof/*); serves only the pprof handlers on this address")
 	fs.BoolVar(&f.Progress, "progress", false,
 		"print a live, rate-limited progress line (done/total, rate, ETA) to stderr")
 	fs.StringVar(&f.LogLevel, "log-level", "",
@@ -131,9 +124,9 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 // have no cancellation to propagate.
 func (f *Flags) Start() error { return f.StartContext(context.Background()) }
 
-// StartContext applies the log level, brings up the observability and
-// pprof servers, and starts the -progress printer. Listens happen
-// synchronously so a bad -serve or -pprof address fails the run
+// StartContext applies the log level, brings up the observability
+// server, and starts the -progress printer. Listens happen
+// synchronously so a bad -serve address fails the run
 // immediately instead of dying silently in a goroutine. Cancelling ctx
 // (the CLIs pass their SIGINT context) shuts the servers down gracefully.
 func (f *Flags) StartContext(ctx context.Context) error {
@@ -173,10 +166,6 @@ func (f *Flags) StartContext(ctx context.Context) error {
 		}
 		EnableTraceEvents(0)
 	}
-	// Port 0 means "pick any free port", so two :0 binds never collide.
-	if f.ServeAddr != "" && f.ServeAddr == f.PprofAddr && !strings.HasSuffix(f.ServeAddr, ":0") {
-		return fmt.Errorf("telemetry: -serve and -pprof both bind %s; drop -pprof (deprecated), -serve already includes /debug/pprof/*", f.ServeAddr)
-	}
 	if f.ServeAddr != "" {
 		addr, err := f.listenAndServe(ctx, f.ServeAddr, NewServeMux(f.Run))
 		if err != nil {
@@ -184,14 +173,6 @@ func (f *Flags) StartContext(ctx context.Context) error {
 		}
 		f.serveAddr = addr
 		Log().Info("observability serving", "addr", addr)
-	}
-	if f.PprofAddr != "" {
-		addr, err := f.listenAndServe(ctx, f.PprofAddr, NewPprofMux())
-		if err != nil {
-			return fmt.Errorf("telemetry: pprof listen: %w", err)
-		}
-		f.pprofAddr = addr
-		Log().Info("pprof serving (deprecated -pprof; prefer -serve)", "addr", addr)
 	}
 	if f.Progress {
 		f.startProgressPrinter(ctx)
@@ -259,10 +240,6 @@ func (f *Flags) listenAndServe(ctx context.Context, addr string, mux *http.Serve
 // Addr returns the resolved -serve listen address ("" when not serving);
 // with "-serve localhost:0" this is where the kernel put the server.
 func (f *Flags) Addr() string { return f.serveAddr }
-
-// PprofListenAddr returns the resolved -pprof listen address ("" when not
-// serving).
-func (f *Flags) PprofListenAddr() string { return f.pprofAddr }
 
 // isTerminal reports whether w is an interactive terminal (a character
 // device), which selects the carriage-return rewriting progress style.
@@ -422,6 +399,6 @@ func (f *Flags) Finish() error {
 		}
 	}
 	f.servers = nil
-	f.serveAddr, f.pprofAddr = "", ""
+	f.serveAddr = ""
 	return first
 }

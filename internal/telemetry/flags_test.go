@@ -55,18 +55,6 @@ func TestFlagsRegisterAndDump(t *testing.T) {
 	}
 }
 
-func TestFlagsBadPprofAddr(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := AddFlags(fs)
-	if err := fs.Parse([]string{"-pprof", "256.256.256.256:99999"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Start(); err == nil {
-		f.Finish()
-		t.Fatal("bad pprof address accepted")
-	}
-}
-
 func TestFlagsBadLogLevel(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := AddFlags(fs)

@@ -78,14 +78,6 @@ func NewServeMux(run *RunInfo) *http.ServeMux {
 	return mux
 }
 
-// NewPprofMux builds a mux carrying only the /debug/pprof/* handlers —
-// what the deprecated -pprof flag serves.
-func NewPprofMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mountPprof(mux)
-	return mux
-}
-
 // mountPprof registers the net/http/pprof handlers explicitly instead of
 // relying on the package's init-time http.DefaultServeMux registration.
 func mountPprof(mux *http.ServeMux) {

@@ -125,49 +125,3 @@ func TestServeEndpoints(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
-func TestPprofAliasServesOnlyPprof(t *testing.T) {
-	f := startServe(t, context.Background(), "-pprof", "localhost:0")
-	addr := f.PprofListenAddr()
-	if addr == "" {
-		t.Fatal("no resolved -pprof address")
-	}
-	status, _, _ := get(t, "http://"+addr+"/debug/pprof/")
-	if status != http.StatusOK {
-		t.Fatalf("/debug/pprof/ status %d", status)
-	}
-	// The deprecated alias must NOT expose the full observability surface.
-	status, _, _ = get(t, "http://"+addr+"/metrics")
-	if status != http.StatusNotFound {
-		t.Fatalf("/metrics on -pprof server: status %d, want 404", status)
-	}
-}
-
-func TestServePprofOverlapRejected(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := AddFlags(fs)
-	if err := fs.Parse([]string{"-serve", "localhost:7171", "-pprof", "localhost:7171"}); err != nil {
-		t.Fatal(err)
-	}
-	err := f.StartContext(context.Background())
-	if err == nil {
-		f.Finish()
-		t.Fatal("same -serve/-pprof address accepted")
-	}
-	if !strings.Contains(err.Error(), "deprecated") {
-		t.Fatalf("overlap error %q should point at the deprecation", err)
-	}
-}
-
-func TestServeBothServersDistinctAddrs(t *testing.T) {
-	f := startServe(t, context.Background(), "-serve", "localhost:0", "-pprof", "localhost:0")
-	if f.Addr() == "" || f.PprofListenAddr() == "" || f.Addr() == f.PprofListenAddr() {
-		t.Fatalf("addrs serve=%q pprof=%q", f.Addr(), f.PprofListenAddr())
-	}
-	if status, _, _ := get(t, "http://"+f.Addr()+"/healthz"); status != http.StatusOK {
-		t.Fatal("-serve server not healthy")
-	}
-	if status, _, _ := get(t, "http://"+f.PprofListenAddr()+"/debug/pprof/"); status != http.StatusOK {
-		t.Fatal("-pprof server not serving pprof")
-	}
-}

@@ -24,9 +24,9 @@
 // families with zero observations, which documents what *could* have been
 // measured in a run.
 //
-// The CLIs expose the layer through three shared flags (AddFlags):
-// -metrics-out writes the registry on exit, -trace-out writes the span
-// aggregates, and -pprof serves net/http/pprof for CPU/heap profiling.
+// The CLIs expose the layer through shared flags (AddFlags): -metrics-out
+// writes the registry on exit, -trace-out writes the span aggregates, and
+// -serve serves the live endpoints, net/http/pprof among them.
 package telemetry
 
 import (
