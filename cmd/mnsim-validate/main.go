@@ -65,7 +65,7 @@ func main() {
 func run(ctx context.Context, w io.Writer, t2, t3, f5 bool, maxSize int, seed int64, workers int) error {
 	if t2 {
 		rows, err := validate.TableIIContext(ctx, validate.TableIIOptions{
-			WeightSamples: 20, InputSamples: 100, Size: 128, Seed: seed,
+			WeightSamples: 20, InputSamples: 100, Size: 128, Seed: seed, Workers: workers,
 		})
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -39,8 +40,19 @@ type TransientOptions struct {
 //
 // The grid starts discharged (all nodes at 0 V) and the inputs step to vin
 // at t = 0; the returned time is when every column output has come within
-// SettleFrac of its DC value.
+// SettleFrac of its DC value. It is SettleTimeContext with a background
+// context.
 func (c *Crossbar) SettleTime(vin []float64, opt TransientOptions) (float64, error) {
+	return c.SettleTimeContext(context.Background(), vin, opt)
+}
+
+// SettleTimeContext is SettleTime with a caller-supplied context: ctx is
+// checked before the setup and before every backward-Euler step,
+// and a cancelled run returns an error wrapping ctx.Err().
+//
+// After the setup (assembly, preconditioner, DC target, stepping matrix)
+// the stepping loop allocates nothing: every step's CG shares one CGWork.
+func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt TransientOptions) (float64, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
@@ -67,6 +79,9 @@ func (c *Crossbar) SettleTime(vin []float64, opt TransientOptions) (float64, err
 	if opt.MaxSteps <= 0 {
 		opt.MaxSteps = 100000
 	}
+	if err := ctx.Err(); err != nil {
+		return 0, fmt.Errorf("circuit: transient: %w", err)
+	}
 	// Flight recorder: one transient_settle event per run, emitted at the
 	// settle/non-settle outcome with the resolved options in scope.
 	jid := ""
@@ -79,6 +94,10 @@ func (c *Crossbar) SettleTime(vin []float64, opt TransientOptions) (float64, err
 	if err != nil {
 		return 0, err
 	}
+	// The matrix is built and the linearised cells never restamp, so the
+	// triplets and the cell slot map are dead weight for the whole
+	// integration: let the collector have them.
+	a.trips, a.memIdx = nil, nil
 	// The conductance matrix shares the crossbar's wire-chain structure, so
 	// the block preconditioner serves both the DC target solve and — after
 	// a refresh against the capacitance-augmented matrix, which only adds
@@ -92,33 +111,24 @@ func (c *Crossbar) SettleTime(vin []float64, opt TransientOptions) (float64, err
 	if err != nil {
 		return 0, fmt.Errorf("circuit: DC solve: %w", err)
 	}
-	// Backward Euler: (G + C/dt)·v_{t+dt} = C/dt·v_t + b. Build G + C/dt by
-	// adding C/dt to every diagonal of the stamped pattern.
-	n2 := 2 * c.M * c.N
-	half := c.M * c.N // column nodes start here
-	caps := make([]float64, n2)
-	for i := 0; i < n2; i++ {
-		caps[i] = opt.NodeCap
-		if i >= half {
-			caps[i] += opt.CellCap
-		}
-	}
-	trips := make([]linalg.Coord, len(a.trips), len(a.trips)+n2)
-	copy(trips, a.trips)
-	for i := 0; i < n2; i++ {
-		trips = append(trips, linalg.Coord{Row: i, Col: i, Val: caps[i] / opt.Dt})
-	}
-	mat, err := linalg.NewCSR(n2, trips)
-	if err != nil {
+	// Backward Euler: (G + C/dt)·v_{t+dt} = C/dt·v_t + b. The DC target is
+	// solved, so G itself is no longer needed: add C/dt to its diagonal in
+	// place.
+	capDt := capsOverDt(c, opt)
+	if err := a.mat.AddDiagonal(capDt); err != nil {
 		return 0, err
 	}
 	// The stepping matrix is constant, so one refresh preconditions every
 	// step of the integration.
-	if err := pre.Refresh(mat, nil); err != nil {
+	if err := pre.Refresh(a.mat, nil); err != nil {
 		return 0, fmt.Errorf("circuit: preconditioner: %w", err)
 	}
+	n2 := len(capDt)
 	v := make([]float64, n2) // discharged start
 	rhs := make([]float64, n2)
+	// Each step's solution aliases work; the ping-pong keeps the previous
+	// step's v valid as the next step's warm start.
+	work := &linalg.CGWork{}
 	// settled also reports the worst remaining output deviation in volts,
 	// so a non-settle failure can say how far from done it still was.
 	lastMaxDV := 0.0
@@ -140,11 +150,14 @@ func (c *Crossbar) SettleTime(vin []float64, opt TransientOptions) (float64, err
 		return ok
 	}
 	for step := 1; step <= opt.MaxSteps; step++ {
+		if err := ctx.Err(); err != nil {
+			return 0, fmt.Errorf("circuit: transient step %d: %w", step, err)
+		}
 		copy(rhs, a.rhsBase)
 		for i := 0; i < n2; i++ {
-			rhs[i] += caps[i] / opt.Dt * v[i]
+			rhs[i] += capDt[i] * v[i]
 		}
-		v, _, err = linalg.SolveCG(mat, rhs, v, linalg.CGOptions{Tol: 1e-9, Precond: pre})
+		v, _, err = linalg.SolveCG(a.mat, rhs, v, linalg.CGOptions{Tol: 1e-9, Precond: pre, Work: work})
 		if err != nil {
 			return 0, fmt.Errorf("circuit: transient step %d: %w", step, err)
 		}
@@ -172,4 +185,22 @@ func (c *Crossbar) SettleTime(vin []float64, opt TransientOptions) (float64, err
 		telemetry.EmitEvent(telemetry.EvTransientSettle, jid, data)
 	}
 	return 0, nerr
+}
+
+// capsOverDt returns C/dt for every node: the wire capacitance everywhere,
+// plus the cell capacitance on the column nodes (the second half of the
+// node numbering). Computed once, so each step's C/dt·v term is a single
+// multiply.
+func capsOverDt(c *Crossbar, opt TransientOptions) []float64 {
+	n2 := 2 * c.M * c.N
+	half := c.M * c.N // column nodes start here
+	capDt := make([]float64, n2)
+	for i := range capDt {
+		ci := opt.NodeCap
+		if i >= half {
+			ci += opt.CellCap
+		}
+		capDt[i] = ci / opt.Dt
+	}
+	return capDt
 }

@@ -1,8 +1,14 @@
 package circuit
 
 import (
+	"context"
 	"errors"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
+
+	"mnsim/internal/device"
 )
 
 func TestSettleTimeBasic(t *testing.T) {
@@ -85,5 +91,123 @@ func TestSettleTimeErrors(t *testing.T) {
 	// Input-validation failures are NOT settle failures.
 	if _, err := c.SettleTime([]float64{0.3}, TransientOptions{NodeCap: 1e-15}); errors.Is(err, ErrNotSettled) {
 		t.Error("validation error matches ErrNotSettled")
+	}
+}
+
+// transientPin is one fixed settling run whose result is pinned bit for bit.
+type transientPin struct {
+	name string
+	c    *Crossbar
+	vin  []float64
+	opt  TransientOptions
+	bits uint64
+}
+
+// transientPins builds three fixed crossbars: a uniform linear array, a
+// random-level square one and a random-level rectangular one with a
+// tighter settle criterion.
+func transientPins() []transientPin {
+	dev := device.RRAM()
+	drive := func(n int, base, step float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = base + step*float64(i%5)
+		}
+		return v
+	}
+	return []transientPin{
+		{"uniform8", &Crossbar{M: 8, N: 8, R: uniformR(8, 8, 100e3), WireR: 0.5, RSense: 1500, Linear: true},
+			drive(8, 0.3, 0), TransientOptions{NodeCap: 0.1e-15}, 0x3d9ddf1cb6fe9a3e},
+		{"random16", &Crossbar{M: 16, N: 16, R: randomR(16, 16, dev, rand.New(rand.NewSource(7))), WireR: 2, RSense: 1500, Dev: dev},
+			drive(16, 0.05, 0.02), TransientOptions{NodeCap: 0.1e-15, CellCap: 0.05e-15}, 0x3db6b8661f8a04b2},
+		{"rect12x24", &Crossbar{M: 12, N: 24, R: randomR(12, 24, dev, rand.New(rand.NewSource(11))), WireR: 1, RSense: 800, Dev: dev},
+			drive(12, 0.2, 0.05), TransientOptions{NodeCap: 0.2e-15, CellCap: 0.1e-15, SettleFrac: 1.0 / 1024}, 0x3db5b90b7950c24e},
+	}
+}
+
+// The settle times of the fixed crossbars are pinned to the bits the
+// allocating implementation (fresh CG vectors per step, a rebuilt stepping
+// matrix) produced, so buffer reuse and the in-place diagonal stay
+// numerically invisible.
+func TestSettleTimePinned(t *testing.T) {
+	for _, p := range transientPins() {
+		ts, err := p.c.SettleTime(p.vin, p.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if got := math.Float64bits(ts); got != p.bits {
+			t.Errorf("%s: settle %v (%#016x), pinned %v (%#016x)",
+				p.name, ts, got, math.Float64frombits(p.bits), p.bits)
+		}
+	}
+}
+
+// The stepping loop allocates nothing: four times the capacitance takes
+// about four times the steps but no more allocations.
+func TestSettleTimeAllocsIndependentOfSteps(t *testing.T) {
+	c := &Crossbar{M: 8, N: 8, R: uniformR(8, 8, 100e3), WireR: 0.5, RSense: 1500, Linear: true}
+	vin := make([]float64, 8)
+	for i := range vin {
+		vin[i] = 0.3
+	}
+	allocs := func(nodeCap float64) float64 {
+		// A fixed step keeps the step count proportional to the RC product.
+		opt := TransientOptions{NodeCap: nodeCap, Dt: 2e-14}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := c.SettleTime(vin, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	fastT, err := c.SettleTime(vin, TransientOptions{NodeCap: 0.1e-15, Dt: 2e-14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slowT, err := c.SettleTime(vin, TransientOptions{NodeCap: 0.4e-15, Dt: 2e-14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slowT < 3*fastT {
+		t.Fatalf("4x capacitance took %v vs %v: not enough extra steps to tell", slowT, fastT)
+	}
+	if fast, slow := allocs(0.1e-15), allocs(0.4e-15); slow > fast {
+		t.Errorf("allocations grow with the step count: %v at NodeCap 0.1 fF, %v at 0.4 fF", fast, slow)
+	}
+}
+
+// countdownCtx is a context whose Err reports cancellation from its
+// (n+1)-th call on, so a test can cancel at an exact point of a loop.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A cancelled context stops the transient: before any work when it is
+// already cancelled, and between backward-Euler steps when it is
+// cancelled mid-run.
+func TestSettleTimeContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := &Crossbar{M: 4, N: 4, R: uniformR(4, 4, 1e3), WireR: 1, RSense: 100, Linear: true}
+	vin := []float64{0.3, 0.3, 0.3, 0.3}
+	opt := TransientOptions{NodeCap: 1e-15}
+	if _, err := c.SettleTimeContext(ctx, vin, opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want wrapped context.Canceled, got %v", err)
+	}
+	// The entry check and the checks of steps 1 and 2 pass; step 3's fails.
+	mid := &countdownCtx{Context: context.Background(), n: 3}
+	_, err := c.SettleTimeContext(mid, vin, opt)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "step 3") {
+		t.Fatalf("want context.Canceled at step 3, got %v", err)
+	}
+	if _, err := c.SettleTimeContext(context.Background(), vin, opt); err != nil {
+		t.Fatalf("background context: %v", err)
 	}
 }

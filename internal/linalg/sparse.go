@@ -152,6 +152,24 @@ func (m *CSR) Diagonal() []float64 {
 	return d
 }
 
+// AddDiagonal adds d[i] to every diagonal entry in place. Each entry
+// gains d[i] after its stamped terms, which is bit-identical to appending a
+// (i, i, d[i]) triplet last and rebuilding with NewCSR. Every diagonal
+// entry must be in the sparsity pattern.
+func (m *CSR) AddDiagonal(d []float64) error {
+	if len(d) != m.N {
+		return fmt.Errorf("linalg: AddDiagonal got %d values, want %d", len(d), m.N)
+	}
+	for i, v := range d {
+		k := m.findPos(i, i)
+		if k < 0 {
+			return fmt.Errorf("linalg: AddDiagonal: no diagonal entry in row %d", i)
+		}
+		m.Vals[k] += v
+	}
+	return nil
+}
+
 // ErrNoConvergence is returned when an iterative solve exhausts its
 // iteration budget before reaching the requested tolerance.
 var ErrNoConvergence = errors.New("linalg: iterative solver did not converge")

@@ -92,6 +92,49 @@ func TestDiagonal(t *testing.T) {
 	}
 }
 
+// AddDiagonal on a built matrix must give the same bits as rebuilding
+// with the diagonal appended as trailing triplets, duplicates included.
+func TestAddDiagonalMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n := 40
+	_, trips := randomSPD(n, rng)
+	d := make([]float64, n)
+	for i := range d {
+		trips = append(trips, Coord{i, i, rng.Float64() / 3}) // a duplicate diagonal stamp
+		d[i] = rng.Float64() * 1e3
+	}
+	m, err := NewCSR(n, trips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddDiagonal(d); err != nil {
+		t.Fatal(err)
+	}
+	all := append([]Coord(nil), trips...)
+	for i, v := range d {
+		all = append(all, Coord{i, i, v})
+	}
+	want, err := NewCSR(n, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range want.Vals {
+		if math.Float64bits(m.Vals[k]) != math.Float64bits(want.Vals[k]) {
+			t.Fatalf("slot %d: in place %v, rebuilt %v", k, m.Vals[k], want.Vals[k])
+		}
+	}
+	if err := m.AddDiagonal(d[:1]); err == nil {
+		t.Error("short diagonal accepted")
+	}
+	hole, err := NewCSR(2, []Coord{{0, 0, 1}, {0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hole.AddDiagonal([]float64{1, 1}); err == nil {
+		t.Error("missing diagonal entry accepted")
+	}
+}
+
 // randomSPD builds a random symmetric diagonally dominant sparse matrix.
 func randomSPD(n int, rng *rand.Rand) (*CSR, []Coord) {
 	var trips []Coord

@@ -61,7 +61,7 @@ func Snapshot(ctx context.Context, s *circuit.Snapshot, w io.Writer, verbose boo
 	case "dc":
 		return replayDC(ctx, c, s, w, verbose)
 	case "transient":
-		return replayTransient(c, s, w, verbose)
+		return replayTransient(ctx, c, s, w, verbose)
 	default:
 		return fmt.Errorf("replay: unknown snapshot kind %q", s.Kind)
 	}
@@ -146,8 +146,8 @@ func replayDC(ctx context.Context, c *circuit.Crossbar, s *circuit.Snapshot, w i
 	return nil
 }
 
-func replayTransient(c *circuit.Crossbar, s *circuit.Snapshot, w io.Writer, verbose bool) error {
-	settle, err := c.SettleTime(s.Vin, *s.Transient)
+func replayTransient(ctx context.Context, c *circuit.Crossbar, s *circuit.Snapshot, w io.Writer, verbose bool) error {
+	settle, err := c.SettleTimeContext(ctx, s.Vin, *s.Transient)
 	if s.Outcome.OK {
 		if err != nil {
 			return mismatch("recorded settle, re-run failed: %v", err)

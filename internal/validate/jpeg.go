@@ -19,28 +19,39 @@ import (
 // (Li et al., RRAM-based analog approximate computing).
 var jpegWidths = []int{64, 16, 64}
 
-// jpegAccuracy runs the accuracy-model validation: the behaviour-level
-// prediction of the average relative accuracy versus a full circuit-level
-// inference of the JPEG network, with the same signed-weight mapping
-// (positive and negative crossbars subtracted).
-func jpegAccuracy(ctx context.Context, rng *rand.Rand) (model, measured float64, err error) {
-	dev := device.RRAM()
-	wire := tech.MustInterconnect(45)
+// jpegCase is the drawn input of the accuracy-model validation: the
+// random JPEG network and one input vector.
+type jpegCase struct {
+	net   *nn.FCNet
+	input []float64
+}
+
+// drawJPEG draws the JPEG network's weights, then its input.
+func drawJPEG(rng *rand.Rand) (*jpegCase, error) {
 	net, err := nn.RandomFCNet("jpeg", rng, jpegWidths...)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	input := make([]float64, jpegWidths[0])
 	for i := range input {
 		input[i] = rng.Float64() // pixel-style non-negative inputs
 	}
+	return &jpegCase{net: net, input: input}, nil
+}
 
+// accuracy runs the accuracy-model validation: the behaviour-level
+// prediction of the average relative accuracy versus a full circuit-level
+// inference of the JPEG network, with the same signed-weight mapping
+// (positive and negative crossbars subtracted).
+func (j *jpegCase) accuracy(ctx context.Context) (model, measured float64, err error) {
+	dev := device.RRAM()
+	wire := tech.MustInterconnect(45)
 	const dataBits = 8
-	ideal, err := forwardThroughCrossbars(ctx, net, input, dev, wire, dataBits, true)
+	ideal, err := forwardThroughCrossbars(ctx, j.net, j.input, dev, wire, dataBits, true)
 	if err != nil {
 		return 0, 0, err
 	}
-	actual, err := forwardThroughCrossbars(ctx, net, input, dev, wire, dataBits, false)
+	actual, err := forwardThroughCrossbars(ctx, j.net, j.input, dev, wire, dataBits, false)
 	if err != nil {
 		return 0, 0, err
 	}

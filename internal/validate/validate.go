@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"mnsim/internal/accuracy"
@@ -64,6 +65,10 @@ type TableIIOptions struct {
 	Size int
 	// Seed feeds the random generator.
 	Seed int64
+	// Workers bounds the goroutines running the independent circuit work
+	// (0 = GOMAXPROCS, see pool.Resolve). The rows are bit-identical for
+	// every worker count.
+	Workers int
 }
 
 // TableII reproduces the Table II validation with respect to a 3-layer
@@ -76,8 +81,17 @@ func TableII(opt TableIIOptions) ([]Row, error) {
 }
 
 // TableIIContext is TableII with a caller-supplied context: every
-// circuit-level solve checks it, so a cancelled context aborts the
-// validation mid-Newton-loop.
+// circuit-level solve, the transient included, checks it, so a cancelled
+// context aborts the validation mid-solve.
+//
+// The run has three steps. Every random input is drawn first, on one
+// generator in a fixed order. The independent circuit work then runs as
+// index-addressed tasks on the worker pool: task 0 is the transient (the
+// longest, so it starts first), task 1 the JPEG inference, and tasks
+// 2…WeightSamples+1 the weight-sample streams, each with its own
+// SolverState. Last, the per-solve powers are summed in the sequential
+// (weight sample, input sample) order, so the rows do not depend on the
+// worker count or on scheduling.
 func TableIIContext(ctx context.Context, opt TableIIOptions) ([]Row, error) {
 	if opt.WeightSamples <= 0 {
 		opt.WeightSamples = 20
@@ -88,87 +102,66 @@ func TableIIContext(ctx context.Context, opt TableIIOptions) ([]Row, error) {
 	if opt.Size <= 0 {
 		opt.Size = 128
 	}
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
 	dev := device.RRAM()
 	wire := tech.MustInterconnect(45)
 	p := crossbar.New(opt.Size, opt.Size, dev, wire)
+	d, err := drawTableII(opt, p, dev, wire)
+	if err != nil {
+		return nil, err
+	}
 
-	// Live progress: one tick per weight-sample solve batch plus the
-	// transient-latency and JPEG-accuracy steps.
-	prog := telemetry.StartPhase("validate.table2", int64(opt.WeightSamples)+2)
+	// Live progress: one tick per weight-sample stream plus the
+	// transient-latency and JPEG-accuracy tasks.
+	nTasks := len(d.streams) + 2
+	prog := telemetry.StartPhase("validate.table2", int64(nTasks))
 	defer prog.Finish()
 
-	// --- Computation and read power: circuit-level average over random
-	// weight populations and random input drives.
-	var compPower, readPower float64
-	vin := make([]float64, opt.Size)
-	samples := 0
-	for w := 0; w < opt.WeightSamples; w++ {
-		r := randomResistances(opt.Size, opt.Size, dev, rng)
-		c := &circuit.Crossbar{M: opt.Size, N: opt.Size, R: r, WireR: wire.SegmentR, RSense: p.RSense, Dev: dev}
-		inputs := opt.InputSamples / opt.WeightSamples
-		if inputs < 1 {
-			inputs = 1
-		}
-		// One solver state per weight sample: this loop is strictly
-		// sequential, so the 2·inputs solves of each crossbar share the
-		// assembled pattern, the block preconditioner, and warm starts.
-		st := circuit.NewSolverState()
-		for s := 0; s < inputs; s++ {
-			for i := range vin {
-				vin[i] = p.VDrive * rng.Float64()
-			}
-			res, err := c.SolveContext(ctx, vin, circuit.SolveOptions{State: st})
+	var rcSettle, modelAcc, circuitAcc float64
+	err = pool.Run(ctx, nTasks, opt.Workers, func(tctx context.Context, t int) error {
+		defer prog.Inc()
+		switch t {
+		case 0:
+			// Latency: transient settling of the full RC grid, against the
+			// behaviour-level Elmore estimate.
+			sctx, sp := telemetry.StartSpanKeyed(tctx, "validate.table2.transient", "transient")
+			defer sp.End()
+			vin := make([]float64, opt.Size)
+			fill(vin, p.VDrive)
+			var err error
+			rcSettle, err = d.lat.SettleTimeContext(sctx, vin, circuit.TransientOptions{NodeCap: wire.SegmentC, CellCap: dev.CellCap})
 			if err != nil {
-				return nil, fmt.Errorf("validate: compute-power solve: %w", err)
+				return fmt.Errorf("validate: transient: %w", err)
 			}
-			compPower += res.Power
-			// READ: a single row driven at the RMS of the uniform drive
-			// (a deterministic level, so one row per sample still averages).
-			for i := range vin {
-				vin[i] = 0
-			}
-			vin[rng.Intn(opt.Size)] = p.AvgDriveRMS()
-			res, err = c.SolveContext(ctx, vin, circuit.SolveOptions{State: st})
-			if err != nil {
-				return nil, fmt.Errorf("validate: read-power solve: %w", err)
-			}
-			readPower += res.Power
-			samples++
+			return nil
+		case 1:
+			sctx, sp := telemetry.StartSpanKeyed(tctx, "validate.table2.jpeg", "jpeg")
+			defer sp.End()
+			var err error
+			modelAcc, circuitAcc, err = d.jpeg.accuracy(sctx)
+			return err
+		default:
+			w := t - 2
+			sctx, sp := telemetry.StartSpanKeyed(tctx, "validate.table2.weights", strconv.Itoa(w))
+			defer sp.End()
+			return d.streams[w].run(sctx, p.AvgDriveRMS())
 		}
-		prog.Inc()
-	}
-	compPower /= float64(samples)
-	readPower /= float64(samples)
-
-	// --- Latency: behaviour-level Elmore estimate vs transient settling of
-	// the full RC grid.
-	rLat := randomResistances(opt.Size, opt.Size, dev, rng)
-	cLat := &circuit.Crossbar{M: opt.Size, N: opt.Size, R: rLat, WireR: wire.SegmentR, RSense: p.RSense, Dev: dev}
-	fill(vin, p.VDrive)
-	rcSettle, err := cLat.SettleTime(vin, circuit.TransientOptions{NodeCap: wire.SegmentC, CellCap: dev.CellCap})
+	})
 	if err != nil {
-		return nil, fmt.Errorf("validate: transient: %w", err)
+		return nil, err
 	}
+
+	// Computation and read power: circuit-level averages over the random
+	// weight populations and input drives.
+	compPower, readPower := averagePowers(d.streams)
 	// The transient solver covers the wire/cell RC network; the intrinsic
 	// cell response is a datasheet constant added on both sides.
 	settle := rcSettle + dev.SwitchLatency
 	modelLatency := p.Latency()
-	prog.Inc()
 
 	// --- Computation energy of the 3-layer ANN (two layers of crossbars):
 	// power × settling window on both sides.
 	modelEnergy := 2 * p.ComputePower() * p.Latency()
 	circuitEnergy := 2 * compPower * settle
-
-	// --- Average relative accuracy: behaviour-level prediction vs the
-	// circuit-solved JPEG-encoding network (Section VII.A validates the
-	// accuracy model on a 3-layer 64×16×64 NN).
-	modelAcc, circuitAcc, err := jpegAccuracy(ctx, rng)
-	if err != nil {
-		return nil, err
-	}
-	prog.Inc()
 
 	rows := []Row{
 		{"Computation Power (W)", 2 * p.ComputePower(), 2 * compPower},
@@ -183,6 +176,97 @@ func TableIIContext(ctx context.Context, opt TableIIOptions) ([]Row, error) {
 		})
 	}
 	return rows, nil
+}
+
+// table2Inputs is every random input of one Table II run.
+type table2Inputs struct {
+	streams []*weightStream
+	lat     *circuit.Crossbar // the crossbar whose transient is measured
+	jpeg    *jpegCase
+}
+
+// drawTableII draws every random input of a Table II run from one
+// generator, in the order a sequential run consumes them: per weight
+// sample its resistances, then per input sample the compute drive and the
+// read row; then the latency crossbar; then the JPEG network and input.
+func drawTableII(opt TableIIOptions, p crossbar.Params, dev device.Model, wire tech.WireTech) (*table2Inputs, error) {
+	rng := rand.New(rand.NewSource(opt.Seed + 1))
+	inputs := max(1, opt.InputSamples/opt.WeightSamples)
+	d := &table2Inputs{streams: make([]*weightStream, opt.WeightSamples)}
+	for w := range d.streams {
+		r := randomResistances(opt.Size, opt.Size, dev, rng)
+		s := &weightStream{
+			c:       &circuit.Crossbar{M: opt.Size, N: opt.Size, R: r, WireR: wire.SegmentR, RSense: p.RSense, Dev: dev},
+			compVin: make([][]float64, inputs),
+			readRow: make([]int, inputs),
+			comp:    make([]float64, inputs),
+			read:    make([]float64, inputs),
+		}
+		for k := range s.compVin {
+			vin := make([]float64, opt.Size)
+			for i := range vin {
+				vin[i] = p.VDrive * rng.Float64()
+			}
+			s.compVin[k] = vin
+			s.readRow[k] = rng.Intn(opt.Size)
+		}
+		d.streams[w] = s
+	}
+	rLat := randomResistances(opt.Size, opt.Size, dev, rng)
+	d.lat = &circuit.Crossbar{M: opt.Size, N: opt.Size, R: rLat, WireR: wire.SegmentR, RSense: p.RSense, Dev: dev}
+	var err error
+	d.jpeg, err = drawJPEG(rng)
+	return d, err
+}
+
+// weightStream is one weight sample's solve stream: its crossbar, the
+// drives drawn for it, and the powers its solves measure.
+type weightStream struct {
+	c       *circuit.Crossbar
+	compVin [][]float64 // compute drive of each input sample
+	readRow []int       // the single driven row of each read solve
+	// comp and read hold each input sample's solved power.
+	comp, read []float64
+}
+
+// run solves the stream's compute and read drives in input-sample order
+// through one SolverState, so the 2·inputs solves of the crossbar share
+// the assembled pattern, the block preconditioner, and warm starts.
+// readDrive is the level of the read row: the RMS of the uniform compute
+// drive, a deterministic level, so one row per sample still averages.
+func (s *weightStream) run(ctx context.Context, readDrive float64) error {
+	st := circuit.NewSolverState()
+	vin := make([]float64, s.c.M)
+	for k, cv := range s.compVin {
+		res, err := s.c.SolveContext(ctx, cv, circuit.SolveOptions{State: st})
+		if err != nil {
+			return fmt.Errorf("validate: compute-power solve: %w", err)
+		}
+		s.comp[k] = res.Power
+		fill(vin, 0)
+		vin[s.readRow[k]] = readDrive
+		res, err = s.c.SolveContext(ctx, vin, circuit.SolveOptions{State: st})
+		if err != nil {
+			return fmt.Errorf("validate: read-power solve: %w", err)
+		}
+		s.read[k] = res.Power
+	}
+	return nil
+}
+
+// averagePowers returns the mean compute and read power over every solve,
+// summed in (weight sample, input sample) order: the order a sequential
+// run accumulates them, so the sums are bit-identical to it.
+func averagePowers(streams []*weightStream) (comp, read float64) {
+	samples := 0
+	for _, s := range streams {
+		for k := range s.comp {
+			comp += s.comp[k]
+			read += s.read[k]
+			samples++
+		}
+	}
+	return comp / float64(samples), read / float64(samples)
 }
 
 // fill sets every element of vs to v.

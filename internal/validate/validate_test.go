@@ -1,8 +1,11 @@
 package validate
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 )
 
 // The Table II validation contract: every behaviour-level estimate lands
@@ -107,5 +110,55 @@ func TestFig5Fit(t *testing.T) {
 func TestFig5UnknownNode(t *testing.T) {
 	if _, err := Fig5([]int{8}, []int{77}); err == nil {
 		t.Fatal("unknown node accepted")
+	}
+}
+
+// The rows are bit-identical at every worker count: the inputs are drawn
+// before the fan-out and the powers are summed in sequential order.
+func TestTableIIParallelDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("circuit-level validation is slow")
+	}
+	for _, seed := range []int64{1, 7} {
+		var want []Row
+		for _, workers := range []int{1, 2, 8} {
+			rows, err := TableII(TableIIOptions{WeightSamples: 3, InputSamples: 6, Size: 32, Seed: seed, Workers: workers})
+			if err != nil {
+				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+			}
+			if want == nil {
+				want = rows
+				continue
+			}
+			for i, r := range rows {
+				w := want[i]
+				if r.Metric != w.Metric ||
+					math.Float64bits(r.Model) != math.Float64bits(w.Model) ||
+					math.Float64bits(r.Circuit) != math.Float64bits(w.Circuit) {
+					t.Errorf("seed %d workers %d: %+v, workers 1 gave %+v", seed, workers, r, w)
+				}
+			}
+		}
+	}
+}
+
+// Cancelling mid-run aborts every in-flight task, the transient included,
+// and the run returns promptly with the cancellation as its cause.
+func TestTableIICancel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("circuit-level validation is slow")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const after, grace = 100 * time.Millisecond, 3 * time.Second
+	start := time.Now()
+	time.AfterFunc(after, cancel)
+	// Uncancelled, this run takes well over a minute.
+	_, err := TableIIContext(ctx, TableIIOptions{WeightSamples: 20, InputSamples: 4000, Size: 128, Seed: 1, Workers: 2})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want an error wrapping context.Canceled, got %v", err)
+	}
+	if took := time.Since(start); took > after+grace {
+		t.Errorf("returned %v after the cancel", took-after)
 	}
 }
