@@ -338,19 +338,16 @@ func (c *Crossbar) stampValues(a *assembly, vin []float64, ops *linalg.OpCount) 
 	ops.CountBytes(coordBytes*int64(len(a.trips)) + 16*int64(len(a.rhsBase)))
 }
 
-// precondBlocks describes the crossbar's wire chains as preconditioner
-// blocks: M contiguous row chains (stride 1) and N strided column chains
-// (stride N), each tridiagonal in its local index — the structure the
-// block-Jacobi preconditioner factors with bandwidth-1 banded Cholesky.
-func (c *Crossbar) precondBlocks() []linalg.Block {
-	blocks := make([]linalg.Block, 0, c.M+c.N)
+// precondFamilies describes the crossbar's wire chains as preconditioner
+// chain families: each of the M contiguous row chains is a family of one,
+// and the N column chains, interleaved at stride N, form one family of N
+// chains of length M. Every chain is tridiagonal in its local index.
+func (c *Crossbar) precondFamilies() []linalg.Family {
+	fams := make([]linalg.Family, 0, c.M+1)
 	for m := 0; m < c.M; m++ {
-		blocks = append(blocks, linalg.Block{Start: m * c.N, Stride: 1, Len: c.N})
+		fams = append(fams, linalg.Family{Start: m * c.N, Chains: 1, Len: c.N})
 	}
-	for n := 0; n < c.N; n++ {
-		blocks = append(blocks, linalg.Block{Start: c.M*c.N + n, Stride: c.N, Len: c.M})
-	}
-	return blocks
+	return append(fams, linalg.Family{Start: c.M * c.N, Chains: c.N, Len: c.M})
 }
 
 // restamp rewrites the memristor companion-model conductances for the
@@ -566,7 +563,7 @@ func (r *solveRun) assemble(vin []float64) error {
 		}
 		return nil
 	}
-	pre, err := linalg.NewBlockJacobi(r.a.mat, c.precondBlocks(), 1, &cost.Precond)
+	pre, err := linalg.NewBlockJacobi(r.a.mat, c.precondFamilies(), &cost.Precond)
 	if err != nil {
 		return fmt.Errorf("circuit: preconditioner: %w", err)
 	}

@@ -103,8 +103,8 @@ type CostModel struct {
 	// setup solve and the Newton steps (or the per-column bisection loop
 	// on the zero-wire path). Preconditioner applies inside CG land here.
 	CGLoop linalg.OpCount `json:"cg_loop"`
-	// Precond is the preconditioner setup cost: block gathering and the
-	// banded Cholesky factorization of every wire-chain block, initially
+	// Precond is the preconditioner setup cost: the chain-entry gather and
+	// the tridiagonal Cholesky factorization of every wire chain, initially
 	// and on each modified-Newton refresh. Applies are charged to CGLoop,
 	// where they happen.
 	Precond linalg.OpCount `json:"precond"`

@@ -102,7 +102,7 @@ func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt Tra
 	// the block preconditioner serves both the DC target solve and — after
 	// a refresh against the capacitance-augmented matrix, which only adds
 	// to the same diagonal — every backward-Euler step.
-	pre, err := linalg.NewBlockJacobi(a.mat, c.precondBlocks(), 1, nil)
+	pre, err := linalg.NewBlockJacobi(a.mat, c.precondFamilies(), nil)
 	if err != nil {
 		return 0, fmt.Errorf("circuit: preconditioner: %w", err)
 	}
@@ -149,6 +149,8 @@ func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt Tra
 		lastMaxDV = worst
 		return ok
 	}
+	// cgIters totals the steps' CG iterations for the journal event.
+	cgIters := 0
 	for step := 1; step <= opt.MaxSteps; step++ {
 		if err := ctx.Err(); err != nil {
 			return 0, fmt.Errorf("circuit: transient step %d: %w", step, err)
@@ -157,15 +159,18 @@ func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt Tra
 		for i := 0; i < n2; i++ {
 			rhs[i] += capDt[i] * v[i]
 		}
-		v, _, err = linalg.SolveCG(a.mat, rhs, v, linalg.CGOptions{Tol: 1e-9, Precond: pre, Work: work})
+		var it int
+		v, it, err = linalg.SolveCG(a.mat, rhs, v, linalg.CGOptions{Tol: 1e-9, Precond: pre, Work: work})
 		if err != nil {
 			return 0, fmt.Errorf("circuit: transient step %d: %w", step, err)
 		}
+		cgIters += it
 		if settled() {
 			t := float64(step) * opt.Dt
 			if jid != "" {
 				telemetry.EmitEvent(telemetry.EvTransientSettle, jid, map[string]any{
 					"ok": true, "steps": step, "settle_seconds": t, "dt": opt.Dt,
+					"cg_iters": cgIters,
 				})
 			}
 			return t, nil
@@ -176,7 +181,7 @@ func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt Tra
 		snapPath := saveSnapshot("transient",
 			c.newTransientSnapshot(vin, opt, 0, opt.MaxSteps, lastMaxDV, nerr))
 		data := map[string]any{
-			"ok": false, "steps": opt.MaxSteps,
+			"ok": false, "steps": opt.MaxSteps, "cg_iters": cgIters,
 			"last_max_dv": jsonFinite(lastMaxDV), "err": nerr.Error(),
 		}
 		if snapPath != "" {

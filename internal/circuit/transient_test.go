@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mnsim/internal/device"
+	"mnsim/internal/telemetry"
 )
 
 func TestSettleTimeBasic(t *testing.T) {
@@ -209,5 +210,45 @@ func TestSettleTimeContextCancelled(t *testing.T) {
 	}
 	if _, err := c.SettleTimeContext(context.Background(), vin, opt); err != nil {
 		t.Fatalf("background context: %v", err)
+	}
+}
+
+// The transient_settle event reports the steps' total CG iterations, on
+// the settled and the not-settled path: every step starts from the
+// previous step's state, which is off the new solution, so it iterates at
+// least once, and the chain preconditioner keeps it to a few.
+func TestSettleTimeJournalsCGIters(t *testing.T) {
+	path := withTestJournal(t)
+	pin := transientPins()[1]
+	if _, err := pin.c.SettleTime(pin.vin, pin.opt); err != nil {
+		t.Fatal(err)
+	}
+	c := &Crossbar{M: 2, N: 2, R: uniformR(2, 2, 1e3), WireR: 1, RSense: 100, Linear: true}
+	if _, err := c.SettleTime([]float64{0.3, 0.3}, TransientOptions{NodeCap: 1e-15, MaxSteps: 1, Dt: 1e-15}); !errors.Is(err, ErrNotSettled) {
+		t.Fatalf("want ErrNotSettled, got %v", err)
+	}
+	telemetry.DefaultJournal().Close()
+	events, err := telemetry.ReadJournalFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var settles []telemetry.Event
+	for _, ev := range events {
+		if ev.Type == telemetry.EvTransientSettle {
+			settles = append(settles, ev)
+		}
+	}
+	if len(settles) != 2 {
+		t.Fatalf("journal holds %d transient_settle events, want 2", len(settles))
+	}
+	for _, ev := range settles {
+		steps, okSteps := ev.Data["steps"].(float64)
+		iters, okIters := ev.Data["cg_iters"].(float64)
+		if !okSteps || !okIters {
+			t.Fatalf("event data %v lacks numeric steps/cg_iters", ev.Data)
+		}
+		if iters < steps || iters > 10*steps {
+			t.Errorf("ok=%v: %v CG iterations over %v steps", ev.Data["ok"], iters, steps)
+		}
 	}
 }

@@ -28,12 +28,13 @@ package linalg
 //     its exact inner-loop flop count Σ_{j=1}^{n-1} (j + 2·j²), 16·n² bytes.
 //   - CountLUSolve(n): one forward+back substitution pair, 2·n²−n flops,
 //     16·n² bytes.
-//   - CountBandFactor(n, bw): one banded Cholesky factorization, its exact
-//     inner-loop flop count Σ_{i=0}^{n-1} (min(i,bw)+1)² (each row i does
-//     (w+1)² multiply-subtract/divide/sqrt ops at effective bandwidth
-//     w = min(i,bw)); 16·n·(bw+1) bytes.
-//   - CountBandSolve(n, bw): one banded forward+back substitution pair,
-//     2·(2·Σ_{i=0}^{n-1} min(i,bw) + n) flops, 16·n·(bw+1) + 32·n bytes.
+//   - CountChainFactor(chains, n): the Cholesky factorizations of chains
+//     tridiagonal chains of length n, each 4·n−3 flops (the head's square
+//     root, then a division, a multiply-subtract pair and a square root per
+//     element) and 32·n bytes.
+//   - CountChainSolve(chains, n): the forward+back substitution pairs of
+//     chains tridiagonal chains of length n, each 6·n−4 flops and 64·n
+//     bytes.
 //   - CountPrecondApply(): one whole-preconditioner application (the
 //     per-kind arithmetic is charged by the kernels it invokes; this only
 //     bumps the invocation counter).
@@ -53,8 +54,8 @@ type OpCount struct {
 	Bytes int64 `json:"bytes,omitempty"`
 	// Factorizations counts dense LU factorizations.
 	Factorizations int64 `json:"factorizations,omitempty"`
-	// BandFactorizations counts banded Cholesky factorizations (one per
-	// preconditioner block per refresh).
+	// BandFactorizations counts tridiagonal (bandwidth-1) Cholesky
+	// factorizations: one per preconditioner chain per refresh.
 	BandFactorizations int64 `json:"band_factorizations,omitempty"`
 	// PrecondApplies counts whole-preconditioner applications (one per
 	// preconditioned CG iteration plus the setup apply).
@@ -170,43 +171,30 @@ func (o *OpCount) CountLUSolve(n int) {
 	o.Bytes += 16 * nn * nn
 }
 
-// bandSumW is Σ_{i=0}^{n-1} min(i, bw) — the total off-diagonal count of a
-// banded triangular factor.
-func bandSumW(n, bw int) int64 {
-	if bw > n-1 {
-		bw = n - 1
-	}
-	b, nn := int64(bw), int64(n)
-	return b*(b-1)/2 + b*(nn-b)
-}
-
-// CountBandFactor records one banded Cholesky factorization of dimension n
-// and bandwidth bw: row i costs (min(i,bw)+1)² flops (its multiply-subtract
-// pairs, divisions, and square root), summing to
-// Σ_{i=0}^{min(bw,n-1)-1} (i+1)² + (n−bw)·(bw+1)² for n > bw.
-func (o *OpCount) CountBandFactor(n, bw int) {
+// CountChainFactor records the Cholesky factorizations of chains
+// tridiagonal chains of length n: per chain, 4·n−3 flops (the first
+// pivot's square root, then l = a/d′, a − l·l and the square root for each
+// later element; the cached reciprocal is not counted).
+func (o *OpCount) CountChainFactor(chains, n int) {
 	if o == nil {
 		return
 	}
-	o.BandFactorizations++
-	w := bw
-	if w > n-1 {
-		w = n - 1
-	}
-	ww, nn := int64(w), int64(n)
-	// Σ_{i=0}^{w-1} (i+1)² = w(w+1)(2w+1)/6, then (n−w) full-band rows.
-	o.Flops += ww*(ww+1)*(2*ww+1)/6 + (nn-ww)*(ww+1)*(ww+1)
-	o.Bytes += 16 * nn * int64(bw+1)
+	c, nn := int64(chains), int64(n)
+	o.BandFactorizations += c
+	o.Flops += c * (4*nn - 3)
+	o.Bytes += c * 32 * nn
 }
 
-// CountBandSolve records one banded forward+back substitution pair:
-// 2·(2·Σ min(i,bw) + n) flops.
-func (o *OpCount) CountBandSolve(n, bw int) {
+// CountChainSolve records the forward+back substitution pairs of chains
+// tridiagonal chains of length n: per chain, 6·n−4 flops (a multiply per
+// chain end and a multiply-subtract-multiply per other element, each way).
+func (o *OpCount) CountChainSolve(chains, n int) {
 	if o == nil {
 		return
 	}
-	o.Flops += 2 * (2*bandSumW(n, bw) + int64(n))
-	o.Bytes += 16*int64(n)*int64(bw+1) + 32*int64(n)
+	c, nn := int64(chains), int64(n)
+	o.Flops += c * (6*nn - 4)
+	o.Bytes += c * 64 * nn
 }
 
 // CountPrecondApply records one whole-preconditioner application; the

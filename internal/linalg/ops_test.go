@@ -1,6 +1,11 @@
 package linalg
 
-import "testing"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"testing"
+)
 
 // testTridiag builds the SPD tridiagonal test matrix (4 on the diagonal,
 // −1 off) used by the analytic op-count assertions.
@@ -163,5 +168,65 @@ func TestEstimateCondOpsAccumulates(t *testing.T) {
 	}
 	if ops.Flops == 0 || ops.Dots == 0 {
 		t.Errorf("accounting recorded nothing: %+v", ops)
+	}
+}
+
+// pinnedSolves runs a block-Jacobi preconditioned SolveCG on a 16×16
+// crossbar matrix, cold and then warm from a perturbed start, returning the
+// preconditioner build's and each solve's operation counts, the
+// iteration counts and an FNV-1a digest of both solutions' bits.
+func pinnedSolves(t *testing.T) (build, cold, warm OpCount, itCold, itWarm int, digest uint64) {
+	t.Helper()
+	a, fams, rhs := crossbarSystem(16, 16, 5, false)
+	p, err := NewBlockJacobi(a, fams, &build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, itCold, err := SolveCG(a, rhs, nil, CGOptions{Tol: 1e-10, Precond: p, Ops: &cold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := append([]float64(nil), x...)
+	for i := range x0 {
+		x0[i] *= 1 + 1e-3*math.Sin(float64(i))
+	}
+	xw, itWarm, err := SolveCG(a, rhs, x0, CGOptions{Tol: 1e-10, Precond: p, Ops: &warm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range append(x, xw...) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return build, cold, warm, itCold, itWarm, h.Sum64()
+}
+
+// TestSolveCGOpCountPinned pins every OpCount field, the iteration counts
+// and the solution bits of the 16×16 solves above. The values were
+// recorded with per-chain scalar substitution and separate MulVec, Dot,
+// AXPY and Norm2 passes; the family kernels and fused CG passes must
+// reproduce them exactly.
+func TestSolveCGOpCountPinned(t *testing.T) {
+	build, cold, warm, itCold, itWarm, digest := pinnedSolves(t)
+	pins := []struct {
+		name      string
+		got, want OpCount
+	}{
+		{"build", build, OpCount{Flops: 1952, Bytes: 36864, BandFactorizations: 32}},
+		{"cold", cold, OpCount{Flops: 56720, SpMVs: 5, Dots: 13, Axpys: 8, Bytes: 717312, PrecondApplies: 4}},
+		{"warm", warm, OpCount{Flops: 44686, SpMVs: 4, Dots: 11, Axpys: 6, Bytes: 567296, PrecondApplies: 3}},
+	}
+	for _, p := range pins {
+		if p.got != p.want {
+			t.Errorf("%s ops = %+v, want %+v", p.name, p.got, p.want)
+		}
+	}
+	if itCold != 4 || itWarm != 3 {
+		t.Errorf("iterations cold %d warm %d, want 4 and 3", itCold, itWarm)
+	}
+	if digest != 0xffc3c9a036cdbb88 {
+		t.Errorf("solution digest %#x, want 0xffc3c9a036cdbb88", digest)
 	}
 }

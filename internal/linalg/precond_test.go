@@ -2,19 +2,20 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
-// chainTrips stamps a local tridiagonal chain (diag 4, off-diagonal −1)
-// onto the global indices of a block.
-func chainTrips(b Block) []Coord {
+// chainTrips stamps every chain of a family as a local tridiagonal chain
+// (diag 4, off-diagonal −1).
+func chainTrips(f Family) []Coord {
 	var trips []Coord
-	for k := 0; k < b.Len; k++ {
-		i := b.Start + k*b.Stride
+	for i := f.Start; i < f.Start+f.Chains*f.Len; i++ {
 		trips = append(trips, Coord{i, i, 4})
-		if k > 0 {
-			j := b.Start + (k-1)*b.Stride
+		if i >= f.Start+f.Chains {
+			j := i - f.Chains
 			trips = append(trips, Coord{i, j, -1}, Coord{j, i, -1})
 		}
 	}
@@ -22,24 +23,24 @@ func chainTrips(b Block) []Coord {
 }
 
 // TestBlockJacobiExactOnBlockDiagonal: when the matrix IS block diagonal
-// over the given blocks, Apply must be an exact solve — including for a
-// strided (interleaved) block layout like the crossbar's column chains.
+// over the given chains, Apply must be an exact solve — including for an
+// interleaved family like the crossbar's column chains.
 func TestBlockJacobiExactOnBlockDiagonal(t *testing.T) {
-	blocks := []Block{{Start: 0, Stride: 2, Len: 3}, {Start: 1, Stride: 2, Len: 3}}
+	fams := []Family{{Start: 0, Chains: 2, Len: 3}, {Start: 6, Chains: 1, Len: 2}}
 	var trips []Coord
-	for _, b := range blocks {
-		trips = append(trips, chainTrips(b)...)
+	for _, f := range fams {
+		trips = append(trips, chainTrips(f)...)
 	}
-	a, err := NewCSR(6, trips)
+	a, err := NewCSR(8, trips)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewBlockJacobi(a, blocks, 1, nil)
+	p, err := NewBlockJacobi(a, fams, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := []float64{1, -2, 3, 0.5, -1, 2}
-	z := make([]float64, 6)
+	r := []float64{1, -2, 3, 0.5, -1, 2, 0.25, -3}
+	z := make([]float64, 8)
 	p.Apply(r, z, nil)
 	// Residual of the exact solve must vanish.
 	az := a.MulVec(z, nil)
@@ -53,13 +54,13 @@ func TestBlockJacobiExactOnBlockDiagonal(t *testing.T) {
 // TestBlockJacobiRefresh: after the matrix values change, Refresh must track
 // them without rebuilding the pattern mapping.
 func TestBlockJacobiRefresh(t *testing.T) {
-	blocks := []Block{{Start: 0, Stride: 1, Len: 4}}
-	trips := chainTrips(blocks[0])
+	fams := []Family{{Start: 0, Chains: 1, Len: 4}}
+	trips := chainTrips(fams[0])
 	a, err := NewCSR(4, trips)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewBlockJacobi(a, blocks, 1, nil)
+	p, err := NewBlockJacobi(a, fams, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,23 +87,25 @@ func TestBlockJacobiRefresh(t *testing.T) {
 	}
 }
 
-// TestBlockJacobiValidation: blocks must partition the index set exactly.
+// TestBlockJacobiValidation: families must partition the index set exactly.
 func TestBlockJacobiValidation(t *testing.T) {
-	a, err := NewCSR(4, chainTrips(Block{Start: 0, Stride: 1, Len: 4}))
+	a, err := NewCSR(4, chainTrips(Family{Start: 0, Chains: 1, Len: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name   string
-		blocks []Block
+		name string
+		fams []Family
 	}{
-		{"overlap", []Block{{0, 1, 3}, {2, 1, 2}}},
-		{"gap", []Block{{0, 1, 2}, {3, 1, 1}}},
-		{"out of range", []Block{{0, 1, 5}}},
-		{"zero len", []Block{{0, 1, 0}, {0, 1, 4}}},
+		{"overlap", []Family{{0, 1, 3}, {2, 1, 2}}},
+		{"gap", []Family{{0, 1, 2}, {3, 1, 1}}},
+		{"out of range", []Family{{0, 1, 5}}},
+		{"zero len", []Family{{0, 1, 0}, {0, 1, 4}}},
+		{"interleaved overlap", []Family{{0, 2, 2}, {3, 1, 1}}},
+		{"zero chains", []Family{{0, 0, 4}, {0, 1, 4}}},
 	}
 	for _, tc := range cases {
-		if _, err := NewBlockJacobi(a, tc.blocks, 1, nil); err == nil {
+		if _, err := NewBlockJacobi(a, tc.fams, nil); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
@@ -114,10 +117,10 @@ func TestBlockJacobiValidation(t *testing.T) {
 func TestBlockJacobiCutsIterations(t *testing.T) {
 	const chains, length = 8, 8
 	n := chains * length
-	blocks := make([]Block, chains)
+	fams := make([]Family, chains)
 	var trips []Coord
 	for c := 0; c < chains; c++ {
-		blocks[c] = Block{Start: c * length, Stride: 1, Len: length}
+		fams[c] = Family{Start: c * length, Chains: 1, Len: length}
 		for k := 0; k < length; k++ {
 			i := c*length + k
 			trips = append(trips, Coord{i, i, 0.8}) // wire-scale diagonal
@@ -146,7 +149,7 @@ func TestBlockJacobiCutsIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewBlockJacobi(a, blocks, 1, nil)
+	p, err := NewBlockJacobi(a, fams, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +170,13 @@ func TestBlockJacobiCutsIterations(t *testing.T) {
 // TestSolveCGPrecondAccounting: a custom preconditioner must land its
 // factorizations and applies in the op counters.
 func TestSolveCGPrecondAccounting(t *testing.T) {
-	blocks := []Block{{Start: 0, Stride: 1, Len: 6}}
-	a, err := NewCSR(6, chainTrips(blocks[0]))
+	fams := []Family{{Start: 0, Chains: 1, Len: 6}}
+	a, err := NewCSR(6, chainTrips(fams[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ops OpCount
-	p, err := NewBlockJacobi(a, blocks, 1, &ops)
+	p, err := NewBlockJacobi(a, fams, &ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +200,7 @@ func TestSolveCGPrecondAccounting(t *testing.T) {
 // TestSolveCGZeroRHSWithWarmStart: b = 0 has the unique solution x = 0; a
 // non-nil x0 must not be echoed back (the pre-fix behaviour).
 func TestSolveCGZeroRHSWithWarmStart(t *testing.T) {
-	a, err := NewCSR(3, chainTrips(Block{Start: 0, Stride: 1, Len: 3}))
+	a, err := NewCSR(3, chainTrips(Family{Start: 0, Chains: 1, Len: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +256,7 @@ func TestSolveCGBreakdownOnIndefinite(t *testing.T) {
 // must reach the same answer as a cold start, in no more iterations, and an
 // already-converged x0 must be returned bit-unchanged in zero iterations.
 func TestSolveCGWarmStartPerturbed(t *testing.T) {
-	blocks := []Block{{Start: 0, Stride: 1, Len: 32}}
-	trips := chainTrips(blocks[0])
+	trips := chainTrips(Family{Start: 0, Chains: 1, Len: 32})
 	a, err := NewCSR(32, trips)
 	if err != nil {
 		t.Fatal(err)
@@ -305,6 +307,272 @@ func TestSolveCGWarmStartPerturbed(t *testing.T) {
 	for i := range xAgain {
 		if math.Float64bits(xAgain[i]) != math.Float64bits(xWarm[i]) {
 			t.Fatalf("re-solve not bit-identical at %d", i)
+		}
+	}
+}
+
+// randomChainSystem stamps a random diagonally dominant (so SPD) chain
+// matrix over the families, which must partition [0, n).
+func randomChainSystem(n int, fams []Family, rng *rand.Rand) (*CSR, []Coord) {
+	var trips []Coord
+	for _, f := range fams {
+		for i := f.Start; i < f.Start+f.Chains*f.Len; i++ {
+			trips = append(trips, Coord{i, i, 2.5 + rng.Float64()})
+			if i >= f.Start+f.Chains {
+				g := -rng.Float64()
+				trips = append(trips, Coord{i, i - f.Chains, g}, Coord{i - f.Chains, i, g})
+			}
+		}
+	}
+	a, err := NewCSR(n, trips)
+	if err != nil {
+		panic(err)
+	}
+	return a, trips
+}
+
+// refChainFactor is the scalar bandwidth-1 Cholesky of one chain with
+// diagonal a and subdiagonal b (b[0] unused), element by element in the
+// order l = b/d′, d = √(a − l·l), 1/d — the oracle the interleaved family
+// factor must match bit for bit.
+func refChainFactor(a, b []float64) (d, l, rd []float64, err error) {
+	n := len(a)
+	d, l, rd = make([]float64, n), make([]float64, n), make([]float64, n)
+	for k := 0; k < n; k++ {
+		s := a[k]
+		if k > 0 {
+			l[k] = b[k] / d[k-1]
+			s -= l[k] * l[k]
+		}
+		if !(s > 0) {
+			return nil, nil, nil, ErrNotSPD
+		}
+		d[k] = math.Sqrt(s)
+		rd[k] = 1 / d[k]
+	}
+	return d, l, rd, nil
+}
+
+// refChainSolve overwrites x with the chain's solve by scalar forward and
+// back substitution (a Thomas sweep against the factor).
+func refChainSolve(l, rd, x []float64) {
+	n := len(x)
+	x[0] *= rd[0]
+	for k := 1; k < n; k++ {
+		x[k] = (x[k] - l[k]*x[k-1]) * rd[k]
+	}
+	x[n-1] *= rd[n-1]
+	for k := n - 2; k >= 0; k-- {
+		x[k] = (x[k] - l[k+1]*x[k+1]) * rd[k]
+	}
+}
+
+// TestBlockJacobiMatchesChainReference: the family factor and apply are
+// bit-identical to a per-chain scalar factor and Thomas solve, on crossbar
+// systems (rows as families of one, columns as one interleaved family)
+// with M ≠ N and length-1 chains, and on random SPD chain matrices.
+func TestBlockJacobiMatchesChainReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	type system struct {
+		name string
+		a    *CSR
+		fams []Family
+	}
+	var systems []system
+	for _, sh := range [][2]int{{1, 1}, {1, 6}, {7, 1}, {3, 8}, {9, 4}, {16, 16}} {
+		for _, step := range []bool{false, true} {
+			a, fams, _ := crossbarSystem(sh[0], sh[1], int64(sh[0]*100+sh[1]), step)
+			systems = append(systems, system{fmt.Sprintf("crossbar %dx%d step=%v", sh[0], sh[1], step), a, fams})
+		}
+	}
+	// Four single chains of one length are solved as a group; a run broken
+	// by a length change is not.
+	mixed := []Family{{0, 1, 5}, {5, 1, 5}, {10, 1, 5}, {15, 1, 5}, {20, 3, 1},
+		{23, 1, 2}, {25, 1, 2}, {27, 1, 3}, {30, 1, 2}, {32, 1, 2}, {34, 4, 6},
+		{58, 1, 1}, {59, 1, 1}, {60, 1, 1}, {61, 1, 1}}
+	a, _ := randomChainSystem(62, mixed, rng)
+	systems = append(systems, system{"random chains", a, mixed})
+	for _, sys := range systems {
+		p, err := NewBlockJacobi(sys.a, sys.fams, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", sys.name, err)
+		}
+		r := make([]float64, sys.a.N)
+		for i := range r {
+			r[i] = rng.NormFloat64()
+		}
+		z := make([]float64, sys.a.N)
+		p.Apply(r, z, nil)
+		for _, f := range sys.fams {
+			for c := 0; c < f.Chains; c++ {
+				idx := make([]int, f.Len)
+				diag, sub, x := make([]float64, f.Len), make([]float64, f.Len), make([]float64, f.Len)
+				for k := range idx {
+					i := f.Start + k*f.Chains + c
+					idx[k], diag[k], x[k] = i, sys.a.at(i, i), r[i]
+					if k > 0 {
+						sub[k] = sys.a.at(i, i-f.Chains)
+					}
+				}
+				d, l, rd, err := refChainFactor(diag, sub)
+				if err != nil {
+					t.Fatalf("%s: reference factor: %v", sys.name, err)
+				}
+				refChainSolve(l, rd, x)
+				for k, i := range idx {
+					same := math.Float64bits(p.diag[i]) == math.Float64bits(d[k]) &&
+						math.Float64bits(p.rdiag[i]) == math.Float64bits(rd[k]) &&
+						(k == 0 || math.Float64bits(p.sub[i]) == math.Float64bits(l[k]))
+					if !same {
+						t.Fatalf("%s: factor differs at index %d (chain %d element %d)", sys.name, i, c, k)
+					}
+					if math.Float64bits(z[i]) != math.Float64bits(x[k]) {
+						t.Fatalf("%s: apply differs at index %d: %v vs reference %v", sys.name, i, z[i], x[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestChainFamilySolveMatchesDense cross-checks the chain solve against
+// the dense LU path on random SPD families of several shapes.
+func TestChainFamilySolveMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, sh := range [][2]int{{1, 1}, {1, 2}, {1, 5}, {2, 1}, {3, 4}, {4, 9}, {1, 33}} {
+		fams := []Family{{Start: 0, Chains: sh[0], Len: sh[1]}}
+		n := sh[0] * sh[1]
+		a, trips := randomChainSystem(n, fams, rng)
+		dense := NewDense(n, n)
+		for _, tr := range trips {
+			dense.Set(tr.Row, tr.Col, dense.At(tr.Row, tr.Col)+tr.Val)
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		want, err := SolveDense(dense, b)
+		if err != nil {
+			t.Fatalf("%v dense: %v", sh, err)
+		}
+		p, err := NewBlockJacobi(a, fams, nil)
+		if err != nil {
+			t.Fatalf("%v factor: %v", sh, err)
+		}
+		x := make([]float64, n)
+		p.Apply(b, x, nil)
+		for i := range x {
+			if math.Abs(x[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+				t.Fatalf("%v x[%d] = %v, dense %v", sh, i, x[i], want[i])
+			}
+		}
+	}
+}
+
+// TestBlockJacobiRejectsIndefinite: a chain with a non-positive pivot must
+// fail with ErrNotSPD, at build and at refresh, rather than factor garbage.
+func TestBlockJacobiRejectsIndefinite(t *testing.T) {
+	for _, fams := range [][]Family{{{0, 1, 2}}, {{0, 2, 1}}} {
+		// diag(1, -1): second pivot negative.
+		a, err := NewCSR(2, []Coord{{0, 0, 1}, {1, 1, -1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewBlockJacobi(a, fams, nil); !errors.Is(err, ErrNotSPD) {
+			t.Fatalf("%v: indefinite factor err = %v, want ErrNotSPD", fams, err)
+		}
+	}
+	fams := []Family{{Start: 0, Chains: 1, Len: 3}}
+	trips := chainTrips(fams[0])
+	a, err := NewCSR(3, trips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewBlockJacobi(a, fams, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trips[0].Val = math.NaN()
+	if err := a.UpdateValues(trips); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Refresh(a, nil); !errors.Is(err, ErrNotSPD) {
+		t.Fatalf("NaN pivot refresh err = %v, want ErrNotSPD", err)
+	}
+}
+
+// TestBlockJacobiRefreshInPlace: refreshing against new values refactors
+// in place with no allocation and is bit-identical to a fresh build.
+func TestBlockJacobiRefreshInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fams := []Family{{0, 1, 4}, {4, 1, 4}, {8, 4, 3}}
+	a, _ := randomChainSystem(20, fams, rng)
+	p, err := NewBlockJacobi(a, fams, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, trips := randomChainSystem(20, fams, rng)
+	if err := a.UpdateValues(trips); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if err := p.Refresh(a, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Refresh allocates %v per run", n)
+	}
+	q, err := NewBlockJacobi(fresh, fams, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := make([]float64, 20)
+	for i := range r {
+		r[i] = 1 + float64(i)
+	}
+	zp, zq := make([]float64, 20), make([]float64, 20)
+	p.Apply(r, zp, nil)
+	q.Apply(r, zq, nil)
+	for i := range zp {
+		if math.Float64bits(zp[i]) != math.Float64bits(zq[i]) {
+			t.Fatalf("refreshed z[%d] = %v, fresh build %v", i, zp[i], zq[i])
+		}
+	}
+}
+
+// TestBandOpCountFormulas pins the closed-form chain accounting against
+// oracles that walk the bandwidth-1 factor and solve element by element,
+// for families of one and of several chains, length-1 chains included.
+func TestBandOpCountFormulas(t *testing.T) {
+	for _, sh := range [][2]int{{1, 1}, {3, 1}, {1, 2}, {1, 8}, {5, 17}, {64, 64}} {
+		chains, n := sh[0], sh[1]
+		var f, s OpCount
+		f.CountChainFactor(chains, n)
+		s.CountChainSolve(chains, n)
+		var wantF, wantS int64
+		for c := 0; c < chains; c++ {
+			for k := 0; k < n; k++ {
+				wantF++ // square root
+				if k > 0 {
+					wantF += 3 // division, multiply-subtract pair
+				}
+				for _, end := range []bool{k == 0, k == n-1} { // forward, back
+					if end {
+						wantS++ // multiply by the reciprocal pivot
+					} else {
+						wantS += 3
+					}
+				}
+			}
+		}
+		if f.Flops != wantF {
+			t.Errorf("%d×%d factor flops = %d, want %d", chains, n, f.Flops, wantF)
+		}
+		if s.Flops != wantS {
+			t.Errorf("%d×%d solve flops = %d, want %d", chains, n, s.Flops, wantS)
+		}
+		if f.BandFactorizations != int64(chains) {
+			t.Errorf("%d×%d BandFactorizations = %d, want %d", chains, n, f.BandFactorizations, chains)
 		}
 	}
 }

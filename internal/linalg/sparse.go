@@ -321,11 +321,8 @@ func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
 		//lint:ignore noalloc cold fallback when no CGWork scratch is supplied
 		r = make([]float64, n)
 	}
-	a.MulVec(x, r)
+	rr := a.residual(b, x, r)
 	ops.CountSpMV(nnz, n)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
 	ops.CountVecOp(n, 1) // r = b − A·x
 	normB := Norm2(b)
 	ops.CountNorm(n)
@@ -342,7 +339,7 @@ func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
 	if x0 != nil {
 		// Warm-start early exit: an x0 already inside the tolerance is the
 		// answer, returned bit-unchanged.
-		res0 := Norm2(r) / normB
+		res0 := math.Sqrt(rr) / normB
 		ops.CountNorm(n)
 		ops.CountFlops(1)
 		if res0 < opt.Tol {
@@ -371,9 +368,8 @@ func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
 		ap = make([]float64, n)
 	}
 	for it := 1; it <= opt.MaxIter; it++ {
-		a.MulVec(p, ap)
+		pap := a.mulVecDot(p, ap)
 		ops.CountSpMV(nnz, n)
-		pap := Dot(p, ap)
 		ops.CountDot(n)
 		alpha := rz / pap
 		ops.CountFlops(1) // α division
@@ -386,11 +382,10 @@ func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
 			//lint:ignore noalloc breakdown error allocates once on the failure path only
 			return x, it, &BreakdownError{Iter: it, PAp: pap}
 		}
-		AXPY(alpha, p, x)
-		AXPY(-alpha, ap, r)
+		rr = updateCG(alpha, p, ap, x, r)
 		ops.CountAxpy(n)
 		ops.CountAxpy(n)
-		res := Norm2(r) / normB
+		res := math.Sqrt(rr) / normB
 		ops.CountNorm(n)
 		ops.CountFlops(1) // relative-residual division
 		if math.IsNaN(res) || math.IsInf(res, 0) {
@@ -417,6 +412,73 @@ func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
 	observeCG(opt.MaxIter)
 	telCGNoConverge.Inc()
 	return x, opt.MaxIter, ErrNoConvergence
+}
+
+// residual sets r = b − A·x and returns r·r. Every float is the one MulVec,
+// the subtraction pass and Norm2's sum of squares produce, in their index
+// order; fusing them reads the matrix and the vectors once.
+//
+//lint:hotpath
+func (m *CSR) residual(b, x, r []float64) float64 {
+	r = r[:m.N]
+	b = b[:len(r)]
+	vals := m.Vals
+	cols := m.ColIdx[:len(vals)]
+	k := m.RowPtr[0]
+	rr := 0.0
+	for i, end := range m.RowPtr[1 : len(r)+1] {
+		s := 0.0
+		for ; k < end; k++ {
+			s += vals[k] * x[cols[k]]
+		}
+		ri := b[i] - s
+		r[i] = ri
+		rr += ri * ri
+	}
+	return rr
+}
+
+// mulVecDot sets y = A·x and returns x·y, bit-identical to MulVec followed
+// by Dot(x, y): the row sums and the dot accumulate in MulVec's and Dot's
+// index order, in one pass over the matrix and the vectors.
+//
+//lint:hotpath
+func (m *CSR) mulVecDot(x, y []float64) float64 {
+	y = y[:m.N]
+	x = x[:len(y)]
+	vals := m.Vals
+	cols := m.ColIdx[:len(vals)]
+	k := m.RowPtr[0]
+	dot := 0.0
+	for i, end := range m.RowPtr[1 : len(y)+1] {
+		s := 0.0
+		for ; k < end; k++ {
+			s += vals[k] * x[cols[k]]
+		}
+		y[i] = s
+		dot += x[i] * s
+	}
+	return dot
+}
+
+// updateCG applies CG's two vector updates, x += α·p and r += (−α)·ap, and
+// returns the new r·r: bit-identical to AXPY(α, p, x), AXPY(−α, ap, r) and
+// Norm2(r)'s sum of squares, in one pass.
+//
+//lint:hotpath
+func updateCG(alpha float64, p, ap, x, r []float64) float64 {
+	na := -alpha
+	p = p[:len(x)]
+	ap = ap[:len(x)]
+	r = r[:len(x)]
+	rr := 0.0
+	for i := range x {
+		x[i] += alpha * p[i]
+		ri := r[i] + na*ap[i]
+		r[i] = ri
+		rr += ri * ri
+	}
+	return rr
 }
 
 // observeCG folds one finished CG solve into the package metrics.

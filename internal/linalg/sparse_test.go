@@ -246,3 +246,87 @@ func TestIsSymmetric(t *testing.T) {
 		t.Error("asymmetric matrix reported symmetric")
 	}
 }
+
+// fusedCases are the matrices the fused CG kernels are checked on: crossbar
+// systems with M ≠ N (DC and stepping), a random SPD pattern, and a matrix
+// with an empty row.
+func fusedCases(rng *rand.Rand) []*CSR {
+	dc, _, _ := crossbarSystem(5, 9, 1, false)
+	step, _, _ := crossbarSystem(12, 3, 2, true)
+	spd, _ := randomSPD(40, rng)
+	empty, err := NewCSR(3, []Coord{{0, 0, 1.5}, {0, 2, -0.25}, {2, 0, -0.25}, {2, 2, 3}})
+	if err != nil {
+		panic(err)
+	}
+	return []*CSR{dc, step, spd, empty}
+}
+
+func randomVec(n int, rng *rand.Rand) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// sameBits reports whether a and b hold bit-identical floats.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// TestMulVecDotBitIdentical: the fused SpMV·dot equals MulVec then Dot.
+func TestMulVecDotBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for ci, a := range fusedCases(rng) {
+		x := randomVec(a.N, rng)
+		want := a.MulVec(x, nil)
+		wantDot := Dot(x, want)
+		y := randomVec(a.N, rng) // stale contents must not leak through
+		dot := a.mulVecDot(x, y)
+		if !sameBits(y, want) || math.Float64bits(dot) != math.Float64bits(wantDot) {
+			t.Fatalf("case %d: fused SpMV·dot differs from MulVec+Dot (dot %v vs %v)", ci, dot, wantDot)
+		}
+	}
+}
+
+// TestResidualBitIdentical: the fused residual equals MulVec, the
+// subtraction pass and Norm2.
+func TestResidualBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for ci, a := range fusedCases(rng) {
+		b, x := randomVec(a.N, rng), randomVec(a.N, rng)
+		want := a.MulVec(x, nil)
+		for i := range want {
+			want[i] = b[i] - want[i]
+		}
+		r := randomVec(a.N, rng)
+		rr := a.residual(b, x, r)
+		if !sameBits(r, want) || math.Float64bits(math.Sqrt(rr)) != math.Float64bits(Norm2(want)) {
+			t.Fatalf("case %d: fused residual differs from MulVec, subtract, Norm2", ci)
+		}
+	}
+}
+
+// TestUpdateCGBitIdentical: the fused update·norm equals AXPY, AXPY and
+// Norm2.
+func TestUpdateCGBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{1, 7, 64, 1000} {
+		p, ap := randomVec(n, rng), randomVec(n, rng)
+		x, r := randomVec(n, rng), randomVec(n, rng)
+		alpha := rng.NormFloat64()
+		wantX, wantR := append([]float64(nil), x...), append([]float64(nil), r...)
+		AXPY(alpha, p, wantX)
+		AXPY(-alpha, ap, wantR)
+		rr := updateCG(alpha, p, ap, x, r)
+		if !sameBits(x, wantX) || !sameBits(r, wantR) ||
+			math.Float64bits(math.Sqrt(rr)) != math.Float64bits(Norm2(wantR)) {
+			t.Fatalf("n=%d: fused update·norm differs from AXPY, AXPY, Norm2", n)
+		}
+	}
+}

@@ -334,17 +334,10 @@ func TableIIIContext(ctx context.Context, sizes []int, seed int64) ([]SpeedRow, 
 			return nil, fmt.Errorf("validate: size %d: %w", size, err)
 		}
 
-		_, modelSpan := telemetry.StartSpan(ctx, "validate.table3.model")
-		// The behaviour-level "simulation" of the same crossbar: area,
-		// power, latency, and the accuracy estimate.
-		_ = p.Area()
-		_ = p.ComputePower()
-		_ = p.Latency()
-		if _, err := accuracy.Eval(p); err != nil {
-			modelSpan.End()
+		modelTime, err := timeModel(ctx, p)
+		if err != nil {
 			return nil, err
 		}
-		modelTime := modelSpan.End()
 		if modelTime <= 0 {
 			modelTime = time.Nanosecond
 		}
@@ -363,6 +356,33 @@ func TableIIIContext(ctx context.Context, sizes []int, seed int64) ([]SpeedRow, 
 		})
 	}
 	return out, nil
+}
+
+// table3ModelRuns is how many times Table III evaluates the behaviour
+// model per size, keeping the fastest.
+const table3ModelRuns = 3
+
+// timeModel times the behaviour-level "simulation" of a crossbar (area,
+// power, latency, and the accuracy estimate) as the fastest of
+// table3ModelRuns evaluations. One evaluation takes a few microseconds, so
+// a single sample taken right after the circuit solve mostly measures cold
+// caches, or a GC pause that lands in it.
+func timeModel(ctx context.Context, p crossbar.Params) (time.Duration, error) {
+	var best time.Duration
+	for run := 0; run < table3ModelRuns; run++ {
+		_, span := telemetry.StartSpan(ctx, "validate.table3.model")
+		_ = p.Area()
+		_ = p.ComputePower()
+		_ = p.Latency()
+		if _, err := accuracy.Eval(p); err != nil {
+			span.End()
+			return 0, err
+		}
+		if d := span.End(); run == 0 || d < best {
+			best = d
+		}
+	}
+	return best, nil
 }
 
 // maxSpeedUp returns the largest circuit/model speed-up across the
