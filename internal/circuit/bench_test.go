@@ -146,3 +146,42 @@ func BenchmarkSolveOverhead(b *testing.B) {
 func benchName(size int) string {
 	return fmt.Sprintf("%dx%d", size, size)
 }
+
+// restampSystem assembles the size×size benchmark crossbar and solves it
+// once, returning the assembly and the converged operating point a Newton
+// restamp linearises around.
+func restampSystem(tb testing.TB, size int) (*Crossbar, *assembly, []float64) {
+	c, vin := benchCrossbar(size)
+	res, err := c.Solve(vin, SolveOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, c.assemble(vin, nil), res.NodeV
+}
+
+// BenchmarkRestamp times one Newton restamp: every cell's device current
+// and conductance at the operating point, its conductance and diagonal
+// written into the operator, and the right-hand side rebuilt.
+func BenchmarkRestamp(b *testing.B) {
+	for _, size := range []int{64, 128} {
+		b.Run(benchName(size), func(b *testing.B) {
+			c, a, v := restampSystem(b, size)
+			c.restamp(a, v, nil) // sizes the right-hand-side buffer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.restamp(a, v, nil)
+			}
+		})
+	}
+}
+
+// TestRestampAllocatesNothing: after its first call sizes the right-hand
+// side, a restamp through an assembly allocates nothing.
+func TestRestampAllocatesNothing(t *testing.T) {
+	c, a, v := restampSystem(t, 16)
+	c.restamp(a, v, nil)
+	if n := testing.AllocsPerRun(10, func() { c.restamp(a, v, nil) }); n != 0 {
+		t.Fatalf("restamp allocates %v per run", n)
+	}
+}

@@ -33,9 +33,6 @@ import (
 // elsewhere in the cost model are unaffected by this constant.
 const deviceEvalFlops = 8
 
-// coordBytes is the size of one linalg.Coord (two ints + one float64).
-const coordBytes = 24
-
 // Crossbar describes one crossbar instance to simulate at circuit level.
 type Crossbar struct {
 	// M is the number of rows (inputs), N the number of columns (outputs).
@@ -56,7 +53,9 @@ type Crossbar struct {
 	Linear bool
 }
 
-// Validate checks structural consistency.
+// Validate checks structural consistency and that every resistance is a
+// finite number in its range: NaN or ±Inf would reach the solver as a
+// misleading preconditioner failure, or solve silently with open cells.
 func (c *Crossbar) Validate() error {
 	if c.M <= 0 || c.N <= 0 {
 		return fmt.Errorf("circuit: invalid crossbar size %dx%d", c.M, c.N)
@@ -69,16 +68,16 @@ func (c *Crossbar) Validate() error {
 			return fmt.Errorf("circuit: R row %d has %d cols, want %d", i, len(row), c.N)
 		}
 		for j, r := range row {
-			if r <= 0 {
-				return fmt.Errorf("circuit: non-positive resistance %g at (%d,%d)", r, i, j)
+			if !(r > 0) || math.IsInf(r, 1) {
+				return fmt.Errorf("circuit: resistance %g at (%d,%d) must be positive and finite", r, i, j)
 			}
 		}
 	}
-	if c.WireR < 0 {
-		return fmt.Errorf("circuit: negative wire resistance %g", c.WireR)
+	if !(c.WireR >= 0) || math.IsInf(c.WireR, 1) {
+		return fmt.Errorf("circuit: wire resistance %g must be non-negative and finite", c.WireR)
 	}
-	if c.RSense <= 0 {
-		return fmt.Errorf("circuit: sense resistance must be positive, got %g", c.RSense)
+	if !(c.RSense > 0) || math.IsInf(c.RSense, 1) {
+		return fmt.Errorf("circuit: sense resistance %g must be positive and finite", c.RSense)
 	}
 	if !c.Linear {
 		if err := c.Dev.Validate(); err != nil {
@@ -108,7 +107,8 @@ type Result struct {
 	Diag *Diagnostics
 }
 
-// node numbering: row cell nodes first, then column cell nodes.
+// node numbering, linalg.CrossbarOp's: row cell nodes first, then column
+// cell nodes, so cell m·N+n's row node is m·N+n.
 func (c *Crossbar) rowNode(m, n int) int { return m*c.N + n }
 func (c *Crossbar) colNode(m, n int) int { return c.M*c.N + m*c.N + n }
 
@@ -201,164 +201,70 @@ func (c *Crossbar) solveZeroWire(ctx context.Context, vin []float64, ops *linalg
 	return res, nil
 }
 
-// assembly holds the constant sparsity pattern plus the slots that Newton
-// iteration rewrites.
+// assembly holds the crossbar's MNA operator and the right-hand side
+// that Newton iteration restamps.
 type assembly struct {
-	trips   []linalg.Coord
-	memIdx  [][4]int // per cell: indices of its 4 triplets in trips
-	mat     *linalg.CSR
+	op      *linalg.CrossbarOp
 	rhsBase []float64 // source contributions, constant across iterations
 	// rhsFull is restamp's reusable output buffer (rhsBase + Newton
-	// equivalent currents); kept on the assembly so a state-cached pattern
-	// also reuses the per-iteration right-hand side.
+	// equivalent currents); kept on the assembly so a state-cached
+	// operator also reuses the per-iteration right-hand side.
 	rhsFull []float64
-	srcG    float64
 }
 
-func (c *Crossbar) assemble(vin []float64, ops *linalg.OpCount) (*assembly, error) {
-	n2 := 2 * c.M * c.N
-	a := &assembly{rhsBase: make([]float64, n2), srcG: c.wireG()}
-	// Exact triplet count — row wires M·(4(N−1)+1), column wires
-	// N·(4(M−1)+1), cells 4MN — so the append stream below never
-	// reallocates.
-	a.trips = make([]linalg.Coord, 0, 12*c.M*c.N-3*c.M-3*c.N)
-	// The pattern (triplet coordinates, cell slot map) depends only on the
-	// crossbar shape; every value — wire, sense, and calibrated cell
-	// conductances plus the source RHS — is filled by stampValues, the same
-	// code path a cached assembly restamps through, so reuse across solves
-	// is bit-neutral by construction.
-	// Row wires: source -> (m,0) -> (m,1) -> ... -> (m,N-1)
-	for m := 0; m < c.M; m++ {
-		first := c.rowNode(m, 0)
-		a.trips = append(a.trips, linalg.Coord{Row: first, Col: first})
-		for n := 0; n+1 < c.N; n++ {
-			i, j := c.rowNode(m, n), c.rowNode(m, n+1)
-			a.trips = append(a.trips,
-				linalg.Coord{Row: i, Col: i},
-				linalg.Coord{Row: j, Col: j},
-				linalg.Coord{Row: i, Col: j},
-				linalg.Coord{Row: j, Col: i})
-		}
-	}
-	// Column wires: (0,n) -> (1,n) -> ... -> (M-1,n) -> RSense -> ground
-	for n := 0; n < c.N; n++ {
-		for m := 0; m+1 < c.M; m++ {
-			i, j := c.colNode(m, n), c.colNode(m+1, n)
-			a.trips = append(a.trips,
-				linalg.Coord{Row: i, Col: i},
-				linalg.Coord{Row: j, Col: j},
-				linalg.Coord{Row: i, Col: j},
-				linalg.Coord{Row: j, Col: i})
-		}
-		last := c.colNode(c.M-1, n)
-		a.trips = append(a.trips, linalg.Coord{Row: last, Col: last})
-	}
-	// Memristor cells.
-	a.memIdx = make([][4]int, c.M*c.N)
-	for m := 0; m < c.M; m++ {
-		for n := 0; n < c.N; n++ {
-			i, j := c.rowNode(m, n), c.colNode(m, n)
-			base := len(a.trips)
-			a.trips = append(a.trips,
-				linalg.Coord{Row: i, Col: i},
-				linalg.Coord{Row: j, Col: j},
-				linalg.Coord{Row: i, Col: j},
-				linalg.Coord{Row: j, Col: i})
-			a.memIdx[m*c.N+n] = [4]int{base, base + 1, base + 2, base + 3}
-		}
-	}
+// assemble allocates the operator and stamps it at the calibrated cell
+// conductances.
+func (c *Crossbar) assemble(vin []float64, ops *linalg.OpCount) *assembly {
+	a := &assembly{op: linalg.NewCrossbarOp(c.M, c.N), rhsBase: make([]float64, 2*c.M*c.N)}
 	c.stampValues(a, vin, ops)
-	mat, err := linalg.NewCSR(n2, a.trips)
-	if err != nil {
-		return nil, err
-	}
-	a.mat = mat
-	// Modeled pattern-build cost: the triplet stream scanned twice by the
-	// counting-sort CSR build and the CSR arrays written once (stampValues
-	// charged the value fill).
-	ops.CountBytes(2*coordBytes*int64(len(a.trips)) + 16*int64(len(mat.Vals)))
-	return a, nil
+	return a
 }
 
-// stampValues (re)writes every triplet value and the source right-hand side
-// from the current crossbar parameters and drive vector: wire and sense
-// conductances, calibrated cell conductances, and the source currents. Both
-// a fresh assembly and a SolverState-cached one fill values here, so the
-// matrix a solve starts from is bit-identical either way.
+// stampValues (re)writes the operator and the source right-hand side from
+// the current crossbar parameters and drive vector: wire and sense
+// conductances, calibrated cell conductances, and the source currents. A
+// fresh assembly and a SolverState-cached one both fill values here, so
+// the matrix a solve starts from is bit-identical either way.
 //
-// Runs once per Newton iteration over every triplet: hot path, must not
-// allocate (all buffers live in the assembly).
+// Hot path, must not allocate (all buffers live in the assembly).
 //
 //lint:hotpath
 func (c *Crossbar) stampValues(a *assembly, vin []float64, ops *linalg.OpCount) {
 	gw := c.wireG()
-	a.srcG = gw
 	for i := range a.rhsBase {
 		a.rhsBase[i] = 0
 	}
-	k := 0
 	for m := 0; m < c.M; m++ {
 		a.rhsBase[c.rowNode(m, 0)] += gw * vin[m]
-		a.trips[k].Val = gw
-		k++
-		for n := 0; n+1 < c.N; n++ {
-			a.trips[k].Val = gw
-			a.trips[k+1].Val = gw
-			a.trips[k+2].Val = -gw
-			a.trips[k+3].Val = -gw
-			k += 4
-		}
 	}
-	gs := 1 / c.RSense
-	for n := 0; n < c.N; n++ {
-		for m := 0; m+1 < c.M; m++ {
-			a.trips[k].Val = gw
-			a.trips[k+1].Val = gw
-			a.trips[k+2].Val = -gw
-			a.trips[k+3].Val = -gw
-			k += 4
-		}
-		a.trips[k].Val = gs
-		k++
-	}
+	a.op.StampWires(gw, 1/c.RSense)
 	// Cells start from the calibrated linear conductance.
 	for m := 0; m < c.M; m++ {
 		for n := 0; n < c.N; n++ {
-			g := 1 / c.R[m][n]
-			idx := a.memIdx[m*c.N+n]
-			a.trips[idx[0]].Val = g
-			a.trips[idx[1]].Val = g
-			a.trips[idx[2]].Val = -g
-			a.trips[idx[3]].Val = -g
+			a.op.SetCell(m*c.N+n, 1/c.R[m][n])
 		}
 	}
-	// Modeled stamping cost: one conductance inversion per cell, the
-	// triplet values written once, the RHS written once.
-	ops.CountFlops(int64(c.M) * int64(c.N))
-	ops.CountBytes(coordBytes*int64(len(a.trips)) + 16*int64(len(a.rhsBase)))
-}
-
-// precondFamilies describes the crossbar's wire chains as preconditioner
-// chain families: each of the M contiguous row chains is a family of one,
-// and the N column chains, interleaved at stride N, form one family of N
-// chains of length M. Every chain is tridiagonal in its local index.
-func (c *Crossbar) precondFamilies() []linalg.Family {
-	fams := make([]linalg.Family, 0, c.M+1)
-	for m := 0; m < c.M; m++ {
-		fams = append(fams, linalg.Family{Start: m * c.N, Chains: 1, Len: c.N})
-	}
-	return append(fams, linalg.Family{Start: c.M * c.N, Chains: c.N, Len: c.M})
+	// Modeled stamping cost: one conductance inversion per cell; the
+	// wire-only diagonal and the RHS written once; per cell, the
+	// conductance write and its two diagonal entries (wire-only read,
+	// write).
+	cells := int64(c.M) * int64(c.N)
+	ops.CountFlops(cells)
+	ops.CountBytes(24*int64(len(a.rhsBase)) + 40*cells)
 }
 
 // restamp rewrites the memristor companion-model conductances for the
 // current voltage estimate and returns the full right-hand side (source
 // terms plus Newton equivalent current sources).
+//
+//lint:hotpath
 func (c *Crossbar) restamp(a *assembly, v []float64, ops *linalg.OpCount) []float64 {
 	// The returned slice aliases a.rhsFull and is valid until the next
 	// restamp through this assembly; the inner solve consumes it within the
 	// same Newton iteration. The copy from rhsBase fully overwrites it, so
 	// reuse is bit-identical to a fresh allocation.
 	if cap(a.rhsFull) < len(a.rhsBase) {
+		//lint:ignore noalloc sized once per assembly, reused by every later restamp
 		a.rhsFull = make([]float64, len(a.rhsBase))
 	}
 	rhs := a.rhsFull[:len(a.rhsBase)]
@@ -369,22 +275,18 @@ func (c *Crossbar) restamp(a *assembly, v []float64, ops *linalg.OpCount) []floa
 			vd := v[i] - v[j]
 			g := c.Dev.Conductance(vd, c.R[m][n])
 			ieq := c.Dev.Current(vd, c.R[m][n]) - g*vd
-			idx := a.memIdx[m*c.N+n]
-			a.trips[idx[0]].Val = g
-			a.trips[idx[1]].Val = g
-			a.trips[idx[2]].Val = -g
-			a.trips[idx[3]].Val = -g
+			a.op.SetCell(i, g)
 			rhs[i] -= ieq
 			rhs[j] += ieq
 		}
 	}
 	// Modeled stamping cost: per cell, two transcendental device
-	// evaluations plus five arithmetic ops; traffic is the four triplet
-	// writes, two node-voltage reads, and two RHS updates, plus the RHS
-	// base copy.
+	// evaluations plus five arithmetic ops; traffic is the conductance
+	// write, the two diagonal entries (wire-only read, write), two
+	// node-voltage reads and two RHS updates, plus the RHS base copy.
 	cells := int64(c.M) * int64(c.N)
 	ops.CountFlops(cells * (2*deviceEvalFlops + 5))
-	ops.CountBytes(cells*(4*coordBytes+48) + 16*int64(len(rhs)))
+	ops.CountBytes(cells*(8+32+48) + 16*int64(len(rhs)))
 	return rhs
 }
 
@@ -399,8 +301,8 @@ type SolveOptions struct {
 	// default 1e-10.
 	CGTol float64
 	// State, when non-nil, carries reusable solver structures across
-	// repeated solves of same-shaped crossbars: the assembled sparsity
-	// pattern, the block preconditioner, and the previous operating point
+	// repeated solves of same-shaped crossbars: the operator's buffers,
+	// the block preconditioner, and the previous operating point
 	// (warm start). A state must be used from one strictly sequential
 	// solve stream; see SolverState.
 	State *SolverState `json:"-"`
@@ -533,37 +435,27 @@ type solveRun struct {
 // numeric state beyond the warm vector crosses solves.
 func (r *solveRun) assemble(vin []float64) error {
 	c, st, cost := r.c, r.st, r.diag.Cost
-	if st != nil && st.asm != nil && st.asmM == c.M && st.asmN == c.N {
-		// Reuse the cached sparsity pattern: re-stamp values and refresh
-		// the CSR via UpdateValues, whose per-slot summation order matches
-		// NewCSR's, so the matrix is bit-identical to a fresh assembly.
+	if st != nil && st.asm != nil && st.asm.op.M == c.M && st.asm.op.N == c.N {
+		// Reuse the cached operator: restamping it is bit-identical to a
+		// fresh assembly.
 		r.a = st.asm
 		c.stampValues(r.a, vin, &cost.Assembly)
-		if err := r.a.mat.UpdateValues(r.a.trips); err != nil {
-			return err
-		}
-		cost.Assembly.CountBytes(16*int64(len(r.a.trips)) + 8*int64(len(r.a.mat.Vals)))
 	} else {
-		a, err := c.assemble(vin, &cost.Assembly)
-		if err != nil {
-			return err
-		}
-		r.a = a
+		r.a = c.assemble(vin, &cost.Assembly)
 		if st != nil {
-			st.asm, st.asmM, st.asmN = a, c.M, c.N
-			st.pre = nil
+			st.asm, st.pre = r.a, nil
 		}
 	}
 	// The factorization is then frozen across Newton iterations (modified
 	// Newton) and refreshed only when CG effort regresses.
 	if st != nil && st.pre != nil {
 		r.pre = st.pre
-		if err := r.pre.Refresh(r.a.mat, &cost.Precond); err != nil {
+		if err := r.pre.Refresh(r.a.op, &cost.Precond); err != nil {
 			return fmt.Errorf("circuit: preconditioner: %w", err)
 		}
 		return nil
 	}
-	pre, err := linalg.NewBlockJacobi(r.a.mat, c.precondFamilies(), &cost.Precond)
+	pre, err := linalg.NewBlockJacobi(r.a.op, &cost.Precond)
 	if err != nil {
 		return fmt.Errorf("circuit: preconditioner: %w", err)
 	}
@@ -596,7 +488,7 @@ func (r *solveRun) setup() error {
 		x0 = r.st.v
 		r.diag.WarmStart = true
 	}
-	v, it, err := linalg.SolveCG(r.a.mat, r.a.rhsBase, x0, r.cgOptions())
+	v, it, err := linalg.SolveCG(r.a.op, r.a.rhsBase, x0, r.cgOptions())
 	if err != nil {
 		return fmt.Errorf("circuit: linear solve: %w", err)
 	}
@@ -623,21 +515,17 @@ func (r *solveRun) newton(ctx context.Context) error {
 			return fmt.Errorf("circuit: Newton iteration aborted: %w", err)
 		}
 		rhs := c.restamp(a, r.v, &cost.NewtonUpdate)
-		if err := a.mat.UpdateValues(a.trips); err != nil {
-			return err
-		}
-		cost.NewtonUpdate.CountBytes(8*int64(len(a.mat.Vals)) + 16*int64(len(a.trips)))
 		if needRefresh {
 			// The frozen factorization fell behind the Newton stamps;
 			// refactor against the current matrix and re-baseline.
-			if err := r.pre.Refresh(a.mat, &cost.Precond); err != nil {
+			if err := r.pre.Refresh(a.op, &cost.Precond); err != nil {
 				return fmt.Errorf("circuit: preconditioner refresh: %w", err)
 			}
 			diag.PrecondRefreshes++
 			r.baseline = -1
 			needRefresh = false
 		}
-		vNew, it, err := linalg.SolveCG(a.mat, rhs, r.v, r.cgOptions())
+		vNew, it, err := linalg.SolveCG(a.op, rhs, r.v, r.cgOptions())
 		if err != nil {
 			return fmt.Errorf("circuit: Newton linear solve: %w", err)
 		}
@@ -666,7 +554,7 @@ func (r *solveRun) newton(ctx context.Context) error {
 			return nil
 		}
 	}
-	diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.mat, &cost.Diagnostics))
+	diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.op, &cost.Diagnostics))
 	diag.analyze()
 	return &DivergenceError{Iters: r.opt.MaxNewton, FinalResidual: diag.Residuals[len(diag.Residuals)-1], Diag: diag}
 }
@@ -676,7 +564,7 @@ func (r *solveRun) newton(ctx context.Context) error {
 func (r *solveRun) result(vin []float64) *Result {
 	c, diag := r.c, r.diag
 	if r.opt.Diagnostics {
-		diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(r.a.mat, &diag.Cost.Diagnostics))
+		diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(r.a.op, &diag.Cost.Diagnostics))
 	}
 	diag.analyze()
 	res := &Result{NewtonIters: r.newtonIters, CGIters: r.cgIters, NodeV: r.v, Diag: diag}

@@ -42,19 +42,40 @@ func TestValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cases := []Crossbar{
-		{M: 0, N: 2, R: nil, WireR: 1, RSense: 100},
-		{M: 2, N: 2, R: uniformR(1, 2, 1e3), WireR: 1, RSense: 100},
-		{M: 2, N: 2, R: [][]float64{{1e3, 1e3}, {1e3}}, WireR: 1, RSense: 100},
-		{M: 2, N: 2, R: [][]float64{{1e3, -1}, {1e3, 1e3}}, WireR: 1, RSense: 100},
-		{M: 2, N: 2, R: uniformR(2, 2, 1e3), WireR: -1, RSense: 100},
-		{M: 2, N: 2, R: uniformR(2, 2, 1e3), WireR: 1, RSense: 0},
-		{M: 2, N: 2, R: uniformR(2, 2, 1e3), WireR: 1, RSense: 100}, // bad Dev, non-linear
+	withR := func(r float64) [][]float64 {
+		rs := uniformR(2, 2, 1e3)
+		rs[0][1] = r
+		return rs
 	}
-	for i, c := range cases {
-		c := c
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted invalid crossbar", i)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		c    Crossbar
+		want string // substring of the error
+	}{
+		{"empty", Crossbar{M: 0, N: 2, R: nil, WireR: 1, RSense: 100}, "size"},
+		{"short R", Crossbar{M: 2, N: 2, R: uniformR(1, 2, 1e3), WireR: 1, RSense: 100}, "rows"},
+		{"ragged R", Crossbar{M: 2, N: 2, R: [][]float64{{1e3, 1e3}, {1e3}}, WireR: 1, RSense: 100}, "cols"},
+		{"negative R", Crossbar{M: 2, N: 2, R: withR(-1), WireR: 1, RSense: 100}, "resistance -1 at (0,1)"},
+		{"NaN R", Crossbar{M: 2, N: 2, R: withR(nan), WireR: 1, RSense: 100}, "resistance NaN at (0,1)"},
+		{"+Inf R", Crossbar{M: 2, N: 2, R: withR(inf), WireR: 1, RSense: 100}, "resistance +Inf at (0,1)"},
+		{"-Inf R", Crossbar{M: 2, N: 2, R: withR(-inf), WireR: 1, RSense: 100}, "resistance -Inf at (0,1)"},
+		{"negative WireR", Crossbar{M: 2, N: 2, R: uniformR(2, 2, 1e3), WireR: -1, RSense: 100}, "wire resistance -1"},
+		{"NaN WireR", Crossbar{M: 2, N: 2, R: uniformR(2, 2, 1e3), WireR: nan, RSense: 100}, "wire resistance NaN"},
+		{"+Inf WireR", Crossbar{M: 2, N: 2, R: uniformR(2, 2, 1e3), WireR: inf, RSense: 100}, "wire resistance +Inf"},
+		{"zero RSense", Crossbar{M: 2, N: 2, R: uniformR(2, 2, 1e3), WireR: 1, RSense: 0}, "sense resistance 0"},
+		{"NaN RSense", Crossbar{M: 2, N: 2, R: uniformR(2, 2, 1e3), WireR: 1, RSense: nan}, "sense resistance NaN"},
+		{"+Inf RSense", Crossbar{M: 2, N: 2, R: uniformR(2, 2, 1e3), WireR: 1, RSense: inf}, "sense resistance +Inf"},
+		{"bad Dev, non-linear", Crossbar{M: 2, N: 2, R: uniformR(2, 2, 1e3), WireR: 1, RSense: 100}, ""},
+	}
+	for _, tc := range cases {
+		err := tc.c.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted invalid crossbar", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // denseSolve solves the same linear crossbar with an independently built
-// dense MNA system (direct LU, no CSR, no CG) — a from-scratch cross-check
+// dense MNA system (direct LU, no crossbar operator, no CG) — a from-scratch cross-check
 // of the sparse solver's stamping, including rectangular shapes.
 func denseSolve(t *testing.T, c *Crossbar, vin []float64) []float64 {
 	t.Helper()

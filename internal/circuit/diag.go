@@ -91,11 +91,11 @@ type Diagnostics struct {
 // Counting is deterministic and purely observational, so cost fields
 // round-trip bit-identically through journals, snapshots, and mnsim-replay.
 type CostModel struct {
-	// Assembly is the cost of building the MNA triplets and the CSR
-	// sparsity pattern (once per solve).
+	// Assembly is the cost of stamping the MNA operator and the source
+	// right-hand side (once per solve).
 	Assembly linalg.OpCount `json:"assembly"`
 	// NewtonUpdate is the per-iteration nonlinear work: device-model
-	// re-stamping, CSR value refresh, and the ΔV convergence scan. On the
+	// re-stamping of the operator's cells, and the ΔV convergence scan. On the
 	// zero-wire path it is empty — the bisection loop is the inner solver
 	// there and lands in CGLoop.
 	NewtonUpdate linalg.OpCount `json:"newton_update"`
@@ -445,7 +445,8 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 
 // decodeSnapshot parses and schema-validates one snapshot document. Keys
 // the schema does not know — such as the retired "precond" and
-// "no_cost_accounting" options of older snapshots — are ignored.
+// "no_cost_accounting" options and the cost model's "factorizations" count
+// of older snapshots — are ignored.
 func decodeSnapshot(b []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(b, &s); err != nil {

@@ -55,15 +55,12 @@ func TestNewtonDivergenceDetected(t *testing.T) {
 // An exhausted linear-solver budget surfaces as linalg.ErrNoConvergence.
 func TestCGBudgetExhaustion(t *testing.T) {
 	// Larger grids cannot hit machine-precision tolerance in one iteration.
-	m, err := linalg.NewCSR(3, []linalg.Coord{
-		{Row: 0, Col: 0, Val: 4}, {Row: 0, Col: 1, Val: -1},
-		{Row: 1, Col: 0, Val: -1}, {Row: 1, Col: 1, Val: 4}, {Row: 1, Col: 2, Val: -1},
-		{Row: 2, Col: 1, Val: -1}, {Row: 2, Col: 2, Val: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
+	m := linalg.NewCrossbarOp(2, 2)
+	m.StampWires(1, 1)
+	for k := range m.G {
+		m.SetCell(k, 0.5)
 	}
-	_, _, err = linalg.SolveCG(m, []float64{1, 2, 3}, nil, linalg.CGOptions{Tol: 1e-16, MaxIter: 1})
+	_, _, err := linalg.SolveCG(m, []float64{1, 2, 3, 4, 5, 6, 7, 8}, nil, linalg.CGOptions{Tol: 1e-16, MaxIter: 1})
 	if !errors.Is(err, linalg.ErrNoConvergence) {
 		t.Fatalf("want ErrNoConvergence, got %v", err)
 	}

@@ -1,10 +1,9 @@
 // SolverState: reusable solver structures for repeated solves of the same
 // crossbar — the warm-start half of the fast solver core. A state carries
-// the assembled sparsity pattern, the factored block preconditioner, and
-// the last converged operating point, so a solve stream such as Table II
-// validation (validate.TableII) pays assembly and pattern analysis once
-// instead of per solve and starts Newton from where the previous solve
-// ended.
+// the operator's buffers, the factored block preconditioner, and the last
+// converged operating point, so a solve stream such as Table II validation
+// (validate.TableII) allocates once instead of per solve and starts Newton
+// from where the previous solve ended.
 package circuit
 
 import "mnsim/internal/linalg"
@@ -22,12 +21,11 @@ import "mnsim/internal/linalg"
 // solves is the warm-start vector. A solve with a fresh state is
 // bit-identical to a solve with a nil one.
 type SolverState struct {
-	// Cached assembly (sparsity pattern + triplet buffer), valid for any
-	// crossbar of the same shape; values are re-stamped every solve.
-	asm        *assembly
-	asmM, asmN int
-	// Cached block preconditioner, tied to asm's sparsity pattern and
-	// refactored from the current matrix values at every solve.
+	// Cached assembly (operator and right-hand-side buffers), valid for
+	// any crossbar of the same shape; values are re-stamped every solve.
+	asm *assembly
+	// Cached block preconditioner, tied to asm's shape and refactored
+	// from the current operator at every solve.
 	pre *linalg.BlockJacobi
 	// v is the operating point of the last converged solve — the warm
 	// start of the next one. vM/vN record the crossbar shape it came from:

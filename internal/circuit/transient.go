@@ -90,37 +90,29 @@ func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt Tra
 	}
 	lin := *c
 	lin.Linear = true
-	a, err := lin.assemble(vin, nil)
-	if err != nil {
-		return 0, err
-	}
-	// The matrix is built and the linearised cells never restamp, so the
-	// triplets and the cell slot map are dead weight for the whole
-	// integration: let the collector have them.
-	a.trips, a.memIdx = nil, nil
+	a := lin.assemble(vin, nil)
+	op := a.op
 	// The conductance matrix shares the crossbar's wire-chain structure, so
 	// the block preconditioner serves both the DC target solve and — after
 	// a refresh against the capacitance-augmented matrix, which only adds
 	// to the same diagonal — every backward-Euler step.
-	pre, err := linalg.NewBlockJacobi(a.mat, c.precondFamilies(), nil)
+	pre, err := linalg.NewBlockJacobi(op, nil)
 	if err != nil {
 		return 0, fmt.Errorf("circuit: preconditioner: %w", err)
 	}
 	// DC target for the settling criterion.
-	final, _, err := linalg.SolveCG(a.mat, a.rhsBase, nil, linalg.CGOptions{Tol: 1e-10, Precond: pre})
+	final, _, err := linalg.SolveCG(op, a.rhsBase, nil, linalg.CGOptions{Tol: 1e-10, Precond: pre})
 	if err != nil {
 		return 0, fmt.Errorf("circuit: DC solve: %w", err)
 	}
 	// Backward Euler: (G + C/dt)·v_{t+dt} = C/dt·v_t + b. The DC target is
 	// solved, so G itself is no longer needed: add C/dt to its diagonal in
-	// place.
+	// place, after every stamped term.
 	capDt := capsOverDt(c, opt)
-	if err := a.mat.AddDiagonal(capDt); err != nil {
-		return 0, err
-	}
+	addDiagonal(op, capDt)
 	// The stepping matrix is constant, so one refresh preconditions every
 	// step of the integration.
-	if err := pre.Refresh(a.mat, nil); err != nil {
+	if err := pre.Refresh(op, nil); err != nil {
 		return 0, fmt.Errorf("circuit: preconditioner: %w", err)
 	}
 	n2 := len(capDt)
@@ -160,7 +152,7 @@ func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt Tra
 			rhs[i] += capDt[i] * v[i]
 		}
 		var it int
-		v, it, err = linalg.SolveCG(a.mat, rhs, v, linalg.CGOptions{Tol: 1e-9, Precond: pre, Work: work})
+		v, it, err = linalg.SolveCG(op, rhs, v, linalg.CGOptions{Tol: 1e-9, Precond: pre, Work: work})
 		if err != nil {
 			return 0, fmt.Errorf("circuit: transient step %d: %w", step, err)
 		}
@@ -208,4 +200,12 @@ func capsOverDt(c *Crossbar, opt TransientOptions) []float64 {
 		capDt[i] = ci / opt.Dt
 	}
 	return capDt
+}
+
+// addDiagonal adds d[i] to the operator's diagonal in place, after every
+// term already stamped there.
+func addDiagonal(op *linalg.CrossbarOp, d []float64) {
+	for i, v := range d {
+		op.Diag[i] += v
+	}
 }

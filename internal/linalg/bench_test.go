@@ -5,58 +5,41 @@ import (
 	"testing"
 )
 
-// crossbarSystem assembles the MNA conductance matrix of an m×n crossbar
-// with the circuit solver's node numbering and Table II's 45 nm RRAM
-// parameters (0.5 Ω wire segments, 1.5 kΩ sense resistors, cells at one of
-// 128 conductance levels in [1e-7, 1e-5] S), the chain families that
-// precondition it and a right-hand side from random row drives. With step
-// set the matrix is the transient's backward-Euler stepping matrix
-// G + C/dt instead, at the transient's default step.
-func crossbarSystem(m, n int, seed int64, step bool) (*CSR, []Family, []float64) {
+// crossbarSystem stamps the MNA conductance operator of an m×n crossbar
+// with Table II's 45 nm RRAM parameters (0.5 Ω wire segments, 1.5 kΩ sense
+// resistors, cells at one of 128 conductance levels in [1e-7, 1e-5] S) and
+// a right-hand side from random row drives. With step set the operator is
+// the transient's backward-Euler stepping matrix G + C/dt instead, at the
+// transient's default step.
+func crossbarSystem(m, n int, seed int64, step bool) (*CrossbarOp, []float64) {
 	const gw, gs = 1 / 0.5, 1 / 1500.0
 	rng := rand.New(rand.NewSource(seed))
-	row := func(i, j int) int { return i*n + j }
-	col := func(i, j int) int { return m*n + i*n + j }
-	var trips []Coord
-	link := func(i, j int, g float64) {
-		trips = append(trips, Coord{i, i, g}, Coord{j, j, g}, Coord{i, j, -g}, Coord{j, i, -g})
-	}
-	rhs := make([]float64, 2*m*n)
+	a := NewCrossbarOp(m, n)
+	a.StampWires(gw, gs)
+	rhs := make([]float64, a.Len())
 	for i := 0; i < m; i++ {
-		trips = append(trips, Coord{row(i, 0), row(i, 0), gw})
-		rhs[row(i, 0)] = gw * 0.3 * rng.Float64()
-		for j := 0; j+1 < n; j++ {
-			link(row(i, j), row(i, j+1), gw)
-		}
+		rhs[i*n] = gw * 0.3 * rng.Float64()
 	}
-	for j := 0; j < n; j++ {
-		for i := 0; i+1 < m; i++ {
-			link(col(i, j), col(i+1, j), gw)
-		}
-		trips = append(trips, Coord{col(m-1, j), col(m-1, j), gs})
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			link(row(i, j), col(i, j), 1e-7+(1e-5-1e-7)*float64(rng.Intn(128))/127)
-		}
+	for k := range a.G {
+		a.SetCell(k, 1e-7+(1e-5-1e-7)*float64(rng.Intn(128))/127)
 	}
 	if step {
-		const nodeCap, cellCap = 1.1e-16, 2e-15
-		dt := 1500 * float64(m) * (nodeCap + cellCap) / 50
-		for i := 0; i < m*n; i++ {
-			trips = append(trips, Coord{i, i, nodeCap / dt}, Coord{m*n + i, m*n + i, (nodeCap + cellCap) / dt})
+		for i, c := range stepCaps(m, n) {
+			a.Diag[i] += c
 		}
 	}
-	a, err := NewCSR(2*m*n, trips)
-	if err != nil {
-		panic(err)
+	return a, rhs
+}
+
+// stepCaps is C/dt per node of crossbarSystem's stepping matrix.
+func stepCaps(m, n int) []float64 {
+	const nodeCap, cellCap = 1.1e-16, 2e-15
+	dt := 1500 * float64(m) * (nodeCap + cellCap) / 50
+	caps := make([]float64, 2*m*n)
+	for i := 0; i < m*n; i++ {
+		caps[i], caps[m*n+i] = nodeCap/dt, (nodeCap+cellCap)/dt
 	}
-	fams := make([]Family, 0, m+1)
-	for i := 0; i < m; i++ {
-		fams = append(fams, Family{Start: row(i, 0), Chains: 1, Len: n})
-	}
-	fams = append(fams, Family{Start: m * n, Chains: n, Len: m})
-	return a, fams, rhs
+	return caps
 }
 
 // benchSystems are the two matrices a Table II op spends its solver time
@@ -72,8 +55,8 @@ var sinkF float64
 func BenchmarkMulVec(b *testing.B) {
 	for _, sys := range benchSystems {
 		b.Run(sys.name, func(b *testing.B) {
-			a, _, rhs := crossbarSystem(64, 64, 1, sys.step)
-			y := make([]float64, a.N)
+			a, rhs := crossbarSystem(64, 64, 1, sys.step)
+			y := make([]float64, a.Len())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -87,12 +70,12 @@ func BenchmarkMulVec(b *testing.B) {
 func BenchmarkBlockJacobiApply(b *testing.B) {
 	for _, sys := range benchSystems {
 		b.Run(sys.name, func(b *testing.B) {
-			a, fams, rhs := crossbarSystem(64, 64, 1, sys.step)
-			p, err := NewBlockJacobi(a, fams, nil)
+			a, rhs := crossbarSystem(64, 64, 1, sys.step)
+			p, err := NewBlockJacobi(a, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			z := make([]float64, a.N)
+			z := make([]float64, a.Len())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -103,14 +86,37 @@ func BenchmarkBlockJacobiApply(b *testing.B) {
 	}
 }
 
+// BenchmarkBlockJacobiRefresh reads the chain entries from the operator
+// and refactors every wire chain: the preconditioner setup each solve and
+// each transient pays.
+func BenchmarkBlockJacobiRefresh(b *testing.B) {
+	for _, sys := range benchSystems {
+		b.Run(sys.name, func(b *testing.B) {
+			a, _ := crossbarSystem(64, 64, 1, sys.step)
+			p, err := NewBlockJacobi(a, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.Refresh(a, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			sinkF = p.rdiag[0]
+		})
+	}
+}
+
 // BenchmarkSolveCG is one cold (zero start) preconditioned solve per op,
 // with CGWork scratch sized before the timer starts, at the tolerances Table II uses: 1e-10 for
 // the DC target, 1e-9 per transient step.
 func BenchmarkSolveCG(b *testing.B) {
 	for _, sys := range benchSystems {
 		b.Run(sys.name, func(b *testing.B) {
-			a, fams, rhs := crossbarSystem(64, 64, 1, sys.step)
-			p, err := NewBlockJacobi(a, fams, nil)
+			a, rhs := crossbarSystem(64, 64, 1, sys.step)
+			p, err := NewBlockJacobi(a, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -139,22 +145,39 @@ func BenchmarkSolveCG(b *testing.B) {
 	}
 }
 
-// TestKernelsAllocateNothing: the preconditioner apply and a SolveCG with
-// CGWork scratch run allocation-free, warm start included.
+// TestKernelsAllocateNothing: the operator's products, the
+// preconditioner refresh and apply, and a SolveCG with CGWork scratch run
+// allocation-free, warm start included.
 func TestKernelsAllocateNothing(t *testing.T) {
 	for _, sys := range benchSystems {
-		a, fams, rhs := crossbarSystem(16, 24, 2, sys.step)
-		p, err := NewBlockJacobi(a, fams, nil)
+		a, rhs := crossbarSystem(16, 24, 2, sys.step)
+		p, err := NewBlockJacobi(a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		z := make([]float64, a.N)
-		if n := testing.AllocsPerRun(10, func() { p.Apply(rhs, z, nil) }); n != 0 {
-			t.Errorf("%s: Apply allocates %v per run", sys.name, n)
+		z := make([]float64, a.Len())
+		kernels := []struct {
+			name string
+			run  func()
+		}{
+			{"MulVec", func() { a.MulVec(rhs, z) }},
+			{"residual", func() { a.residual(rhs, rhs, z) }},
+			{"mulVecDot", func() { a.mulVecDot(rhs, z) }},
+			{"Refresh", func() {
+				if err := p.Refresh(a, nil); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"Apply", func() { p.Apply(rhs, z, nil) }},
+		}
+		for _, k := range kernels {
+			if n := testing.AllocsPerRun(10, k.run); n != 0 {
+				t.Errorf("%s: %s allocates %v per run", sys.name, k.name, n)
+			}
 		}
 		var ops OpCount
 		opt := CGOptions{Tol: 1e-10, Precond: p, Work: &CGWork{}, Ops: &ops}
-		x0 := make([]float64, a.N)
+		x0 := make([]float64, a.Len())
 		x0[0] = 1
 		if _, _, err := SolveCG(a, rhs, x0, opt); err != nil { // sizes the scratch
 			t.Fatal(err)

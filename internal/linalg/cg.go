@@ -12,163 +12,12 @@ import (
 // the caller, so the iteration totals behind a sweep are recoverable from
 // one export.
 var (
-	telCGSolves       = telemetry.GetCounter("mnsim_linalg_cg_solves_total")
-	telCGItersTotal   = telemetry.GetCounter("mnsim_linalg_cg_iterations_total")
-	telCGIterHist     = telemetry.GetHistogram("mnsim_linalg_cg_iterations", telemetry.ExponentialBuckets(1, 2, 14))
-	telCGNoConverge   = telemetry.GetCounter("mnsim_linalg_cg_no_convergence_total")
-	telCGBreakdowns   = telemetry.GetCounter("mnsim_linalg_cg_breakdowns_total")
-	telLUFactorsTotal = telemetry.GetCounter("mnsim_linalg_lu_factorizations_total")
+	telCGSolves     = telemetry.GetCounter("mnsim_linalg_cg_solves_total")
+	telCGItersTotal = telemetry.GetCounter("mnsim_linalg_cg_iterations_total")
+	telCGIterHist   = telemetry.GetHistogram("mnsim_linalg_cg_iterations", telemetry.ExponentialBuckets(1, 2, 14))
+	telCGNoConverge = telemetry.GetCounter("mnsim_linalg_cg_no_convergence_total")
+	telCGBreakdowns = telemetry.GetCounter("mnsim_linalg_cg_breakdowns_total")
 )
-
-// Coord is one (row, col, value) triplet used while assembling a sparse
-// matrix; duplicate coordinates are summed, matching MNA stamping semantics.
-type Coord struct {
-	Row, Col int
-	Val      float64
-}
-
-// CSR is a compressed-sparse-row matrix. Build one from triplets with
-// NewCSR; the circuit solver re-stamps values each Newton iteration via
-// UpdateValues without re-deriving the sparsity pattern.
-type CSR struct {
-	N       int // square dimension
-	RowPtr  []int
-	ColIdx  []int
-	Vals    []float64
-	permMap []int // triplet index -> position in Vals (for UpdateValues)
-}
-
-// NewCSR assembles an n×n CSR matrix from triplets, summing duplicates.
-// The mapping from each input triplet to its merged slot is retained so the
-// same triplet slice (with updated Vals) can refresh the matrix in place.
-func NewCSR(n int, trips []Coord) (*CSR, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("linalg: invalid CSR dimension %d", n)
-	}
-	for _, t := range trips {
-		if t.Row < 0 || t.Row >= n || t.Col < 0 || t.Col >= n {
-			return nil, fmt.Errorf("linalg: triplet (%d,%d) outside %d×%d", t.Row, t.Col, n, n)
-		}
-	}
-	// Order triplet indices by (row, col) to find unique slots: an O(nnz)
-	// counting pass buckets by row, then each row's handful of entries is
-	// insertion-sorted by column (stable, so duplicate summation order is
-	// the deterministic input order). MNA rows hold ~4–8 entries, so this
-	// stays linear where a global comparison sort would dominate the
-	// assembly of large crossbars.
-	rowStart := make([]int, n+1)
-	for _, t := range trips {
-		rowStart[t.Row+1]++
-	}
-	for r := 0; r < n; r++ {
-		rowStart[r+1] += rowStart[r]
-	}
-	order := make([]int, len(trips))
-	next := make([]int, n)
-	copy(next, rowStart[:n])
-	for i, t := range trips {
-		order[next[t.Row]] = i
-		next[t.Row]++
-	}
-	for r := 0; r < n; r++ {
-		seg := order[rowStart[r]:rowStart[r+1]]
-		for i := 1; i < len(seg); i++ {
-			for j := i; j > 0 && trips[seg[j]].Col < trips[seg[j-1]].Col; j-- {
-				seg[j], seg[j-1] = seg[j-1], seg[j]
-			}
-		}
-	}
-	m := &CSR{N: n, RowPtr: make([]int, n+1), permMap: make([]int, len(trips))}
-	// len(trips) bounds the merged slot count, so the append streams below
-	// never reallocate.
-	m.ColIdx = make([]int, 0, len(trips))
-	m.Vals = make([]float64, 0, len(trips))
-	prevRow, prevCol := -1, -1
-	for _, idx := range order {
-		t := trips[idx]
-		if t.Row != prevRow || t.Col != prevCol {
-			m.ColIdx = append(m.ColIdx, t.Col)
-			m.Vals = append(m.Vals, 0)
-			for r := prevRow + 1; r <= t.Row; r++ {
-				m.RowPtr[r] = len(m.Vals) - 1
-			}
-			prevRow, prevCol = t.Row, t.Col
-		}
-		slot := len(m.Vals) - 1
-		m.Vals[slot] += t.Val
-		m.permMap[idx] = slot
-	}
-	for r := prevRow + 1; r <= n; r++ {
-		m.RowPtr[r] = len(m.Vals)
-	}
-	return m, nil
-}
-
-// UpdateValues re-stamps the matrix from a triplet slice with the same
-// sparsity pattern (same rows/cols in the same order) as the one passed to
-// NewCSR. Only the values are read.
-func (m *CSR) UpdateValues(trips []Coord) error {
-	if len(trips) != len(m.permMap) {
-		return fmt.Errorf("linalg: UpdateValues got %d triplets, pattern has %d", len(trips), len(m.permMap))
-	}
-	for i := range m.Vals {
-		m.Vals[i] = 0
-	}
-	for i, t := range trips {
-		m.Vals[m.permMap[i]] += t.Val
-	}
-	return nil
-}
-
-// MulVec computes y = M·x, reusing y if it has the right length.
-func (m *CSR) MulVec(x, y []float64) []float64 {
-	if len(x) != m.N {
-		panic(fmt.Sprintf("linalg: CSR MulVec got %d, want %d", len(x), m.N))
-	}
-	if len(y) != m.N {
-		y = make([]float64, m.N)
-	}
-	for i := 0; i < m.N; i++ {
-		s := 0.0
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += m.Vals[k] * x[m.ColIdx[k]]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// Diagonal extracts the matrix diagonal (zero where absent).
-func (m *CSR) Diagonal() []float64 {
-	d := make([]float64, m.N)
-	for i := 0; i < m.N; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			if m.ColIdx[k] == i {
-				d[i] = m.Vals[k]
-				break
-			}
-		}
-	}
-	return d
-}
-
-// AddDiagonal adds d[i] to every diagonal entry in place. Each entry
-// gains d[i] after its stamped terms, which is bit-identical to appending a
-// (i, i, d[i]) triplet last and rebuilding with NewCSR. Every diagonal
-// entry must be in the sparsity pattern.
-func (m *CSR) AddDiagonal(d []float64) error {
-	if len(d) != m.N {
-		return fmt.Errorf("linalg: AddDiagonal got %d values, want %d", len(d), m.N)
-	}
-	for i, v := range d {
-		k := m.findPos(i, i)
-		if k < 0 {
-			return fmt.Errorf("linalg: AddDiagonal: no diagonal entry in row %d", i)
-		}
-		m.Vals[k] += v
-	}
-	return nil
-}
 
 // ErrNoConvergence is returned when an iterative solve exhausts its
 // iteration budget before reaching the requested tolerance.
@@ -267,8 +116,8 @@ func growVec(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// SolveCG solves A·x = b for a symmetric positive-definite CSR matrix with
-// preconditioned conjugate gradients (CGOptions.Precond; Jacobi fallback).
+// SolveCG solves A·x = b for a crossbar conductance matrix, which is
+// symmetric positive definite, with preconditioned conjugate gradients (CGOptions.Precond; Jacobi fallback).
 // Resistor-network conductance matrices are SPD and strongly diagonally
 // dominant, so CG converges in far fewer iterations than N. x0 may be nil;
 // a non-nil x0 that already meets the tolerance is returned bit-unchanged
@@ -282,8 +131,8 @@ func growVec(buf []float64, n int) []float64 {
 // breakdown error construction.
 //
 //lint:hotpath
-func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
-	n := a.N
+func SolveCG(a *CrossbarOp, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
+	n := a.Len()
 	if len(b) != n {
 		//lint:ignore noalloc error-path fmt args box once per misuse, never in the solve loop
 		return nil, 0, fmt.Errorf("linalg: rhs length %d, want %d", len(b), n)
@@ -295,7 +144,7 @@ func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
 		opt.MaxIter = 10 * n
 	}
 	ops := opt.Ops
-	nnz := len(a.Vals)
+	nnz := a.NNZ()
 	// With scratch the vectors come pre-sized from the work pool (x zeroed);
 	// without it each is allocated at its historical site below, so cold
 	// early-exit paths stay as cheap as they always were.
@@ -414,53 +263,6 @@ func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {
 	return x, opt.MaxIter, ErrNoConvergence
 }
 
-// residual sets r = b − A·x and returns r·r. Every float is the one MulVec,
-// the subtraction pass and Norm2's sum of squares produce, in their index
-// order; fusing them reads the matrix and the vectors once.
-//
-//lint:hotpath
-func (m *CSR) residual(b, x, r []float64) float64 {
-	r = r[:m.N]
-	b = b[:len(r)]
-	vals := m.Vals
-	cols := m.ColIdx[:len(vals)]
-	k := m.RowPtr[0]
-	rr := 0.0
-	for i, end := range m.RowPtr[1 : len(r)+1] {
-		s := 0.0
-		for ; k < end; k++ {
-			s += vals[k] * x[cols[k]]
-		}
-		ri := b[i] - s
-		r[i] = ri
-		rr += ri * ri
-	}
-	return rr
-}
-
-// mulVecDot sets y = A·x and returns x·y, bit-identical to MulVec followed
-// by Dot(x, y): the row sums and the dot accumulate in MulVec's and Dot's
-// index order, in one pass over the matrix and the vectors.
-//
-//lint:hotpath
-func (m *CSR) mulVecDot(x, y []float64) float64 {
-	y = y[:m.N]
-	x = x[:len(y)]
-	vals := m.Vals
-	cols := m.ColIdx[:len(vals)]
-	k := m.RowPtr[0]
-	dot := 0.0
-	for i, end := range m.RowPtr[1 : len(y)+1] {
-		s := 0.0
-		for ; k < end; k++ {
-			s += vals[k] * x[cols[k]]
-		}
-		y[i] = s
-		dot += x[i] * s
-	}
-	return dot
-}
-
 // updateCG applies CG's two vector updates, x += α·p and r += (−α)·ap, and
 // returns the new r·r: bit-identical to AXPY(α, p, x), AXPY(−α, ap, r) and
 // Norm2(r)'s sum of squares, in one pass.
@@ -486,30 +288,4 @@ func observeCG(iters int) {
 	telCGSolves.Inc()
 	telCGItersTotal.Add(int64(iters))
 	telCGIterHist.Observe(float64(iters))
-}
-
-// IsSymmetric reports whether the matrix is numerically symmetric within
-// tolerance tol; used by tests and solver self-checks.
-func (m *CSR) IsSymmetric(tol float64) bool {
-	for i := 0; i < m.N; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := m.ColIdx[k]
-			if j < i {
-				continue
-			}
-			if math.Abs(m.Vals[k]-m.at(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (m *CSR) at(i, j int) float64 {
-	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-		if m.ColIdx[k] == j {
-			return m.Vals[k]
-		}
-	}
-	return 0
 }

@@ -30,15 +30,15 @@ func condStartVector(n int) []float64 {
 }
 
 // rayleigh returns v·Av / v·v.
-func rayleigh(a *CSR, v, av []float64, ops *OpCount) float64 {
+func rayleigh(a *CrossbarOp, v, av []float64, ops *OpCount) float64 {
 	a.MulVec(v, av)
-	ops.CountSpMV(len(a.Vals), a.N)
+	ops.CountSpMV(a.NNZ(), a.Len())
 	vv := Dot(v, v)
-	ops.CountDot(a.N)
+	ops.CountDot(a.Len())
 	if vv == 0 {
 		return 0
 	}
-	ops.CountDot(a.N)
+	ops.CountDot(a.Len())
 	ops.CountFlops(1)
 	return Dot(v, av) / vv
 }
@@ -58,19 +58,19 @@ func normalize(v []float64, ops *OpCount) bool {
 }
 
 // ExtremeEigenEstimates estimates the smallest and largest eigenvalues of
-// an SPD CSR matrix: λmax by power iteration, λmin by inverse power
+// a crossbar conductance matrix: λmax by power iteration, λmin by inverse power
 // iteration with one loose inner CG solve per step. Both run a fixed,
 // deterministic number of iterations from a fixed start vector.
-func ExtremeEigenEstimates(a *CSR) (lmin, lmax float64) {
+func ExtremeEigenEstimates(a *CrossbarOp) (lmin, lmax float64) {
 	return ExtremeEigenEstimatesOps(a, nil)
 }
 
 // ExtremeEigenEstimatesOps is ExtremeEigenEstimates with operation
 // accounting: the power iterations, the inner CG solves, and the Rayleigh
 // quotients all land in ops.
-func ExtremeEigenEstimatesOps(a *CSR, ops *OpCount) (lmin, lmax float64) {
-	n := a.N
-	nnz := len(a.Vals)
+func ExtremeEigenEstimatesOps(a *CrossbarOp, ops *OpCount) (lmin, lmax float64) {
+	n := a.Len()
+	nnz := a.NNZ()
 	av := make([]float64, n)
 
 	v := condStartVector(n)
@@ -109,12 +109,12 @@ func ExtremeEigenEstimatesOps(a *CSR, ops *OpCount) (lmin, lmax float64) {
 // of an SPD matrix, or +Inf when the smallest-eigenvalue estimate
 // degenerates to zero (numerically singular as far as the estimator can
 // tell).
-func EstimateCond(a *CSR) float64 {
+func EstimateCond(a *CrossbarOp) float64 {
 	return EstimateCondOps(a, nil)
 }
 
 // EstimateCondOps is EstimateCond with operation accounting.
-func EstimateCondOps(a *CSR, ops *OpCount) float64 {
+func EstimateCondOps(a *CrossbarOp, ops *OpCount) float64 {
 	lmin, lmax := ExtremeEigenEstimatesOps(a, ops)
 	if lmin <= 0 {
 		return math.Inf(1)

@@ -5,17 +5,12 @@ import (
 	"testing"
 )
 
-func diagCSR(t *testing.T, d []float64) *CSR {
-	t.Helper()
-	trips := make([]Coord, len(d))
-	for i, v := range d {
-		trips[i] = Coord{Row: i, Col: i, Val: v}
-	}
-	m, err := NewCSR(len(d), trips)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+// diagOp is a 1×(len(d)/2) crossbar operator with no wire or cell
+// coupling: the diagonal matrix diag(d).
+func diagOp(d []float64) *CrossbarOp {
+	a := NewCrossbarOp(1, len(d)/2)
+	copy(a.Diag, d)
+	return a
 }
 
 // A diagonal matrix has a known spectrum: the estimate must land close.
@@ -24,7 +19,7 @@ func TestEstimateCondDiagonal(t *testing.T) {
 	for i := range d {
 		d[i] = float64(i + 1) // spectrum 1..10, κ = 10
 	}
-	cond := EstimateCond(diagCSR(t, d))
+	cond := EstimateCond(diagOp(d))
 	if cond < 7 || cond > 13 {
 		t.Fatalf("diagonal κ estimate %.3g, want ~10", cond)
 	}
@@ -33,19 +28,14 @@ func TestEstimateCondDiagonal(t *testing.T) {
 // The 1-D Laplacian tridiag(-1, 2, -1) with n = 8 has
 // λ_k = 2 − 2·cos(kπ/9): λmin ≈ 0.1206, λmax ≈ 3.879, κ ≈ 32.2.
 func TestEstimateCondTridiagonal(t *testing.T) {
+	// A 1×8 operator with unit wire coupling and no cells: its row nodes
+	// form the Laplacian, and its decoupled column nodes, pinned at 2, add
+	// an eigenvalue inside the Laplacian's spectrum.
 	const n = 8
-	var trips []Coord
-	for i := 0; i < n; i++ {
-		trips = append(trips, Coord{Row: i, Col: i, Val: 2})
-		if i+1 < n {
-			trips = append(trips,
-				Coord{Row: i, Col: i + 1, Val: -1},
-				Coord{Row: i + 1, Col: i, Val: -1})
-		}
-	}
-	m, err := NewCSR(n, trips)
-	if err != nil {
-		t.Fatal(err)
+	m := NewCrossbarOp(1, n)
+	m.GW = 1
+	for i := range m.Diag {
+		m.Diag[i] = 2
 	}
 	lmin, lmax := ExtremeEigenEstimates(m)
 	wantMin := 2 - 2*math.Cos(math.Pi/9)
@@ -67,8 +57,8 @@ func TestEstimateCondTridiagonal(t *testing.T) {
 // the replay contract extends to diagnostics.
 func TestEstimateCondDeterministic(t *testing.T) {
 	d := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	a := EstimateCond(diagCSR(t, d))
-	b := EstimateCond(diagCSR(t, d))
+	a := EstimateCond(diagOp(d))
+	b := EstimateCond(diagOp(d))
 	if a != b {
 		t.Fatalf("estimate not deterministic: %v vs %v", a, b)
 	}

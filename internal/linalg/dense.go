@@ -1,11 +1,10 @@
 // Package linalg provides the small numerical core used by the circuit-level
-// solver: dense LU factorisation for small systems and a sparse
-// conjugate-gradient solver for the large symmetric positive-definite
-// conductance matrices produced by modified nodal analysis of crossbars.
+// solver: the crossbar's modified-nodal-analysis conductance matrix as a
+// matrix-free operator (CrossbarOp), solved by conjugate gradients with a
+// wire-chain block-Jacobi preconditioner, and dense LU factorisation, the
+// oracle the solver is cross-checked against.
 //
-// Only the standard library is used; the routines are tuned for the matrix
-// shapes MNSIM produces (dense up to a few hundred unknowns, sparse grids up
-// to a few hundred thousand).
+// Only the standard library is used.
 package linalg
 
 import (
@@ -68,30 +67,19 @@ func (m *Dense) MulVec(x []float64) []float64 {
 
 // LU holds an LU factorisation with partial pivoting of a square matrix.
 type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
 // FactorLU computes the LU factorisation of a square matrix with partial
 // pivoting. The input is not modified.
 func FactorLU(m *Dense) (*LU, error) {
-	return FactorLUOps(m, nil)
-}
-
-// FactorLUOps is FactorLU with operation accounting: a non-nil ops
-// accumulates the factorization's exact elimination flop count
-// (OpCount.CountFactorLU). Accounting is observational only — it never
-// changes a computed float.
-func FactorLUOps(m *Dense, ops *OpCount) (*LU, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("linalg: LU needs a square matrix, got %dx%d", m.Rows, m.Cols)
 	}
 	n := m.Rows
-	telLUFactorsTotal.Inc()
-	ops.CountFactorLU(n)
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 	copy(f.lu, m.Data)
 	for i := range f.piv {
 		f.piv[i] = i
@@ -112,7 +100,6 @@ func FactorLUOps(m *Dense, ops *OpCount) (*LU, error) {
 				f.lu[p*n+j], f.lu[k*n+j] = f.lu[k*n+j], f.lu[p*n+j]
 			}
 			f.piv[p], f.piv[k] = f.piv[k], f.piv[p]
-			f.sign = -f.sign
 		}
 		pivot := f.lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -133,16 +120,10 @@ func FactorLUOps(m *Dense, ops *OpCount) (*LU, error) {
 
 // Solve computes x such that A·x = b for the factored matrix A.
 func (f *LU) Solve(b []float64) ([]float64, error) {
-	return f.SolveOps(b, nil)
-}
-
-// SolveOps is Solve with operation accounting (OpCount.CountLUSolve).
-func (f *LU) SolveOps(b []float64, ops *OpCount) ([]float64, error) {
 	if len(b) != f.n {
 		return nil, fmt.Errorf("linalg: rhs length %d, want %d", len(b), f.n)
 	}
 	n := f.n
-	ops.CountLUSolve(n)
 	x := make([]float64, n)
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
@@ -168,28 +149,13 @@ func (f *LU) SolveOps(b []float64, ops *OpCount) ([]float64, error) {
 	return x, nil
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
 // SolveDense is a convenience wrapper: factor A and solve A·x = b once.
 func SolveDense(a *Dense, b []float64) ([]float64, error) {
-	return SolveDenseOps(a, b, nil)
-}
-
-// SolveDenseOps is SolveDense with operation accounting: one factorization
-// plus one substitution pair land in ops.
-func SolveDenseOps(a *Dense, b []float64, ops *OpCount) ([]float64, error) {
-	f, err := FactorLUOps(a, ops)
+	f, err := FactorLU(a)
 	if err != nil {
 		return nil, err
 	}
-	return f.SolveOps(b, ops)
+	return f.Solve(b)
 }
 
 // Norm2 returns the Euclidean norm of v.

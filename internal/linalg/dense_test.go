@@ -92,21 +92,6 @@ func TestLUNeedsPivoting(t *testing.T) {
 	}
 }
 
-func TestLUDet(t *testing.T) {
-	a := NewDense(2, 2)
-	a.Set(0, 0, 3)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 4)
-	a.Set(1, 1, 2)
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := f.Det(); math.Abs(d-2) > 1e-12 {
-		t.Fatalf("Det = %v, want 2", d)
-	}
-}
-
 func TestLUSolveWrongRHS(t *testing.T) {
 	a := NewDense(2, 2)
 	a.Set(0, 0, 1)

@@ -14,9 +14,10 @@ package linalg
 //
 // The accounting contract, which the analytic tests assert against:
 //
-//   - CountSpMV(nnz, n): one CSR matrix-vector product. 2·nnz flops
-//     (multiply-add per stored element); 24·nnz bytes (value, column index,
-//     gathered x element) plus 16·n bytes (row pointer, y store).
+//   - CountSpMV(nnz, n): one crossbar-operator matrix-vector product over
+//     nnz structural nonzeros (CrossbarOp.NNZ). 2·nnz flops (multiply-add
+//     per entry); 16·nnz bytes (value, gathered x element) plus 8·n bytes
+//     (y store). The stencil reads no column index or row pointer.
 //   - CountDot(n): one inner product. 2·n flops, 16·n bytes.
 //   - CountNorm(n): one Euclidean norm — a self inner product (counted in
 //     Dots) plus the square root. 2·n+1 flops, 8·n bytes.
@@ -24,10 +25,6 @@ package linalg
 //   - CountVecOp(n, flopsPer): one streaming elementwise pass over
 //     length-n vectors at flopsPer flops per element, 24·n bytes (two
 //     reads, one write) — the preconditioner apply and direction update.
-//   - CountFactorLU(n): one dense LU factorization with partial pivoting,
-//     its exact inner-loop flop count Σ_{j=1}^{n-1} (j + 2·j²), 16·n² bytes.
-//   - CountLUSolve(n): one forward+back substitution pair, 2·n²−n flops,
-//     16·n² bytes.
 //   - CountChainFactor(chains, n): the Cholesky factorizations of chains
 //     tridiagonal chains of length n, each 4·n−3 flops (the head's square
 //     root, then a division, a multiply-subtract pair and a square root per
@@ -52,8 +49,6 @@ type OpCount struct {
 	Axpys int64 `json:"axpys,omitempty"`
 	// Bytes is the modeled memory traffic of the counted kernels.
 	Bytes int64 `json:"bytes,omitempty"`
-	// Factorizations counts dense LU factorizations.
-	Factorizations int64 `json:"factorizations,omitempty"`
 	// BandFactorizations counts tridiagonal (bandwidth-1) Cholesky
 	// factorizations: one per preconditioner chain per refresh.
 	BandFactorizations int64 `json:"band_factorizations,omitempty"`
@@ -72,20 +67,19 @@ func (o *OpCount) Add(other *OpCount) {
 	o.Dots += other.Dots
 	o.Axpys += other.Axpys
 	o.Bytes += other.Bytes
-	o.Factorizations += other.Factorizations
 	o.BandFactorizations += other.BandFactorizations
 	o.PrecondApplies += other.PrecondApplies
 }
 
-// CountSpMV records one CSR sparse matrix-vector product with nnz stored
-// elements over an n-vector.
+// CountSpMV records one matrix-vector product with nnz structural
+// nonzeros over an n-vector.
 func (o *OpCount) CountSpMV(nnz, n int) {
 	if o == nil {
 		return
 	}
 	o.SpMVs++
 	o.Flops += 2 * int64(nnz)
-	o.Bytes += 24*int64(nnz) + 16*int64(n)
+	o.Bytes += 16*int64(nnz) + 8*int64(n)
 }
 
 // CountDot records one length-n inner product.
@@ -138,37 +132,13 @@ func (o *OpCount) CountFlops(n int64) {
 	o.Flops += n
 }
 
-// CountBytes records raw memory traffic with no arithmetic — copies, the
-// CSR diagonal scan, triplet assembly.
+// CountBytes records raw memory traffic with no arithmetic — copies,
+// diagonal reads, operator stamping.
 func (o *OpCount) CountBytes(n int64) {
 	if o == nil {
 		return
 	}
 	o.Bytes += n
-}
-
-// CountFactorLU records one n×n dense LU factorization with partial
-// pivoting: the exact elimination flop count Σ_{j=1}^{n-1} (j + 2·j²)
-// (one division plus one multiply-subtract pair per eliminated element).
-func (o *OpCount) CountFactorLU(n int) {
-	if o == nil {
-		return
-	}
-	j := int64(n) - 1
-	o.Factorizations++
-	o.Flops += j*(j+1)/2 + j*(j+1)*(2*j+1)/3
-	o.Bytes += 16 * int64(n) * int64(n)
-}
-
-// CountLUSolve records one forward+back substitution pair against an n×n
-// factorization: 2·n²−n flops.
-func (o *OpCount) CountLUSolve(n int) {
-	if o == nil {
-		return
-	}
-	nn := int64(n)
-	o.Flops += 2*nn*nn - nn
-	o.Bytes += 16 * nn * nn
 }
 
 // CountChainFactor records the Cholesky factorizations of chains

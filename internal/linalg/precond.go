@@ -21,20 +21,18 @@ type jacobiPrecond struct {
 	inv []float64
 }
 
-// newJacobiPrecond inverts the matrix diagonal. The diagonal scan and
-// inversion are charged to ops exactly as the historical in-line Jacobi
-// path did, keeping the documented CG accounting contract intact.
-func newJacobiPrecond(a *CSR, ops *OpCount) (*jacobiPrecond, error) {
-	diag := a.Diagonal()
-	ops.CountBytes(16 * int64(len(a.Vals))) // diagonal scan over Vals + ColIdx
-	inv := make([]float64, a.N)
-	for i, d := range diag {
+// newJacobiPrecond inverts the matrix diagonal, charging the diagonal read
+// and the inversion to ops.
+func newJacobiPrecond(a *CrossbarOp, ops *OpCount) (*jacobiPrecond, error) {
+	ops.CountBytes(8 * int64(a.Len())) // diagonal read
+	inv := make([]float64, a.Len())
+	for i, d := range a.Diag {
 		if d == 0 {
 			return nil, fmt.Errorf("linalg: zero diagonal at %d, Jacobi preconditioner undefined", i)
 		}
 		inv[i] = 1 / d
 	}
-	ops.CountVecOp(a.N, 1) // diagonal inversion
+	ops.CountVecOp(a.Len(), 1) // diagonal inversion
 	return &jacobiPrecond{inv: inv}, nil
 }
 
@@ -54,9 +52,7 @@ var ErrNotSPD = fmt.Errorf("linalg: matrix not symmetric positive definite")
 // Family is Chains tridiagonal chains of length Len interleaved over the
 // contiguous index range [Start, Start+Chains·Len): element k of chain c is
 // global index Start + k·Chains + c, so a chain's neighbours sit Chains
-// apart. The crossbar MNA ordering makes every row wire chain a family of
-// one (Chains = 1) and all N column wire chains one family (Chains = N,
-// Len = M).
+// apart. CrossbarOp.Families lists a crossbar's wire chains this way.
 type Family struct {
 	Start, Chains, Len int
 }
@@ -72,11 +68,11 @@ type Family struct {
 // in it exactly as they do in the vectors and every kernel walks memory
 // at unit stride.
 type BlockJacobi struct {
-	n        int
+	m, n     int // the crossbar shape
 	families []Family
 	// diag[i] and sub[i] are the chain entries of unknown i: its diagonal
 	// and its coupling to the previous element of the same chain (zero at
-	// a chain head). Refresh gathers them from the matrix and factors them
+	// a chain head). Refresh reads them from the operator and factors them
 	// in place into L's diagonal and subdiagonal.
 	diag, sub []float64
 	// rdiag caches 1/L[i,i]. Substitution is a loop-carried dependency
@@ -85,54 +81,16 @@ type BlockJacobi struct {
 	// element; the one extra rounding it introduces is far inside CG's
 	// convergence tolerance.
 	rdiag []float64
-	// diagIdx and subIdx map each entry to its position in the source
-	// CSR's Vals (−1 where the sparsity pattern has no entry), so Refresh
-	// is a gather with no search.
-	diagIdx, subIdx []int32
 }
 
-// NewBlockJacobi builds the chain preconditioner for a: the families must
-// partition [0, a.N) exactly (every index in exactly one family). The
-// sparsity-pattern positions are located once here; the value gather and
-// factorisation happen in Refresh, which New calls before returning.
-func NewBlockJacobi(a *CSR, families []Family, ops *OpCount) (*BlockJacobi, error) {
-	covered := make([]bool, a.N)
-	total := 0
-	for fi, f := range families {
-		if f.Len <= 0 || f.Chains <= 0 || f.Start < 0 {
-			return nil, fmt.Errorf("linalg: invalid chain family %d: %+v", fi, f)
-		}
-		end := f.Start + f.Chains*f.Len
-		if end > a.N {
-			return nil, fmt.Errorf("linalg: chain family %d reaches index %d outside %d", fi, end-1, a.N)
-		}
-		for i := f.Start; i < end; i++ {
-			if covered[i] {
-				return nil, fmt.Errorf("linalg: chain families overlap at index %d", i)
-			}
-			covered[i] = true
-		}
-		total += f.Chains * f.Len
-	}
-	if total != a.N {
-		return nil, fmt.Errorf("linalg: chain families cover %d of %d indices", total, a.N)
-	}
+// NewBlockJacobi builds the preconditioner over a's wire chains
+// (CrossbarOp.Families) and factors it with Refresh.
+func NewBlockJacobi(a *CrossbarOp, ops *OpCount) (*BlockJacobi, error) {
 	p := &BlockJacobi{
-		n: a.N, families: families,
-		diag:    make([]float64, a.N),
-		sub:     make([]float64, a.N),
-		rdiag:   make([]float64, a.N),
-		diagIdx: make([]int32, a.N),
-		subIdx:  make([]int32, a.N),
-	}
-	for _, f := range families {
-		for i := f.Start; i < f.Start+f.Chains*f.Len; i++ {
-			p.diagIdx[i] = int32(a.findPos(i, i))
-			p.subIdx[i] = -1
-			if i >= f.Start+f.Chains {
-				p.subIdx[i] = int32(a.findPos(i, i-f.Chains))
-			}
-		}
+		m: a.M, n: a.N, families: a.Families(),
+		diag:  make([]float64, a.Len()),
+		sub:   make([]float64, a.Len()),
+		rdiag: make([]float64, a.Len()),
 	}
 	if err := p.Refresh(a, ops); err != nil {
 		return nil, err
@@ -140,16 +98,26 @@ func NewBlockJacobi(a *CSR, families []Family, ops *OpCount) (*BlockJacobi, erro
 	return p, nil
 }
 
-// Refresh re-gathers the chain entries from the (re-stamped) matrix and
-// refactors every chain in place. The matrix must keep the sparsity
-// pattern it had at NewBlockJacobi time.
-func (p *BlockJacobi) Refresh(a *CSR, ops *OpCount) error {
-	if a.N != p.n {
-		return fmt.Errorf("linalg: preconditioner built for %d unknowns, matrix has %d", p.n, a.N)
+// Refresh reads the chain entries of the (re-stamped) operator, which must
+// have the shape the preconditioner was built for — the diagonal and the
+// constant −GW wire coupling — and refactors every chain in place.
+func (p *BlockJacobi) Refresh(a *CrossbarOp, ops *OpCount) error {
+	if a.M != p.m || a.N != p.n {
+		return fmt.Errorf("linalg: preconditioner built for a %dx%d crossbar, operator is %dx%d", p.m, p.n, a.M, a.N)
 	}
-	gather(p.diag, p.diagIdx, a.Vals)
-	gather(p.sub, p.subIdx, a.Vals)
-	ops.CountBytes(40 * int64(p.n)) // index map + source + entry write, two entries per unknown
+	copy(p.diag, a.Diag)
+	for i := range p.sub {
+		p.sub[i] = -a.GW
+	}
+	for _, f := range p.families {
+		clear(p.sub[f.Start : f.Start+f.Chains]) // chain heads
+	}
+	ops.CountBytes(32 * int64(len(p.diag))) // source read + entry write, two entries per unknown
+	return p.factor(ops)
+}
+
+// factor factors every family's chains in place.
+func (p *BlockJacobi) factor(ops *OpCount) error {
 	for fi, f := range p.families {
 		ops.CountChainFactor(f.Chains, f.Len)
 		if i, pivot := p.factorFamily(f); i >= 0 {
@@ -158,19 +126,6 @@ func (p *BlockJacobi) Refresh(a *CSR, ops *OpCount) error {
 		}
 	}
 	return nil
-}
-
-// gather fills dst[i] = vals[idx[i]], or 0 where idx[i] < 0.
-//
-//lint:hotpath
-func gather(dst []float64, idx []int32, vals []float64) {
-	for i, vi := range idx {
-		if vi < 0 {
-			dst[i] = 0
-			continue
-		}
-		dst[i] = vals[vi]
-	}
 }
 
 // factorFamily overwrites one family's entries with the Cholesky factor of
@@ -225,7 +180,7 @@ func (p *BlockJacobi) Apply(r, z []float64, ops *OpCount) {
 		fams = fams[1:]
 	}
 	// The r→z copy pass, which the cost model charges 32 bytes per unknown.
-	ops.CountBytes(32 * int64(p.n))
+	ops.CountBytes(32 * int64(len(p.diag)))
 	ops.CountPrecondApply()
 }
 
@@ -317,19 +272,4 @@ func (p *BlockJacobi) solveFour(f []Family, r, z []float64) {
 		z2[k] = (z2[k] - l2[k+1]*z2[k+1]) * r2[k]
 		z3[k] = (z3[k] - l3[k+1]*z3[k+1]) * r3[k]
 	}
-}
-
-// findPos returns the position of element (i,j) in the CSR value array, or
-// −1 when the pattern has no such entry. Column indices are sorted within
-// a row, so the scan is a short ordered walk.
-func (m *CSR) findPos(i, j int) int {
-	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-		switch {
-		case m.ColIdx[k] == j:
-			return k
-		case m.ColIdx[k] > j:
-			return -1
-		}
-	}
-	return -1
 }

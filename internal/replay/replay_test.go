@@ -232,8 +232,8 @@ func TestReplayCostRoundTrip(t *testing.T) {
 }
 
 // A snapshot written before the preconditioner and cost-accounting knobs
-// were retired still carries their option keys; it must load (the keys are
-// ignored) and replay bit-identically.
+// and the dense-LU factorization count were retired still carries their
+// keys; it must load (the keys are ignored) and replay bit-identically.
 func TestReplayLegacyOptionKeys(t *testing.T) {
 	c := testCrossbar()
 	vin := []float64{0.3, 0.2, 0.1, 0.3}
@@ -251,6 +251,11 @@ func TestReplayLegacyOptionKeys(t *testing.T) {
 	if doc == sb.String() {
 		t.Fatal("options object not found in the written snapshot")
 	}
+	withCost := strings.Replace(doc, `"assembly": {`, `"assembly": {"factorizations":0,`, 1)
+	if withCost == doc {
+		t.Fatal("cost model not found in the written snapshot")
+	}
+	doc = withCost
 	path := filepath.Join(t.TempDir(), "legacy.json")
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
