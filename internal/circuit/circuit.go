@@ -29,8 +29,9 @@ import (
 )
 
 // deviceEvalFlops is the modeled flop cost of one transcendental device
-// I–V evaluation (a sinh/cosh pair plus scaling); the exact kernel counts
-// elsewhere in the cost model are unaffected by this constant.
+// I–V evaluation (one exponential giving a sinh/cosh pair, plus scaling);
+// the exact kernel counts elsewhere in the cost model are unaffected by
+// this constant.
 const deviceEvalFlops = 8
 
 // Crossbar describes one crossbar instance to simulate at circuit level.
@@ -155,11 +156,17 @@ func (c *Crossbar) solveZeroWire(ctx context.Context, vin []float64, ops *linalg
 			vmin = v
 		}
 	}
+	// The bisection makes 100·M·N device calls, so sinh(Vread/Vc) is
+	// hoisted; each call keeps Model.Current's bits, the conversion
+	// rounding the product as Current's return does, so no fused
+	// multiply-add takes it into the sum.
+	vr, vc := c.Dev.ReadVoltage, c.Dev.NonlinearVc
+	sr := math.Sinh(vr / vc)
 	cellI := func(vd, r float64) float64 {
 		if c.Linear {
 			return vd / r
 		}
-		return c.Dev.Current(vd, r)
+		return float64(device.CellPrefactor(vr, sr, r) * math.Sinh(vd/vc))
 	}
 	for n := 0; n < c.N; n++ {
 		if err := ctx.Err(); err != nil {
@@ -257,6 +264,14 @@ func (c *Crossbar) stampValues(a *assembly, vin []float64, ops *linalg.OpCount) 
 // current voltage estimate and returns the full right-hand side (source
 // terms plus Newton equivalent current sources).
 //
+// Each cell costs one fused device evaluation that reproduces
+// Model.Conductance and Model.Current bit for bit: the prefactor's
+// sinh(Vread/Vc) is evaluated once per restamp, and device.SinhCosh gives
+// the cell's sinh and cosh from one exponential. The model's fields are
+// read into locals once, never passing the Model struct per cell. The
+// float64 conversion rounds amp·sinh as Model.Current's return does, so an
+// architecture that fuses multiply-adds cannot contract it into ieq.
+//
 //lint:hotpath
 func (c *Crossbar) restamp(a *assembly, v []float64, ops *linalg.OpCount) []float64 {
 	// The returned slice aliases a.rhsFull and is valid until the next
@@ -269,23 +284,27 @@ func (c *Crossbar) restamp(a *assembly, v []float64, ops *linalg.OpCount) []floa
 	}
 	rhs := a.rhsFull[:len(a.rhsBase)]
 	copy(rhs, a.rhsBase)
+	vr, vc := c.Dev.ReadVoltage, c.Dev.NonlinearVc
+	sr := math.Sinh(vr / vc)
 	for m := 0; m < c.M; m++ {
-		for n := 0; n < c.N; n++ {
+		for n, r := range c.R[m] {
 			i, j := c.rowNode(m, n), c.colNode(m, n)
 			vd := v[i] - v[j]
-			g := c.Dev.Conductance(vd, c.R[m][n])
-			ieq := c.Dev.Current(vd, c.R[m][n]) - g*vd
+			amp := device.CellPrefactor(vr, sr, r)
+			sh, ch := device.SinhCosh(vd / vc)
+			g := amp / vc * ch            // Model.Conductance
+			ieq := float64(amp*sh) - g*vd // Model.Current − g·vd
 			a.op.SetCell(i, g)
 			rhs[i] -= ieq
 			rhs[j] += ieq
 		}
 	}
-	// Modeled stamping cost: per cell, two transcendental device
-	// evaluations plus five arithmetic ops; traffic is the conductance
+	// Modeled stamping cost: per cell, one transcendental device
+	// evaluation plus five arithmetic ops; traffic is the conductance
 	// write, the two diagonal entries (wire-only read, write), two
 	// node-voltage reads and two RHS updates, plus the RHS base copy.
 	cells := int64(c.M) * int64(c.N)
-	ops.CountFlops(cells * (2*deviceEvalFlops + 5))
+	ops.CountFlops(cells * (deviceEvalFlops + 5))
 	ops.CountBytes(cells*(8+32+48) + 16*int64(len(rhs)))
 	return rhs
 }
@@ -633,13 +652,17 @@ func (c *Crossbar) DissipatedPower(res *Result, vin []float64) float64 {
 		vLast := res.NodeV[c.colNode(c.M-1, n)]
 		p += vLast * vLast / c.RSense
 	}
+	// sinh(Vread/Vc) hoisted out of the cell loop; each term keeps
+	// Model.Current's bits.
+	vr, vc := c.Dev.ReadVoltage, c.Dev.NonlinearVc
+	sr := math.Sinh(vr / vc)
 	for m := 0; m < c.M; m++ {
-		for n := 0; n < c.N; n++ {
+		for n, r := range c.R[m] {
 			vd := c.CellVoltage(res, m, n)
 			if c.Linear {
-				p += vd * vd / c.R[m][n]
+				p += vd * vd / r
 			} else {
-				p += vd * c.Dev.Current(vd, c.R[m][n])
+				p += vd * (device.CellPrefactor(vr, sr, r) * math.Sinh(vd/vc))
 			}
 		}
 	}

@@ -87,7 +87,8 @@ type Diagnostics struct {
 // Newton–CG pipeline — the "where does a solve spend its cost" breakdown.
 // Kernel counts (the CG inner loop, condition estimation) are exact; the
 // assembly and device-stamping phases are modeled, with each transcendental
-// device evaluation (one sinh/cosh pair) counted as deviceEvalFlops flops.
+// device evaluation (one exponential giving a sinh/cosh pair; a restamp
+// makes one per cell) counted as deviceEvalFlops flops.
 // Counting is deterministic and purely observational, so cost fields
 // round-trip bit-identically through journals, snapshots, and mnsim-replay.
 type CostModel struct {

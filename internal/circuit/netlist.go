@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 )
 
 // WriteNetlist emits the crossbar as a SPICE deck for external circuit-level
@@ -50,7 +49,7 @@ func (c *Crossbar) WriteNetlist(w io.Writer, vin []float64) error {
 			} else {
 				// Behavioural sinh source calibrated so V_read/I(V_read)
 				// equals the programmed resistance.
-				a := c.Dev.ReadVoltage / (c.R[m][n] * math.Sinh(c.Dev.ReadVoltage/c.Dev.NonlinearVc))
+				a := c.Dev.Prefactor(c.R[m][n])
 				fmt.Fprintf(bw, "Gcell_%d_%d ri_%d_%d ci_%d_%d CUR='%g*sinh(V(ri_%d_%d,ci_%d_%d)/%g)'\n",
 					m, n, m, n, m, n, a, m, n, m, n, c.Dev.NonlinearVc)
 			}

@@ -209,25 +209,48 @@ func (m Model) HarmonicMeanR() float64 {
 	return 2 / (1/m.RMin + 1/m.RMax)
 }
 
+// Prefactor returns the A of the I–V law I(V) = A·sinh(V/Vc) for a cell
+// programmed to calibrated resistance rState:
+//
+//	A = V_read / (rState · sinh(V_read/Vc)),
+//
+// chosen so that V_read / I(V_read) = rState. Loops over many cells
+// evaluate sinh(V_read/Vc) once and call CellPrefactor instead.
+func (m Model) Prefactor(rState float64) float64 {
+	return prefactor(m.ReadVoltage, m.NonlinearVc, rState)
+}
+
+// CellPrefactor is Prefactor with the calibration constant
+// sr = sinh(vr/Vc) supplied by the caller, vr being the read voltage; for
+// the same sr it returns Prefactor's bits.
+func CellPrefactor(vr, sr, rState float64) float64 {
+	return vr / (rState * sr)
+}
+
+// prefactor is Prefactor on the two fields it reads. The Model methods
+// call it rather than m.Prefactor: inlining one Model method into another
+// copies the whole struct on every call.
+func prefactor(vr, vc, rState float64) float64 {
+	return CellPrefactor(vr, math.Sinh(vr/vc), rState)
+}
+
 // Current returns the device current in amperes at voltage v when the cell
 // is programmed to calibrated resistance rState. The I–V law is
 //
-//	I(V) = A · sinh(V/Vc),  A chosen so that V_read / I(V_read) = rState,
+//	I(V) = A · sinh(V/Vc),  A = Prefactor(rState),
 //
 // i.e. the programmed level is exact at the calibration (read) voltage and
 // deviates away from it — the behaviour the accuracy model's R_act term
 // captures (Section VI.A). The law is odd-symmetric in V.
 func (m Model) Current(v, rState float64) float64 {
-	a := m.ReadVoltage / (rState * math.Sinh(m.ReadVoltage/m.NonlinearVc))
-	return a * math.Sinh(v/m.NonlinearVc)
+	return prefactor(m.ReadVoltage, m.NonlinearVc, rState) * math.Sinh(v/m.NonlinearVc)
 }
 
 // Conductance returns the small-signal conductance dI/dV at voltage v for a
 // cell programmed to rState; the Newton linearisation of the circuit solver
 // stamps this value.
 func (m Model) Conductance(v, rState float64) float64 {
-	a := m.ReadVoltage / (rState * math.Sinh(m.ReadVoltage/m.NonlinearVc))
-	return a / m.NonlinearVc * math.Cosh(v/m.NonlinearVc)
+	return prefactor(m.ReadVoltage, m.NonlinearVc, rState) / m.NonlinearVc * math.Cosh(v/m.NonlinearVc)
 }
 
 // EffectiveR returns the secant (large-signal) resistance V/I(V) of a cell
@@ -237,10 +260,58 @@ func (m Model) Conductance(v, rState float64) float64 {
 func (m Model) EffectiveR(v, rState float64) float64 {
 	if v == 0 {
 		// lim V→0 V / (A sinh(V/Vc)) = Vc/A
-		a := m.ReadVoltage / (rState * math.Sinh(m.ReadVoltage/m.NonlinearVc))
-		return m.NonlinearVc / a
+		return m.NonlinearVc / prefactor(m.ReadVoltage, m.NonlinearVc, rState)
 	}
 	return v / m.Current(v, rState)
+}
+
+// SinhCosh returns math.Sinh(x) and math.Cosh(x), bit for bit, from one
+// math.Exp where the two would call it twice. It copies the branches of
+// Go's portable sinh and cosh, which every port but s390x (assembly
+// versions) runs: above |x| = 21 both are Exp(|x|)/2; above
+// |x| = 1/2 they share ex and 1/ex; at or below it sinh is the Hart–Cheney
+// #2029 rational polynomial and cosh still takes the exponential. The
+// Newton restamp evaluates every cell's current and conductance through
+// it. TestSinhCoshBits and FuzzSinhCosh pin the bits: Go lets a compiler
+// fuse x*y+z into one rounding, so an architecture that contracts this
+// polynomial differently from the math package's fails them.
+func SinhCosh(x float64) (sinh, cosh float64) {
+	// Hart & Cheney #2029 (20.36D), math.sinh's coefficients.
+	const (
+		P0 = -0.6307673640497716991184787251e+6
+		P1 = -0.8991272022039509355398013511e+5
+		P2 = -0.2894211355989563807284660366e+4
+		P3 = -0.2630563213397497062819489e+2
+		Q0 = -0.6307673640497716991212077277e+6
+		Q1 = 0.1521517378790019070696485176e+5
+		Q2 = -0.173678953558233699533450911e+3
+	)
+	// ax is math.sinh's folded argument; it differs from math.Abs(x),
+	// cosh's, only on -0 and a negative NaN, which both take the
+	// polynomial branch below.
+	ax, neg := x, false
+	if x < 0 {
+		ax, neg = -x, true
+	}
+	switch {
+	case ax > 21:
+		sinh = math.Exp(ax) * 0.5
+		cosh = sinh
+	case ax > 0.5:
+		ex := math.Exp(ax)
+		sinh = (ex - 1/ex) * 0.5
+		cosh = (ex + 1/ex) * 0.5
+	default:
+		sq := ax * ax
+		sinh = (((P3*sq+P2)*sq+P1)*sq + P0) * ax
+		sinh = sinh / (((sq+Q2)*sq+Q1)*sq + Q0)
+		ex := math.Exp(math.Abs(x))
+		cosh = (ex + 1/ex) * 0.5
+	}
+	if neg {
+		sinh = -sinh
+	}
+	return sinh, cosh
 }
 
 // WorstCaseR applies the maximum device-variation deviation to a calibrated
