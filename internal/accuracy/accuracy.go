@@ -175,16 +175,56 @@ func MaxErrorRate(eps float64, k int) float64 {
 
 // AvgDigitalDeviation implements Eq. 14: the mean read deviation in LSBs
 // over all k levels, Σ_{i=0..k−1} ⌊i·ε + 0.5⌋ / k.
+//
+// The terms t(i) are non-decreasing integers, so the sum is counted
+// rather than looped: Σ t(i) = Σ_{j=1..t(k−1)} #{i : t(i) ≥ j}, one count
+// per LSB of the largest term (firstReaching). While t(k−1)·k < 2⁵³ every
+// partial sum of the loop is an exact integer, so the count reproduces its
+// bits. The loop stays for t(k−1) > k, where it is the shorter walk, for
+// sums that could pass 2⁵³, and for a non-finite ε.
 func AvgDigitalDeviation(eps float64, k int) float64 {
 	if k < 2 {
 		return 0
 	}
-	sum := 0.0
 	e := math.Abs(eps)
-	for i := 0; i < k; i++ {
-		sum += math.Floor(float64(i)*e + 0.5)
+	top := avgTerm(k-1, e)
+	if math.IsInf(e, 0) || math.IsNaN(e) || top > float64(k) || top*float64(k) >= 1<<53 {
+		sum := 0.0
+		for i := 0; i < k; i++ {
+			sum += avgTerm(i, e)
+		}
+		return sum / float64(k)
 	}
-	return sum / float64(k)
+	sum := 0
+	for j := 1; j <= int(top); j++ {
+		sum += k - firstReaching(e, k, j)
+	}
+	return float64(sum) / float64(k)
+}
+
+// avgTerm is the i-th term of Eq. 14, ⌊i·ε + 0.5⌋. Both ways of summing
+// the equation evaluate this one expression, so they see the same bits.
+func avgTerm(i int, e float64) float64 {
+	return math.Floor(float64(i)*e + 0.5)
+}
+
+// firstReaching returns the first level i < k whose Eq. 14 term reaches
+// j ≥ 1, given that t(k−1) ≥ j (so e > 0). The real-valued boundary
+// ⌈(j−½)/e⌉ is the guess; the float terms it is corrected against are
+// monotone in i, so the walk ends within a step or two of it.
+func firstReaching(e float64, k, j int) int {
+	fj := float64(j)
+	i := k - 1
+	if q := math.Ceil((fj - 0.5) / e); q < float64(k-1) {
+		i = int(q)
+	}
+	for i > 0 && avgTerm(i-1, e) >= fj {
+		i--
+	}
+	for avgTerm(i, e) < fj {
+		i++
+	}
+	return i
 }
 
 // AvgErrorRate is the average digital deviation normalized to the full
@@ -218,42 +258,70 @@ type LayerReport struct {
 	MaxDeviationLSB int
 }
 
+// LayerError is the merged analog voltage error rate of a rows×cols
+// weight matrix mapped onto crossbars of parameters p: the error of one
+// block (BlockParams) merged over the row blocks the adder tree sums.
+func LayerError(p crossbar.Params, rows, cols int) (VoltageError, error) {
+	if rows <= 0 || cols <= 0 {
+		return VoltageError{}, fmt.Errorf("accuracy: invalid layer shape %dx%d", rows, cols)
+	}
+	e, err := Eval(BlockParams(p, rows, cols))
+	if err != nil {
+		return VoltageError{}, err
+	}
+	return Merged(e, RowBlocks(p, rows)), nil
+}
+
+// BlockParams returns the parameters of one crossbar block of a rows×cols
+// layer: a layer larger than one crossbar is tiled, and the per-crossbar
+// block sizes bound the error.
+func BlockParams(p crossbar.Params, rows, cols int) crossbar.Params {
+	if rows < p.Rows {
+		p.Rows = rows
+	}
+	if cols < p.Cols {
+		p.Cols = cols
+	}
+	return p
+}
+
+// RowBlocks is the number of crossbar row blocks a layer of the given row
+// count tiles into, whose results the adder tree merges.
+func RowBlocks(p crossbar.Params, rows int) int {
+	return (rows + p.Rows - 1) / p.Rows
+}
+
 // EvalLayer estimates one layer mapped onto crossbars of the given
 // parameters: rows×cols is the weight-matrix shape, k the read-circuit
 // quantization level count (2^ADC bits), and inDelta the digital error rate
 // arriving from the previous layer (0 for the first layer).
 func EvalLayer(p crossbar.Params, rows, cols, k int, inDelta float64) (LayerReport, error) {
-	if rows <= 0 || cols <= 0 {
-		return LayerReport{}, fmt.Errorf("accuracy: invalid layer shape %dx%d", rows, cols)
-	}
-	// A layer larger than one crossbar is tiled; the per-crossbar block
-	// sizes bound the error, and the adder tree merges rowBlocks results.
-	pb := p
-	if rows < pb.Rows {
-		pb.Rows = rows
-	}
-	if cols < pb.Cols {
-		pb.Cols = cols
-	}
-	e, err := Eval(pb)
+	merged, err := LayerError(p, rows, cols)
 	if err != nil {
 		return LayerReport{}, err
 	}
-	rowBlocks := (rows + p.Rows - 1) / p.Rows
-	merged := Merged(e, rowBlocks)
-	rep := LayerReport{Eps: merged, InDelta: inDelta}
-	worstEps := Propagate(inDelta, merged.Worst)
-	avgEps := Propagate(inDelta, merged.Avg)
-	rep.MaxDeviationLSB = MaxDigitalDeviation(worstEps, k)
-	rep.WorstRate = MaxErrorRate(worstEps, k)
-	rep.AvgRate = AvgErrorRate(avgEps, k)
-	return rep, nil
+	return layerReport(merged, k, inDelta, inDelta), nil
 }
 
-// EvalNetwork chains EvalLayer across a multi-layer network, feeding each
-// layer's average digital error rate into the next (the propagation model of
-// Section VI.C). Shapes is a list of (rows, cols) weight shapes; the return
-// is the per-layer report list and the final output error rates.
+// layerReport finishes a layer's report from its merged analog error:
+// the average path propagates avgIn and the worst path worstIn (Eq. 15),
+// then each is quantized (Eq. 12–14).
+func layerReport(merged VoltageError, k int, avgIn, worstIn float64) LayerReport {
+	worstEps := Propagate(worstIn, merged.Worst)
+	return LayerReport{
+		Eps:             merged,
+		InDelta:         avgIn,
+		WorstRate:       MaxErrorRate(worstEps, k),
+		AvgRate:         AvgErrorRate(Propagate(avgIn, merged.Avg), k),
+		MaxDeviationLSB: MaxDigitalDeviation(worstEps, k),
+	}
+}
+
+// EvalNetwork chains the layer model across a multi-layer network, feeding
+// each layer's average digital error rate into the next (the propagation
+// model of Section VI.C); worst-case rates compound through the same rule
+// on their own path. Shapes is a list of (rows, cols) weight shapes; the
+// return is the per-layer report list and the final output error rates.
 func EvalNetwork(p crossbar.Params, shapes [][2]int, k int) ([]LayerReport, VoltageError, error) {
 	if len(shapes) == 0 {
 		return nil, VoltageError{}, fmt.Errorf("accuracy: empty network")
@@ -261,18 +329,11 @@ func EvalNetwork(p crossbar.Params, shapes [][2]int, k int) ([]LayerReport, Volt
 	var reports []LayerReport
 	deltaAvg, deltaWorst := 0.0, 0.0
 	for i, s := range shapes {
-		rep, err := EvalLayer(p, s[0], s[1], k, deltaAvg)
+		merged, err := LayerError(p, s[0], s[1])
 		if err != nil {
 			return nil, VoltageError{}, fmt.Errorf("layer %d: %w", i, err)
 		}
-		// Track the worst-path rate separately: worst-case deltas compound
-		// through the same propagation rule.
-		repWorst, err := EvalLayer(p, s[0], s[1], k, deltaWorst)
-		if err != nil {
-			return nil, VoltageError{}, fmt.Errorf("layer %d: %w", i, err)
-		}
-		rep.WorstRate = repWorst.WorstRate
-		rep.MaxDeviationLSB = repWorst.MaxDeviationLSB
+		rep := layerReport(merged, k, deltaAvg, deltaWorst)
 		reports = append(reports, rep)
 		deltaAvg = rep.AvgRate
 		deltaWorst = rep.WorstRate

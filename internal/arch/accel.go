@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"mnsim/internal/accuracy"
+	"mnsim/internal/crossbar"
 	"mnsim/internal/periph"
 	"mnsim/internal/telemetry"
 )
@@ -41,7 +43,7 @@ func NewAccelerator(d *Design, layers []LayerDims, interfaceLines [2]int) (*Acce
 	}
 	a := &Accelerator{Design: d}
 	for i, l := range layers {
-		b, err := NewBank(d, l)
+		b, err := newBank(d, l, a.Banks)
 		if err != nil {
 			return nil, fmt.Errorf("arch: bank %d: %w", i, err)
 		}
@@ -104,7 +106,13 @@ func (a *Accelerator) EvaluateContext(ctx context.Context) (Report, error) {
 	staticPower := a.InIface.StaticPower + a.OutIface.StaticPower
 	r.SampleLatency = a.InIface.Latency + a.OutIface.Latency
 	deltaAvg, deltaWorst := 0.0, 0.0
-	for _, b := range a.Banks {
+	// One layer-error evaluation per bank feeds both propagation paths.
+	// It depends only on the bank's clipped crossbar block, which
+	// consecutive layers often share, so an unchanged block reuses the
+	// previous bank's Eval.
+	var block crossbar.Params
+	var blockErr accuracy.VoltageError
+	for i, b := range a.Banks {
 		if err := ctx.Err(); err != nil {
 			return Report{}, fmt.Errorf("arch: evaluation aborted: %w", err)
 		}
@@ -115,16 +123,17 @@ func (a *Accelerator) EvaluateContext(ctx context.Context) (Report, error) {
 		if b.PassPerf.Latency > r.PipelineCycle {
 			r.PipelineCycle = b.PassPerf.Latency
 		}
-		repAvg, err := b.Accuracy(deltaAvg)
-		if err != nil {
-			return Report{}, err
+		if pb := accuracy.BlockParams(b.Unit.Xbar, b.Layer.Rows, b.Layer.Cols); i == 0 || pb != block {
+			e, err := accuracy.Eval(pb)
+			if err != nil {
+				return Report{}, err
+			}
+			block, blockErr = pb, e
 		}
-		repWorst, err := b.Accuracy(deltaWorst)
-		if err != nil {
-			return Report{}, err
-		}
-		deltaAvg = repAvg.AvgRate
-		deltaWorst = repWorst.WorstRate
+		merged := accuracy.Merged(blockErr, accuracy.RowBlocks(b.Unit.Xbar, b.Layer.Rows))
+		k := 1 << uint(b.Design.ADCBits())
+		deltaAvg = accuracy.AvgErrorRate(accuracy.Propagate(deltaAvg, merged.Avg), k)
+		deltaWorst = accuracy.MaxErrorRate(accuracy.Propagate(deltaWorst, merged.Worst), k)
 	}
 	r.EnergyPerSample += a.InIface.DynamicEnergy + a.OutIface.DynamicEnergy
 	r.AreaMM2 = areaUM2 * 1e-6

@@ -43,6 +43,13 @@ type Bank struct {
 // NewBank tiles one layer onto computation units and assembles the merge
 // and peripheral chain.
 func NewBank(d *Design, layer LayerDims) (*Bank, error) {
+	return newBank(d, layer, nil)
+}
+
+// newBank is NewBank sharing the unit of any bank in built whose weight
+// block has the same shape: a unit depends only on the design and its
+// block shape, and NewAccelerator builds every bank on one design.
+func newBank(d *Design, layer LayerDims, built []*Bank) (*Bank, error) {
 	if err := layer.Validate(); err != nil {
 		return nil, err
 	}
@@ -61,9 +68,18 @@ func NewBank(d *Design, layer LayerDims) (*Bank, error) {
 
 	blockRows := minInt(layer.Rows, s)
 	blockCols := minInt(layer.Cols, logicalCols)
-	u, err := NewUnit(d, blockRows, blockCols)
-	if err != nil {
-		return nil, err
+	var u *Unit
+	for _, o := range built {
+		if o.Design == d && o.Unit.Rows == blockRows && o.Unit.Cols == blockCols {
+			u = o.Unit
+			break
+		}
+	}
+	if u == nil {
+		var err error
+		if u, err = NewUnit(d, blockRows, blockCols); err != nil {
+			return nil, err
+		}
 	}
 	b.Unit = u
 	b.OutputsPerPass = minInt(layer.Cols, b.ColBlocks*u.ReadCircuits)

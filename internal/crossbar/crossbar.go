@@ -7,6 +7,7 @@ package crossbar
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mnsim/internal/device"
 	"mnsim/internal/tech"
@@ -265,5 +266,5 @@ func ceilLog2(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	return int(math.Ceil(math.Log2(float64(n))))
+	return bits.Len(uint(n - 1))
 }

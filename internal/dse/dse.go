@@ -137,10 +137,12 @@ type Options struct {
 	// EvalSpin adds deterministic synthetic work to every candidate
 	// evaluation: the given number of integer-mix rounds (a splitmix64-style
 	// finalizer) seeded from the grid point, folded into an atomic sink so
-	// the loop cannot be optimised away. The behavioural models evaluate a
-	// design in single-digit microseconds — below goroutine handoff cost —
-	// so scheduling benchmarks (BenchmarkExplore) use this knob to give each
-	// candidate a measurable, machine-independent cost. Zero disables it;
+	// the loop cannot be optimised away. A behaviour-level evaluation
+	// costs from ~2 µs (the one-layer large bank) to ~13–21 µs (VGG-16,
+	// BenchmarkEvaluate in internal/arch) on a 2-CPU Xeon, and the cost
+	// varies with the design, so scheduling benchmarks (BenchmarkExplore)
+	// use this knob to give each candidate a measurable, uniform,
+	// machine-independent cost. Zero disables it;
 	// the spin never touches the evaluation result, so candidate lists are
 	// bit-identical with and without it.
 	EvalSpin int
@@ -445,21 +447,48 @@ func BestWithSecondary(cands []Candidate, primary, secondary Objective, toleranc
 
 // Pareto returns the candidates not dominated on (area, pipeline latency) —
 // the trade-off front of Fig. 8. The result is sorted by area.
+//
+// A candidate is dominated when another is no worse on both metrics and
+// better on one. Sorting by area turns that into one pass: a candidate is
+// on the front when its latency is the least at its area and below the
+// least latency of every strictly smaller area. A NaN metric compares
+// false either way, so such a candidate is never dominated and never
+// dominates; it joins the front and stays out of the pass. The front is
+// gathered in input order before the final sort, so ties between equal
+// areas come out as the pairwise definition leaves them.
 func Pareto(cands []Candidate) []Candidate {
-	var front []Candidate
-	for _, c := range cands {
-		dominated := false
-		for _, d := range cands {
-			betterArea := d.Report.AreaMM2 <= c.Report.AreaMM2
-			betterLat := d.Report.PipelineCycle <= c.Report.PipelineCycle
-			strict := d.Report.AreaMM2 < c.Report.AreaMM2 || d.Report.PipelineCycle < c.Report.PipelineCycle
-			if betterArea && betterLat && strict {
-				dominated = true
-				break
-			}
+	area := func(i int) float64 { return cands[i].Report.AreaMM2 }
+	lat := func(i int) float64 { return cands[i].Report.PipelineCycle }
+	onFront := make([]bool, len(cands))
+	order := make([]int, 0, len(cands))
+	for i := range cands {
+		if math.IsNaN(area(i)) || math.IsNaN(lat(i)) {
+			onFront[i] = true
+			continue
 		}
-		if !dominated {
-			front = append(front, c)
+		order = append(order, i)
+	}
+	sort.Slice(order, func(a, b int) bool { return area(order[a]) < area(order[b]) })
+	// best is the least latency over strictly smaller areas, once any.
+	best, haveBest := 0.0, false
+	for g := 0; g < len(order); {
+		// order[g:h] is one area: sorted, so only a larger area compares <.
+		h, least := g, lat(order[g])
+		for ; h < len(order) && !(area(order[g]) < area(order[h])); h++ {
+			least = math.Min(least, lat(order[h]))
+		}
+		for _, i := range order[g:h] {
+			onFront[i] = lat(i) <= least && (!haveBest || lat(i) < best)
+		}
+		if !haveBest || least < best {
+			best, haveBest = least, true
+		}
+		g = h
+	}
+	var front []Candidate
+	for i, ok := range onFront {
+		if ok {
+			front = append(front, cands[i])
 		}
 	}
 	sort.Slice(front, func(i, j int) bool { return front[i].Report.AreaMM2 < front[j].Report.AreaMM2 })

@@ -141,9 +141,10 @@ func TestSpinDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkExplore measures sweep scheduling. The behavioural models
-// evaluate a design in ~1 µs — below goroutine handoff cost, so the bare
-// sweep cannot show pool scaling. EvalSpin injects a deterministic ~20 µs
+// BenchmarkExplore measures sweep scheduling. Evaluating one large-bank
+// design takes ~2 µs on a 2-CPU Xeon (a VGG-16 design 13–21 µs, see
+// BenchmarkEvaluate in internal/arch), too little per candidate for the
+// bare sweep to show pool scaling. EvalSpin injects a deterministic ~20 µs
 // of integer mixing per candidate (the cost of a small circuit-level
 // validation solve) which makes the workers=1 vs workers=4 comparison a
 // real measurement of the pool; spin work never changes the results.

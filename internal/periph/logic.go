@@ -2,7 +2,7 @@ package periph
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
 	"mnsim/internal/tech"
 )
@@ -176,5 +176,5 @@ func ceilLog2(v int) int {
 	if v <= 1 {
 		return 0
 	}
-	return int(math.Ceil(math.Log2(float64(v))))
+	return bits.Len(uint(v - 1))
 }

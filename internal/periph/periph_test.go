@@ -423,3 +423,29 @@ func TestShifter(t *testing.T) {
 		t.Error("negative range accepted")
 	}
 }
+
+// ceilLog2Values is v in [1, 2²⁰] and 2ᵏ−1, 2ᵏ, 2ᵏ+1 for k ≤ 40.
+func ceilLog2Values() []int {
+	var vs []int
+	for v := 1; v <= 1<<20; v++ {
+		vs = append(vs, v)
+	}
+	for k := 1; k <= 40; k++ {
+		vs = append(vs, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	return vs
+}
+
+// TestCeilLog2MatchesFloat: the integer ceilLog2 equals the float
+// ⌈log₂ v⌉ it replaced wherever the float form is exact.
+func TestCeilLog2MatchesFloat(t *testing.T) {
+	for _, v := range ceilLog2Values() {
+		want := 0
+		if v > 1 {
+			want = int(math.Ceil(math.Log2(float64(v))))
+		}
+		if got := ceilLog2(v); got != want {
+			t.Fatalf("ceilLog2(%d) = %d, want %d", v, got, want)
+		}
+	}
+}

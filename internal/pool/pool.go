@@ -10,6 +10,7 @@ import (
 	"flag"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"mnsim/internal/telemetry"
 )
@@ -59,8 +60,10 @@ func AddFlag(fs *flag.FlagSet) *int {
 // must pass the task's ctx (not a captured outer one) into nested work to
 // keep that chain intact.
 //
-// Dispatch is a hot path for fine-grained sweeps: per-call cost is one
-// channel plus the goroutine-shared closure state (suppressed below as
+// Dispatch is a hot path for fine-grained sweeps: workers claim task
+// indices from one shared atomic counter, so handing out a task is a
+// single atomic add and no worker waits for another to hand it one. The
+// per-call cost is the goroutine-shared closure state (suppressed below as
 // setup-time, not per-task, allocations).
 //
 //lint:hotpath
@@ -75,50 +78,39 @@ func Run(ctx context.Context, n, workers int, task func(ctx context.Context, i i
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	indices := make(chan int)
-	feederDone := make(chan struct{})
+	// Workers poll the Done channel rather than cctx.Err(): a non-blocking
+	// receive on an open channel takes no lock, while Err takes the
+	// context's mutex on every task.
+	done := cctx.Done()
 	telQueue.Add(float64(n))
-	// Feeder goroutine. Termination edge: the cctx.Done select arm below —
-	// cancel() runs on every Run exit (deferred, and again before the
-	// feederDone join), so the feeder can never outlive the call.
-	//lint:ignore noalloc the feeder closure is one setup-time allocation per Run, not per task
-	go func() {
-		defer close(feederDone)
-		defer close(indices)
-		fed := 0
-		// On early exit (cancellation) drop the undispatched remainder
-		// from the gauge in one step.
-		defer func() { telQueue.Add(-float64(n - fed)) }()
-		for i := 0; i < n; i++ {
-			select {
-			case indices <- i:
-				fed++
-				telQueue.Add(-1)
-			case <-cctx.Done():
-				return
-			}
-		}
-	}()
-
 	var (
-		//lint:ignore noalloc goroutine-shared dispatch state: three setup-time boxes per Run
+		//lint:ignore noalloc goroutine-shared dispatch state: four setup-time boxes per Run
+		next atomic.Int64
+		//lint:ignore noalloc goroutine-shared dispatch state: four setup-time boxes per Run
 		wg sync.WaitGroup
-		//lint:ignore noalloc goroutine-shared dispatch state: three setup-time boxes per Run
+		//lint:ignore noalloc goroutine-shared dispatch state: four setup-time boxes per Run
 		mu sync.Mutex
-		//lint:ignore noalloc goroutine-shared dispatch state: three setup-time boxes per Run
+		//lint:ignore noalloc goroutine-shared dispatch state: four setup-time boxes per Run
 		firstErr error
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		// Worker goroutine. Termination edges: ranging over indices ends
-		// when the feeder close()s it, and the wg.Done here joins the
-		// wg.Wait below.
+		// Worker goroutine. Termination edges: the loop returns once the
+		// counter passes n or the pool context is cancelled, and the
+		// wg.Done here joins the wg.Wait below.
 		//lint:ignore noalloc the worker closure is one setup-time allocation per worker, not per task
 		go func() {
 			defer wg.Done()
-			for i := range indices {
-				if cctx.Err() != nil {
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
+				}
+				telQueue.Add(-1)
+				select {
+				case <-done:
+					return
+				default:
 				}
 				telInflight.Add(1)
 				err := task(cctx, i)
@@ -136,11 +128,12 @@ func Run(ctx context.Context, n, workers int, task func(ctx context.Context, i i
 		}()
 	}
 	wg.Wait()
-	// Wake the feeder (it may be blocked on a send with no receivers left)
-	// and wait for it, so the queue-depth gauge is settled before Run
-	// returns.
-	cancel()
-	<-feederDone
+	// On early exit (an error or a cancellation) drop the unclaimed
+	// remainder from the queue gauge in one step, so it is settled before
+	// Run returns.
+	if claimed := next.Load(); claimed < int64(n) {
+		telQueue.Add(-float64(int64(n) - claimed))
+	}
 	if firstErr != nil {
 		return firstErr
 	}

@@ -32,36 +32,100 @@ func TestRunCoversAllIndices(t *testing.T) {
 }
 
 func TestRunSingleWorkerIsOrdered(t *testing.T) {
-	var order []int
-	err := Run(context.Background(), 10, 1, func(_ context.Context, i int) error {
-		order = append(order, i)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order = %v", order)
+	for _, n := range []int{10, 1000} {
+		var order []int
+		err := Run(context.Background(), n, 1, func(_ context.Context, i int) error {
+			order = append(order, i)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(order) != n {
+			t.Fatalf("n=%d: ran %d tasks", n, len(order))
+		}
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("n=%d: task %d ran at position %d", n, v, i)
+			}
 		}
 	}
 }
 
+// A task error stops the pool: the tasks already running finish, and no
+// queued task starts. The tasks after the failing one wait for the pool's
+// cancellation (or a generous deadline, should it never come), so the
+// worker racing the failing task cannot drain the queue while the failing
+// task is still formatting its error.
 func TestRunStopsOnTaskError(t *testing.T) {
 	boom := errors.New("boom")
+	hold, release := context.WithTimeout(context.Background(), 5*time.Second)
+	defer release()
 	var ran int32
 	err := Run(context.Background(), 1000, 2, func(ctx context.Context, i int) error {
 		atomic.AddInt32(&ran, 1)
 		if i == 3 {
 			return fmt.Errorf("task %d: %w", i, boom)
 		}
+		if i > 3 {
+			select {
+			case <-ctx.Done():
+			case <-hold.Done():
+			}
+		}
 		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	if n := atomic.LoadInt32(&ran); n == 1000 {
-		t.Fatal("error did not stop the pool early")
+	// Tasks 0–3, plus the one the other worker held when task 3 failed.
+	if n := atomic.LoadInt32(&ran); n > 5 {
+		t.Fatalf("error did not stop the pool early: %d tasks ran", n)
+	}
+}
+
+// Cancelling the caller's context with tasks still queued skips them all,
+// and both pool gauges are back at their prior values when Run returns.
+// Task 0 cancels only once task 1 holds the other worker, so the moment of
+// the cancel is known: two tasks in flight, n−2 queued.
+func TestRunCancelSettlesGauges(t *testing.T) {
+	queue0, inflight0 := telQueue.Value(), telInflight.Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const n = 100
+	var ran, late atomic.Int32
+	var cancelled atomic.Bool
+	holding := make(chan struct{})
+	err := Run(ctx, n, 2, func(tctx context.Context, i int) error {
+		ran.Add(1)
+		if cancelled.Load() {
+			late.Add(1)
+		}
+		switch i {
+		case 0:
+			<-holding
+			if q := telQueue.Value() - queue0; q != n-2 {
+				t.Errorf("queue depth %v during the run, want %d", q, n-2)
+			}
+			if w := telInflight.Value() - inflight0; w != 2 {
+				t.Errorf("%v workers in flight during the run, want 2", w)
+			}
+			cancel()
+			cancelled.Store(true)
+		case 1:
+			close(holding)
+			<-tctx.Done()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if r, l := ran.Load(), late.Load(); r != 2 || l != 0 {
+		t.Fatalf("%d tasks ran, %d after the cancel; want 2 and 0", r, l)
+	}
+	if q, w := telQueue.Value(), telInflight.Value(); q != queue0 || w != inflight0 {
+		t.Fatalf("gauges after Run: queue %v, in flight %v; want %v and %v", q, w, queue0, inflight0)
 	}
 }
 
