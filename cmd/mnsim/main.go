@@ -121,10 +121,7 @@ func run(ctx context.Context, w io.Writer, cfgPath string, csv, dump, optimize b
 			biggest = b
 		}
 	}
-	bd, err := biggest.Breakdown()
-	if err != nil {
-		return err
-	}
+	bd := biggest.Breakdown()
 	breakdown := &report.Table{
 		Title:   "Largest bank area breakdown",
 		Headers: []string{"Module class", "Area (mm2)", "Share"},

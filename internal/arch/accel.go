@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"mnsim/internal/accuracy"
-	"mnsim/internal/crossbar"
 	"mnsim/internal/periph"
 	"mnsim/internal/telemetry"
 )
@@ -29,38 +27,23 @@ type Accelerator struct {
 	// InIface and OutIface are the accelerator interface modules buffering
 	// a full sample over the limited bus lines.
 	InIface, OutIface periph.Perf
+
+	errWorst, errAvg float64 // the plan's error chain
 }
 
 // NewAccelerator builds the module tree for the given layer stack, mirroring
 // the recursive generation of the software flow (Fig. 3). interfaceLines is
-// the paper's Interface_Number pair.
+// the paper's Interface_Number pair. It is NewPlan followed by the plan's
+// build at d's parallelism.
 func NewAccelerator(d *Design, layers []LayerDims, interfaceLines [2]int) (*Accelerator, error) {
-	if len(layers) == 0 {
-		return nil, fmt.Errorf("arch: accelerator needs at least one layer")
-	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Accelerator{Design: d}
-	for i, l := range layers {
-		b, err := newBank(d, l, a.Banks)
-		if err != nil {
-			return nil, fmt.Errorf("arch: bank %d: %w", i, err)
-		}
-		a.Banks = append(a.Banks, b)
-	}
-	inBits := layers[0].Rows * d.DataBits
-	outBits := layers[len(layers)-1].Cols * d.DataBits
-	var err error
-	a.InIface, err = periph.IOInterface(d.CMOS, interfaceLines[0], inBits)
+	pl, err := NewPlan(d, layers, interfaceLines)
 	if err != nil {
 		return nil, err
 	}
-	a.OutIface, err = periph.IOInterface(d.CMOS, interfaceLines[1], outBits)
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
+	return pl.build(d)
 }
 
 // Report is the accelerator-level performance summary printed by the
@@ -82,9 +65,9 @@ type Report struct {
 	ErrorWorst, ErrorAvg float64
 }
 
-// Evaluate aggregates the accelerator's performance bottom-up and runs the
-// layer-by-layer accuracy propagation (Eq. 15). It is EvaluateContext with
-// a background context.
+// Evaluate aggregates the accelerator's performance bottom-up and reports
+// the layer-by-layer accuracy propagation (Eq. 15) its plan computed. It is
+// EvaluateContext with a background context.
 func (a *Accelerator) Evaluate() (Report, error) {
 	return a.EvaluateContext(context.Background())
 }
@@ -105,14 +88,7 @@ func (a *Accelerator) EvaluateContext(ctx context.Context) (Report, error) {
 	areaUM2 := a.InIface.Area + a.OutIface.Area
 	staticPower := a.InIface.StaticPower + a.OutIface.StaticPower
 	r.SampleLatency = a.InIface.Latency + a.OutIface.Latency
-	deltaAvg, deltaWorst := 0.0, 0.0
-	// One layer-error evaluation per bank feeds both propagation paths.
-	// It depends only on the bank's clipped crossbar block, which
-	// consecutive layers often share, so an unchanged block reuses the
-	// previous bank's Eval.
-	var block crossbar.Params
-	var blockErr accuracy.VoltageError
-	for i, b := range a.Banks {
+	for _, b := range a.Banks {
 		if err := ctx.Err(); err != nil {
 			return Report{}, fmt.Errorf("arch: evaluation aborted: %w", err)
 		}
@@ -123,23 +99,12 @@ func (a *Accelerator) EvaluateContext(ctx context.Context) (Report, error) {
 		if b.PassPerf.Latency > r.PipelineCycle {
 			r.PipelineCycle = b.PassPerf.Latency
 		}
-		if pb := accuracy.BlockParams(b.Unit.Xbar, b.Layer.Rows, b.Layer.Cols); i == 0 || pb != block {
-			e, err := accuracy.Eval(pb)
-			if err != nil {
-				return Report{}, err
-			}
-			block, blockErr = pb, e
-		}
-		merged := accuracy.Merged(blockErr, accuracy.RowBlocks(b.Unit.Xbar, b.Layer.Rows))
-		k := 1 << uint(b.Design.ADCBits())
-		deltaAvg = accuracy.AvgErrorRate(accuracy.Propagate(deltaAvg, merged.Avg), k)
-		deltaWorst = accuracy.MaxErrorRate(accuracy.Propagate(deltaWorst, merged.Worst), k)
 	}
 	r.EnergyPerSample += a.InIface.DynamicEnergy + a.OutIface.DynamicEnergy
 	r.AreaMM2 = areaUM2 * 1e-6
 	r.Power = a.pipelineDynPower(r.PipelineCycle) + staticPower
-	r.ErrorWorst = deltaWorst
-	r.ErrorAvg = deltaAvg
+	r.ErrorWorst = a.errWorst
+	r.ErrorAvg = a.errAvg
 	return r, nil
 }
 

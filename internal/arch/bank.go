@@ -1,8 +1,6 @@
 package arch
 
 import (
-	"fmt"
-
 	"mnsim/internal/accuracy"
 	"mnsim/internal/periph"
 )
@@ -38,111 +36,54 @@ type Bank struct {
 	// (Layer.Passes compute passes, plus pipeline fill when enabled).
 	SampleEnergy  float64
 	SampleLatency float64
+
+	plan *bankPlan // the modules the bank was built from, for Breakdown
 }
 
 // NewBank tiles one layer onto computation units and assembles the merge
 // and peripheral chain.
 func NewBank(d *Design, layer LayerDims) (*Bank, error) {
-	return newBank(d, layer, nil)
-}
-
-// newBank is NewBank sharing the unit of any bank in built whose weight
-// block has the same shape: a unit depends only on the design and its
-// block shape, and NewAccelerator builds every bank on one design.
-func newBank(d *Design, layer LayerDims, built []*Bank) (*Bank, error) {
-	if err := layer.Validate(); err != nil {
-		return nil, err
-	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	s := d.CrossbarSize
-	logicalCols := s / d.CellsPerWeight()
-	if logicalCols < 1 {
-		return nil, fmt.Errorf("arch: crossbar size %d cannot hold one %d-bit weight (%d cells)", s, d.WeightBits, d.CellsPerWeight())
+	pl, err := newPlan(d, []LayerDims{layer})
+	if err != nil {
+		return nil, err
 	}
-	b := &Bank{Design: d, Layer: layer}
-	b.RowBlocks = ceilDiv(layer.Rows, s)
-	b.ColBlocks = ceilDiv(layer.Cols, logicalCols)
-	b.Units = b.RowBlocks * b.ColBlocks
+	a, err := pl.build(d)
+	if err != nil {
+		return nil, err
+	}
+	return a.Banks[0], nil
+}
 
-	blockRows := minInt(layer.Rows, s)
-	blockCols := minInt(layer.Cols, logicalCols)
-	var u *Unit
-	for _, o := range built {
-		if o.Design == d && o.Unit.Rows == blockRows && o.Unit.Cols == blockCols {
-			u = o.Unit
-			break
-		}
+// build assembles the bank of design d from its plan and its unit, doing
+// the arithmetic that depends on the read parallelism.
+func (b *Bank) build(d *Design, bp *bankPlan, u *Unit) {
+	m := bp.mods
+	layer := bp.layer
+	*b = Bank{
+		Design:    d,
+		Layer:     layer,
+		RowBlocks: bp.rowBlocks,
+		ColBlocks: bp.colBlocks,
+		Units:     bp.rowBlocks * bp.colBlocks,
+		Unit:      u,
+		plan:      bp,
 	}
-	if u == nil {
-		var err error
-		if u, err = NewUnit(d, blockRows, blockCols); err != nil {
-			return nil, err
-		}
-	}
-	b.Unit = u
 	b.OutputsPerPass = minInt(layer.Cols, b.ColBlocks*u.ReadCircuits)
 
-	n := d.CMOS
-
-	// Adder tree: each finished output merges RowBlocks partial sums
-	// (Eq. 5); OutputsPerPass trees operate in parallel per read cycle.
-	tree, err := periph.AdderTree(n, b.RowBlocks, d.DataBits)
-	if err != nil {
-		return nil, err
-	}
-	trees := tree.Scale(maxInt(b.OutputsPerPass, 1))
-
-	// Pooling module and pooling line buffer (CNN only).
+	// OutputsPerPass adder trees operate in parallel per read cycle.
+	trees := bp.tree.Scale(maxInt(b.OutputsPerPass, 1))
 	var pool, poolBuf periph.Perf
 	if layer.PoolK > 1 {
-		pool, err = periph.MaxPool(n, layer.PoolK, d.DataBits)
-		if err != nil {
-			return nil, err
-		}
-		pool = pool.Scale(maxInt(b.OutputsPerPass/(layer.PoolK*layer.PoolK), 1))
-		poolBuf, err = periph.LineBuffer(n, layer.PoolK*layer.PoolK, d.DataBits)
-		if err != nil {
-			return nil, err
-		}
-		poolBuf = poolBuf.Scale(maxInt(b.OutputsPerPass, 1))
+		pool = bp.pool.Scale(maxInt(b.OutputsPerPass/(layer.PoolK*layer.PoolK), 1))
+		poolBuf = bp.poolBuf.Scale(maxInt(b.OutputsPerPass, 1))
 	}
-
-	// Neuron modules: one per output neuron, each wired to its output
-	// register (Section III.B.5) — the count does not shrink with the read
-	// parallelism, which is what limits the area gain of reducing read
-	// circuits at large crossbar sizes (Fig. 7). Pooling (a monotone max)
-	// runs before the neurons to cut the neuron operation count
-	// (Section III.B.4).
-	neuron, err := periph.Neuron(n, d.Neuron, d.DataBits)
-	if err != nil {
-		return nil, err
-	}
-	neuronCount := layer.Cols
-	if layer.PoolK > 1 {
-		neuronCount = maxInt(layer.Cols/(layer.PoolK*layer.PoolK), 1)
-	}
-	neurons := neuron.Scale(neuronCount)
 	// Per pass only the finished outputs fire their neurons.
-	neurons.DynamicEnergy = neuron.DynamicEnergy * float64(maxInt(b.OutputsPerPass, 1))
-
-	// Output buffer: plain registers for fully-connected layers, the line
-	// buffers of Eq. 6 for cascaded Conv layers.
-	var outBuf periph.Perf
-	if layer.OutBufLen > 0 {
-		lb, err := periph.LineBuffer(n, layer.OutBufLen, d.DataBits)
-		if err != nil {
-			return nil, err
-		}
-		outBuf = lb.Scale(maxInt(layer.OutChannels, 1))
-	} else {
-		reg, err := periph.Register(n, d.DataBits)
-		if err != nil {
-			return nil, err
-		}
-		outBuf = reg.Scale(layer.Cols)
-	}
+	neurons := m.neuron.Scale(bp.neuronCount)
+	neurons.DynamicEnergy = m.neuron.DynamicEnergy * float64(maxInt(b.OutputsPerPass, 1))
+	outBuf := bp.outBuf
 
 	units := u.Compute.Scale(b.Units)
 	b.PassPerf = periph.Perf{
@@ -158,12 +99,9 @@ func newBank(d *Design, layer LayerDims, built []*Bank) (*Bank, error) {
 		// merge chain instead of waiting for the full matrix-vector product.
 		// Stage set: front (decode+DAC+settle), one read pass, unit merge,
 		// adder tree, [pooling], neuron, output buffer.
-		reg, err := periph.Register(n, d.DataBits)
-		if err != nil {
-			return nil, err
-		}
+		reg := m.reg
 		stageLat := []float64{u.FrontLatency, u.ReadPassLatency, u.MergeLatency,
-			tree.Latency, neuron.Latency, outBuf.Latency}
+			bp.tree.Latency, m.neuron.Latency, outBuf.Latency}
 		if layer.PoolK > 1 {
 			stageLat = append(stageLat, pool.Latency)
 		}
@@ -187,12 +125,11 @@ func newBank(d *Design, layer LayerDims, built []*Bank) (*Bank, error) {
 		// One pass: all units compute concurrently, then the merge chain
 		// runs combinationally.
 		b.Stages = 1
-		b.PassPerf.Latency = u.Compute.Latency + tree.Latency + pool.Latency +
-			neuron.Latency + outBuf.Latency
+		b.PassPerf.Latency = u.Compute.Latency + bp.tree.Latency + pool.Latency +
+			m.neuron.Latency + outBuf.Latency
 		b.SampleLatency = b.PassPerf.Latency * float64(layer.Passes)
 	}
 	b.SampleEnergy = b.PassPerf.DynamicEnergy * float64(layer.Passes)
-	return b, nil
 }
 
 // Power returns the bank's average power while streaming computation.
@@ -205,7 +142,7 @@ func (b *Bank) Power() float64 {
 // rates of the layer's tiled crossbars, before quantization.
 func (b *Bank) Accuracy(inDelta float64) (accuracy.LayerReport, error) {
 	k := 1 << uint(b.Design.ADCBits())
-	return accuracy.EvalLayer(b.Unit.Xbar, b.Layer.Rows, b.Layer.Cols, k, inDelta)
+	return accuracy.EvalLayer(*b.Unit.Xbar, b.Layer.Rows, b.Layer.Cols, k, inDelta)
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -21,111 +21,51 @@ const (
 )
 
 // Breakdown returns the bank's area and per-pass dynamic energy split by
-// module class. It re-derives the same module set NewBank assembled, so the
-// totals reconcile with PassPerf; the read-circuit share reproduces the
-// paper's Section V.C observation that ADCs take about half of the area and
-// energy of memristor-based DNNs/CNNs.
-func (b *Bank) Breakdown() (map[ModuleClass]periph.Perf, error) {
-	d := b.Design
-	n := d.CMOS
+// module class. It composes the modules the bank and its unit were built
+// from, so the totals reconcile with PassPerf; the read-circuit share
+// reproduces the paper's Section V.C observation that ADCs take about half
+// of the area and energy of memristor-based DNNs/CNNs.
+func (b *Bank) Breakdown() map[ModuleClass]periph.Perf {
 	u := b.Unit
-	nXbar := d.CrossbarsPerUnit()
-	out := map[ModuleClass]periph.Perf{}
+	bp := b.plan
+	m := bp.mods
+	out := make(map[ModuleClass]periph.Perf, len(Classes()))
 
 	// Crossbar arrays.
 	xbar := periph.Perf{
-		Area:          u.Xbar.Area() * d.AreaCoefficient * float64(nXbar),
-		DynamicEnergy: u.Xbar.ComputePower() * float64(nXbar) * (u.FrontLatency + float64(u.Cycles)*u.ReadPassLatency),
+		Area:          m.xbarArea,
+		DynamicEnergy: m.xbarPower * (u.FrontLatency + float64(u.Cycles)*u.ReadPassLatency),
 	}
 	out[ClassCrossbar] = xbar.Scale(b.Units)
 
-	dac, err := periph.DAC(n, d.DataBits)
-	if err != nil {
-		return nil, err
-	}
-	dacs := dac.Scale(u.Rows)
-	dacs.DynamicEnergy = dac.DynamicEnergy * float64(u.Rows)
+	dacs := m.dac.Scale(u.Rows)
+	dacs.DynamicEnergy = m.dac.DynamicEnergy * float64(u.Rows)
 	out[ClassDAC] = dacs.Scale(b.Units)
 
-	adc, err := periph.ADC(n, d.ADC, d.ADCBits())
-	if err != nil {
-		return nil, err
-	}
-	mux, err := periph.Mux(n, u.Cycles, 1)
-	if err != nil {
-		return nil, err
-	}
-	readPath := periph.Sum(mux, adc)
 	adcs := periph.Perf{
-		Area:          readPath.Area * float64(u.ReadCircuits*nXbar),
-		DynamicEnergy: readPath.DynamicEnergy * float64(u.ReadCircuits*nXbar*u.Cycles),
-		StaticPower:   readPath.StaticPower * float64(u.ReadCircuits*nXbar),
+		Area:          u.readPath.Area * float64(u.ReadCircuits*m.nXbar),
+		DynamicEnergy: u.readPath.DynamicEnergy * float64(u.ReadCircuits*m.nXbar*u.Cycles),
+		StaticPower:   u.readPath.StaticPower * float64(u.ReadCircuits*m.nXbar),
 	}
 	out[ClassADC] = adcs.Scale(b.Units)
 
-	rowDec, err := periph.Decoder(n, d.CrossbarSize, true)
-	if err != nil {
-		return nil, err
-	}
-	colDec, err := periph.Decoder(n, d.CrossbarSize, false)
-	if err != nil {
-		return nil, err
-	}
-	dec := periph.Parallel(rowDec.Scale(nXbar), colDec.Scale(nXbar))
-	out[ClassDecoder] = dec.Scale(b.Units)
+	out[ClassDecoder] = m.decoders.Scale(b.Units)
 
-	tree, err := periph.AdderTree(n, b.RowBlocks, d.DataBits)
-	if err != nil {
-		return nil, err
-	}
-	merge := tree.Scale(maxInt(b.OutputsPerPass, 1))
-	if d.WeightPolarity == 2 {
-		sub, err := periph.Subtractor(n, d.DataBits)
-		if err != nil {
-			return nil, err
-		}
-		merge = merge.Plus(sub.Scale(u.ReadCircuits * b.Units))
+	merge := bp.tree.Scale(maxInt(b.OutputsPerPass, 1))
+	if b.Design.WeightPolarity == 2 {
+		merge = merge.Plus(m.sub.Scale(u.ReadCircuits * b.Units))
 	}
 	out[ClassMerge] = merge
 
-	neuron, err := periph.Neuron(n, d.Neuron, d.DataBits)
-	if err != nil {
-		return nil, err
-	}
-	neuronCount := b.Layer.Cols
-	if b.Layer.PoolK > 1 {
-		neuronCount = maxInt(b.Layer.Cols/(b.Layer.PoolK*b.Layer.PoolK), 1)
-	}
-	out[ClassNeuron] = neuron.Scale(neuronCount)
+	out[ClassNeuron] = m.neuron.Scale(bp.neuronCount)
 
-	var buffers periph.Perf
-	if b.Layer.OutBufLen > 0 {
-		lb, err := periph.LineBuffer(n, b.Layer.OutBufLen, d.DataBits)
-		if err != nil {
-			return nil, err
-		}
-		buffers = lb.Scale(maxInt(b.Layer.OutChannels, 1))
-	} else {
-		reg, err := periph.Register(n, d.DataBits)
-		if err != nil {
-			return nil, err
-		}
-		buffers = reg.Scale(b.Layer.Cols)
-	}
-	if b.Layer.PoolK > 1 {
-		pool, err := periph.MaxPool(n, b.Layer.PoolK, d.DataBits)
-		if err != nil {
-			return nil, err
-		}
-		pb, err := periph.LineBuffer(n, b.Layer.PoolK*b.Layer.PoolK, d.DataBits)
-		if err != nil {
-			return nil, err
-		}
-		buffers = buffers.Plus(pool.Scale(maxInt(b.OutputsPerPass/(b.Layer.PoolK*b.Layer.PoolK), 1)))
-		buffers = buffers.Plus(pb.Scale(maxInt(b.OutputsPerPass, 1)))
+	buffers := bp.outBuf
+	if k := b.Layer.PoolK; k > 1 {
+		buffers = buffers.Plus(bp.pool.Scale(maxInt(b.OutputsPerPass/(k*k), 1)))
+		buffers = buffers.Plus(bp.poolBuf.Scale(maxInt(b.OutputsPerPass, 1)))
 	}
 	out[ClassBuffer] = buffers
-	return out, nil
+	return out
 }
 
 // Classes lists the breakdown classes in presentation order.

@@ -10,10 +10,7 @@ func TestBreakdownReconciles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd, err := b.Breakdown()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bd := b.Breakdown()
 	if len(bd) != len(Classes()) {
 		t.Fatalf("breakdown has %d classes", len(bd))
 	}
@@ -42,10 +39,7 @@ func TestADCDominatesAtFullParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd, err := b.Breakdown()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bd := b.Breakdown()
 	share := ShareOf(bd, ClassADC)
 	if share < 0.3 {
 		t.Fatalf("ADC area share %.2f, want the dominant fraction", share)
@@ -59,10 +53,7 @@ func TestADCDominatesAtFullParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bdSerial, err := serial.Breakdown()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bdSerial := serial.Breakdown()
 	if ShareOf(bdSerial, ClassADC) >= share {
 		t.Fatalf("serial ADC share %.2f not below parallel %.2f", ShareOf(bdSerial, ClassADC), share)
 	}
@@ -81,18 +72,12 @@ func TestBreakdownCNNHasBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd, err := b.Breakdown()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bd := b.Breakdown()
 	fc, err := NewBank(d, LayerDims{Rows: 1152, Cols: 256, Passes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bdFC, err := fc.Breakdown()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bdFC := fc.Breakdown()
 	if bd[ClassBuffer].Area <= bdFC[ClassBuffer].Area {
 		t.Fatal("CNN pooling chain should grow the buffer class")
 	}

@@ -60,11 +60,17 @@ type Design struct {
 
 // Validate checks the design parameters.
 func (d *Design) Validate() error {
+	if err := d.validatePlan(); err != nil {
+		return err
+	}
+	return d.validateParallelism()
+}
+
+// validatePlan checks every design parameter but the parallelism.
+func (d *Design) validatePlan() error {
 	switch {
 	case d.CrossbarSize < 2:
 		return fmt.Errorf("arch: crossbar size %d too small", d.CrossbarSize)
-	case d.Parallelism < 0 || d.Parallelism > d.CrossbarSize:
-		return fmt.Errorf("arch: parallelism %d outside [0,%d]", d.Parallelism, d.CrossbarSize)
 	case d.WeightPolarity != 1 && d.WeightPolarity != 2:
 		return fmt.Errorf("arch: weight polarity %d must be 1 or 2", d.WeightPolarity)
 	case d.WeightBits < 1 || d.DataBits < 1:
@@ -73,6 +79,14 @@ func (d *Design) Validate() error {
 		return fmt.Errorf("arch: area coefficient %g must be positive", d.AreaCoefficient)
 	}
 	return d.Dev.Validate()
+}
+
+// validateParallelism checks the read parallelism against the crossbar size.
+func (d *Design) validateParallelism() error {
+	if d.Parallelism < 0 || d.Parallelism > d.CrossbarSize {
+		return fmt.Errorf("arch: parallelism %d outside [0,%d]", d.Parallelism, d.CrossbarSize)
+	}
+	return nil
 }
 
 // CellsPerWeight returns how many memristor cells along a row store one

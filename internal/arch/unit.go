@@ -23,8 +23,9 @@ type Unit struct {
 	ReadCircuits int
 	// Cycles is ⌈PhysCols / p⌉ — the sequential read passes per compute.
 	Cycles int
-	// Xbar is the behavioural crossbar model of one physical crossbar.
-	Xbar crossbar.Params
+	// Xbar is the behavioural crossbar model of one physical crossbar,
+	// shared by the units built from one plan.
+	Xbar *crossbar.Params
 
 	// Compute is the per-COMPUTE-operation performance of the whole unit;
 	// Area and StaticPower cover the unit, DynamicEnergy and Latency cover
@@ -38,6 +39,8 @@ type Unit struct {
 	// ReadOp and WriteOp are the per-cell memory-operation performances
 	// used by the instruction model.
 	ReadOp, WriteOp periph.Perf
+
+	readPath periph.Perf // one MUX+ADC read path, for Breakdown
 }
 
 // NewUnit builds a computation unit for a weight block of the given logical
@@ -49,121 +52,85 @@ func NewUnit(d *Design, rows, cols int) (*Unit, error) {
 	if rows < 1 || rows > d.CrossbarSize || cols < 1 {
 		return nil, fmt.Errorf("arch: unit block %dx%d incompatible with crossbar size %d", rows, cols, d.CrossbarSize)
 	}
-	physCols := cols * d.CellsPerWeight()
-	if physCols > d.CrossbarSize {
+	if physCols := cols * d.CellsPerWeight(); physCols > d.CrossbarSize {
 		return nil, fmt.Errorf("arch: block needs %d physical columns, crossbar has %d", physCols, d.CrossbarSize)
 	}
-	u := &Unit{
+	m := new(modules)
+	if err := m.init(d); err != nil {
+		return nil, err
+	}
+	u := new(Unit)
+	if err := u.build(d, m, rows, cols); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// build assembles the unit of design d for a rows×cols weight block from the
+// design's shared modules, doing the arithmetic that depends on the read
+// parallelism.
+func (u *Unit) build(d *Design, m *modules, rows, cols int) error {
+	physCols := cols * d.CellsPerWeight()
+	*u = Unit{
 		Design:   d,
 		Rows:     rows,
 		Cols:     cols,
 		PhysCols: physCols,
-		Xbar:     d.Crossbar(d.CrossbarSize, d.CrossbarSize),
+		Xbar:     &m.xbar,
 	}
 	u.ReadCircuits = d.EffectiveParallelism(physCols)
 	u.Cycles = (physCols + u.ReadCircuits - 1) / u.ReadCircuits
 
 	n := d.CMOS
-	nXbar := d.CrossbarsPerUnit()
+	nXbar := m.nXbar
+	dacs := m.dac.Scale(rows)
 
-	// Input peripheral circuit: one DAC per active row (Section III.C.3),
-	// shared by both crossbars of a signed pair.
-	dac, err := periph.DAC(n, d.DataBits)
-	if err != nil {
-		return nil, err
-	}
-	dacs := dac.Scale(rows)
-
-	// Decoders: each crossbar needs a row and a column decoder for
-	// READ/WRITE; the row decoder is the computation-oriented design of
-	// Fig. 4(b) so COMPUTE can select all rows at once.
-	rowDec, err := periph.Decoder(n, d.CrossbarSize, true)
-	if err != nil {
-		return nil, err
-	}
-	colDec, err := periph.Decoder(n, d.CrossbarSize, false)
-	if err != nil {
-		return nil, err
-	}
-	decoders := periph.Parallel(rowDec.Scale(nXbar), colDec.Scale(nXbar))
-
-	// Read circuits: p ADCs per crossbar behind column MUXes sequenced by a
-	// counter (Section III.C.4).
-	adc, err := periph.ADC(n, d.ADC, d.ADCBits())
-	if err != nil {
-		return nil, err
-	}
+	// Read circuits: the column MUX ahead of each ADC and the counter
+	// sequencing the Cycles read passes.
 	mux, err := periph.Mux(n, u.Cycles, 1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ctr, err := periph.Counter(n, bitsFor(u.Cycles))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	readPath := periph.Sum(mux, adc)
-	readCircuits := readPath.Scale(u.ReadCircuits * nXbar)
+	u.readPath = periph.Sum(mux, m.adc)
+	readCircuits := u.readPath.Scale(u.ReadCircuits * nXbar)
 
-	// Signed-weight merging.
+	// Signed-weight and bit-slice merging, one per read circuit.
 	var merge periph.Perf
 	if d.WeightPolarity == 2 {
-		sub, err := periph.Subtractor(n, d.DataBits)
-		if err != nil {
-			return nil, err
-		}
-		merge = sub.Scale(u.ReadCircuits)
+		merge = m.sub.Scale(u.ReadCircuits)
 	}
-	// Bit-slice merging: shift-and-add of BitSlices() slices per weight.
-	if s := d.BitSlices(); s > 1 {
-		sh, err := periph.Shifter(n, d.DataBits+s, d.Dev.LevelBits*(s-1))
-		if err != nil {
-			return nil, err
-		}
-		tree, err := periph.AdderTree(n, s, d.DataBits)
-		if err != nil {
-			return nil, err
-		}
-		merge = merge.Plus(periph.Sum(sh, tree).Scale(u.ReadCircuits))
+	if d.BitSlices() > 1 {
+		merge = merge.Plus(m.slices.Scale(u.ReadCircuits))
 	}
-
-	// Crossbar arrays.
-	xbarArea := u.Xbar.Area() * d.AreaCoefficient * float64(nXbar)
-	xbarSettle := u.Xbar.Latency()
 
 	// Assemble one COMPUTE: decode, drive, settle, then Cycles sequential
 	// read passes, then merge. The crossbar conducts (and burns analog
 	// power) for the whole settle-plus-read window; every read circuit
 	// converts once per pass.
 	u.Compute = periph.Perf{
-		Area: xbarArea + dacs.Area + decoders.Area + readCircuits.Area +
+		Area: m.xbarArea + dacs.Area + m.decoders.Area + readCircuits.Area +
 			merge.Area + ctr.Area,
-		StaticPower: dacs.StaticPower + decoders.StaticPower +
+		StaticPower: dacs.StaticPower + m.decoders.StaticPower +
 			readCircuits.StaticPower + merge.StaticPower + ctr.StaticPower,
 	}
-	u.FrontLatency = rowDec.Latency + dacs.Latency + xbarSettle
-	u.ReadPassLatency = readPath.Latency
+	u.FrontLatency = m.rowDec.Latency + dacs.Latency + m.xbarSettle
+	u.ReadPassLatency = u.readPath.Latency
 	u.MergeLatency = merge.Latency
 	u.Compute.Latency = u.FrontLatency +
 		float64(u.Cycles)*u.ReadPassLatency + u.MergeLatency
-	u.Compute.DynamicEnergy = rowDec.DynamicEnergy + dacs.DynamicEnergy*float64(rows) +
-		u.Xbar.ComputePower()*float64(nXbar)*(xbarSettle+float64(u.Cycles)*readPath.Latency) +
-		readPath.DynamicEnergy*float64(u.ReadCircuits*nXbar*u.Cycles) +
+	u.Compute.DynamicEnergy = m.rowDec.DynamicEnergy + dacs.DynamicEnergy*float64(rows) +
+		m.xbarPower*(m.xbarSettle+float64(u.Cycles)*u.readPath.Latency) +
+		u.readPath.DynamicEnergy*float64(u.ReadCircuits*nXbar*u.Cycles) +
 		merge.DynamicEnergy + ctr.DynamicEnergy*float64(u.Cycles)
 
-	// Memory operations exercise one cell through the decoders.
-	u.ReadOp = periph.Perf{
-		Area:          u.Compute.Area,
-		StaticPower:   u.Compute.StaticPower,
-		Latency:       rowDec.Latency + colDec.Latency + xbarSettle + adc.Latency,
-		DynamicEnergy: rowDec.DynamicEnergy + colDec.DynamicEnergy + u.Xbar.ReadPower()/float64(u.Xbar.Cols)*xbarSettle + adc.DynamicEnergy,
-	}
-	u.WriteOp = periph.Perf{
-		Area:          u.Compute.Area,
-		StaticPower:   u.Compute.StaticPower,
-		Latency:       rowDec.Latency + colDec.Latency + d.Dev.WriteLatency,
-		DynamicEnergy: rowDec.DynamicEnergy + colDec.DynamicEnergy + d.Dev.WriteEnergy(),
-	}
-	return u, nil
+	u.ReadOp, u.WriteOp = m.readOp, m.writeOp
+	u.ReadOp.Area, u.ReadOp.StaticPower = u.Compute.Area, u.Compute.StaticPower
+	u.WriteOp.Area, u.WriteOp.StaticPower = u.Compute.Area, u.Compute.StaticPower
+	return nil
 }
 
 // ComputePower returns the unit's average power while computing

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,7 +68,9 @@ type Candidate struct {
 	// candidates are kept for trade-off plots but excluded from Best.
 	Feasible bool
 	// EvalTime is the wall time spent building and evaluating this design
-	// point, from the dse.explore/candidate telemetry span.
+	// point, from the dse.explore/candidate telemetry span. The first
+	// candidate of each (wire node, crossbar size) run also pays for the
+	// run's arch.Plan.
 	EvalTime time.Duration
 }
 
@@ -138,13 +141,15 @@ type Options struct {
 	// evaluation: the given number of integer-mix rounds (a splitmix64-style
 	// finalizer) seeded from the grid point, folded into an atomic sink so
 	// the loop cannot be optimised away. A behaviour-level evaluation
-	// costs from ~2 µs (the one-layer large bank) to ~13–21 µs (VGG-16,
-	// BenchmarkEvaluate in internal/arch) on a 2-CPU Xeon, and the cost
-	// varies with the design, so scheduling benchmarks (BenchmarkExplore)
-	// use this knob to give each candidate a measurable, uniform,
-	// machine-independent cost. Zero disables it;
-	// the spin never touches the evaluation result, so candidate lists are
-	// bit-identical with and without it.
+	// (Plan.At plus EvaluateContext) costs from ~1 µs (the one-layer large
+	// bank) to ~3 µs (VGG-16, BenchmarkEvaluate's at-p in internal/arch) on
+	// a 2-CPU Xeon, plus ~7–13 µs for VGG-16's plan once per (wire node,
+	// crossbar size) run. The cost varies with the design and with a
+	// candidate's place in its run, so scheduling benchmarks
+	// (BenchmarkExplore) use this knob to give each candidate a measurable,
+	// uniform, machine-independent cost. Zero disables it; the spin never
+	// touches the evaluation result, so candidate lists are bit-identical
+	// with and without it.
 	EvalSpin int
 	// FailEval injects one evaluation failure at the grid point named
 	// "size:p:node" (e.g. "8:2:45") — a fault-injection hook so the
@@ -191,8 +196,17 @@ func spin(seed uint64, rounds int) uint64 {
 }
 
 // candID is the journal correlation id of one grid point, e.g. "cand-8x2@45".
+// It is built without fmt: every candidate names its span with it, even with
+// tracing and the journal off.
 func candID(gp gridPoint) string {
-	return fmt.Sprintf("cand-%dx%d@%d", gp.size, gp.p, gp.node)
+	var buf [64]byte
+	b := append(buf[:0], "cand-"...)
+	b = strconv.AppendInt(b, int64(gp.size), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(gp.p), 10)
+	b = append(b, '@')
+	b = strconv.AppendInt(b, int64(gp.node), 10)
+	return string(b)
 }
 
 // gridPoint is one (wire node, crossbar size, parallelism) tuple of the
@@ -202,25 +216,37 @@ type gridPoint struct {
 	wire          tech.WireTech
 }
 
-// errUnbuildable tags NewAccelerator failures (grid points outside the
-// buildable space) apart from genuine evaluation failures.
+// errUnbuildable tags arch.NewPlan and Plan.At failures (grid points
+// outside the buildable space) apart from genuine evaluation failures.
 var errUnbuildable = errors.New("unbuildable design point")
 
-// evalCandidate builds and evaluates one accelerator; a package variable so
-// tests can inject evaluation failures without constructing a degenerate
-// design.
-var evalCandidate = func(ctx context.Context, d *arch.Design, layers []arch.LayerDims, iface [2]int) (arch.Report, error) {
-	a, err := arch.NewAccelerator(d, layers, iface)
+// evalCandidate builds and evaluates the accelerator of one grid point from
+// its run's plan; a package variable so tests can inject evaluation failures
+// without constructing a degenerate design.
+var evalCandidate = func(ctx context.Context, pl *arch.Plan, p int) (arch.Report, error) {
+	a, err := pl.At(p)
 	if err != nil {
 		return arch.Report{}, fmt.Errorf("%w: %w", errUnbuildable, err)
 	}
 	return a.EvaluateContext(ctx)
 }
 
+// runPlan is the plan shared by one run of grid points: the points of one
+// (wire node, crossbar size) pair, which differ only in parallelism. The
+// run's first candidate builds it.
+type runPlan struct {
+	start int // index of the run's first point
+	pl    *arch.Plan
+	err   error
+}
+
 // Explore traverses the space, evaluating one accelerator per grid point on
-// a bounded worker pool (Options.Workers). The base design supplies
-// everything except the three swept parameters. Grid points that cannot be
-// built (e.g. a crossbar too small for one weight) are skipped silently —
+// a bounded worker pool (Options.Workers). The grid points of one (wire
+// node, crossbar size) pair form a run: one pool task builds the run's
+// arch.Plan once and derives each parallelism's accelerator from it. The
+// base design supplies everything except the three swept parameters. Grid
+// points that cannot be built (e.g. a crossbar too small for one weight,
+// which makes its whole run unbuildable) are skipped silently —
 // they are outside the feasible space. Grid points whose evaluation fails
 // are counted (mnsim_dse_candidates_evalfailed_total), logged, and skipped;
 // Explore only errors out when every buildable point fails. Cancelling ctx
@@ -264,39 +290,48 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 	prog := telemetry.StartPhase("dse.candidates", int64(len(points)))
 	defer prog.Finish()
 	// Index-addressed result slots keep the output in sequential sweep
-	// order no matter which worker finishes first.
-	results := make([]*Candidate, len(points))
+	// order no matter which worker finishes first; a zero CrossbarSize marks
+	// a point that produced no candidate.
+	results := make([]Candidate, len(points))
 	var (
 		evalFailed  atomic.Int64
 		failMu      sync.Mutex
 		lastEvalErr error
 	)
-	err = pool.Run(ctx, len(points), opt.Workers, func(tctx context.Context, i int) error {
+	// explorePoint builds and evaluates grid point i, whose run is rp.
+	explorePoint := func(tctx context.Context, i int, rp *runPlan) error {
 		if err := tctx.Err(); err != nil {
 			return err
 		}
 		defer prog.Inc()
 		gp := points[i]
-		d := base
-		d.CrossbarSize = gp.size
-		d.Parallelism = gp.p
-		d.Wire = gp.wire
+		id := candID(gp)
 		// The candidate span derives from the pooled task context (which
 		// carries the sweep span across the worker boundary) and is keyed by
 		// the grid point, so its span ID is identical for every worker count
 		// and schedule; the derived tctx flows into the evaluation so solve
 		// spans and events chain under this candidate.
-		tctx, cs := telemetry.StartSpanKeyed(tctx, "candidate", candID(gp))
+		tctx, cs := telemetry.StartSpanKeyed(tctx, "candidate", id)
+		if i == rp.start {
+			d := base
+			d.CrossbarSize = gp.size
+			d.Parallelism = gp.p
+			d.Wire = gp.wire
+			rp.pl, rp.err = arch.NewPlan(&d, layers, opt.Interface)
+		}
 		if opt.EvalSpin > 0 {
 			seed := uint64(gp.size)<<32 | uint64(gp.p)<<16 | uint64(gp.node)
 			spinSink.Add(spin(seed, opt.EvalSpin))
 		}
 		var r arch.Report
 		var err error
-		if inject != nil && inject.size == gp.size && inject.p == gp.p && inject.node == gp.node {
-			err = fmt.Errorf("%w at %s (FailEval)", errInjected, candID(gp))
-		} else {
-			r, err = evalCandidate(tctx, &d, layers, opt.Interface)
+		switch {
+		case inject != nil && inject.size == gp.size && inject.p == gp.p && inject.node == gp.node:
+			err = fmt.Errorf("%w at %s (FailEval)", errInjected, id)
+		case rp.err != nil:
+			err = fmt.Errorf("%w: %w", errUnbuildable, rp.err)
+		default:
+			r, err = evalCandidate(tctx, rp.pl, gp.p)
 		}
 		evalTime := cs.End()
 		if err != nil {
@@ -308,7 +343,7 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 			if errors.Is(err, errUnbuildable) {
 				telUnbuildable.Inc()
 				if telemetry.JournalOn() {
-					telemetry.EmitEventCtx(tctx, telemetry.EvCandidateEval, candID(gp),
+					telemetry.EmitEventCtx(tctx, telemetry.EvCandidateEval, id,
 						map[string]any{"outcome": "unbuildable"})
 				}
 				return nil // infeasible grid point (e.g. weight overflow)
@@ -321,7 +356,7 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 			telemetry.Log().Warn("dse candidate evaluation failed",
 				"size", gp.size, "parallelism", gp.p, "wire_node", gp.node, "err", err)
 			if telemetry.JournalOn() {
-				telemetry.EmitEventCtx(tctx, telemetry.EvCandidateEval, candID(gp), map[string]any{
+				telemetry.EmitEventCtx(tctx, telemetry.EvCandidateEval, id, map[string]any{
 					"outcome": "eval_failed", "err": err.Error(),
 					"eval_us": evalTime.Microseconds(),
 				})
@@ -330,7 +365,8 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 		}
 		telCandidates.Inc()
 		telEvalUS.Observe(float64(evalTime.Microseconds()))
-		c := &Candidate{
+		c := &results[i]
+		*c = Candidate{
 			CrossbarSize: gp.size,
 			Parallelism:  gp.p,
 			WireNode:     gp.node,
@@ -348,28 +384,46 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 			if !c.Feasible {
 				outcome = "infeasible"
 			}
-			telemetry.EmitEventCtx(tctx, telemetry.EvCandidateEval, candID(gp), map[string]any{
+			telemetry.EmitEventCtx(tctx, telemetry.EvCandidateEval, id, map[string]any{
 				"outcome": outcome, "eval_us": evalTime.Microseconds(),
 				"area_mm2": r.AreaMM2, "energy_j": r.EnergyPerSample,
 				"latency_s": r.PipelineCycle, "error_worst": r.ErrorWorst,
 			})
 		}
-		results[i] = c
+		return nil
+	}
+	// One pool task per run: points are generated node → size → p, so each
+	// run is contiguous and its plan is built once.
+	runs := make([]int, 0, len(space.WireNodes)*len(space.CrossbarSizes)+1)
+	for i, gp := range points {
+		if i == 0 || gp.size != points[i-1].size || gp.node != points[i-1].node {
+			runs = append(runs, i)
+		}
+	}
+	runs = append(runs, len(points))
+	err = pool.Run(ctx, len(runs)-1, opt.Workers, func(tctx context.Context, k int) error {
+		rp := runPlan{start: runs[k]}
+		for i := runs[k]; i < runs[k+1]; i++ {
+			if err := explorePoint(tctx, i, &rp); err != nil {
+				return err
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dse: sweep aborted: %w", err)
 	}
-	out := make([]Candidate, 0, len(results))
+	// Compact in place: the write index never passes the read index.
+	out := results[:0]
 	feasible := 0
 	for _, c := range results {
-		if c == nil {
+		if c.CrossbarSize == 0 {
 			continue
 		}
 		if c.Feasible {
 			feasible++
 		}
-		out = append(out, *c)
+		out = append(out, c)
 	}
 	if len(out) == 0 {
 		if failed := evalFailed.Load(); failed > 0 {
