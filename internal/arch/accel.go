@@ -5,15 +5,6 @@ import (
 	"fmt"
 
 	"mnsim/internal/periph"
-	"mnsim/internal/telemetry"
-)
-
-// Report-building telemetry: evaluation count and wall time per report
-// (microseconds). A DSE sweep performs one evaluation per candidate, so
-// this histogram is the behaviour-model cost distribution of the sweep.
-var (
-	telEvaluations = telemetry.GetCounter("mnsim_arch_evaluations_total")
-	telEvalUS      = telemetry.GetHistogram("mnsim_arch_evaluate_us", telemetry.ExponentialBuckets(1, 4, 10))
 )
 
 // Accelerator is the top hierarchy level (Section III.A, Fig. 1b): the
@@ -29,6 +20,12 @@ type Accelerator struct {
 	InIface, OutIface periph.Perf
 
 	errWorst, errAvg float64 // the plan's error chain
+
+	// Storage a plan fills and Plan.Into reuses: the per-parallelism design
+	// copy Design points at, and the units and banks Banks points into.
+	design Design
+	units  []Unit
+	banks  []Bank
 }
 
 // NewAccelerator builds the module tree for the given layer stack, mirroring
@@ -43,7 +40,11 @@ func NewAccelerator(d *Design, layers []LayerDims, interfaceLines [2]int) (*Acce
 	if err != nil {
 		return nil, err
 	}
-	return pl.build(d)
+	a := new(Accelerator)
+	if err := pl.fill(a, d); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // Report is the accelerator-level performance summary printed by the
@@ -72,18 +73,13 @@ func (a *Accelerator) Evaluate() (Report, error) {
 	return a.EvaluateContext(context.Background())
 }
 
-// EvaluateContext is Evaluate with a caller-supplied context: the
-// evaluation span nests under any span already open in ctx (so a DSE sweep
-// attributes the time to the candidate that spent it), and a cancelled
-// context aborts the evaluation between banks with a wrapped ctx.Err().
+// EvaluateContext is Evaluate with a caller-supplied context: a cancelled
+// context aborts the evaluation between banks with a wrapped ctx.Err(). It
+// is plain arithmetic that records no telemetry; a DSE sweep times it, with
+// the accelerator's build, under its candidate span.
+//
+//lint:hotpath
 func (a *Accelerator) EvaluateContext(ctx context.Context) (Report, error) {
-	// Keep the derived context: anything evaluated beneath (and any events
-	// emitted with it) chains under this span in the causal trace.
-	ctx, sp := telemetry.StartSpan(ctx, "arch.evaluate")
-	defer func() {
-		telEvaluations.Inc()
-		telEvalUS.Observe(float64(sp.End().Microseconds()))
-	}()
 	var r Report
 	areaUM2 := a.InIface.Area + a.OutIface.Area
 	staticPower := a.InIface.StaticPower + a.OutIface.StaticPower

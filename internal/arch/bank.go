@@ -50,15 +50,18 @@ func NewBank(d *Design, layer LayerDims) (*Bank, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := pl.build(d)
-	if err != nil {
+	a := new(Accelerator)
+	if err := pl.fill(a, d); err != nil {
 		return nil, err
 	}
 	return a.Banks[0], nil
 }
 
 // build assembles the bank of design d from its plan and its unit, doing
-// the arithmetic that depends on the read parallelism.
+// the arithmetic that depends on the read parallelism. It overwrites every
+// field, so a bank reused across builds keeps nothing of the previous one.
+//
+//lint:hotpath
 func (b *Bank) build(d *Design, bp *bankPlan, u *Unit) {
 	m := bp.mods
 	layer := bp.layer
@@ -100,18 +103,21 @@ func (b *Bank) build(d *Design, bp *bankPlan, u *Unit) {
 		// Stage set: front (decode+DAC+settle), one read pass, unit merge,
 		// adder tree, [pooling], neuron, output buffer.
 		reg := m.reg
-		stageLat := []float64{u.FrontLatency, u.ReadPassLatency, u.MergeLatency,
-			bp.tree.Latency, m.neuron.Latency, outBuf.Latency}
+		// The pooling stage takes the last slot and counts only with
+		// pooling, so the stage set is a fixed array, not an appended slice
+		// that would allocate.
+		stageLat := [...]float64{u.FrontLatency, u.ReadPassLatency, u.MergeLatency,
+			bp.tree.Latency, m.neuron.Latency, outBuf.Latency, pool.Latency}
+		b.Stages = len(stageLat) - 1
 		if layer.PoolK > 1 {
-			stageLat = append(stageLat, pool.Latency)
+			b.Stages++
 		}
-		b.Stages = len(stageLat)
 		bound := reg.Scale(maxInt(b.OutputsPerPass, 1) * (b.Stages - 1))
 		b.PassPerf.Area += bound.Area
 		b.PassPerf.StaticPower += bound.StaticPower
 		b.PassPerf.DynamicEnergy += bound.DynamicEnergy
 		cycle := reg.Latency
-		for _, l := range stageLat {
+		for _, l := range stageLat[:b.Stages] {
 			if l+reg.Latency > cycle {
 				cycle = l + reg.Latency
 			}

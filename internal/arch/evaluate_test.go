@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -596,6 +597,108 @@ func TestEvaluateMatchesReference(t *testing.T) {
 	}
 }
 
+// reusePlans builds one plan per evaluation case and crossbar size at
+// 45 nm, skipping the sizes a case's weights do not fit.
+func reusePlans(t testing.TB) []*arch.Plan {
+	var plans []*arch.Plan
+	for _, c := range evalCases(t) {
+		for _, size := range []int{8, 64, 256, 1024} {
+			pl, err := arch.NewPlan(c.design(size, -1, 45), c.layers, [2]int{128, 128})
+			if err == nil {
+				plans = append(plans, pl)
+			}
+		}
+	}
+	return plans
+}
+
+// TestIntoReusesStorage walks one accelerator through a shuffled sequence
+// of (plan, parallelism) pairs — VGG-16, the large bank and the other cases,
+// pipelined and not, so its unit and bank storage grows and shrinks — and
+// pins every fill to a fresh At by bits: the report, every exported Bank and
+// Unit field and every breakdown class. An out-of-range parallelism in the
+// sequence must fail and leave the next fill whole.
+func TestIntoReusesStorage(t *testing.T) {
+	type pair struct {
+		pl *arch.Plan
+		p  int
+	}
+	var pairs []pair
+	plans := reusePlans(t)
+	pipelined := 0
+	for _, pl := range plans {
+		if pl.Design.InnerPipeline {
+			pipelined++
+		}
+		for _, p := range append(parallelisms(pl.Design.CrossbarSize), -1) {
+			pairs = append(pairs, pair{pl, p})
+		}
+	}
+	if pipelined == 0 || pipelined == len(plans) {
+		t.Fatal("want plans with the inner pipeline both on and off")
+	}
+	rng := rand.New(rand.NewSource(20))
+	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	var a arch.Accelerator
+	for k, pr := range pairs {
+		name := fmt.Sprintf("pair %d: size %d p %d", k, pr.pl.Design.CrossbarSize, pr.p)
+		want, wantErr := pr.pl.At(pr.p)
+		err := pr.pl.Into(&a, pr.p)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s: Into error %v, At error %v", name, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		got, err := a.EvaluateContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := want.EvaluateContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reportBits(got) != reportBits(ref) {
+			t.Fatalf("%s: report %+v, fresh %+v", name, got, ref)
+		}
+		if diff := diffBits("accelerator", reflect.ValueOf(&a), reflect.ValueOf(want)); diff != "" {
+			t.Fatalf("%s: %s", name, diff)
+		}
+		for i, b := range a.Banks {
+			gotBD, wantBD := b.Breakdown(), want.Banks[i].Breakdown()
+			for _, class := range arch.Classes() {
+				if diff := diffBits(string(class), reflect.ValueOf(gotBD[class]), reflect.ValueOf(wantBD[class])); diff != "" {
+					t.Fatalf("%s: bank %d breakdown %s", name, i, diff)
+				}
+			}
+		}
+	}
+}
+
+// TestIntoAllocatesNothing: once an accelerator has grown to the largest
+// plan, filling and evaluating it allocates nothing, for every plan.
+func TestIntoAllocatesNothing(t *testing.T) {
+	plans := reusePlans(t)
+	var a arch.Accelerator
+	ctx := context.Background()
+	run := func() {
+		for _, pl := range plans {
+			for _, p := range []int{0, 1, 4} {
+				if err := pl.Into(&a, p); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := a.EvaluateContext(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Fatalf("Into plus EvaluateContext on a warmed accelerator: %v allocs per sweep of %d plans, want 0", allocs, len(plans))
+	}
+}
+
 // TestPlanLeavesParallelismToAt: a plan validates its design but not the
 // parallelism, so one bad grid point cannot poison the others built from it.
 func TestPlanLeavesParallelismToAt(t *testing.T) {
@@ -647,7 +750,8 @@ func TestAcceleratorSharesUnits(t *testing.T) {
 
 // BenchmarkEvaluate times one DSE candidate, VGG-16 on the Table VI base
 // design: NewAccelerator plus EvaluateContext (vgg16/<size>), and its two
-// halves, NewPlan (plan/...) and Plan.At plus EvaluateContext (at-p/...).
+// halves, NewPlan (plan/...) and Plan.Into plus EvaluateContext on one
+// reused accelerator (at-p/...), which allocates nothing.
 func BenchmarkEvaluate(b *testing.B) {
 	vgg := evalCases(b)[0]
 	iface := [2]int{128, 128}
@@ -678,11 +782,11 @@ func BenchmarkEvaluate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var a arch.Accelerator
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a, err := pl.At(d.Parallelism)
-				if err != nil {
+				if err := pl.Into(&a, d.Parallelism); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := a.EvaluateContext(context.Background()); err != nil {

@@ -13,13 +13,14 @@ import (
 // scale with the read circuits, the crossbar figures, the I/O interfaces and
 // the network's error chain (Eq. 12–15, which depend on the crossbar, the
 // layer shapes and the ADC precision only). A design-space sweep builds one
-// plan per (wire node, crossbar size) and derives each parallelism's
-// accelerator from it with At; NewAccelerator, NewBank and NewUnit run
-// through the same two steps, so every module formula lives in one place.
+// plan per (wire node, crossbar size) and fills each parallelism's
+// accelerator from it with Into, into storage the run reuses; At,
+// NewAccelerator, NewBank and NewUnit run through the same two steps, so
+// every module formula lives in one place.
 type Plan struct {
 	// Design is the planned design; it must not change while the plan is
-	// in use. Its Parallelism is not validated and not used: At supplies
-	// the parallelism.
+	// in use. Its Parallelism is not validated and not used: At and Into
+	// supply the parallelism.
 	Design *Design
 
 	mods   modules
@@ -114,41 +115,69 @@ func newPlan(d *Design, layers []LayerDims) (*Plan, error) {
 	return pl, nil
 }
 
-// At builds the accelerator of the plan's design at read parallelism p.
+// At builds the accelerator of the plan's design at read parallelism p in
+// new storage.
 func (pl *Plan) At(p int) (*Accelerator, error) {
-	d := *pl.Design
-	d.Parallelism = p
-	if err := d.validateParallelism(); err != nil {
+	a := new(Accelerator)
+	if err := pl.Into(a, p); err != nil {
 		return nil, err
 	}
-	return pl.build(&d)
+	return a, nil
 }
 
-// build derives the accelerator of design d, which must equal the plan's
-// design apart from its Parallelism: one unit per block shape, shared by the
-// banks of that shape, then the banks.
-func (pl *Plan) build(d *Design) (*Accelerator, error) {
-	units := make([]Unit, len(pl.shapes))
+// Into rebuilds a as the accelerator of the plan's design at read
+// parallelism p. It reuses a's design copy, units and banks, growing them
+// only when the plan needs more, so a sweep that fills one accelerator per
+// candidate allocates nothing once the accelerator has grown. Everything a
+// filled accelerator holds, and every Bank, Unit and Breakdown reached
+// through it, is valid only until the next Into on a; on error a is left
+// invalid.
+//
+//lint:hotpath
+func (pl *Plan) Into(a *Accelerator, p int) error {
+	a.design = *pl.Design
+	a.design.Parallelism = p
+	if err := a.design.validateParallelism(); err != nil {
+		return err
+	}
+	return pl.fill(a, &a.design)
+}
+
+// fill builds into a the accelerator of design d, which must equal the
+// plan's design apart from its Parallelism: one unit per block shape, shared
+// by the banks of that shape, then the banks.
+//
+//lint:hotpath
+func (pl *Plan) fill(a *Accelerator, d *Design) error {
+	if cap(a.units) < len(pl.shapes) {
+		//lint:ignore noalloc grows only when a plan needs more than the accelerator holds; later fills reuse it
+		a.units = make([]Unit, len(pl.shapes))
+	}
+	a.units = a.units[:len(pl.shapes)]
 	for i, s := range pl.shapes {
-		if err := units[i].build(d, &pl.mods, s[0], s[1]); err != nil {
-			return nil, err
+		if err := a.units[i].build(d, &pl.mods, s[0], s[1]); err != nil {
+			return err
 		}
 	}
-	banks := make([]Bank, len(pl.banks))
-	a := &Accelerator{
-		Design:   d,
-		Banks:    make([]*Bank, len(pl.banks)),
-		InIface:  pl.inIface,
-		OutIface: pl.outIface,
-		errWorst: pl.errWorst,
-		errAvg:   pl.errAvg,
+	if cap(a.banks) < len(pl.banks) {
+		//lint:ignore noalloc grows only when a plan needs more than the accelerator holds; later fills reuse it
+		a.banks = make([]Bank, len(pl.banks))
 	}
+	a.banks = a.banks[:len(pl.banks)]
+	if cap(a.Banks) < len(pl.banks) {
+		//lint:ignore noalloc grows only when a plan needs more than the accelerator holds; later fills reuse it
+		a.Banks = make([]*Bank, len(pl.banks))
+	}
+	a.Banks = a.Banks[:len(pl.banks)]
+	a.Design = d
+	a.InIface, a.OutIface = pl.inIface, pl.outIface
+	a.errWorst, a.errAvg = pl.errWorst, pl.errAvg
 	for i := range pl.banks {
 		bp := &pl.banks[i]
-		banks[i].build(d, bp, &units[bp.shape])
-		a.Banks[i] = &banks[i]
+		a.banks[i].build(d, bp, &a.units[bp.shape])
+		a.Banks[i] = &a.banks[i]
 	}
-	return a, nil
+	return nil
 }
 
 // init builds the design's shared modules.

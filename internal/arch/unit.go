@@ -68,7 +68,10 @@ func NewUnit(d *Design, rows, cols int) (*Unit, error) {
 
 // build assembles the unit of design d for a rows×cols weight block from the
 // design's shared modules, doing the arithmetic that depends on the read
-// parallelism.
+// parallelism. It overwrites every field, so a unit reused across builds
+// keeps nothing of the previous one.
+//
+//lint:hotpath
 func (u *Unit) build(d *Design, m *modules, rows, cols int) error {
 	physCols := cols * d.CellsPerWeight()
 	*u = Unit{

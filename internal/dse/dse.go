@@ -70,7 +70,7 @@ type Candidate struct {
 	// EvalTime is the wall time spent building and evaluating this design
 	// point, from the dse.explore/candidate telemetry span. The first
 	// candidate of each (wire node, crossbar size) run also pays for the
-	// run's arch.Plan.
+	// run's arch.Plan and for growing the run's accelerator storage.
 	EvalTime time.Duration
 }
 
@@ -141,10 +141,10 @@ type Options struct {
 	// evaluation: the given number of integer-mix rounds (a splitmix64-style
 	// finalizer) seeded from the grid point, folded into an atomic sink so
 	// the loop cannot be optimised away. A behaviour-level evaluation
-	// (Plan.At plus EvaluateContext) costs from ~1 µs (the one-layer large
-	// bank) to ~3 µs (VGG-16, BenchmarkEvaluate's at-p in internal/arch) on
-	// a 2-CPU Xeon, plus ~7–13 µs for VGG-16's plan once per (wire node,
-	// crossbar size) run. The cost varies with the design and with a
+	// (Plan.Into plus EvaluateContext on the run's reused accelerator)
+	// costs from ~0.13 µs (the one-layer large bank) to ~0.8–1 µs (VGG-16,
+	// BenchmarkEvaluate's at-p in internal/arch) on a 2-CPU Xeon, plus
+	// ~6–10 µs for VGG-16's plan once per (wire node, crossbar size) run. The cost varies with the design and with a
 	// candidate's place in its run, so scheduling benchmarks
 	// (BenchmarkExplore) use this knob to give each candidate a measurable,
 	// uniform, machine-independent cost. Zero disables it; the spin never
@@ -216,34 +216,37 @@ type gridPoint struct {
 	wire          tech.WireTech
 }
 
-// errUnbuildable tags arch.NewPlan and Plan.At failures (grid points
+// errUnbuildable tags arch.NewPlan and Plan.Into failures (grid points
 // outside the buildable space) apart from genuine evaluation failures.
 var errUnbuildable = errors.New("unbuildable design point")
 
-// evalCandidate builds and evaluates the accelerator of one grid point from
-// its run's plan; a package variable so tests can inject evaluation failures
-// without constructing a degenerate design.
-var evalCandidate = func(ctx context.Context, pl *arch.Plan, p int) (arch.Report, error) {
-	a, err := pl.At(p)
-	if err != nil {
+// evalCandidate builds the accelerator of one grid point from its run's
+// plan into the run's reused accelerator a and evaluates it; a package
+// variable so tests can inject evaluation failures without constructing a
+// degenerate design.
+var evalCandidate = func(ctx context.Context, pl *arch.Plan, p int, a *arch.Accelerator) (arch.Report, error) {
+	if err := pl.Into(a, p); err != nil {
 		return arch.Report{}, fmt.Errorf("%w: %w", errUnbuildable, err)
 	}
 	return a.EvaluateContext(ctx)
 }
 
-// runPlan is the plan shared by one run of grid points: the points of one
-// (wire node, crossbar size) pair, which differ only in parallelism. The
-// run's first candidate builds it.
+// runPlan is the plan and the accelerator storage shared by one run of grid
+// points: the points of one (wire node, crossbar size) pair, which differ
+// only in parallelism. The run's first candidate builds the plan; each
+// candidate refills the accelerator, of which it keeps only the Report.
 type runPlan struct {
 	start int // index of the run's first point
 	pl    *arch.Plan
 	err   error
+	acc   arch.Accelerator
 }
 
 // Explore traverses the space, evaluating one accelerator per grid point on
 // a bounded worker pool (Options.Workers). The grid points of one (wire
 // node, crossbar size) pair form a run: one pool task builds the run's
-// arch.Plan once and derives each parallelism's accelerator from it. The
+// arch.Plan once and fills each parallelism's accelerator from it into one
+// arch.Accelerator the run reuses. The
 // base design supplies everything except the three swept parameters. Grid
 // points that cannot be built (e.g. a crossbar too small for one weight,
 // which makes its whole run unbuildable) are skipped silently —
@@ -331,7 +334,7 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 		case rp.err != nil:
 			err = fmt.Errorf("%w: %w", errUnbuildable, rp.err)
 		default:
-			r, err = evalCandidate(tctx, rp.pl, gp.p)
+			r, err = evalCandidate(tctx, rp.pl, gp.p, &rp.acc)
 		}
 		evalTime := cs.End()
 		if err != nil {

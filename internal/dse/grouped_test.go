@@ -161,9 +161,9 @@ func TestExploreCancelWithinRun(t *testing.T) {
 	defer cancel()
 	const cancelAt = 3 // the third candidate of the first run
 	calls := 0
-	evalCandidate = func(ctx context.Context, pl *arch.Plan, p int) (arch.Report, error) {
+	evalCandidate = func(ctx context.Context, pl *arch.Plan, p int, a *arch.Accelerator) (arch.Report, error) {
 		calls++
-		r, err := orig(ctx, pl, p)
+		r, err := orig(ctx, pl, p, a)
 		if calls == cancelAt {
 			cancel()
 		}

@@ -21,13 +21,13 @@ import (
 // slow stub via the evalCandidate package variable.
 func TestExploreLiveProgress(t *testing.T) {
 	saved := evalCandidate
-	evalCandidate = func(ctx context.Context, pl *arch.Plan, p int) (arch.Report, error) {
+	evalCandidate = func(ctx context.Context, pl *arch.Plan, p int, a *arch.Accelerator) (arch.Report, error) {
 		select {
 		case <-time.After(5 * time.Millisecond):
 		case <-ctx.Done():
 			return arch.Report{}, ctx.Err()
 		}
-		return saved(ctx, pl, p)
+		return saved(ctx, pl, p, a)
 	}
 	defer func() { evalCandidate = saved }()
 

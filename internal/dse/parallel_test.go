@@ -55,11 +55,11 @@ func TestExploreCancelled(t *testing.T) {
 func TestExploreToleratesEvalFailure(t *testing.T) {
 	orig := evalCandidate
 	defer func() { evalCandidate = orig }()
-	evalCandidate = func(ctx context.Context, pl *arch.Plan, p int) (arch.Report, error) {
+	evalCandidate = func(ctx context.Context, pl *arch.Plan, p int, a *arch.Accelerator) (arch.Report, error) {
 		if pl.Design.CrossbarSize == 64 {
 			return arch.Report{}, fmt.Errorf("injected failure")
 		}
-		return orig(ctx, pl, p)
+		return orig(ctx, pl, p, a)
 	}
 	cands, err := Explore(context.Background(), baseDesign(), largeLayer, smallSpace(), Options{ErrorLimit: 0.25})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestExploreToleratesEvalFailure(t *testing.T) {
 func TestExploreAllEvalFailed(t *testing.T) {
 	orig := evalCandidate
 	defer func() { evalCandidate = orig }()
-	evalCandidate = func(ctx context.Context, pl *arch.Plan, p int) (arch.Report, error) {
+	evalCandidate = func(ctx context.Context, pl *arch.Plan, p int, a *arch.Accelerator) (arch.Report, error) {
 		return arch.Report{}, fmt.Errorf("injected failure")
 	}
 	_, err := Explore(context.Background(), baseDesign(), largeLayer, smallSpace(), Options{ErrorLimit: 0.25})
@@ -142,13 +142,13 @@ func TestSpinDeterministic(t *testing.T) {
 }
 
 // BenchmarkExplore measures sweep scheduling. Evaluating one large-bank
-// design takes ~1 µs on a 2-CPU Xeon once its run's plan is built (a
-// VGG-16 design ~3 µs plus a 7–13 µs plan per run, see BenchmarkEvaluate
-// in internal/arch), too little per candidate for the bare sweep to show
-// pool scaling. EvalSpin injects a deterministic ~20 µs of integer mixing
-// per candidate (the cost of a small circuit-level validation solve) which
-// makes the workers=1 vs workers=4 comparison a real measurement of the
-// pool; spin work never changes the results.
+// design takes ~0.13 µs on a 2-CPU Xeon once its run's plan is built (a
+// VGG-16 design ~0.8–1 µs plus a 6–10 µs plan per run, see
+// BenchmarkEvaluate in internal/arch), too little per candidate for the
+// bare sweep to show pool scaling. EvalSpin injects a deterministic ~20 µs
+// of integer mixing per candidate (the cost of a small circuit-level
+// validation solve) which makes the workers=1 vs workers=4 comparison a
+// real measurement of the pool; spin work never changes the results.
 func BenchmarkExplore(b *testing.B) {
 	base := baseDesign()
 	space := DefaultSpace()
