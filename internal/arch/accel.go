@@ -84,9 +84,14 @@ func (a *Accelerator) EvaluateContext(ctx context.Context) (Report, error) {
 	areaUM2 := a.InIface.Area + a.OutIface.Area
 	staticPower := a.InIface.StaticPower + a.OutIface.StaticPower
 	r.SampleLatency = a.InIface.Latency + a.OutIface.Latency
+	// Poll the Done channel per bank, as pool.Run does: a non-blocking
+	// receive takes no lock, while ctx.Err takes the context's mutex.
+	done := ctx.Done()
 	for _, b := range a.Banks {
-		if err := ctx.Err(); err != nil {
-			return Report{}, fmt.Errorf("arch: evaluation aborted: %w", err)
+		select {
+		case <-done:
+			return Report{}, fmt.Errorf("arch: evaluation aborted: %w", ctx.Err())
+		default:
 		}
 		areaUM2 += b.PassPerf.Area
 		staticPower += b.PassPerf.StaticPower

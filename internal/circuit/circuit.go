@@ -373,7 +373,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 		return nil, err
 	}
 	o := &solveObserver{ctx: ctx, span: sp, traced: telemetry.TraceEventsOn()}
-	r := &solveRun{c: c, opt: opt, st: opt.State, diag: &Diagnostics{Path: pathNewtonCG, Cost: &CostModel{}}}
+	r := &solveRun{c: c, opt: opt, st: opt.State, work: opt.State.cgWork(), diag: &Diagnostics{Path: pathNewtonCG, Cost: &CostModel{}}}
 	var res *Result
 	switch {
 	case c.WireR == 0:
@@ -436,6 +436,7 @@ type solveRun struct {
 	c    *Crossbar
 	opt  SolveOptions
 	st   *SolverState
+	work *linalg.CGWork // shared by the run's CG calls: the state's, else the run's own
 	diag *Diagnostics
 	a    *assembly
 	pre  *linalg.BlockJacobi
@@ -520,7 +521,7 @@ func (r *solveRun) setup() error {
 }
 
 func (r *solveRun) cgOptions() linalg.CGOptions {
-	return linalg.CGOptions{Tol: r.opt.CGTol, Ops: &r.diag.Cost.CGLoop, Precond: r.pre, Work: r.st.cgWork()}
+	return linalg.CGOptions{Tol: r.opt.CGTol, Ops: &r.diag.Cost.CGLoop, Precond: r.pre, Work: r.work}
 }
 
 // newton iterates companion-model restamps and linear solves until the max

@@ -65,11 +65,11 @@ func (s *SolverState) WarmV() []float64 {
 	return append([]float64(nil), s.v...)
 }
 
-// cgWork returns the state's reusable CG scratch; nil for a nil state, so
-// stateless solves keep their historical per-call allocations.
+// cgWork returns the state's reusable CG scratch. A nil state gets a fresh
+// one, which the stateless solve then owns and shares across its CG calls.
 func (s *SolverState) cgWork() *linalg.CGWork {
 	if s == nil {
-		return nil
+		return new(linalg.CGWork)
 	}
 	return &s.work
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // The flight recorder: an append-only JSONL event journal plus a bounded
-// in-memory ring buffer. Where the metrics registry aggregates ("1 of
+// in-memory ring of its lines. Where the metrics registry aggregates ("1 of
 // 10,220 candidates failed") and the tracer aggregates wall time, the
 // journal keeps the *individual* events — this solve diverged at iteration
 // 50 with this residual trajectory, that candidate failed with this error —
@@ -121,25 +121,24 @@ type Event struct {
 const DefaultJournalRing = 4096
 
 // Journal is the event recorder. All methods are safe for concurrent use.
-// A Journal records into its ring buffer always, and additionally appends
-// JSONL to a backing file when opened with Open. The zero-value-disabled
-// default instance is reached through the package-level helpers
-// (EmitEvent, JournalOn); instrumented packages use those, so enabling the
-// default journal is enough to capture events process-wide.
+// A Journal encodes every event once, keeps the line in its ring buffer,
+// and additionally appends it to a backing file when opened with Open. The
+// zero-value-disabled default instance is reached through the package-level
+// helpers (EmitEvent, JournalOn); instrumented packages use those, so
+// enabling the default journal is enough to capture events process-wide.
 type Journal struct {
 	enabled atomic.Bool
 
-	mu      sync.Mutex
-	f       *os.File
-	path    string
-	seq     int64
-	total   int64
-	dropped int64
-	ring    []Event
-	ringCap int
-	tool    string
-	seed    *int64
-	snaps   int
+	mu   sync.Mutex
+	f    *os.File
+	path string
+	seq  int64
+	// ring holds the last events as their encoded lines, without the
+	// newline: the exact bytes the file gets.
+	ring  ring[json.RawMessage]
+	tool  string
+	seed  *int64
+	snaps int
 }
 
 // NewJournal returns a disabled journal with the given ring capacity
@@ -148,7 +147,7 @@ func NewJournal(ringCap int) *Journal {
 	if ringCap <= 0 {
 		ringCap = DefaultJournalRing
 	}
-	return &Journal{ringCap: ringCap}
+	return &Journal{ring: ring[json.RawMessage]{size: ringCap}}
 }
 
 var defaultJournal = NewJournal(DefaultJournalRing)
@@ -233,10 +232,10 @@ func (j *Journal) Meta() (tool string, seed *int64) {
 	return j.tool, j.seed
 }
 
-// Emit records one event: appended to the ring buffer and, when a file is
-// open, written as one complete JSONL line in a single Write call (the
-// crash-safety contract). A failed file write is logged once and recording
-// continues ring-only.
+// Emit records one event: encoded once into its JSONL line, which is
+// appended to the ring buffer and, when a file is open, written in a single
+// Write call (the crash-safety contract). A failed file write is logged
+// once and recording continues ring-only.
 func (j *Journal) Emit(typ EventType, id string, data map[string]any) {
 	if !j.enabled.Load() {
 		return
@@ -253,32 +252,22 @@ func (j *Journal) Emit(typ EventType, id string, data map[string]any) {
 	now := time.Now().UnixNano()
 	j.mu.Lock()
 	j.seq++
-	ev := Event{Seq: j.seq, TNS: now, Type: typ, ID: id, Data: data}
-	j.total++
-	if len(j.ring) < j.ringCap {
-		j.ring = append(j.ring, ev)
-	} else {
-		// Overwrite the oldest slot; ring order is reconstructed from Seq.
-		copy(j.ring, j.ring[1:])
-		j.ring[len(j.ring)-1] = ev
-		j.dropped++
+	line, err := json.Marshal(Event{Seq: j.seq, TNS: now, Type: typ, ID: id, Data: data})
+	if err == nil {
+		// The newline appended below lands past the ring's slice, whose
+		// length stays that of the line.
+		j.ring.push(line)
 	}
 	f := j.f
-	var line []byte
-	var merr error
-	if f != nil {
-		line, merr = json.Marshal(ev)
-	}
 	j.mu.Unlock()
+	if err != nil {
+		Log().Warn("journal event marshal failed", "type", string(typ), "err", err)
+		return
+	}
 	if f == nil {
 		return
 	}
-	if merr != nil {
-		Log().Warn("journal event marshal failed", "type", string(typ), "err", merr)
-		return
-	}
-	line = append(line, '\n')
-	if _, err := f.Write(line); err != nil {
+	if _, err := f.Write(append(line, '\n')); err != nil {
 		Log().Warn("journal write failed, continuing ring-only", "err", err)
 		j.mu.Lock()
 		if j.f == f {
@@ -322,26 +311,23 @@ func (j *Journal) SaveSnapshot(kind string, payload any) (string, error) {
 
 // eventsJSON is the /events payload.
 type eventsJSON struct {
-	Enabled bool    `json:"enabled"`
-	Total   int64   `json:"total"`
-	Dropped int64   `json:"dropped"`
-	Events  []Event `json:"events"`
+	Enabled bool              `json:"enabled"`
+	Total   int64             `json:"total"`
+	Dropped int64             `json:"dropped"`
+	Events  []json.RawMessage `json:"events"`
 }
 
-// WriteEventsJSON writes the ring buffer (oldest first) with total and
-// dropped counts — the /events endpoint body.
+// WriteEventsJSON writes the ring buffer's lines (oldest first) with total
+// and dropped counts — the /events endpoint body.
 func (j *Journal) WriteEventsJSON(w io.Writer) error {
 	j.mu.Lock()
 	out := eventsJSON{
 		Enabled: j.enabled.Load(),
-		Total:   j.total,
-		Dropped: j.dropped,
-		Events:  append([]Event(nil), j.ring...),
+		Total:   j.seq, // every Emit takes the next seq
+		Dropped: j.ring.dropped,
+		Events:  j.ring.snapshot(),
 	}
 	j.mu.Unlock()
-	if out.Events == nil {
-		out.Events = []Event{}
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
@@ -351,7 +337,7 @@ func (j *Journal) WriteEventsJSON(w io.Writer) error {
 // helper, not part of the recording lifecycle.
 func (j *Journal) Reset() {
 	j.mu.Lock()
-	j.ring, j.seq, j.total, j.dropped, j.snaps = nil, 0, 0, 0, 0
+	j.ring, j.seq, j.snaps = ring[json.RawMessage]{size: j.ring.size}, 0, 0
 	j.tool, j.seed = "", nil
 	j.mu.Unlock()
 }

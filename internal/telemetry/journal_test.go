@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -202,40 +203,20 @@ func TestJournalReaderRejectsMidFileCorruption(t *testing.T) {
 	}
 }
 
-// The ring buffer bounds memory: old events drop, the drop is counted, and
-// the file still holds everything.
+// The ring buffer bounds memory: old events drop, the drop is counted, the
+// file still holds everything, and the ring serves the file's own bytes.
 func TestJournalRingBounded(t *testing.T) {
-	j, path := newTestJournal(t, 4)
+	const ringCap = 4
+	j, path := newTestJournal(t, ringCap)
 	for i := 0; i < 10; i++ {
-		j.Emit(EvPhase, "", map[string]any{"i": i})
+		j.Emit(EvPhase, "", map[string]any{"i": i, "tag": "<&>"})
 	}
-	var sb strings.Builder
-	if err := j.WriteEventsJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Enabled bool    `json:"enabled"`
-		Total   int64   `json:"total"`
-		Dropped int64   `json:"dropped"`
-		Events  []Event `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Events) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(out.Events))
+	out := readEvents(t, j)
+	if len(out.Events) != ringCap {
+		t.Fatalf("ring holds %d, want %d", len(out.Events), ringCap)
 	}
 	if out.Total != 11 || out.Dropped != 7 { // header + 10 emits, cap 4
 		t.Fatalf("total %d dropped %d, want 11/7", out.Total, out.Dropped)
-	}
-	// Ring keeps the most recent events in order.
-	for i := 1; i < len(out.Events); i++ {
-		if out.Events[i].Seq != out.Events[i-1].Seq+1 {
-			t.Fatalf("ring out of order: %d after %d", out.Events[i].Seq, out.Events[i-1].Seq)
-		}
-	}
-	if out.Events[len(out.Events)-1].Seq != 11 {
-		t.Fatalf("newest ring seq %d, want 11", out.Events[len(out.Events)-1].Seq)
 	}
 	j.Close()
 	events, err := ReadJournalFile(path)
@@ -245,6 +226,115 @@ func TestJournalRingBounded(t *testing.T) {
 	if len(events) != 11 {
 		t.Fatalf("file holds %d events, want all 11", len(events))
 	}
+	// The ring holds the file's last lines, byte for byte once the
+	// endpoint's indentation is compacted away.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	for i, ev := range out.Events {
+		var c bytes.Buffer
+		if err := json.Compact(&c, ev); err != nil {
+			t.Fatal(err)
+		}
+		if want := lines[len(lines)-ringCap+i]; c.String() != want {
+			t.Fatalf("ring event %d:\n got %s\nwant %s", i, c.String(), want)
+		}
+	}
+
+	// Emitters wrapping the ring while /events is read: every snapshot is
+	// cap complete lines in seq order, and the counts add up at the end.
+	j2, _ := newTestJournal(t, ringCap)
+	const workers, perWorker = 4, 200
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	read := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				read <- nil
+				return
+			default:
+			}
+			var sb strings.Builder
+			var body eventsBody
+			err := j2.WriteEventsJSON(&sb)
+			if err == nil {
+				err = json.Unmarshal([]byte(sb.String()), &body)
+			}
+			if err == nil && len(body.Events) > ringCap {
+				err = fmt.Errorf("snapshot holds %d events, cap %d", len(body.Events), ringCap)
+			}
+			if err == nil {
+				_, err = lastSeq(body)
+			}
+			if err != nil {
+				read <- err
+				return
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				j2.Emit(EvMCTrial, fmt.Sprintf("w%d", w), map[string]any{"trial": i})
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	out = readEvents(t, j2)
+	if want := int64(workers*perWorker + 1); out.Total != want || out.Dropped != want-ringCap {
+		t.Fatalf("total %d dropped %d, want %d/%d", out.Total, out.Dropped, want, want-ringCap)
+	}
+	if last, err := lastSeq(out); err != nil || len(out.Events) != ringCap || last != out.Total {
+		t.Fatalf("ring holds %d events up to seq %d (%v), want %d up to %d", len(out.Events), last, err, ringCap, out.Total)
+	}
+}
+
+// lastSeq checks that the /events lines parse and carry consecutive seqs,
+// and returns the newest one.
+func lastSeq(body eventsBody) (int64, error) {
+	var last int64
+	for i, raw := range body.Events {
+		var e Event
+		if err := json.Unmarshal(raw, &e); err != nil {
+			return 0, err
+		}
+		if i > 0 && e.Seq != last+1 {
+			return 0, fmt.Errorf("seq %d after %d", e.Seq, last)
+		}
+		last = e.Seq
+	}
+	return last, nil
+}
+
+// eventsBody is the /events payload as a client decodes it.
+type eventsBody struct {
+	Enabled bool              `json:"enabled"`
+	Total   int64             `json:"total"`
+	Dropped int64             `json:"dropped"`
+	Events  []json.RawMessage `json:"events"`
+}
+
+func readEvents(t *testing.T, j *Journal) eventsBody {
+	t.Helper()
+	var sb strings.Builder
+	if err := j.WriteEventsJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var out eventsBody
+	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // Disabled journal: Emit is a cheap no-op, SaveSnapshot declines.
@@ -334,5 +424,38 @@ func TestServeMuxEvents(t *testing.T) {
 	}
 	if out.Events[0].ID != "cand-8x2@45" {
 		t.Fatalf("event id %q", out.Events[0].ID)
+	}
+}
+
+// BenchmarkJournalEmit times one Emit into an already full ring, ring-only
+// and file-backed. A push is O(1), so ns/op should not grow with capacity.
+func BenchmarkJournalEmit(b *testing.B) {
+	data := map[string]any{"iter": 3, "max_dv": 1.5e-7, "cg_iters": 12}
+	for _, ringCap := range []int{64, DefaultJournalRing} {
+		for _, file := range []bool{false, true} {
+			name := fmt.Sprintf("cap%d/ring-only", ringCap)
+			if file {
+				name = fmt.Sprintf("cap%d/file", ringCap)
+			}
+			b.Run(name, func(b *testing.B) {
+				j := NewJournal(ringCap)
+				if file {
+					if err := j.Open(filepath.Join(b.TempDir(), "journal.jsonl")); err != nil {
+						b.Fatal(err)
+					}
+				} else {
+					j.EnableRing()
+				}
+				defer j.Close()
+				for i := 0; i < ringCap; i++ {
+					j.Emit(EvNewtonIter, "solve-1", data)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					j.Emit(EvNewtonIter, "solve-1", data)
+				}
+			})
+		}
 	}
 }

@@ -184,7 +184,7 @@ var (
 type ResourceSampler struct {
 	mu      sync.Mutex
 	cfg     ResourceConfig
-	ring    []ResourceSample
+	ring    ring[ResourceSample]
 	total   int64
 	rollup  ResourceRollup
 	first   *ResourceSample // baseline for run-scoped totals
@@ -235,7 +235,7 @@ func (s *ResourceSampler) Start(ctx context.Context, cfg ResourceConfig) error {
 		return fmt.Errorf("telemetry: resource sampler already running")
 	}
 	s.cfg = cfg
-	s.ring = s.ring[:0]
+	s.ring = ring[ResourceSample]{size: cfg.RingCap}
 	s.total = 0
 	s.rollup = ResourceRollup{IntervalMS: cfg.Interval.Milliseconds()}
 	s.first = nil
@@ -363,12 +363,7 @@ func (s *ResourceSampler) tick(now time.Time) {
 	s.prevCycles, s.prevPauseNS = smp.GCCycles, smp.GCPauseTotalNS
 
 	s.mu.Lock()
-	if len(s.ring) < s.cfg.RingCap {
-		s.ring = append(s.ring, smp)
-	} else {
-		copy(s.ring, s.ring[1:])
-		s.ring[len(s.ring)-1] = smp
-	}
+	s.ring.push(smp)
 	s.total++
 	if s.first == nil {
 		f := smp
@@ -616,7 +611,7 @@ func (s *ResourceSampler) Rollup() *ResourceRollup {
 func (s *ResourceSampler) Samples() []ResourceSample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]ResourceSample(nil), s.ring...)
+	return s.ring.snapshot()
 }
 
 // resourcesJSON is the /resources.json payload.
@@ -631,16 +626,13 @@ func (s *ResourceSampler) WriteJSON(w io.Writer) error {
 	s.mu.Lock()
 	out := resourcesJSON{
 		Enabled: s.running,
-		Samples: append([]ResourceSample(nil), s.ring...),
+		Samples: s.ring.snapshot(),
 	}
 	if s.ran {
 		r := s.rollup
 		out.Rollup = &r
 	}
 	s.mu.Unlock()
-	if out.Samples == nil {
-		out.Samples = []ResourceSample{}
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)

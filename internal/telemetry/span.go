@@ -22,14 +22,11 @@ type Tracer struct {
 	// Causal-trace state (trace.go): the run's trace ID, a counter
 	// discriminating sequentially started root spans, and the bounded ring
 	// of completed span records behind EnableTraceEvents.
-	traceID   atomic.Uint64
-	rootSeq   atomic.Int64
-	eventsOn  atomic.Bool
-	evMu      sync.Mutex
-	events    []SpanRecord
-	evHead    int
-	evCap     int
-	evDropped int64
+	traceID  atomic.Uint64
+	rootSeq  atomic.Int64
+	eventsOn atomic.Bool
+	evMu     sync.Mutex
+	events   ring[SpanRecord]
 }
 
 type spanAgg struct {

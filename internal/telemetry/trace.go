@@ -138,15 +138,15 @@ type SpanRecord struct {
 
 // EnableTraceEvents starts recording completed spans into the bounded
 // in-memory ring (capacity <= 0 selects DefaultTraceEventCap; the capacity
-// of an already-allocated ring is kept). ID derivation happens regardless —
+// of an already-sized ring is kept). ID derivation happens regardless —
 // this only gates the per-span record retention.
 func (t *Tracer) EnableTraceEvents(capacity int) {
 	t.evMu.Lock()
-	if t.evCap == 0 {
+	if t.events.size == 0 {
 		if capacity <= 0 {
 			capacity = DefaultTraceEventCap
 		}
-		t.evCap = capacity
+		t.events.size = capacity
 	}
 	t.evMu.Unlock()
 	t.eventsOn.Store(true)
@@ -171,16 +171,10 @@ func DisableTraceEvents() { defaultTracer.DisableTraceEvents() }
 func TraceEventsOn() bool { return defaultTracer.TraceEventsOn() }
 
 // recordEvent appends a completed span to the ring, overwriting the oldest
-// record when full (circular indexing — no per-overflow copying).
+// record when full.
 func (t *Tracer) recordEvent(r SpanRecord) {
 	t.evMu.Lock()
-	if len(t.events) < t.evCap {
-		t.events = append(t.events, r)
-	} else if t.evCap > 0 {
-		t.events[t.evHead] = r
-		t.evHead = (t.evHead + 1) % t.evCap
-		t.evDropped++
-	}
+	t.events.push(r)
 	t.evMu.Unlock()
 }
 
@@ -189,16 +183,13 @@ func (t *Tracer) recordEvent(r SpanRecord) {
 func (t *Tracer) TraceEvents() (records []SpanRecord, dropped int64) {
 	t.evMu.Lock()
 	defer t.evMu.Unlock()
-	records = make([]SpanRecord, 0, len(t.events))
-	records = append(records, t.events[t.evHead:]...)
-	records = append(records, t.events[:t.evHead]...)
-	return records, t.evDropped
+	return t.events.snapshot(), t.events.dropped
 }
 
 // ResetTraceEvents drops the ring and its counters; test helper.
 func (t *Tracer) ResetTraceEvents() {
 	t.evMu.Lock()
-	t.events, t.evHead, t.evCap, t.evDropped = nil, 0, 0, 0
+	t.events = ring[SpanRecord]{}
 	t.evMu.Unlock()
 	t.eventsOn.Store(false)
 	t.rootSeq.Store(0)
