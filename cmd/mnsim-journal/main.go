@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 
+	"mnsim/internal/circuit"
 	"mnsim/internal/report"
 	"mnsim/internal/telemetry"
 )
@@ -99,16 +100,25 @@ func run(w io.Writer, args []string) error {
 	}
 }
 
-// load reads a journal; a SchemaVersionError passes through untouched so
-// main prints its self-explanatory message.
-func load(path string) ([]telemetry.Event, error) {
-	return telemetry.ReadJournalFile(path)
+// loadSolves reads a journal's solve_end events and refuses a journal
+// without any. Like every subcommand's read, it passes a
+// SchemaVersionError through untouched, so main prints its message.
+func loadSolves(path string) ([]solveEnd, error) {
+	events, err := telemetry.ReadJournalFile(path)
+	if err != nil {
+		return nil, err
+	}
+	solves, err := solveEnds(events)
+	if err == nil && len(solves) == 0 {
+		err = fmt.Errorf("%s: no solve_end events", path)
+	}
+	return solves, err
 }
 
 // --- summarize --------------------------------------------------------------
 
 func summarize(w io.Writer, path string) error {
-	events, err := load(path)
+	events, err := telemetry.ReadJournalFile(path)
 	if err != nil {
 		return err
 	}
@@ -180,7 +190,11 @@ func summarize(w io.Writer, path string) error {
 		}
 	}
 
-	if solves := solveEnds(events); len(solves) > 0 {
+	solves, err := solveEnds(events)
+	if err != nil {
+		return err
+	}
+	if len(solves) > 0 {
 		ok, stagnated := 0, 0
 		var newton, cg, flops float64
 		for _, s := range solves {
@@ -233,79 +247,69 @@ func candidateOutcomes(events []telemetry.Event) map[string]int {
 // solveEnd is one solve_end event flattened for analysis.
 type solveEnd struct {
 	id                string
+	tns               int64 // envelope time: the solve's end
 	ok                bool
 	durUS             float64
 	newton, cg, flops float64
 	decay             float64
 	stagnated         bool
-	errMsg            string
-	spanID            string
-	cost              map[string]float64 // phase -> flops
+	phases            []int64 // flops per cost phase, in costPhases order
 }
 
-func solveEnds(events []telemetry.Event) []solveEnd {
+// solveEnds flattens the solve_end events; the cost and convergence
+// columns come from the Diagnostics each carries (schema v3).
+func solveEnds(events []telemetry.Event) ([]solveEnd, error) {
 	var out []solveEnd
 	for _, ev := range events {
 		if ev.Type != telemetry.EvSolveEnd {
 			continue
 		}
-		s := solveEnd{id: ev.ID}
+		s := solveEnd{id: ev.ID, tns: ev.TNS}
 		s.ok, _ = ev.Data["ok"].(bool)
 		s.durUS, _ = ev.Data["dur_us"].(float64)
 		s.newton, _ = ev.Data["newton_iters"].(float64)
 		s.cg, _ = ev.Data["cg_iters"].(float64)
-		s.flops, _ = ev.Data["flops"].(float64)
-		s.decay, _ = ev.Data["decay_rate"].(float64)
-		s.stagnated, _ = ev.Data["stagnated"].(bool)
-		s.errMsg, _ = ev.Data["err"].(string)
-		s.spanID, _ = ev.Data["span_id"].(string)
-		if cost, ok := ev.Data["cost"].(map[string]any); ok {
-			s.cost = map[string]float64{}
-			for phase, v := range cost {
-				if m, ok := v.(map[string]any); ok {
-					f, _ := m["flops"].(float64)
-					s.cost[phase] = f
-				}
-			}
+		d, err := circuit.JournaledDiagnostics(ev)
+		if err != nil {
+			return nil, err
+		}
+		if d != nil && d.Cost != nil {
+			c := d.Cost
+			s.phases = []int64{c.Assembly.Flops, c.NewtonUpdate.Flops, c.CGLoop.Flops, c.Precond.Flops, c.Diagnostics.Flops}
+			s.flops = float64(c.Total().Flops)
+		}
+		if d != nil && d.Convergence != nil {
+			s.decay, s.stagnated = d.Convergence.DecayRate, d.Convergence.Stagnated
 		}
 		out = append(out, s)
 	}
-	return out
+	return out, nil
 }
 
-// costPhases is the cost-model breakdown column order.
-var costPhases = []string{"assembly", "newton_update", "cg_loop", "precond", "diagnostics"}
+// costPhases names the cost-model breakdown columns.
+var costPhases = []string{"Asm%", "NU%", "CG%", "Pre%", "Diag%"}
 
 // --- slowest ----------------------------------------------------------------
 
 func slowest(w io.Writer, path string, n int) error {
-	events, err := load(path)
+	solves, err := loadSolves(path)
 	if err != nil {
 		return err
-	}
-	solves := solveEnds(events)
-	if len(solves) == 0 {
-		return fmt.Errorf("%s: no solve_end events", path)
 	}
 	sort.SliceStable(solves, func(i, j int) bool { return solves[i].durUS > solves[j].durUS })
 	if n > len(solves) {
 		n = len(solves)
 	}
 	t := &report.Table{
-		Title: fmt.Sprintf("Slowest %d of %d solves", n, len(solves)),
-		Headers: []string{"Solve", "Dur (us)", "OK", "Newton", "CG", "Flops",
-			"Asm%", "NU%", "CG%", "Pre%", "Diag%"},
+		Title:   fmt.Sprintf("Slowest %d of %d solves", n, len(solves)),
+		Headers: append([]string{"Solve", "Dur (us)", "OK", "Newton", "CG", "Flops"}, costPhases...),
 	}
 	for _, s := range solves[:n] {
 		row := []any{s.id, fmt.Sprintf("%.1f", s.durUS), s.ok,
 			int(s.newton), int(s.cg), fmt.Sprintf("%.3g", s.flops)}
-		total := 0.0
-		for _, p := range costPhases {
-			total += s.cost[p]
-		}
-		for _, p := range costPhases {
-			if total > 0 {
-				row = append(row, fmt.Sprintf("%.0f", 100*s.cost[p]/total))
+		for i := range costPhases {
+			if s.flops > 0 {
+				row = append(row, fmt.Sprintf("%.0f", 100*float64(s.phases[i])/s.flops))
 			} else {
 				row = append(row, "-")
 			}
@@ -318,13 +322,9 @@ func slowest(w io.Writer, path string, n int) error {
 // --- outliers ---------------------------------------------------------------
 
 func outliers(w io.Writer, path string) error {
-	events, err := load(path)
+	solves, err := loadSolves(path)
 	if err != nil {
 		return err
-	}
-	solves := solveEnds(events)
-	if len(solves) == 0 {
-		return fmt.Errorf("%s: no solve_end events", path)
 	}
 	t := &report.Table{
 		Title:   "Convergence outliers",
@@ -410,7 +410,7 @@ func resourceSamples(events []telemetry.Event) []resSample {
 // wall-clock window. A solve that is slow *and* coincides with a heap spike
 // or a GC burst is memory-bound, not math-bound.
 func resources(w io.Writer, path string, n int) error {
-	events, err := load(path)
+	events, err := telemetry.ReadJournalFile(path)
 	if err != nil {
 		return err
 	}
@@ -461,16 +461,9 @@ func resources(w io.Writer, path string, n int) error {
 		return err
 	}
 
-	solves := solveEnds(events)
-	if len(solves) == 0 {
-		return nil
-	}
-	// Attach end times: solveEnds drops the envelope TNS, so re-walk.
-	endTNS := map[string]int64{}
-	for _, ev := range events {
-		if ev.Type == telemetry.EvSolveEnd {
-			endTNS[ev.ID] = ev.TNS
-		}
+	solves, err := solveEnds(events)
+	if err != nil || len(solves) == 0 {
+		return err
 	}
 	sort.SliceStable(solves, func(i, j int) bool { return solves[i].durUS > solves[j].durUS })
 	if n > len(solves) {
@@ -481,7 +474,7 @@ func resources(w io.Writer, path string, n int) error {
 		Headers: []string{"Solve", "Dur (us)", "Heap in window", "GC cycles", "Goroutines"},
 	}
 	for _, s := range solves[:n] {
-		end := endTNS[s.id]
+		end := s.tns
 		start := end - int64(s.durUS*1e3)
 		// Samples inside the solve window, widened to the bracketing samples
 		// so short solves between two ticks still get runtime context.
@@ -516,7 +509,7 @@ func resources(w io.Writer, path string, n int) error {
 // every descendant span (solves and their phases), and every event stamped
 // with a span ID inside that subtree, in chronological order.
 func timeline(w io.Writer, path, candidate string) error {
-	events, err := load(path)
+	events, err := telemetry.ReadJournalFile(path)
 	if err != nil {
 		return err
 	}
@@ -609,16 +602,26 @@ func timeline(w io.Writer, path, candidate string) error {
 		}
 		text := fmt.Sprintf("%s %s", ev.Type, ev.ID)
 		switch ev.Type {
-		case telemetry.EvNewtonIter:
-			text = fmt.Sprintf("%s %s iter=%v cg=%v max_dv=%v", ev.Type, ev.ID,
-				ev.Data["iter"], ev.Data["cg_iters"], ev.Data["max_dv"])
 		case telemetry.EvSolveEnd:
 			text = fmt.Sprintf("%s %s ok=%v newton=%v cg=%v", ev.Type, ev.ID,
 				ev.Data["ok"], ev.Data["newton_iters"], ev.Data["cg_iters"])
 		case telemetry.EvCandidateEval:
 			text = fmt.Sprintf("%s %s outcome=%v", ev.Type, ev.ID, ev.Data["outcome"])
 		}
-		lines = append(lines, line{tns: ev.TNS, depth: depthOf(sid) + 1, text: text})
+		depth := depthOf(sid) + 1
+		lines = append(lines, line{tns: ev.TNS, depth: depth, text: text})
+		if ev.Type != telemetry.EvSolveEnd {
+			continue
+		}
+		// The solve's Newton trajectory, one line per step under its record.
+		d, err := circuit.JournaledDiagnostics(ev)
+		if err != nil {
+			return err
+		}
+		for i := 0; d != nil && i < len(d.Residuals) && i < len(d.CGIters); i++ {
+			lines = append(lines, line{tns: ev.TNS, depth: depth + 1,
+				text: fmt.Sprintf("newton %d cg=%d max_dv=%.3g", i, d.CGIters[i], d.Residuals[i])})
+		}
 	}
 	sort.SliceStable(lines, func(i, j int) bool { return lines[i].tns < lines[j].tns })
 	t0 := root.StartNS
@@ -631,7 +634,7 @@ func timeline(w io.Writer, path, candidate string) error {
 // --- export -----------------------------------------------------------------
 
 func export(w io.Writer, path, out string) error {
-	events, err := load(path)
+	events, err := telemetry.ReadJournalFile(path)
 	if err != nil {
 		return err
 	}

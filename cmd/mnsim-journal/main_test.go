@@ -69,7 +69,7 @@ func TestSummarize(t *testing.T) {
 	path, _ := writeTracedJournal(t)
 	out := runCmd(t, "summarize", path)
 	for _, want := range []string{
-		"schema v2",
+		"schema v3",
 		"span",                        // event-type table includes span events
 		"run/candidate/circuit.solve", // span-phase aggregate path
 		"Solves: 1 total, 1 ok",
@@ -193,6 +193,7 @@ func TestTimeline(t *testing.T) {
 		"[span] circuit.solve",
 		"[span] newton",
 		"solve_end",
+		"newton 0 cg=", // the trajectory, read from solve_end's diag
 		"candidate_eval " + cand,
 	} {
 		if !strings.Contains(out, want) {

@@ -394,8 +394,7 @@ func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOpt
 			o.endPhase()
 		}
 		if err == nil && !c.Linear {
-			// The observer closes this span after emitting the Newton
-			// trajectory, so the per-iteration events nest inside it.
+			// The observer closes this span.
 			o.startPhase("newton")
 			err = r.newton(ctx)
 		}

@@ -83,6 +83,25 @@ type Diagnostics struct {
 	Convergence *Convergence `json:"convergence,omitempty"`
 }
 
+// JournaledDiagnostics decodes the Diagnostics a solve_end event carries
+// under "diag". It returns nil, nil for an event without one, such as a
+// solve_end of a journal before schema version 3.
+func JournaledDiagnostics(ev telemetry.Event) (*Diagnostics, error) {
+	raw, ok := ev.Data["diag"]
+	if !ok {
+		return nil, nil
+	}
+	d := new(Diagnostics)
+	b, err := json.Marshal(raw)
+	if err == nil {
+		err = json.Unmarshal(b, d)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("circuit: solve_end %s diag: %w", ev.ID, err)
+	}
+	return d, nil
+}
+
 // CostModel attributes one solve's operation counts to the phases of the
 // Newton–CG pipeline — the "where does a solve spend its cost" breakdown.
 // Kernel counts (the CG inner loop, condition estimation) are exact; the

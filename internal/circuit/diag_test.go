@@ -2,7 +2,9 @@ package circuit
 
 import (
 	"errors"
+	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mnsim/internal/device"
@@ -31,9 +33,9 @@ func divergentCrossbar() *Crossbar {
 	return &Crossbar{M: 2, N: 2, R: uniformR(2, 2, 100e3), WireR: 1, RSense: 1500, Dev: dev}
 }
 
-// A diverging solve with the journal enabled must leave a full trail: a
-// solve_start/newton_iter/solve_end event chain, a snapshot referenced from
-// solve_end, and a snapshot file that loads, validates, and records the
+// A diverging solve with the journal enabled must leave a full trail: one
+// solve_end event (TestSolveEndCarriesDiagnostics checks its trajectory),
+// a snapshot referenced from it, and a snapshot file that loads, validates, and records the
 // divergence outcome.
 func TestDivergenceJournalAndSnapshot(t *testing.T) {
 	path := withTestJournal(t)
@@ -48,22 +50,11 @@ func TestDivergenceJournalAndSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var starts, iters, ends int
-	for _, ev := range events {
-		switch ev.Type {
-		case telemetry.EvSolveStart:
-			starts++
-		case telemetry.EvNewtonIter:
-			iters++
-		case telemetry.EvSolveEnd:
-			ends++
-			if ok, _ := ev.Data["ok"].(bool); ok {
-				t.Errorf("solve_end ok=true for diverged solve")
-			}
-		}
+	if len(events) != 2 || events[1].Type != telemetry.EvSolveEnd {
+		t.Fatalf("journal holds %d events, want the header and one solve_end", len(events))
 	}
-	if starts != 1 || ends != 1 || iters != 5 {
-		t.Fatalf("event counts start/iter/end = %d/%d/%d, want 1/5/1", starts, iters, ends)
+	if ok, _ := events[1].Data["ok"].(bool); ok {
+		t.Errorf("solve_end ok=true for diverged solve")
 	}
 	snaps := telemetry.JournalSnapshotPaths(path, events)
 	if len(snaps) != 1 {
@@ -82,6 +73,71 @@ func TestDivergenceJournalAndSnapshot(t *testing.T) {
 	}
 	if snap.Options.MaxNewton != 5 || snap.Options.Tol != 1e-9 {
 		t.Fatalf("snapshot options not normalised: %+v", snap.Options)
+	}
+}
+
+// A journaled solve_end decodes to the Diagnostics the solve returned —
+// residual trajectory, per-step CG counts, cost model and convergence
+// analytics, finite values equal by bits — for a converged solve and for a
+// diverged one.
+func TestSolveEndCarriesDiagnostics(t *testing.T) {
+	path := withTestJournal(t)
+	c := &Crossbar{M: 4, N: 4, R: uniformR(4, 4, 150e3), WireR: 0.5, RSense: 1500, Dev: device.RRAM()}
+	res, err := c.Solve([]float64{0.3, 0.2, 0.1, 0.3}, SolveOptions{Diagnostics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = divergentCrossbar().Solve([]float64{0.3, 0.3}, SolveOptions{MaxNewton: 5})
+	var de *DivergenceError
+	if !errors.As(err, &de) {
+		t.Fatalf("want divergence, got %v", err)
+	}
+	telemetry.DefaultJournal().Close()
+	events, err := telemetry.ReadJournalFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []*Diagnostics
+	for _, ev := range events {
+		if ev.Type != telemetry.EvSolveEnd {
+			continue
+		}
+		d, err := JournaledDiagnostics(ev)
+		if err != nil || d == nil {
+			t.Fatalf("%s: diag %v, err %v", ev.ID, d, err)
+		}
+		got = append(got, d)
+	}
+	want := []*Diagnostics{res.Diag, de.Diag}
+	if len(got) != len(want) {
+		t.Fatalf("%d solve_end events, want %d", len(got), len(want))
+	}
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(jsonFinite(x))
+		}
+		return out
+	}
+	for i, w := range want {
+		g := got[i]
+		if !reflect.DeepEqual(bits(g.Residuals), bits(w.Residuals)) || !reflect.DeepEqual(g.CGIters, w.CGIters) {
+			t.Errorf("solve %d trajectory %v / %v, want %v / %v", i, g.Residuals, g.CGIters, w.Residuals, w.CGIters)
+		}
+		if *g.Cost != *w.Cost {
+			t.Errorf("solve %d cost %+v, want %+v", i, *g.Cost, *w.Cost)
+		}
+		if math.Float64bits(g.CondEstimate) != math.Float64bits(jsonFinite(w.CondEstimate)) || w.CondEstimate == 0 {
+			t.Errorf("solve %d cond estimate %v, want %v (nonzero)", i, g.CondEstimate, w.CondEstimate)
+		}
+		gc, wc := *g.Convergence, *w.Convergence
+		if math.Float64bits(gc.DecayRate) != math.Float64bits(wc.DecayRate) ||
+			math.Float64bits(gc.CGPerNewton) != math.Float64bits(wc.CGPerNewton) || gc.Stagnated != wc.Stagnated {
+			t.Errorf("solve %d convergence %+v, want %+v", i, gc, wc)
+		}
+		if g.Path != w.Path || g.SetupCGIters != w.SetupCGIters || g.WarmStart != w.WarmStart || g.PrecondRefreshes != w.PrecondRefreshes {
+			t.Errorf("solve %d path fields %+v, want %+v", i, g, w)
+		}
 	}
 }
 

@@ -54,24 +54,14 @@ func (o *solveObserver) startPhase(name string) {
 func (o *solveObserver) endPhase() { o.phase.End() }
 
 // finish observes a finished solve — success, divergence, CG failure, or
-// cancellation alike — and passes its outcome through. diag is the solve's
-// trajectory as far as it got, so a failed solve still journals the Newton
+// cancellation alike — and passes its outcome through. A journaled solve
+// is one solve_end event: the solve's inputs, its outcome and its whole
+// Diagnostics under "diag", so a failed solve still records the Newton
 // steps it completed.
 func (o *solveObserver) finish(c *Crossbar, vin []float64, opt SolveOptions, res *Result, diag *Diagnostics, err error) (*Result, error) {
 	jid := ""
 	if telemetry.JournalOn() {
-		// The correlation id ties this solve's journal events together.
 		jid = nextSolveID("solve")
-		telemetry.EmitEventCtx(o.ctx, telemetry.EvSolveStart, jid, map[string]any{
-			"m": c.M, "n": c.N, "wire_r": c.WireR, "rsense": c.RSense,
-			"linear": c.Linear, "tol": opt.Tol, "max_newton": opt.MaxNewton,
-			"cg_tol": opt.CGTol,
-		})
-		for i, dv := range diag.Residuals {
-			telemetry.EmitEventCtx(o.ctx, telemetry.EvNewtonIter, jid, map[string]any{
-				"iter": i, "max_dv": jsonFinite(dv), "cg_iters": diag.CGIters[i],
-			})
-		}
 	}
 	o.endPhase()
 	if diag.Path == pathZeroWire {
@@ -107,42 +97,34 @@ func (o *solveObserver) finish(c *Crossbar, vin []float64, opt SolveOptions, res
 		telNewtonIters.Observe(float64(res.NewtonIters))
 		telCGIters.Observe(float64(res.CGIters))
 	}
-	// Cost and outcome analytics come from a result or a divergence only.
-	var d *Diagnostics
+	// Cost analytics come from a result or a divergence only.
 	if res != nil || de != nil {
-		d = diag
-	}
-	if d != nil {
-		total := d.Cost.Total()
+		total := diag.Cost.Total()
 		telSolveFlops.Add(total.Flops)
 		telSolveBytes.Add(total.Bytes)
-		telPhaseAssembly.Observe(float64(d.Cost.Assembly.Flops))
-		telPhaseNewton.Observe(float64(d.Cost.NewtonUpdate.Flops))
-		telPhaseCG.Observe(float64(d.Cost.CGLoop.Flops))
-		telPhasePrecond.Observe(float64(d.Cost.Precond.Flops))
-		telPhaseDiag.Observe(float64(d.Cost.Diagnostics.Flops))
+		telPhaseAssembly.Observe(float64(diag.Cost.Assembly.Flops))
+		telPhaseNewton.Observe(float64(diag.Cost.NewtonUpdate.Flops))
+		telPhaseCG.Observe(float64(diag.Cost.CGLoop.Flops))
+		telPhasePrecond.Observe(float64(diag.Cost.Precond.Flops))
+		telPhaseDiag.Observe(float64(diag.Cost.Diagnostics.Flops))
 	}
 	if jid == "" {
 		return res, err
 	}
-	data := map[string]any{"ok": err == nil, "dur_us": float64(dur.Nanoseconds()) / 1e3}
+	// The journaled copy passes the trajectory and condition estimate
+	// through jsonFinite, as snapshots do, so a diverged solve's Inf/NaN
+	// still encodes.
+	jd := *diag
+	jd.Residuals, jd.CondEstimate = jsonFiniteSlice(diag.Residuals), jsonFinite(diag.CondEstimate)
+	data := map[string]any{
+		"m": c.M, "n": c.N, "wire_r": c.WireR, "rsense": c.RSense,
+		"linear": c.Linear, "tol": opt.Tol, "max_newton": opt.MaxNewton,
+		"cg_tol": opt.CGTol, "ok": err == nil, "dur_us": float64(dur.Nanoseconds()) / 1e3,
+		"diag": &jd,
+	}
 	if res != nil {
 		data["newton_iters"] = res.NewtonIters
 		data["cg_iters"] = res.CGIters
-	}
-	if d != nil {
-		if d.Path != pathZeroWire {
-			data["precond_refreshes"] = d.PrecondRefreshes
-		}
-		if d.WarmStart {
-			data["warm_start"] = true
-		}
-		data["cost"] = d.Cost
-		data["flops"] = d.Cost.Total().Flops
-		if d.Convergence != nil {
-			data["decay_rate"] = d.Convergence.DecayRate
-			data["stagnated"] = d.Convergence.Stagnated
-		}
 	}
 	if err != nil {
 		data["err"] = err.Error()

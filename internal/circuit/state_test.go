@@ -3,6 +3,7 @@ package circuit
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"mnsim/internal/device"
@@ -165,6 +166,47 @@ func TestPrecondSelection(t *testing.T) {
 	}
 	if blk.Diag.Cost.CGLoop.PrecondApplies == 0 {
 		t.Error("block-jacobi solve booked no preconditioner applies in the CG loop")
+	}
+}
+
+// TestPrecondRefreshPolicy pins the modified-Newton refresh policy on an
+// input that reaches it: an 8×8 random-level crossbar on 50 Ω segments
+// driven up to 5 V, well above the RRAM write voltage. Its CG effort
+// regresses past 2·baseline+8 once, the block-Jacobi factor is refreshed
+// once, and the solve still converges to a power-conserving operating
+// point. The same crossbar at drives scaled under the write voltage never
+// reaches the policy.
+func TestPrecondRefreshPolicy(t *testing.T) {
+	dev := device.RRAM()
+	rng := rand.New(rand.NewSource(2))
+	c := &Crossbar{M: 8, N: 8, R: randomR(8, 8, dev, rng), WireR: 50, RSense: 150, Dev: dev}
+	vin := make([]float64, 8)
+	for i := range vin {
+		vin[i] = 5 * rng.Float64()
+	}
+	res, err := c.Solve(vin, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Diag.PrecondRefreshes; got != 1 {
+		t.Fatalf("PrecondRefreshes = %d, want 1", got)
+	}
+	if last := res.Diag.Residuals[len(res.Diag.Residuals)-1]; last >= 1e-9 {
+		t.Fatalf("final max ΔV %v above Tol", last)
+	}
+	if diss := c.DissipatedPower(res, vin); math.Abs(res.Power-diss)/res.Power > 1e-5 {
+		t.Fatalf("source %v vs dissipated %v", res.Power, diss)
+	}
+	scale := dev.WriteVoltage / 5
+	for i := range vin {
+		vin[i] *= scale
+	}
+	low, err := c.Solve(vin, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if low.Diag.PrecondRefreshes != 0 {
+		t.Fatalf("drives under the write voltage refreshed %d times", low.Diag.PrecondRefreshes)
 	}
 }
 

@@ -51,8 +51,8 @@ func TestTracingNumericallyNeutral(t *testing.T) {
 
 // With tracing on, a solve under a candidate-style parent span produces the
 // full causal chain — parent → circuit.solve → assemble/setup/newton phase
-// spans — and its solve_start/newton_iter/solve_end events carry the solve
-// span's IDs plus a dur_us on solve_end.
+// spans — and its one solve_end event carries the solve span's IDs and a
+// dur_us.
 func TestSolveTraceChain(t *testing.T) {
 	path := withTestJournal(t)
 	withTestTracing(t)
@@ -89,31 +89,25 @@ func TestSolveTraceChain(t *testing.T) {
 		}
 	}
 	// Event stamps join the event stream to the span timeline.
-	var sawStart, sawIter, sawEnd bool
+	var ends []telemetry.Event
 	for _, ev := range events {
-		switch ev.Type {
-		case telemetry.EvSolveStart, telemetry.EvNewtonIter, telemetry.EvSolveEnd:
-			if ev.Data["span_id"] != telemetry.FormatID(solve.SpanID) {
-				t.Fatalf("%s span_id %v, want %s", ev.Type, ev.Data["span_id"], telemetry.FormatID(solve.SpanID))
-			}
-			if ev.Data["trace_id"] != telemetry.FormatID(solve.TraceID) {
-				t.Fatalf("%s trace_id %v", ev.Type, ev.Data["trace_id"])
-			}
-			switch ev.Type {
-			case telemetry.EvSolveStart:
-				sawStart = true
-			case telemetry.EvNewtonIter:
-				sawIter = true
-			case telemetry.EvSolveEnd:
-				sawEnd = true
-				if d, ok := ev.Data["dur_us"].(float64); !ok || d <= 0 {
-					t.Fatalf("solve_end dur_us = %v", ev.Data["dur_us"])
-				}
-			}
+		if ev.Type == telemetry.EvSolveEnd {
+			ends = append(ends, ev)
 		}
 	}
-	if !sawStart || !sawIter || !sawEnd {
-		t.Fatalf("missing stamped events: start %v iter %v end %v", sawStart, sawIter, sawEnd)
+	if len(ends) != 1 || len(events) != 2+len(recs) {
+		t.Fatalf("%d solve_end of %d events beside %d spans, want the header, one solve_end and the spans",
+			len(ends), len(events), len(recs))
+	}
+	ev := ends[0]
+	if ev.Data["span_id"] != telemetry.FormatID(solve.SpanID) {
+		t.Fatalf("solve_end span_id %v, want %s", ev.Data["span_id"], telemetry.FormatID(solve.SpanID))
+	}
+	if ev.Data["trace_id"] != telemetry.FormatID(solve.TraceID) {
+		t.Fatalf("solve_end trace_id %v", ev.Data["trace_id"])
+	}
+	if d, ok := ev.Data["dur_us"].(float64); !ok || d <= 0 {
+		t.Fatalf("solve_end dur_us = %v", ev.Data["dur_us"])
 	}
 }
 

@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"mnsim/internal/crossbar"
 	"mnsim/internal/device"
+	"mnsim/internal/linalg"
+	"mnsim/internal/tech"
 	"mnsim/internal/telemetry"
 )
 
@@ -140,6 +143,91 @@ func TestSettleTimePinned(t *testing.T) {
 			t.Errorf("%s: settle %v (%#016x), pinned %v (%#016x)",
 				p.name, ts, got, math.Float64frombits(p.bits), p.bits)
 		}
+	}
+}
+
+// referenceSettleSteps integrates the same backward-Euler system as
+// SettleTime — the linearised crossbar operator plus C/dt on the diagonal,
+// a discharged start and the same settle criterion — but solves the DC
+// target and every step to CG tolerance 1e-13, and returns the step count
+// at which every output has settled.
+func referenceSettleSteps(t *testing.T, c *Crossbar, vin []float64, opt TransientOptions) int {
+	t.Helper()
+	lin := *c
+	lin.Linear = true
+	a := lin.assemble(vin, nil)
+	pre, err := linalg.NewBlockJacobi(a.op, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := linalg.CGOptions{Tol: 1e-13, Precond: pre}
+	final, _, err := linalg.SolveCG(a.op, a.rhsBase, nil, tight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, n2 := c.M*c.N, 2*c.M*c.N
+	capDt := make([]float64, n2)
+	for i := range capDt {
+		capDt[i] = opt.NodeCap / opt.Dt
+		if i >= half {
+			capDt[i] = (opt.NodeCap + opt.CellCap) / opt.Dt
+		}
+		a.op.Diag[i] += capDt[i]
+	}
+	if err := pre.Refresh(a.op, nil); err != nil {
+		t.Fatal(err)
+	}
+	v, rhs := make([]float64, n2), make([]float64, n2)
+	for step := 1; step <= 100000; step++ {
+		for i := range rhs {
+			rhs[i] = a.rhsBase[i] + capDt[i]*v[i]
+		}
+		if v, _, err = linalg.SolveCG(a.op, rhs, v, tight); err != nil {
+			t.Fatal(err)
+		}
+		settled := true
+		for n := 0; n < c.N; n++ {
+			f := final[c.colNode(c.M-1, n)]
+			if math.Abs(v[c.colNode(c.M-1, n)]-f) > opt.SettleFrac*math.Max(math.Abs(f), 1e-12) {
+				settled = false
+			}
+		}
+		if settled {
+			return step
+		}
+	}
+	t.Fatal("reference transient did not settle")
+	return 0
+}
+
+// The Table II latency transient — 64×64 random-level RRAM crossbars on
+// 45 nm wire with its segment and cell capacitances, driven at a uniform
+// VDrive — settles in the same number of backward-Euler steps as a
+// reference that solves every step to CG tolerance 1e-13. The count sits
+// near 230 steps, and a solver change that moves it by one step moves the
+// Table II latency row; such a change must keep this test, not only the
+// benchmark digests, green.
+func TestSettleStepsMatchTightReference(t *testing.T) {
+	dev := device.RRAM()
+	wire := tech.MustInterconnect(45)
+	p := crossbar.New(64, 64, dev, wire)
+	vin := make([]float64, 64)
+	for i := range vin {
+		vin[i] = p.VDrive
+	}
+	opt := TransientOptions{NodeCap: wire.SegmentC, CellCap: dev.CellCap, SettleFrac: 1.0 / 512}
+	opt.Dt = p.RSense * 64 * (opt.NodeCap + opt.CellCap) / 50 // SettleTime's default step
+	for _, seed := range []int64{1, 2, 3, 4} {
+		c := &Crossbar{M: 64, N: 64, R: randomR(64, 64, dev, rand.New(rand.NewSource(seed))), WireR: wire.SegmentR, RSense: p.RSense, Dev: dev}
+		ts, err := c.SettleTime(vin, TransientOptions{NodeCap: opt.NodeCap, CellCap: opt.CellCap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := int(math.Round(ts / opt.Dt))
+		if ref := referenceSettleSteps(t, c, vin, opt); steps != ref {
+			t.Errorf("seed %d: SettleTime took %d steps, the 1e-13 reference %d", seed, steps, ref)
+		}
+		t.Logf("seed %d: %d steps", seed, steps)
 	}
 }
 

@@ -185,21 +185,23 @@ func TestReplayCostRoundTrip(t *testing.T) {
 		t.Fatalf("want divergence, got %v", err)
 	}
 	j.Close()
-	// The journaled solve_end event carries the rolled-up cost.
+	// The journaled solve_end event carries the cost model.
 	events, err := telemetry.ReadJournalFile(jp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawFlops := false
+	var journaled *circuit.CostModel
 	for _, ev := range events {
 		if ev.Type == telemetry.EvSolveEnd {
-			if f, ok := ev.Data["flops"].(float64); ok && f > 0 {
-				sawFlops = true
+			d, err := circuit.JournaledDiagnostics(ev)
+			if err != nil {
+				t.Fatal(err)
 			}
+			journaled = d.Cost
 		}
 	}
-	if !sawFlops {
-		t.Fatal("no solve_end event carries a positive flops total")
+	if journaled == nil || journaled.Total().Flops == 0 {
+		t.Fatalf("solve_end carries no positive cost model: %+v", journaled)
 	}
 	// The captured snapshot records the cost model...
 	snaps := telemetry.JournalSnapshotPaths(jp, events)
@@ -210,8 +212,8 @@ func TestReplayCostRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Outcome.Cost == nil || snap.Outcome.Cost.Total().Flops == 0 {
-		t.Fatalf("snapshot outcome has no cost model: %+v", snap.Outcome.Cost)
+	if snap.Outcome.Cost == nil || *snap.Outcome.Cost != *journaled {
+		t.Fatalf("snapshot cost model %+v, journaled %+v", snap.Outcome.Cost, journaled)
 	}
 	// ...and a verbose replay reproduces it exactly, rendering attribution.
 	var sb strings.Builder

@@ -21,8 +21,8 @@ import (
 //	                    chrome://tracing)
 //	-run-out file       write the run manifest (run.json) on exit
 //	-journal file       record the flight-recorder event journal (JSONL:
-//	                    solve_start/newton_iter/solve_end/transient_settle/
-//	                    candidate_eval/mc_trial/phase); divergence and
+//	                    solve_end/transient_settle/candidate_eval/
+//	                    mc_trial/phase); divergence and
 //	                    non-settle snapshots land next to the file
 //	-serve addr         serve the observability endpoints (/metrics,
 //	                    /metrics.json, /trace, /progress, /runinfo,

@@ -31,6 +31,16 @@ func FuzzReadJournal(f *testing.F) {
 	f.Add([]byte("{\"seq\":1,\"t_ns\":1,\"type\":\"journal\"}\nnot json\n{\"seq\":2,\"t_ns\":2,\"type\":\"metric\"}\n"))
 	f.Add([]byte("\x00\x01\x02 garbage \xff"))
 	f.Add([]byte(""))
+	// v3 solve record: the Diagnostics nested under "diag".
+	f.Add([]byte(`{"seq":1,"t_ns":1,"type":"journal","data":{"schema_version":3}}
+{"seq":2,"t_ns":2,"type":"solve_end","id":"solve-1","data":{"cg_iters":30,"diag":{"cg_iters":[12,10,8],"cost":{"cg_loop":{"flops":5120}},"path":"newton-cg","residuals":[0.001,2e-06,1.5e-11]},"m":4,"newton_iters":4,"ok":true}}
+`))
+	// v2 three-event solve chain, still readable.
+	f.Add([]byte(`{"seq":1,"t_ns":1,"type":"journal","data":{"schema_version":2}}
+{"seq":2,"t_ns":2,"type":"solve_start","id":"solve-1","data":{"m":4}}
+{"seq":3,"t_ns":3,"type":"newton_iter","id":"solve-1","data":{"cg_iters":9,"iter":0,"max_dv":0.01}}
+{"seq":4,"t_ns":4,"type":"solve_end","id":"solve-1","data":{"flops":730483,"ok":true}}
+`))
 	// One directory with fixed file names, overwritten per exec: a fresh
 	// t.TempDir() every iteration throttles the fuzzer to a few execs per
 	// second, and execs within a worker are sequential anyway.

@@ -44,7 +44,13 @@ import (
 //	    unknown event types through untouched and skip them in typed
 //	    processing, never error. Bump the version only when the envelope
 //	    (seq/t_ns/type/id/data) or an existing event's meaning changes.
-const JournalSchemaVersion = 2
+//	3 — one solve_end per circuit solve, carrying the former solve_start
+//	    keys and the solve's Diagnostics under "diag". solve_start,
+//	    newton_iter and solve_end's cost/flops/warm_start/
+//	    precond_refreshes/decay_rate/stagnated keys are gone. Version-1
+//	    and -2 journals still read; their solve_end events have no "diag"
+//	    for the solve analyses to show.
+const JournalSchemaVersion = 3
 
 // SchemaVersionError reports a journal written by a newer tool than the
 // reader: its header schema_version exceeds what this build understands.
@@ -65,13 +71,9 @@ const (
 	// EvJournal is the self-describing header event every journal file
 	// starts with.
 	EvJournal EventType = "journal"
-	// EvSolveStart marks the beginning of one circuit-level solve.
-	EvSolveStart EventType = "solve_start"
-	// EvNewtonIter records one Newton iteration of a circuit solve: the
-	// max node-voltage update and the inner CG iteration count.
-	EvNewtonIter EventType = "newton_iter"
-	// EvSolveEnd marks the end of one circuit-level solve, success or not;
-	// on divergence it carries the snapshot path when one was written.
+	// EvSolveEnd is the one record of a circuit-level solve, success or
+	// not (schema v3): its inputs, its outcome, its whole Diagnostics under
+	// "diag" and, on divergence, the snapshot path when one was written.
 	EvSolveEnd EventType = "solve_end"
 	// EvTransientSettle records the outcome of one transient settling run.
 	EvTransientSettle EventType = "transient_settle"
@@ -109,8 +111,8 @@ type Event struct {
 	TNS int64 `json:"t_ns"`
 	// Type is the event type.
 	Type EventType `json:"type"`
-	// ID correlates events of one logical operation (e.g. all newton_iter
-	// events of solve "solve-17").
+	// ID names the logical operation an event records (e.g. solve
+	// "solve-17" or candidate "cand-64x16@45").
 	ID string `json:"id,omitempty"`
 	// Data carries the event-type specific payload.
 	Data map[string]any `json:"data,omitempty"`

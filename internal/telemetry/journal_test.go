@@ -31,15 +31,16 @@ func TestJournalSchemaGolden(t *testing.T) {
 	ev := Event{
 		Seq:  7,
 		TNS:  1700000000123456789,
-		Type: EvNewtonIter,
+		Type: EvSolveEnd,
 		ID:   "solve-3",
-		Data: map[string]any{"iter": 2, "max_dv": 0.5, "cg_iters": 41},
+		Data: map[string]any{"ok": true, "newton_iters": 3, "cg_iters": 41,
+			"diag": map[string]any{"residuals": []float64{0.5, 1e-12}, "cg_iters": []int{29, 12}}},
 	}
 	b, err := json.Marshal(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"seq":7,"t_ns":1700000000123456789,"type":"newton_iter","id":"solve-3","data":{"cg_iters":41,"iter":2,"max_dv":0.5}}`
+	want := `{"seq":7,"t_ns":1700000000123456789,"type":"solve_end","id":"solve-3","data":{"cg_iters":41,"diag":{"cg_iters":[29,12],"residuals":[0.5,1e-12]},"newton_iters":3,"ok":true}}`
 	if string(b) != want {
 		t.Fatalf("journal line schema drifted:\n got %s\nwant %s", b, want)
 	}
@@ -55,8 +56,7 @@ func TestJournalSchemaGolden(t *testing.T) {
 // Every event type constant must be a valid JSONL journal line producer.
 func TestJournalEventTypes(t *testing.T) {
 	j, path := newTestJournal(t, 16)
-	types := []EventType{EvSolveStart, EvNewtonIter, EvSolveEnd,
-		EvTransientSettle, EvCandidateEval, EvMCTrial, EvPhase, EvSpan,
+	types := []EventType{EvSolveEnd, EvTransientSettle, EvCandidateEval, EvMCTrial, EvPhase, EvSpan,
 		EvResourceSample, EvWatchdogStall, EvMemPressure}
 	for i, typ := range types {
 		j.Emit(typ, fmt.Sprintf("id-%d", i), map[string]any{"k": i})
@@ -89,13 +89,13 @@ func TestJournalEventTypes(t *testing.T) {
 	}
 }
 
-// Forward compatibility within schema v2: event types this reader has
+// Forward compatibility within a schema version: event types this reader has
 // never heard of (emitted by a newer writer) must survive a round trip
 // with their type and data intact, not error or get dropped. New event
 // kinds are added without a version bump; only envelope changes bump.
 func TestJournalReaderToleratesUnknownEventTypes(t *testing.T) {
 	j, path := newTestJournal(t, 16)
-	j.Emit(EvSolveStart, "solve-1", map[string]any{"m": 4})
+	j.Emit(EvTransientSettle, "settle-1", map[string]any{"steps": 4})
 	j.Emit(EventType("quantum_flux"), "future-1", map[string]any{"flux": 0.75, "units": "Wb"})
 	j.Emit(EvSolveEnd, "solve-1", map[string]any{"ok": true})
 	if err := j.Close(); err != nil {
@@ -119,7 +119,7 @@ func TestJournalReaderToleratesUnknownEventTypes(t *testing.T) {
 		t.Fatalf("unknown event data mangled: %v", unk.Data)
 	}
 	// And the known events around it are untouched.
-	if events[1].Type != EvSolveStart || events[3].Type != EvSolveEnd {
+	if events[1].Type != EvTransientSettle || events[3].Type != EvSolveEnd {
 		t.Fatalf("neighbors mangled: %q, %q", events[1].Type, events[3].Type)
 	}
 }
@@ -163,7 +163,7 @@ func TestJournalConcurrentWriters(t *testing.T) {
 // every complete event and skip the torn tail.
 func TestJournalReaderToleratesTruncatedTail(t *testing.T) {
 	j, path := newTestJournal(t, 16)
-	j.Emit(EvSolveStart, "solve-1", map[string]any{"m": 4})
+	j.Emit(EvTransientSettle, "settle-1", map[string]any{"steps": 4})
 	j.Emit(EvSolveEnd, "solve-1", map[string]any{"ok": true})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -180,10 +180,10 @@ func TestJournalReaderToleratesTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 { // header + solve_start survive
+	if len(events) != 2 { // header + transient_settle survive
 		t.Fatalf("got %d events after truncation, want 2", len(events))
 	}
-	if events[1].Type != EvSolveStart {
+	if events[1].Type != EvTransientSettle {
 		t.Fatalf("surviving event %q", events[1].Type)
 	}
 }
@@ -340,7 +340,7 @@ func readEvents(t *testing.T, j *Journal) eventsBody {
 // Disabled journal: Emit is a cheap no-op, SaveSnapshot declines.
 func TestJournalDisabledNoOp(t *testing.T) {
 	j := NewJournal(4)
-	j.Emit(EvSolveStart, "x", map[string]any{"a": 1})
+	j.Emit(EvSolveEnd, "x", map[string]any{"a": 1})
 	var sb strings.Builder
 	if err := j.WriteEventsJSON(&sb); err != nil {
 		t.Fatal(err)
@@ -430,7 +430,8 @@ func TestServeMuxEvents(t *testing.T) {
 // BenchmarkJournalEmit times one Emit into an already full ring, ring-only
 // and file-backed. A push is O(1), so ns/op should not grow with capacity.
 func BenchmarkJournalEmit(b *testing.B) {
-	data := map[string]any{"iter": 3, "max_dv": 1.5e-7, "cg_iters": 12}
+	data := map[string]any{"ok": true, "newton_iters": 4, "cg_iters": 30,
+		"diag": map[string]any{"residuals": []float64{1e-3, 2e-6, 1.5e-11}, "cg_iters": []int{12, 10, 8}}}
 	for _, ringCap := range []int{64, DefaultJournalRing} {
 		for _, file := range []bool{false, true} {
 			name := fmt.Sprintf("cap%d/ring-only", ringCap)
@@ -448,12 +449,12 @@ func BenchmarkJournalEmit(b *testing.B) {
 				}
 				defer j.Close()
 				for i := 0; i < ringCap; i++ {
-					j.Emit(EvNewtonIter, "solve-1", data)
+					j.Emit(EvSolveEnd, "solve-1", data)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					j.Emit(EvNewtonIter, "solve-1", data)
+					j.Emit(EvSolveEnd, "solve-1", data)
 				}
 			})
 		}

@@ -287,7 +287,7 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 func TestReadJournalRefusesNewerSchema(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "future.jsonl")
 	lines := fmt.Sprintf(`{"seq":1,"t_ns":1,"type":"journal","data":{"schema_version":%d}}
-{"seq":2,"t_ns":2,"type":"solve_start","id":"solve-1"}
+{"seq":2,"t_ns":2,"type":"solve_end","id":"solve-1"}
 `, JournalSchemaVersion+1)
 	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
 		t.Fatal(err)
@@ -303,14 +303,19 @@ func TestReadJournalRefusesNewerSchema(t *testing.T) {
 	if !strings.Contains(sv.Error(), "newer than supported") {
 		t.Fatalf("error text %q", sv.Error())
 	}
-	// Current and older versions still read.
-	for _, v := range []int{JournalSchemaVersion, 1} {
-		ok := fmt.Sprintf(`{"seq":1,"t_ns":1,"type":"journal","data":{"schema_version":%d}}`+"\n", v)
+	// Current and older versions still read, the retired solve_start and
+	// newton_iter events of versions 1 and 2 included.
+	for _, v := range []int{JournalSchemaVersion, 2, 1} {
+		ok := fmt.Sprintf(`{"seq":1,"t_ns":1,"type":"journal","data":{"schema_version":%d}}
+{"seq":2,"t_ns":2,"type":"solve_start","id":"solve-1","data":{"m":4}}
+{"seq":3,"t_ns":3,"type":"newton_iter","id":"solve-1","data":{"cg_iters":9,"iter":0,"max_dv":0.01}}
+{"seq":4,"t_ns":4,"type":"solve_end","id":"solve-1","data":{"flops":730483,"ok":true}}
+`, v)
 		if err := os.WriteFile(path, []byte(ok), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadJournalFile(path); err != nil {
-			t.Fatalf("version %d refused: %v", v, err)
+		if events, err := ReadJournalFile(path); err != nil || len(events) != 4 {
+			t.Fatalf("version %d: %d events, err %v", v, len(events), err)
 		}
 	}
 }
@@ -331,7 +336,7 @@ func TestEmitEventCtxStampsIDs(t *testing.T) {
 	}()
 	SetTraceSeed(5)
 	ctx, sp := StartSpan(context.Background(), "solve")
-	EmitEventCtx(ctx, EvSolveStart, "solve-1", map[string]any{"m": 4})
+	EmitEventCtx(ctx, EvSolveEnd, "solve-1", map[string]any{"m": 4})
 	// No span in scope → trace ID only.
 	EmitEventCtx(context.Background(), EvPhase, "", map[string]any{"phase": "done"})
 	sp.End()
@@ -345,7 +350,7 @@ func TestEmitEventCtxStampsIDs(t *testing.T) {
 	}
 	ev := events[1]
 	if ev.Data["trace_id"] != FormatID(sp.TraceID()) || ev.Data["span_id"] != FormatID(sp.SpanID()) {
-		t.Fatalf("solve_start not stamped: %v", ev.Data)
+		t.Fatalf("solve_end not stamped: %v", ev.Data)
 	}
 	if ev.Data["m"].(float64) != 4 {
 		t.Fatalf("payload lost: %v", ev.Data)

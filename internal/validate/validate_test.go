@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"mnsim/internal/telemetry"
 )
 
 // The Table II validation contract: every behaviour-level estimate lands
@@ -160,5 +163,52 @@ func TestTableIICancel(t *testing.T) {
 	}
 	if took := time.Since(start); took > after+grace {
 		t.Errorf("returned %v after the cancel", took-after)
+	}
+}
+
+// A recorded Table II run at the benchmark's table2 configuration (Size
+// 64, 4 weight samples × 12 inputs), journaled with trace events on as
+// `mnsim-validate -journal -trace-events` runs it, records each circuit
+// solve as one solve_end event and nothing else per solve: no solve_start,
+// no newton_iter. The event mix is pinned at seed 5.
+func TestTableIIRecordedEventMix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("circuit-level validation is slow")
+	}
+	j := telemetry.DefaultJournal()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := j.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	telemetry.EnableTraceEvents(0)
+	t.Cleanup(func() {
+		telemetry.DisableTraceEvents()
+		telemetry.DefaultTracer().ResetTraceEvents()
+		j.Close()
+		j.Reset()
+	})
+	if _, err := TableII(TableIIOptions{WeightSamples: 4, InputSamples: 12, Size: 64, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := telemetry.ReadJournalFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byType := map[telemetry.EventType]int{}
+	for _, ev := range events {
+		byType[ev.Type]++
+	}
+	t.Logf("%d events: %v", len(events), byType)
+	if byType["solve_start"] != 0 || byType["newton_iter"] != 0 {
+		t.Errorf("retired per-solve events journaled: %v", byType)
+	}
+	if got := byType[telemetry.EvSolveEnd]; got != 28 {
+		t.Errorf("%d solve_end events, want one per circuit solve: 28", got)
+	}
+	if len(events) != 131 {
+		t.Errorf("%d journal events, want 131", len(events))
 	}
 }
