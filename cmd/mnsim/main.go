@@ -6,7 +6,7 @@
 // Usage:
 //
 //	mnsim -config accelerator.cfg [-csv]
-//	mnsim -config accelerator.cfg -metrics-out m.prom -trace-out t.json -serve localhost:6060
+//	mnsim -config accelerator.cfg -metrics-out m.prom -run-out run.json -serve localhost:6060
 //	mnsim -config accelerator.cfg -journal run.jsonl   # flight-recorder event journal
 package main
 

@@ -97,8 +97,9 @@ func BenchmarkSolveWarm(b *testing.B) {
 }
 
 // BenchmarkSolveOverhead bounds what the observability layers cost a
-// 64×64 solve: "plain" is the bare solve, "traced" retains span records in
-// the trace ring (plus the gated per-phase sub-spans), and "sampled" runs
+// 64×64 solve: "plain" is the bare solve, "traced" turns trace events on
+// with the journal off, so it times the gated per-phase sub-spans and their
+// aggregates but journals no span event, and "sampled" runs
 // the runtime/metrics sampler concurrently at its default 1s cadence. The
 // acceptance budget is 5% on ns/op against plain; bit-identity is asserted
 // separately in TestTracingNumericallyNeutral and

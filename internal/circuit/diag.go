@@ -83,6 +83,20 @@ type Diagnostics struct {
 	Convergence *Convergence `json:"convergence,omitempty"`
 }
 
+// JSONSafe returns the copy of d that solve_end journals under "diag" and a
+// snapshot records as Outcome.Diag: the trajectory and the condition
+// estimate pass through jsonFinite, so a diverged solve's Inf/NaN still
+// encodes. The copy shares d's Cost, CGIters and Convergence. Nil in, nil
+// out.
+func (d *Diagnostics) JSONSafe() *Diagnostics {
+	if d == nil {
+		return nil
+	}
+	jd := *d
+	jd.Residuals, jd.CondEstimate = jsonFiniteSlice(d.Residuals), jsonFinite(d.CondEstimate)
+	return &jd
+}
+
 // JournaledDiagnostics decodes the Diagnostics a solve_end event carries
 // under "diag". It returns nil, nil for an event without one, such as a
 // solve_end of a journal before schema version 3.
@@ -269,7 +283,16 @@ func nextSolveID(prefix string) string {
 // SnapshotSchemaVersion identifies the snapshot layout; bump it on any
 // incompatible change so mnsim-replay can refuse documents it does not
 // understand.
-const SnapshotSchemaVersion = 1
+//
+// Version history:
+//
+//	1 — the outcome records a divergence's "residuals" and
+//	    "final_residual" and the solve's "cost" model.
+//	2 — the outcome records the solve's whole Diagnostics under "diag",
+//	    the copy solve_end journals, in place of those three keys.
+//	    Version-1 snapshots still load; their three keys are ignored, so
+//	    a replay checks their outputs, iteration counts and error only.
+const SnapshotSchemaVersion = 2
 
 // Snapshot is the self-contained, bit-exact record of one solve: the full
 // crossbar state, the drive vector, the resolved solver options, and the
@@ -320,12 +343,10 @@ type Outcome struct {
 	Power       float64   `json:"power,omitempty"`
 	NewtonIters int       `json:"newton_iters,omitempty"`
 	CGIters     int       `json:"cg_iters,omitempty"`
-	// FinalResidual and Residuals record a divergence trajectory.
-	FinalResidual float64   `json:"final_residual,omitempty"`
-	Residuals     []float64 `json:"residuals,omitempty"`
-	// Cost is the solve's per-phase operation cost model. Integer counts
-	// round-trip JSON exactly, so a replay must reproduce it bit for bit.
-	Cost *CostModel `json:"cost,omitempty"`
+	// Diag is the solve's Diagnostics (Diagnostics.JSONSafe), recorded for
+	// a success and a divergence alike; a replay must reproduce it bit for
+	// bit. Nil in a version-1 snapshot.
+	Diag *Diagnostics `json:"diag,omitempty"`
 
 	// Transient results.
 	SettleSeconds float64 `json:"settle_seconds,omitempty"`
@@ -345,8 +366,8 @@ func (s *Snapshot) Crossbar() *Crossbar {
 // Validate checks the fields every schema-conformant snapshot must carry.
 func (s *Snapshot) Validate() error {
 	switch {
-	case s.SchemaVersion != SnapshotSchemaVersion:
-		return fmt.Errorf("circuit: snapshot schema_version %d, want %d", s.SchemaVersion, SnapshotSchemaVersion)
+	case s.SchemaVersion < 1 || s.SchemaVersion > SnapshotSchemaVersion:
+		return fmt.Errorf("circuit: snapshot schema_version %d, want 1 to %d", s.SchemaVersion, SnapshotSchemaVersion)
 	case s.Kind != "dc" && s.Kind != "transient":
 		return fmt.Errorf("circuit: snapshot kind %q, want dc or transient", s.Kind)
 	case s.Kind == "transient" && s.Transient == nil:
@@ -385,11 +406,7 @@ func (c *Crossbar) NewSnapshot(vin []float64, opt SolveOptions, res *Result, err
 		var de *DivergenceError
 		if errors.As(err, &de) {
 			s.Outcome.NewtonIters = de.Iters
-			s.Outcome.FinalResidual = jsonFinite(de.FinalResidual)
-			if de.Diag != nil {
-				s.Outcome.Residuals = jsonFiniteSlice(de.Diag.Residuals)
-				s.Outcome.Cost = de.Diag.Cost.clone()
-			}
+			s.Outcome.Diag = de.Diag.JSONSafe()
 		}
 		return s
 	}
@@ -398,21 +415,8 @@ func (c *Crossbar) NewSnapshot(vin []float64, opt SolveOptions, res *Result, err
 	s.Outcome.Power = res.Power
 	s.Outcome.NewtonIters = res.NewtonIters
 	s.Outcome.CGIters = res.CGIters
-	if res.Diag != nil {
-		s.Outcome.Residuals = jsonFiniteSlice(res.Diag.Residuals)
-		s.Outcome.Cost = res.Diag.Cost.clone()
-	}
+	s.Outcome.Diag = res.Diag.JSONSafe()
 	return s
-}
-
-// clone copies the cost model into a fresh value (nil in, nil out), so a
-// snapshot owns its outcome independently of the live diagnostics.
-func (c *CostModel) clone() *CostModel {
-	if c == nil {
-		return nil
-	}
-	cp := *c
-	return &cp
 }
 
 // newTransientSnapshot records a completed settling run.
@@ -465,8 +469,9 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 
 // decodeSnapshot parses and schema-validates one snapshot document. Keys
 // the schema does not know — such as the retired "precond" and
-// "no_cost_accounting" options and the cost model's "factorizations" count
-// of older snapshots — are ignored.
+// "no_cost_accounting" options, the cost model's "factorizations" count
+// and a version-1 outcome's "residuals", "final_residual" and "cost" —
+// are ignored.
 func decodeSnapshot(b []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(b, &s); err != nil {

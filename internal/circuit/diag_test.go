@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"path/filepath"
@@ -67,9 +68,19 @@ func TestDivergenceJournalAndSnapshot(t *testing.T) {
 	if snap.Kind != "dc" || snap.Outcome.OK || snap.Outcome.Err == "" {
 		t.Fatalf("snapshot outcome %+v", snap.Outcome)
 	}
-	if snap.Outcome.NewtonIters != 5 || len(snap.Outcome.Residuals) != 5 {
-		t.Fatalf("snapshot trajectory %d iters / %d residuals, want 5/5",
-			snap.Outcome.NewtonIters, len(snap.Outcome.Residuals))
+	if snap.Outcome.Diag == nil || snap.Outcome.NewtonIters != 5 || len(snap.Outcome.Diag.Residuals) != 5 {
+		t.Fatalf("snapshot trajectory %d iters / diag %+v, want 5 iters and 5 residuals",
+			snap.Outcome.NewtonIters, snap.Outcome.Diag)
+	}
+	// The snapshot records the same Diagnostics record solve_end journals.
+	journaled, err := JournaledDiagnostics(events[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, jerr := json.Marshal(journaled)
+	sb, serr := json.Marshal(snap.Outcome.Diag)
+	if jerr != nil || serr != nil || string(jb) != string(sb) {
+		t.Fatalf("snapshot diag differs from solve_end's:\n snapshot %s\n journal  %s", sb, jb)
 	}
 	if snap.Options.MaxNewton != 5 || snap.Options.Tol != 1e-9 {
 		t.Fatalf("snapshot options not normalised: %+v", snap.Options)

@@ -111,16 +111,11 @@ func (o *solveObserver) finish(c *Crossbar, vin []float64, opt SolveOptions, res
 	if jid == "" {
 		return res, err
 	}
-	// The journaled copy passes the trajectory and condition estimate
-	// through jsonFinite, as snapshots do, so a diverged solve's Inf/NaN
-	// still encodes.
-	jd := *diag
-	jd.Residuals, jd.CondEstimate = jsonFiniteSlice(diag.Residuals), jsonFinite(diag.CondEstimate)
 	data := map[string]any{
 		"m": c.M, "n": c.N, "wire_r": c.WireR, "rsense": c.RSense,
 		"linear": c.Linear, "tol": opt.Tol, "max_newton": opt.MaxNewton,
 		"cg_tol": opt.CGTol, "ok": err == nil, "dur_us": float64(dur.Nanoseconds()) / 1e3,
-		"diag": &jd,
+		"diag": diag.JSONSafe(),
 	}
 	if res != nil {
 		data["newton_iters"] = res.NewtonIters

@@ -8,8 +8,9 @@ import (
 	"mnsim/internal/telemetry"
 )
 
-// withTestTracing turns on span-record retention on the default tracer for
-// the test and restores the disabled state afterwards.
+// withTestTracing turns trace events (journal "span" events and the gated
+// per-phase solve spans) on for the test and restores the disabled state
+// afterwards.
 func withTestTracing(t *testing.T) {
 	t.Helper()
 	telemetry.SetTraceSeed(1)
@@ -19,7 +20,7 @@ func withTestTracing(t *testing.T) {
 	})
 }
 
-// Numerical neutrality: enabling causal tracing (span records + journal
+// Numerical neutrality: enabling causal tracing (phase spans + journal
 // span events) must not change a single bit of the computed solution.
 func TestTracingNumericallyNeutral(t *testing.T) {
 	c := &Crossbar{M: 4, N: 4, R: uniformR(4, 4, 150e3), WireR: 0.5, RSense: 1500, Dev: device.RRAM()}

@@ -8,7 +8,9 @@
 package replay
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -105,7 +107,7 @@ func replayDC(ctx context.Context, c *circuit.Crossbar, s *circuit.Snapshot, w i
 			return mismatch("iterations %d/%d, recorded %d/%d",
 				res.NewtonIters, res.CGIters, s.Outcome.NewtonIters, s.Outcome.CGIters)
 		}
-		if err := compareCost(res.Diag, s.Outcome.Cost); err != nil {
+		if err := compareDiag(res.Diag, s.Outcome.Diag); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "replay: OK — Vout bit-identical across %d columns (%d Newton / %d CG iters)\n",
@@ -123,23 +125,8 @@ func replayDC(ctx context.Context, c *circuit.Crossbar, s *circuit.Snapshot, w i
 		if de.Iters != s.Outcome.NewtonIters {
 			return mismatch("divergence after %d iters, recorded %d", de.Iters, s.Outcome.NewtonIters)
 		}
-		if err := compareCost(de.Diag, s.Outcome.Cost); err != nil {
+		if err := compareDiag(de.Diag, s.Outcome.Diag); err != nil {
 			return err
-		}
-		//lint:ignore nofloateq bit-identical replay is an exact-equality contract by design
-		if jsonFinite(de.FinalResidual) != s.Outcome.FinalResidual {
-			return mismatch("final residual %v, recorded %v", de.FinalResidual, s.Outcome.FinalResidual)
-		}
-		if de.Diag != nil {
-			if got, want := len(de.Diag.Residuals), len(s.Outcome.Residuals); got != want {
-				return mismatch("trajectory length %d, recorded %d", got, want)
-			}
-			for i, r := range de.Diag.Residuals {
-				//lint:ignore nofloateq bit-identical replay is an exact-equality contract by design
-				if jsonFinite(r) != s.Outcome.Residuals[i] {
-					return mismatch("residual[%d] = %v, recorded %v", i, r, s.Outcome.Residuals[i])
-				}
-			}
 		}
 	}
 	fmt.Fprintf(w, "replay: OK — failure reproduced bit-identically: %s\n", s.Outcome.Err)
@@ -183,18 +170,26 @@ func replayTransient(ctx context.Context, c *circuit.Crossbar, s *circuit.Snapsh
 	return nil
 }
 
-// compareCost checks a re-run's cost model against the recorded one.
-// Operation counts are integers, so the comparison is exact; a recorded
-// snapshot without cost (written by a pre-cost build) skips the check.
-func compareCost(d *circuit.Diagnostics, recorded *circuit.CostModel) error {
+// compareDiag checks a re-run's Diagnostics — path, iteration counts,
+// residual trajectory, preconditioner refreshes, condition estimate, cost
+// model — against the recorded ones. Both are compared in their encoded
+// form, in which distinct float64 values never print alike, so equal bytes
+// mean a bit-identical trajectory. A snapshot without recorded diagnostics
+// (schema version 1) skips the check.
+func compareDiag(d, recorded *circuit.Diagnostics) error {
 	if recorded == nil {
 		return nil
 	}
-	if d == nil || d.Cost == nil {
-		return mismatch("snapshot records a cost model, re-run produced none")
+	got, err := json.Marshal(d.JSONSafe())
+	if err != nil {
+		return err
 	}
-	if *d.Cost != *recorded {
-		return mismatch("cost model differs: re-run %+v, recorded %+v", *d.Cost, *recorded)
+	want, err := json.Marshal(recorded)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(got, want) {
+		return mismatch("diagnostics differ:\n  re-run   %s\n  recorded %s", got, want)
 	}
 	return nil
 }

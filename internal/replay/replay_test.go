@@ -212,8 +212,8 @@ func TestReplayCostRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Outcome.Cost == nil || *snap.Outcome.Cost != *journaled {
-		t.Fatalf("snapshot cost model %+v, journaled %+v", snap.Outcome.Cost, journaled)
+	if snap.Outcome.Diag == nil || snap.Outcome.Diag.Cost == nil || *snap.Outcome.Diag.Cost != *journaled {
+		t.Fatalf("snapshot diag %+v, journaled cost %+v", snap.Outcome.Diag, journaled)
 	}
 	// ...and a verbose replay reproduces it exactly, rendering attribution.
 	var sb strings.Builder
@@ -226,7 +226,7 @@ func TestReplayCostRoundTrip(t *testing.T) {
 		}
 	}
 	// A tampered operation count must be caught.
-	snap.Outcome.Cost.CGLoop.Flops++
+	snap.Outcome.Diag.Cost.CGLoop.Flops++
 	sb.Reset()
 	if err := Snapshot(context.Background(), snap, &sb, false); !errors.Is(err, ErrMismatch) {
 		t.Fatalf("tampered cost replayed clean: %v", err)
@@ -275,8 +275,9 @@ func TestReplayLegacyOptionKeys(t *testing.T) {
 	}
 }
 
-// A snapshot written by a pre-cost build has no cost model; replay must
-// skip the check rather than flag a mismatch.
+// A snapshot without recorded diagnostics (schema version 1 keeps none)
+// has no cost model to check; replay must skip the check rather than flag
+// a mismatch.
 func TestReplayCostAbsentSkipsCheck(t *testing.T) {
 	c := testCrossbar()
 	vin := []float64{0.3, 0.2, 0.1, 0.3}
@@ -285,9 +286,128 @@ func TestReplayCostAbsentSkipsCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := c.NewSnapshot(vin, circuit.SolveOptions{}, res, nil)
-	snap.Outcome.Cost = nil
+	snap.Outcome.Diag = nil
 	var sb strings.Builder
 	if err := Snapshot(context.Background(), snap, &sb, false); err != nil {
 		t.Fatalf("cost-less snapshot failed replay: %v\n%s", err, sb.String())
+	}
+}
+
+// Replay checks the whole recorded Diagnostics, not only the outputs: a
+// recorded preconditioner refresh count, solver path or Newton step CG
+// count that the re-run does not reproduce is a mismatch, for a converged
+// solve and for a diverged one.
+func TestReplayDetectsDiagTampering(t *testing.T) {
+	dev := device.RRAM()
+	dev.NonlinearVc = 2e-3
+	diverging := &circuit.Crossbar{M: 2, N: 2, R: uniformR(2, 2, 100e3), WireR: 1, RSense: 1500, Dev: dev}
+	converged := testCrossbar()
+	vin := []float64{0.3, 0.2, 0.1, 0.3}
+	opt := circuit.SolveOptions{Tol: 1e-9, MaxNewton: 50, CGTol: 1e-10}
+	res, err := converged.Solve(vin, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, derr := diverging.Solve([]float64{0.3, 0.3}, circuit.SolveOptions{MaxNewton: 5})
+	if !errors.Is(derr, circuit.ErrNewtonDiverged) {
+		t.Fatalf("want divergence, got %v", derr)
+	}
+	dir := t.TempDir()
+	snaps := map[string]*circuit.Snapshot{
+		"converged": converged.NewSnapshot(vin, opt, res, nil),
+		"diverged":  diverging.NewSnapshot([]float64{0.3, 0.3}, circuit.SolveOptions{MaxNewton: 5}, nil, derr),
+	}
+	// load gives each case its own decoded copy, so no tampering aliases
+	// another case's diagnostics.
+	load := func(kind string) *circuit.Snapshot {
+		path := filepath.Join(dir, kind+".json")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := circuit.WriteSnapshot(f, snaps[kind]); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := circuit.LoadSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	tampers := map[string]func(d *circuit.Diagnostics){
+		"precond_refreshes": func(d *circuit.Diagnostics) { d.PrecondRefreshes++ },
+		"path":              func(d *circuit.Diagnostics) { d.Path = "linear-cg" },
+		"cg_iters":          func(d *circuit.Diagnostics) { d.CGIters[len(d.CGIters)-1]++ },
+	}
+	for kind := range snaps {
+		var sb strings.Builder
+		if err := Snapshot(context.Background(), load(kind), &sb, false); err != nil {
+			t.Fatalf("%s: untampered snapshot failed replay: %v\n%s", kind, err, sb.String())
+		}
+		for field, tamper := range tampers {
+			s := load(kind)
+			if s.Outcome.Diag == nil || len(s.Outcome.Diag.CGIters) == 0 {
+				t.Fatalf("%s: snapshot records no Newton CG counts: %+v", kind, s.Outcome.Diag)
+			}
+			tamper(s.Outcome.Diag)
+			if err := Snapshot(context.Background(), s, &sb, false); !errors.Is(err, ErrMismatch) {
+				t.Errorf("%s: tampered %s replayed clean: %v", kind, field, err)
+			}
+		}
+	}
+}
+
+// Snapshots written in the schema-1 layout — the outcome's "residuals",
+// "cost" and (for a divergence) "final_residual" keys, no "diag" — still
+// load and replay their outputs, iteration counts and error. The testdata
+// files were written by the last schema-1 build: v1-divergence.json by
+// mnsim-replay -force-divergence, v1-success.json from
+// TestReplayRoundTripSuccess's solve.
+func TestReplaySchemaV1Snapshots(t *testing.T) {
+	v1Keys := []string{`"schema_version": 1,`, `"residuals"`, `"cost"`}
+	for name, keys := range map[string][]string{
+		"v1-success.json":    v1Keys,
+		"v1-divergence.json": append(v1Keys, `"final_residual"`),
+	} {
+		path := filepath.Join("testdata", name)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := string(raw)
+		for _, key := range keys {
+			if !strings.Contains(doc, key) {
+				t.Fatalf("%s lacks the schema-1 key %s", name, key)
+			}
+		}
+		if strings.Contains(doc, `"diag"`) {
+			t.Fatalf("%s carries a schema-2 diag", name)
+		}
+		var sb strings.Builder
+		if _, err := File(context.Background(), path, &sb, true); err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, sb.String())
+		}
+		if !strings.Contains(sb.String(), "bit-identical") {
+			t.Fatalf("%s: replay report lacks the verdict:\n%s", name, sb.String())
+		}
+		// The outputs, iteration counts and error are still checked.
+		s, err := circuit.LoadSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Outcome.Diag != nil {
+			t.Fatalf("%s: schema-1 snapshot decoded a diag", name)
+		}
+		if s.Outcome.OK {
+			s.Outcome.VOut[0] += 1e-15
+		} else {
+			s.Outcome.NewtonIters++
+		}
+		if err := Snapshot(context.Background(), s, &sb, false); !errors.Is(err, ErrMismatch) {
+			t.Errorf("%s: tampered schema-1 outcome replayed clean: %v", name, err)
+		}
 	}
 }

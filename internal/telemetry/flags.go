@@ -15,15 +15,14 @@ import (
 //
 //	-metrics-out file   write the metrics registry on exit
 //	                    (Prometheus text; JSON when the path ends in .json)
-//	-trace-out file     write the aggregated span trace as JSON on exit
-//	-trace-events file  write the causal span timeline as Chrome
-//	                    trace-event JSON on exit (open in Perfetto or
-//	                    chrome://tracing)
-//	-run-out file       write the run manifest (run.json) on exit
+//	-run-out file       write the run manifest (run.json: identity,
+//	                    per-phase span aggregates, final metrics) on exit
 //	-journal file       record the flight-recorder event journal (JSONL:
 //	                    solve_end/transient_settle/candidate_eval/
-//	                    mc_trial/phase); divergence and
-//	                    non-settle snapshots land next to the file
+//	                    mc_trial/phase/span); divergence and
+//	                    non-settle snapshots land next to the file, and
+//	                    mnsim-journal export turns its span events into
+//	                    a Perfetto timeline
 //	-serve addr         serve the observability endpoints (/metrics,
 //	                    /metrics.json, /trace, /progress, /runinfo,
 //	                    /events, /healthz, /debug/pprof/*)
@@ -53,15 +52,13 @@ import (
 // failed sweep are exactly what the user wants to look at; record the
 // run's outcome with Run.SetError first so the manifest carries it.
 type Flags struct {
-	MetricsOut  string
-	TraceOut    string
-	TraceEvents string
-	RunOut      string
-	Journal     string
-	ServeAddr   string
-	ServeHold   time.Duration
-	Progress    bool
-	LogLevel    string
+	MetricsOut string
+	RunOut     string
+	Journal    string
+	ServeAddr  string
+	ServeHold  time.Duration
+	Progress   bool
+	LogLevel   string
 
 	ResourceInterval time.Duration
 	MemSoftLimit     string
@@ -91,10 +88,6 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{Run: NewRunInfo()}
 	fs.StringVar(&f.MetricsOut, "metrics-out", "",
 		"write metrics to this file on exit (Prometheus text format, or JSON if the path ends in .json)")
-	fs.StringVar(&f.TraceOut, "trace-out", "",
-		"write the aggregated span trace as JSON to this file on exit")
-	fs.StringVar(&f.TraceEvents, "trace-events", "",
-		"write the causal span timeline as Chrome trace-event JSON to this file on exit (viewable in Perfetto / chrome://tracing)")
 	fs.StringVar(&f.RunOut, "run-out", "",
 		"write the run manifest (run.json: tool, args, seed, per-phase wall time, final metrics, exit status) to this file on exit")
 	fs.StringVar(&f.Journal, "journal", "",
@@ -119,10 +112,6 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 		"continuous-profile rotation cadence (default 30s)")
 	return f
 }
-
-// Start is StartContext with a background context; kept for callers that
-// have no cancellation to propagate.
-func (f *Flags) Start() error { return f.StartContext(context.Background()) }
 
 // StartContext applies the log level, brings up the observability
 // server, and starts the -progress printer. Listens happen
@@ -154,11 +143,11 @@ func (f *Flags) StartContext(ctx context.Context) error {
 	} else if f.ServeAddr != "" {
 		defaultJournal.EnableRing()
 	}
-	// Causal tracing: one switch drives the span-record ring, journal
-	// "span" events, and /trace.json. Any sink that can consume span
-	// records turns it on; a plain run keeps it off so the neutrality
-	// benchmarks measure the true disabled cost.
-	if f.TraceEvents != "" || f.Journal != "" || f.ServeAddr != "" {
+	// Causal tracing: journal "span" events, from which mnsim-journal
+	// export and /trace.json build the timeline. A recording journal turns
+	// them on; a plain run keeps them off so the neutrality benchmarks
+	// measure the true disabled cost.
+	if f.Journal != "" || f.ServeAddr != "" {
 		if f.Run != nil {
 			if info := f.Run.snapshot(); info.Seed != nil {
 				SetTraceSeed(*info.Seed)
@@ -191,7 +180,6 @@ func (f *Flags) StartContext(ctx context.Context) error {
 			StallTimeout:      f.StallTimeout,
 			ProfileDir:        f.ProfileDir,
 			ProfileInterval:   f.ProfileInterval,
-			Journal:           true,
 		}
 		if f.Run != nil {
 			cfg.Artifact = f.Run.SetArtifact
@@ -315,9 +303,9 @@ func (f *Flags) startProgressPrinter(ctx context.Context) {
 }
 
 // Finish stops the progress printer, writes the requested dump files
-// (metrics, trace, then the run manifest, which snapshots the final
-// metrics), honours -serve-hold, and stops the servers. A failed dump
-// does not stop the later ones; the first error encountered is returned.
+// (metrics, then the run manifest, which snapshots the final metrics),
+// honours -serve-hold, and stops the servers. A failed dump does not stop
+// the later ones; the first error encountered is returned.
 func (f *Flags) Finish() error {
 	if f.progStop != nil {
 		close(f.progStop)
@@ -344,20 +332,6 @@ func (f *Flags) Finish() error {
 			first = err
 		} else if err == nil {
 			record("metrics", f.MetricsOut)
-		}
-	}
-	if f.TraceOut != "" {
-		if err := WriteTraceFile(f.TraceOut); err != nil && first == nil {
-			first = err
-		} else if err == nil {
-			record("trace", f.TraceOut)
-		}
-	}
-	if f.TraceEvents != "" {
-		if err := WriteTraceEventsFile(f.TraceEvents); err != nil && first == nil {
-			first = err
-		} else if err == nil {
-			record("trace_events", f.TraceEvents)
 		}
 	}
 	if f.Journal != "" {

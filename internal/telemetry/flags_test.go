@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -14,16 +15,23 @@ func TestFlagsRegisterAndDump(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := AddFlags(fs)
 	dir := t.TempDir()
+	nflags := 0
+	fs.VisitAll(func(*flag.Flag) { nflags++ })
+	if nflags != 12 {
+		t.Fatalf("AddFlags registered %d flags, want 12", nflags)
+	}
 	prom := filepath.Join(dir, "m.prom")
 	js := filepath.Join(dir, "m.json")
-	trace := filepath.Join(dir, "t.json")
-	if err := fs.Parse([]string{"-metrics-out", prom, "-trace-out", trace}); err != nil {
+	run := filepath.Join(dir, "run.json")
+	if err := fs.Parse([]string{"-metrics-out", prom, "-run-out", run}); err != nil {
 		t.Fatal(err)
 	}
 	GetCounter("mnsim_flagtest_total").Inc()
-	if err := f.Start(); err != nil {
+	if err := f.StartContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	_, sp := StartSpan(context.Background(), "flagtest.phase")
+	sp.End()
 	if err := f.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,15 +42,20 @@ func TestFlagsRegisterAndDump(t *testing.T) {
 	if !strings.Contains(string(promBody), "mnsim_flagtest_total 1") {
 		t.Fatalf("Prometheus dump missing counter:\n%s", promBody)
 	}
-	traceBody, err := os.ReadFile(trace)
+	// The span aggregates are the manifest's phases.
+	m, err := LoadManifest(run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(traceBody), `"spans"`) {
-		t.Fatalf("trace dump malformed:\n%s", traceBody)
+	found := false
+	for _, p := range m.Phases {
+		found = found || (p.Name == "flagtest.phase" && p.Count >= 1)
+	}
+	if !found {
+		t.Fatalf("manifest phases lack the span aggregate: %+v", m.Phases)
 	}
 	// A .json metrics path selects the JSON exporter.
-	f.MetricsOut, f.TraceOut = js, ""
+	f.MetricsOut, f.RunOut = js, ""
 	if err := f.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +74,7 @@ func TestFlagsBadLogLevel(t *testing.T) {
 	if err := fs.Parse([]string{"-log-level", "shouty"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Start(); err == nil {
+	if err := f.StartContext(context.Background()); err == nil {
 		t.Fatal("bad log level accepted")
 	}
 }
@@ -74,7 +87,7 @@ func TestFlagsBadServeAddr(t *testing.T) {
 	}
 	// The listen must fail synchronously in Start, not asynchronously in a
 	// serve goroutine after the run is already underway.
-	if err := f.Start(); err == nil {
+	if err := f.StartContext(context.Background()); err == nil {
 		f.Finish()
 		t.Fatal("bad -serve address accepted")
 	}
@@ -84,7 +97,6 @@ func TestFlagsFinishKeepsWritingAfterFailure(t *testing.T) {
 	dir := t.TempDir()
 	f := &Flags{
 		MetricsOut: filepath.Join(dir, "no-such-subdir", "m.prom"), // unwritable
-		TraceOut:   filepath.Join(dir, "t.json"),
 		RunOut:     filepath.Join(dir, "run.json"),
 		Run:        NewRunInfo(),
 	}
@@ -94,9 +106,6 @@ func TestFlagsFinishKeepsWritingAfterFailure(t *testing.T) {
 		t.Fatal("unwritable -metrics-out did not surface an error")
 	}
 	// The later dumps must still have been written.
-	if _, serr := os.Stat(f.TraceOut); serr != nil {
-		t.Errorf("trace dump skipped after metrics failure: %v", serr)
-	}
 	if _, serr := os.Stat(f.RunOut); serr != nil {
 		t.Errorf("run manifest skipped after metrics failure: %v", serr)
 	}
@@ -126,7 +135,7 @@ func (l *lockedBuffer) String() string {
 func TestFlagsProgressPrinter(t *testing.T) {
 	var buf lockedBuffer
 	f := &Flags{Progress: true, ProgressOut: &buf, ProgressInterval: 5 * time.Millisecond}
-	if err := f.Start(); err != nil {
+	if err := f.StartContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	p := StartPhase("flagstest.progress", 50)

@@ -335,6 +335,22 @@ func (j *Journal) WriteEventsJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
+// ringEvents decodes the ring buffer's lines, oldest first — the events
+// /trace.json derives its live timeline from.
+func (j *Journal) ringEvents() []Event {
+	j.mu.Lock()
+	lines := j.ring.snapshot()
+	j.mu.Unlock()
+	events := make([]Event, 0, len(lines))
+	for _, line := range lines {
+		var ev Event
+		if json.Unmarshal(line, &ev) == nil {
+			events = append(events, ev)
+		}
+	}
+	return events
+}
+
 // Reset clears the ring buffer and counters of a closed journal; test
 // helper, not part of the recording lifecycle.
 func (j *Journal) Reset() {

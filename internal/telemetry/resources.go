@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime/metrics"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -110,15 +109,14 @@ type ResourceRollup struct {
 	WatchdogStalls    int64   `json:"watchdog_stalls,omitempty"`
 }
 
-// ResourceConfig tunes StartResourceSampler.
+// ResourceConfig tunes ResourceSampler.Start. The sampler keeps the last
+// DefaultResourceRing samples and journals its events whenever the default
+// journal records.
 type ResourceConfig struct {
 	// Interval is the sampling cadence; <= 0 disables periodic sampling
 	// unless a watchdog or profiler needs a tick, in which case it defaults
 	// to DefaultResourceInterval.
 	Interval time.Duration
-	// RingCap bounds the in-memory sample ring (<= 0 selects
-	// DefaultResourceRing).
-	RingCap int
 	// MemSoftLimitBytes, when > 0, arms the soft memory watermark: live
 	// heap at or above it journals mem_pressure and captures a heap
 	// profile; the watchdog re-arms when live heap falls back under 90%.
@@ -135,10 +133,6 @@ type ResourceConfig struct {
 	ProfileDir string
 	// ProfileInterval is the profile rotation cadence.
 	ProfileInterval time.Duration
-	// Journal enables resource_sample/watchdog_stall/mem_pressure journal
-	// events (the sampler checks JournalOn per tick regardless, so this
-	// only suppresses them for embedded users who want ring-only samples).
-	Journal bool
 	// Artifact, when non-nil, is called for every file the sampler writes
 	// (profiles, watchdog captures) so the run manifest can index them;
 	// wired to RunInfo.SetArtifact by the flag layer.
@@ -223,9 +217,6 @@ func (s *ResourceSampler) Start(ctx context.Context, cfg ResourceConfig) error {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultResourceInterval
 	}
-	if cfg.RingCap <= 0 {
-		cfg.RingCap = DefaultResourceRing
-	}
 	if cfg.ProfileInterval <= 0 {
 		cfg.ProfileInterval = DefaultProfileInterval
 	}
@@ -235,7 +226,7 @@ func (s *ResourceSampler) Start(ctx context.Context, cfg ResourceConfig) error {
 		return fmt.Errorf("telemetry: resource sampler already running")
 	}
 	s.cfg = cfg
-	s.ring = ring[ResourceSample]{size: cfg.RingCap}
+	s.ring = ring[ResourceSample]{size: DefaultResourceRing}
 	s.total = 0
 	s.rollup = ResourceRollup{IntervalMS: cfg.Interval.Milliseconds()}
 	s.first = nil
@@ -313,7 +304,7 @@ func (s *ResourceSampler) loop(ctx context.Context) {
 // promises.
 func (s *ResourceSampler) finish() {
 	s.tick(time.Now())
-	s.stopCPUProfile(true)
+	s.stopCPUProfile()
 	if s.cfg.ProfileDir != "" {
 		s.writeHeapProfile("heap", "profile_heap")
 	}
@@ -382,10 +373,9 @@ func (s *ResourceSampler) tick(now time.Time) {
 	r.GCCycles = smp.GCCycles - s.first.GCCycles
 	r.GCPauseTotalNS = smp.GCPauseTotalNS - s.first.GCPauseTotalNS
 	r.GCCPUFraction = smp.GCCPUFraction
-	journal := s.cfg.Journal
 	s.mu.Unlock()
 
-	if journal && JournalOn() {
+	if JournalOn() {
 		EmitEvent(EvResourceSample, "", map[string]any{
 			"heap_live_bytes":      smp.HeapLiveBytes,
 			"heap_goal_bytes":      smp.HeapGoalBytes,
@@ -429,7 +419,7 @@ func (s *ResourceSampler) checkMemPressure(smp ResourceSample) {
 	path := s.writeHeapProfile("heap-pressure", "mem_pressure_heap_profile")
 	Log().Warn("soft memory limit crossed",
 		"heap_live_bytes", smp.HeapLiveBytes, "limit_bytes", limit, "heap_profile", path)
-	if s.cfg.Journal && JournalOn() {
+	if JournalOn() {
 		EmitEvent(EvMemPressure, "", map[string]any{
 			"heap_live_bytes": smp.HeapLiveBytes,
 			"limit_bytes":     limit,
@@ -464,7 +454,7 @@ func (s *ResourceSampler) checkStall(now time.Time, smp ResourceSample) {
 	path := s.writeGoroutineProfile()
 	Log().Warn("stall watchdog fired: no journal/progress activity",
 		"quiet", time.Duration(quiet), "goroutines", smp.Goroutines, "goroutine_profile", path)
-	if s.cfg.Journal && JournalOn() {
+	if JournalOn() {
 		EmitEvent(EvWatchdogStall, "", map[string]any{
 			"quiet_ms":          quiet / 1e6,
 			"goroutines":        smp.Goroutines,
@@ -483,7 +473,7 @@ func (s *ResourceSampler) rotateProfiles(now time.Time) {
 		return
 	}
 	s.lastProfileNS = now.UnixNano()
-	s.stopCPUProfile(false)
+	s.stopCPUProfile()
 	s.startCPUProfile()
 	s.writeHeapProfile("heap", "profile_heap")
 }
@@ -521,8 +511,8 @@ func (s *ResourceSampler) startCPUProfile() {
 }
 
 // stopCPUProfile ends the current CPU profile segment and records it as an
-// artifact. final marks the last segment of the run.
-func (s *ResourceSampler) stopCPUProfile(final bool) {
+// artifact.
+func (s *ResourceSampler) stopCPUProfile() {
 	if s.cpuProfile == nil {
 		return
 	}
@@ -533,7 +523,6 @@ func (s *ResourceSampler) stopCPUProfile(final bool) {
 	}
 	s.cpuProfile = nil
 	s.recordArtifact("profile_cpu", path)
-	_ = final
 }
 
 // writeHeapProfile captures a heap profile into the capture directory and
@@ -713,7 +702,8 @@ func jsonFiniteF(v float64) float64 {
 // ParseByteSize parses human-friendly byte sizes: a plain integer is
 // bytes; suffixes KB/MB/GB (decimal, 1000-based) and KiB/MiB/GiB (binary,
 // 1024-based) scale it, case-insensitively; "64M" means 64 MiB (the
-// conventional shorthand). The empty string is 0.
+// conventional shorthand). The empty string is 0. A size that is not a
+// finite number of bytes below 2^64 is an error.
 func ParseByteSize(s string) (uint64, error) {
 	t := strings.TrimSpace(s)
 	if t == "" {
@@ -737,10 +727,12 @@ func ParseByteSize(s string) (uint64, error) {
 		}
 	}
 	n, err := strconv.ParseFloat(upper, 64)
-	if err != nil || n < 0 {
+	b := n * float64(mult)
+	// The negated range check also rejects NaN.
+	if err != nil || !(b >= 0 && b < 1<<64) {
 		return 0, fmt.Errorf("telemetry: invalid byte size %q", s)
 	}
-	return uint64(n * float64(mult)), nil
+	return uint64(b), nil
 }
 
 // FormatByteSize renders bytes human-readably (binary units), for tables.
@@ -755,10 +747,4 @@ func FormatByteSize(b uint64) string {
 		exp++
 	}
 	return fmt.Sprintf("%.1f %ciB", float64(b)/float64(div), "KMGTPE"[exp])
-}
-
-// SortSamplesByTime orders samples oldest-first by timestamp — journal
-// readers reconstructing a timeline use it after merging sources.
-func SortSamplesByTime(samples []ResourceSample) {
-	sort.Slice(samples, func(i, j int) bool { return samples[i].TNS < samples[j].TNS })
 }

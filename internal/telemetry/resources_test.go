@@ -86,7 +86,7 @@ func TestResourceSamplerFinalFlush(t *testing.T) {
 	defaultJournal = j
 	t.Cleanup(func() { defaultJournal = old })
 
-	startTestSampler(t, ResourceConfig{Interval: time.Hour, Journal: true})
+	startTestSampler(t, ResourceConfig{Interval: time.Hour})
 	defaultResources.Stop()
 	if n := len(defaultResources.Samples()); n != 1 {
 		t.Fatalf("got %d samples, want exactly the final flush", n)
@@ -160,7 +160,6 @@ func TestResourceSamplerMemPressure(t *testing.T) {
 	startTestSampler(t, ResourceConfig{
 		Interval:          3 * time.Millisecond,
 		MemSoftLimitBytes: 1, // any live heap crosses this
-		Journal:           true,
 	})
 	waitFor(t, 5*time.Second, "several samples", func() bool {
 		return len(defaultResources.Samples()) >= 4
@@ -212,7 +211,6 @@ func TestResourceSamplerStallWatchdog(t *testing.T) {
 	startTestSampler(t, ResourceConfig{
 		Interval:     3 * time.Millisecond,
 		StallTimeout: 15 * time.Millisecond,
-		Journal:      true,
 	})
 	waitFor(t, 5*time.Second, "stall to fire", func() bool {
 		return defaultResources.Rollup().WatchdogStalls >= 1
@@ -259,7 +257,6 @@ func TestResourceSamplerStallSuppressedByActivity(t *testing.T) {
 	startTestSampler(t, ResourceConfig{
 		Interval:     2 * time.Millisecond,
 		StallTimeout: 20 * time.Millisecond,
-		Journal:      true,
 	})
 	deadline := time.Now().Add(100 * time.Millisecond)
 	for time.Now().Before(deadline) {
@@ -376,6 +373,13 @@ func TestParseByteSize(t *testing.T) {
 		{"-1", 0, true},
 		{"howmuch", 0, true},
 		{"MiB", 0, true},
+		// Non-finite sizes and sizes of 2^64 bytes or more do not fit a
+		// uint64 and must not wrap to 2^63.
+		{"NaN", 0, true},
+		{"Inf", 0, true},
+		{"1e30", 0, true},
+		{"1e19MB", 0, true},
+		{"18446744073709551616", 0, true},
 	}
 	for _, c := range cases {
 		got, err := ParseByteSize(c.in)

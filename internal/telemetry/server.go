@@ -27,7 +27,8 @@ func jsonHandler(write func(w http.ResponseWriter) error) http.HandlerFunc {
 //	/metrics        Prometheus text exposition (version 0.0.4)
 //	/metrics.json   the same registry as JSON
 //	/trace          span wall-time aggregates as JSON
-//	/trace.json     the causal span timeline as Chrome trace-event JSON
+//	/trace.json     the causal span timeline as Chrome trace-event JSON,
+//	                built from the "span" events in the journal ring
 //	                (save and open in Perfetto / chrome://tracing)
 //	/progress       live sweep phases: total/done, rate, ETA
 //	/events         the flight-recorder ring buffer (most recent journal
@@ -54,7 +55,7 @@ func NewServeMux(run *RunInfo) *http.ServeMux {
 		return defaultTracer.WriteJSON(w)
 	}))
 	mux.HandleFunc("/trace.json", jsonHandler(func(w http.ResponseWriter) error {
-		return defaultTracer.WriteTraceEvents(w)
+		return WriteTraceEventsTo(w, SpanRecordsFromEvents(defaultJournal.ringEvents()))
 	}))
 	mux.HandleFunc("/progress", jsonHandler(func(w http.ResponseWriter) error {
 		return defaultProgress.WriteJSON(w)

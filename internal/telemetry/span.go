@@ -10,23 +10,19 @@ import (
 	"time"
 )
 
-// Tracer aggregates span wall times per hierarchical span name. It is not
-// a distributed tracer: there is no per-span event log, only the
-// per-name aggregate (count / total / min / max), which is what the
-// paper-style speed analysis needs and what stays O(1) in memory across a
-// 10,220-candidate sweep.
+// Tracer aggregates span wall times per hierarchical span name (count /
+// total / min / max), which is what the paper-style speed analysis needs
+// and what stays O(1) in memory across a 10,220-candidate sweep. It keeps
+// no per-span record: with trace events on, each span ended on the default
+// tracer is one journal "span" event instead (see Span.End).
 type Tracer struct {
 	mu  sync.Mutex
 	agg map[string]*spanAgg
 
-	// Causal-trace state (trace.go): the run's trace ID, a counter
-	// discriminating sequentially started root spans, and the bounded ring
-	// of completed span records behind EnableTraceEvents.
-	traceID  atomic.Uint64
-	rootSeq  atomic.Int64
-	eventsOn atomic.Bool
-	evMu     sync.Mutex
-	events   ring[SpanRecord]
+	// Causal-trace ID state (trace.go): the run's trace ID and a counter
+	// discriminating sequentially started root spans.
+	traceID atomic.Uint64
+	rootSeq atomic.Int64
 }
 
 type spanAgg struct {
@@ -113,42 +109,29 @@ func (s *Span) Name() string {
 }
 
 // End closes the span and folds its wall time into the tracer's per-name
-// aggregate, returning the elapsed duration (zero on repeated End). When
-// trace events are on, the completed span is additionally retained as a
-// SpanRecord and — on the default tracer with the journal recording —
-// emitted as a journal "span" event (times in microseconds, IDs in hex
-// wire form).
+// aggregate, returning the elapsed duration (zero on repeated End). On the
+// default tracer, with trace events on and the journal recording, the
+// completed span is also journaled as one "span" event (times in
+// microseconds, IDs in hex wire form): the only per-span record kept.
 func (s *Span) End() time.Duration {
 	if s == nil || s.done.Swap(true) {
 		return 0
 	}
 	d := time.Since(s.start)
 	s.tracer.record(s.path, d)
-	if s.tracer.eventsOn.Load() {
-		rec := SpanRecord{
-			Name:     s.name,
-			Path:     s.path,
-			TraceID:  s.traceID,
-			SpanID:   s.spanID,
-			ParentID: s.parentID,
-			StartNS:  s.start.UnixNano(),
-			DurNS:    d.Nanoseconds(),
+	if s.tracer == defaultTracer && spanEvents.Load() && defaultJournal.Enabled() {
+		data := map[string]any{
+			"name":     s.name,
+			"path":     s.path,
+			"trace_id": FormatID(s.traceID),
+			"span_id":  FormatID(s.spanID),
+			"start_us": float64(s.start.UnixNano()) / 1e3,
+			"dur_us":   float64(d.Nanoseconds()) / 1e3,
 		}
-		s.tracer.recordEvent(rec)
-		if s.tracer == defaultTracer && defaultJournal.Enabled() {
-			data := map[string]any{
-				"name":     s.name,
-				"path":     s.path,
-				"trace_id": FormatID(s.traceID),
-				"span_id":  FormatID(s.spanID),
-				"start_us": float64(rec.StartNS) / 1e3,
-				"dur_us":   float64(rec.DurNS) / 1e3,
-			}
-			if s.parentID != 0 {
-				data["parent_id"] = FormatID(s.parentID)
-			}
-			defaultJournal.Emit(EvSpan, "", data)
+		if s.parentID != 0 {
+			data["parent_id"] = FormatID(s.parentID)
 		}
+		defaultJournal.Emit(EvSpan, "", data)
 	}
 	return d
 }

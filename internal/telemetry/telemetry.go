@@ -4,8 +4,7 @@
 // speed-up ratios hinge on knowing exactly where solver time goes; this
 // package is the measurement substrate those claims are checked against.
 //
-// It provides three facilities, all stdlib-only and safe for concurrent
-// use:
+// Its facilities, all stdlib-only and safe for concurrent use:
 //
 //   - a process-wide metrics Registry of atomic counters, gauges and
 //     fixed-bucket histograms, exportable as Prometheus text format or
@@ -14,9 +13,15 @@
 //   - lightweight hierarchical span tracing: StartSpan(ctx, "dse.candidate")
 //     opens a span whose name is prefixed by any parent span carried in the
 //     context, and End() folds its wall time into a per-name aggregate
-//     (count / total / min / max) exported as JSON;
+//     (count / total / min / max), the run manifest's "phases";
 //
-//   - a leveled key-value structured Logger.
+//   - the flight-recorder Journal: typed JSONL events, one per solve,
+//     candidate, trial and (with trace events on) span, kept in a bounded
+//     ring and optionally a file. Every per-event view — /events,
+//     /trace.json, mnsim-journal — is derived from it;
+//
+//   - live sweep progress, a resource sampler with watchdogs, the run
+//     manifest, and a leveled key-value structured Logger.
 //
 // Library packages register their metrics as package-level variables
 // (GetCounter / GetHistogram), so importing an instrumented package is
@@ -25,8 +30,9 @@
 // measured in a run.
 //
 // The CLIs expose the layer through shared flags (AddFlags): -metrics-out
-// writes the registry on exit, -trace-out writes the span aggregates, and
-// -serve serves the live endpoints, net/http/pprof among them.
+// writes the registry on exit, -run-out the run manifest, -journal the
+// event journal, and -serve serves the live endpoints, net/http/pprof
+// among them.
 package telemetry
 
 import (
@@ -102,12 +108,6 @@ func WriteMetricsFile(path string) error {
 		}
 		return defaultRegistry.WritePrometheus(w)
 	})
-}
-
-// WriteTraceFile dumps the default tracer's span aggregates as JSON. The
-// write is atomic (temp file + rename).
-func WriteTraceFile(path string) error {
-	return writeFileAtomic(path, defaultTracer.WriteJSON)
 }
 
 // HashBytes returns a short hex SHA-256 content hash, the config-hash

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"sync/atomic"
 )
 
 // Causal tracing: every run carries a trace ID, every span a span ID and a
@@ -18,20 +19,15 @@ import (
 // count or scheduling — the same determinism contract the solver results
 // obey.
 //
-// Completed spans are additionally recorded into a bounded in-memory ring
-// (EnableTraceEvents) and, when the flight recorder is on, as journal
-// "span" events; both feed the Chrome trace-event JSON export
-// (-trace-events / /trace.json / mnsim-journal export) that Perfetto and
-// chrome://tracing render as a timeline.
+// With trace events on (EnableTraceEvents) and the flight recorder
+// recording, each completed span is one journal "span" event. The Chrome
+// trace-event JSON that Perfetto and chrome://tracing render as a timeline
+// is derived from those events: live from the journal ring (/trace.json)
+// or after the run from the journal file (mnsim-journal export).
 
 // traceSalt decorrelates the trace-ID family from the raw seed values the
 // per-trial RNG streams already consume ("mnsim-tr" as ASCII).
 const traceSalt = 0x6d6e73696d2d7472
-
-// DefaultTraceEventCap bounds the in-memory span-record ring: enough to
-// hold every span of a large sweep (candidates plus their solve phases)
-// at roughly 100 bytes per record.
-const DefaultTraceEventCap = 1 << 16
 
 // mix64 is the splitmix64 finalizer — the same integer mixer the seeded
 // per-trial RNG streams use, applied here to derive trace and span IDs.
@@ -120,8 +116,8 @@ func (t *Tracer) deriveIDs(parent *Span, name, key string) (traceID, spanID, par
 	return traceID, spanID, parentID
 }
 
-// SpanRecord is one completed span: the unit of the trace-event ring and
-// of the Chrome trace-event export. StartNS is wall-clock Unix
+// SpanRecord is one completed span as decoded from a journal "span" event:
+// the unit of the Chrome trace-event export. StartNS is wall-clock Unix
 // nanoseconds; DurNS the span's elapsed time.
 type SpanRecord struct {
 	// Name is the span's leaf name, Path its full hierarchical name.
@@ -136,62 +132,28 @@ type SpanRecord struct {
 	DurNS    int64
 }
 
-// EnableTraceEvents starts recording completed spans into the bounded
-// in-memory ring (capacity <= 0 selects DefaultTraceEventCap; the capacity
-// of an already-sized ring is kept). ID derivation happens regardless —
-// this only gates the per-span record retention.
-func (t *Tracer) EnableTraceEvents(capacity int) {
-	t.evMu.Lock()
-	if t.events.size == 0 {
-		if capacity <= 0 {
-			capacity = DefaultTraceEventCap
-		}
-		t.events.size = capacity
-	}
-	t.evMu.Unlock()
-	t.eventsOn.Store(true)
-}
+// spanEvents gates the journal's "span" events and the fine-grained spans
+// that exist only for them (the per-phase solve spans).
+var spanEvents atomic.Bool
 
-// DisableTraceEvents stops span-record retention; the ring is kept for
-// inspection until ResetTraceEvents.
-func (t *Tracer) DisableTraceEvents() { t.eventsOn.Store(false) }
+// EnableTraceEvents turns span events on: from now on each span ended on
+// the default tracer while the journal records is journaled as a "span"
+// event. The argument is unused; it remains for callers that pass a
+// capacity.
+func EnableTraceEvents(int) { spanEvents.Store(true) }
 
-// TraceEventsOn reports whether span records are being retained.
-// Instrumented hot paths use it to gate optional fine-grained spans (e.g.
-// the per-phase solve spans), so a run without tracing pays nothing.
-func (t *Tracer) TraceEventsOn() bool { return t.eventsOn.Load() }
+// DisableTraceEvents turns span events off.
+func DisableTraceEvents() { spanEvents.Store(false) }
 
-// EnableTraceEvents enables span-record retention on the default tracer.
-func EnableTraceEvents(capacity int) { defaultTracer.EnableTraceEvents(capacity) }
+// TraceEventsOn reports whether span events are on. Instrumented hot paths
+// use it to gate optional fine-grained spans (e.g. the per-phase solve
+// spans), so a run without tracing pays nothing.
+func TraceEventsOn() bool { return spanEvents.Load() }
 
-// DisableTraceEvents stops span-record retention on the default tracer.
-func DisableTraceEvents() { defaultTracer.DisableTraceEvents() }
-
-// TraceEventsOn reports whether the default tracer retains span records.
-func TraceEventsOn() bool { return defaultTracer.TraceEventsOn() }
-
-// recordEvent appends a completed span to the ring, overwriting the oldest
-// record when full.
-func (t *Tracer) recordEvent(r SpanRecord) {
-	t.evMu.Lock()
-	t.events.push(r)
-	t.evMu.Unlock()
-}
-
-// TraceEvents returns the retained span records oldest-first, plus how
-// many were dropped when the ring overflowed.
-func (t *Tracer) TraceEvents() (records []SpanRecord, dropped int64) {
-	t.evMu.Lock()
-	defer t.evMu.Unlock()
-	return t.events.snapshot(), t.events.dropped
-}
-
-// ResetTraceEvents drops the ring and its counters; test helper.
+// ResetTraceEvents turns span events off and clears the tracer's ID state
+// (trace ID and root-span counter); test and benchmark helper.
 func (t *Tracer) ResetTraceEvents() {
-	t.evMu.Lock()
-	t.events = ring[SpanRecord]{}
-	t.evMu.Unlock()
-	t.eventsOn.Store(false)
+	spanEvents.Store(false)
 	t.rootSeq.Store(0)
 	t.traceID.Store(0)
 }
@@ -406,23 +368,10 @@ func WriteTraceEventsTo(w io.Writer, recs []SpanRecord) error {
 	return enc.Encode(doc)
 }
 
-// WriteTraceEvents writes the tracer's retained span records as a Chrome
-// trace-event document.
-func (t *Tracer) WriteTraceEvents(w io.Writer) error {
-	recs, _ := t.TraceEvents()
-	return WriteTraceEventsTo(w, recs)
-}
-
-// WriteTraceEventsFile dumps the default tracer's span records as a Chrome
-// trace-event JSON file (atomic write), the -trace-events flag's sink.
-func WriteTraceEventsFile(path string) error {
-	return writeFileAtomic(path, defaultTracer.WriteTraceEvents)
-}
-
 // SpanRecordsFromEvents reconstructs span records from a journal's "span"
-// events — the post-hoc path mnsim-journal export uses to turn any
-// journaled run into a Perfetto timeline. Events with missing or
-// malformed span payloads are skipped.
+// events — the path /trace.json (over the journal ring) and mnsim-journal
+// export (over a journal file) use to turn a journaled run into a Perfetto
+// timeline. Events with missing or malformed span payloads are skipped.
 func SpanRecordsFromEvents(events []Event) []SpanRecord {
 	var recs []SpanRecord
 	for _, ev := range events {

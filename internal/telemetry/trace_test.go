@@ -35,40 +35,44 @@ func TestFormatParseIDRoundTrip(t *testing.T) {
 // Trace and span IDs must be pure functions of the seed and the span's
 // position in the call tree — two identical runs produce identical IDs.
 func TestSpanIDsDeterministic(t *testing.T) {
-	runOnce := func() []SpanRecord {
+	type ids struct{ trace, span, parent uint64 }
+	runOnce := func() []ids {
 		tr := NewTracer()
 		tr.SetTraceSeed(1234)
-		tr.EnableTraceEvents(64)
+		var out []ids
+		end := func(s *Span) {
+			s.End()
+			out = append(out, ids{s.TraceID(), s.SpanID(), s.ParentID()})
+		}
 		ctx, root := tr.StartSpan(context.Background(), "dse.explore")
 		for i := 0; i < 3; i++ {
 			cctx, cand := tr.StartSpanKeyed(ctx, "candidate", fmt.Sprintf("cand-%d", i))
 			_, solve := tr.StartSpan(cctx, "circuit.solve")
-			solve.End()
-			cand.End()
+			end(solve)
+			end(cand)
 		}
-		root.End()
-		recs, _ := tr.TraceEvents()
-		return recs
+		end(root)
+		return out
 	}
 	a, b := runOnce(), runOnce()
 	if len(a) != 7 || len(b) != 7 {
-		t.Fatalf("got %d / %d records, want 7 each", len(a), len(b))
+		t.Fatalf("got %d / %d spans, want 7 each", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].TraceID != b[i].TraceID || a[i].SpanID != b[i].SpanID || a[i].ParentID != b[i].ParentID {
-			t.Fatalf("record %d IDs differ across identical runs:\n a: %+v\n b: %+v", i, a[i], b[i])
+		if a[i] != b[i] {
+			t.Fatalf("span %d IDs differ across identical runs:\n a: %+v\n b: %+v", i, a[i], b[i])
 		}
-		if a[i].TraceID != a[0].TraceID {
-			t.Fatalf("record %d trace ID %x, want run-wide %x", i, a[i].TraceID, a[0].TraceID)
+		if a[i].trace != a[0].trace {
+			t.Fatalf("span %d trace ID %x, want run-wide %x", i, a[i].trace, a[0].trace)
 		}
-		if a[i].SpanID == 0 {
-			t.Fatalf("record %d has zero span ID", i)
+		if a[i].span == 0 {
+			t.Fatalf("span %d has zero span ID", i)
 		}
 	}
 	// A different seed yields a different trace ID.
 	tr := NewTracer()
 	tr.SetTraceSeed(5678)
-	if tr.currentTraceID() == a[0].TraceID {
+	if tr.currentTraceID() == a[0].trace {
 		t.Fatal("different seeds produced the same trace ID")
 	}
 }
@@ -107,65 +111,74 @@ func TestKeyedSpanIDsOrderIndependent(t *testing.T) {
 	}
 }
 
-// Concurrent keyed spans under one parent: IDs stay deterministic and the
-// ring absorbs all records (run with -race).
+// Concurrent keyed spans under one parent: every child carries the
+// parent's span ID and a distinct span ID of its own (run with -race).
 func TestConcurrentKeyedSpans(t *testing.T) {
 	tr := NewTracer()
 	tr.SetTraceSeed(7)
-	tr.EnableTraceEvents(128)
 	ctx, root := tr.StartSpan(context.Background(), "sweep")
-	var wg sync.WaitGroup
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		kids = map[uint64]uint64{} // span ID -> parent ID
+	)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			_, s := tr.StartSpanKeyed(ctx, "candidate", fmt.Sprintf("cand-%d", i))
 			s.End()
+			mu.Lock()
+			kids[s.SpanID()] = s.ParentID()
+			mu.Unlock()
 		}(i)
 	}
 	wg.Wait()
 	root.End()
-	recs, dropped := tr.TraceEvents()
-	if dropped != 0 || len(recs) != 17 {
-		t.Fatalf("got %d records (%d dropped), want 17/0", len(recs), dropped)
+	if len(kids) != 16 {
+		t.Fatalf("got %d distinct candidate span IDs, want 16", len(kids))
 	}
-	for _, r := range recs {
-		if r.Name == "candidate" && r.ParentID != root.SpanID() {
-			t.Fatalf("candidate span parent %x, want root %x", r.ParentID, root.SpanID())
+	for id, parent := range kids {
+		if parent != root.SpanID() {
+			t.Fatalf("candidate span %x parent %x, want root %x", id, parent, root.SpanID())
 		}
+	}
+	if st, ok := tr.Stat("sweep/candidate"); !ok || st.Count != 16 {
+		t.Fatalf("candidate aggregate %+v, want count 16", st)
 	}
 }
 
-// The span-record ring is bounded: overflow keeps the newest records and
-// counts the drops.
-func TestTraceEventRingBounded(t *testing.T) {
-	tr := NewTracer()
-	tr.EnableTraceEvents(4)
-	for i := 0; i < 10; i++ {
-		_, s := tr.StartSpanKeyed(context.Background(), "tick", fmt.Sprintf("%d", i))
-		s.End()
-	}
-	recs, dropped := tr.TraceEvents()
-	if len(recs) != 4 || dropped != 6 {
-		t.Fatalf("ring holds %d (%d dropped), want 4/6", len(recs), dropped)
-	}
-	// Oldest-first order survives the wraparound.
-	for i := 1; i < len(recs); i++ {
-		if recs[i].StartNS < recs[i-1].StartNS {
-			t.Fatalf("ring out of order at %d", i)
-		}
-	}
-}
-
-// Disabled trace events: End records nothing (the aggregate still counts).
+// With trace events off, a recording journal gets no "span" event; the
+// aggregate still counts the span.
 func TestTraceEventsOffRecordsNothing(t *testing.T) {
-	tr := NewTracer()
-	_, s := tr.StartSpan(context.Background(), "quiet")
-	s.End()
-	if recs, _ := tr.TraceEvents(); len(recs) != 0 {
-		t.Fatalf("disabled tracer retained %d records", len(recs))
+	defaultJournal.Reset()
+	defaultTracer.ResetTraceEvents()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := defaultJournal.Open(path); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := tr.Stat("quiet"); !ok {
+	defer func() {
+		defaultJournal.Close()
+		defaultJournal.Reset()
+	}()
+	_, s := StartSpan(context.Background(), "quiet")
+	s.End()
+	if err := defaultJournal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadJournalFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if ev.Type == EvSpan {
+			t.Fatalf("span event journaled with trace events off: %+v", ev)
+		}
+	}
+	if len(events) != 1 {
+		t.Fatalf("journal holds %d events, want the header only", len(events))
+	}
+	if _, ok := defaultTracer.Stat("quiet"); !ok {
 		t.Fatal("aggregate lost when events off")
 	}
 }
@@ -275,11 +288,6 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 	if got.DurNS < 0 || got.StartNS <= 0 {
 		t.Fatalf("timing did not survive: %+v", got)
 	}
-	// The live ring and the journal reconstruction agree on identity.
-	live, _ := defaultTracer.TraceEvents()
-	if len(live) != 2 || live[0].SpanID != recs[0].SpanID || live[1].SpanID != recs[1].SpanID {
-		t.Fatalf("ring/journal disagree: ring %+v journal %+v", live, recs)
-	}
 }
 
 // A reader must refuse a journal written by a newer schema with the typed
@@ -363,15 +371,27 @@ func TestEmitEventCtxStampsIDs(t *testing.T) {
 	}
 }
 
-// The /trace.json endpoint serves the same Chrome trace-event document the
-// -trace-events flag writes.
+// The /trace.json endpoint serves the Chrome trace-event document built
+// from the span events held in the journal ring.
 func TestServeMuxTraceJSON(t *testing.T) {
+	defaultJournal.Reset()
 	defaultTracer.ResetTraceEvents()
-	defer defaultTracer.ResetTraceEvents()
+	defer func() {
+		defaultJournal.Close()
+		defaultJournal.Reset()
+		defaultTracer.ResetTraceEvents()
+	}()
+	defaultJournal.EnableRing()
 	SetTraceSeed(11)
-	EnableTraceEvents(16)
-	_, s := StartSpan(context.Background(), "probe")
-	s.End()
+	EnableTraceEvents(0)
+	ctx, outer := StartSpan(context.Background(), "probe")
+	_, inner := StartSpan(ctx, "step")
+	inner.End()
+	outer.End()
+	// A span ended with trace events off is not journaled, so not served.
+	DisableTraceEvents()
+	_, quiet := StartSpan(context.Background(), "quiet")
+	quiet.End()
 	srv := httptest.NewServer(NewServeMux(nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/trace.json")
@@ -384,13 +404,24 @@ func TestServeMuxTraceJSON(t *testing.T) {
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Name string `json:"name"`
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.TraceEvents) != 1 || doc.TraceEvents[0].Name != "probe" {
-		t.Fatalf("trace.json payload %+v", doc)
+	parents := map[string]any{}
+	for _, ev := range doc.TraceEvents {
+		parents[ev.Name] = ev.Args["parent_id"]
+	}
+	if len(doc.TraceEvents) != 2 || len(parents) != 2 {
+		t.Fatalf("trace.json payload %+v, want the probe and step spans", doc)
+	}
+	if got := parents["step"]; got != FormatID(outer.SpanID()) {
+		t.Fatalf("step parent_id %v, want %s", got, FormatID(outer.SpanID()))
+	}
+	if got, ok := parents["probe"]; !ok || got != nil {
+		t.Fatalf("probe served as %v, want a root span", got)
 	}
 }

@@ -168,9 +168,10 @@ func TestTableIICancel(t *testing.T) {
 
 // A recorded Table II run at the benchmark's table2 configuration (Size
 // 64, 4 weight samples × 12 inputs), journaled with trace events on as
-// `mnsim-validate -journal -trace-events` runs it, records each circuit
-// solve as one solve_end event and nothing else per solve: no solve_start,
-// no newton_iter. The event mix is pinned at seed 5.
+// `mnsim-validate -journal` runs it, records each circuit solve as one
+// solve_end event and nothing else per solve: no solve_start, no
+// newton_iter. Each span is one "span" event, the only record kept of it.
+// The event mix is pinned at seed 5.
 func TestTableIIRecordedEventMix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("circuit-level validation is slow")
