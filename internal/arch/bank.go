@@ -46,8 +46,8 @@ func NewBank(d *Design, layer LayerDims) (*Bank, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	pl, err := newPlan(d, []LayerDims{layer})
-	if err != nil {
+	pl := new(Plan)
+	if err := pl.reset(d, []LayerDims{layer}); err != nil {
 		return nil, err
 	}
 	a := new(Accelerator)

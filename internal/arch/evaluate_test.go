@@ -597,26 +597,74 @@ func TestEvaluateMatchesReference(t *testing.T) {
 	}
 }
 
-// reusePlans builds one plan per evaluation case and crossbar size at
-// 45 nm, skipping the sizes a case's weights do not fit.
+// planSpec is one design and layer stack to plan.
+type planSpec struct {
+	d      *arch.Design
+	layers []arch.LayerDims
+}
+
+// planSpecs is every evaluation case at crossbar sizes 2, 8, 64, 256 and
+// 1024 at 45 nm, plus VGG-16 with an empty middle layer. Some of them fail
+// to plan partway: the size-2 crossbar cannot hold one weight of the
+// paired-column case, and the empty layer fails at bank 8.
+func planSpecs(t testing.TB) []planSpec {
+	var specs []planSpec
+	cases := evalCases(t)
+	for _, c := range cases {
+		for _, size := range []int{2, 8, 64, 256, 1024} {
+			specs = append(specs, planSpec{c.design(size, -1, 45), c.layers})
+		}
+	}
+	broken := append([]arch.LayerDims(nil), cases[0].layers...)
+	broken[8].Rows = 0
+	return append(specs, planSpec{cases[0].design(128, -1, 45), broken})
+}
+
+// reusePlans builds one plan per planSpecs entry, skipping the designs
+// that fail to plan.
 func reusePlans(t testing.TB) []*arch.Plan {
 	var plans []*arch.Plan
-	for _, c := range evalCases(t) {
-		for _, size := range []int{8, 64, 256, 1024} {
-			pl, err := arch.NewPlan(c.design(size, -1, 45), c.layers, [2]int{128, 128})
-			if err == nil {
-				plans = append(plans, pl)
-			}
+	for _, sp := range planSpecs(t) {
+		pl, err := arch.NewPlan(sp.d, sp.layers, [2]int{128, 128})
+		if err == nil {
+			plans = append(plans, pl)
 		}
 	}
 	return plans
 }
 
+// sameAccelerator fails the test unless got equals want by bits: the
+// report, every exported Bank and Unit field and every breakdown class.
+func sameAccelerator(t *testing.T, name string, got, want *arch.Accelerator) {
+	t.Helper()
+	gotR, err := got.EvaluateContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantR, err := want.EvaluateContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reportBits(gotR) != reportBits(wantR) {
+		t.Fatalf("%s: report %+v, fresh %+v", name, gotR, wantR)
+	}
+	if diff := diffBits("accelerator", reflect.ValueOf(got), reflect.ValueOf(want)); diff != "" {
+		t.Fatalf("%s: %s", name, diff)
+	}
+	for i, b := range got.Banks {
+		gotBD, wantBD := b.Breakdown(), want.Banks[i].Breakdown()
+		for _, class := range arch.Classes() {
+			if diff := diffBits(string(class), reflect.ValueOf(gotBD[class]), reflect.ValueOf(wantBD[class])); diff != "" {
+				t.Fatalf("%s: bank %d breakdown %s", name, i, diff)
+			}
+		}
+	}
+}
+
 // TestIntoReusesStorage walks one accelerator through a shuffled sequence
 // of (plan, parallelism) pairs — VGG-16, the large bank and the other cases,
 // pipelined and not, so its unit and bank storage grows and shrinks — and
-// pins every fill to a fresh At by bits: the report, every exported Bank and
-// Unit field and every breakdown class. An out-of-range parallelism in the
+// pins every fill to a fresh At by bits. An out-of-range parallelism in the
 // sequence must fail and leave the next fill whole.
 func TestIntoReusesStorage(t *testing.T) {
 	type pair struct {
@@ -647,43 +695,78 @@ func TestIntoReusesStorage(t *testing.T) {
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("%s: Into error %v, At error %v", name, err, wantErr)
 		}
-		if err != nil {
-			continue
-		}
-		got, err := a.EvaluateContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := want.EvaluateContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reportBits(got) != reportBits(ref) {
-			t.Fatalf("%s: report %+v, fresh %+v", name, got, ref)
-		}
-		if diff := diffBits("accelerator", reflect.ValueOf(&a), reflect.ValueOf(want)); diff != "" {
-			t.Fatalf("%s: %s", name, diff)
-		}
-		for i, b := range a.Banks {
-			gotBD, wantBD := b.Breakdown(), want.Banks[i].Breakdown()
-			for _, class := range arch.Classes() {
-				if diff := diffBits(string(class), reflect.ValueOf(gotBD[class]), reflect.ValueOf(wantBD[class])); diff != "" {
-					t.Fatalf("%s: bank %d breakdown %s", name, i, diff)
-				}
-			}
+		if err == nil {
+			sameAccelerator(t, name, &a, want)
 		}
 	}
 }
 
-// TestIntoAllocatesNothing: once an accelerator has grown to the largest
-// plan, filling and evaluating it allocates nothing, for every plan.
+// TestResetReusesStorage walks one plan and one accelerator through a
+// shuffled sequence of designs — VGG-16, the large bank and the other
+// cases, pipelined and not, so the plan's bank storage grows and shrinks —
+// including designs whose rebuild fails partway, at a bank whose weights do
+// not fit the crossbar. Each rebuild must fail as NewPlan does, and after
+// each successful one, filling the accelerator at several parallelisms must
+// equal a fresh NewPlan plus At by bits.
+func TestResetReusesStorage(t *testing.T) {
+	var seq []planSpec
+	for k := 0; k < 3; k++ {
+		seq = append(seq, planSpecs(t)...)
+	}
+	rng := rand.New(rand.NewSource(25))
+	rng.Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
+	iface := [2]int{128, 128}
+	var pl arch.Plan
+	var a arch.Accelerator
+	failed := 0
+	for k, sp := range seq {
+		size := sp.d.CrossbarSize
+		err := pl.Reset(sp.d, sp.layers, iface)
+		fresh, wantErr := arch.NewPlan(sp.d, sp.layers, iface)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("design %d (size %d): Reset error %v, NewPlan error %v", k, size, err, wantErr)
+		}
+		if err != nil {
+			failed++
+			continue
+		}
+		for _, p := range []int{0, 1, min(4, size), size} {
+			name := fmt.Sprintf("design %d: %d layers, size %d p %d", k, len(sp.layers), size, p)
+			if err := pl.Into(&a, p); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := fresh.At(p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sameAccelerator(t, name, &a, want)
+		}
+	}
+	if failed == 0 || failed == len(seq) {
+		t.Fatalf("%d of %d rebuilds failed, want some of each", failed, len(seq))
+	}
+}
+
+// TestIntoAllocatesNothing: once one plan and one accelerator have grown to
+// the largest design, rebuilding the plan for every design, then filling
+// and evaluating the accelerator at several parallelisms, allocates
+// nothing.
 func TestIntoAllocatesNothing(t *testing.T) {
-	plans := reusePlans(t)
+	var specs []planSpec
+	for _, sp := range planSpecs(t) {
+		if _, err := arch.NewPlan(sp.d, sp.layers, [2]int{128, 128}); err == nil {
+			specs = append(specs, sp)
+		}
+	}
+	var pl arch.Plan
 	var a arch.Accelerator
 	ctx := context.Background()
 	run := func() {
-		for _, pl := range plans {
-			for _, p := range []int{0, 1, 4} {
+		for _, sp := range specs {
+			if err := pl.Reset(sp.d, sp.layers, [2]int{128, 128}); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []int{0, 1, min(4, sp.d.CrossbarSize)} {
 				if err := pl.Into(&a, p); err != nil {
 					t.Fatal(err)
 				}
@@ -695,7 +778,7 @@ func TestIntoAllocatesNothing(t *testing.T) {
 	}
 	run()
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-		t.Fatalf("Into plus EvaluateContext on a warmed accelerator: %v allocs per sweep of %d plans, want 0", allocs, len(plans))
+		t.Fatalf("Reset, Into and EvaluateContext on grown storage: %v allocs per sweep of %d designs, want 0", allocs, len(specs))
 	}
 }
 
@@ -750,8 +833,9 @@ func TestAcceleratorSharesUnits(t *testing.T) {
 
 // BenchmarkEvaluate times one DSE candidate, VGG-16 on the Table VI base
 // design: NewAccelerator plus EvaluateContext (vgg16/<size>), and its two
-// halves, NewPlan (plan/...) and Plan.Into plus EvaluateContext on one
-// reused accelerator (at-p/...), which allocates nothing.
+// halves as a sweep runs them, Plan.Reset on one reused plan (plan/...) and
+// Plan.Into plus EvaluateContext on one reused accelerator (at-p/...), both
+// of which allocate nothing.
 func BenchmarkEvaluate(b *testing.B) {
 	vgg := evalCases(b)[0]
 	iface := [2]int{128, 128}
@@ -770,9 +854,10 @@ func BenchmarkEvaluate(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("plan/vgg16/%d", size), func(b *testing.B) {
+			var pl arch.Plan
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := arch.NewPlan(d, vgg.layers, iface); err != nil {
+				if err := pl.Reset(d, vgg.layers, iface); err != nil {
 					b.Fatal(err)
 				}
 			}

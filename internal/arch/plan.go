@@ -12,11 +12,12 @@ import (
 // change: the layer tiling, every peripheral module whose size does not
 // scale with the read circuits, the crossbar figures, the I/O interfaces and
 // the network's error chain (Eq. 12–15, which depend on the crossbar, the
-// layer shapes and the ADC precision only). A design-space sweep builds one
-// plan per (wire node, crossbar size) and fills each parallelism's
-// accelerator from it with Into, into storage the run reuses; At,
+// layer shapes and the ADC precision only). A design-space sweep rebuilds
+// one plan in place (Reset) per (wire node, crossbar size) and fills each
+// parallelism's accelerator from it with Into, into storage it reuses; At,
 // NewAccelerator, NewBank and NewUnit run through the same two steps, so
-// every module formula lives in one place.
+// every module formula lives in one place. Whatever was filled from a plan
+// points into it and is valid until the plan's next rebuild.
 type Plan struct {
 	// Design is the planned design; it must not change while the plan is
 	// in use. Its Parallelism is not validated and not used: At and Into
@@ -69,50 +70,62 @@ type bankPlan struct {
 }
 
 // NewPlan builds the parallelism-independent part of the accelerator for
-// the given layer stack. It validates everything in d but its Parallelism.
+// the given layer stack: Reset on a new plan.
 func NewPlan(d *Design, layers []LayerDims, interfaceLines [2]int) (*Plan, error) {
-	if len(layers) == 0 {
-		return nil, fmt.Errorf("arch: accelerator needs at least one layer")
-	}
-	if err := d.validatePlan(); err != nil {
-		return nil, err
-	}
-	pl, err := newPlan(d, layers)
-	if err != nil {
-		return nil, err
-	}
-	inBits := layers[0].Rows * d.DataBits
-	outBits := layers[len(layers)-1].Cols * d.DataBits
-	pl.inIface, err = periph.IOInterface(d.CMOS, interfaceLines[0], inBits)
-	if err != nil {
-		return nil, err
-	}
-	pl.outIface, err = periph.IOInterface(d.CMOS, interfaceLines[1], outBits)
-	if err != nil {
-		return nil, err
-	}
-	if err := pl.errorChain(); err != nil {
+	pl := new(Plan)
+	if err := pl.Reset(d, layers, interfaceLines); err != nil {
 		return nil, err
 	}
 	return pl, nil
 }
 
-// newPlan builds the modules and the banks of a plan on a validated design.
-func newPlan(d *Design, layers []LayerDims) (*Plan, error) {
-	pl := &Plan{
-		Design: d,
-		shapes: make([][2]int, 0, len(layers)),
-		banks:  make([]bankPlan, len(layers)),
+// Reset rebuilds pl as the plan of d for the given layer stack. It validates
+// everything in d but its Parallelism. It overwrites every field and reuses
+// pl's bank and block-shape storage, growing it only when a plan needs more,
+// so a sweep that rebuilds one plan per (wire node, crossbar size) allocates
+// nothing once the plan has grown. Every accelerator filled from pl, and
+// every Bank, Unit and Breakdown reached through it, is valid only until the
+// next Reset; on error pl is left invalid.
+func (pl *Plan) Reset(d *Design, layers []LayerDims, interfaceLines [2]int) error {
+	if len(layers) == 0 {
+		return fmt.Errorf("arch: accelerator needs at least one layer")
 	}
+	if err := d.validatePlan(); err != nil {
+		return err
+	}
+	if err := pl.reset(d, layers); err != nil {
+		return err
+	}
+	inBits := layers[0].Rows * d.DataBits
+	outBits := layers[len(layers)-1].Cols * d.DataBits
+	var err error
+	if pl.inIface, err = periph.IOInterface(d.CMOS, interfaceLines[0], inBits); err != nil {
+		return err
+	}
+	if pl.outIface, err = periph.IOInterface(d.CMOS, interfaceLines[1], outBits); err != nil {
+		return err
+	}
+	return pl.errorChain()
+}
+
+// reset rebuilds the modules and the banks of pl on a validated design,
+// leaving the I/O interfaces and the error chain zero.
+func (pl *Plan) reset(d *Design, layers []LayerDims) error {
+	shapes, banks := pl.shapes, pl.banks
+	if cap(banks) < len(layers) {
+		// A plan has at most one block shape per bank.
+		shapes, banks = make([][2]int, 0, len(layers)), make([]bankPlan, len(layers))
+	}
+	*pl = Plan{Design: d, shapes: shapes[:0], banks: banks[:len(layers)]}
 	if err := pl.mods.init(d); err != nil {
-		return nil, err
+		return err
 	}
 	for i, l := range layers {
 		if err := pl.addBank(&pl.banks[i], l); err != nil {
-			return nil, fmt.Errorf("arch: bank %d: %w", i, err)
+			return fmt.Errorf("arch: bank %d: %w", i, err)
 		}
 	}
-	return pl, nil
+	return nil
 }
 
 // At builds the accelerator of the plan's design at read parallelism p in
@@ -180,7 +193,7 @@ func (pl *Plan) fill(a *Accelerator, d *Design) error {
 	return nil
 }
 
-// init builds the design's shared modules.
+// init builds the design's shared modules into a zero m.
 func (m *modules) init(d *Design) error {
 	n := d.CMOS
 	m.nXbar = d.CrossbarsPerUnit()
@@ -251,8 +264,9 @@ func (m *modules) init(d *Design) error {
 }
 
 // addBank tiles one layer onto computation units and builds the bank's
-// merge and peripheral modules.
+// merge and peripheral modules, overwriting every field of bp.
 func (pl *Plan) addBank(bp *bankPlan, layer LayerDims) error {
+	*bp = bankPlan{mods: &pl.mods, layer: layer}
 	if err := layer.Validate(); err != nil {
 		return err
 	}
@@ -263,8 +277,6 @@ func (pl *Plan) addBank(bp *bankPlan, layer LayerDims) error {
 	if logicalCols < 1 {
 		return fmt.Errorf("arch: crossbar size %d cannot hold one %d-bit weight (%d cells)", s, d.WeightBits, d.CellsPerWeight())
 	}
-	bp.mods = &pl.mods
-	bp.layer = layer
 	bp.rowBlocks = ceilDiv(layer.Rows, s)
 	bp.colBlocks = ceilDiv(layer.Cols, logicalCols)
 

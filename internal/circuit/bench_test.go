@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"mnsim/internal/device"
@@ -30,6 +31,22 @@ func benchCrossbar(size int) (*Crossbar, []float64) {
 	return c, vin
 }
 
+// pauseGC turns the collector off, with a 512 MiB memory limit as a
+// backstop, and returns the function that turns it back on. After every GC
+// cycle the runtime's unique-map cleanup (linked in through net/netip,
+// which telemetry's net/http pulls in) allocates, so with the collector on
+// a timed loop's allocs/op counts GC cycles as well as the code under test.
+// The gated -benchtime=20x loops stay far below the limit. Stop the timer
+// before the returned function runs.
+func pauseGC() (restore func()) {
+	pct := debug.SetGCPercent(-1)
+	limit := debug.SetMemoryLimit(512 << 20)
+	return func() {
+		debug.SetMemoryLimit(limit)
+		debug.SetGCPercent(pct)
+	}
+}
+
 // BenchmarkSolve times one non-linear crossbar solve and reports the
 // Newton and CG iteration counts alongside ns/op, so an iteration-count
 // regression (a solver that still converges but works harder for it)
@@ -40,6 +57,7 @@ func BenchmarkSolve(b *testing.B) {
 		b.Run(benchName(size), func(b *testing.B) {
 			c, vin := benchCrossbar(size)
 			var newton, cg, flops, refreshes int64
+			defer pauseGC()()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -52,6 +70,7 @@ func BenchmarkSolve(b *testing.B) {
 				flops += res.Diag.Cost.Total().Flops
 				refreshes += int64(res.Diag.PrecondRefreshes)
 			}
+			b.StopTimer()
 			b.ReportMetric(float64(newton)/float64(b.N), "newton-iters/op")
 			b.ReportMetric(float64(cg)/float64(b.N), "cg-iters/op")
 			b.ReportMetric(float64(flops)/float64(b.N), "flops/op")
@@ -75,6 +94,7 @@ func BenchmarkSolveWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	var cg, refreshes int64
+	defer pauseGC()()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -92,6 +112,7 @@ func BenchmarkSolveWarm(b *testing.B) {
 		cg += int64(res.CGIters)
 		refreshes += int64(res.Diag.PrecondRefreshes)
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(cg)/float64(b.N), "cg-iters/op")
 	b.ReportMetric(float64(refreshes)/float64(b.N), "precond-refreshes/op")
 }
@@ -130,6 +151,7 @@ func BenchmarkSolveOverhead(b *testing.B) {
 			bc.setup(b)
 			c, vin := benchCrossbar(64)
 			var cg int64
+			defer pauseGC()()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -139,6 +161,7 @@ func BenchmarkSolveOverhead(b *testing.B) {
 				}
 				cg += int64(res.CGIters)
 			}
+			b.StopTimer()
 			b.ReportMetric(float64(cg)/float64(b.N), "cg-iters/op")
 		})
 	}

@@ -69,8 +69,10 @@ type Candidate struct {
 	Feasible bool
 	// EvalTime is the wall time spent building and evaluating this design
 	// point, from the dse.explore/candidate telemetry span. The first
-	// candidate of each (wire node, crossbar size) run also pays for the
-	// run's arch.Plan and for growing the run's accelerator storage.
+	// candidate of each (wire node, crossbar size) run also pays for
+	// rebuilding the run's arch.Plan. Only a worker's first run grows the
+	// plan and accelerator storage the worker reuses, unless a later run
+	// needs more of it.
 	EvalTime time.Duration
 }
 
@@ -141,10 +143,12 @@ type Options struct {
 	// evaluation: the given number of integer-mix rounds (a splitmix64-style
 	// finalizer) seeded from the grid point, folded into an atomic sink so
 	// the loop cannot be optimised away. A behaviour-level evaluation
-	// (Plan.Into plus EvaluateContext on the run's reused accelerator)
-	// costs from ~0.13 µs (the one-layer large bank) to ~0.8–1 µs (VGG-16,
+	// (Plan.Into plus EvaluateContext on the worker's reused accelerator)
+	// costs from ~0.13 µs (the one-layer large bank) to ~1–2 µs (VGG-16,
 	// BenchmarkEvaluate's at-p in internal/arch) on a 2-CPU Xeon, plus
-	// ~6–10 µs for VGG-16's plan once per (wire node, crossbar size) run. The cost varies with the design and with a
+	// ~7–14 µs for rebuilding VGG-16's plan in the worker's reused storage
+	// once per (wire node, crossbar size) run (plan/...), with no
+	// allocation for either. The cost varies with the design and with a
 	// candidate's place in its run, so scheduling benchmarks
 	// (BenchmarkExplore) use this knob to give each candidate a measurable,
 	// uniform, machine-independent cost. Zero disables it; the spin never
@@ -231,30 +235,31 @@ var evalCandidate = func(ctx context.Context, pl *arch.Plan, p int, a *arch.Acce
 	return a.EvaluateContext(ctx)
 }
 
-// runPlan is the plan and the accelerator storage shared by one run of grid
-// points: the points of one (wire node, crossbar size) pair, which differ
-// only in parallelism. The run's first candidate builds the plan; each
-// candidate refills the accelerator, of which it keeps only the Report.
-type runPlan struct {
-	start int // index of the run's first point
-	pl    *arch.Plan
-	err   error
-	acc   arch.Accelerator
+// runStorage is the storage one pool worker reuses across the runs it
+// executes. A run is the grid points of one (wire node, crossbar size)
+// pair, which differ only in parallelism: the run's first candidate
+// rebuilds the design copy and the plan, and each candidate refills the
+// accelerator, of which it keeps only the Report.
+type runStorage struct {
+	design arch.Design
+	pl     arch.Plan
+	err    error // the run's plan error
+	acc    arch.Accelerator
 }
 
 // Explore traverses the space, evaluating one accelerator per grid point on
 // a bounded worker pool (Options.Workers). The grid points of one (wire
-// node, crossbar size) pair form a run: one pool task builds the run's
-// arch.Plan once and fills each parallelism's accelerator from it into one
-// arch.Accelerator the run reuses. The
-// base design supplies everything except the three swept parameters. Grid
-// points that cannot be built (e.g. a crossbar too small for one weight,
-// which makes its whole run unbuildable) are skipped silently —
-// they are outside the feasible space. Grid points whose evaluation fails
-// are counted (mnsim_dse_candidates_evalfailed_total), logged, and skipped;
-// Explore only errors out when every buildable point fails. Cancelling ctx
-// aborts the sweep (including mid-Newton-loop in any circuit-level solve)
-// and returns the context's error.
+// node, crossbar size) pair form a run: one pool task rebuilds an arch.Plan
+// for the run once and fills each parallelism's accelerator from it. Each
+// worker reuses one plan and one arch.Accelerator across its runs, held for
+// the call only. The base design supplies everything except the three
+// swept parameters. Grid points that cannot be built (e.g. a crossbar too
+// small for one weight, which makes its whole run unbuildable) are skipped
+// silently — they are outside the feasible space. Grid points whose
+// evaluation fails are counted (mnsim_dse_candidates_evalfailed_total),
+// logged, and skipped; Explore only errors out when every buildable point
+// fails. Cancelling ctx aborts the sweep (including mid-Newton-loop in any
+// circuit-level solve) and returns the context's error.
 func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, space Space, opt Options) ([]Candidate, error) {
 	if opt.ErrorLimit <= 0 {
 		opt.ErrorLimit = 0.25
@@ -301,8 +306,9 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 		failMu      sync.Mutex
 		lastEvalErr error
 	)
-	// explorePoint builds and evaluates grid point i, whose run is rp.
-	explorePoint := func(tctx context.Context, i int, rp *runPlan) error {
+	// explorePoint builds and evaluates grid point i in rs; first marks
+	// the first point of its run.
+	explorePoint := func(tctx context.Context, i int, first bool, rs *runStorage) error {
 		if err := tctx.Err(); err != nil {
 			return err
 		}
@@ -315,12 +321,12 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 		// and schedule; the derived tctx flows into the evaluation so solve
 		// spans and events chain under this candidate.
 		tctx, cs := telemetry.StartSpanKeyed(tctx, "candidate", id)
-		if i == rp.start {
-			d := base
-			d.CrossbarSize = gp.size
-			d.Parallelism = gp.p
-			d.Wire = gp.wire
-			rp.pl, rp.err = arch.NewPlan(&d, layers, opt.Interface)
+		if first {
+			rs.design = base
+			rs.design.CrossbarSize = gp.size
+			rs.design.Parallelism = gp.p
+			rs.design.Wire = gp.wire
+			rs.err = rs.pl.Reset(&rs.design, layers, opt.Interface)
 		}
 		if opt.EvalSpin > 0 {
 			seed := uint64(gp.size)<<32 | uint64(gp.p)<<16 | uint64(gp.node)
@@ -331,10 +337,10 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 		switch {
 		case inject != nil && inject.size == gp.size && inject.p == gp.p && inject.node == gp.node:
 			err = fmt.Errorf("%w at %s (FailEval)", errInjected, id)
-		case rp.err != nil:
-			err = fmt.Errorf("%w: %w", errUnbuildable, rp.err)
+		case rs.err != nil:
+			err = fmt.Errorf("%w: %w", errUnbuildable, rs.err)
 		default:
-			r, err = evalCandidate(tctx, rp.pl, gp.p, &rp.acc)
+			r, err = evalCandidate(tctx, &rs.pl, gp.p, &rs.acc)
 		}
 		evalTime := cs.End()
 		if err != nil {
@@ -404,10 +410,18 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 		}
 	}
 	runs = append(runs, len(points))
+	// pool.Run runs at most min(workers, tasks) tasks at once, so a free
+	// list of that many storages never runs dry and a receive never blocks.
+	storage := make([]runStorage, min(pool.Resolve(opt.Workers), len(runs)-1))
+	free := make(chan *runStorage, len(storage))
+	for i := range storage {
+		free <- &storage[i]
+	}
 	err = pool.Run(ctx, len(runs)-1, opt.Workers, func(tctx context.Context, k int) error {
-		rp := runPlan{start: runs[k]}
+		rs := <-free
+		defer func() { free <- rs }()
 		for i := runs[k]; i < runs[k+1]; i++ {
-			if err := explorePoint(tctx, i, &rp); err != nil {
+			if err := explorePoint(tctx, i, i == runs[k], rs); err != nil {
 				return err
 			}
 		}

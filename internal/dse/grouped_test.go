@@ -178,6 +178,30 @@ func TestExploreCancelWithinRun(t *testing.T) {
 	}
 }
 
+// TestExploreAllocationBound: a paper sweep allocates at most three objects
+// per candidate (its span, the span's context and its ID string) plus a
+// per-call constant: the sweep's slices, its worker storage and its
+// growth, the pool's and the telemetry's. A plan or an accelerator per
+// run, or a span path per candidate, breaks the bound.
+func TestExploreAllocationBound(t *testing.T) {
+	base, layers, sp := paperSweep(t)
+	const perCall = 256
+	for _, workers := range []int{1, 2} {
+		var n int
+		allocs := testing.AllocsPerRun(1, func() {
+			cands, err := Explore(context.Background(), base, layers, sp, Options{ErrorLimit: 0.5, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = len(cands)
+		})
+		if limit := float64(3*n + perCall); allocs > limit {
+			t.Errorf("workers=%d: %v allocations for %d candidates, want at most %v", workers, allocs, n, limit)
+		}
+		t.Logf("workers=%d: %v allocations for %d candidates", workers, allocs, n)
+	}
+}
+
 // TestCandIDMatchesSprintf: the span key equals its fmt form for every
 // point of the paper-scale space and for negative values.
 func TestCandIDMatchesSprintf(t *testing.T) {

@@ -142,10 +142,12 @@ func TestSpinDeterministic(t *testing.T) {
 }
 
 // BenchmarkExplore measures sweep scheduling. Evaluating one large-bank
-// design takes ~0.13 µs on a 2-CPU Xeon once its run's plan is built (a
-// VGG-16 design ~0.8–1 µs plus a 6–10 µs plan per run, see
+// design takes ~0.13 µs on a 2-CPU Xeon once its run's plan is rebuilt (a
+// VGG-16 design ~1–2 µs plus a 7–14 µs plan rebuild per run, see
 // BenchmarkEvaluate in internal/arch), too little per candidate for the
-// bare sweep to show pool scaling. EvalSpin injects a deterministic ~20 µs
+// bare sweep to show pool scaling. Each worker reuses one plan and one
+// accelerator, so a sweep allocates about three objects per candidate
+// (its span, the span's context and its ID string). EvalSpin injects a deterministic ~20 µs
 // of integer mixing per candidate (the cost of a small circuit-level
 // validation solve) which makes the workers=1 vs workers=4 comparison a
 // real measurement of the pool; spin work never changes the results.

@@ -76,10 +76,10 @@ func TestParetoMatchesPairwise(t *testing.T) {
 	}
 }
 
-// paperCandidates explores VGG-16 on the Table VI base design over the
-// 6,570-design paper space (sizes 8–1024 step 8, parallelism 1–256 in
-// powers of two, wire nodes 18–90 nm).
-func paperCandidates(tb testing.TB) []Candidate {
+// paperSweep is VGG-16 on the Table VI base design and the 6,570-design
+// paper space (sizes 8–1024 step 8, parallelism 1–256 in powers of two,
+// wire nodes 18–90 nm).
+func paperSweep(tb testing.TB) (arch.Design, []arch.LayerDims, Space) {
 	tb.Helper()
 	layers, err := nn.VGG16().Dims()
 	if err != nil {
@@ -100,6 +100,13 @@ func paperCandidates(tb testing.TB) []Candidate {
 		sp.Parallelisms = append(sp.Parallelisms, p)
 	}
 	sp.WireNodes = []int{18, 22, 28, 36, 45, 90}
+	return base, layers, sp
+}
+
+// paperCandidates explores the paper sweep.
+func paperCandidates(tb testing.TB) []Candidate {
+	tb.Helper()
+	base, layers, sp := paperSweep(tb)
 	cands, err := Explore(context.Background(), base, layers, sp, Options{ErrorLimit: 0.5})
 	if err != nil {
 		tb.Fatal(err)

@@ -54,6 +54,10 @@ type Span struct {
 	spanID   uint64
 	parentID uint64
 	kids     atomic.Int64
+
+	// first is the first child started under the span, set once: a later
+	// child of the same name takes its path instead of building one.
+	first atomic.Pointer[Span]
 }
 
 // StartSpan opens a span named name under the innermost span carried by
@@ -70,12 +74,18 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 // when siblings start concurrently (pooled workers), where counter order
 // would depend on scheduling — a stable key (e.g. a candidate ID) keeps the
 // span ID identical across runs and worker counts. An empty key means
-// ordinal derivation.
+// ordinal derivation. Children named like their parent's first child share
+// its path string, so a sweep's candidate spans build their path once.
 func (t *Tracer) StartSpanKeyed(ctx context.Context, name, key string) (context.Context, *Span) {
 	path := name
 	parent, _ := ctx.Value(spanCtxKey{}).(*Span)
+	var first *Span
 	if parent != nil {
-		path = parent.path + "/" + name
+		if first = parent.first.Load(); first != nil && first.name == name {
+			path = first.path
+		} else {
+			path = parent.path + "/" + name
+		}
 	}
 	traceID, spanID, parentID := t.deriveIDs(parent, name, key)
 	s := &Span{
@@ -86,6 +96,13 @@ func (t *Tracer) StartSpanKeyed(ctx context.Context, name, key string) (context.
 		traceID:  traceID,
 		spanID:   spanID,
 		parentID: parentID,
+	}
+	// A child that loses the race to be the first takes the winner's path
+	// when named alike; no other goroutine sees s yet.
+	if parent != nil && first == nil && !parent.first.CompareAndSwap(nil, s) {
+		if w := parent.first.Load(); w.name == name {
+			s.path = w.path
+		}
 	}
 	return context.WithValue(ctx, spanCtxKey{}, s), s
 }

@@ -60,6 +60,30 @@ func TestDeeplyNestedPath(t *testing.T) {
 	}
 }
 
+// TestChildSpanPaths: under a parent with several child names, as a
+// solve's phases, each child gets its own path, in any order and repeated;
+// a child named like the parent's first child starts with no more
+// allocations than its Span and its context.
+func TestChildSpanPaths(t *testing.T) {
+	tr := NewTracer()
+	ctx, solve := tr.StartSpan(context.Background(), "solve")
+	for _, name := range []string{"assemble", "setup", "newton", "setup", "assemble", "newton"} {
+		_, s := tr.StartSpan(ctx, name)
+		if want := "solve/" + name; s.Name() != want {
+			t.Fatalf("child %q is named %q, want %q", name, s.Name(), want)
+		}
+		s.End()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		_, s := tr.StartSpanKeyed(ctx, "assemble", "k")
+		s.End()
+	})
+	if allocs > 2 {
+		t.Fatalf("a repeated child name allocates %v objects, want at most 2 (Span, context)", allocs)
+	}
+	solve.End()
+}
+
 func TestSpanEndIdempotentAndNilSafe(t *testing.T) {
 	tr := NewTracer()
 	_, s := tr.StartSpan(context.Background(), "once")

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestFormatParseIDRoundTrip(t *testing.T) {
@@ -112,15 +113,17 @@ func TestKeyedSpanIDsOrderIndependent(t *testing.T) {
 }
 
 // Concurrent keyed spans under one parent: every child carries the
-// parent's span ID and a distinct span ID of its own (run with -race).
+// parent's span ID and a distinct span ID of its own, and all of them
+// report the right name through one shared path string (run with -race).
 func TestConcurrentKeyedSpans(t *testing.T) {
 	tr := NewTracer()
 	tr.SetTraceSeed(7)
 	ctx, root := tr.StartSpan(context.Background(), "sweep")
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		kids = map[uint64]uint64{} // span ID -> parent ID
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		kids  = map[uint64]uint64{} // span ID -> parent ID
+		paths = map[*byte]bool{}    // the distinct path strings
 	)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -130,6 +133,10 @@ func TestConcurrentKeyedSpans(t *testing.T) {
 			s.End()
 			mu.Lock()
 			kids[s.SpanID()] = s.ParentID()
+			if s.Name() != "sweep/candidate" {
+				t.Errorf("candidate %d is named %q", i, s.Name())
+			}
+			paths[unsafe.StringData(s.Name())] = true
 			mu.Unlock()
 		}(i)
 	}
@@ -137,6 +144,9 @@ func TestConcurrentKeyedSpans(t *testing.T) {
 	root.End()
 	if len(kids) != 16 {
 		t.Fatalf("got %d distinct candidate span IDs, want 16", len(kids))
+	}
+	if len(paths) != 1 {
+		t.Fatalf("16 candidates built %d path strings, want 1", len(paths))
 	}
 	for id, parent := range kids {
 		if parent != root.SpanID() {
