@@ -2,8 +2,10 @@ package arch
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mnsim/internal/config"
 	"mnsim/internal/device"
@@ -553,5 +555,65 @@ func TestBankAreaScalingLaw(t *testing.T) {
 			}
 		}
 		prev = b.PassPerf.Area
+	}
+}
+
+// poison sets every field of the struct v points to, exported or not, to a
+// value no build produces: -7 for integers, NaN for floats, true for
+// booleans, a new zero value for pointers, recursing into nested structs.
+func poison(t *testing.T, v reflect.Value) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(-7)
+		case reflect.Float64:
+			f.SetFloat(math.NaN())
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Struct:
+			poison(t, f)
+		default:
+			t.Fatalf("poison: field %s of kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// TestBuildOverwritesEveryField: Unit.build and Bank.build assign their
+// fields one by one, so a field they forget would keep whatever the reused
+// storage held. Building into poisoned storage must equal building into
+// zero storage, field for field, with the inner pipeline on and off.
+func TestBuildOverwritesEveryField(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		d := refDesign(128, 4)
+		d.InnerPipeline = pipelined
+		pl := new(Plan)
+		if err := pl.reset(d, []LayerDims{{Rows: 300, Cols: 200, Passes: 3, PoolK: 2}}); err != nil {
+			t.Fatal(err)
+		}
+		bp := &pl.banks[0]
+		shape := pl.shapes[bp.shape]
+		var wantU, gotU Unit
+		poison(t, reflect.ValueOf(&gotU).Elem())
+		if err := wantU.build(d, &pl.mods, shape[0], shape[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := gotU.build(d, &pl.mods, shape[0], shape[1]); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotU, wantU) {
+			t.Errorf("pipelined=%v: unit built over poisoned storage\n got %+v\nwant %+v", pipelined, gotU, wantU)
+		}
+		var wantB, gotB Bank
+		poison(t, reflect.ValueOf(&gotB).Elem())
+		wantB.build(d, bp, &wantU)
+		gotB.build(d, bp, &wantU)
+		if !reflect.DeepEqual(gotB, wantB) {
+			t.Errorf("pipelined=%v: bank built over poisoned storage\n got %+v\nwant %+v", pipelined, gotB, wantB)
+		}
 	}
 }

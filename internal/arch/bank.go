@@ -60,20 +60,19 @@ func NewBank(d *Design, layer LayerDims) (*Bank, error) {
 // build assembles the bank of design d from its plan and its unit, doing
 // the arithmetic that depends on the read parallelism. It overwrites every
 // field, so a bank reused across builds keeps nothing of the previous one.
+// The fields are assigned one by one: a composite literal would be built in
+// a temporary and block-copied over the bank on every build.
 //
 //lint:hotpath
 func (b *Bank) build(d *Design, bp *bankPlan, u *Unit) {
 	m := bp.mods
 	layer := bp.layer
-	*b = Bank{
-		Design:    d,
-		Layer:     layer,
-		RowBlocks: bp.rowBlocks,
-		ColBlocks: bp.colBlocks,
-		Units:     bp.rowBlocks * bp.colBlocks,
-		Unit:      u,
-		plan:      bp,
-	}
+	b.Design = d
+	b.Layer = layer
+	b.RowBlocks, b.ColBlocks = bp.rowBlocks, bp.colBlocks
+	b.Units = bp.rowBlocks * bp.colBlocks
+	b.Unit = u
+	b.plan = bp
 	b.OutputsPerPass = minInt(layer.Cols, b.ColBlocks*u.ReadCircuits)
 
 	// OutputsPerPass adder trees operate in parallel per read cycle.

@@ -69,18 +69,17 @@ func NewUnit(d *Design, rows, cols int) (*Unit, error) {
 // build assembles the unit of design d for a rows×cols weight block from the
 // design's shared modules, doing the arithmetic that depends on the read
 // parallelism. It overwrites every field, so a unit reused across builds
-// keeps nothing of the previous one.
+// keeps nothing of the previous one. The fields are assigned one by one: a
+// composite literal would be built in a temporary and block-copied over the
+// unit on every build.
 //
 //lint:hotpath
 func (u *Unit) build(d *Design, m *modules, rows, cols int) error {
 	physCols := cols * d.CellsPerWeight()
-	*u = Unit{
-		Design:   d,
-		Rows:     rows,
-		Cols:     cols,
-		PhysCols: physCols,
-		Xbar:     &m.xbar,
-	}
+	u.Design = d
+	u.Rows, u.Cols = rows, cols
+	u.PhysCols = physCols
+	u.Xbar = &m.xbar
 	u.ReadCircuits = d.EffectiveParallelism(physCols)
 	u.Cycles = (physCols + u.ReadCircuits - 1) / u.ReadCircuits
 

@@ -68,7 +68,7 @@ type Candidate struct {
 	// candidates are kept for trade-off plots but excluded from Best.
 	Feasible bool
 	// EvalTime is the wall time spent building and evaluating this design
-	// point, from the dse.explore/candidate telemetry span. The first
+	// point, as timed for the dse.explore/candidate telemetry span. The first
 	// candidate of each (wire node, crossbar size) run also pays for
 	// rebuilding the run's arch.Plan. Only a worker's first run grows the
 	// plan and accelerator storage the worker reuses, unless a later run
@@ -199,9 +199,9 @@ func spin(seed uint64, rounds int) uint64 {
 	return x
 }
 
-// candID is the journal correlation id of one grid point, e.g. "cand-8x2@45".
-// It is built without fmt: every candidate names its span with it, even with
-// tracing and the journal off.
+// candID is the journal correlation id of one grid point, e.g. "cand-8x2@45",
+// and the key of its candidate span's ID. It is built without fmt; a sweep
+// builds it only for the journal and for a failure's message.
 func candID(gp gridPoint) string {
 	var buf [64]byte
 	b := append(buf[:0], "cand-"...)
@@ -239,12 +239,21 @@ var evalCandidate = func(ctx context.Context, pl *arch.Plan, p int, a *arch.Acce
 // executes. A run is the grid points of one (wire node, crossbar size)
 // pair, which differ only in parallelism: the run's first candidate
 // rebuilds the design copy and the plan, and each candidate refills the
-// accelerator, of which it keeps only the Report.
+// accelerator, of which it keeps only the Report. The worker's candidate
+// spans add up in its tally, which each run folds into the tracer once.
 type runStorage struct {
 	design arch.Design
 	pl     arch.Plan
 	err    error // the run's plan error
 	acc    arch.Accelerator
+	spans  telemetry.SpanTally
+}
+
+// journalCandidate journals a candidate_eval event under the IDs of the
+// candidate's span.
+func journalCandidate(id string, ids telemetry.SpanIDs, data map[string]any) {
+	ids.Stamp(data)
+	telemetry.EmitEvent(telemetry.EvCandidateEval, id, data)
 }
 
 // Explore traverses the space, evaluating one accelerator per grid point on
@@ -309,18 +318,16 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 	// explorePoint builds and evaluates grid point i in rs; first marks
 	// the first point of its run.
 	explorePoint := func(tctx context.Context, i int, first bool, rs *runStorage) error {
-		if err := tctx.Err(); err != nil {
-			return err
+		// A non-blocking receive takes no lock, while Err takes the
+		// context's mutex.
+		select {
+		case <-tctx.Done():
+			return tctx.Err()
+		default:
 		}
 		defer prog.Inc()
 		gp := points[i]
-		id := candID(gp)
-		// The candidate span derives from the pooled task context (which
-		// carries the sweep span across the worker boundary) and is keyed by
-		// the grid point, so its span ID is identical for every worker count
-		// and schedule; the derived tctx flows into the evaluation so solve
-		// spans and events chain under this candidate.
-		tctx, cs := telemetry.StartSpanKeyed(tctx, "candidate", id)
+		start := rs.spans.Start()
 		if first {
 			rs.design = base
 			rs.design.CrossbarSize = gp.size
@@ -336,13 +343,23 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 		var err error
 		switch {
 		case inject != nil && inject.size == gp.size && inject.p == gp.p && inject.node == gp.node:
-			err = fmt.Errorf("%w at %s (FailEval)", errInjected, id)
+			err = fmt.Errorf("%w at %s (FailEval)", errInjected, candID(gp))
 		case rs.err != nil:
 			err = fmt.Errorf("%w: %w", errUnbuildable, rs.err)
 		default:
 			r, err = evalCandidate(tctx, &rs.pl, gp.p, &rs.acc)
 		}
-		evalTime := cs.End()
+		evalTime := rs.spans.End(start)
+		// The candidate span is a child of the sweep span keyed by the grid
+		// point, so its span ID is identical for every worker count and
+		// schedule. Only the journal needs the ID and the key.
+		journal := telemetry.JournalOn()
+		var id string
+		var ids telemetry.SpanIDs
+		if journal {
+			id = candID(gp)
+			ids = rs.spans.Journal(id, start, evalTime)
+		}
 		if err != nil {
 			if tctx.Err() != nil {
 				// A cancellation surfacing through the evaluation stack
@@ -351,9 +368,8 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 			}
 			if errors.Is(err, errUnbuildable) {
 				telUnbuildable.Inc()
-				if telemetry.JournalOn() {
-					telemetry.EmitEventCtx(tctx, telemetry.EvCandidateEval, id,
-						map[string]any{"outcome": "unbuildable"})
+				if journal {
+					journalCandidate(id, ids, map[string]any{"outcome": "unbuildable"})
 				}
 				return nil // infeasible grid point (e.g. weight overflow)
 			}
@@ -364,8 +380,8 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 			failMu.Unlock()
 			telemetry.Log().Warn("dse candidate evaluation failed",
 				"size", gp.size, "parallelism", gp.p, "wire_node", gp.node, "err", err)
-			if telemetry.JournalOn() {
-				telemetry.EmitEventCtx(tctx, telemetry.EvCandidateEval, id, map[string]any{
+			if journal {
+				journalCandidate(id, ids, map[string]any{
 					"outcome": "eval_failed", "err": err.Error(),
 					"eval_us": evalTime.Microseconds(),
 				})
@@ -388,12 +404,12 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 		} else {
 			telInfeasible.Inc()
 		}
-		if telemetry.JournalOn() {
+		if journal {
 			outcome := "ok"
 			if !c.Feasible {
 				outcome = "infeasible"
 			}
-			telemetry.EmitEventCtx(tctx, telemetry.EvCandidateEval, id, map[string]any{
+			journalCandidate(id, ids, map[string]any{
 				"outcome": outcome, "eval_us": evalTime.Microseconds(),
 				"area_mm2": r.AreaMM2, "energy_j": r.EnergyPerSample,
 				"latency_s": r.PipelineCycle, "error_worst": r.ErrorWorst,
@@ -420,6 +436,8 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 	err = pool.Run(ctx, len(runs)-1, opt.Workers, func(tctx context.Context, k int) error {
 		rs := <-free
 		defer func() { free <- rs }()
+		telemetry.OpenTally(tctx, "candidate", &rs.spans)
+		defer rs.spans.Flush()
 		for i := runs[k]; i < runs[k+1]; i++ {
 			if err := explorePoint(tctx, i, i == runs[k], rs); err != nil {
 				return err

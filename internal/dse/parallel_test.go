@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"mnsim/internal/arch"
@@ -146,11 +147,17 @@ func TestSpinDeterministic(t *testing.T) {
 // VGG-16 design ~1–2 µs plus a 7–14 µs plan rebuild per run, see
 // BenchmarkEvaluate in internal/arch), too little per candidate for the
 // bare sweep to show pool scaling. Each worker reuses one plan and one
-// accelerator, so a sweep allocates about three objects per candidate
-// (its span, the span's context and its ID string). EvalSpin injects a deterministic ~20 µs
-// of integer mixing per candidate (the cost of a small circuit-level
-// validation solve) which makes the workers=1 vs workers=4 comparison a
-// real measurement of the pool; spin work never changes the results.
+// accelerator and counts its candidate spans in a tally, so a sweep's
+// allocations are a per-call constant, whatever its candidate count.
+// EvalSpin injects a deterministic ~20 µs of integer mixing per candidate
+// (the cost of a small circuit-level validation solve) which makes the
+// workers=1 vs workers=4 comparison a real measurement of the pool; spin
+// work never changes the results.
+//
+// allocs/op is exact, so the benchmark gate can hold it tightly: before
+// the timed loop, one sweep makes the process-wide first-use allocations
+// (the span aggregates' map entries, the logger), and warmGoroutines
+// stocks the runtime's free goroutines.
 func BenchmarkExplore(b *testing.B) {
 	base := baseDesign()
 	space := DefaultSpace()
@@ -158,7 +165,12 @@ func BenchmarkExplore(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opt := Options{ErrorLimit: 0.25, Workers: workers, EvalSpin: spinRounds}
+			if _, err := Explore(context.Background(), base, largeLayer, space, opt); err != nil {
+				b.Fatal(err)
+			}
+			warmGoroutines()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cands, err := Explore(context.Background(), base, largeLayer, space, opt)
 				if err != nil {
@@ -170,4 +182,19 @@ func BenchmarkExplore(b *testing.B) {
 			}
 		})
 	}
+}
+
+// warmGoroutines starts and ends enough goroutines to stock the runtime's
+// free lists. pool.Run starts its workers on every call, and the runtime
+// reuses an exited goroutine only from the starting processor's free list
+// or, once a processor's list overflows, the global one; until then a
+// call allocates new goroutines as scheduling happens to leave those lists
+// empty, and allocs/op counts them.
+func warmGoroutines() {
+	var wg sync.WaitGroup
+	for i := 0; i < 512; i++ {
+		wg.Add(1)
+		go wg.Done()
+	}
+	wg.Wait()
 }

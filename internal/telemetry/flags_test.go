@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,7 +27,11 @@ func TestFlagsRegisterAndDump(t *testing.T) {
 	if err := fs.Parse([]string{"-metrics-out", prom, "-run-out", run}); err != nil {
 		t.Fatal(err)
 	}
-	GetCounter("mnsim_flagtest_total").Inc()
+	// The registry is process-wide: under -count=2 the counter carries the
+	// previous run's increment, so the dump must show this run's on top.
+	counter := GetCounter("mnsim_flagtest_total")
+	want := fmt.Sprintf("mnsim_flagtest_total %d\n", counter.Value()+1)
+	counter.Inc()
 	if err := f.StartContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +44,7 @@ func TestFlagsRegisterAndDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(promBody), "mnsim_flagtest_total 1") {
+	if !strings.Contains(string(promBody), want) {
 		t.Fatalf("Prometheus dump missing counter:\n%s", promBody)
 	}
 	// The span aggregates are the manifest's phases.

@@ -17,7 +17,11 @@ func TestManifestWriteLoadRoundTrip(t *testing.T) {
 	run.SetSeed(42)
 	run.SetWorkers(4)
 	run.SetConfigHash(HashStrings("case=largebank"))
-	GetCounter("mnsim_manifesttest_total").Add(7)
+	// The registry is process-wide: under -count=2 the counter carries the
+	// previous run's 7, so the snapshot must show this run's on top.
+	counter := GetCounter("mnsim_manifesttest_total")
+	want := counter.Value() + 7
+	counter.Add(7)
 	_, sp := StartSpan(context.Background(), "manifesttest.phase")
 	sp.End()
 
@@ -35,7 +39,7 @@ func TestManifestWriteLoadRoundTrip(t *testing.T) {
 	if m.ExitStatus != 0 || m.Error != "" {
 		t.Fatalf("clean run has exit %d error %q", m.ExitStatus, m.Error)
 	}
-	if m.Metrics.Counters["mnsim_manifesttest_total"] != 7 {
+	if m.Metrics.Counters["mnsim_manifesttest_total"] != want {
 		t.Fatalf("metrics snapshot missing counter: %+v", m.Metrics.Counters)
 	}
 	found := false

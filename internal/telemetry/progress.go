@@ -18,10 +18,13 @@ import (
 // while the sweep is still running.
 
 const (
-	// progressSampleEvery rate-limits the rolling-rate samples a phase
-	// records on its Inc path, bounding the per-item overhead to one atomic
-	// compare-and-swap in the common case.
-	progressSampleEvery = 50 * time.Millisecond
+	// progressSamples is how many rolling-rate samples a phase takes over
+	// its total: one each time its done count crosses a multiple of
+	// total/progressSamples (of progressSamples items when the total is
+	// unknown). A sample is one clock read; every other item costs the
+	// phase an atomic add and a division. The phase keeps the latest
+	// progressSamples samples in fixed storage.
+	progressSamples = 64
 	// progressWindow is how far back the rolling rate looks. Older samples
 	// are dropped, so the ETA tracks the *current* throughput rather than
 	// averaging over a slow warm-up.
@@ -43,10 +46,19 @@ type Phase struct {
 	total atomic.Int64
 	done  atomic.Int64
 	endNS atomic.Int64 // unix nanos of Finish; 0 while running
+	step  atomic.Int64 // done-count interval between samples
 
-	lastSampleNS atomic.Int64
-	mu           sync.Mutex
-	samples      []progressSample
+	mu      sync.Mutex
+	samples [progressSamples]progressSample // a ring, oldest at taken%progressSamples once full
+	taken   int
+}
+
+// sampleStep is the done-count interval between a phase's rate samples.
+func sampleStep(total int64) int64 {
+	if total <= 0 {
+		return progressSamples
+	}
+	return max(total/progressSamples, 1)
 }
 
 // Name returns the phase name.
@@ -61,6 +73,7 @@ func (p *Phase) Name() string {
 func (p *Phase) SetTotal(n int64) {
 	if p != nil {
 		p.total.Store(n)
+		p.step.Store(sampleStep(n))
 	}
 }
 
@@ -76,21 +89,13 @@ func (p *Phase) Add(n int64) {
 	// unjournaled sweep still re-arms it.
 	noteActivity()
 	done := p.done.Add(n)
-	now := time.Now().UnixNano()
-	last := p.lastSampleNS.Load()
-	if now-last < int64(progressSampleEvery) || !p.lastSampleNS.CompareAndSwap(last, now) {
+	if step := p.step.Load(); (done-n)/step == done/step {
 		return
 	}
+	now := time.Now().UnixNano()
 	p.mu.Lock()
-	p.samples = append(p.samples, progressSample{atNS: now, done: done})
-	cut := now - int64(progressWindow)
-	drop := 0
-	for drop < len(p.samples)-1 && p.samples[drop].atNS < cut {
-		drop++
-	}
-	if drop > 0 {
-		p.samples = append(p.samples[:0], p.samples[drop:]...)
-	}
+	p.samples[p.taken%progressSamples] = progressSample{atNS: now, done: done}
+	p.taken++
 	p.mu.Unlock()
 }
 
@@ -152,9 +157,19 @@ func (p *Phase) Status(now time.Time) PhaseStatus {
 	if st.Total > 0 {
 		st.Fraction = float64(st.Done) / float64(st.Total)
 	}
+	// Copy the ring out oldest first, then drop the samples older than the
+	// window, keeping the newest.
+	var buf [progressSamples]progressSample
 	p.mu.Lock()
-	samples := append([]progressSample(nil), p.samples...)
+	k := min(p.taken, progressSamples)
+	for i := range buf[:k] {
+		buf[i] = p.samples[(p.taken-k+i)%progressSamples]
+	}
 	p.mu.Unlock()
+	samples := buf[:k]
+	for cut := now.UnixNano() - int64(progressWindow); len(samples) > 1 && samples[0].atNS < cut; {
+		samples = samples[1:]
+	}
 	st.RatePerSec = rollingRate(samples, now.UnixNano(), st.Done, st.ElapsedSeconds)
 	switch {
 	case !st.Running:
@@ -214,7 +229,7 @@ func Progress() *ProgressTracker { return defaultProgress }
 // items (<= 0: unknown).
 func (t *ProgressTracker) StartPhase(name string, total int64) *Phase {
 	p := &Phase{name: name, start: time.Now()}
-	p.total.Store(total)
+	p.SetTotal(total)
 	t.mu.Lock()
 	if _, ok := t.phases[name]; !ok {
 		t.order = append(t.order, name)

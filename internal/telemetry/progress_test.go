@@ -63,6 +63,43 @@ func TestPhaseRestartReplaces(t *testing.T) {
 	}
 }
 
+// TestPhaseSamplesAtCountBoundaries: a phase takes one rate sample each
+// time its done count crosses a multiple of total/64, into fixed storage,
+// so an Inc between samples reads no clock and no Inc allocates.
+func TestPhaseSamplesAtCountBoundaries(t *testing.T) {
+	tr := NewProgressTracker()
+	p := tr.StartPhase("test.items", 6400)
+	for i := 0; i < 6400; i++ {
+		p.Inc()
+	}
+	if p.taken != progressSamples {
+		t.Fatalf("%d samples over the total, want %d", p.taken, progressSamples)
+	}
+	for i, s := range p.samples {
+		if want := int64(100 * (i + 1)); s.done != want {
+			t.Fatalf("sample %d at done %d, want %d", i, s.done, want)
+		}
+	}
+	// One Add crossing three boundaries takes one sample; an overshoot
+	// past the total overwrites the oldest.
+	p.Add(300)
+	if p.taken != progressSamples+1 || p.samples[0].done != 6700 {
+		t.Fatalf("after Add(300): %d samples, slot 0 at done %d", p.taken, p.samples[0].done)
+	}
+	if allocs := testing.AllocsPerRun(1000, p.Inc); allocs != 0 {
+		t.Fatalf("Inc allocates %v times", allocs)
+	}
+	// With no total a phase samples every 64 items.
+	u := tr.StartPhase("test.unknown", 0)
+	u.Add(1000)
+	for i := 0; i < 1000; i++ {
+		u.Inc()
+	}
+	if want := 1 + 2000/progressSamples - 1000/progressSamples; u.taken != want {
+		t.Fatalf("unknown total: %d samples, want %d", u.taken, want)
+	}
+}
+
 func TestRollingRate(t *testing.T) {
 	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC).UnixNano()
 	sec := int64(time.Second)

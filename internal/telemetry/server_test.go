@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -50,7 +51,11 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	base := "http://" + f.Addr()
 
-	GetCounter("mnsim_servetest_total").Inc()
+	// The registry is process-wide: under -count=2 the counter carries the
+	// previous run's increment, so /metrics must show this run's on top.
+	counter := GetCounter("mnsim_servetest_total")
+	want := fmt.Sprintf("mnsim_servetest_total %d\n", counter.Value()+1)
+	counter.Inc()
 	_, sp := StartSpan(context.Background(), "servetest.span")
 	sp.End()
 	ph := StartPhase("servetest.phase", 10)
@@ -60,7 +65,7 @@ func TestServeEndpoints(t *testing.T) {
 	if status != http.StatusOK || !strings.Contains(ct, "text/plain") {
 		t.Fatalf("/metrics status %d content-type %q", status, ct)
 	}
-	if !strings.Contains(body, "mnsim_servetest_total 1") {
+	if !strings.Contains(body, want) {
 		t.Fatalf("/metrics missing counter:\n%s", body)
 	}
 

@@ -135,40 +135,125 @@ func (s *Span) End() time.Duration {
 		return 0
 	}
 	d := time.Since(s.start)
-	s.tracer.record(s.path, d)
-	if s.tracer == defaultTracer && spanEvents.Load() && defaultJournal.Enabled() {
-		data := map[string]any{
-			"name":     s.name,
-			"path":     s.path,
-			"trace_id": FormatID(s.traceID),
-			"span_id":  FormatID(s.spanID),
-			"start_us": float64(s.start.UnixNano()) / 1e3,
-			"dur_us":   float64(d.Nanoseconds()) / 1e3,
-		}
-		if s.parentID != 0 {
-			data["parent_id"] = FormatID(s.parentID)
-		}
-		defaultJournal.Emit(EvSpan, "", data)
-	}
+	s.tracer.fold(s.path, spanAgg{count: 1, total: d, min: d, max: d})
+	s.tracer.journalSpan(s.name, s.path, s.ids(), s.start, d)
 	return d
 }
 
-func (t *Tracer) record(path string, d time.Duration) {
+// journalSpan journals one completed span as a "span" event when t is the
+// default tracer, trace events are on and the journal records.
+func (t *Tracer) journalSpan(name, path string, ids SpanIDs, start time.Time, d time.Duration) {
+	if t != defaultTracer || !spanEvents.Load() || !defaultJournal.Enabled() {
+		return
+	}
+	data := map[string]any{
+		"name":     name,
+		"path":     path,
+		"start_us": float64(start.UnixNano()) / 1e3,
+		"dur_us":   float64(d.Nanoseconds()) / 1e3,
+	}
+	ids.Stamp(data)
+	defaultJournal.Emit(EvSpan, "", data)
+}
+
+// add counts one span of duration d.
+func (a *spanAgg) add(d time.Duration) {
+	if a.count == 0 || d < a.min {
+		a.min = d
+	}
+	if a.count == 0 || d > a.max {
+		a.max = d
+	}
+	a.count++
+	a.total += d
+}
+
+// fold adds the spans o aggregates to the aggregate of path.
+func (t *Tracer) fold(path string, o spanAgg) {
+	if o.count == 0 {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	a := t.agg[path]
 	if a == nil {
-		a = &spanAgg{min: d, max: d}
+		a = &spanAgg{min: o.min, max: o.max}
 		t.agg[path] = a
 	}
-	a.count++
-	a.total += d
-	if d < a.min {
-		a.min = d
+	a.count += o.count
+	a.total += o.total
+	a.min = min(a.min, o.min)
+	a.max = max(a.max, o.max)
+}
+
+// SpanTally times childless spans of one name under one parent span, such
+// as a sweep's per-candidate spans, at the cost of two clock reads each. It
+// makes no Span and no derived context and takes no lock per span: the
+// count, total, min and max add up in the tally, which one goroutine owns,
+// and Flush folds them into the tracer's aggregate for the span path under
+// one lock. Such a span cannot parent another span. With the journal on,
+// Journal gives a span the IDs and the "span" event StartSpanKeyed and End
+// would have given it. The zero SpanTally is ready for Open.
+type SpanTally struct {
+	tracer *Tracer
+	parent *Span
+	name   string
+	path   string
+	agg    spanAgg
+}
+
+// OpenTally points l at spans named name under the innermost span of ctx,
+// flushing any spans l still holds. A tally reopened under the same parent
+// and name keeps its path string, so a worker that reopens its tally for
+// every run of a sweep builds the path once.
+func (t *Tracer) OpenTally(ctx context.Context, name string, l *SpanTally) {
+	l.Flush()
+	parent := SpanFromContext(ctx)
+	if l.tracer == t && l.parent == parent && l.name == name {
+		return
 	}
-	if d > a.max {
-		a.max = d
+	path := name
+	if parent != nil {
+		path = parent.path + "/" + name
 	}
+	*l = SpanTally{tracer: t, parent: parent, name: name, path: path}
+}
+
+// OpenTally opens a span tally on the process-wide default tracer.
+func OpenTally(ctx context.Context, name string, l *SpanTally) {
+	defaultTracer.OpenTally(ctx, name, l)
+}
+
+// Start returns the start time of a span.
+func (l *SpanTally) Start() time.Time { return time.Now() }
+
+// End counts the span that started at start and returns its duration.
+func (l *SpanTally) End(start time.Time) time.Duration {
+	d := time.Since(start)
+	l.agg.add(d)
+	return d
+}
+
+// Journal returns the IDs of the span that started at start and lasted d,
+// derived as StartSpanKeyed derives them under the tally's parent with the
+// sibling key key, and journals the span as End would. Call it only while
+// the journal records, to stamp the IDs on the events the span's work
+// emits: the span itself needs neither its IDs nor key otherwise.
+func (l *SpanTally) Journal(key string, start time.Time, d time.Duration) SpanIDs {
+	var ids SpanIDs
+	ids.Trace, ids.Span, ids.Parent = l.tracer.deriveIDs(l.parent, l.name, key)
+	l.tracer.journalSpan(l.name, l.path, ids, start, d)
+	return ids
+}
+
+// Flush folds the spans the tally counted into its tracer's aggregate and
+// zeroes the count; a no-op when it counted none.
+func (l *SpanTally) Flush() {
+	if l.agg.count == 0 {
+		return
+	}
+	l.tracer.fold(l.path, l.agg)
+	l.agg = spanAgg{}
 }
 
 // Reset drops every aggregate; intended for tests.

@@ -192,17 +192,33 @@ func (s *Span) ParentID() uint64 {
 	return s.parentID
 }
 
+// SpanIDs is a span's causal identity; Parent is zero for a root span.
+type SpanIDs struct {
+	Trace, Span, Parent uint64
+}
+
+// ids returns the span's causal identity.
+func (s *Span) ids() SpanIDs {
+	return SpanIDs{Trace: s.traceID, Span: s.spanID, Parent: s.parentID}
+}
+
+// Stamp writes the IDs into an event payload in wire form (16-hex-digit
+// strings) as trace_id, span_id and, for a child span, parent_id.
+func (ids SpanIDs) Stamp(data map[string]any) {
+	data["trace_id"] = FormatID(ids.Trace)
+	data["span_id"] = FormatID(ids.Span)
+	if ids.Parent != 0 {
+		data["parent_id"] = FormatID(ids.Parent)
+	}
+}
+
 // StampTraceIDs writes the active span's trace/span/parent IDs into an
 // event payload (wire form: 16-hex-digit strings). With no span open only
 // the trace ID is stamped, so every journaled event of a run is at least
 // trace-joinable.
 func StampTraceIDs(ctx context.Context, data map[string]any) {
 	if s := SpanFromContext(ctx); s != nil {
-		data["trace_id"] = FormatID(s.traceID)
-		data["span_id"] = FormatID(s.spanID)
-		if s.parentID != 0 {
-			data["parent_id"] = FormatID(s.parentID)
-		}
+		s.ids().Stamp(data)
 		return
 	}
 	data["trace_id"] = FormatID(defaultTracer.currentTraceID())
