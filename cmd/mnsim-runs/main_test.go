@@ -45,7 +45,7 @@ func sampleManifest() telemetry.Manifest {
 				"mnsim_dse_candidates_total":          400,
 				"mnsim_dse_candidates_feasible_total": 100,
 			},
-			Gauges: map[string]float64{"mnsim_pool_queue_depth": 0},
+			Gauges: map[string]float64{"mnsim_proc_goroutines": 4},
 			Histograms: map[string]telemetry.HistogramSnapshot{
 				"mnsim_dse_candidate_eval_us": {Count: 400, Sum: 8e6},
 			},

@@ -53,7 +53,7 @@ func pauseGC() (restore func()) {
 // shows up in the bench trajectory even when wall time hides it behind
 // machine noise.
 func BenchmarkSolve(b *testing.B) {
-	for _, size := range []int{16, 32, 64, 256} {
+	for _, size := range []int{16, 32, 64, 128, 256} {
 		b.Run(benchName(size), func(b *testing.B) {
 			c, vin := benchCrossbar(size)
 			var newton, cg, flops, refreshes int64

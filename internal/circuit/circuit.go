@@ -25,7 +25,6 @@ import (
 
 	"mnsim/internal/device"
 	"mnsim/internal/linalg"
-	"mnsim/internal/telemetry"
 )
 
 // deviceEvalFlops is the modeled flop cost of one transcendental device
@@ -358,21 +357,21 @@ func (c *Crossbar) Solve(vin []float64, opt SolveOptions) (*Result, error) {
 //
 // The solve runs in three steps: input validation and option defaults;
 // the numeric steps (assemble and precondition, setup CG or warm start,
-// the Newton loop), each wrapped in its gated phase span; and one
-// observer (solveObserver.finish) that turns the outcome into metrics,
-// journal events, and divergence snapshots.
+// the Newton loop), each wrapped in its gated phase span; and the outcome.
+// One observer (solveObserver, in observe.go) owns everything else: it
+// opens the span and its phases, and finish turns the outcome into
+// metrics, journal events, and divergence snapshots.
 //
 // Cancellation contract: ctx is checked before the solve and before every
 // Newton step's linear solve, and per bisection column, so an aborted
 // sweep stops burning CPU mid-Newton-loop; the error wraps ctx.Err().
 func (c *Crossbar) SolveContext(ctx context.Context, vin []float64, opt SolveOptions) (*Result, error) {
-	ctx, sp := telemetry.StartSpan(ctx, "circuit.solve")
+	o := startSolve(ctx)
 	opt, err := c.resolveOptions(ctx, vin, opt)
 	if err != nil {
-		sp.End()
+		o.abandon()
 		return nil, err
 	}
-	o := &solveObserver{ctx: ctx, span: sp, traced: telemetry.TraceEventsOn()}
 	r := &solveRun{c: c, opt: opt, st: opt.State, work: opt.State.cgWork(), diag: &Diagnostics{Path: pathNewtonCG, Cost: &CostModel{}}}
 	var res *Result
 	switch {

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"mnsim/internal/device"
-	"mnsim/internal/linalg"
+	"mnsim/internal/linalg/densetest"
 )
 
 // denseSolve solves the same linear crossbar with an independently built
@@ -17,7 +17,7 @@ func denseSolve(t *testing.T, c *Crossbar, vin []float64) []float64 {
 	n2 := 2 * c.M * c.N
 	row := func(m, n int) int { return m*c.N + n }
 	col := func(m, n int) int { return c.M*c.N + m*c.N + n }
-	a := linalg.NewDense(n2, n2)
+	a := densetest.NewDense(n2, n2)
 	b := make([]float64, n2)
 	gw := 1 / c.WireR
 	stamp := func(i, j int, g float64) {
@@ -47,7 +47,7 @@ func denseSolve(t *testing.T, c *Crossbar, vin []float64) []float64 {
 			stamp(row(m, n), col(m, n), 1/c.R[m][n])
 		}
 	}
-	x, err := linalg.SolveDense(a, b)
+	x, err := densetest.SolveDense(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

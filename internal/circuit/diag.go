@@ -419,19 +419,14 @@ func (c *Crossbar) NewSnapshot(vin []float64, opt SolveOptions, res *Result, err
 	return s
 }
 
-// newTransientSnapshot records a completed settling run.
-func (c *Crossbar) newTransientSnapshot(vin []float64, opt TransientOptions, settle float64, steps int, lastMaxDV float64, err error) *Snapshot {
+// newTransientSnapshot records a settling run that ran out of steps.
+func (c *Crossbar) newTransientSnapshot(vin []float64, out settleOutcome, err error) *Snapshot {
 	s := c.baseSnapshot("transient", vin, SolveOptions{})
-	topt := opt
+	topt := out.opt
 	s.Transient = &topt
-	s.Outcome.Steps = steps
-	s.Outcome.LastMaxDV = jsonFinite(lastMaxDV)
-	if err != nil {
-		s.Outcome.Err = err.Error()
-		return s
-	}
-	s.Outcome.OK = true
-	s.Outcome.SettleSeconds = settle
+	s.Outcome.Steps = out.steps
+	s.Outcome.LastMaxDV = jsonFinite(out.lastMaxDV)
+	s.Outcome.Err = err.Error()
 	return s
 }
 

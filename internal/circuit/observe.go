@@ -1,7 +1,8 @@
-// Solve observation: the single place a finished solve is turned into
-// metrics, journal events, logs, and divergence snapshots. The numeric
-// steps in circuit.go only fill Result and Diagnostics; everything the
-// outside world sees about a solve is derived from those here.
+// Solve and settle observation: the single place a solve or a settling run
+// is turned into spans, metrics, journal events, logs, and failure
+// snapshots. The numeric steps in circuit.go only fill Result and
+// Diagnostics, and transient.go's only fill a settleOutcome; everything
+// the outside world sees about either is derived from those here.
 package circuit
 
 import (
@@ -44,6 +45,18 @@ type solveObserver struct {
 	traced bool
 	phase  *telemetry.Span // nil when untraced; End is nil-safe and idempotent
 }
+
+// startSolve opens a solve's circuit.solve span, nested under any span
+// already open in ctx, and reads the trace-event switch once for its
+// phase sub-spans.
+func startSolve(ctx context.Context) solveObserver {
+	ctx, sp := telemetry.StartSpan(ctx, "circuit.solve")
+	return solveObserver{ctx: ctx, span: sp, traced: telemetry.TraceEventsOn()}
+}
+
+// abandon closes the span of a solve that never started: its inputs failed
+// validation or its context was already done. Nothing else is recorded.
+func (o *solveObserver) abandon() { o.span.End() }
 
 func (o *solveObserver) startPhase(name string) {
 	if o.traced {
@@ -129,4 +142,50 @@ func (o *solveObserver) finish(c *Crossbar, vin []float64, opt SolveOptions, res
 	}
 	telemetry.EmitEventCtx(o.ctx, telemetry.EvSolveEnd, jid, data)
 	return res, err
+}
+
+// settleObserver watches one settling run. Its journal ID is drawn once,
+// before the run: a run that starts unjournaled journals nothing, even if
+// the journal opens while it integrates.
+type settleObserver struct {
+	jid string
+}
+
+func startSettle() settleObserver {
+	if telemetry.JournalOn() {
+		return settleObserver{jid: nextSolveID("transient")}
+	}
+	return settleObserver{}
+}
+
+// finish observes a finished settling run and passes its outcome through.
+// A journaled run that settles or runs out of steps is one
+// transient_settle event; a run out of steps also writes a snapshot of
+// itself. Other failures journal nothing.
+func (o settleObserver) finish(c *Crossbar, vin []float64, out settleOutcome, err error) (float64, error) {
+	if o.jid == "" {
+		return out.settle, err
+	}
+	var data map[string]any
+	// The numeric run returns a non-settle unwrapped.
+	nerr, notSettled := err.(*NotSettledError)
+	switch {
+	case err == nil:
+		data = map[string]any{
+			"ok": true, "steps": out.steps, "settle_seconds": out.settle, "dt": out.opt.Dt,
+			"cg_iters": out.cgIters,
+		}
+	case notSettled:
+		data = map[string]any{
+			"ok": false, "steps": out.steps, "cg_iters": out.cgIters,
+			"last_max_dv": jsonFinite(out.lastMaxDV), "err": nerr.Error(),
+		}
+		if path := saveSnapshot("transient", c.newTransientSnapshot(vin, out, nerr)); path != "" {
+			data["snapshot"] = path
+		}
+	default:
+		return out.settle, err
+	}
+	telemetry.EmitEvent(telemetry.EvTransientSettle, o.jid, data)
+	return out.settle, err
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"mnsim/internal/linalg"
-	"mnsim/internal/telemetry"
 )
 
 // TransientOptions tunes SettleTime.
@@ -52,6 +51,8 @@ func (c *Crossbar) SettleTime(vin []float64, opt TransientOptions) (float64, err
 //
 // After the setup (assembly, preconditioner, DC target, stepping matrix)
 // the stepping loop allocates nothing: every step's CG shares one CGWork.
+// The settling run itself is plain numerics (settle); its observer
+// (settleObserver.finish) journals the outcome.
 func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt TransientOptions) (float64, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
@@ -82,12 +83,28 @@ func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt Tra
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("circuit: transient: %w", err)
 	}
-	// Flight recorder: one transient_settle event per run, emitted at the
-	// settle/non-settle outcome with the resolved options in scope.
-	jid := ""
-	if telemetry.JournalOn() {
-		jid = nextSolveID("transient")
-	}
+	o := startSettle()
+	out, err := c.settle(ctx, vin, opt)
+	return o.finish(c, vin, out, err)
+}
+
+// settleOutcome is what one settling run found: the settle time (zero
+// unless it settled), the steps integrated, their CG iterations in total,
+// the worst remaining output deviation from the DC target at the last
+// step, and the resolved options the run used.
+type settleOutcome struct {
+	settle    float64
+	steps     int
+	cgIters   int
+	lastMaxDV float64
+	opt       TransientOptions
+}
+
+// settle integrates the RC network from a discharged start until every
+// output is within opt.SettleFrac of its DC value, with opt resolved. A run
+// that exhausts opt.MaxSteps returns a *NotSettledError.
+func (c *Crossbar) settle(ctx context.Context, vin []float64, opt TransientOptions) (settleOutcome, error) {
+	out := settleOutcome{opt: opt}
 	lin := *c
 	lin.Linear = true
 	a := lin.assemble(vin, nil)
@@ -98,12 +115,12 @@ func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt Tra
 	// to the same diagonal — every backward-Euler step.
 	pre, err := linalg.NewBlockJacobi(op, nil)
 	if err != nil {
-		return 0, fmt.Errorf("circuit: preconditioner: %w", err)
+		return out, fmt.Errorf("circuit: preconditioner: %w", err)
 	}
 	// DC target for the settling criterion.
 	final, _, err := linalg.SolveCG(op, a.rhsBase, nil, linalg.CGOptions{Tol: 1e-10, Precond: pre})
 	if err != nil {
-		return 0, fmt.Errorf("circuit: DC solve: %w", err)
+		return out, fmt.Errorf("circuit: DC solve: %w", err)
 	}
 	// Backward Euler: (G + C/dt)·v_{t+dt} = C/dt·v_t + b. The DC target is
 	// solved, so G itself is no longer needed: add C/dt to its diagonal in
@@ -113,7 +130,7 @@ func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt Tra
 	// The stepping matrix is constant, so one refresh preconditions every
 	// step of the integration.
 	if err := pre.Refresh(op, nil); err != nil {
-		return 0, fmt.Errorf("circuit: preconditioner: %w", err)
+		return out, fmt.Errorf("circuit: preconditioner: %w", err)
 	}
 	n2 := len(capDt)
 	v := make([]float64, n2) // discharged start
@@ -121,9 +138,8 @@ func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt Tra
 	// Each step's solution aliases work; the ping-pong keeps the previous
 	// step's v valid as the next step's warm start.
 	work := &linalg.CGWork{}
-	// settled also reports the worst remaining output deviation in volts,
+	// settled also records the worst remaining output deviation in volts,
 	// so a non-settle failure can say how far from done it still was.
-	lastMaxDV := 0.0
 	settled := func() bool {
 		ok := true
 		worst := 0.0
@@ -138,14 +154,12 @@ func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt Tra
 				ok = false
 			}
 		}
-		lastMaxDV = worst
+		out.lastMaxDV = worst
 		return ok
 	}
-	// cgIters totals the steps' CG iterations for the journal event.
-	cgIters := 0
 	for step := 1; step <= opt.MaxSteps; step++ {
 		if err := ctx.Err(); err != nil {
-			return 0, fmt.Errorf("circuit: transient step %d: %w", step, err)
+			return out, fmt.Errorf("circuit: transient step %d: %w", step, err)
 		}
 		copy(rhs, a.rhsBase)
 		for i := 0; i < n2; i++ {
@@ -154,34 +168,16 @@ func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt Tra
 		var it int
 		v, it, err = linalg.SolveCG(op, rhs, v, linalg.CGOptions{Tol: 1e-9, Precond: pre, Work: work})
 		if err != nil {
-			return 0, fmt.Errorf("circuit: transient step %d: %w", step, err)
+			return out, fmt.Errorf("circuit: transient step %d: %w", step, err)
 		}
-		cgIters += it
+		out.steps = step
+		out.cgIters += it
 		if settled() {
-			t := float64(step) * opt.Dt
-			if jid != "" {
-				telemetry.EmitEvent(telemetry.EvTransientSettle, jid, map[string]any{
-					"ok": true, "steps": step, "settle_seconds": t, "dt": opt.Dt,
-					"cg_iters": cgIters,
-				})
-			}
-			return t, nil
+			out.settle = float64(step) * opt.Dt
+			return out, nil
 		}
 	}
-	nerr := &NotSettledError{Steps: opt.MaxSteps, LastMaxDV: lastMaxDV}
-	if telemetry.JournalOn() {
-		snapPath := saveSnapshot("transient",
-			c.newTransientSnapshot(vin, opt, 0, opt.MaxSteps, lastMaxDV, nerr))
-		data := map[string]any{
-			"ok": false, "steps": opt.MaxSteps, "cg_iters": cgIters,
-			"last_max_dv": jsonFinite(lastMaxDV), "err": nerr.Error(),
-		}
-		if snapPath != "" {
-			data["snapshot"] = snapPath
-		}
-		telemetry.EmitEvent(telemetry.EvTransientSettle, jid, data)
-	}
-	return 0, nerr
+	return out, &NotSettledError{Steps: opt.MaxSteps, LastMaxDV: out.lastMaxDV}
 }
 
 // capsOverDt returns C/dt for every node: the wire capacitance everywhere,

@@ -340,3 +340,29 @@ func TestSettleTimeJournalsCGIters(t *testing.T) {
 		}
 	}
 }
+
+// A settling run draws its journal ID once, before it integrates: a run
+// that starts with the journal off journals nothing, even when the journal
+// opens before the run finishes.
+func TestSettleUnjournaledAtStartJournalsNothing(t *testing.T) {
+	if telemetry.JournalOn() {
+		t.Fatal("journal already on")
+	}
+	o := startSettle()
+	path := withTestJournal(t)
+	c := &Crossbar{M: 2, N: 2, R: uniformR(2, 2, 1e3), WireR: 1, RSense: 100, Linear: true}
+	out := settleOutcome{steps: 1, cgIters: 2, lastMaxDV: 0.1, opt: TransientOptions{NodeCap: 1e-15, MaxSteps: 1, Dt: 1e-15}}
+	if _, err := o.finish(c, []float64{0.3, 0.3}, out, &NotSettledError{Steps: 1, LastMaxDV: 0.1}); !errors.Is(err, ErrNotSettled) {
+		t.Fatalf("want ErrNotSettled passed through, got %v", err)
+	}
+	telemetry.DefaultJournal().Close()
+	events, err := telemetry.ReadJournalFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if ev.Type == telemetry.EvTransientSettle {
+			t.Fatalf("a run that started unjournaled journaled %v (id %q)", ev.Type, ev.ID)
+		}
+	}
+}

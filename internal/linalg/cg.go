@@ -4,19 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"mnsim/internal/telemetry"
-)
-
-// Linear-core telemetry: every CG solve in the process lands here, whatever
-// the caller, so the iteration totals behind a sweep are recoverable from
-// one export.
-var (
-	telCGSolves     = telemetry.GetCounter("mnsim_linalg_cg_solves_total")
-	telCGItersTotal = telemetry.GetCounter("mnsim_linalg_cg_iterations_total")
-	telCGIterHist   = telemetry.GetHistogram("mnsim_linalg_cg_iterations", telemetry.ExponentialBuckets(1, 2, 14))
-	telCGNoConverge = telemetry.GetCounter("mnsim_linalg_cg_no_convergence_total")
-	telCGBreakdowns = telemetry.GetCounter("mnsim_linalg_cg_breakdowns_total")
 )
 
 // ErrNoConvergence is returned when an iterative solve exhausts its
@@ -182,7 +169,6 @@ func SolveCG(a *CrossbarOp, b, x0 []float64, opt CGOptions) ([]float64, int, err
 		for i := range x {
 			x[i] = 0
 		}
-		observeCG(0)
 		return x, 0, nil
 	}
 	if x0 != nil {
@@ -192,7 +178,6 @@ func SolveCG(a *CrossbarOp, b, x0 []float64, opt CGOptions) ([]float64, int, err
 		ops.CountNorm(n)
 		ops.CountFlops(1)
 		if res0 < opt.Tol {
-			observeCG(0)
 			return x, 0, nil
 		}
 	}
@@ -226,8 +211,6 @@ func SolveCG(a *CrossbarOp, b, x0 []float64, opt CGOptions) ([]float64, int, err
 			// Breakdown guard: non-positive curvature means the matrix is
 			// not SPD (a bad stamp); without this guard α goes NaN and no
 			// exit condition ever fires until MaxIter.
-			observeCG(it)
-			telCGBreakdowns.Inc()
 			//lint:ignore noalloc breakdown error allocates once on the failure path only
 			return x, it, &BreakdownError{Iter: it, PAp: pap}
 		}
@@ -238,13 +221,10 @@ func SolveCG(a *CrossbarOp, b, x0 []float64, opt CGOptions) ([]float64, int, err
 		ops.CountNorm(n)
 		ops.CountFlops(1) // relative-residual division
 		if math.IsNaN(res) || math.IsInf(res, 0) {
-			observeCG(it)
-			telCGBreakdowns.Inc()
 			//lint:ignore noalloc breakdown error allocates once on the failure path only
 			return x, it, &BreakdownError{Iter: it, PAp: pap}
 		}
 		if res < opt.Tol {
-			observeCG(it)
 			return x, it, nil
 		}
 		pre.Apply(r, z, ops)
@@ -258,8 +238,6 @@ func SolveCG(a *CrossbarOp, b, x0 []float64, opt CGOptions) ([]float64, int, err
 		}
 		ops.CountVecOp(n, 2) // direction update p = z + β·p
 	}
-	observeCG(opt.MaxIter)
-	telCGNoConverge.Inc()
 	return x, opt.MaxIter, ErrNoConvergence
 }
 
@@ -281,11 +259,4 @@ func updateCG(alpha float64, p, ap, x, r []float64) float64 {
 		rr += ri * ri
 	}
 	return rr
-}
-
-// observeCG folds one finished CG solve into the package metrics.
-func observeCG(iters int) {
-	telCGSolves.Inc()
-	telCGItersTotal.Add(int64(iters))
-	telCGIterHist.Observe(float64(iters))
 }

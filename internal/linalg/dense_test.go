@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mnsim/internal/linalg/densetest"
 )
 
 func TestDenseBasics(t *testing.T) {
-	m := NewDense(2, 3)
+	m := densetest.NewDense(2, 3)
 	m.Set(0, 0, 1)
 	m.Add(0, 0, 2)
 	m.Set(1, 2, -4)
@@ -28,11 +30,11 @@ func TestNewDensePanicsOnBadShape(t *testing.T) {
 			t.Fatal("NewDense(0,1) should panic")
 		}
 	}()
-	NewDense(0, 1)
+	densetest.NewDense(0, 1)
 }
 
 func TestMulVec(t *testing.T) {
-	m := NewDense(2, 2)
+	m := densetest.NewDense(2, 2)
 	m.Set(0, 0, 1)
 	m.Set(0, 1, 2)
 	m.Set(1, 0, 3)
@@ -45,12 +47,12 @@ func TestMulVec(t *testing.T) {
 
 func TestLUSolveKnown(t *testing.T) {
 	// 2x + y = 5 ; x + 3y = 10  =>  x = 1, y = 3
-	a := NewDense(2, 2)
+	a := densetest.NewDense(2, 2)
 	a.Set(0, 0, 2)
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 3)
-	x, err := SolveDense(a, []float64{5, 10})
+	x, err := densetest.SolveDense(a, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,30 +62,30 @@ func TestLUSolveKnown(t *testing.T) {
 }
 
 func TestLUSingular(t *testing.T) {
-	a := NewDense(2, 2)
+	a := densetest.NewDense(2, 2)
 	a.Set(0, 0, 1)
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 4)
-	if _, err := SolveDense(a, []float64{1, 2}); err != ErrSingular {
+	if _, err := densetest.SolveDense(a, []float64{1, 2}); err != densetest.ErrSingular {
 		t.Fatalf("want ErrSingular, got %v", err)
 	}
 }
 
 func TestLUNonSquare(t *testing.T) {
-	if _, err := FactorLU(NewDense(2, 3)); err == nil {
+	if _, err := densetest.FactorLU(densetest.NewDense(2, 3)); err == nil {
 		t.Fatal("non-square LU should fail")
 	}
 }
 
 func TestLUNeedsPivoting(t *testing.T) {
 	// Zero pivot in the (0,0) position requires row exchange.
-	a := NewDense(2, 2)
+	a := densetest.NewDense(2, 2)
 	a.Set(0, 0, 0)
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 0)
-	x, err := SolveDense(a, []float64{2, 3})
+	x, err := densetest.SolveDense(a, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +95,10 @@ func TestLUNeedsPivoting(t *testing.T) {
 }
 
 func TestLUSolveWrongRHS(t *testing.T) {
-	a := NewDense(2, 2)
+	a := densetest.NewDense(2, 2)
 	a.Set(0, 0, 1)
 	a.Set(1, 1, 1)
-	f, err := FactorLU(a)
+	f, err := densetest.FactorLU(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestLURandomResidual(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 25; trial++ {
 		n := 2 + rng.Intn(30)
-		a := NewDense(n, n)
+		a := densetest.NewDense(n, n)
 		for i := 0; i < n; i++ {
 			rowSum := 0.0
 			for j := 0; j < n; j++ {
@@ -126,7 +128,7 @@ func TestLURandomResidual(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := SolveDense(a, b)
+		x, err := densetest.SolveDense(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

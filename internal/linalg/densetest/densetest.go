@@ -1,11 +1,8 @@
-// Package linalg provides the small numerical core used by the circuit-level
-// solver: the crossbar's modified-nodal-analysis conductance matrix as a
-// matrix-free operator (CrossbarOp), solved by conjugate gradients with a
-// wire-chain block-Jacobi preconditioner, and dense LU factorisation, the
-// oracle the solver is cross-checked against.
-//
-// Only the standard library is used.
-package linalg
+// Package densetest holds the dense LU factorisation the solver tests
+// cross-check the crossbar operator and its CG and chain solvers against:
+// an independent direct method with no structure to share a bug with.
+// Only tests import it.
+package densetest
 
 import (
 	"errors"
@@ -15,7 +12,7 @@ import (
 
 // ErrSingular is returned when a factorisation encounters an (numerically)
 // singular matrix.
-var ErrSingular = errors.New("linalg: singular matrix")
+var ErrSingular = errors.New("densetest: singular matrix")
 
 // Dense is a row-major dense matrix.
 type Dense struct {
@@ -26,7 +23,7 @@ type Dense struct {
 // NewDense allocates a zero Rows×Cols matrix.
 func NewDense(rows, cols int) *Dense {
 	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("linalg: invalid dense shape %dx%d", rows, cols))
+		panic(fmt.Sprintf("densetest: invalid dense shape %dx%d", rows, cols))
 	}
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
@@ -51,7 +48,7 @@ func (m *Dense) Clone() *Dense {
 // MulVec computes y = M·x.
 func (m *Dense) MulVec(x []float64) []float64 {
 	if len(x) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVec shape mismatch %d vs %d", len(x), m.Cols))
+		panic(fmt.Sprintf("densetest: MulVec shape mismatch %d vs %d", len(x), m.Cols))
 	}
 	y := make([]float64, m.Rows)
 	for i := 0; i < m.Rows; i++ {
@@ -76,7 +73,7 @@ type LU struct {
 // pivoting. The input is not modified.
 func FactorLU(m *Dense) (*LU, error) {
 	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("linalg: LU needs a square matrix, got %dx%d", m.Rows, m.Cols)
+		return nil, fmt.Errorf("densetest: LU needs a square matrix, got %dx%d", m.Rows, m.Cols)
 	}
 	n := m.Rows
 	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
@@ -121,7 +118,7 @@ func FactorLU(m *Dense) (*LU, error) {
 // Solve computes x such that A·x = b for the factored matrix A.
 func (f *LU) Solve(b []float64) ([]float64, error) {
 	if len(b) != f.n {
-		return nil, fmt.Errorf("linalg: rhs length %d, want %d", len(b), f.n)
+		return nil, fmt.Errorf("densetest: rhs length %d, want %d", len(b), f.n)
 	}
 	n := f.n
 	x := make([]float64, n)
@@ -156,46 +153,4 @@ func SolveDense(a *Dense, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// NormInf returns the maximum-magnitude element of v.
-func NormInf(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
 }

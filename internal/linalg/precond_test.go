@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"mnsim/internal/linalg/densetest"
 )
 
 // wireOnly is an m×n operator with wire conductance gw, sense
@@ -415,7 +417,7 @@ func TestChainFamilySolveMatchesDense(t *testing.T) {
 		fams := []Family{{Start: 0, Chains: sh[0], Len: sh[1]}}
 		n := sh[0] * sh[1]
 		p, ref := randomChains(n, fams, rng)
-		dense := NewDense(n, n)
+		dense := densetest.NewDense(n, n)
 		for _, row := range ref {
 			for _, e := range row {
 				dense.Set(e.row, e.col, e.val)
@@ -425,7 +427,7 @@ func TestChainFamilySolveMatchesDense(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		want, err := SolveDense(dense, b)
+		want, err := densetest.SolveDense(dense, b)
 		if err != nil {
 			t.Fatalf("%v dense: %v", sh, err)
 		}

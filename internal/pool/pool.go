@@ -11,23 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"mnsim/internal/telemetry"
 )
-
-// Pool telemetry: how many workers are inside a task right now and how
-// many queued indices have not been handed to a worker yet. Both gauges
-// sum across concurrently running pools, so /metrics shows the live
-// saturation of the whole process during a sweep.
-var (
-	telInflight = telemetry.GetGauge("mnsim_pool_workers_inflight")
-	telQueue    = telemetry.GetGauge("mnsim_pool_queue_depth")
-)
-
-func init() {
-	telemetry.Describe("mnsim_pool_workers_inflight", "Worker goroutines currently executing a task.")
-	telemetry.Describe("mnsim_pool_queue_depth", "Task indices queued but not yet dispatched to a worker.")
-}
 
 // Resolve normalizes a worker-count setting: values <= 0 select
 // runtime.GOMAXPROCS(0), the scheduler's available parallelism.
@@ -39,7 +23,7 @@ func Resolve(workers int) int {
 }
 
 // AddFlag registers the shared -workers flag on fs and returns the value
-// pointer, mirroring how telemetry.AddFlags wires the observability flags.
+// pointer.
 func AddFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 0,
 		"worker goroutines for parallel sweeps (0 = GOMAXPROCS)")
@@ -82,7 +66,6 @@ func Run(ctx context.Context, n, workers int, task func(ctx context.Context, i i
 	// receive on an open channel takes no lock, while Err takes the
 	// context's mutex on every task.
 	done := cctx.Done()
-	telQueue.Add(float64(n))
 	var (
 		//lint:ignore noalloc goroutine-shared dispatch state: four setup-time boxes per Run
 		next atomic.Int64
@@ -106,16 +89,12 @@ func Run(ctx context.Context, n, workers int, task func(ctx context.Context, i i
 				if i >= n {
 					return
 				}
-				telQueue.Add(-1)
 				select {
 				case <-done:
 					return
 				default:
 				}
-				telInflight.Add(1)
-				err := task(cctx, i)
-				telInflight.Add(-1)
-				if err != nil {
+				if err := task(cctx, i); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -128,12 +107,6 @@ func Run(ctx context.Context, n, workers int, task func(ctx context.Context, i i
 		}()
 	}
 	wg.Wait()
-	// On early exit (an error or a cancellation) drop the unclaimed
-	// remainder from the queue gauge in one step, so it is settled before
-	// Run returns.
-	if claimed := next.Load(); claimed < int64(n) {
-		telQueue.Add(-float64(int64(n) - claimed))
-	}
 	if firstErr != nil {
 		return firstErr
 	}

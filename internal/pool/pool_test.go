@@ -84,12 +84,10 @@ func TestRunStopsOnTaskError(t *testing.T) {
 	}
 }
 
-// Cancelling the caller's context with tasks still queued skips them all,
-// and both pool gauges are back at their prior values when Run returns.
+// Cancelling the caller's context with tasks still queued skips them all.
 // Task 0 cancels only once task 1 holds the other worker, so the moment of
 // the cancel is known: two tasks in flight, n−2 queued.
-func TestRunCancelSettlesGauges(t *testing.T) {
-	queue0, inflight0 := telQueue.Value(), telInflight.Value()
+func TestRunCancelSkipsQueuedTasks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const n = 100
@@ -104,12 +102,6 @@ func TestRunCancelSettlesGauges(t *testing.T) {
 		switch i {
 		case 0:
 			<-holding
-			if q := telQueue.Value() - queue0; q != n-2 {
-				t.Errorf("queue depth %v during the run, want %d", q, n-2)
-			}
-			if w := telInflight.Value() - inflight0; w != 2 {
-				t.Errorf("%v workers in flight during the run, want 2", w)
-			}
 			cancel()
 			cancelled.Store(true)
 		case 1:
@@ -123,9 +115,6 @@ func TestRunCancelSettlesGauges(t *testing.T) {
 	}
 	if r, l := ran.Load(), late.Load(); r != 2 || l != 0 {
 		t.Fatalf("%d tasks ran, %d after the cancel; want 2 and 0", r, l)
-	}
-	if q, w := telQueue.Value(), telInflight.Value(); q != queue0 || w != inflight0 {
-		t.Fatalf("gauges after Run: queue %v, in flight %v; want %v and %v", q, w, queue0, inflight0)
 	}
 }
 

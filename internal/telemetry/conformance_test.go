@@ -25,9 +25,8 @@ type expoSample struct {
 
 // parseExposition splits exposition text into comment directives and
 // samples, failing the test on any line that is neither.
-func parseExposition(t *testing.T, text string) (helps, types map[string]string, samples []expoSample) {
+func parseExposition(t *testing.T, text string) (types map[string]string, samples []expoSample) {
 	t.Helper()
-	helps = map[string]string{}
 	types = map[string]string{}
 	sc := bufio.NewScanner(strings.NewReader(text))
 	n := 0
@@ -35,15 +34,6 @@ func parseExposition(t *testing.T, text string) (helps, types map[string]string,
 		n++
 		line := sc.Text()
 		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") {
-			rest := strings.TrimPrefix(line, "# HELP ")
-			name, help, _ := strings.Cut(rest, " ")
-			if _, dup := helps[name]; dup {
-				t.Errorf("line %d: duplicate HELP for %s", n, name)
-			}
-			helps[name] = help
 			continue
 		}
 		if strings.HasPrefix(line, "# TYPE ") {
@@ -95,7 +85,7 @@ func parseExposition(t *testing.T, text string) (helps, types map[string]string,
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return helps, types, samples
+	return types, samples
 }
 
 // family maps a series name like mnsim_x_bucket back to its family name.
@@ -110,7 +100,6 @@ func family(series string) string {
 
 func TestPrometheusExpositionConformance(t *testing.T) {
 	r := NewRegistry()
-	r.Describe("mnsim_conf_ops_total", "Operations with a tricky help: back\\slash and\nnewline")
 	r.Counter("mnsim_conf_ops_total").Add(3)
 	r.Gauge("mnsim_conf_depth").Set(-2.5)
 	h := r.Histogram("mnsim_conf_latency_us", []float64{1, 10, 100})
@@ -124,7 +113,7 @@ func TestPrometheusExpositionConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := sb.String()
-	helps, types, samples := parseExposition(t, text)
+	types, samples := parseExposition(t, text)
 
 	// Every sample's series name is legal and its family has a TYPE that
 	// appears before the family's first sample.
@@ -150,20 +139,6 @@ func TestPrometheusExpositionConformance(t *testing.T) {
 		if typeLineNo > line {
 			t.Errorf("TYPE for %s on line %d appears after its first sample on line %d", f, typeLineNo, line)
 		}
-	}
-	for name := range helps {
-		if !metricNameRe.MatchString(name) {
-			t.Errorf("HELP references illegal name %q", name)
-		}
-		if _, ok := types[name]; !ok {
-			t.Errorf("HELP for %s without a TYPE", name)
-		}
-	}
-
-	// HELP text escapes backslash and newline.
-	wantHelp := `Operations with a tricky help: back\\slash and\nnewline`
-	if got := helps["mnsim_conf_ops_total"]; got != wantHelp {
-		t.Errorf("HELP escaping: got %q, want %q", got, wantHelp)
 	}
 
 	// Histogram invariants: each histogram family, including the one with

@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -31,7 +30,7 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a float metric that can go up and down, stored as atomic
+// Gauge is a float metric holding the last value Set, stored as atomic
 // float64 bits.
 type Gauge struct {
 	bits atomic.Uint64
@@ -39,9 +38,6 @@ type Gauge struct {
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the gauge by v with a compare-and-swap loop.
-func (g *Gauge) Add(v float64) { addFloatBits(&g.bits, v) }
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -146,7 +142,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	help       map[string]string
 }
 
 // NewRegistry returns an empty registry.
@@ -155,19 +150,7 @@ func NewRegistry() *Registry {
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
 		histograms: map[string]*Histogram{},
-		help:       map[string]string{},
 	}
-}
-
-// Describe attaches HELP text to a metric name; the Prometheus exporter
-// emits it as a "# HELP" line ahead of the family's TYPE and samples.
-func (r *Registry) Describe(name, help string) {
-	if err := validateName(name); err != nil {
-		panic(err)
-	}
-	r.mu.Lock()
-	r.help[name] = help
-	r.mu.Unlock()
 }
 
 // Counter returns the counter registered under name, creating it on first
@@ -266,25 +249,6 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// escapeHelp escapes a HELP string per the exposition format: backslash
-// and newline are the only characters that need it.
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// writeFamilyHeader emits the optional "# HELP" line followed by the
-// mandatory "# TYPE" line for one metric family. Callers hold r.mu.
-func (r *Registry) writeFamilyHeader(w io.Writer, name, typ string) error {
-	if help := r.help[name]; help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp(help)); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-	return err
-}
-
 // WritePrometheus writes every metric in the Prometheus text exposition
 // format (version 0.0.4): counters, gauges, then histograms with
 // cumulative le-labelled buckets and _sum/_count series.
@@ -292,25 +256,19 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, name := range sortedNames(r.counters) {
-		if err := r.writeFamilyHeader(w, name, "counter"); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", name, r.counters[name].Value()); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, r.counters[name].Value()); err != nil {
 			return err
 		}
 	}
 	for _, name := range sortedNames(r.gauges) {
-		if err := r.writeFamilyHeader(w, name, "gauge"); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s %s\n", name, formatFloat(r.gauges[name].Value())); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", name, name, formatFloat(r.gauges[name].Value())); err != nil {
 			return err
 		}
 	}
 	for _, name := range sortedNames(r.histograms) {
 		h := r.histograms[name]
 		cum, count, sum := h.snapshot()
-		if err := r.writeFamilyHeader(w, name, "histogram"); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 			return err
 		}
 		for i, bound := range h.bounds {

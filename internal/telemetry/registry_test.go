@@ -22,7 +22,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("mnsim_test_gauge")
 	g.Set(2.5)
-	g.Add(-0.5)
+	g.Set(2)
 	if got := g.Value(); got != 2 {
 		t.Fatalf("gauge = %g, want 2", got)
 	}
@@ -82,7 +82,7 @@ func TestConcurrentHammer(t *testing.T) {
 			h := r.Histogram("mnsim_hammer_hist", []float64{1, 10, 100})
 			for k := 0; k < perG; k++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(k))
 				h.Observe(float64(k % 200))
 			}
 		}(i)
@@ -91,11 +91,17 @@ func TestConcurrentHammer(t *testing.T) {
 	if got := r.Counter("mnsim_hammer_total").Value(); got != goroutines*perG {
 		t.Fatalf("counter = %d, want %d", got, goroutines*perG)
 	}
-	if got := r.Gauge("mnsim_hammer_gauge").Value(); got != goroutines*perG {
-		t.Fatalf("gauge = %g, want %d", got, goroutines*perG)
+	if got := r.Gauge("mnsim_hammer_gauge").Value(); got != perG-1 {
+		t.Fatalf("gauge = %g, want %d", got, perG-1)
 	}
-	if got := r.Histogram("mnsim_hammer_hist", nil).Count(); got != goroutines*perG {
+	h := r.Histogram("mnsim_hammer_hist", nil)
+	if got := h.Count(); got != goroutines*perG {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*perG)
+	}
+	// Each goroutine observes 0…199 ten times; the sums are exact in
+	// float64, so a lost compare-and-swap update shows.
+	if got, want := h.Sum(), float64(goroutines*perG/200*(199*200/2)); got != want {
+		t.Fatalf("histogram sum = %g, want %g", got, want)
 	}
 }
 

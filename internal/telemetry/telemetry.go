@@ -23,11 +23,13 @@
 //   - live sweep progress, a resource sampler with watchdogs, the run
 //     manifest, and a leveled key-value structured Logger.
 //
-// Library packages register their metrics as package-level variables
-// (GetCounter / GetHistogram), so importing an instrumented package is
-// enough to make its metric families appear in every export — including
-// families with zero observations, which documents what *could* have been
-// measured in a run.
+// Only the observers register metrics: circuit's solve observer, the DSE
+// sweep and the Monte-Carlo sampler hold theirs as package-level variables
+// (GetCounter / GetHistogram), so importing one of those packages makes
+// its metric families appear in every export — including families with
+// zero observations, which documents what *could* have been measured in a
+// run. The numeric kernels (linalg, device, crossbar) and the worker pool
+// import nothing from this package.
 //
 // The CLIs expose the layer through shared flags (AddFlags): -metrics-out
 // writes the registry on exit, -run-out the run manifest, -journal the
@@ -70,9 +72,6 @@ func GetGauge(name string) *Gauge { return defaultRegistry.Gauge(name) }
 func GetHistogram(name string, bounds []float64) *Histogram {
 	return defaultRegistry.Histogram(name, bounds)
 }
-
-// Describe attaches HELP text to a metric name in the default registry.
-func Describe(name, help string) { defaultRegistry.Describe(name, help) }
 
 // writeFileAtomic writes via a temp file in path's directory and renames
 // it into place, so an interrupted run can never leave a truncated dump —
