@@ -24,7 +24,6 @@ func writeTracedJournal(t *testing.T) (path, candidate string) {
 		t.Fatal(err)
 	}
 	telemetry.SetTraceSeed(7)
-	telemetry.EnableTraceEvents(1 << 10)
 	t.Cleanup(func() {
 		j.Close()
 		j.Reset()

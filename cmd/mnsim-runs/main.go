@@ -169,8 +169,11 @@ func diffMain(args []string) error {
 type diffRow struct {
 	kind, name string
 	a, b       float64
-	delta      float64 // relative; +Inf when a == 0 and b != 0
-	flagged    bool
+	delta      float64 // relative; ±Inf when a == 0 and b != 0
+	// only is "new" for a series only B has and "gone" for one only A
+	// has; "" when both manifests have it.
+	only    string
+	flagged bool
 }
 
 // relDelta returns the relative change from a to b.
@@ -192,19 +195,34 @@ func sign(v float64) int {
 	return 1
 }
 
+// presence labels a series by which of the two maps holds it: "new" when
+// only b does, "gone" when only a does, "" when both do.
+func presence[V any](a, b map[string]V, name string) string {
+	_, inA := a[name]
+	_, inB := b[name]
+	switch {
+	case !inA:
+		return "new"
+	case !inB:
+		return "gone"
+	}
+	return ""
+}
+
 // diffManifests compares every shared (and one-sided) series of the two
 // manifests: wall time, span phases (total wall time), counters, gauges,
-// and histogram count/mean. Rows beyond threshold are flagged.
+// and histogram count/mean. Rows beyond threshold, and one-sided rows, are
+// flagged.
 func diffManifests(a, b telemetry.Manifest, threshold float64) []diffRow {
 	var rows []diffRow
-	add := func(kind, name string, av, bv float64) {
+	add := func(kind, name, only string, av, bv float64) {
 		d := relDelta(av, bv)
 		rows = append(rows, diffRow{
-			kind: kind, name: name, a: av, b: bv, delta: d,
-			flagged: math.Abs(d) > threshold,
+			kind: kind, name: name, a: av, b: bv, delta: d, only: only,
+			flagged: only != "" || math.Abs(d) > threshold,
 		})
 	}
-	add("run", "wall_seconds", a.WallSeconds, b.WallSeconds)
+	add("run", "wall_seconds", "", a.WallSeconds, b.WallSeconds)
 
 	aPhases := map[string]telemetry.SpanStat{}
 	for _, p := range a.Phases {
@@ -215,13 +233,15 @@ func diffManifests(a, b telemetry.Manifest, threshold float64) []diffRow {
 		bPhases[p.Name] = p
 	}
 	for _, name := range sortedKeys(aPhases, bPhases) {
-		add("phase_us", name, aPhases[name].TotalUS, bPhases[name].TotalUS)
+		add("phase_us", name, presence(aPhases, bPhases, name), aPhases[name].TotalUS, bPhases[name].TotalUS)
 	}
 	for _, name := range sortedKeys(a.Metrics.Counters, b.Metrics.Counters) {
-		add("counter", name, float64(a.Metrics.Counters[name]), float64(b.Metrics.Counters[name]))
+		add("counter", name, presence(a.Metrics.Counters, b.Metrics.Counters, name),
+			float64(a.Metrics.Counters[name]), float64(b.Metrics.Counters[name]))
 	}
 	for _, name := range sortedKeys(a.Metrics.Gauges, b.Metrics.Gauges) {
-		add("gauge", name, a.Metrics.Gauges[name], b.Metrics.Gauges[name])
+		add("gauge", name, presence(a.Metrics.Gauges, b.Metrics.Gauges, name),
+			a.Metrics.Gauges[name], b.Metrics.Gauges[name])
 	}
 	hmean := func(h telemetry.HistogramSnapshot) float64 {
 		if h.Count == 0 {
@@ -231,8 +251,9 @@ func diffManifests(a, b telemetry.Manifest, threshold float64) []diffRow {
 	}
 	for _, name := range sortedKeys(a.Metrics.Histograms, b.Metrics.Histograms) {
 		ah, bh := a.Metrics.Histograms[name], b.Metrics.Histograms[name]
-		add("hist_count", name, float64(ah.Count), float64(bh.Count))
-		add("hist_mean", name, hmean(ah), hmean(bh))
+		only := presence(a.Metrics.Histograms, b.Metrics.Histograms, name)
+		add("hist_count", name, only, float64(ah.Count), float64(bh.Count))
+		add("hist_mean", name, only, hmean(ah), hmean(bh))
 	}
 	return rows
 }
@@ -283,7 +304,7 @@ func runDiff(w io.Writer, aPath, bPath string, threshold float64) (flagged int, 
 		}
 		tab.AddRow(r.kind, r.name,
 			fmt.Sprintf("%.6g", r.a), fmt.Sprintf("%.6g", r.b),
-			formatDelta(r.delta), mark)
+			formatDelta(r), mark)
 	}
 	if err := tab.Render(w); err != nil {
 		return 0, err
@@ -292,12 +313,14 @@ func runDiff(w io.Writer, aPath, bPath string, threshold float64) (flagged int, 
 	return flagged, nil
 }
 
-func formatDelta(d float64) string {
-	if math.IsInf(d, +1) {
-		return "new"
+// formatDelta prints a row's relative change, or "new"/"gone" for a
+// one-sided series; a series both runs have that grew from 0 reads "from 0".
+func formatDelta(r diffRow) string {
+	switch {
+	case r.only != "":
+		return r.only
+	case math.IsInf(r.delta, 0):
+		return "from 0"
 	}
-	if math.IsInf(d, -1) {
-		return "gone"
-	}
-	return fmt.Sprintf("%+.1f%%", d*100)
+	return fmt.Sprintf("%+.1f%%", r.delta*100)
 }

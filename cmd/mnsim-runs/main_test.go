@@ -100,6 +100,44 @@ func TestDiffFlagsBeyondThreshold(t *testing.T) {
 	}
 }
 
+// A one-sided series reads "new" or "gone" by which manifest holds it,
+// whatever the sign of its value, and is flagged; a series both hold that
+// grew from 0 reads "from 0".
+func TestDiffLabelsOneSidedByPresence(t *testing.T) {
+	dir := t.TempDir()
+	a := sampleManifest()
+	b := sampleManifest()
+	a.Metrics.Gauges["mnsim_only_in_a"] = 2
+	b.Metrics.Gauges["mnsim_only_in_b"] = -3
+	a.Metrics.Gauges["mnsim_from_zero"] = 0
+	b.Metrics.Gauges["mnsim_from_zero"] = -1
+	var sb strings.Builder
+	flagged, err := runDiff(&sb, writeManifest(t, dir, "a.json", a), writeManifest(t, dir, "b.json", b), 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	want := map[string]string{
+		"mnsim_only_in_a": "gone",
+		"mnsim_only_in_b": "new",
+		"mnsim_from_zero": "from 0",
+	}
+	for series, label := range want {
+		var line string
+		for _, l := range strings.Split(out, "\n") {
+			if strings.Contains(l, series) {
+				line = l
+			}
+		}
+		if !strings.Contains(line, label) || !strings.Contains(line, "!") {
+			t.Errorf("%s row %q, want it labelled %q and flagged:\n%s", series, line, label, out)
+		}
+	}
+	if flagged != len(want) {
+		t.Errorf("flagged = %d, want %d:\n%s", flagged, len(want), out)
+	}
+}
+
 func TestDiffConfigHashMismatchNoted(t *testing.T) {
 	dir := t.TempDir()
 	a := sampleManifest()

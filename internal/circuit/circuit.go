@@ -572,7 +572,7 @@ func (r *solveRun) newton(ctx context.Context) error {
 			return nil
 		}
 	}
-	diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(a.op, &cost.Diagnostics))
+	diag.CondEstimate = jsonFinite(linalg.EstimateCond(a.op, &cost.Diagnostics))
 	diag.analyze()
 	return &DivergenceError{Iters: r.opt.MaxNewton, FinalResidual: diag.Residuals[len(diag.Residuals)-1], Diag: diag}
 }
@@ -582,7 +582,7 @@ func (r *solveRun) newton(ctx context.Context) error {
 func (r *solveRun) result(vin []float64) *Result {
 	c, diag := r.c, r.diag
 	if r.opt.Diagnostics {
-		diag.CondEstimate = jsonFinite(linalg.EstimateCondOps(r.a.op, &diag.Cost.Diagnostics))
+		diag.CondEstimate = jsonFinite(linalg.EstimateCond(r.a.op, &diag.Cost.Diagnostics))
 	}
 	diag.analyze()
 	res := &Result{NewtonIters: r.newtonIters, CGIters: r.cgIters, NodeV: r.v, Diag: diag}

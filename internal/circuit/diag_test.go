@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mnsim/internal/device"
@@ -51,10 +52,18 @@ func TestDivergenceJournalAndSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 || events[1].Type != telemetry.EvSolveEnd {
-		t.Fatalf("journal holds %d events, want the header and one solve_end", len(events))
+	// The solve's circuit.solve span and its assemble/setup/newton phase
+	// spans end before its solve_end.
+	var types []telemetry.EventType
+	for _, ev := range events {
+		types = append(types, ev.Type)
 	}
-	if ok, _ := events[1].Data["ok"].(bool); ok {
+	want := []telemetry.EventType{telemetry.EvJournal, telemetry.EvSpan, telemetry.EvSpan,
+		telemetry.EvSpan, telemetry.EvSpan, telemetry.EvSolveEnd}
+	if !slices.Equal(types, want) {
+		t.Fatalf("journal holds %v, want the header, one solve_end and four spans: %v", types, want)
+	}
+	if ok, _ := events[5].Data["ok"].(bool); ok {
 		t.Errorf("solve_end ok=true for diverged solve")
 	}
 	snaps := telemetry.JournalSnapshotPaths(path, events)
@@ -73,7 +82,7 @@ func TestDivergenceJournalAndSnapshot(t *testing.T) {
 			snap.Outcome.NewtonIters, snap.Outcome.Diag)
 	}
 	// The snapshot records the same Diagnostics record solve_end journals.
-	journaled, err := JournaledDiagnostics(events[1])
+	journaled, err := JournaledDiagnostics(events[5])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,9 @@ var (
 )
 
 // solveObserver watches one solve from its circuit.solve span. Its
-// per-phase sub-spans (assemble / setup / newton) are gated on trace events
-// being on: they exist purely for the causal timeline, and the gate keeps a
-// plain run's span count (and cost) unchanged.
+// per-phase sub-spans (assemble / setup / newton) are opened only while the
+// journal records: they exist purely for the causal timeline, and the gate
+// keeps a plain run's span count (and cost) unchanged.
 type solveObserver struct {
 	ctx    context.Context
 	span   *telemetry.Span
@@ -47,11 +47,11 @@ type solveObserver struct {
 }
 
 // startSolve opens a solve's circuit.solve span, nested under any span
-// already open in ctx, and reads the trace-event switch once for its
-// phase sub-spans.
+// already open in ctx, and reads the journal switch once for its phase
+// sub-spans.
 func startSolve(ctx context.Context) solveObserver {
 	ctx, sp := telemetry.StartSpan(ctx, "circuit.solve")
-	return solveObserver{ctx: ctx, span: sp, traced: telemetry.TraceEventsOn()}
+	return solveObserver{ctx: ctx, span: sp, traced: telemetry.JournalOn()}
 }
 
 // abandon closes the span of a solve that never started: its inputs failed

@@ -8,13 +8,12 @@ import (
 	"mnsim/internal/telemetry"
 )
 
-// withTestTracing turns trace events (journal "span" events and the gated
-// per-phase solve spans) on for the test and restores the disabled state
-// afterwards.
+// withTestTracing seeds the trace ID for the test and clears the tracer's
+// ID state afterwards. While the journal records, each span is a journal
+// "span" event and a solve opens its per-phase spans.
 func withTestTracing(t *testing.T) {
 	t.Helper()
 	telemetry.SetTraceSeed(1)
-	telemetry.EnableTraceEvents(1 << 10)
 	t.Cleanup(func() {
 		telemetry.DefaultTracer().ResetTraceEvents()
 	})

@@ -111,7 +111,6 @@ func TestJournaledCandidateSpans(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		tr.ResetTraceEvents()
 		telemetry.SetTraceSeed(7)
-		telemetry.EnableTraceEvents(0)
 		path := filepath.Join(t.TempDir(), "journal.jsonl")
 		if err := j.Open(path); err != nil {
 			t.Fatal(err)

@@ -60,15 +60,10 @@ func normalize(v []float64, ops *OpCount) bool {
 // ExtremeEigenEstimates estimates the smallest and largest eigenvalues of
 // a crossbar conductance matrix: λmax by power iteration, λmin by inverse power
 // iteration with one loose inner CG solve per step. Both run a fixed,
-// deterministic number of iterations from a fixed start vector.
-func ExtremeEigenEstimates(a *CrossbarOp) (lmin, lmax float64) {
-	return ExtremeEigenEstimatesOps(a, nil)
-}
-
-// ExtremeEigenEstimatesOps is ExtremeEigenEstimates with operation
-// accounting: the power iterations, the inner CG solves, and the Rayleigh
-// quotients all land in ops.
-func ExtremeEigenEstimatesOps(a *CrossbarOp, ops *OpCount) (lmin, lmax float64) {
+// deterministic number of iterations from a fixed start vector. The power
+// iterations, the inner CG solves, and the Rayleigh quotients all land in
+// ops (nil counts nothing).
+func ExtremeEigenEstimates(a *CrossbarOp, ops *OpCount) (lmin, lmax float64) {
 	n := a.Len()
 	nnz := a.NNZ()
 	av := make([]float64, n)
@@ -108,14 +103,9 @@ func ExtremeEigenEstimatesOps(a *CrossbarOp, ops *OpCount) (lmin, lmax float64) 
 // EstimateCond returns the estimated spectral condition number λmax/λmin
 // of an SPD matrix, or +Inf when the smallest-eigenvalue estimate
 // degenerates to zero (numerically singular as far as the estimator can
-// tell).
-func EstimateCond(a *CrossbarOp) float64 {
-	return EstimateCondOps(a, nil)
-}
-
-// EstimateCondOps is EstimateCond with operation accounting.
-func EstimateCondOps(a *CrossbarOp, ops *OpCount) float64 {
-	lmin, lmax := ExtremeEigenEstimatesOps(a, ops)
+// tell). Its operations land in ops (nil counts nothing).
+func EstimateCond(a *CrossbarOp, ops *OpCount) float64 {
+	lmin, lmax := ExtremeEigenEstimates(a, ops)
 	if lmin <= 0 {
 		return math.Inf(1)
 	}

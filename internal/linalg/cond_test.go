@@ -19,7 +19,7 @@ func TestEstimateCondDiagonal(t *testing.T) {
 	for i := range d {
 		d[i] = float64(i + 1) // spectrum 1..10, κ = 10
 	}
-	cond := EstimateCond(diagOp(d))
+	cond := EstimateCond(diagOp(d), nil)
 	if cond < 7 || cond > 13 {
 		t.Fatalf("diagonal κ estimate %.3g, want ~10", cond)
 	}
@@ -37,7 +37,7 @@ func TestEstimateCondTridiagonal(t *testing.T) {
 	for i := range m.Diag {
 		m.Diag[i] = 2
 	}
-	lmin, lmax := ExtremeEigenEstimates(m)
+	lmin, lmax := ExtremeEigenEstimates(m, nil)
 	wantMin := 2 - 2*math.Cos(math.Pi/9)
 	wantMax := 2 - 2*math.Cos(8*math.Pi/9)
 	if lmax < 0.9*wantMax || lmax > 1.1*wantMax {
@@ -46,7 +46,7 @@ func TestEstimateCondTridiagonal(t *testing.T) {
 	if lmin < 0.7*wantMin || lmin > 1.3*wantMin {
 		t.Fatalf("λmin estimate %.4g, want ~%.4g", lmin, wantMin)
 	}
-	cond := EstimateCond(m)
+	cond := EstimateCond(m, nil)
 	want := wantMax / wantMin
 	if cond < 0.6*want || cond > 1.6*want {
 		t.Fatalf("κ estimate %.4g, want ~%.4g", cond, want)
@@ -57,8 +57,8 @@ func TestEstimateCondTridiagonal(t *testing.T) {
 // the replay contract extends to diagnostics.
 func TestEstimateCondDeterministic(t *testing.T) {
 	d := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	a := EstimateCond(diagOp(d))
-	b := EstimateCond(diagOp(d))
+	a := EstimateCond(diagOp(d), nil)
+	b := EstimateCond(diagOp(d), nil)
 	if a != b {
 		t.Fatalf("estimate not deterministic: %v vs %v", a, b)
 	}

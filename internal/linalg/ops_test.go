@@ -116,8 +116,8 @@ func TestOpCountNilSafe(t *testing.T) {
 func TestEstimateCondOpsAccumulates(t *testing.T) {
 	a := testOp(2, 4)
 	var ops OpCount
-	plain := EstimateCond(a)
-	counted := EstimateCondOps(a, &ops)
+	plain := EstimateCond(a, nil)
+	counted := EstimateCond(a, &ops)
 	//lint:ignore nofloateq accounting neutrality is an exact-equality contract by design
 	if plain != counted {
 		t.Errorf("estimate changed with accounting: %v vs %v", plain, counted)

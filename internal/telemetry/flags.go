@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// Flags bundles the observability flags every MNSIM CLI shares:
+// Flags bundles the 11 observability flags every MNSIM CLI shares:
 //
 //	-metrics-out file   write the metrics registry on exit
 //	                    (Prometheus text; JSON when the path ends in .json)
@@ -24,26 +24,26 @@ import (
 //	                    mnsim-journal export turns its span events into
 //	                    a Perfetto timeline
 //	-serve addr         serve the observability endpoints (/metrics,
-//	                    /metrics.json, /trace, /progress, /runinfo,
-//	                    /events, /healthz, /debug/pprof/*)
+//	                    /metrics.json, /trace, /trace.json, /progress,
+//	                    /runinfo, /events, /resources.json, /healthz,
+//	                    /debug/pprof/*); the journal records to its ring
 //	-serve-hold d       keep the -serve server up for d after the run so
 //	                    a scraper can take a final sample
 //	-progress           print a rate-limited live progress line to stderr
 //	-log-level level    default-logger verbosity (debug|info|warn|error|off)
 //	-resource-interval d  sample runtime/metrics (heap, GC, goroutines,
 //	                    scheduler latency) every d; exports to the registry,
-//	                    the journal (resource_sample events), /resources.json,
-//	                    and manifest rollups
+//	                    the journal (resource_sample events, which
+//	                    /resources.json serves), and manifest rollups
 //	-mem-soft-limit sz  soft memory watermark ("64MiB", "1GB", plain bytes):
 //	                    live heap at or above it journals mem_pressure and
 //	                    captures a heap profile
 //	-stall-timeout d    stall watchdog: no journal/progress activity for d
 //	                    journals watchdog_stall and captures a goroutine
 //	                    profile
-//	-profile-dir dir    continuous profiling: rotating CPU profiles plus
-//	                    periodic heap profiles under dir, recorded as
-//	                    manifest artifacts
-//	-profile-interval d profile rotation cadence (default 30s)
+//	-profile-dir dir    continuous profiling: every 30s, rotate the CPU
+//	                    profile and write a heap profile under dir, each
+//	                    recorded as a manifest artifact
 //
 // Wire them with AddFlags before flag.Parse, call StartContext after
 // parsing with the CLI's signal context (cancelling it shuts the servers
@@ -64,7 +64,6 @@ type Flags struct {
 	MemSoftLimit     string
 	StallTimeout     time.Duration
 	ProfileDir       string
-	ProfileInterval  time.Duration
 
 	// Run is the manifest-identity record the CLI fills in after parsing
 	// (SetTool, SetSeed, SetWorkers, SetConfigHash, SetError).
@@ -107,9 +106,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&f.StallTimeout, "stall-timeout", 0,
 		"stall watchdog: no journal/progress activity for this long journals a watchdog_stall event and captures a goroutine profile")
 	fs.StringVar(&f.ProfileDir, "profile-dir", "",
-		"continuous profiling: write rotating CPU profiles and periodic heap profiles under this directory, recorded as manifest artifacts")
-	fs.DurationVar(&f.ProfileInterval, "profile-interval", 0,
-		"continuous-profile rotation cadence (default 30s)")
+		"continuous profiling: every 30s, rotate the CPU profile and write a heap profile under this directory, recorded as manifest artifacts")
 	return f
 }
 
@@ -143,17 +140,15 @@ func (f *Flags) StartContext(ctx context.Context) error {
 	} else if f.ServeAddr != "" {
 		defaultJournal.EnableRing()
 	}
-	// Causal tracing: journal "span" events, from which mnsim-journal
-	// export and /trace.json build the timeline. A recording journal turns
-	// them on; a plain run keeps them off so the neutrality benchmarks
-	// measure the true disabled cost.
+	// Causal tracing: a recording journal gets one "span" event per span,
+	// from which mnsim-journal export and /trace.json build the timeline;
+	// the run's seed fixes their trace ID.
 	if f.Journal != "" || f.ServeAddr != "" {
 		if f.Run != nil {
 			if info := f.Run.snapshot(); info.Seed != nil {
 				SetTraceSeed(*info.Seed)
 			}
 		}
-		EnableTraceEvents(0)
 	}
 	if f.ServeAddr != "" {
 		addr, err := f.listenAndServe(ctx, f.ServeAddr, NewServeMux(f.Run))
@@ -179,7 +174,6 @@ func (f *Flags) StartContext(ctx context.Context) error {
 			MemSoftLimitBytes: memLimit,
 			StallTimeout:      f.StallTimeout,
 			ProfileDir:        f.ProfileDir,
-			ProfileInterval:   f.ProfileInterval,
 		}
 		if f.Run != nil {
 			cfg.Artifact = f.Run.SetArtifact

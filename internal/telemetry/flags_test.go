@@ -18,8 +18,8 @@ func TestFlagsRegisterAndDump(t *testing.T) {
 	dir := t.TempDir()
 	nflags := 0
 	fs.VisitAll(func(*flag.Flag) { nflags++ })
-	if nflags != 12 {
-		t.Fatalf("AddFlags registered %d flags, want 12", nflags)
+	if nflags != 11 {
+		t.Fatalf("AddFlags registered %d flags, want 11", nflags)
 	}
 	prom := filepath.Join(dir, "m.prom")
 	js := filepath.Join(dir, "m.json")

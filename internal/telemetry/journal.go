@@ -335,12 +335,17 @@ func (j *Journal) WriteEventsJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
+// ringLines copies the ring buffer's lines out, oldest first.
+func (j *Journal) ringLines() []json.RawMessage {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.ring.snapshot()
+}
+
 // ringEvents decodes the ring buffer's lines, oldest first — the events
 // /trace.json derives its live timeline from.
 func (j *Journal) ringEvents() []Event {
-	j.mu.Lock()
-	lines := j.ring.snapshot()
-	j.mu.Unlock()
+	lines := j.ringLines()
 	events := make([]Event, 0, len(lines))
 	for _, line := range lines {
 		var ev Event
@@ -349,6 +354,28 @@ func (j *Journal) ringEvents() []Event {
 		}
 	}
 	return events
+}
+
+// ringSamples decodes the ring buffer's resource_sample events, oldest
+// first, each stamped with its envelope's time — the samples
+// /resources.json serves. The data decodes straight into the typed
+// sample, so cumulative byte counts keep every bit.
+func (j *Journal) ringSamples() []ResourceSample {
+	out := []ResourceSample{}
+	for _, line := range j.ringLines() {
+		var ev struct {
+			TNS  int64           `json:"t_ns"`
+			Type EventType       `json:"type"`
+			Data json.RawMessage `json:"data"`
+		}
+		var smp ResourceSample
+		if json.Unmarshal(line, &ev) != nil || ev.Type != EvResourceSample || json.Unmarshal(ev.Data, &smp) != nil {
+			continue
+		}
+		smp.TNS = ev.TNS
+		out = append(out, smp)
+	}
+	return out
 }
 
 // Reset clears the ring buffer and counters of a closed journal; test

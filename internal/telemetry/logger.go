@@ -3,151 +3,53 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// Level is a log severity. Records below a logger's minimum level are
-// dropped before formatting.
-type Level int32
+// levelOff is a level above every record's, so a logger set to it writes
+// nothing.
+const levelOff = slog.LevelError + 4
 
-const (
-	// LevelDebug is per-iteration detail (off by default).
-	LevelDebug Level = iota
-	// LevelInfo is run-level progress.
-	LevelInfo
-	// LevelWarn is recoverable anomalies (e.g. a diverged solve that the
-	// caller handles).
-	LevelWarn
-	// LevelError is failures surfaced to the user.
-	LevelError
-	// LevelOff disables the logger entirely.
-	LevelOff
-)
-
-// String implements fmt.Stringer.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	case LevelOff:
-		return "off"
-	default:
-		return fmt.Sprintf("level(%d)", int(l))
-	}
-}
-
-// ParseLevel maps a level name (debug, info, warn, error, off) to a Level.
-func ParseLevel(s string) (Level, error) {
+// ParseLevel maps a level name (debug, info, warn, warning, error, off,
+// none; any case) to its slog level.
+func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "debug":
-		return LevelDebug, nil
+		return slog.LevelDebug, nil
 	case "info":
-		return LevelInfo, nil
+		return slog.LevelInfo, nil
 	case "warn", "warning":
-		return LevelWarn, nil
+		return slog.LevelWarn, nil
 	case "error":
-		return LevelError, nil
+		return slog.LevelError, nil
 	case "off", "none":
-		return LevelOff, nil
+		return levelOff, nil
 	default:
-		return LevelOff, fmt.Errorf("telemetry: unknown log level %q", s)
+		return levelOff, fmt.Errorf("telemetry: unknown log level %q", s)
 	}
 }
 
-// Logger is a leveled key-value line logger. One record is one line:
-//
-//	2026-08-05T10:00:00Z level=info msg="dse sweep done" candidates=10220
-//
-// Values that contain spaces or quotes are %q-quoted; everything else is
-// printed bare. Safe for concurrent use.
-type Logger struct {
-	mu  sync.Mutex
-	w   io.Writer
-	min atomic.Int32
-	now func() time.Time // injectable for tests
+// logLevel is the default logger's minimum level. It starts at warn, so
+// instrumented library packages stay silent in normal runs and CLI output
+// is unchanged unless a user raises verbosity with SetLogLevel.
+var logLevel = func() *slog.LevelVar {
+	v := new(slog.LevelVar)
+	v.Set(slog.LevelWarn)
+	return v
+}()
+
+// newLogger returns a slog text logger writing to w at logLevel.
+func newLogger(w io.Writer) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: logLevel}))
 }
 
-// NewLogger returns a logger writing records at or above min to w.
-func NewLogger(w io.Writer, min Level) *Logger {
-	l := &Logger{w: w, now: time.Now}
-	l.min.Store(int32(min))
-	return l
-}
+var defaultLogger = newLogger(os.Stderr)
 
-// SetLevel changes the minimum level.
-func (l *Logger) SetLevel(min Level) { l.min.Store(int32(min)) }
+// Log returns the process-wide default logger: slog text records on
+// stderr, one line per record.
+func Log() *slog.Logger { return defaultLogger }
 
-// SetOutput redirects the logger.
-func (l *Logger) SetOutput(w io.Writer) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.w = w
-}
-
-// Debug logs at LevelDebug.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv...) }
-
-// Info logs at LevelInfo.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv...) }
-
-// Warn logs at LevelWarn.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv...) }
-
-// Error logs at LevelError.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv...) }
-
-func (l *Logger) log(lv Level, msg string, kv ...any) {
-	if lv < Level(l.min.Load()) {
-		return
-	}
-	var b strings.Builder
-	b.WriteString(l.now().UTC().Format(time.RFC3339))
-	b.WriteString(" level=")
-	b.WriteString(lv.String())
-	b.WriteString(" msg=")
-	b.WriteString(quoteValue(msg))
-	for i := 0; i < len(kv); i += 2 {
-		b.WriteString(" ")
-		if i+1 >= len(kv) {
-			// Odd trailing value: keep it visible rather than dropping it.
-			b.WriteString("!BADKEY=")
-			b.WriteString(quoteValue(fmt.Sprint(kv[i])))
-			break
-		}
-		b.WriteString(fmt.Sprint(kv[i]))
-		b.WriteString("=")
-		b.WriteString(quoteValue(fmt.Sprint(kv[i+1])))
-	}
-	b.WriteString("\n")
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	fmt.Fprint(l.w, b.String())
-}
-
-func quoteValue(s string) string {
-	if strings.ContainsAny(s, " \t\n\"=") || s == "" {
-		return fmt.Sprintf("%q", s)
-	}
-	return s
-}
-
-// defaultLogger writes to stderr at LevelWarn, so instrumented library
-// packages stay silent in normal runs and CLI output is unchanged unless a
-// user raises verbosity with SetLogLevel.
-var defaultLogger = NewLogger(os.Stderr, LevelWarn)
-
-// Log returns the process-wide default logger.
-func Log() *Logger { return defaultLogger }
-
-// SetLogLevel adjusts the default logger's minimum level.
-func SetLogLevel(min Level) { defaultLogger.SetLevel(min) }
+// SetLogLevel sets the default logger's minimum level.
+func SetLogLevel(min slog.Level) { logLevel.Set(min) }

@@ -20,12 +20,13 @@ import (
 // The resource sampler: a background observer over Go's runtime/metrics
 // that turns the process's physical footprint — heap, GC, goroutines,
 // scheduler latency — into the same surfaces every other telemetry layer
-// uses: registry gauges/counters, journal events, a /resources.json
-// endpoint, and peak/total rollups in the run manifest. Two watchdogs ride
-// on the same tick: a stall watchdog that captures a goroutine profile
-// when no journal/progress activity happens for a configured window, and a
-// soft memory watermark that journals mem_pressure and captures a heap
-// profile when live heap crosses it. Everything here is observational:
+// uses: registry gauges/counters, journal events (which the
+// /resources.json endpoint serves from the journal ring), and peak/total
+// rollups in the run manifest. Two watchdogs ride on the same tick: a
+// stall watchdog that captures a goroutine profile when no
+// journal/progress activity happens for a configured window, and a soft
+// memory watermark that journals mem_pressure and captures a heap profile
+// when live heap crosses it. Everything here is observational:
 // enabling the sampler never changes a computed float, and a disabled
 // sampler costs nothing on the solve hot path (no goroutine, no atomics
 // beyond the watchdog activity counter the journal already pays for).
@@ -63,9 +64,10 @@ const (
 	rmSchedLat
 )
 
-// ResourceSample is one sampler observation. Totals (alloc bytes/objects,
-// GC cycles/pause) are process-lifetime cumulative, matching the
-// runtime/metrics semantics; deltas belong to the reader.
+// ResourceSample is one sampler observation: the data of one
+// resource_sample event, with its envelope's time. Totals (alloc
+// bytes/objects, GC cycles/pause) are process-lifetime cumulative, matching
+// the runtime/metrics semantics; deltas belong to the reader.
 type ResourceSample struct {
 	// TNS is the sample wall-clock time in Unix nanoseconds.
 	TNS int64 `json:"t_ns"`
@@ -109,9 +111,9 @@ type ResourceRollup struct {
 	WatchdogStalls    int64   `json:"watchdog_stalls,omitempty"`
 }
 
-// ResourceConfig tunes ResourceSampler.Start. The sampler keeps the last
-// DefaultResourceRing samples and journals its events whenever the default
-// journal records.
+// ResourceConfig tunes ResourceSampler.Start. The sampler keeps only its
+// rollup and its registry series: each sample is a resource_sample event,
+// journaled whenever the default journal records.
 type ResourceConfig struct {
 	// Interval is the sampling cadence; <= 0 disables periodic sampling
 	// unless a watchdog or profiler needs a tick, in which case it defaults
@@ -127,24 +129,21 @@ type ResourceConfig struct {
 	StallTimeout time.Duration
 	// ProfileDir, when set, enables continuous profiling: rotating CPU
 	// profiles plus periodic heap profiles written under this directory
-	// every ProfileInterval (default DefaultProfileInterval). Watchdog
-	// captures land here too (falling back to the journal's directory,
-	// then to none, when unset).
+	// every 30s. Watchdog captures land here too (falling back to the
+	// journal's directory, then to none, when unset).
 	ProfileDir string
-	// ProfileInterval is the profile rotation cadence.
-	ProfileInterval time.Duration
 	// Artifact, when non-nil, is called for every file the sampler writes
 	// (profiles, watchdog captures) so the run manifest can index them;
 	// wired to RunInfo.SetArtifact by the flag layer.
 	Artifact func(kind, path string)
 }
 
-// Defaults for ResourceConfig zero values.
-const (
-	DefaultResourceInterval = 1 * time.Second
-	DefaultResourceRing     = 512
-	DefaultProfileInterval  = 30 * time.Second
-)
+// DefaultResourceInterval is the sampling cadence of a zero Interval.
+const DefaultResourceInterval = 1 * time.Second
+
+// profileInterval is the continuous-profile rotation cadence; a variable
+// only so the rotation test can shorten it.
+var profileInterval = 30 * time.Second
 
 // activityCounter counts externally visible liveness: journal events and
 // progress bumps. The stall watchdog watches it; a counter that stops
@@ -172,14 +171,12 @@ var (
 	telStalls      = GetCounter("mnsim_proc_watchdog_stalls_total")
 )
 
-// ResourceSampler owns the sampling goroutine and its bounded ring. The
+// ResourceSampler owns the sampling goroutine and the run's rollup. The
 // zero value is a stopped sampler; the package-level default instance
 // backs /resources.json and the flag layer.
 type ResourceSampler struct {
 	mu      sync.Mutex
 	cfg     ResourceConfig
-	ring    ring[ResourceSample]
-	total   int64
 	rollup  ResourceRollup
 	first   *ResourceSample // baseline for run-scoped totals
 	ran     bool
@@ -217,17 +214,12 @@ func (s *ResourceSampler) Start(ctx context.Context, cfg ResourceConfig) error {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultResourceInterval
 	}
-	if cfg.ProfileInterval <= 0 {
-		cfg.ProfileInterval = DefaultProfileInterval
-	}
 	s.mu.Lock()
 	if s.running {
 		s.mu.Unlock()
 		return fmt.Errorf("telemetry: resource sampler already running")
 	}
 	s.cfg = cfg
-	s.ring = ring[ResourceSample]{size: DefaultResourceRing}
-	s.total = 0
 	s.rollup = ResourceRollup{IntervalMS: cfg.Interval.Milliseconds()}
 	s.first = nil
 	s.ran = true
@@ -354,14 +346,12 @@ func (s *ResourceSampler) tick(now time.Time) {
 	s.prevCycles, s.prevPauseNS = smp.GCCycles, smp.GCPauseTotalNS
 
 	s.mu.Lock()
-	s.ring.push(smp)
-	s.total++
 	if s.first == nil {
 		f := smp
 		s.first = &f
 	}
 	r := &s.rollup
-	r.Samples = s.total
+	r.Samples++
 	if smp.HeapLiveBytes > r.PeakHeapLiveBytes {
 		r.PeakHeapLiveBytes = smp.HeapLiveBytes
 	}
@@ -385,6 +375,7 @@ func (s *ResourceSampler) tick(now time.Time) {
 			"gc_cycles":            smp.GCCycles,
 			"gc_pause_total_ns":    smp.GCPauseTotalNS,
 			"gc_cpu_fraction":      jsonFiniteF(smp.GCCPUFraction),
+			"sched_latency_p50_us": jsonFiniteF(smp.SchedLatencyP50US),
 			"sched_latency_p99_us": jsonFiniteF(smp.SchedLatencyP99US),
 		})
 	}
@@ -464,12 +455,12 @@ func (s *ResourceSampler) checkStall(now time.Time, smp ResourceSample) {
 }
 
 // rotateProfiles closes and restarts the continuous CPU profile and writes
-// a heap profile every ProfileInterval.
+// a heap profile every profileInterval.
 func (s *ResourceSampler) rotateProfiles(now time.Time) {
 	if s.cfg.ProfileDir == "" {
 		return
 	}
-	if now.UnixNano()-s.lastProfileNS < int64(s.cfg.ProfileInterval) {
+	if now.UnixNano()-s.lastProfileNS < int64(profileInterval) {
 		return
 	}
 	s.lastProfileNS = now.UnixNano()
@@ -596,13 +587,6 @@ func (s *ResourceSampler) Rollup() *ResourceRollup {
 	return &r
 }
 
-// Samples returns a copy of the ring (oldest first).
-func (s *ResourceSampler) Samples() []ResourceSample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ring.snapshot()
-}
-
 // resourcesJSON is the /resources.json payload.
 type resourcesJSON struct {
 	Enabled bool             `json:"enabled"`
@@ -610,18 +594,17 @@ type resourcesJSON struct {
 	Samples []ResourceSample `json:"samples"`
 }
 
-// WriteJSON writes the sampler state — the /resources.json endpoint body.
+// WriteJSON writes the sampler state and the resource_sample events in the
+// default journal's ring (oldest first) — the /resources.json endpoint body.
 func (s *ResourceSampler) WriteJSON(w io.Writer) error {
 	s.mu.Lock()
-	out := resourcesJSON{
-		Enabled: s.running,
-		Samples: s.ring.snapshot(),
-	}
+	out := resourcesJSON{Enabled: s.running}
 	if s.ran {
 		r := s.rollup
 		out.Rollup = &r
 	}
 	s.mu.Unlock()
+	out.Samples = defaultJournal.ringSamples()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -23,6 +24,24 @@ func startTestSampler(t *testing.T, cfg ResourceConfig) {
 	t.Cleanup(defaultResources.Stop)
 }
 
+// useRingJournal makes a ring-only journal the default for the test. Call
+// it before starting the sampler: the restore then runs after the sampler's
+// Stop, so the sampling goroutine never sees the swap.
+func useRingJournal(t *testing.T) *Journal {
+	t.Helper()
+	j := NewJournal(0)
+	j.EnableRing()
+	old := defaultJournal
+	defaultJournal = j
+	t.Cleanup(func() { defaultJournal = old })
+	return j
+}
+
+// sampled reports whether the default sampler has taken at least n samples.
+func sampled(n int64) func() bool {
+	return func() bool { return defaultResources.Rollup().Samples >= n }
+}
+
 // waitFor polls until cond holds or the deadline passes — the sampler is
 // timing-driven, so assertions poll instead of sleeping fixed amounts.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
@@ -38,12 +57,14 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 func TestResourceSamplerSamples(t *testing.T) {
+	j := useRingJournal(t)
 	startTestSampler(t, ResourceConfig{Interval: 5 * time.Millisecond})
-	waitFor(t, 5*time.Second, "two samples", func() bool {
-		return len(defaultResources.Samples()) >= 2
-	})
+	waitFor(t, 5*time.Second, "two samples", sampled(2))
 	defaultResources.Stop()
-	samples := defaultResources.Samples()
+	samples := j.ringSamples()
+	if len(samples) < 2 {
+		t.Fatalf("journal ring holds %d samples, want at least 2", len(samples))
+	}
 	last := samples[len(samples)-1]
 	if last.HeapLiveBytes == 0 || last.HeapGoalBytes == 0 {
 		t.Fatalf("empty heap stats: %+v", last)
@@ -55,7 +76,7 @@ func TestResourceSamplerSamples(t *testing.T) {
 		t.Fatalf("no allocation total: %+v", last)
 	}
 	for i := 1; i < len(samples); i++ {
-		if samples[i].TNS < samples[i-1].TNS {
+		if samples[i].TNS <= 0 || samples[i].TNS < samples[i-1].TNS {
 			t.Fatalf("samples out of order at %d", i)
 		}
 		if samples[i].TotalAllocBytes < samples[i-1].TotalAllocBytes {
@@ -66,7 +87,7 @@ func TestResourceSamplerSamples(t *testing.T) {
 	if r == nil {
 		t.Fatal("nil rollup after a sampled run")
 	}
-	if r.Samples != int64(defaultResources.total) || r.PeakHeapLiveBytes == 0 || r.MaxGoroutines <= 0 {
+	if r.Samples != int64(len(samples)) || r.PeakHeapLiveBytes == 0 || r.MaxGoroutines <= 0 {
 		t.Fatalf("rollup not filled: %+v", r)
 	}
 	// Registry export: the gauges carry the last sample.
@@ -88,7 +109,7 @@ func TestResourceSamplerFinalFlush(t *testing.T) {
 
 	startTestSampler(t, ResourceConfig{Interval: time.Hour})
 	defaultResources.Stop()
-	if n := len(defaultResources.Samples()); n != 1 {
+	if n := defaultResources.Rollup().Samples; n != 1 {
 		t.Fatalf("got %d samples, want exactly the final flush", n)
 	}
 	j.Close()
@@ -96,17 +117,17 @@ func TestResourceSamplerFinalFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var saw bool
+	saw := 0
 	for _, ev := range events {
 		if ev.Type == EvResourceSample {
-			saw = true
+			saw++
 			if ev.Data["heap_live_bytes"].(float64) <= 0 {
 				t.Fatalf("resource_sample without heap data: %v", ev.Data)
 			}
 		}
 	}
-	if !saw {
-		t.Fatal("no resource_sample event journaled on shutdown")
+	if saw != 1 {
+		t.Fatalf("%d resource_sample events journaled, want the shutdown flush only", saw)
 	}
 }
 
@@ -161,9 +182,7 @@ func TestResourceSamplerMemPressure(t *testing.T) {
 		Interval:          3 * time.Millisecond,
 		MemSoftLimitBytes: 1, // any live heap crosses this
 	})
-	waitFor(t, 5*time.Second, "several samples", func() bool {
-		return len(defaultResources.Samples()) >= 4
-	})
+	waitFor(t, 5*time.Second, "several samples", sampled(4))
 	defaultResources.Stop()
 	r := defaultResources.Rollup()
 	if r.MemPressureEvents != 1 {
@@ -274,11 +293,13 @@ func TestResourceSamplerStallSuppressedByActivity(t *testing.T) {
 func TestResourceSamplerContinuousProfiling(t *testing.T) {
 	dir := t.TempDir()
 	arts := map[string]string{}
+	old := profileInterval
+	profileInterval = 10 * time.Millisecond
+	t.Cleanup(func() { profileInterval = old })
 	startTestSampler(t, ResourceConfig{
-		Interval:        3 * time.Millisecond,
-		ProfileDir:      dir,
-		ProfileInterval: 10 * time.Millisecond,
-		Artifact:        func(kind, path string) { arts[kind] = path },
+		Interval:   3 * time.Millisecond,
+		ProfileDir: dir,
+		Artifact:   func(kind, path string) { arts[kind] = path },
 	})
 	waitFor(t, 5*time.Second, "profile rotation", func() bool {
 		m, _ := filepath.Glob(filepath.Join(dir, "cpu-*.pprof"))
@@ -298,22 +319,44 @@ func TestResourceSamplerContinuousProfiling(t *testing.T) {
 	}
 }
 
+// /resources.json serves the rollup and the resource_sample events in the
+// journal ring, each with every key of a ResourceSample.
 func TestResourcesEndpoint(t *testing.T) {
+	useRingJournal(t)
 	startTestSampler(t, ResourceConfig{Interval: 3 * time.Millisecond})
-	waitFor(t, 5*time.Second, "a sample", func() bool {
-		return len(defaultResources.Samples()) >= 1
-	})
+	waitFor(t, 5*time.Second, "a sample", sampled(1))
 	srv := httptest.NewServer(NewServeMux(nil))
 	defer srv.Close()
 	status, _, body := get(t, srv.URL+"/resources.json")
 	if status != 200 {
 		t.Fatalf("/resources.json status %d", status)
 	}
-	if !strings.Contains(body, `"enabled": true`) {
+	var doc struct {
+		Enabled bool             `json:"enabled"`
+		Rollup  *ResourceRollup  `json:"rollup"`
+		Samples []map[string]any `json:"samples"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if !doc.Enabled || doc.Rollup == nil || doc.Rollup.PeakHeapLiveBytes == 0 || len(doc.Samples) == 0 {
 		t.Fatalf("/resources.json not live:\n%s", body)
 	}
-	if !strings.Contains(body, "heap_live_bytes") || !strings.Contains(body, "rollup") {
-		t.Fatalf("/resources.json missing fields:\n%s", body)
+	keys := []string{"t_ns", "heap_live_bytes", "heap_goal_bytes", "total_alloc_bytes",
+		"total_alloc_objects", "goroutines", "gc_cycles", "gc_pause_total_ns",
+		"gc_cpu_fraction", "sched_latency_p50_us", "sched_latency_p99_us"}
+	for i, smp := range doc.Samples {
+		if len(smp) != len(keys) {
+			t.Fatalf("sample %d has %d keys, want %d: %v", i, len(smp), len(keys), smp)
+		}
+		for _, k := range keys {
+			if _, ok := smp[k]; !ok {
+				t.Fatalf("sample %d lacks %q: %v", i, k, smp)
+			}
+		}
+		if smp["t_ns"].(float64) <= 0 {
+			t.Fatalf("sample %d has no time: %v", i, smp)
+		}
 	}
 }
 
@@ -331,9 +374,7 @@ func TestFlagsResourceRollupInManifest(t *testing.T) {
 	if err := f.StartContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "samples", func() bool {
-		return len(defaultResources.Samples()) >= 2
-	})
+	waitFor(t, 5*time.Second, "samples", sampled(2))
 	if err := f.Finish(); err != nil {
 		t.Fatal(err)
 	}

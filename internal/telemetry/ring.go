@@ -1,9 +1,8 @@
 package telemetry
 
-// ring is the bounded FIFO behind the journal and resource-sample buffers.
-// Once full, a push overwrites the oldest entry at the head index, O(1) at
-// any capacity, and counts it as dropped. It holds no lock: its owner's
-// mutex guards it.
+// ring is the bounded FIFO behind the journal. Once full, a push
+// overwrites the oldest entry at the head index, O(1) at any capacity, and
+// counts it as dropped. It holds no lock: its owner's mutex guards it.
 type ring[T any] struct {
 	buf     []T
 	size    int // capacity; a zero-capacity ring keeps nothing

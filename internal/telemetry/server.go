@@ -33,8 +33,9 @@ func jsonHandler(write func(w http.ResponseWriter) error) http.HandlerFunc {
 //	/progress       live sweep phases: total/done, rate, ETA
 //	/events         the flight-recorder ring buffer (most recent journal
 //	                events) with total/dropped counts
-//	/resources.json the resource sampler's ring (heap, GC, goroutines,
-//	                scheduler latency) plus the run rollup so far
+//	/resources.json the resource samples (heap, GC, goroutines, scheduler
+//	                latency) built from the "resource_sample" events in the
+//	                journal ring, plus the sampler's rollup so far
 //	/runinfo        tool, args, seed, workers, Go/OS version, elapsed
 //	/healthz        liveness probe ("ok")
 //	/debug/pprof/*  net/http/pprof profiles

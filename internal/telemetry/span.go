@@ -13,8 +13,8 @@ import (
 // Tracer aggregates span wall times per hierarchical span name (count /
 // total / min / max), which is what the paper-style speed analysis needs
 // and what stays O(1) in memory across a 10,220-candidate sweep. It keeps
-// no per-span record: with trace events on, each span ended on the default
-// tracer is one journal "span" event instead (see Span.End).
+// no per-span record: while the journal records, each span ended on the
+// default tracer is one journal "span" event instead (see Span.End).
 type Tracer struct {
 	mu  sync.Mutex
 	agg map[string]*spanAgg
@@ -127,9 +127,9 @@ func (s *Span) Name() string {
 
 // End closes the span and folds its wall time into the tracer's per-name
 // aggregate, returning the elapsed duration (zero on repeated End). On the
-// default tracer, with trace events on and the journal recording, the
-// completed span is also journaled as one "span" event (times in
-// microseconds, IDs in hex wire form): the only per-span record kept.
+// default tracer, while the journal records, the completed span is also
+// journaled as one "span" event (times in microseconds, IDs in hex wire
+// form): the only per-span record kept.
 func (s *Span) End() time.Duration {
 	if s == nil || s.done.Swap(true) {
 		return 0
@@ -141,9 +141,9 @@ func (s *Span) End() time.Duration {
 }
 
 // journalSpan journals one completed span as a "span" event when t is the
-// default tracer, trace events are on and the journal records.
+// default tracer and the journal records.
 func (t *Tracer) journalSpan(name, path string, ids SpanIDs, start time.Time, d time.Duration) {
-	if t != defaultTracer || !spanEvents.Load() || !defaultJournal.Enabled() {
+	if t != defaultTracer || !JournalOn() {
 		return
 	}
 	data := map[string]any{

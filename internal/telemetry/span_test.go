@@ -213,7 +213,6 @@ func TestSpanTallyJournalMatchesKeyedSpan(t *testing.T) {
 		defaultTracer.ResetTraceEvents()
 	}()
 	SetTraceSeed(42)
-	EnableTraceEvents(0)
 	ctx, parent := StartSpan(context.Background(), "run")
 	_, keyed := StartSpanKeyed(ctx, "candidate", "cand-8x2@45")
 	keyed.End()
@@ -223,7 +222,6 @@ func TestSpanTallyJournalMatchesKeyedSpan(t *testing.T) {
 	ids := l.Journal("cand-8x2@45", start, l.End(start))
 	l.Flush()
 	parent.End()
-	DisableTraceEvents()
 	if want := keyed.ids(); ids != want {
 		t.Fatalf("tally span IDs %+v, want the keyed span's %+v", ids, want)
 	}

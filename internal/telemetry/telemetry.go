@@ -16,12 +16,14 @@
 //     (count / total / min / max), the run manifest's "phases";
 //
 //   - the flight-recorder Journal: typed JSONL events, one per solve,
-//     candidate, trial and (with trace events on) span, kept in a bounded
-//     ring and optionally a file. Every per-event view — /events,
-//     /trace.json, mnsim-journal — is derived from it;
+//     candidate, trial, span and resource sample, kept in one bounded ring
+//     and optionally a file. It is the one switch for per-event recording
+//     (a span is journaled exactly when it records), and every per-event
+//     view — /events, /trace.json, /resources.json, mnsim-journal — is
+//     derived from it;
 //
 //   - live sweep progress, a resource sampler with watchdogs, the run
-//     manifest, and a leveled key-value structured Logger.
+//     manifest, and a log/slog logger on stderr (Log).
 //
 // Only the observers register metrics: circuit's solve observer, the DSE
 // sweep and the Monte-Carlo sampler hold theirs as package-level variables

@@ -7,7 +7,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync/atomic"
 )
 
 // Causal tracing: every run carries a trace ID, every span a span ID and a
@@ -19,11 +18,11 @@ import (
 // count or scheduling — the same determinism contract the solver results
 // obey.
 //
-// With trace events on (EnableTraceEvents) and the flight recorder
-// recording, each completed span is one journal "span" event. The Chrome
-// trace-event JSON that Perfetto and chrome://tracing render as a timeline
-// is derived from those events: live from the journal ring (/trace.json)
-// or after the run from the journal file (mnsim-journal export).
+// While the flight recorder records, each completed span is one journal
+// "span" event. The Chrome trace-event JSON that Perfetto and
+// chrome://tracing render as a timeline is derived from those events: live
+// from the journal ring (/trace.json) or after the run from the journal
+// file (mnsim-journal export).
 
 // traceSalt decorrelates the trace-ID family from the raw seed values the
 // per-trial RNG streams already consume ("mnsim-tr" as ASCII).
@@ -132,28 +131,23 @@ type SpanRecord struct {
 	DurNS    int64
 }
 
-// spanEvents gates the journal's "span" events and the fine-grained spans
-// that exist only for them (the per-phase solve spans).
-var spanEvents atomic.Bool
+// EnableTraceEvents is a no-op: a span is journaled exactly when the
+// journal records.
+//
+// Deprecated: the journal is the only recording switch. The benchmark
+// module still calls this; ROADMAP item 3's benchmark change deletes it.
+func EnableTraceEvents(int) {}
 
-// EnableTraceEvents turns span events on: from now on each span ended on
-// the default tracer while the journal records is journaled as a "span"
-// event. The argument is unused; it remains for callers that pass a
-// capacity.
-func EnableTraceEvents(int) { spanEvents.Store(true) }
+// DisableTraceEvents is a no-op: a span is journaled exactly when the
+// journal records.
+//
+// Deprecated: the journal is the only recording switch. The benchmark
+// module still calls this; ROADMAP item 3's benchmark change deletes it.
+func DisableTraceEvents() {}
 
-// DisableTraceEvents turns span events off.
-func DisableTraceEvents() { spanEvents.Store(false) }
-
-// TraceEventsOn reports whether span events are on. Instrumented hot paths
-// use it to gate optional fine-grained spans (e.g. the per-phase solve
-// spans), so a run without tracing pays nothing.
-func TraceEventsOn() bool { return spanEvents.Load() }
-
-// ResetTraceEvents turns span events off and clears the tracer's ID state
-// (trace ID and root-span counter); test and benchmark helper.
+// ResetTraceEvents clears the tracer's ID state (trace ID and root-span
+// counter); test and benchmark helper.
 func (t *Tracer) ResetTraceEvents() {
-	spanEvents.Store(false)
 	t.rootSeq.Store(0)
 	t.traceID.Store(0)
 }

@@ -158,8 +158,8 @@ func TestConcurrentKeyedSpans(t *testing.T) {
 	}
 }
 
-// With trace events off, a recording journal gets no "span" event; the
-// aggregate still counts the span.
+// Trace events are off exactly while the journal is closed: a span ended
+// then gets no "span" event, and the aggregate still counts it.
 func TestTraceEventsOffRecordsNothing(t *testing.T) {
 	defaultJournal.Reset()
 	defaultTracer.ResetTraceEvents()
@@ -171,25 +171,23 @@ func TestTraceEventsOffRecordsNothing(t *testing.T) {
 		defaultJournal.Close()
 		defaultJournal.Reset()
 	}()
-	_, s := StartSpan(context.Background(), "quiet")
-	s.End()
 	if err := defaultJournal.Close(); err != nil {
 		t.Fatal(err)
 	}
+	_, s := StartSpan(context.Background(), "quiet")
+	s.End()
 	events, err := ReadJournalFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range events {
-		if ev.Type == EvSpan {
-			t.Fatalf("span event journaled with trace events off: %+v", ev)
-		}
+	if len(events) != 1 || events[0].Type != EvJournal {
+		t.Fatalf("journal holds %+v, want the header only", events)
 	}
-	if len(events) != 1 {
-		t.Fatalf("journal holds %d events, want the header only", len(events))
+	if n := len(defaultJournal.ringLines()); n != 1 {
+		t.Fatalf("journal ring holds %d events, want the header only", n)
 	}
 	if _, ok := defaultTracer.Stat("quiet"); !ok {
-		t.Fatal("aggregate lost when events off")
+		t.Fatal("aggregate lost with the journal closed")
 	}
 }
 
@@ -269,12 +267,10 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 		defaultTracer.ResetTraceEvents()
 	}()
 	SetTraceSeed(42)
-	EnableTraceEvents(16)
 	ctx, parent := StartSpan(context.Background(), "run")
 	_, child := StartSpanKeyed(ctx, "candidate", "cand-8x2@45")
 	child.End()
 	parent.End()
-	DisableTraceEvents()
 	if err := defaultJournal.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -363,8 +359,11 @@ func TestEmitEventCtxStampsIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 3 { // header + 2
+	if len(events) != 4 { // header + 2 + the solve span
 		t.Fatalf("got %d events", len(events))
+	}
+	if events[3].Type != EvSpan {
+		t.Fatalf("last event %+v, want the solve span", events[3])
 	}
 	ev := events[1]
 	if ev.Data["trace_id"] != FormatID(sp.TraceID()) || ev.Data["span_id"] != FormatID(sp.SpanID()) {
@@ -393,13 +392,13 @@ func TestServeMuxTraceJSON(t *testing.T) {
 	}()
 	defaultJournal.EnableRing()
 	SetTraceSeed(11)
-	EnableTraceEvents(0)
 	ctx, outer := StartSpan(context.Background(), "probe")
 	_, inner := StartSpan(ctx, "step")
 	inner.End()
 	outer.End()
-	// A span ended with trace events off is not journaled, so not served.
-	DisableTraceEvents()
+	// A span ended after the journal closed is not journaled, so not
+	// served; the ring keeps what it holds.
+	defaultJournal.Close()
 	_, quiet := StartSpan(context.Background(), "quiet")
 	quiet.End()
 	srv := httptest.NewServer(NewServeMux(nil))

@@ -167,7 +167,7 @@ func TestTableIICancel(t *testing.T) {
 }
 
 // A recorded Table II run at the benchmark's table2 configuration (Size
-// 64, 4 weight samples × 12 inputs), journaled with trace events on as
+// 64, 4 weight samples × 12 inputs), journaled as
 // `mnsim-validate -journal` runs it, records each circuit solve as one
 // solve_end event and nothing else per solve: no solve_start, no
 // newton_iter. Each span is one "span" event, the only record kept of it.
@@ -181,9 +181,7 @@ func TestTableIIRecordedEventMix(t *testing.T) {
 	if err := j.Open(path); err != nil {
 		t.Fatal(err)
 	}
-	telemetry.EnableTraceEvents(0)
 	t.Cleanup(func() {
-		telemetry.DisableTraceEvents()
 		telemetry.DefaultTracer().ResetTraceEvents()
 		j.Close()
 		j.Reset()
