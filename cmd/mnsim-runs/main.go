@@ -314,7 +314,7 @@ func runDiff(w io.Writer, aPath, bPath string, threshold float64) (flagged int, 
 }
 
 // formatDelta prints a row's relative change, or "new"/"gone" for a
-// one-sided series; a series both runs have that grew from 0 reads "from 0".
+// one-sided series; a series both runs have that left 0 reads "from 0".
 func formatDelta(r diffRow) string {
 	switch {
 	case r.only != "":

@@ -129,9 +129,15 @@ func (f *Flags) StartContext(ctx context.Context) error {
 	}
 	// Flight recorder: -journal records to a file (snapshots land next to
 	// it); -serve alone enables ring-only recording so /events is live.
+	// A recording journal also gets one "span" event per span, from which
+	// mnsim-journal export and /trace.json build the timeline; the run's
+	// seed fixes their trace ID.
 	if f.Run != nil {
 		info := f.Run.snapshot()
 		defaultJournal.SetMeta(info.Tool, info.Seed)
+		if info.Seed != nil && (f.Journal != "" || f.ServeAddr != "") {
+			SetTraceSeed(*info.Seed)
+		}
 	}
 	if f.Journal != "" {
 		if err := defaultJournal.Open(f.Journal); err != nil {
@@ -139,16 +145,6 @@ func (f *Flags) StartContext(ctx context.Context) error {
 		}
 	} else if f.ServeAddr != "" {
 		defaultJournal.EnableRing()
-	}
-	// Causal tracing: a recording journal gets one "span" event per span,
-	// from which mnsim-journal export and /trace.json build the timeline;
-	// the run's seed fixes their trace ID.
-	if f.Journal != "" || f.ServeAddr != "" {
-		if f.Run != nil {
-			if info := f.Run.snapshot(); info.Seed != nil {
-				SetTraceSeed(*info.Seed)
-			}
-		}
 	}
 	if f.ServeAddr != "" {
 		addr, err := f.listenAndServe(ctx, f.ServeAddr, NewServeMux(f.Run))
