@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -220,6 +221,15 @@ type gridPoint struct {
 	wire          tech.WireTech
 }
 
+// run is the grid points of one (wire node, crossbar size) pair, one pool
+// task: its gridPoint without a parallelism, and the sweep-order index of
+// its first point. Its points are the space's parallelisms up to its size,
+// in order.
+type run struct {
+	gridPoint
+	first int
+}
+
 // errUnbuildable tags arch.NewPlan and Plan.Into failures (grid points
 // outside the buildable space) apart from genuine evaluation failures.
 var errUnbuildable = errors.New("unbuildable design point")
@@ -284,19 +294,25 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 		return nil, err
 	}
 	// Resolve every wire node up front: an unknown node is a caller mistake
-	// that fails the whole sweep, not a skippable grid point.
-	points := make([]gridPoint, 0, len(space.WireNodes)*len(space.CrossbarSizes)*len(space.Parallelisms))
+	// that fails the whole sweep, not a skippable grid point. A (wire node,
+	// crossbar size) pair with no parallelism up to its size makes no run.
+	runs := make([]run, 0, len(space.WireNodes)*len(space.CrossbarSizes))
+	total := 0
 	for _, node := range space.WireNodes {
 		wire, err := tech.Interconnect(node)
 		if err != nil {
 			return nil, err
 		}
 		for _, size := range space.CrossbarSizes {
+			n := 0
 			for _, p := range space.Parallelisms {
-				if p > size {
-					continue
+				if p <= size {
+					n++
 				}
-				points = append(points, gridPoint{size: size, p: p, node: node, wire: wire})
+			}
+			if n > 0 {
+				runs = append(runs, run{gridPoint: gridPoint{size: size, node: node, wire: wire}, first: total})
+				total += n
 			}
 		}
 	}
@@ -304,20 +320,20 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 	defer sweep.End()
 	// Live sweep progress: one tick per grid point, whatever its outcome,
 	// so /progress and the -progress line show done/total and an ETA.
-	prog := telemetry.StartPhase("dse.candidates", int64(len(points)))
+	prog := telemetry.StartPhase("dse.candidates", int64(total))
 	defer prog.Finish()
 	// Index-addressed result slots keep the output in sequential sweep
 	// order no matter which worker finishes first; a zero CrossbarSize marks
 	// a point that produced no candidate.
-	results := make([]Candidate, len(points))
+	results := make([]Candidate, total)
 	var (
 		evalFailed  atomic.Int64
 		failMu      sync.Mutex
 		lastEvalErr error
 	)
-	// explorePoint builds and evaluates grid point i in rs; first marks
-	// the first point of its run.
-	explorePoint := func(tctx context.Context, i int, first bool, rs *runStorage) error {
+	// explorePoint builds and evaluates grid point gp, the i-th in sweep
+	// order, in rs; first marks the first point of its run.
+	explorePoint := func(tctx context.Context, i int, gp gridPoint, first bool, rs *runStorage) error {
 		// A non-blocking receive takes no lock, while Err takes the
 		// context's mutex.
 		select {
@@ -326,7 +342,6 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 		default:
 		}
 		defer prog.Inc()
-		gp := points[i]
 		start := rs.spans.Start()
 		if first {
 			rs.design = base
@@ -417,31 +432,28 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 		}
 		return nil
 	}
-	// One pool task per run: points are generated node → size → p, so each
-	// run is contiguous and its plan is built once.
-	runs := make([]int, 0, len(space.WireNodes)*len(space.CrossbarSizes)+1)
-	for i, gp := range points {
-		if i == 0 || gp.size != points[i-1].size || gp.node != points[i-1].node {
-			runs = append(runs, i)
-		}
-	}
-	runs = append(runs, len(points))
 	// pool.Run runs at most min(workers, tasks) tasks at once, so a free
 	// list of that many storages never runs dry and a receive never blocks.
-	storage := make([]runStorage, min(pool.Resolve(opt.Workers), len(runs)-1))
+	storage := make([]runStorage, min(pool.Resolve(opt.Workers), len(runs)))
 	free := make(chan *runStorage, len(storage))
 	for i := range storage {
 		free <- &storage[i]
 	}
-	err = pool.Run(ctx, len(runs)-1, opt.Workers, func(tctx context.Context, k int) error {
+	err = pool.Run(ctx, len(runs), opt.Workers, func(tctx context.Context, k int) error {
 		rs := <-free
 		defer func() { free <- rs }()
 		telemetry.OpenTally(tctx, "candidate", &rs.spans)
 		defer rs.spans.Flush()
-		for i := runs[k]; i < runs[k+1]; i++ {
-			if err := explorePoint(tctx, i, i == runs[k], rs); err != nil {
+		gp, i := runs[k].gridPoint, runs[k].first
+		for _, p := range space.Parallelisms {
+			if p > gp.size {
+				continue
+			}
+			gp.p = p
+			if err := explorePoint(tctx, i, gp, i == runs[k].first, rs); err != nil {
 				return err
 			}
+			i++
 		}
 		return nil
 	})
@@ -473,19 +485,23 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 }
 
 // Best returns the feasible candidate minimising the objective, or nil when
-// no candidate is feasible. Each objective's selection pass is timed under
-// its own span (dse.select.<objective>).
+// no feasible candidate has a non-NaN objective metric: a NaN metric
+// compares false either way, so it would win only by coming first. Each
+// objective's selection pass is timed under its own span
+// (dse.select.<objective>).
 func Best(cands []Candidate, obj Objective) *Candidate {
 	_, sp := telemetry.StartSpan(context.Background(), "dse.select."+strings.ToLower(obj.String()))
 	defer sp.End()
 	var best *Candidate
+	var least float64
 	for i := range cands {
 		c := &cands[i]
-		if !c.Feasible {
+		m := obj.metric(c)
+		if !c.Feasible || math.IsNaN(m) {
 			continue
 		}
-		if best == nil || obj.metric(c) < obj.metric(best) {
-			best = c
+		if best == nil || m < least {
+			best, least = c, m
 		}
 	}
 	return best
@@ -503,7 +519,8 @@ const zeroOptimumEps = 1e-9
 // accuracy optimization" — digital-module choices that do not move the
 // primary metric can still improve another one). Among feasible candidates
 // whose primary metric lies within tolerance (fractional) of the optimum,
-// it returns the one minimising the secondary objective.
+// it returns the one minimising the secondary objective. Like Best, it
+// skips a candidate whose primary or secondary metric is NaN.
 func BestWithSecondary(cands []Candidate, primary, secondary Objective, tolerance float64) *Candidate {
 	first := Best(cands, primary)
 	if first == nil {
@@ -522,13 +539,15 @@ func BestWithSecondary(cands []Candidate, primary, secondary Objective, toleranc
 		limit = m0 + tolerance*zeroOptimumEps
 	}
 	var best *Candidate
+	var least float64
 	for i := range cands {
 		c := &cands[i]
-		if !c.Feasible || primary.metric(c) > limit {
+		pm, sm := primary.metric(c), secondary.metric(c)
+		if !c.Feasible || pm > limit || math.IsNaN(pm) || math.IsNaN(sm) {
 			continue
 		}
-		if best == nil || secondary.metric(c) < secondary.metric(best) {
-			best = c
+		if best == nil || sm < least {
+			best, least = c, sm
 		}
 	}
 	return best
@@ -542,21 +561,16 @@ func BestWithSecondary(cands []Candidate, primary, secondary Objective, toleranc
 // on the front when its latency is the least at its area and below the
 // least latency of every strictly smaller area. A NaN metric compares
 // false either way, so such a candidate is never dominated and never
-// dominates; it joins the front and stays out of the pass. The front is
-// gathered in input order before the final sort, so ties between equal
-// areas come out as the pairwise definition leaves them.
+// dominates; it joins the front and stays out of the pass. The sorted pass
+// runs over paretoSurvivors only, which drops in linear time all but a few
+// hundred of a paper sweep's candidates. The front is gathered in input
+// order before the final sort, so ties between equal areas come out as the
+// pairwise definition leaves them.
 func Pareto(cands []Candidate) []Candidate {
 	area := func(i int) float64 { return cands[i].Report.AreaMM2 }
 	lat := func(i int) float64 { return cands[i].Report.PipelineCycle }
 	onFront := make([]bool, len(cands))
-	order := make([]int, 0, len(cands))
-	for i := range cands {
-		if math.IsNaN(area(i)) || math.IsNaN(lat(i)) {
-			onFront[i] = true
-			continue
-		}
-		order = append(order, i)
-	}
+	order := paretoSurvivors(cands, onFront)
 	sort.Slice(order, func(a, b int) bool { return area(order[a]) < area(order[b]) })
 	// best is the least latency over strictly smaller areas, once any.
 	best, haveBest := 0.0, false
@@ -582,6 +596,85 @@ func Pareto(cands []Candidate) []Candidate {
 	}
 	sort.Slice(front, func(i, j int) bool { return front[i].Report.AreaMM2 < front[j].Report.AreaMM2 })
 	return front
+}
+
+// paretoBucketBits sets the number of area buckets of paretoSurvivors.
+const paretoBucketBits = 8
+
+// areaKey maps a non-NaN area to a key in the area's order: its IEEE bits,
+// with −0 folded into +0, negative values inverted below the positive ones.
+func areaKey(a float64) uint64 {
+	if a == 0 {
+		return 1 << 63 // −0 and +0 are one area
+	}
+	b := math.Float64bits(a)
+	if b>>63 == 1 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// paretoSurvivors marks on onFront the candidates with a NaN metric, and
+// returns in input order the others that no candidate of a lower area
+// bucket dominates. The buckets split the key range of the areas into at
+// most 1<<paretoBucketBits equal parts, so a lower bucket holds only
+// strictly smaller areas: a candidate whose latency is no less than a lower
+// bucket's least is strictly dominated. Dominance is transitive, so the
+// front of the survivors is the front of all candidates.
+func paretoSurvivors(cands []Candidate, onFront []bool) []int {
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for i := range cands {
+		r := &cands[i].Report
+		if math.IsNaN(r.AreaMM2) || math.IsNaN(r.PipelineCycle) {
+			onFront[i] = true
+			continue
+		}
+		k := areaKey(r.AreaMM2)
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	shift := max(bits.Len64(hi-lo)-paretoBucketBits, 0)
+	bucket := make([]uint8, len(cands))
+	var least [1 << paretoBucketBits]float64
+	var seen [1 << paretoBucketBits]bool
+	for b := range least {
+		least[b] = math.Inf(1)
+	}
+	for i := range cands {
+		if onFront[i] {
+			continue
+		}
+		r := &cands[i].Report
+		b := uint8((areaKey(r.AreaMM2) - lo) >> shift)
+		bucket[i], seen[b] = b, true
+		least[b] = min(least[b], r.PipelineCycle)
+	}
+	// below[b] is the least latency of the buckets under b, of which there
+	// is one when under[b]: a +Inf latency is a bucket's least as well, so
+	// seen, not the +Inf that least starts at, tells a bucket with
+	// candidates.
+	var below [1 << paretoBucketBits]float64
+	var under [1 << paretoBucketBits]bool
+	below[0] = math.Inf(1)
+	for b := 1; b < len(below); b++ {
+		below[b], under[b] = min(below[b-1], least[b-1]), under[b-1] || seen[b-1]
+	}
+	dominated := func(i int) bool {
+		b := bucket[i]
+		return under[b] && below[b] <= cands[i].Report.PipelineCycle
+	}
+	n := 0
+	for i := range cands {
+		if !onFront[i] && !dominated(i) {
+			n++
+		}
+	}
+	order := make([]int, 0, n)
+	for i := range cands {
+		if !onFront[i] && !dominated(i) {
+			order = append(order, i)
+		}
+	}
+	return order
 }
 
 // RadarFactors computes the five normalized performance factors of Fig. 9

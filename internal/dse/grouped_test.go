@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"mnsim/internal/arch"
 	"mnsim/internal/nn"
@@ -184,23 +186,46 @@ func TestExploreCancelWithinRun(t *testing.T) {
 // string. What is left is a per-call constant: the sweep's slices, its
 // worker storage and its growth, one span path per worker, the pool's and
 // the telemetry's. A plan or an accelerator per run, or anything per
-// candidate, breaks the bound.
+// candidate, breaks the count bound. In bytes, the sweep allocates its
+// results slice, one Candidate per grid point, and a fixed allowance for
+// the rest, which no per-point slice fits in.
 func TestExploreAllocationBound(t *testing.T) {
 	base, layers, sp := paperSweep(t)
 	const perCall = 256
+	const allowance = 96 << 10
 	for _, workers := range []int{1, 2} {
 		var n int
-		allocs := testing.AllocsPerRun(1, func() {
+		explore := func() {
 			cands, err := Explore(context.Background(), base, layers, sp, Options{ErrorLimit: 0.5, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			n = len(cands)
-		})
+		}
+		allocs := testing.AllocsPerRun(1, explore)
 		if limit := float64(perCall); allocs > limit {
 			t.Errorf("workers=%d: %v allocations for %d candidates, want at most %v", workers, allocs, n, limit)
 		}
-		t.Logf("workers=%d: %v allocations for %d candidates", workers, allocs, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		explore()
+		runtime.ReadMemStats(&after)
+		bytes := after.TotalAlloc - before.TotalAlloc
+		// The results slice holds every grid point of the space, n of them
+		// plus the unbuildable ones.
+		points := 0
+		for _, size := range sp.CrossbarSizes {
+			for _, p := range sp.Parallelisms {
+				if p <= size {
+					points++
+				}
+			}
+		}
+		points *= len(sp.WireNodes)
+		if limit := uint64(points)*uint64(unsafe.Sizeof(Candidate{})) + allowance; bytes > limit {
+			t.Errorf("workers=%d: %d bytes for %d grid points, want at most %d", workers, bytes, points, limit)
+		}
+		t.Logf("workers=%d: %v allocations, %d bytes for %d candidates of %d grid points", workers, allocs, bytes, n, points)
 	}
 }
 

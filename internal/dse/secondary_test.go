@@ -1,6 +1,9 @@
 package dse
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestBestWithSecondary(t *testing.T) {
 	cands := explore(t)
@@ -38,5 +41,59 @@ func TestBestWithSecondaryInfeasible(t *testing.T) {
 	}
 	if BestWithSecondary(cands, MinArea, MinEnergy, 0.1) != nil {
 		t.Fatal("infeasible set should return nil")
+	}
+}
+
+// feasibleSet builds feasible candidates from (area, energy) pairs, each
+// named by its place (CrossbarSize = index + 1).
+func feasibleSet(pairs ...[2]float64) []Candidate {
+	cands := make([]Candidate, len(pairs))
+	for i, p := range pairs {
+		cands[i] = Candidate{CrossbarSize: i + 1, Feasible: true}
+		cands[i].Report.AreaMM2, cands[i].Report.EnergyPerSample = p[0], p[1]
+	}
+	return cands
+}
+
+// TestBestSkipsNaN: a NaN metric compares false either way, so it would
+// win by coming first; Best and BestWithSecondary skip it wherever it is.
+func TestBestSkipsNaN(t *testing.T) {
+	nan := math.NaN()
+	pick := func(c *Candidate) int {
+		if c == nil {
+			return 0
+		}
+		return c.CrossbarSize
+	}
+	for _, tc := range []struct {
+		name string
+		set  []Candidate
+		want int // the place of the pick, 0 for nil
+	}{
+		{"NaN first", feasibleSet([2]float64{nan, 0}, [2]float64{5, 0}, [2]float64{1, 0}), 3},
+		{"NaN last", feasibleSet([2]float64{5, 0}, [2]float64{1, 0}, [2]float64{nan, 0}), 2},
+		{"all NaN", feasibleSet([2]float64{nan, 0}, [2]float64{nan, 0}), 0},
+	} {
+		if got := pick(Best(tc.set, MinArea)); got != tc.want {
+			t.Errorf("Best, %s: picked candidate %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		set  []Candidate
+		want int
+	}{
+		// A NaN primary neither sets the window nor falls inside it.
+		{"NaN primary first", feasibleSet([2]float64{nan, 0}, [2]float64{1, 3}, [2]float64{1.2, 2}), 3},
+		{"NaN primary last", feasibleSet([2]float64{1, 3}, [2]float64{1.2, 2}, [2]float64{nan, 0}), 2},
+		// A NaN secondary in the window is never picked.
+		{"NaN secondary first", feasibleSet([2]float64{1, nan}, [2]float64{1.2, 2}, [2]float64{1.1, 3}), 2},
+		{"NaN secondary last", feasibleSet([2]float64{1.2, 2}, [2]float64{1.1, 3}, [2]float64{1, nan}), 1},
+		{"all NaN primary", feasibleSet([2]float64{nan, 1}, [2]float64{nan, 2}), 0},
+		{"all NaN secondary", feasibleSet([2]float64{1, nan}, [2]float64{1.1, nan}), 0},
+	} {
+		if got := pick(BestWithSecondary(tc.set, MinArea, MinEnergy, 0.5)); got != tc.want {
+			t.Errorf("BestWithSecondary, %s: picked candidate %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
