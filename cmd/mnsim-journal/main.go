@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"mnsim/internal/circuit"
+	"mnsim/internal/dse"
 	"mnsim/internal/report"
 	"mnsim/internal/telemetry"
 )
@@ -103,7 +104,7 @@ func run(w io.Writer, args []string) error {
 // loadSolves reads a journal's solve_end events and refuses a journal
 // without any. Like every subcommand's read, it passes a
 // SchemaVersionError through untouched, so main prints its message.
-func loadSolves(path string) ([]solveEnd, error) {
+func loadSolves(path string) ([]solve, error) {
 	events, err := telemetry.ReadJournalFile(path)
 	if err != nil {
 		return nil, err
@@ -126,8 +127,9 @@ func summarize(w io.Writer, path string) error {
 		return fmt.Errorf("%s: empty journal", path)
 	}
 	schema := "?"
-	if v, ok := events[0].Data["schema_version"].(float64); ok {
-		schema = fmt.Sprintf("%d", int(v))
+	var h telemetry.JournalHeader
+	if events[0].Decode(&h) == nil && h.SchemaVersion != 0 {
+		schema = fmt.Sprint(h.SchemaVersion)
 	}
 	wallMS := float64(events[len(events)-1].TNS-events[0].TNS) / 1e6
 	fmt.Fprintf(w, "%s: %d events, schema v%s, %.1f ms span\n\n", path, len(events), schema, wallMS)
@@ -151,38 +153,11 @@ func summarize(w io.Writer, path string) error {
 
 	// Per-span-path wall-time aggregates, rebuilt from the journaled span
 	// events — the post-hoc equivalent of the live /trace endpoint.
-	type agg struct {
-		count               int
-		total, minUS, maxUS float64
-	}
-	spans := map[string]*agg{}
-	for _, r := range telemetry.SpanRecordsFromEvents(events) {
-		us := float64(r.DurNS) / 1e3
-		a := spans[r.Path]
-		if a == nil {
-			a = &agg{minUS: us, maxUS: us}
-			spans[r.Path] = a
-		}
-		a.count++
-		a.total += us
-		if us < a.minUS {
-			a.minUS = us
-		}
-		if us > a.maxUS {
-			a.maxUS = us
-		}
-	}
-	if len(spans) > 0 {
-		paths := make([]string, 0, len(spans))
-		for p := range spans {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
+	if stats := telemetry.SpanStats(telemetry.SpanRecordsFromEvents(events)); len(stats) > 0 {
 		st := &report.Table{Title: "Span phases", Headers: []string{"Path", "Count", "Total (ms)", "Avg (us)", "Max (us)"}}
-		for _, p := range paths {
-			a := spans[p]
-			st.AddRow(p, a.count, fmt.Sprintf("%.2f", a.total/1e3),
-				fmt.Sprintf("%.1f", a.total/float64(a.count)), fmt.Sprintf("%.1f", a.maxUS))
+		for _, a := range stats {
+			st.AddRow(a.Name, a.Count, fmt.Sprintf("%.2f", a.TotalUS/1e3),
+				fmt.Sprintf("%.1f", a.AvgUS), fmt.Sprintf("%.1f", a.MaxUS))
 		}
 		fmt.Fprintln(w)
 		if err := st.Render(w); err != nil {
@@ -195,20 +170,21 @@ func summarize(w io.Writer, path string) error {
 		return err
 	}
 	if len(solves) > 0 {
-		ok, stagnated := 0, 0
-		var newton, cg, flops float64
+		ok, stagnated, newton, cg := 0, 0, 0, 0
+		var flops float64
 		for _, s := range solves {
-			if s.ok {
+			if s.OK {
 				ok++
 			}
-			if s.stagnated {
+			if s.convergence().Stagnated {
 				stagnated++
 			}
-			newton += s.newton
-			cg += s.cg
-			flops += s.flops
+			n, c := s.iters()
+			newton += n
+			cg += c
+			flops += s.flops()
 		}
-		fmt.Fprintf(w, "\nSolves: %d total, %d ok, %d failed, %d stagnated; %.0f Newton / %.0f CG iters, %.3g flops\n",
+		fmt.Fprintf(w, "\nSolves: %d total, %d ok, %d failed, %d stagnated; %d Newton / %d CG iters, %.3g flops\n",
 			len(solves), ok, len(solves)-ok, stagnated, newton, cg, flops)
 	}
 
@@ -230,60 +206,72 @@ func summarize(w io.Writer, path string) error {
 func candidateOutcomes(events []telemetry.Event) map[string]int {
 	out := map[string]int{}
 	for _, ev := range events {
+		var c dse.CandidateEval
 		if ev.Type != telemetry.EvCandidateEval {
 			continue
 		}
-		o, _ := ev.Data["outcome"].(string)
-		if o == "" {
-			o = "unknown"
+		if ev.Decode(&c) != nil || c.Outcome == "" {
+			c.Outcome = "unknown"
 		}
-		out[o]++
+		out[c.Outcome]++
 	}
 	return out
 }
 
 // --- solve extraction -------------------------------------------------------
 
-// solveEnd is one solve_end event flattened for analysis.
-type solveEnd struct {
-	id                string
-	tns               int64 // envelope time: the solve's end
-	ok                bool
-	durUS             float64
-	newton, cg, flops float64
-	decay             float64
-	stagnated         bool
-	phases            []int64 // flops per cost phase, in costPhases order
+// solve is one solve_end event: its envelope's ID and time (the solve's
+// end) and its payload.
+type solve struct {
+	id  string
+	tns int64
+	circuit.SolveEnd
 }
 
-// solveEnds flattens the solve_end events; the cost and convergence
-// columns come from the Diagnostics each carries (schema v3).
-func solveEnds(events []telemetry.Event) ([]solveEnd, error) {
-	var out []solveEnd
+// solveEnds decodes the solve_end events.
+func solveEnds(events []telemetry.Event) ([]solve, error) {
+	var out []solve
 	for _, ev := range events {
 		if ev.Type != telemetry.EvSolveEnd {
 			continue
 		}
-		s := solveEnd{id: ev.ID, tns: ev.TNS}
-		s.ok, _ = ev.Data["ok"].(bool)
-		s.durUS, _ = ev.Data["dur_us"].(float64)
-		s.newton, _ = ev.Data["newton_iters"].(float64)
-		s.cg, _ = ev.Data["cg_iters"].(float64)
-		d, err := circuit.JournaledDiagnostics(ev)
-		if err != nil {
-			return nil, err
-		}
-		if d != nil && d.Cost != nil {
-			c := d.Cost
-			s.phases = []int64{c.Assembly.Flops, c.NewtonUpdate.Flops, c.CGLoop.Flops, c.Precond.Flops, c.Diagnostics.Flops}
-			s.flops = float64(c.Total().Flops)
-		}
-		if d != nil && d.Convergence != nil {
-			s.decay, s.stagnated = d.Convergence.DecayRate, d.Convergence.Stagnated
+		s := solve{id: ev.ID, tns: ev.TNS}
+		if err := ev.Decode(&s.SolveEnd); err != nil {
+			return nil, fmt.Errorf("solve_end %s: %w", ev.ID, err)
 		}
 		out = append(out, s)
 	}
 	return out, nil
+}
+
+// iters returns the solve's Newton and CG iteration counts; a solve that
+// returned no result has none.
+func (s *solve) iters() (newton, cg int) {
+	if s.NewtonIters != nil {
+		newton = *s.NewtonIters
+	}
+	if s.CGIters != nil {
+		cg = *s.CGIters
+	}
+	return newton, cg
+}
+
+// flops returns the solve's cost-model flops in total, zero for a solve_end
+// without diagnostics (before schema v3).
+func (s *solve) flops() float64 {
+	if s.Diag == nil {
+		return 0
+	}
+	return float64(s.Diag.Cost.Total().Flops)
+}
+
+// convergence returns the solve's convergence analytics, zero when its
+// solve_end carries none.
+func (s *solve) convergence() circuit.Convergence {
+	if s.Diag == nil || s.Diag.Convergence == nil {
+		return circuit.Convergence{}
+	}
+	return *s.Diag.Convergence
 }
 
 // costPhases names the cost-model breakdown columns.
@@ -296,7 +284,7 @@ func slowest(w io.Writer, path string, n int) error {
 	if err != nil {
 		return err
 	}
-	sort.SliceStable(solves, func(i, j int) bool { return solves[i].durUS > solves[j].durUS })
+	sort.SliceStable(solves, func(i, j int) bool { return solves[i].DurUS > solves[j].DurUS })
 	if n > len(solves) {
 		n = len(solves)
 	}
@@ -305,14 +293,17 @@ func slowest(w io.Writer, path string, n int) error {
 		Headers: append([]string{"Solve", "Dur (us)", "OK", "Newton", "CG", "Flops"}, costPhases...),
 	}
 	for _, s := range solves[:n] {
-		row := []any{s.id, fmt.Sprintf("%.1f", s.durUS), s.ok,
-			int(s.newton), int(s.cg), fmt.Sprintf("%.3g", s.flops)}
-		for i := range costPhases {
-			if s.flops > 0 {
-				row = append(row, fmt.Sprintf("%.0f", 100*float64(s.phases[i])/s.flops))
-			} else {
-				row = append(row, "-")
+		newton, cg := s.iters()
+		flops := s.flops()
+		row := []any{s.id, fmt.Sprintf("%.1f", s.DurUS), s.OK, newton, cg, fmt.Sprintf("%.3g", flops)}
+		if flops > 0 {
+			c := s.Diag.Cost
+			for _, f := range []int64{c.Assembly.Flops, c.NewtonUpdate.Flops, c.CGLoop.Flops, c.Precond.Flops, c.Diagnostics.Flops} {
+				row = append(row, fmt.Sprintf("%.0f", 100*float64(f)/flops))
 			}
+		}
+		for len(row) < len(t.Headers) {
+			row = append(row, "-")
 		}
 		t.AddRow(row...)
 	}
@@ -332,25 +323,27 @@ func outliers(w io.Writer, path string) error {
 	}
 	found := 0
 	for _, s := range solves {
+		conv := s.convergence()
 		var reasons []string
-		if !s.ok {
+		if !s.OK {
 			reasons = append(reasons, "failed")
 		}
-		if s.stagnated {
+		if conv.Stagnated {
 			reasons = append(reasons, "stagnated")
 		}
 		// A healthy Newton trajectory contracts well below 1; at or above
 		// the solver's own stagnation ratio (0.9) the solve is burning
 		// iterations without progress even if it eventually converged.
-		if s.decay >= 0.9 {
+		if conv.DecayRate >= 0.9 {
 			reasons = append(reasons, "slow-decay")
 		}
 		if len(reasons) == 0 {
 			continue
 		}
 		found++
-		t.AddRow(s.id, strings.Join(reasons, "+"), fmt.Sprintf("%.3f", s.decay),
-			int(s.newton), int(s.cg), fmt.Sprintf("%.1f", s.durUS))
+		newton, cg := s.iters()
+		t.AddRow(s.id, strings.Join(reasons, "+"), fmt.Sprintf("%.3f", conv.DecayRate),
+			newton, cg, fmt.Sprintf("%.1f", s.DurUS))
 	}
 	if found == 0 {
 		fmt.Fprintf(w, "%d solves, no outliers (no failures, no stagnation, decay rates < 0.9)\n", len(solves))
@@ -360,48 +353,6 @@ func outliers(w io.Writer, path string) error {
 }
 
 // --- resources --------------------------------------------------------------
-
-// resSample is one resource_sample event flattened for analysis.
-type resSample struct {
-	tns        int64
-	heapLive   uint64
-	heapGoal   uint64
-	allocB     uint64
-	allocO     uint64
-	goroutines int64
-	gcCycles   uint64
-	gcPauseNS  int64
-	gcFrac     float64
-	schedP99US float64
-}
-
-func resourceSamples(events []telemetry.Event) []resSample {
-	var out []resSample
-	u64 := func(d map[string]any, k string) uint64 {
-		f, _ := d[k].(float64)
-		if f < 0 {
-			return 0
-		}
-		return uint64(f)
-	}
-	for _, ev := range events {
-		if ev.Type != telemetry.EvResourceSample {
-			continue
-		}
-		s := resSample{tns: ev.TNS}
-		s.heapLive = u64(ev.Data, "heap_live_bytes")
-		s.heapGoal = u64(ev.Data, "heap_goal_bytes")
-		s.allocB = u64(ev.Data, "total_alloc_bytes")
-		s.allocO = u64(ev.Data, "total_alloc_objects")
-		s.goroutines = int64(u64(ev.Data, "goroutines"))
-		s.gcCycles = u64(ev.Data, "gc_cycles")
-		s.gcPauseNS = int64(u64(ev.Data, "gc_pause_total_ns"))
-		s.gcFrac, _ = ev.Data["gc_cpu_fraction"].(float64)
-		s.schedP99US, _ = ev.Data["sched_latency_p99_us"].(float64)
-		out = append(out, s)
-	}
-	return out
-}
 
 // resources summarizes the resource_sample stream — peaks, run-scoped
 // allocation/GC deltas, pressure and stall counts — then correlates the
@@ -414,7 +365,7 @@ func resources(w io.Writer, path string, n int) error {
 	if err != nil {
 		return err
 	}
-	samples := resourceSamples(events)
+	samples := telemetry.ResourceSamples(events)
 	if len(samples) == 0 {
 		return fmt.Errorf("%s: no resource_sample events (run with -resource-interval)", path)
 	}
@@ -423,15 +374,9 @@ func resources(w io.Writer, path string, n int) error {
 	var maxGoroutines int64
 	var maxSchedP99 float64
 	for _, s := range samples {
-		if s.heapLive > peakHeap {
-			peakHeap = s.heapLive
-		}
-		if s.goroutines > maxGoroutines {
-			maxGoroutines = s.goroutines
-		}
-		if s.schedP99US > maxSchedP99 {
-			maxSchedP99 = s.schedP99US
-		}
+		peakHeap = max(peakHeap, s.HeapLiveBytes)
+		maxGoroutines = max(maxGoroutines, s.Goroutines)
+		maxSchedP99 = max(maxSchedP99, s.SchedLatencyP99US)
 	}
 	pressures, stalls := 0, 0
 	for _, ev := range events {
@@ -442,18 +387,18 @@ func resources(w io.Writer, path string, n int) error {
 			stalls++
 		}
 	}
-	spanMS := float64(last.tns-first.tns) / 1e6
+	spanMS := float64(last.TNS-first.TNS) / 1e6
 	t := &report.Table{Title: "Resource samples", Headers: []string{"Metric", "Value"}}
 	t.AddRow("Samples", len(samples))
 	t.AddRow("Span", fmt.Sprintf("%.1f ms", spanMS))
 	t.AddRow("Peak live heap", telemetry.FormatByteSize(peakHeap))
-	t.AddRow("Final heap goal", telemetry.FormatByteSize(last.heapGoal))
+	t.AddRow("Final heap goal", telemetry.FormatByteSize(last.HeapGoalBytes))
 	t.AddRow("Max goroutines", maxGoroutines)
 	t.AddRow("Allocated", fmt.Sprintf("%s (%d objects)",
-		telemetry.FormatByteSize(last.allocB-first.allocB), last.allocO-first.allocO))
-	t.AddRow("GC cycles", last.gcCycles-first.gcCycles)
-	t.AddRow("GC pause", fmt.Sprintf("%.3f ms", float64(last.gcPauseNS-first.gcPauseNS)/1e6))
-	t.AddRow("GC CPU fraction", fmt.Sprintf("%.4f", last.gcFrac))
+		telemetry.FormatByteSize(last.TotalAllocBytes-first.TotalAllocBytes), last.TotalAllocObjects-first.TotalAllocObjects))
+	t.AddRow("GC cycles", last.GCCycles-first.GCCycles)
+	t.AddRow("GC pause", fmt.Sprintf("%.3f ms", float64(last.GCPauseTotalNS-first.GCPauseTotalNS)/1e6))
+	t.AddRow("GC CPU fraction", fmt.Sprintf("%.4f", last.GCCPUFraction))
 	t.AddRow("Max sched p99", fmt.Sprintf("%.1f us", maxSchedP99))
 	t.AddRow("Mem pressure events", pressures)
 	t.AddRow("Watchdog stalls", stalls)
@@ -465,7 +410,7 @@ func resources(w io.Writer, path string, n int) error {
 	if err != nil || len(solves) == 0 {
 		return err
 	}
-	sort.SliceStable(solves, func(i, j int) bool { return solves[i].durUS > solves[j].durUS })
+	sort.SliceStable(solves, func(i, j int) bool { return solves[i].DurUS > solves[j].DurUS })
 	if n > len(solves) {
 		n = len(solves)
 	}
@@ -475,11 +420,11 @@ func resources(w io.Writer, path string, n int) error {
 	}
 	for _, s := range solves[:n] {
 		end := s.tns
-		start := end - int64(s.durUS*1e3)
+		start := end - int64(s.DurUS*1e3)
 		// Samples inside the solve window, widened to the bracketing samples
 		// so short solves between two ticks still get runtime context.
-		lo := sort.Search(len(samples), func(i int) bool { return samples[i].tns >= start })
-		hi := sort.Search(len(samples), func(i int) bool { return samples[i].tns > end })
+		lo := sort.Search(len(samples), func(i int) bool { return samples[i].TNS >= start })
+		hi := sort.Search(len(samples), func(i int) bool { return samples[i].TNS > end })
 		if lo > 0 {
 			lo--
 		}
@@ -489,15 +434,11 @@ func resources(w io.Writer, path string, n int) error {
 		var heap uint64
 		var gor int64
 		for _, smp := range samples[lo : hi+1] {
-			if smp.heapLive > heap {
-				heap = smp.heapLive
-			}
-			if smp.goroutines > gor {
-				gor = smp.goroutines
-			}
+			heap = max(heap, smp.HeapLiveBytes)
+			gor = max(gor, smp.Goroutines)
 		}
-		cycles := samples[hi].gcCycles - samples[lo].gcCycles
-		ct.AddRow(s.id, fmt.Sprintf("%.1f", s.durUS), telemetry.FormatByteSize(heap), cycles, gor)
+		cycles := samples[hi].GCCycles - samples[lo].GCCycles
+		ct.AddRow(s.id, fmt.Sprintf("%.1f", s.DurUS), telemetry.FormatByteSize(heap), cycles, gor)
 	}
 	fmt.Fprintln(w)
 	return ct.Render(w)
@@ -513,16 +454,17 @@ func timeline(w io.Writer, path, candidate string) error {
 	if err != nil {
 		return err
 	}
-	// The candidate_eval event names the candidate; its span_id stamp roots
-	// the subtree.
-	rootID := ""
+	// The candidate_eval event names the candidate; its span ID roots the
+	// subtree.
+	var rootID telemetry.ID
 	for _, ev := range events {
-		if ev.Type == telemetry.EvCandidateEval && ev.ID == candidate {
-			rootID, _ = ev.Data["span_id"].(string)
+		var c dse.CandidateEval
+		if ev.Type == telemetry.EvCandidateEval && ev.ID == candidate && ev.Decode(&c) == nil {
+			rootID = c.Span
 			break
 		}
 	}
-	if rootID == "" {
+	if rootID == 0 {
 		var known []string
 		for _, ev := range events {
 			if ev.Type == telemetry.EvCandidateEval {
@@ -536,23 +478,22 @@ func timeline(w io.Writer, path, candidate string) error {
 		return fmt.Errorf("%s: no candidate %q; journal has: %s", path, candidate, strings.Join(known, ", "))
 	}
 	recs := telemetry.SpanRecordsFromEvents(events)
-	byID := map[string]telemetry.SpanRecord{}
-	children := map[string][]string{}
+	byID := make(map[telemetry.ID]telemetry.SpanRecord, len(recs))
+	children := map[telemetry.ID][]telemetry.ID{}
 	for _, r := range recs {
-		id := telemetry.FormatID(r.SpanID)
-		byID[id] = r
-		if r.ParentID != 0 {
-			p := telemetry.FormatID(r.ParentID)
-			children[p] = append(children[p], id)
+		byID[r.Span] = r
+		if r.Parent != 0 {
+			children[r.Parent] = append(children[r.Parent], r.Span)
 		}
 	}
 	root, ok := byID[rootID]
 	if !ok {
-		return fmt.Errorf("%s: candidate %s has span %s but no span event (journal truncated?)", path, candidate, rootID)
+		return fmt.Errorf("%s: candidate %s has span %s but no span event (journal truncated?)",
+			path, candidate, telemetry.FormatID(uint64(rootID)))
 	}
 	// Collect the subtree.
-	inTree := map[string]bool{rootID: true}
-	queue := []string{rootID}
+	inTree := map[telemetry.ID]bool{rootID: true}
+	queue := []telemetry.ID{rootID}
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
@@ -566,7 +507,7 @@ func timeline(w io.Writer, path, candidate string) error {
 		}
 	}
 	fmt.Fprintf(w, "candidate %s  trace %s  span %s  %.2f ms\n",
-		candidate, telemetry.FormatID(root.TraceID), rootID, float64(root.DurNS)/1e6)
+		candidate, telemetry.FormatID(uint64(root.Trace)), telemetry.FormatID(uint64(rootID)), float64(root.DurNS)/1e6)
 	// One chronological listing: spans open at their start time, events at
 	// their envelope time, all relative to the candidate start.
 	type line struct {
@@ -575,14 +516,15 @@ func timeline(w io.Writer, path, candidate string) error {
 		text  string
 	}
 	var lines []line
-	var depthOf func(id string) int
-	depthOf = func(id string) int {
-		r := byID[id]
-		p := telemetry.FormatID(r.ParentID)
-		if r.ParentID == 0 || !inTree[p] {
-			return 0
+	// depthOf counts a span's ancestors inside the subtree. Like
+	// assignLanes' walk it is bounded: a parent chain longer than the
+	// subtree is a cycle (corrupt input).
+	depthOf := func(id telemetry.ID) int {
+		d := 0
+		for p := byID[id].Parent; p != 0 && inTree[p] && d < len(inTree); p = byID[p].Parent {
+			d++
 		}
-		return 1 + depthOf(p)
+		return d
 	}
 	for id := range inTree {
 		r := byID[id]
@@ -593,34 +535,32 @@ func timeline(w io.Writer, path, candidate string) error {
 		})
 	}
 	for _, ev := range events {
-		if ev.Type == telemetry.EvSpan {
+		var ids telemetry.SpanIDs
+		if ev.Type == telemetry.EvSpan || ev.Decode(&ids) != nil || !inTree[ids.Span] {
 			continue
 		}
-		sid, _ := ev.Data["span_id"].(string)
-		if !inTree[sid] {
-			continue
-		}
+		depth := depthOf(ids.Span) + 1
 		text := fmt.Sprintf("%s %s", ev.Type, ev.ID)
+		var s solve
 		switch ev.Type {
 		case telemetry.EvSolveEnd:
-			text = fmt.Sprintf("%s %s ok=%v newton=%v cg=%v", ev.Type, ev.ID,
-				ev.Data["ok"], ev.Data["newton_iters"], ev.Data["cg_iters"])
+			if err := ev.Decode(&s.SolveEnd); err != nil {
+				return fmt.Errorf("solve_end %s: %w", ev.ID, err)
+			}
+			newton, cg := s.iters()
+			text = fmt.Sprintf("%s %s ok=%v newton=%d cg=%d", ev.Type, ev.ID, s.OK, newton, cg)
 		case telemetry.EvCandidateEval:
-			text = fmt.Sprintf("%s %s outcome=%v", ev.Type, ev.ID, ev.Data["outcome"])
+			var c dse.CandidateEval
+			if err := ev.Decode(&c); err != nil {
+				return fmt.Errorf("candidate_eval %s: %w", ev.ID, err)
+			}
+			text = fmt.Sprintf("%s %s outcome=%s", ev.Type, ev.ID, c.Outcome)
 		}
-		depth := depthOf(sid) + 1
 		lines = append(lines, line{tns: ev.TNS, depth: depth, text: text})
-		if ev.Type != telemetry.EvSolveEnd {
-			continue
-		}
-		// The solve's Newton trajectory, one line per step under its record.
-		d, err := circuit.JournaledDiagnostics(ev)
-		if err != nil {
-			return err
-		}
-		for i := 0; d != nil && i < len(d.Residuals) && i < len(d.CGIters); i++ {
+		// A solve's Newton trajectory, one line per step under its record.
+		for i := 0; s.Diag != nil && i < len(s.Diag.Residuals) && i < len(s.Diag.CGIters); i++ {
 			lines = append(lines, line{tns: ev.TNS, depth: depth + 1,
-				text: fmt.Sprintf("newton %d cg=%d max_dv=%.3g", i, d.CGIters[i], d.Residuals[i])})
+				text: fmt.Sprintf("newton %d cg=%d max_dv=%.3g", i, s.Diag.CGIters[i], s.Diag.Residuals[i])})
 		}
 	}
 	sort.SliceStable(lines, func(i, j int) bool { return lines[i].tns < lines[j].tns })

@@ -10,6 +10,7 @@ import (
 
 	"mnsim/internal/circuit"
 	"mnsim/internal/device"
+	"mnsim/internal/dse"
 	"mnsim/internal/telemetry"
 )
 
@@ -45,8 +46,9 @@ func writeTracedJournal(t *testing.T) (path, candidate string) {
 	if _, err := c.SolveContext(cctx, []float64{0.3, 0.2, 0.1, 0.3}, circuit.SolveOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	evalUS := int64(12)
 	telemetry.EmitEventCtx(cctx, telemetry.EvCandidateEval, candidate,
-		map[string]any{"outcome": "ok", "eval_us": 12.0})
+		&dse.CandidateEval{Outcome: "ok", EvalUS: &evalUS})
 	cs.End()
 	root.End()
 	if err := j.Close(); err != nil {
@@ -108,16 +110,16 @@ func writeResourceJournal(t *testing.T) string {
 		j.Reset()
 	})
 	sample := func(heap, allocB, allocO, cycles uint64, gor int64) {
-		telemetry.EmitEvent(telemetry.EvResourceSample, "", map[string]any{
-			"heap_live_bytes":      heap,
-			"heap_goal_bytes":      heap * 2,
-			"total_alloc_bytes":    allocB,
-			"total_alloc_objects":  allocO,
-			"goroutines":           gor,
-			"gc_cycles":            cycles,
-			"gc_pause_total_ns":    int64(cycles) * 50_000,
-			"gc_cpu_fraction":      0.01,
-			"sched_latency_p99_us": 120.0,
+		telemetry.EmitEvent(telemetry.EvResourceSample, "", &telemetry.ResourceSample{
+			HeapLiveBytes:     heap,
+			HeapGoalBytes:     heap * 2,
+			TotalAllocBytes:   allocB,
+			TotalAllocObjects: allocO,
+			Goroutines:        gor,
+			GCCycles:          cycles,
+			GCPauseTotalNS:    int64(cycles) * 50_000,
+			GCCPUFraction:     0.01,
+			SchedLatencyP99US: 120.0,
 		})
 	}
 	sample(10<<20, 100<<20, 1000, 3, 4)
@@ -134,10 +136,10 @@ func writeResourceJournal(t *testing.T) string {
 		t.Fatal(err)
 	}
 	sample(48<<20, 180<<20, 2500, 7, 9)
-	telemetry.EmitEvent(telemetry.EvMemPressure, "", map[string]any{
-		"heap_live_bytes": uint64(48 << 20),
-		"limit_bytes":     uint64(32 << 20),
-		"heap_profile":    "heap-pressure-1.pprof",
+	telemetry.EmitEvent(telemetry.EvMemPressure, "", &telemetry.MemPressureEvent{
+		HeapLiveBytes: 48 << 20,
+		LimitBytes:    32 << 20,
+		HeapProfile:   "heap-pressure-1.pprof",
 	})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -195,6 +197,26 @@ func TestTimeline(t *testing.T) {
 		"newton 0 cg=", // the trajectory, read from solve_end's diag
 		"candidate_eval " + cand,
 	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("timeline missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// Journals cross a trust boundary: two spans that name each other as
+// parent must not send timeline's depth walk into endless recursion.
+func TestTimelineParentCycle(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cycle.jsonl")
+	lines := `{"seq":1,"t_ns":1000,"type":"journal","data":{"schema_version":3,"pid":1}}
+{"seq":2,"t_ns":3000,"type":"span","data":{"name":"a","path":"a","start_us":1,"dur_us":2,"trace_id":"0000000000000001","span_id":"000000000000000a","parent_id":"000000000000000b"}}
+{"seq":3,"t_ns":3000,"type":"span","data":{"name":"b","path":"b","start_us":1,"dur_us":2,"trace_id":"0000000000000001","span_id":"000000000000000b","parent_id":"000000000000000a"}}
+{"seq":4,"t_ns":3000,"type":"candidate_eval","id":"cand-1","data":{"trace_id":"0000000000000001","span_id":"000000000000000a","parent_id":"000000000000000b","outcome":"ok"}}
+`
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := runCmd(t, "timeline", "cand-1", path)
+	for _, want := range []string{"[span] a", "[span] b", "candidate_eval cand-1 outcome=ok"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeline missing %q:\n%s", want, out)
 		}

@@ -47,10 +47,12 @@ func TestMonteCarloJournalsTrials(t *testing.T) {
 		}
 		trials++
 		ids[e.ID] = true
-		if _, hasErr := e.Data["abs_err"]; !hasErr {
-			if deg, _ := e.Data["degenerate"].(bool); !deg {
-				t.Fatalf("mc_trial without abs_err not flagged degenerate: %+v", e)
-			}
+		var tr MCTrial
+		if err := e.Decode(&tr); err != nil {
+			t.Fatal(err)
+		}
+		if tr.AbsErr == nil && !tr.Degenerate {
+			t.Fatalf("mc_trial without abs_err not flagged degenerate: %s", e.Data)
 		}
 	}
 	if trials != opt.Trials {

@@ -68,17 +68,24 @@ const mcShardSize = 64
 // mcSeq numbers Monte-Carlo runs process-wide for journal correlation ids.
 var mcSeq atomic.Int64
 
-// emitTrialEvent journals one mc_trial outcome, stamped with the enclosing
-// run span's trace/span IDs from ctx. NaN cannot be JSON-encoded, so a
+// MCTrial is the data of an mc_trial event: one trial's |error| under the
+// IDs of the enclosing run span. NaN cannot be JSON-encoded, so a
 // degenerate trial is flagged instead of carrying its sample value.
+type MCTrial struct {
+	Trial      int      `json:"trial"`
+	AbsErr     *float64 `json:"abs_err,omitempty"`
+	Degenerate bool     `json:"degenerate,omitempty"`
+	telemetry.SpanIDs
+}
+
+// emitTrialEvent journals one mc_trial outcome, stamped with the enclosing
+// run span's trace/span IDs from ctx.
 func emitTrialEvent(ctx context.Context, runID string, t int, absErr float64, ok bool) {
-	data := map[string]any{"trial": t}
+	ev := &MCTrial{Trial: t, Degenerate: !ok}
 	if ok {
-		data["abs_err"] = absErr
-	} else {
-		data["degenerate"] = true
+		ev.AbsErr = &absErr
 	}
-	telemetry.EmitEventCtx(ctx, telemetry.EvMCTrial, runID, data)
+	telemetry.EmitEventCtx(ctx, telemetry.EvMCTrial, runID, ev)
 }
 
 // trialSeed derives trial t's generator seed from the base seed with the

@@ -18,10 +18,11 @@ import (
 	"mnsim/internal/telemetry"
 )
 
-// jsonFinite maps non-finite floats — which encoding/json refuses to
-// marshal — to the nearest representable sentinel, so even a trajectory
-// that exploded to Inf/NaN still journals and snapshots.
-func jsonFinite(x float64) float64 {
+// JSONFinite maps non-finite floats — which encoding/json refuses to
+// marshal — to the nearest representable sentinel (NaN to 0, ±Inf to
+// ±MaxFloat64), so even a trajectory that exploded to Inf/NaN still
+// journals and snapshots. A replay compares live values in this form.
+func JSONFinite(x float64) float64 {
 	switch {
 	case math.IsNaN(x):
 		return 0
@@ -33,14 +34,14 @@ func jsonFinite(x float64) float64 {
 	return x
 }
 
-// jsonFiniteSlice applies jsonFinite element-wise into a fresh slice.
+// jsonFiniteSlice applies JSONFinite element-wise into a fresh slice.
 func jsonFiniteSlice(xs []float64) []float64 {
 	if xs == nil {
 		return nil
 	}
 	out := make([]float64, len(xs))
 	for i, x := range xs {
-		out[i] = jsonFinite(x)
+		out[i] = JSONFinite(x)
 	}
 	return out
 }
@@ -85,7 +86,7 @@ type Diagnostics struct {
 
 // JSONSafe returns the copy of d that solve_end journals under "diag" and a
 // snapshot records as Outcome.Diag: the trajectory and the condition
-// estimate pass through jsonFinite, so a diverged solve's Inf/NaN still
+// estimate pass through JSONFinite, so a diverged solve's Inf/NaN still
 // encodes. The copy shares d's Cost, CGIters and Convergence. Nil in, nil
 // out.
 func (d *Diagnostics) JSONSafe() *Diagnostics {
@@ -93,27 +94,8 @@ func (d *Diagnostics) JSONSafe() *Diagnostics {
 		return nil
 	}
 	jd := *d
-	jd.Residuals, jd.CondEstimate = jsonFiniteSlice(d.Residuals), jsonFinite(d.CondEstimate)
+	jd.Residuals, jd.CondEstimate = jsonFiniteSlice(d.Residuals), JSONFinite(d.CondEstimate)
 	return &jd
-}
-
-// JournaledDiagnostics decodes the Diagnostics a solve_end event carries
-// under "diag". It returns nil, nil for an event without one, such as a
-// solve_end of a journal before schema version 3.
-func JournaledDiagnostics(ev telemetry.Event) (*Diagnostics, error) {
-	raw, ok := ev.Data["diag"]
-	if !ok {
-		return nil, nil
-	}
-	d := new(Diagnostics)
-	b, err := json.Marshal(raw)
-	if err == nil {
-		err = json.Unmarshal(b, d)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("circuit: solve_end %s diag: %w", ev.ID, err)
-	}
-	return d, nil
 }
 
 // CostModel attributes one solve's operation counts to the phases of the
@@ -214,7 +196,7 @@ func (d *Diagnostics) analyze() {
 	if steps := len(trimmed); steps >= 2 {
 		first, last := trimmed[0], trimmed[steps-1]
 		if first > 0 && last > 0 {
-			conv.DecayRate = jsonFinite(math.Pow(last/first, 1/float64(steps-1)))
+			conv.DecayRate = JSONFinite(math.Pow(last/first, 1/float64(steps-1)))
 		}
 		w := stagnationWindow
 		if w > steps-1 {
@@ -425,7 +407,7 @@ func (c *Crossbar) newTransientSnapshot(vin []float64, out settleOutcome, err er
 	topt := out.opt
 	s.Transient = &topt
 	s.Outcome.Steps = out.steps
-	s.Outcome.LastMaxDV = jsonFinite(out.lastMaxDV)
+	s.Outcome.LastMaxDV = JSONFinite(out.lastMaxDV)
 	s.Outcome.Err = err.Error()
 	return s
 }

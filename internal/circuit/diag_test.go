@@ -63,7 +63,11 @@ func TestDivergenceJournalAndSnapshot(t *testing.T) {
 	if !slices.Equal(types, want) {
 		t.Fatalf("journal holds %v, want the header, one solve_end and four spans: %v", types, want)
 	}
-	if ok, _ := events[5].Data["ok"].(bool); ok {
+	var end SolveEnd
+	if err := events[5].Decode(&end); err != nil {
+		t.Fatal(err)
+	}
+	if end.OK {
 		t.Errorf("solve_end ok=true for diverged solve")
 	}
 	snaps := telemetry.JournalSnapshotPaths(path, events)
@@ -82,11 +86,7 @@ func TestDivergenceJournalAndSnapshot(t *testing.T) {
 			snap.Outcome.NewtonIters, snap.Outcome.Diag)
 	}
 	// The snapshot records the same Diagnostics record solve_end journals.
-	journaled, err := JournaledDiagnostics(events[5])
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, jerr := json.Marshal(journaled)
+	jb, jerr := json.Marshal(end.Diag)
 	sb, serr := json.Marshal(snap.Outcome.Diag)
 	if jerr != nil || serr != nil || string(jb) != string(sb) {
 		t.Fatalf("snapshot diag differs from solve_end's:\n snapshot %s\n journal  %s", sb, jb)
@@ -122,11 +122,11 @@ func TestSolveEndCarriesDiagnostics(t *testing.T) {
 		if ev.Type != telemetry.EvSolveEnd {
 			continue
 		}
-		d, err := JournaledDiagnostics(ev)
-		if err != nil || d == nil {
-			t.Fatalf("%s: diag %v, err %v", ev.ID, d, err)
+		var end SolveEnd
+		if err := ev.Decode(&end); err != nil || end.Diag == nil {
+			t.Fatalf("%s: diag %v, err %v", ev.ID, end.Diag, err)
 		}
-		got = append(got, d)
+		got = append(got, end.Diag)
 	}
 	want := []*Diagnostics{res.Diag, de.Diag}
 	if len(got) != len(want) {
@@ -135,7 +135,7 @@ func TestSolveEndCarriesDiagnostics(t *testing.T) {
 	bits := func(xs []float64) []uint64 {
 		out := make([]uint64, len(xs))
 		for i, x := range xs {
-			out[i] = math.Float64bits(jsonFinite(x))
+			out[i] = math.Float64bits(JSONFinite(x))
 		}
 		return out
 	}
@@ -147,7 +147,7 @@ func TestSolveEndCarriesDiagnostics(t *testing.T) {
 		if *g.Cost != *w.Cost {
 			t.Errorf("solve %d cost %+v, want %+v", i, *g.Cost, *w.Cost)
 		}
-		if math.Float64bits(g.CondEstimate) != math.Float64bits(jsonFinite(w.CondEstimate)) || w.CondEstimate == 0 {
+		if math.Float64bits(g.CondEstimate) != math.Float64bits(JSONFinite(w.CondEstimate)) || w.CondEstimate == 0 {
 			t.Errorf("solve %d cond estimate %v, want %v (nonzero)", i, g.CondEstimate, w.CondEstimate)
 		}
 		gc, wc := *g.Convergence, *w.Convergence

@@ -124,24 +124,40 @@ func (o *solveObserver) finish(c *Crossbar, vin []float64, opt SolveOptions, res
 	if jid == "" {
 		return res, err
 	}
-	data := map[string]any{
-		"m": c.M, "n": c.N, "wire_r": c.WireR, "rsense": c.RSense,
-		"linear": c.Linear, "tol": opt.Tol, "max_newton": opt.MaxNewton,
-		"cg_tol": opt.CGTol, "ok": err == nil, "dur_us": float64(dur.Nanoseconds()) / 1e3,
-		"diag": diag.JSONSafe(),
-	}
+	end := &SolveEnd{M: c.M, N: c.N, WireR: c.WireR, RSense: c.RSense, Linear: c.Linear,
+		Tol: opt.Tol, MaxNewton: opt.MaxNewton, CGTol: opt.CGTol, OK: err == nil,
+		DurUS: float64(dur.Nanoseconds()) / 1e3, Snapshot: snapPath, Diag: diag.JSONSafe()}
 	if res != nil {
-		data["newton_iters"] = res.NewtonIters
-		data["cg_iters"] = res.CGIters
+		end.NewtonIters, end.CGIters = &res.NewtonIters, &res.CGIters
 	}
 	if err != nil {
-		data["err"] = err.Error()
+		end.Err = err.Error()
 	}
-	if snapPath != "" {
-		data["snapshot"] = snapPath
-	}
-	telemetry.EmitEventCtx(o.ctx, telemetry.EvSolveEnd, jid, data)
+	telemetry.EmitEventCtx(o.ctx, telemetry.EvSolveEnd, jid, end)
 	return res, err
+}
+
+// SolveEnd is the data of a solve_end event: the solve's inputs, its
+// outcome and its whole Diagnostics, the IDs of its circuit.solve span, and
+// on divergence the snapshot written. A solve that returned no Result has
+// no iteration counts; Diag is nil in journals before schema version 3.
+type SolveEnd struct {
+	M           int          `json:"m"`
+	N           int          `json:"n"`
+	WireR       float64      `json:"wire_r"`
+	RSense      float64      `json:"rsense"`
+	Linear      bool         `json:"linear"`
+	Tol         float64      `json:"tol"`
+	MaxNewton   int          `json:"max_newton"`
+	CGTol       float64      `json:"cg_tol"`
+	OK          bool         `json:"ok"`
+	DurUS       float64      `json:"dur_us"`
+	NewtonIters *int         `json:"newton_iters,omitempty"`
+	CGIters     *int         `json:"cg_iters,omitempty"`
+	Err         string       `json:"err,omitempty"`
+	Snapshot    string       `json:"snapshot,omitempty"`
+	Diag        *Diagnostics `json:"diag"`
+	telemetry.SpanIDs
 }
 
 // settleObserver watches one settling run. Its journal ID is drawn once,
@@ -166,26 +182,33 @@ func (o settleObserver) finish(c *Crossbar, vin []float64, out settleOutcome, er
 	if o.jid == "" {
 		return out.settle, err
 	}
-	var data map[string]any
 	// The numeric run returns a non-settle unwrapped.
 	nerr, notSettled := err.(*NotSettledError)
+	ev := &TransientSettle{OK: err == nil, Steps: out.steps, CGIters: out.cgIters}
 	switch {
 	case err == nil:
-		data = map[string]any{
-			"ok": true, "steps": out.steps, "settle_seconds": out.settle, "dt": out.opt.Dt,
-			"cg_iters": out.cgIters,
-		}
+		ev.SettleSeconds, ev.Dt = out.settle, out.opt.Dt
 	case notSettled:
-		data = map[string]any{
-			"ok": false, "steps": out.steps, "cg_iters": out.cgIters,
-			"last_max_dv": jsonFinite(out.lastMaxDV), "err": nerr.Error(),
-		}
-		if path := saveSnapshot("transient", c.newTransientSnapshot(vin, out, nerr)); path != "" {
-			data["snapshot"] = path
-		}
+		ev.LastMaxDV, ev.Err = JSONFinite(out.lastMaxDV), nerr.Error()
+		ev.Snapshot = saveSnapshot("transient", c.newTransientSnapshot(vin, out, nerr))
 	default:
 		return out.settle, err
 	}
-	telemetry.EmitEvent(telemetry.EvTransientSettle, o.jid, data)
+	telemetry.EmitEvent(telemetry.EvTransientSettle, o.jid, ev)
 	return out.settle, err
+}
+
+// TransientSettle is the data of a transient_settle event. A run that
+// settled records its settle time and step size; one that ran out of steps
+// records the output deviation still left (above zero, or it would have
+// settled), its error and the snapshot written.
+type TransientSettle struct {
+	OK            bool    `json:"ok"`
+	Steps         int     `json:"steps"`
+	CGIters       int     `json:"cg_iters"`
+	SettleSeconds float64 `json:"settle_seconds,omitempty"`
+	Dt            float64 `json:"dt,omitempty"`
+	LastMaxDV     float64 `json:"last_max_dv,omitempty"`
+	Err           string  `json:"err,omitempty"`
+	Snapshot      string  `json:"snapshot,omitempty"`
 }

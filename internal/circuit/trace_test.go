@@ -76,16 +76,16 @@ func TestSolveTraceChain(t *testing.T) {
 	if !ok {
 		t.Fatalf("no candidate/circuit.solve span; have %v", pathsOf(recs))
 	}
-	if solve.ParentID != parent.SpanID() || solve.TraceID != parent.TraceID() {
-		t.Fatalf("solve span detached: %+v vs parent span %x", solve, parent.SpanID())
+	if solve.Parent != parent.IDs().Span || solve.Trace != parent.IDs().Trace {
+		t.Fatalf("solve span detached: %+v vs parent span %x", solve, parent.IDs().Span)
 	}
 	for _, phase := range []string{"assemble", "setup", "newton"} {
 		p, ok := byPath["candidate/circuit.solve/"+phase]
 		if !ok {
 			t.Fatalf("no %s phase span; have %v", phase, pathsOf(recs))
 		}
-		if p.ParentID != solve.SpanID {
-			t.Fatalf("%s phase parent %x, want solve %x", phase, p.ParentID, solve.SpanID)
+		if p.Parent != solve.Span {
+			t.Fatalf("%s phase parent %x, want solve %x", phase, p.Parent, solve.Span)
 		}
 	}
 	// Event stamps join the event stream to the span timeline.
@@ -99,15 +99,18 @@ func TestSolveTraceChain(t *testing.T) {
 		t.Fatalf("%d solve_end of %d events beside %d spans, want the header, one solve_end and the spans",
 			len(ends), len(events), len(recs))
 	}
-	ev := ends[0]
-	if ev.Data["span_id"] != telemetry.FormatID(solve.SpanID) {
-		t.Fatalf("solve_end span_id %v, want %s", ev.Data["span_id"], telemetry.FormatID(solve.SpanID))
+	var end SolveEnd
+	if err := ends[0].Decode(&end); err != nil {
+		t.Fatal(err)
 	}
-	if ev.Data["trace_id"] != telemetry.FormatID(solve.TraceID) {
-		t.Fatalf("solve_end trace_id %v", ev.Data["trace_id"])
+	if end.Span != solve.Span {
+		t.Fatalf("solve_end span_id %x, want %x", end.Span, solve.Span)
 	}
-	if d, ok := ev.Data["dur_us"].(float64); !ok || d <= 0 {
-		t.Fatalf("solve_end dur_us = %v", ev.Data["dur_us"])
+	if end.Trace != solve.Trace {
+		t.Fatalf("solve_end trace_id %x", end.Trace)
+	}
+	if end.DurUS <= 0 {
+		t.Fatalf("solve_end dur_us = %v", end.DurUS)
 	}
 }
 

@@ -330,13 +330,12 @@ func TestSettleTimeJournalsCGIters(t *testing.T) {
 		t.Fatalf("journal holds %d transient_settle events, want 2", len(settles))
 	}
 	for _, ev := range settles {
-		steps, okSteps := ev.Data["steps"].(float64)
-		iters, okIters := ev.Data["cg_iters"].(float64)
-		if !okSteps || !okIters {
-			t.Fatalf("event data %v lacks numeric steps/cg_iters", ev.Data)
+		var ts TransientSettle
+		if err := ev.Decode(&ts); err != nil || ts.Steps == 0 {
+			t.Fatalf("event data %s lacks numeric steps/cg_iters (%v)", ev.Data, err)
 		}
-		if iters < steps || iters > 10*steps {
-			t.Errorf("ok=%v: %v CG iterations over %v steps", ev.Data["ok"], iters, steps)
+		if ts.CGIters < ts.Steps || ts.CGIters > 10*ts.Steps {
+			t.Errorf("ok=%v: %v CG iterations over %v steps", ts.OK, ts.CGIters, ts.Steps)
 		}
 	}
 }

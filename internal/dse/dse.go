@@ -259,11 +259,26 @@ type runStorage struct {
 	spans  telemetry.SpanTally
 }
 
-// journalCandidate journals a candidate_eval event under the IDs of the
-// candidate's span.
-func journalCandidate(id string, ids telemetry.SpanIDs, data map[string]any) {
-	ids.Stamp(data)
-	telemetry.EmitEvent(telemetry.EvCandidateEval, id, data)
+// CandidateEval is the data of a candidate_eval event: the outcome of one
+// grid point, under the IDs of its candidate span. An evaluated point
+// ("ok" or "infeasible") adds its evaluation time and figures of merit, a
+// failed one ("eval_failed") its error and evaluation time; an unbuildable
+// one has its outcome alone.
+type CandidateEval struct {
+	telemetry.SpanIDs
+	Outcome string `json:"outcome"`
+	Err     string `json:"err,omitempty"`
+	EvalUS  *int64 `json:"eval_us,omitempty"`
+	*CandidateFigures
+}
+
+// CandidateFigures are an evaluated grid point's figures of merit in its
+// candidate_eval event.
+type CandidateFigures struct {
+	AreaMM2    float64 `json:"area_mm2"`
+	EnergyJ    float64 `json:"energy_j"`
+	LatencyS   float64 `json:"latency_s"`
+	ErrorWorst float64 `json:"error_worst"`
 }
 
 // Explore traverses the space, evaluating one accelerator per grid point on
@@ -384,7 +399,7 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 			if errors.Is(err, errUnbuildable) {
 				telUnbuildable.Inc()
 				if journal {
-					journalCandidate(id, ids, map[string]any{"outcome": "unbuildable"})
+					telemetry.EmitEvent(telemetry.EvCandidateEval, id, &CandidateEval{SpanIDs: ids, Outcome: "unbuildable"})
 				}
 				return nil // infeasible grid point (e.g. weight overflow)
 			}
@@ -396,10 +411,9 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 			telemetry.Log().Warn("dse candidate evaluation failed",
 				"size", gp.size, "parallelism", gp.p, "wire_node", gp.node, "err", err)
 			if journal {
-				journalCandidate(id, ids, map[string]any{
-					"outcome": "eval_failed", "err": err.Error(),
-					"eval_us": evalTime.Microseconds(),
-				})
+				us := evalTime.Microseconds()
+				telemetry.EmitEvent(telemetry.EvCandidateEval, id,
+					&CandidateEval{SpanIDs: ids, Outcome: "eval_failed", Err: err.Error(), EvalUS: &us})
 			}
 			return nil
 		}
@@ -424,11 +438,10 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 			if !c.Feasible {
 				outcome = "infeasible"
 			}
-			journalCandidate(id, ids, map[string]any{
-				"outcome": outcome, "eval_us": evalTime.Microseconds(),
-				"area_mm2": r.AreaMM2, "energy_j": r.EnergyPerSample,
-				"latency_s": r.PipelineCycle, "error_worst": r.ErrorWorst,
-			})
+			us := evalTime.Microseconds()
+			telemetry.EmitEvent(telemetry.EvCandidateEval, id, &CandidateEval{SpanIDs: ids, Outcome: outcome, EvalUS: &us,
+				CandidateFigures: &CandidateFigures{AreaMM2: r.AreaMM2, EnergyJ: r.EnergyPerSample,
+					LatencyS: r.PipelineCycle, ErrorWorst: r.ErrorWorst}})
 		}
 		return nil
 	}

@@ -46,13 +46,17 @@ func TestExploreFailEvalJournaled(t *testing.T) {
 		if ev.Type != telemetry.EvCandidateEval {
 			continue
 		}
-		switch ev.Data["outcome"] {
+		var c CandidateEval
+		if err := ev.Decode(&c); err != nil {
+			t.Fatal(err)
+		}
+		switch c.Outcome {
 		case "eval_failed":
 			failed++
 			if ev.ID != "cand-64x16@45" {
 				t.Errorf("failure event id %q, want cand-64x16@45", ev.ID)
 			}
-			if s, _ := ev.Data["err"].(string); s == "" {
+			if c.Err == "" {
 				t.Error("failure event missing err")
 			}
 		case "ok", "infeasible":
@@ -131,23 +135,31 @@ func TestJournaledCandidateSpans(t *testing.T) {
 		}
 		spans := map[string]bool{}
 		evals := map[string]string{}
+		hex := telemetry.FormatID
 		for _, ev := range events {
-			switch {
-			case ev.Type == telemetry.EvSpan && ev.Data["name"] == "dse.explore":
-				if ev.Data["span_id"] != sweepID || ev.Data["trace_id"] != traceID {
-					t.Errorf("workers=%d: sweep span %v", workers, ev.Data)
+			switch ev.Type {
+			case telemetry.EvSpan:
+				var sp telemetry.SpanEvent
+				if err := ev.Decode(&sp); err != nil {
+					t.Fatal(err)
 				}
-			case ev.Type == telemetry.EvSpan:
-				if ev.Data["name"] != "candidate" || ev.Data["path"] != "dse.explore/candidate" ||
-					ev.Data["parent_id"] != sweepID || ev.Data["trace_id"] != traceID {
-					t.Errorf("workers=%d: span event %v", workers, ev.Data)
+				if sp.Name == "dse.explore" {
+					if hex(uint64(sp.Span)) != sweepID || hex(uint64(sp.Trace)) != traceID {
+						t.Errorf("workers=%d: sweep span %s", workers, ev.Data)
+					}
+					continue
 				}
-				spans[ev.Data["span_id"].(string)] = true
-			case ev.Type == telemetry.EvCandidateEval:
-				if ev.Data["parent_id"] != sweepID || ev.Data["trace_id"] != traceID {
-					t.Errorf("workers=%d: %s event %v", workers, ev.ID, ev.Data)
+				if sp.Name != "candidate" || sp.Path != "dse.explore/candidate" ||
+					hex(uint64(sp.Parent)) != sweepID || hex(uint64(sp.Trace)) != traceID {
+					t.Errorf("workers=%d: span event %s", workers, ev.Data)
 				}
-				evals[ev.ID], _ = ev.Data["span_id"].(string)
+				spans[hex(uint64(sp.Span))] = true
+			case telemetry.EvCandidateEval:
+				var c CandidateEval
+				if err := ev.Decode(&c); err != nil || hex(uint64(c.Parent)) != sweepID || hex(uint64(c.Trace)) != traceID {
+					t.Errorf("workers=%d: %s event %s (%v)", workers, ev.ID, ev.Data, err)
+				}
+				evals[ev.ID] = hex(uint64(c.Span))
 			}
 		}
 		if len(spans) != points || len(evals) != points {

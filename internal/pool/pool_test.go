@@ -188,7 +188,7 @@ func TestRunPropagatesSpanContext(t *testing.T) {
 	tctx2, p2 := tr.StartSpan(context.Background(), "parent2")
 	var badParent atomic.Int32
 	err = Run(tctx2, 4, 2, func(tctx context.Context, i int) error {
-		if telemetry.SpanFromContext(tctx).SpanID() != p2.SpanID() {
+		if telemetry.SpanFromContext(tctx).IDs().Span != p2.IDs().Span {
 			badParent.Add(1)
 		}
 		return nil

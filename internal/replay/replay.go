@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"mnsim/internal/circuit"
@@ -28,20 +27,6 @@ var ErrMismatch = errors.New("replay: outcome mismatch")
 
 func mismatch(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrMismatch, fmt.Sprintf(format, args...))
-}
-
-// jsonFinite mirrors the sanitisation the snapshot writer applies to
-// non-finite floats, so live values compare equal to their recorded form.
-func jsonFinite(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return 0
-	case math.IsInf(x, 1):
-		return math.MaxFloat64
-	case math.IsInf(x, -1):
-		return -math.MaxFloat64
-	}
-	return x
 }
 
 // Snapshot re-runs one snapshot and verifies the recorded outcome. The
@@ -158,7 +143,7 @@ func replayTransient(ctx context.Context, c *circuit.Crossbar, s *circuit.Snapsh
 			return mismatch("budget %d steps, recorded %d", ns.Steps, s.Outcome.Steps)
 		}
 		//lint:ignore nofloateq bit-identical replay is an exact-equality contract by design
-		if jsonFinite(ns.LastMaxDV) != s.Outcome.LastMaxDV {
+		if circuit.JSONFinite(ns.LastMaxDV) != s.Outcome.LastMaxDV {
 			return mismatch("last max ΔV %v, recorded %v", ns.LastMaxDV, s.Outcome.LastMaxDV)
 		}
 		if verbose {

@@ -193,11 +193,11 @@ func TestReplayCostRoundTrip(t *testing.T) {
 	var journaled *circuit.CostModel
 	for _, ev := range events {
 		if ev.Type == telemetry.EvSolveEnd {
-			d, err := circuit.JournaledDiagnostics(ev)
-			if err != nil {
+			var end circuit.SolveEnd
+			if err := ev.Decode(&end); err != nil {
 				t.Fatal(err)
 			}
-			journaled = d.Cost
+			journaled = end.Diag.Cost
 		}
 	}
 	if journaled == nil || journaled.Total().Flops == 0 {

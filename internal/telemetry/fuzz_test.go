@@ -1,16 +1,21 @@
-package telemetry
+package telemetry_test
 
 import (
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mnsim/internal/circuit"
+	"mnsim/internal/dse"
+	"mnsim/internal/telemetry"
 )
 
 // FuzzReadJournal checks the journal parser never panics on arbitrary
-// bytes and that anything it accepts round-trips: re-marshalling the
-// accepted events as JSONL and re-reading them yields the same events.
-// Mirrors the config and nvsim fuzzers.
+// bytes, that anything it accepts round-trips (re-marshalling the accepted
+// events as JSONL and re-reading them yields the same events), and that the
+// typed decoders the readers use take every accepted event without a
+// panic. Mirrors the config and nvsim fuzzers.
 func FuzzReadJournal(f *testing.F) {
 	// v2 header + a span pair.
 	f.Add([]byte(`{"seq":1,"t_ns":10,"type":"journal","data":{"schema_version":2,"tool":"mnsim-sim"}}
@@ -35,6 +40,14 @@ func FuzzReadJournal(f *testing.F) {
 	f.Add([]byte(`{"seq":1,"t_ns":1,"type":"journal","data":{"schema_version":3}}
 {"seq":2,"t_ns":2,"type":"solve_end","id":"solve-1","data":{"cg_iters":30,"diag":{"cg_iters":[12,10,8],"cost":{"cg_loop":{"flops":5120}},"path":"newton-cg","residuals":[0.001,2e-06,1.5e-11]},"m":4,"newton_iters":4,"ok":true}}
 `))
+	// A header then two malformed lines: corruption, not a torn tail.
+	f.Add([]byte("{\"seq\":1,\"t_ns\":1,\"type\":\"journal\"}\nnot json\nalso not json\n"))
+	// v3 span, resource sample and candidate evaluation.
+	f.Add([]byte(`{"seq":1,"t_ns":1,"type":"journal","data":{"schema_version":3,"pid":7}}
+{"seq":2,"t_ns":2,"type":"span","data":{"name":"candidate","path":"dse.explore/candidate","start_us":1.5,"dur_us":0.25,"trace_id":"ea7e81f9fcf6a99b","span_id":"404838aa9c062bd6","parent_id":"55a0d883d529476d"}}
+{"seq":3,"t_ns":3,"type":"resource_sample","data":{"heap_live_bytes":1048576,"heap_goal_bytes":4194304,"total_alloc_bytes":9000000,"total_alloc_objects":1200,"goroutines":5,"gc_cycles":3,"gc_pause_total_ns":150000,"gc_cpu_fraction":0.01,"sched_latency_p50_us":2.5,"sched_latency_p99_us":120}}
+{"seq":4,"t_ns":4,"type":"candidate_eval","id":"cand-64x16@45","data":{"trace_id":"ea7e81f9fcf6a99b","span_id":"404838aa9c062bd6","parent_id":"55a0d883d529476d","outcome":"ok","eval_us":0,"area_mm2":1.25,"energy_j":3e-9,"latency_s":2e-7,"error_worst":0.04}}
+`))
 	// v2 three-event solve chain, still readable.
 	f.Add([]byte(`{"seq":1,"t_ns":1,"type":"journal","data":{"schema_version":2}}
 {"seq":2,"t_ns":2,"type":"solve_start","id":"solve-1","data":{"m":4}}
@@ -50,9 +63,18 @@ func FuzzReadJournal(f *testing.F) {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		events, err := ReadJournalFile(path)
+		events, err := telemetry.ReadJournalFile(path)
 		if err != nil {
 			return // rejected input is fine; panics are not
+		}
+		// The readers' typed decoders: a payload may fail to decode, but
+		// must not panic.
+		telemetry.SpanStats(telemetry.SpanRecordsFromEvents(events))
+		telemetry.ResourceSamples(events)
+		for _, ev := range events {
+			for _, v := range []any{&telemetry.JournalHeader{}, &circuit.SolveEnd{}, &dse.CandidateEval{}} {
+				_ = ev.Decode(v)
+			}
 		}
 		// Round trip: accepted events re-marshal to a journal the reader
 		// accepts again, byte-for-byte equal at the event level.
@@ -69,7 +91,7 @@ func FuzzReadJournal(f *testing.F) {
 		if err := os.WriteFile(path2, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadJournalFile(path2)
+		back, err := telemetry.ReadJournalFile(path2)
 		if err != nil {
 			t.Fatalf("re-marshalled journal failed to re-read: %v\n%s", err, out)
 		}

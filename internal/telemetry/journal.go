@@ -2,12 +2,12 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,10 +100,16 @@ const (
 	EvMemPressure EventType = "mem_pressure"
 )
 
-// Event is one journal record. Data keys are event-type specific; the
-// envelope (seq, t_ns, type, id) is shared. JSON key order is stable
-// (struct fields in order, map keys sorted by encoding/json), which the
-// schema golden test relies on.
+// Event is one journal record: the envelope (seq, t_ns, type, id) every
+// event shares, and Data, the encoded bytes of the event's payload struct.
+// Each payload is one struct, declared next to the code that emits it:
+// JournalHeader, SpanEvent, PhaseEvent, ResourceSample, MemPressureEvent
+// and WatchdogStallEvent in this package, circuit.SolveEnd and
+// circuit.TransientSettle, dse.CandidateEval, accuracy.MCTrial, and the
+// validate package's phase summaries. A reader decodes Data into that
+// struct (Decode); an event of a type it does not know passes through with
+// its bytes untouched. Envelope keys come in field order, data keys in the
+// payload struct's field order.
 type Event struct {
 	// Seq is the process-wide monotonically increasing event number.
 	Seq int64 `json:"seq"`
@@ -114,8 +120,31 @@ type Event struct {
 	// ID names the logical operation an event records (e.g. solve
 	// "solve-17" or candidate "cand-64x16@45").
 	ID string `json:"id,omitempty"`
-	// Data carries the event-type specific payload.
-	Data map[string]any `json:"data,omitempty"`
+	// Data is the encoded payload.
+	Data json.RawMessage `json:"data,omitempty"`
+}
+
+// Decode decodes the event's payload into v, a pointer to the payload
+// struct of its type. An event without data leaves v as it is.
+func (ev Event) Decode(v any) error {
+	if len(ev.Data) == 0 {
+		return nil
+	}
+	return json.Unmarshal(ev.Data, v)
+}
+
+// eventLine is an event as Emit encodes it: the envelope with the payload
+// struct under data.
+type eventLine struct {
+	Event
+	Data any `json:"data,omitempty"`
+}
+
+// JournalHeader is the data of the journal event that starts every
+// journal file.
+type JournalHeader struct {
+	SchemaVersion int `json:"schema_version"`
+	PID           int `json:"pid"`
 }
 
 // DefaultJournalRing is the default ring-buffer capacity: enough to hold
@@ -162,9 +191,9 @@ func DefaultJournal() *Journal { return defaultJournal }
 // payload, so a disabled journal costs one atomic load.
 func JournalOn() bool { return defaultJournal.Enabled() }
 
-// EmitEvent records an event in the default journal; a no-op while the
-// journal is disabled.
-func EmitEvent(typ EventType, id string, data map[string]any) {
+// EmitEvent records an event with payload data in the default journal; a
+// no-op while the journal is disabled.
+func EmitEvent(typ EventType, id string, data any) {
 	defaultJournal.Emit(typ, id, data)
 }
 
@@ -188,10 +217,7 @@ func (j *Journal) Open(path string) error {
 	j.snaps = 0
 	j.mu.Unlock()
 	j.enabled.Store(true)
-	j.Emit(EvJournal, "", map[string]any{
-		"schema_version": JournalSchemaVersion,
-		"pid":            os.Getpid(),
-	})
+	j.Emit(EvJournal, "", &JournalHeader{SchemaVersion: JournalSchemaVersion, PID: os.Getpid()})
 	return nil
 }
 
@@ -234,11 +260,12 @@ func (j *Journal) Meta() (tool string, seed *int64) {
 	return j.tool, j.seed
 }
 
-// Emit records one event: encoded once into its JSONL line, which is
+// Emit records one event with payload data, a pointer to the payload
+// struct of its type: encoded once into its JSONL line, which is
 // appended to the ring buffer and, when a file is open, written in a single
 // Write call (the crash-safety contract). A failed file write is logged
 // once and recording continues ring-only.
-func (j *Journal) Emit(typ EventType, id string, data map[string]any) {
+func (j *Journal) Emit(typ EventType, id string, data any) {
 	if !j.enabled.Load() {
 		return
 	}
@@ -254,7 +281,7 @@ func (j *Journal) Emit(typ EventType, id string, data map[string]any) {
 	now := time.Now().UnixNano()
 	j.mu.Lock()
 	j.seq++
-	line, err := json.Marshal(Event{Seq: j.seq, TNS: now, Type: typ, ID: id, Data: data})
+	line, err := json.Marshal(eventLine{Event{Seq: j.seq, TNS: now, Type: typ, ID: id}, data})
 	if err == nil {
 		// The newline appended below lands past the ring's slice, whose
 		// length stays that of the line.
@@ -356,24 +383,17 @@ func (j *Journal) ringEvents() []Event {
 	return events
 }
 
-// ringSamples decodes the ring buffer's resource_sample events, oldest
-// first, each stamped with its envelope's time — the samples
-// /resources.json serves. The data decodes straight into the typed
-// sample, so cumulative byte counts keep every bit.
-func (j *Journal) ringSamples() []ResourceSample {
+// ResourceSamples decodes a journal's resource_sample events, oldest
+// first, each stamped with its envelope's time; samples that do not decode
+// are skipped. /resources.json serves those in the journal ring.
+func ResourceSamples(events []Event) []ResourceSample {
 	out := []ResourceSample{}
-	for _, line := range j.ringLines() {
-		var ev struct {
-			TNS  int64           `json:"t_ns"`
-			Type EventType       `json:"type"`
-			Data json.RawMessage `json:"data"`
-		}
+	for _, ev := range events {
 		var smp ResourceSample
-		if json.Unmarshal(line, &ev) != nil || ev.Type != EvResourceSample || json.Unmarshal(ev.Data, &smp) != nil {
-			continue
+		if ev.Type == EvResourceSample && ev.Decode(&smp) == nil {
+			smp.TNS = ev.TNS
+			out = append(out, smp)
 		}
-		smp.TNS = ev.TNS
-		out = append(out, smp)
 	}
 	return out
 }
@@ -400,25 +420,26 @@ func ReadJournalFile(path string) ([]Event, error) {
 	var events []Event
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lastComplete := true
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+	torn := 0 // the number of the last malformed line
+	for n := 1; sc.Scan(); n++ {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
+		}
+		if torn != 0 {
+			// A malformed line before the last is corruption, not crash
+			// truncation.
+			return nil, fmt.Errorf("telemetry: journal %s: malformed line %d", path, torn)
 		}
 		var ev Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			lastComplete = false
+		if json.Unmarshal(line, &ev) != nil {
+			torn = n
 			continue
 		}
-		if !lastComplete {
-			// A malformed line in the middle of the file is corruption,
-			// not crash truncation.
-			return nil, fmt.Errorf("telemetry: journal %s: malformed line before seq %d", path, ev.Seq)
-		}
 		if len(events) == 0 && ev.Type == EvJournal {
-			if v, ok := ev.Data["schema_version"].(float64); ok && int(v) > JournalSchemaVersion {
-				return nil, &SchemaVersionError{Path: path, Version: int(v)}
+			var h JournalHeader
+			if ev.Decode(&h) == nil && h.SchemaVersion > JournalSchemaVersion {
+				return nil, &SchemaVersionError{Path: path, Version: h.SchemaVersion}
 			}
 		}
 		events = append(events, ev)
@@ -436,10 +457,13 @@ func ReadJournalFile(path string) ([]Event, error) {
 func JournalSnapshotPaths(journalPath string, events []Event) []string {
 	var out []string
 	for _, ev := range events {
-		s, ok := ev.Data["snapshot"].(string)
-		if !ok || s == "" {
+		var d struct {
+			Snapshot string `json:"snapshot"`
+		}
+		if ev.Decode(&d) != nil || d.Snapshot == "" {
 			continue
 		}
+		s := d.Snapshot
 		if _, err := os.Stat(s); err != nil {
 			if moved := filepath.Join(filepath.Dir(journalPath), filepath.Base(s)); moved != s {
 				if _, err := os.Stat(moved); err == nil {

@@ -26,21 +26,19 @@ func newTestJournal(t *testing.T, ringCap int) (*Journal, string) {
 }
 
 // The JSONL schema is a contract with replay tooling: envelope keys in a
-// fixed order, data keys sorted. A drift here breaks every consumer.
+// fixed order, then the payload struct's keys in field order, IDs in their
+// 16-hex-digit wire form and a root span without parent_id. A drift here
+// breaks every consumer.
 func TestJournalSchemaGolden(t *testing.T) {
-	ev := Event{
-		Seq:  7,
-		TNS:  1700000000123456789,
-		Type: EvSolveEnd,
-		ID:   "solve-3",
-		Data: map[string]any{"ok": true, "newton_iters": 3, "cg_iters": 41,
-			"diag": map[string]any{"residuals": []float64{0.5, 1e-12}, "cg_iters": []int{29, 12}}},
-	}
+	ev := eventLine{Event{Seq: 7, TNS: 1700000000123456789, Type: EvSpan}, &SpanEvent{
+		Name: "circuit.solve", Path: "run/circuit.solve", StartUS: 1700000000123.25, DurUS: 41.5,
+		SpanIDs: SpanIDs{Trace: 0xea7e81f9fcf6a99b, Span: 0x404838aa9c062bd6},
+	}}
 	b, err := json.Marshal(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"seq":7,"t_ns":1700000000123456789,"type":"solve_end","id":"solve-3","data":{"cg_iters":41,"diag":{"cg_iters":[29,12],"residuals":[0.5,1e-12]},"newton_iters":3,"ok":true}}`
+	want := `{"seq":7,"t_ns":1700000000123456789,"type":"span","data":{"name":"circuit.solve","path":"run/circuit.solve","start_us":1700000000123.25,"dur_us":41.5,"trace_id":"ea7e81f9fcf6a99b","span_id":"404838aa9c062bd6"}}`
 	if string(b) != want {
 		t.Fatalf("journal line schema drifted:\n got %s\nwant %s", b, want)
 	}
@@ -48,8 +46,12 @@ func TestJournalSchemaGolden(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Seq != ev.Seq || back.Type != ev.Type || back.ID != ev.ID {
-		t.Fatalf("round-trip mismatch: %+v", back)
+	var span SpanEvent
+	if err := back.Decode(&span); err != nil {
+		t.Fatal(err)
+	}
+	if back.Seq != ev.Seq || back.Type != ev.Type || back.ID != ev.ID || span != *ev.Data.(*SpanEvent) {
+		t.Fatalf("round-trip mismatch: %+v %+v", back, span)
 	}
 }
 
@@ -75,8 +77,9 @@ func TestJournalEventTypes(t *testing.T) {
 	if events[0].Type != EvJournal {
 		t.Fatalf("first event %q, want journal header", events[0].Type)
 	}
-	if v, ok := events[0].Data["schema_version"].(float64); !ok || int(v) != JournalSchemaVersion {
-		t.Fatalf("header schema_version = %v", events[0].Data["schema_version"])
+	var h JournalHeader
+	if err := events[0].Decode(&h); err != nil || h.SchemaVersion != JournalSchemaVersion || h.PID != os.Getpid() {
+		t.Fatalf("header %+v (%v)", h, err)
 	}
 	for i, typ := range types {
 		ev := events[i+1]
@@ -115,8 +118,8 @@ func TestJournalReaderToleratesUnknownEventTypes(t *testing.T) {
 	if unk.ID != "future-1" {
 		t.Fatalf("unknown event id %q", unk.ID)
 	}
-	if v, ok := unk.Data["flux"].(float64); !ok || v != 0.75 {
-		t.Fatalf("unknown event data mangled: %v", unk.Data)
+	if string(unk.Data) != `{"flux":0.75,"units":"Wb"}` {
+		t.Fatalf("unknown event data mangled: %s", unk.Data)
 	}
 	// And the known events around it are untouched.
 	if events[1].Type != EvTransientSettle || events[3].Type != EvSolveEnd {
@@ -188,18 +191,20 @@ func TestJournalReaderToleratesTruncatedTail(t *testing.T) {
 	}
 }
 
-// Corruption in the middle of the file (not at the tail) must error.
+// Corruption in the middle of the file (not at the tail) must error, also
+// when the lines after it are malformed too: only the last line may be torn.
 func TestJournalReaderRejectsMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corrupt.jsonl")
-	lines := `{"seq":1,"t_ns":1,"type":"journal"}
+	for _, lines := range []string{`{"seq":1,"t_ns":1,"type":"journal"}
 {"seq":2,"t_ns":2,"type":"solve_sta
 {"seq":3,"t_ns":3,"type":"solve_end"}
-`
-	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadJournalFile(path); err == nil {
-		t.Fatal("mid-file corruption not detected")
+`, "{\"seq\":1,\"t_ns\":1,\"type\":\"journal\"}\nnot json\nalso not json\n"} {
+		path := filepath.Join(t.TempDir(), "corrupt.jsonl")
+		if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if events, err := ReadJournalFile(path); err == nil {
+			t.Fatalf("mid-file corruption not detected: %d events read from\n%s", len(events), lines)
+		}
 	}
 }
 
@@ -427,11 +432,42 @@ func TestServeMuxEvents(t *testing.T) {
 	}
 }
 
-// BenchmarkJournalEmit times one Emit into an already full ring, ring-only
-// and file-backed. A push is O(1), so ns/op should not grow with capacity.
+// benchSolveEnd has the shape of circuit.SolveEnd, whose package this one
+// cannot import: the solve's inputs and outcome, a nested diagnostics
+// record, and the span IDs.
+type benchSolveEnd struct {
+	M           int        `json:"m"`
+	N           int        `json:"n"`
+	WireR       float64    `json:"wire_r"`
+	RSense      float64    `json:"rsense"`
+	Linear      bool       `json:"linear"`
+	Tol         float64    `json:"tol"`
+	MaxNewton   int        `json:"max_newton"`
+	CGTol       float64    `json:"cg_tol"`
+	OK          bool       `json:"ok"`
+	DurUS       float64    `json:"dur_us"`
+	NewtonIters *int       `json:"newton_iters,omitempty"`
+	CGIters     *int       `json:"cg_iters,omitempty"`
+	Diag        *benchDiag `json:"diag"`
+	SpanIDs
+}
+
+// benchDiag is a short Newton trajectory in circuit.Diagnostics' shape.
+type benchDiag struct {
+	Path      string    `json:"path"`
+	Residuals []float64 `json:"residuals"`
+	CGIters   []int     `json:"cg_iters"`
+}
+
+// BenchmarkJournalEmit times one Emit of a solve_end-shaped payload into an
+// already full ring, ring-only and file-backed. A push is O(1), so ns/op
+// should not grow with capacity.
 func BenchmarkJournalEmit(b *testing.B) {
-	data := map[string]any{"ok": true, "newton_iters": 4, "cg_iters": 30,
-		"diag": map[string]any{"residuals": []float64{1e-3, 2e-6, 1.5e-11}, "cg_iters": []int{12, 10, 8}}}
+	newton, cg := 4, 30
+	data := &benchSolveEnd{M: 64, N: 64, WireR: 2.5, RSense: 1500, Tol: 1e-9, MaxNewton: 50, CGTol: 1e-10,
+		OK: true, DurUS: 812.5, NewtonIters: &newton, CGIters: &cg,
+		Diag:    &benchDiag{"newton-cg", []float64{1e-3, 2e-6, 1.5e-11}, []int{12, 10, 8}},
+		SpanIDs: SpanIDs{Trace: 0xea7e81f9fcf6a99b, Span: 0x404838aa9c062bd6, Parent: 0x55a0d883d529476d}}
 	for _, ringCap := range []int{64, DefaultJournalRing} {
 		for _, file := range []bool{false, true} {
 			name := fmt.Sprintf("cap%d/ring-only", ringCap)

@@ -99,6 +99,16 @@ func (p *Phase) Add(n int64) {
 	p.mu.Unlock()
 }
 
+// PhaseEvent is the data of the phase events a Phase writes: "start" with
+// the expected total, and "finish" with the items done, the total and the
+// elapsed time.
+type PhaseEvent struct {
+	Action    string `json:"action"`
+	Done      *int64 `json:"done,omitempty"`
+	Total     int64  `json:"total"`
+	ElapsedNS *int64 `json:"elapsed_ns,omitempty"`
+}
+
 // Finish marks the phase complete; repeated calls keep the first end time.
 func (p *Phase) Finish() {
 	if p == nil {
@@ -109,12 +119,8 @@ func (p *Phase) Finish() {
 		return
 	}
 	if JournalOn() {
-		EmitEvent(EvPhase, p.name, map[string]any{
-			"action":     "finish",
-			"done":       p.done.Load(),
-			"total":      p.total.Load(),
-			"elapsed_ns": now - p.start.UnixNano(),
-		})
+		done, elapsed := p.done.Load(), now-p.start.UnixNano()
+		EmitEvent(EvPhase, p.name, &PhaseEvent{Action: "finish", Done: &done, Total: p.total.Load(), ElapsedNS: &elapsed})
 	}
 }
 
@@ -237,7 +243,7 @@ func (t *ProgressTracker) StartPhase(name string, total int64) *Phase {
 	t.phases[name] = p
 	t.mu.Unlock()
 	if JournalOn() {
-		EmitEvent(EvPhase, name, map[string]any{"action": "start", "total": total})
+		EmitEvent(EvPhase, name, &PhaseEvent{Action: "start", Total: total})
 	}
 	return p
 }

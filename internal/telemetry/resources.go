@@ -64,13 +64,13 @@ const (
 	rmSchedLat
 )
 
-// ResourceSample is one sampler observation: the data of one
-// resource_sample event, with its envelope's time. Totals (alloc
+// ResourceSample is one sampler observation and the data of a
+// resource_sample event, whose envelope carries TNS. Totals (alloc
 // bytes/objects, GC cycles/pause) are process-lifetime cumulative, matching
 // the runtime/metrics semantics; deltas belong to the reader.
 type ResourceSample struct {
 	// TNS is the sample wall-clock time in Unix nanoseconds.
-	TNS int64 `json:"t_ns"`
+	TNS int64 `json:"t_ns,omitempty"`
 	// HeapLiveBytes is the heap occupied by objects (live plus
 	// dead-not-yet-swept — the runtime's HeapAlloc); HeapGoalBytes is the
 	// pacer's current target.
@@ -366,22 +366,25 @@ func (s *ResourceSampler) tick(now time.Time) {
 	s.mu.Unlock()
 
 	if JournalOn() {
-		EmitEvent(EvResourceSample, "", map[string]any{
-			"heap_live_bytes":      smp.HeapLiveBytes,
-			"heap_goal_bytes":      smp.HeapGoalBytes,
-			"total_alloc_bytes":    smp.TotalAllocBytes,
-			"total_alloc_objects":  smp.TotalAllocObjects,
-			"goroutines":           smp.Goroutines,
-			"gc_cycles":            smp.GCCycles,
-			"gc_pause_total_ns":    smp.GCPauseTotalNS,
-			"gc_cpu_fraction":      jsonFiniteF(smp.GCCPUFraction),
-			"sched_latency_p50_us": jsonFiniteF(smp.SchedLatencyP50US),
-			"sched_latency_p99_us": jsonFiniteF(smp.SchedLatencyP99US),
-		})
+		// The envelope carries the time.
+		ev := smp
+		ev.TNS = 0
+		ev.GCCPUFraction = jsonFiniteF(smp.GCCPUFraction)
+		ev.SchedLatencyP50US = jsonFiniteF(smp.SchedLatencyP50US)
+		ev.SchedLatencyP99US = jsonFiniteF(smp.SchedLatencyP99US)
+		EmitEvent(EvResourceSample, "", &ev)
 	}
 	s.checkMemPressure(smp)
 	s.checkStall(now, smp)
 	s.rotateProfiles(now)
+}
+
+// MemPressureEvent is the data of a mem_pressure event: the live heap
+// that crossed the soft limit, the limit, and the heap profile captured.
+type MemPressureEvent struct {
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
+	LimitBytes    uint64 `json:"limit_bytes"`
+	HeapProfile   string `json:"heap_profile"`
 }
 
 // checkMemPressure fires the soft memory watermark: one mem_pressure event
@@ -411,12 +414,16 @@ func (s *ResourceSampler) checkMemPressure(smp ResourceSample) {
 	Log().Warn("soft memory limit crossed",
 		"heap_live_bytes", smp.HeapLiveBytes, "limit_bytes", limit, "heap_profile", path)
 	if JournalOn() {
-		EmitEvent(EvMemPressure, "", map[string]any{
-			"heap_live_bytes": smp.HeapLiveBytes,
-			"limit_bytes":     limit,
-			"heap_profile":    path,
-		})
+		EmitEvent(EvMemPressure, "", &MemPressureEvent{HeapLiveBytes: smp.HeapLiveBytes, LimitBytes: limit, HeapProfile: path})
 	}
+}
+
+// WatchdogStallEvent is the data of a watchdog_stall event: how long the
+// run was quiet, its goroutine count, and the goroutine profile captured.
+type WatchdogStallEvent struct {
+	QuietMS          int64  `json:"quiet_ms"`
+	Goroutines       int64  `json:"goroutines"`
+	GoroutineProfile string `json:"goroutine_profile"`
 }
 
 // checkStall fires the stall watchdog: when the activity counter has not
@@ -446,11 +453,7 @@ func (s *ResourceSampler) checkStall(now time.Time, smp ResourceSample) {
 	Log().Warn("stall watchdog fired: no journal/progress activity",
 		"quiet", time.Duration(quiet), "goroutines", smp.Goroutines, "goroutine_profile", path)
 	if JournalOn() {
-		EmitEvent(EvWatchdogStall, "", map[string]any{
-			"quiet_ms":          quiet / 1e6,
-			"goroutines":        smp.Goroutines,
-			"goroutine_profile": path,
-		})
+		EmitEvent(EvWatchdogStall, "", &WatchdogStallEvent{QuietMS: quiet / 1e6, Goroutines: smp.Goroutines, GoroutineProfile: path})
 	}
 }
 
@@ -604,7 +607,7 @@ func (s *ResourceSampler) WriteJSON(w io.Writer) error {
 		out.Rollup = &r
 	}
 	s.mu.Unlock()
-	out.Samples = defaultJournal.ringSamples()
+	out.Samples = ResourceSamples(defaultJournal.ringEvents())
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
@@ -674,7 +677,7 @@ func histogramQuantile(h *metrics.Float64Histogram, q float64) float64 {
 }
 
 // jsonFiniteF clamps non-finite floats for JSON payloads (encoding/json
-// rejects NaN/Inf inside map[string]any).
+// rejects NaN/Inf).
 func jsonFiniteF(v float64) float64 {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0

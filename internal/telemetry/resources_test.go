@@ -61,7 +61,7 @@ func TestResourceSamplerSamples(t *testing.T) {
 	startTestSampler(t, ResourceConfig{Interval: 5 * time.Millisecond})
 	waitFor(t, 5*time.Second, "two samples", sampled(2))
 	defaultResources.Stop()
-	samples := j.ringSamples()
+	samples := ResourceSamples(j.ringEvents())
 	if len(samples) < 2 {
 		t.Fatalf("journal ring holds %d samples, want at least 2", len(samples))
 	}
@@ -121,8 +121,9 @@ func TestResourceSamplerFinalFlush(t *testing.T) {
 	for _, ev := range events {
 		if ev.Type == EvResourceSample {
 			saw++
-			if ev.Data["heap_live_bytes"].(float64) <= 0 {
-				t.Fatalf("resource_sample without heap data: %v", ev.Data)
+			var smp ResourceSample
+			if err := ev.Decode(&smp); err != nil || smp.HeapLiveBytes == 0 {
+				t.Fatalf("resource_sample without heap data: %s (%v)", ev.Data, err)
 			}
 		}
 	}
@@ -203,10 +204,11 @@ func TestResourceSamplerMemPressure(t *testing.T) {
 	if ev == nil {
 		t.Fatal("no mem_pressure event journaled")
 	}
-	if ev.Data["limit_bytes"].(float64) != 1 {
-		t.Fatalf("mem_pressure limit %v", ev.Data["limit_bytes"])
+	var mp MemPressureEvent
+	if err := ev.Decode(&mp); err != nil || mp.LimitBytes != 1 {
+		t.Fatalf("mem_pressure %s (%v)", ev.Data, err)
 	}
-	prof, _ := ev.Data["heap_profile"].(string)
+	prof := mp.HeapProfile
 	if prof == "" {
 		t.Fatal("mem_pressure event carries no heap profile path")
 	}
@@ -250,10 +252,11 @@ func TestResourceSamplerStallWatchdog(t *testing.T) {
 	if ev == nil {
 		t.Fatal("no watchdog_stall event journaled")
 	}
-	if q, ok := ev.Data["quiet_ms"].(float64); !ok || q < 10 {
-		t.Fatalf("watchdog_stall quiet_ms = %v", ev.Data["quiet_ms"])
+	var st WatchdogStallEvent
+	if err := ev.Decode(&st); err != nil || st.QuietMS < 10 {
+		t.Fatalf("watchdog_stall %s (%v)", ev.Data, err)
 	}
-	prof, _ := ev.Data["goroutine_profile"].(string)
+	prof := st.GoroutineProfile
 	if prof == "" {
 		t.Fatal("watchdog_stall carries no goroutine profile path")
 	}

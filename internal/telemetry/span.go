@@ -50,10 +50,8 @@ type Span struct {
 	// Causal identity (trace.go): deterministic IDs derived from the run
 	// seed and the span's position in the call tree; kids discriminates
 	// sequentially started children.
-	traceID  uint64
-	spanID   uint64
-	parentID uint64
-	kids     atomic.Int64
+	id   SpanIDs
+	kids atomic.Int64
 
 	// first is the first child started under the span, set once: a later
 	// child of the same name takes its path instead of building one.
@@ -87,15 +85,12 @@ func (t *Tracer) StartSpanKeyed(ctx context.Context, name, key string) (context.
 			path = parent.path + "/" + name
 		}
 	}
-	traceID, spanID, parentID := t.deriveIDs(parent, name, key)
 	s := &Span{
-		tracer:   t,
-		name:     name,
-		path:     path,
-		start:    time.Now(),
-		traceID:  traceID,
-		spanID:   spanID,
-		parentID: parentID,
+		tracer: t,
+		name:   name,
+		path:   path,
+		start:  time.Now(),
+		id:     t.deriveIDs(parent, name, key),
 	}
 	// A child that loses the race to be the first takes the winner's path
 	// when named alike; no other goroutine sees s yet.
@@ -136,8 +131,18 @@ func (s *Span) End() time.Duration {
 	}
 	d := time.Since(s.start)
 	s.tracer.fold(s.path, spanAgg{count: 1, total: d, min: d, max: d})
-	s.tracer.journalSpan(s.name, s.path, s.ids(), s.start, d)
+	s.tracer.journalSpan(s.name, s.path, s.id, s.start, d)
 	return d
+}
+
+// SpanEvent is the data of a span event: one completed span, its start
+// (Unix time) and duration in microseconds.
+type SpanEvent struct {
+	Name    string  `json:"name"`
+	Path    string  `json:"path"`
+	StartUS float64 `json:"start_us"`
+	DurUS   float64 `json:"dur_us"`
+	SpanIDs
 }
 
 // journalSpan journals one completed span as a "span" event when t is the
@@ -146,14 +151,8 @@ func (t *Tracer) journalSpan(name, path string, ids SpanIDs, start time.Time, d 
 	if t != defaultTracer || !JournalOn() {
 		return
 	}
-	data := map[string]any{
-		"name":     name,
-		"path":     path,
-		"start_us": float64(start.UnixNano()) / 1e3,
-		"dur_us":   float64(d.Nanoseconds()) / 1e3,
-	}
-	ids.Stamp(data)
-	defaultJournal.Emit(EvSpan, "", data)
+	defaultJournal.Emit(EvSpan, "", &SpanEvent{Name: name, Path: path,
+		StartUS: float64(start.UnixNano()) / 1e3, DurUS: float64(d.Nanoseconds()) / 1e3, SpanIDs: ids})
 }
 
 // add counts one span of duration d.
@@ -240,8 +239,7 @@ func (l *SpanTally) End(start time.Time) time.Duration {
 // the journal records, to stamp the IDs on the events the span's work
 // emits: the span itself needs neither its IDs nor key otherwise.
 func (l *SpanTally) Journal(key string, start time.Time, d time.Duration) SpanIDs {
-	var ids SpanIDs
-	ids.Trace, ids.Span, ids.Parent = l.tracer.deriveIDs(l.parent, l.name, key)
+	ids := l.tracer.deriveIDs(l.parent, l.name, key)
 	l.tracer.journalSpan(l.name, l.path, ids, start, d)
 	return ids
 }

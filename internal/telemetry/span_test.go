@@ -222,7 +222,7 @@ func TestSpanTallyJournalMatchesKeyedSpan(t *testing.T) {
 	ids := l.Journal("cand-8x2@45", start, l.End(start))
 	l.Flush()
 	parent.End()
-	if want := keyed.ids(); ids != want {
+	if want := keyed.id; ids != want {
 		t.Fatalf("tally span IDs %+v, want the keyed span's %+v", ids, want)
 	}
 	if err := defaultJournal.Close(); err != nil {

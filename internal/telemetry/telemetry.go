@@ -17,10 +17,12 @@
 //
 //   - the flight-recorder Journal: typed JSONL events, one per solve,
 //     candidate, trial, span and resource sample, kept in one bounded ring
-//     and optionally a file. It is the one switch for per-event recording
-//     (a span is journaled exactly when it records), and every per-event
-//     view — /events, /trace.json, /resources.json, mnsim-journal — is
-//     derived from it;
+//     and optionally a file. Each event's payload is one struct, declared
+//     next to the code that emits it (see Event), which Emit encodes and
+//     every reader decodes (Event.Decode). It is the one switch for
+//     per-event recording (a span is journaled exactly when it records),
+//     and every per-event view — /events, /trace.json, /resources.json,
+//     mnsim-journal — is derived from it;
 //
 //   - live sweep progress, a resource sampler with watchdogs, the run
 //     manifest, and a log/slog logger on stderr (Log).

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"time"
 )
 
 // Causal tracing: every run carries a trace ID, every span a span ID and a
@@ -51,7 +52,8 @@ func fnv64(s string) uint64 {
 // form used in journal events and trace-event args (a JSON number would
 // round uint64 through float64 and corrupt the ID).
 func FormatID(id uint64) string {
-	return fmt.Sprintf("%016x", id)
+	b, _ := ID(id).MarshalText()
+	return string(b)
 }
 
 // ParseID parses the 16-hex-digit wire form back into an ID.
@@ -79,26 +81,26 @@ func SetTraceSeed(seed int64) { defaultTracer.SetTraceSeed(seed) }
 
 // currentTraceID returns the tracer's trace ID, deriving the unseeded
 // default lazily so an unseeded run still has a stable, nonzero ID.
-func (t *Tracer) currentTraceID() uint64 {
+func (t *Tracer) currentTraceID() ID {
 	if id := t.traceID.Load(); id != 0 {
-		return id
+		return ID(id)
 	}
-	return mix64(traceSalt)
+	return ID(mix64(traceSalt))
 }
 
-// deriveIDs computes a new span's (trace, span, parent) ID triple. The
+// deriveIDs computes a new span's trace, span and parent IDs. The
 // span ID mixes the parent's span ID, the span name, and a sibling
 // discriminator: an explicit key when the caller supplied one
 // (StartSpanKeyed — required for spans started concurrently under a shared
 // parent, e.g. per-candidate spans in pooled sweep workers, where an
 // ordinal would depend on scheduling), otherwise the parent's ordinal
 // child counter (deterministic for sequentially started siblings).
-func (t *Tracer) deriveIDs(parent *Span, name, key string) (traceID, spanID, parentID uint64) {
+func (t *Tracer) deriveIDs(parent *Span, name, key string) SpanIDs {
+	var ids SpanIDs
 	if parent != nil {
-		traceID = parent.traceID
-		parentID = parent.spanID
+		ids.Trace, ids.Parent = parent.id.Trace, parent.id.Span
 	} else {
-		traceID = t.currentTraceID()
+		ids.Trace = t.currentTraceID()
 	}
 	var disc uint64
 	if key != "" {
@@ -108,11 +110,11 @@ func (t *Tracer) deriveIDs(parent *Span, name, key string) (traceID, spanID, par
 	} else {
 		disc = uint64(t.rootSeq.Add(1))
 	}
-	spanID = mix64(mix64(traceID^parentID) ^ mix64(fnv64(name)^disc))
-	if spanID == 0 {
-		spanID = 1
+	ids.Span = ID(mix64(mix64(uint64(ids.Trace^ids.Parent)) ^ mix64(fnv64(name)^disc)))
+	if ids.Span == 0 {
+		ids.Span = 1
 	}
-	return traceID, spanID, parentID
+	return ids
 }
 
 // SpanRecord is one completed span as decoded from a journal "span" event:
@@ -122,13 +124,10 @@ type SpanRecord struct {
 	// Name is the span's leaf name, Path its full hierarchical name.
 	Name string
 	Path string
-	// TraceID / SpanID / ParentID form the causal chain; ParentID is zero
-	// for root spans.
-	TraceID  uint64
-	SpanID   uint64
-	ParentID uint64
-	StartNS  int64
-	DurNS    int64
+	// The causal chain: Parent is zero for a root span.
+	SpanIDs
+	StartNS int64
+	DurNS   int64
 }
 
 // EnableTraceEvents is a no-op: a span is journaled exactly when the
@@ -161,75 +160,64 @@ func SpanFromContext(ctx context.Context) *Span {
 	return s
 }
 
-// TraceID / SpanID / ParentID expose the span's causal identity; nil-safe
-// (zero for a nil span).
-func (s *Span) TraceID() uint64 {
+// IDs returns the span's causal identity; nil-safe (zero for a nil span).
+func (s *Span) IDs() SpanIDs {
 	if s == nil {
-		return 0
+		return SpanIDs{}
 	}
-	return s.traceID
+	return s.id
 }
 
-// SpanID returns the span's own ID.
-func (s *Span) SpanID() uint64 {
-	if s == nil {
-		return 0
+// ID is a trace or span ID. It encodes as its wire form, 16 lowercase hex
+// digits.
+type ID uint64
+
+// MarshalText returns the wire form of id.
+func (id ID) MarshalText() ([]byte, error) {
+	b := make([]byte, 16)
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = "0123456789abcdef"[id&15]
+		id >>= 4
 	}
-	return s.spanID
+	return b, nil
 }
 
-// ParentID returns the span's parent span ID (zero for root spans).
-func (s *Span) ParentID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.parentID
+// UnmarshalText parses the wire form.
+func (id *ID) UnmarshalText(b []byte) error {
+	v, err := ParseID(string(b))
+	*id = ID(v)
+	return err
 }
 
-// SpanIDs is a span's causal identity; Parent is zero for a root span.
+// SpanIDs is a span's causal identity; Parent is zero for a root span. A
+// payload that carries the IDs of the span it happened in embeds it.
 type SpanIDs struct {
-	Trace, Span, Parent uint64
+	Trace  ID `json:"trace_id"`
+	Span   ID `json:"span_id,omitempty"`
+	Parent ID `json:"parent_id,omitempty"`
 }
 
-// ids returns the span's causal identity.
-func (s *Span) ids() SpanIDs {
-	return SpanIDs{Trace: s.traceID, Span: s.spanID, Parent: s.parentID}
-}
+// spanIDs gives EmitEventCtx the IDs a payload embeds.
+func (ids *SpanIDs) spanIDs() *SpanIDs { return ids }
 
-// Stamp writes the IDs into an event payload in wire form (16-hex-digit
-// strings) as trace_id, span_id and, for a child span, parent_id.
-func (ids SpanIDs) Stamp(data map[string]any) {
-	data["trace_id"] = FormatID(ids.Trace)
-	data["span_id"] = FormatID(ids.Span)
-	if ids.Parent != 0 {
-		data["parent_id"] = FormatID(ids.Parent)
-	}
-}
+// Traced is a payload that embeds SpanIDs.
+type Traced interface{ spanIDs() *SpanIDs }
 
-// StampTraceIDs writes the active span's trace/span/parent IDs into an
-// event payload (wire form: 16-hex-digit strings). With no span open only
-// the trace ID is stamped, so every journaled event of a run is at least
-// trace-joinable.
-func StampTraceIDs(ctx context.Context, data map[string]any) {
-	if s := SpanFromContext(ctx); s != nil {
-		s.ids().Stamp(data)
-		return
-	}
-	data["trace_id"] = FormatID(defaultTracer.currentTraceID())
-}
-
-// EmitEventCtx is EmitEvent with the active span's trace/span/parent IDs
-// stamped into data — the bridge that makes solve, candidate, and trial
-// events joinable against the span timeline. A no-op while the journal is
+// EmitEventCtx is EmitEvent for a payload that embeds SpanIDs: it sets them
+// to the IDs of the active span in ctx, or with no span open to the run's
+// trace ID alone, so every journaled event of a run is at least
+// trace-joinable. It is the bridge that makes solve and trial events
+// joinable against the span timeline. A no-op while the journal is
 // disabled (data is not touched then).
-func EmitEventCtx(ctx context.Context, typ EventType, id string, data map[string]any) {
+func EmitEventCtx(ctx context.Context, typ EventType, id string, data Traced) {
 	if !defaultJournal.Enabled() {
 		return
 	}
-	if data == nil {
-		data = map[string]any{}
+	ids := SpanIDs{Trace: defaultTracer.currentTraceID()}
+	if s := SpanFromContext(ctx); s != nil {
+		ids = s.id
 	}
-	StampTraceIDs(ctx, data)
+	*data.spanIDs() = ids
 	defaultJournal.Emit(typ, id, data)
 }
 
@@ -239,14 +227,20 @@ func EmitEventCtx(ctx context.Context, typ EventType, id string, data map[string
 // microseconds, pid constant, tid a lane computed so concurrent causal
 // chains render side by side.
 type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  float64        `json:"dur"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
+	Name string    `json:"name"`
+	Cat  string    `json:"cat"`
+	Ph   string    `json:"ph"`
+	TS   float64   `json:"ts"`
+	Dur  float64   `json:"dur"`
+	PID  int       `json:"pid"`
+	TID  int       `json:"tid"`
+	Args traceArgs `json:"args"`
+}
+
+// traceArgs are a trace event's args: the span's path and its IDs.
+type traceArgs struct {
+	Path string `json:"path"`
+	SpanIDs
 }
 
 // traceEventDoc is the exported JSON document, the "JSON object format" of
@@ -261,29 +255,29 @@ type traceEventDoc struct {
 // share one — concurrent candidates of a parallel sweep land on separate
 // lanes, while a sequential run collapses to lane 1. Deterministic for a
 // given record set.
-func assignLanes(recs []SpanRecord) map[uint64]int {
-	byID := make(map[uint64]*SpanRecord, len(recs))
+func assignLanes(recs []SpanRecord) map[ID]int {
+	byID := make(map[ID]*SpanRecord, len(recs))
 	for i := range recs {
-		byID[recs[i].SpanID] = &recs[i]
+		byID[recs[i].Span] = &recs[i]
 	}
-	top := func(r *SpanRecord) uint64 {
+	top := func(r *SpanRecord) ID {
 		cur := r
 		// Bounded walk: a parent chain longer than the record count means a
 		// cycle (corrupt input), so give up and treat the span as a root.
 		for range recs {
-			p, ok := byID[cur.ParentID]
-			if !ok || cur.ParentID == 0 || p == cur {
+			p, ok := byID[cur.Parent]
+			if !ok || cur.Parent == 0 || p == cur {
 				break
 			}
 			cur = p
 		}
-		return cur.SpanID
+		return cur.Span
 	}
 	type interval struct {
-		id         uint64
+		id         ID
 		start, end int64
 	}
-	groups := map[uint64]*interval{}
+	groups := map[ID]*interval{}
 	for i := range recs {
 		r := &recs[i]
 		g := top(r)
@@ -311,7 +305,7 @@ func assignLanes(recs []SpanRecord) map[uint64]int {
 		return ivs[i].id < ivs[j].id
 	})
 	var laneEnds []int64
-	groupLane := map[uint64]int{}
+	groupLane := map[ID]int{}
 	for _, iv := range ivs {
 		lane := -1
 		for l, end := range laneEnds {
@@ -327,9 +321,9 @@ func assignLanes(recs []SpanRecord) map[uint64]int {
 		laneEnds[lane] = iv.end
 		groupLane[iv.id] = lane
 	}
-	lanes := make(map[uint64]int, len(recs))
+	lanes := make(map[ID]int, len(recs))
 	for i := range recs {
-		lanes[recs[i].SpanID] = groupLane[top(&recs[i])] + 1
+		lanes[recs[i].Span] = groupLane[top(&recs[i])] + 1
 	}
 	return lanes
 }
@@ -349,19 +343,11 @@ func WriteTraceEventsTo(w io.Writer, recs []SpanRecord) error {
 		if sorted[i].StartNS != sorted[j].StartNS {
 			return sorted[i].StartNS < sorted[j].StartNS
 		}
-		return sorted[i].SpanID < sorted[j].SpanID
+		return sorted[i].Span < sorted[j].Span
 	})
 	lanes := assignLanes(sorted)
 	doc := traceEventDoc{DisplayTimeUnit: "ms", TraceEvents: make([]traceEvent, 0, len(sorted))}
 	for _, r := range sorted {
-		args := map[string]any{
-			"path":     r.Path,
-			"trace_id": FormatID(r.TraceID),
-			"span_id":  FormatID(r.SpanID),
-		}
-		if r.ParentID != 0 {
-			args["parent_id"] = FormatID(r.ParentID)
-		}
 		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
 			Name: r.Name,
 			Cat:  "span",
@@ -369,8 +355,8 @@ func WriteTraceEventsTo(w io.Writer, recs []SpanRecord) error {
 			TS:   float64(r.StartNS-t0) / 1e3,
 			Dur:  float64(r.DurNS) / 1e3,
 			PID:  1,
-			TID:  lanes[r.SpanID],
-			Args: args,
+			TID:  lanes[r.Span],
+			Args: traceArgs{r.Path, r.SpanIDs},
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -381,64 +367,39 @@ func WriteTraceEventsTo(w io.Writer, recs []SpanRecord) error {
 // SpanRecordsFromEvents reconstructs span records from a journal's "span"
 // events — the path /trace.json (over the journal ring) and mnsim-journal
 // export (over a journal file) use to turn a journaled run into a Perfetto
-// timeline. Events with missing or malformed span payloads are skipped.
+// timeline. Span events that do not decode, or have no span ID or name,
+// are skipped. A span without start_us starts at its event's time minus
+// its duration: the event is emitted at span end.
 func SpanRecordsFromEvents(events []Event) []SpanRecord {
 	var recs []SpanRecord
 	for _, ev := range events {
-		if ev.Type != EvSpan {
+		var s SpanEvent
+		if ev.Type != EvSpan || ev.Decode(&s) != nil || s.Span == 0 || s.Name == "" && s.Path == "" {
 			continue
 		}
-		r, ok := spanRecordFromData(ev)
-		if !ok {
-			continue
+		r := SpanRecord{Name: s.Name, Path: s.Path, SpanIDs: s.SpanIDs,
+			StartNS: int64(s.StartUS * 1e3), DurNS: int64(s.DurUS * 1e3)}
+		if r.Name == "" {
+			r.Name = r.Path
+		}
+		if r.Path == "" {
+			r.Path = r.Name
+		}
+		if r.StartNS == 0 {
+			r.StartNS = ev.TNS - r.DurNS
 		}
 		recs = append(recs, r)
 	}
 	return recs
 }
 
-// spanRecordFromData decodes one span event payload.
-func spanRecordFromData(ev Event) (SpanRecord, bool) {
-	name, _ := ev.Data["name"].(string)
-	path, _ := ev.Data["path"].(string)
-	if name == "" && path == "" {
-		return SpanRecord{}, false
+// SpanStats aggregates span records per path, as the tracer aggregates the
+// spans it ends: the post-hoc equivalent of the live /trace endpoint.
+func SpanStats(recs []SpanRecord) []SpanStat {
+	t := NewTracer()
+	for _, r := range recs {
+		d := time.Duration(r.DurNS)
+		t.fold(r.Path, spanAgg{count: 1, total: d, min: d, max: d})
 	}
-	if name == "" {
-		name = path
-	}
-	if path == "" {
-		path = name
-	}
-	parse := func(key string) uint64 {
-		s, _ := ev.Data[key].(string)
-		if s == "" {
-			return 0
-		}
-		id, err := ParseID(s)
-		if err != nil {
-			return 0
-		}
-		return id
-	}
-	r := SpanRecord{
-		Name:     name,
-		Path:     path,
-		TraceID:  parse("trace_id"),
-		SpanID:   parse("span_id"),
-		ParentID: parse("parent_id"),
-	}
-	if r.SpanID == 0 {
-		return SpanRecord{}, false
-	}
-	durUS, _ := ev.Data["dur_us"].(float64)
-	r.DurNS = int64(durUS * 1e3)
-	if startUS, ok := ev.Data["start_us"].(float64); ok {
-		r.StartNS = int64(startUS * 1e3)
-	} else {
-		// Fall back to the event envelope time minus the duration — the
-		// event is emitted at span end.
-		r.StartNS = ev.TNS - r.DurNS
-	}
-	return r, true
+	return t.Stats()
 }

@@ -36,14 +36,13 @@ func TestFormatParseIDRoundTrip(t *testing.T) {
 // Trace and span IDs must be pure functions of the seed and the span's
 // position in the call tree — two identical runs produce identical IDs.
 func TestSpanIDsDeterministic(t *testing.T) {
-	type ids struct{ trace, span, parent uint64 }
-	runOnce := func() []ids {
+	runOnce := func() []SpanIDs {
 		tr := NewTracer()
 		tr.SetTraceSeed(1234)
-		var out []ids
+		var out []SpanIDs
 		end := func(s *Span) {
 			s.End()
-			out = append(out, ids{s.TraceID(), s.SpanID(), s.ParentID()})
+			out = append(out, s.IDs())
 		}
 		ctx, root := tr.StartSpan(context.Background(), "dse.explore")
 		for i := 0; i < 3; i++ {
@@ -63,17 +62,17 @@ func TestSpanIDsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("span %d IDs differ across identical runs:\n a: %+v\n b: %+v", i, a[i], b[i])
 		}
-		if a[i].trace != a[0].trace {
-			t.Fatalf("span %d trace ID %x, want run-wide %x", i, a[i].trace, a[0].trace)
+		if a[i].Trace != a[0].Trace {
+			t.Fatalf("span %d trace ID %x, want run-wide %x", i, a[i].Trace, a[0].Trace)
 		}
-		if a[i].span == 0 {
+		if a[i].Span == 0 {
 			t.Fatalf("span %d has zero span ID", i)
 		}
 	}
 	// A different seed yields a different trace ID.
 	tr := NewTracer()
 	tr.SetTraceSeed(5678)
-	if tr.currentTraceID() == a[0].trace {
+	if tr.currentTraceID() == a[0].Trace {
 		t.Fatal("different seeds produced the same trace ID")
 	}
 }
@@ -82,16 +81,16 @@ func TestSpanIDsDeterministic(t *testing.T) {
 // the property that keeps parallel sweeps' traces stable across worker
 // counts and scheduling.
 func TestKeyedSpanIDsOrderIndependent(t *testing.T) {
-	ids := func(order []int) map[string]uint64 {
+	ids := func(order []int) map[string]ID {
 		tr := NewTracer()
 		tr.SetTraceSeed(99)
 		ctx, root := tr.StartSpan(context.Background(), "sweep")
 		defer root.End()
-		out := map[string]uint64{}
+		out := map[string]ID{}
 		for _, i := range order {
 			key := fmt.Sprintf("cand-%d", i)
 			_, s := tr.StartSpanKeyed(ctx, "candidate", key)
-			out[key] = s.SpanID()
+			out[key] = s.IDs().Span
 			s.End()
 		}
 		return out
@@ -103,7 +102,7 @@ func TestKeyedSpanIDsOrderIndependent(t *testing.T) {
 			t.Fatalf("span ID for %s depends on start order: %x vs %x", k, v, rev[k])
 		}
 	}
-	seen := map[uint64]bool{}
+	seen := map[ID]bool{}
 	for _, v := range fwd {
 		if seen[v] {
 			t.Fatal("keyed siblings collided")
@@ -122,8 +121,8 @@ func TestConcurrentKeyedSpans(t *testing.T) {
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex
-		kids  = map[uint64]uint64{} // span ID -> parent ID
-		paths = map[*byte]bool{}    // the distinct path strings
+		kids  = map[ID]ID{}      // span ID -> parent ID
+		paths = map[*byte]bool{} // the distinct path strings
 	)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -132,7 +131,7 @@ func TestConcurrentKeyedSpans(t *testing.T) {
 			_, s := tr.StartSpanKeyed(ctx, "candidate", fmt.Sprintf("cand-%d", i))
 			s.End()
 			mu.Lock()
-			kids[s.SpanID()] = s.ParentID()
+			kids[s.IDs().Span] = s.IDs().Parent
 			if s.Name() != "sweep/candidate" {
 				t.Errorf("candidate %d is named %q", i, s.Name())
 			}
@@ -149,8 +148,8 @@ func TestConcurrentKeyedSpans(t *testing.T) {
 		t.Fatalf("16 candidates built %d path strings, want 1", len(paths))
 	}
 	for id, parent := range kids {
-		if parent != root.SpanID() {
-			t.Fatalf("candidate span %x parent %x, want root %x", id, parent, root.SpanID())
+		if parent != root.IDs().Span {
+			t.Fatalf("candidate span %x parent %x, want root %x", id, parent, root.IDs().Span)
 		}
 	}
 	if st, ok := tr.Stat("sweep/candidate"); !ok || st.Count != 16 {
@@ -196,10 +195,10 @@ func TestTraceEventsOffRecordsNothing(t *testing.T) {
 // IDs in wire form, concurrent root chains on distinct lanes.
 func TestWriteTraceEventsFormat(t *testing.T) {
 	recs := []SpanRecord{
-		{Name: "sweep", Path: "sweep", TraceID: 1, SpanID: 10, StartNS: 1000, DurNS: 9000},
-		{Name: "candidate", Path: "sweep/candidate", TraceID: 1, SpanID: 11, ParentID: 10, StartNS: 2000, DurNS: 3000},
+		{Name: "sweep", Path: "sweep", SpanIDs: SpanIDs{Trace: 1, Span: 10}, StartNS: 1000, DurNS: 9000},
+		{Name: "candidate", Path: "sweep/candidate", SpanIDs: SpanIDs{Trace: 1, Span: 11, Parent: 10}, StartNS: 2000, DurNS: 3000},
 		// A second root chain overlapping the first → its own lane.
-		{Name: "other", Path: "other", TraceID: 1, SpanID: 20, StartNS: 1500, DurNS: 4000},
+		{Name: "other", Path: "other", SpanIDs: SpanIDs{Trace: 1, Span: 20}, StartNS: 1500, DurNS: 4000},
 	}
 	var sb strings.Builder
 	if err := WriteTraceEventsTo(&sb, recs); err != nil {
@@ -287,9 +286,9 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 	if got.Name != "candidate" || got.Path != "run/candidate" {
 		t.Fatalf("child record %+v", got)
 	}
-	if got.TraceID != child.TraceID() || got.SpanID != child.SpanID() || got.ParentID != parent.SpanID() {
-		t.Fatalf("IDs did not survive the journal: %+v (want trace %x span %x parent %x)",
-			got, child.TraceID(), child.SpanID(), parent.SpanID())
+	if got.SpanIDs != child.IDs() || got.Parent != parent.IDs().Span {
+		t.Fatalf("IDs did not survive the journal: %+v (want %+v under parent %x)",
+			got, child.IDs(), parent.IDs().Span)
 	}
 	if got.DurNS < 0 || got.StartNS <= 0 {
 		t.Fatalf("timing did not survive: %+v", got)
@@ -350,9 +349,13 @@ func TestEmitEventCtxStampsIDs(t *testing.T) {
 	}()
 	SetTraceSeed(5)
 	ctx, sp := StartSpan(context.Background(), "solve")
-	EmitEventCtx(ctx, EvSolveEnd, "solve-1", map[string]any{"m": 4})
+	type probe struct {
+		M int `json:"m"`
+		SpanIDs
+	}
+	EmitEventCtx(ctx, EvSolveEnd, "solve-1", &probe{M: 4})
 	// No span in scope → trace ID only.
-	EmitEventCtx(context.Background(), EvPhase, "", map[string]any{"phase": "done"})
+	EmitEventCtx(context.Background(), EvPhase, "", &probe{})
 	sp.End()
 	defaultJournal.Close()
 	events, err := ReadJournalFile(path)
@@ -365,18 +368,21 @@ func TestEmitEventCtxStampsIDs(t *testing.T) {
 	if events[3].Type != EvSpan {
 		t.Fatalf("last event %+v, want the solve span", events[3])
 	}
-	ev := events[1]
-	if ev.Data["trace_id"] != FormatID(sp.TraceID()) || ev.Data["span_id"] != FormatID(sp.SpanID()) {
-		t.Fatalf("solve_end not stamped: %v", ev.Data)
+	var solve, spanless probe
+	if err := events[1].Decode(&solve); err != nil || solve.SpanIDs != sp.IDs() {
+		t.Fatalf("solve_end not stamped: %s (%v)", events[1].Data, err)
 	}
-	if ev.Data["m"].(float64) != 4 {
-		t.Fatalf("payload lost: %v", ev.Data)
+	if wire := `"trace_id":"` + FormatID(uint64(sp.IDs().Trace)) + `","span_id":"` + FormatID(uint64(sp.IDs().Span)) + `"`; !strings.Contains(string(events[1].Data), wire) {
+		t.Fatalf("solve_end IDs not in wire form %s: %s", wire, events[1].Data)
 	}
-	if events[2].Data["trace_id"] != FormatID(sp.TraceID()) {
-		t.Fatalf("spanless event missing trace ID: %v", events[2].Data)
+	if solve.M != 4 {
+		t.Fatalf("payload lost: %s", events[1].Data)
 	}
-	if _, ok := events[2].Data["span_id"]; ok {
-		t.Fatalf("spanless event has span ID: %v", events[2].Data)
+	if err := events[2].Decode(&spanless); err != nil || spanless.Trace != sp.IDs().Trace {
+		t.Fatalf("spanless event missing trace ID: %s (%v)", events[2].Data, err)
+	}
+	if strings.Contains(string(events[2].Data), "span_id") {
+		t.Fatalf("spanless event has span ID: %s", events[2].Data)
 	}
 }
 
@@ -427,8 +433,8 @@ func TestServeMuxTraceJSON(t *testing.T) {
 	if len(doc.TraceEvents) != 2 || len(parents) != 2 {
 		t.Fatalf("trace.json payload %+v, want the probe and step spans", doc)
 	}
-	if got := parents["step"]; got != FormatID(outer.SpanID()) {
-		t.Fatalf("step parent_id %v, want %s", got, FormatID(outer.SpanID()))
+	if got := parents["step"]; got != FormatID(uint64(outer.IDs().Span)) {
+		t.Fatalf("step parent_id %v, want %x", got, outer.IDs().Span)
 	}
 	if got, ok := parents["probe"]; !ok || got != nil {
 		t.Fatalf("probe served as %v, want a root span", got)

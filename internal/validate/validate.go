@@ -171,11 +171,17 @@ func TableIIContext(ctx context.Context, opt TableIIOptions) ([]Row, error) {
 		{"Average Relative Accuracy", modelAcc, circuitAcc},
 	}
 	if telemetry.JournalOn() {
-		telemetry.EmitEvent(telemetry.EvPhase, "validate.table2", map[string]any{
-			"action": "summary", "rows": len(rows), "worst_rel_error": worstAbsRowError(rows),
-		})
+		telemetry.EmitEvent(telemetry.EvPhase, "validate.table2",
+			&table2Summary{Action: "summary", Rows: len(rows), WorstRelError: worstAbsRowError(rows)})
 	}
 	return rows, nil
+}
+
+// table2Summary is the data of the phase event that closes Table II.
+type table2Summary struct {
+	Action        string  `json:"action"`
+	Rows          int     `json:"rows"`
+	WorstRelError float64 `json:"worst_rel_error"`
 }
 
 // table2Inputs is every random input of one Table II run.
@@ -351,11 +357,17 @@ func TableIIIContext(ctx context.Context, sizes []int, seed int64) ([]SpeedRow, 
 		prog.Inc()
 	}
 	if telemetry.JournalOn() {
-		telemetry.EmitEvent(telemetry.EvPhase, "validate.table3", map[string]any{
-			"action": "summary", "sizes": len(out), "max_speedup": maxSpeedUp(out),
-		})
+		telemetry.EmitEvent(telemetry.EvPhase, "validate.table3",
+			&table3Summary{Action: "summary", Sizes: len(out), MaxSpeedUp: maxSpeedUp(out)})
 	}
 	return out, nil
+}
+
+// table3Summary is the data of the phase event that closes Table III.
+type table3Summary struct {
+	Action     string  `json:"action"`
+	Sizes      int     `json:"sizes"`
+	MaxSpeedUp float64 `json:"max_speedup"`
 }
 
 // table3ModelRuns is how many times Table III evaluates the behaviour
@@ -459,11 +471,17 @@ func Fig5Context(ctx context.Context, sizes, nodes []int, workers int) ([]Fig5Po
 		return nil, err
 	}
 	if telemetry.JournalOn() {
-		telemetry.EmitEvent(telemetry.EvPhase, "validate.fig5", map[string]any{
-			"action": "summary", "points": len(out), "worst_model_gap": worstModelGap(out),
-		})
+		telemetry.EmitEvent(telemetry.EvPhase, "validate.fig5",
+			&fig5Summary{Action: "summary", Points: len(out), WorstModelGap: worstModelGap(out)})
 	}
 	return out, nil
+}
+
+// fig5Summary is the data of the phase event that closes Fig. 5.
+type fig5Summary struct {
+	Action        string  `json:"action"`
+	Points        int     `json:"points"`
+	WorstModelGap float64 `json:"worst_model_gap"`
 }
 
 // fig5Cell is one (size, node) grid point of the Fig. 5 sweep.
