@@ -153,7 +153,7 @@ func summarize(w io.Writer, path string) error {
 
 	// Per-span-path wall-time aggregates, rebuilt from the journaled span
 	// events — the post-hoc equivalent of the live /trace endpoint.
-	if stats := telemetry.SpanStats(telemetry.SpanRecordsFromEvents(events)); len(stats) > 0 {
+	if stats := telemetry.SpanStats(telemetry.SpanEvents(events)); len(stats) > 0 {
 		st := &report.Table{Title: "Span phases", Headers: []string{"Path", "Count", "Total (ms)", "Avg (us)", "Max (us)"}}
 		for _, a := range stats {
 			st.AddRow(a.Name, a.Count, fmt.Sprintf("%.2f", a.TotalUS/1e3),
@@ -477,8 +477,8 @@ func timeline(w io.Writer, path, candidate string) error {
 		sort.Strings(known)
 		return fmt.Errorf("%s: no candidate %q; journal has: %s", path, candidate, strings.Join(known, ", "))
 	}
-	recs := telemetry.SpanRecordsFromEvents(events)
-	byID := make(map[telemetry.ID]telemetry.SpanRecord, len(recs))
+	recs := telemetry.SpanEvents(events)
+	byID := make(map[telemetry.ID]telemetry.SpanEvent, len(recs))
 	children := map[telemetry.ID][]telemetry.ID{}
 	for _, r := range recs {
 		byID[r.Span] = r
@@ -498,7 +498,7 @@ func timeline(w io.Writer, path, candidate string) error {
 		id := queue[0]
 		queue = queue[1:]
 		kids := children[id]
-		sort.Slice(kids, func(i, j int) bool { return byID[kids[i]].StartNS < byID[kids[j]].StartNS })
+		sort.Slice(kids, func(i, j int) bool { return byID[kids[i]].StartUS < byID[kids[j]].StartUS })
 		for _, k := range kids {
 			if !inTree[k] {
 				inTree[k] = true
@@ -507,11 +507,11 @@ func timeline(w io.Writer, path, candidate string) error {
 		}
 	}
 	fmt.Fprintf(w, "candidate %s  trace %s  span %s  %.2f ms\n",
-		candidate, telemetry.FormatID(uint64(root.Trace)), telemetry.FormatID(uint64(rootID)), float64(root.DurNS)/1e6)
+		candidate, telemetry.FormatID(uint64(root.Trace)), telemetry.FormatID(uint64(rootID)), root.DurUS/1e3)
 	// One chronological listing: spans open at their start time, events at
 	// their envelope time, all relative to the candidate start.
 	type line struct {
-		tns   int64
+		us    float64
 		depth int
 		text  string
 	}
@@ -529,9 +529,9 @@ func timeline(w io.Writer, path, candidate string) error {
 	for id := range inTree {
 		r := byID[id]
 		lines = append(lines, line{
-			tns:   r.StartNS,
+			us:    r.StartUS,
 			depth: depthOf(id),
-			text:  fmt.Sprintf("[span] %-24s %10.1f us", r.Name, float64(r.DurNS)/1e3),
+			text:  fmt.Sprintf("[span] %-24s %10.1f us", r.Name, r.DurUS),
 		})
 	}
 	for _, ev := range events {
@@ -556,17 +556,16 @@ func timeline(w io.Writer, path, candidate string) error {
 			}
 			text = fmt.Sprintf("%s %s outcome=%s", ev.Type, ev.ID, c.Outcome)
 		}
-		lines = append(lines, line{tns: ev.TNS, depth: depth, text: text})
+		lines = append(lines, line{us: float64(ev.TNS) / 1e3, depth: depth, text: text})
 		// A solve's Newton trajectory, one line per step under its record.
 		for i := 0; s.Diag != nil && i < len(s.Diag.Residuals) && i < len(s.Diag.CGIters); i++ {
-			lines = append(lines, line{tns: ev.TNS, depth: depth + 1,
+			lines = append(lines, line{us: float64(ev.TNS) / 1e3, depth: depth + 1,
 				text: fmt.Sprintf("newton %d cg=%d max_dv=%.3g", i, s.Diag.CGIters[i], s.Diag.Residuals[i])})
 		}
 	}
-	sort.SliceStable(lines, func(i, j int) bool { return lines[i].tns < lines[j].tns })
-	t0 := root.StartNS
+	sort.SliceStable(lines, func(i, j int) bool { return lines[i].us < lines[j].us })
 	for _, l := range lines {
-		fmt.Fprintf(w, "%10.1f us  %s%s\n", float64(l.tns-t0)/1e3, strings.Repeat("  ", l.depth), l.text)
+		fmt.Fprintf(w, "%10.1f us  %s%s\n", l.us-root.StartUS, strings.Repeat("  ", l.depth), l.text)
 	}
 	return nil
 }
@@ -578,7 +577,7 @@ func export(w io.Writer, path, out string) error {
 	if err != nil {
 		return err
 	}
-	recs := telemetry.SpanRecordsFromEvents(events)
+	recs := telemetry.SpanEvents(events)
 	if len(recs) == 0 {
 		return fmt.Errorf("%s: no span events to export (recorded before schema v2, or tracing was off)", path)
 	}

@@ -67,8 +67,8 @@ func TestSolveTraceChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := telemetry.SpanRecordsFromEvents(events)
-	byPath := map[string]telemetry.SpanRecord{}
+	recs := telemetry.SpanEvents(events)
+	byPath := map[string]telemetry.SpanEvent{}
 	for _, r := range recs {
 		byPath[r.Path] = r
 	}
@@ -129,7 +129,7 @@ func TestSolvePhaseSpansGated(t *testing.T) {
 	}
 }
 
-func pathsOf(recs []telemetry.SpanRecord) []string {
+func pathsOf(recs []telemetry.SpanEvent) []string {
 	out := make([]string, len(recs))
 	for i, r := range recs {
 		out[i] = r.Path

@@ -26,8 +26,11 @@ func FuzzReadJournal(f *testing.F) {
 	f.Add([]byte(`{"seq":1,"t_ns":1,"type":"journal"}
 {"seq":2,"t_ns":2,"type":"metric","id":"mnsim_solver_iterations"}
 `))
-	// Future schema version: must be a SchemaVersionError, not a panic.
+	// Future schema version: must be a SchemaVersionError, not a panic,
+	// also beside a header field of an unexpected type.
 	f.Add([]byte(`{"seq":1,"t_ns":1,"type":"journal","data":{"schema_version":99}}
+`))
+	f.Add([]byte(`{"seq":1,"t_ns":1,"type":"journal","data":{"schema_version":99,"pid":"x"}}
 `))
 	// Crash truncation: complete lines then a torn final line.
 	f.Add([]byte(`{"seq":1,"t_ns":1,"type":"journal","data":{"schema_version":2}}
@@ -69,7 +72,7 @@ func FuzzReadJournal(f *testing.F) {
 		}
 		// The readers' typed decoders: a payload may fail to decode, but
 		// must not panic.
-		telemetry.SpanStats(telemetry.SpanRecordsFromEvents(events))
+		telemetry.SpanStats(telemetry.SpanEvents(events))
 		telemetry.ResourceSamples(events)
 		for _, ev := range events {
 			for _, v := range []any{&telemetry.JournalHeader{}, &circuit.SolveEnd{}, &dse.CandidateEval{}} {

@@ -432,14 +432,19 @@ func ReadJournalFile(path string) ([]Event, error) {
 			return nil, fmt.Errorf("telemetry: journal %s: malformed line %d", path, torn)
 		}
 		var ev Event
-		if json.Unmarshal(line, &ev) != nil {
+		if json.Unmarshal(line, &ev) != nil || !objectOrNull(ev.Data) {
 			torn = n
 			continue
 		}
 		if len(events) == 0 && ev.Type == EvJournal {
-			var h JournalHeader
+			// The version alone, as a number of any form, so that no other
+			// header field, nor a version written as 4.0 or 3.5, hides a
+			// newer schema.
+			var h struct {
+				SchemaVersion float64 `json:"schema_version"`
+			}
 			if ev.Decode(&h) == nil && h.SchemaVersion > JournalSchemaVersion {
-				return nil, &SchemaVersionError{Path: path, Version: h.SchemaVersion}
+				return nil, &SchemaVersionError{Path: path, Version: int(h.SchemaVersion)}
 			}
 		}
 		events = append(events, ev)
@@ -448,6 +453,13 @@ func ReadJournalFile(path string) ([]Event, error) {
 		return nil, fmt.Errorf("telemetry: journal %s: %w", path, err)
 	}
 	return events, nil
+}
+
+// objectOrNull reports whether an event's data is absent, null or a JSON
+// object: every payload is a struct, so data of any other kind is a
+// malformed line.
+func objectOrNull(data json.RawMessage) bool {
+	return len(data) == 0 || data[0] == '{' || string(data) == "null"
 }
 
 // JournalSnapshotPaths extracts the snapshot file paths referenced by a

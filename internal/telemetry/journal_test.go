@@ -197,7 +197,15 @@ func TestJournalReaderRejectsMidFileCorruption(t *testing.T) {
 	for _, lines := range []string{`{"seq":1,"t_ns":1,"type":"journal"}
 {"seq":2,"t_ns":2,"type":"solve_sta
 {"seq":3,"t_ns":3,"type":"solve_end"}
-`, "{\"seq\":1,\"t_ns\":1,\"type\":\"journal\"}\nnot json\nalso not json\n"} {
+`, "{\"seq\":1,\"t_ns\":1,\"type\":\"journal\"}\nnot json\nalso not json\n",
+		// Every payload is an object, so data of another kind is malformed.
+		`{"seq":1,"t_ns":1,"type":"journal"}
+{"seq":2,"t_ns":2,"type":"phase","data":5}
+{"seq":3,"t_ns":3,"type":"phase","data":"x"}
+`, `{"seq":1,"t_ns":1,"type":"journal"}
+{"seq":2,"t_ns":2,"type":"phase","data":[1]}
+{"seq":3,"t_ns":3,"type":"phase","data":null}
+`} {
 		path := filepath.Join(t.TempDir(), "corrupt.jsonl")
 		if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
 			t.Fatal(err)
@@ -429,70 +437,5 @@ func TestServeMuxEvents(t *testing.T) {
 	}
 	if out.Events[0].ID != "cand-8x2@45" {
 		t.Fatalf("event id %q", out.Events[0].ID)
-	}
-}
-
-// benchSolveEnd has the shape of circuit.SolveEnd, whose package this one
-// cannot import: the solve's inputs and outcome, a nested diagnostics
-// record, and the span IDs.
-type benchSolveEnd struct {
-	M           int        `json:"m"`
-	N           int        `json:"n"`
-	WireR       float64    `json:"wire_r"`
-	RSense      float64    `json:"rsense"`
-	Linear      bool       `json:"linear"`
-	Tol         float64    `json:"tol"`
-	MaxNewton   int        `json:"max_newton"`
-	CGTol       float64    `json:"cg_tol"`
-	OK          bool       `json:"ok"`
-	DurUS       float64    `json:"dur_us"`
-	NewtonIters *int       `json:"newton_iters,omitempty"`
-	CGIters     *int       `json:"cg_iters,omitempty"`
-	Diag        *benchDiag `json:"diag"`
-	SpanIDs
-}
-
-// benchDiag is a short Newton trajectory in circuit.Diagnostics' shape.
-type benchDiag struct {
-	Path      string    `json:"path"`
-	Residuals []float64 `json:"residuals"`
-	CGIters   []int     `json:"cg_iters"`
-}
-
-// BenchmarkJournalEmit times one Emit of a solve_end-shaped payload into an
-// already full ring, ring-only and file-backed. A push is O(1), so ns/op
-// should not grow with capacity.
-func BenchmarkJournalEmit(b *testing.B) {
-	newton, cg := 4, 30
-	data := &benchSolveEnd{M: 64, N: 64, WireR: 2.5, RSense: 1500, Tol: 1e-9, MaxNewton: 50, CGTol: 1e-10,
-		OK: true, DurUS: 812.5, NewtonIters: &newton, CGIters: &cg,
-		Diag:    &benchDiag{"newton-cg", []float64{1e-3, 2e-6, 1.5e-11}, []int{12, 10, 8}},
-		SpanIDs: SpanIDs{Trace: 0xea7e81f9fcf6a99b, Span: 0x404838aa9c062bd6, Parent: 0x55a0d883d529476d}}
-	for _, ringCap := range []int{64, DefaultJournalRing} {
-		for _, file := range []bool{false, true} {
-			name := fmt.Sprintf("cap%d/ring-only", ringCap)
-			if file {
-				name = fmt.Sprintf("cap%d/file", ringCap)
-			}
-			b.Run(name, func(b *testing.B) {
-				j := NewJournal(ringCap)
-				if file {
-					if err := j.Open(filepath.Join(b.TempDir(), "journal.jsonl")); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					j.EnableRing()
-				}
-				defer j.Close()
-				for i := 0; i < ringCap; i++ {
-					j.Emit(EvSolveEnd, "solve-1", data)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					j.Emit(EvSolveEnd, "solve-1", data)
-				}
-			})
-		}
 	}
 }

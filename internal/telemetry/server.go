@@ -56,7 +56,7 @@ func NewServeMux(run *RunInfo) *http.ServeMux {
 		return defaultTracer.WriteJSON(w)
 	}))
 	mux.HandleFunc("/trace.json", jsonHandler(func(w http.ResponseWriter) error {
-		return WriteTraceEventsTo(w, SpanRecordsFromEvents(defaultJournal.ringEvents()))
+		return WriteTraceEventsTo(w, SpanEvents(defaultJournal.ringEvents()))
 	}))
 	mux.HandleFunc("/progress", jsonHandler(func(w http.ResponseWriter) error {
 		return defaultProgress.WriteJSON(w)

@@ -136,7 +136,8 @@ func (s *Span) End() time.Duration {
 }
 
 // SpanEvent is the data of a span event: one completed span, its start
-// (Unix time) and duration in microseconds.
+// (Unix time) and duration in microseconds. It is also the unit of the
+// Chrome trace-event export and of SpanStats (see SpanEvents).
 type SpanEvent struct {
 	Name    string  `json:"name"`
 	Path    string  `json:"path"`

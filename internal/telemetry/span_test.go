@@ -232,12 +232,12 @@ func TestSpanTallyJournalMatchesKeyedSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := SpanRecordsFromEvents(events)
+	recs := SpanEvents(events)
 	if len(recs) != 3 {
 		t.Fatalf("got %d span records, want 3", len(recs))
 	}
 	k, s := recs[0], recs[1]
-	k.StartNS, k.DurNS, s.StartNS, s.DurNS = 0, 0, 0, 0
+	k.StartUS, k.DurUS, s.StartUS, s.DurUS = 0, 0, 0, 0
 	if k != s {
 		t.Fatalf("tally span record %+v, keyed span record %+v", s, k)
 	}

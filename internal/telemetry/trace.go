@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -115,19 +116,6 @@ func (t *Tracer) deriveIDs(parent *Span, name, key string) SpanIDs {
 		ids.Span = 1
 	}
 	return ids
-}
-
-// SpanRecord is one completed span as decoded from a journal "span" event:
-// the unit of the Chrome trace-event export. StartNS is wall-clock Unix
-// nanoseconds; DurNS the span's elapsed time.
-type SpanRecord struct {
-	// Name is the span's leaf name, Path its full hierarchical name.
-	Name string
-	Path string
-	// The causal chain: Parent is zero for a root span.
-	SpanIDs
-	StartNS int64
-	DurNS   int64
 }
 
 // EnableTraceEvents is a no-op: a span is journaled exactly when the
@@ -255,12 +243,12 @@ type traceEventDoc struct {
 // share one — concurrent candidates of a parallel sweep land on separate
 // lanes, while a sequential run collapses to lane 1. Deterministic for a
 // given record set.
-func assignLanes(recs []SpanRecord) map[ID]int {
-	byID := make(map[ID]*SpanRecord, len(recs))
+func assignLanes(recs []SpanEvent) map[ID]int {
+	byID := make(map[ID]*SpanEvent, len(recs))
 	for i := range recs {
 		byID[recs[i].Span] = &recs[i]
 	}
-	top := func(r *SpanRecord) ID {
+	top := func(r *SpanEvent) ID {
 		cur := r
 		// Bounded walk: a parent chain longer than the record count means a
 		// cycle (corrupt input), so give up and treat the span as a root.
@@ -275,7 +263,7 @@ func assignLanes(recs []SpanRecord) map[ID]int {
 	}
 	type interval struct {
 		id         ID
-		start, end int64
+		start, end float64
 	}
 	groups := map[ID]*interval{}
 	for i := range recs {
@@ -283,14 +271,14 @@ func assignLanes(recs []SpanRecord) map[ID]int {
 		g := top(r)
 		iv := groups[g]
 		if iv == nil {
-			iv = &interval{id: g, start: r.StartNS, end: r.StartNS + r.DurNS}
+			iv = &interval{id: g, start: r.StartUS, end: r.StartUS + r.DurUS}
 			groups[g] = iv
 			continue
 		}
-		if r.StartNS < iv.start {
-			iv.start = r.StartNS
+		if r.StartUS < iv.start {
+			iv.start = r.StartUS
 		}
-		if e := r.StartNS + r.DurNS; e > iv.end {
+		if e := r.StartUS + r.DurUS; e > iv.end {
 			iv.end = e
 		}
 	}
@@ -299,12 +287,12 @@ func assignLanes(recs []SpanRecord) map[ID]int {
 		ivs = append(ivs, iv)
 	}
 	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].start != ivs[j].start {
-			return ivs[i].start < ivs[j].start
+		if c := cmp.Compare(ivs[i].start, ivs[j].start); c != 0 {
+			return c < 0
 		}
 		return ivs[i].id < ivs[j].id
 	})
-	var laneEnds []int64
+	var laneEnds []float64
 	groupLane := map[ID]int{}
 	for _, iv := range ivs {
 		lane := -1
@@ -328,20 +316,20 @@ func assignLanes(recs []SpanRecord) map[ID]int {
 	return lanes
 }
 
-// WriteTraceEventsTo writes span records as a Chrome trace-event JSON
-// document. Timestamps are microseconds relative to the earliest span
-// start, so the timeline opens at t=0 in Perfetto.
-func WriteTraceEventsTo(w io.Writer, recs []SpanRecord) error {
-	t0 := int64(0)
+// WriteTraceEventsTo writes spans as a Chrome trace-event JSON document.
+// Timestamps are microseconds relative to the earliest span start, so the
+// timeline opens at t=0 in Perfetto.
+func WriteTraceEventsTo(w io.Writer, recs []SpanEvent) error {
+	t0 := 0.0
 	for i := range recs {
-		if i == 0 || recs[i].StartNS < t0 {
-			t0 = recs[i].StartNS
+		if i == 0 || recs[i].StartUS < t0 {
+			t0 = recs[i].StartUS
 		}
 	}
-	sorted := append([]SpanRecord(nil), recs...)
+	sorted := append([]SpanEvent(nil), recs...)
 	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].StartNS != sorted[j].StartNS {
-			return sorted[i].StartNS < sorted[j].StartNS
+		if c := cmp.Compare(sorted[i].StartUS, sorted[j].StartUS); c != 0 {
+			return c < 0
 		}
 		return sorted[i].Span < sorted[j].Span
 	})
@@ -352,8 +340,8 @@ func WriteTraceEventsTo(w io.Writer, recs []SpanRecord) error {
 			Name: r.Name,
 			Cat:  "span",
 			Ph:   "X",
-			TS:   float64(r.StartNS-t0) / 1e3,
-			Dur:  float64(r.DurNS) / 1e3,
+			TS:   r.StartUS - t0,
+			Dur:  r.DurUS,
 			PID:  1,
 			TID:  lanes[r.Span],
 			Args: traceArgs{r.Path, r.SpanIDs},
@@ -364,41 +352,39 @@ func WriteTraceEventsTo(w io.Writer, recs []SpanRecord) error {
 	return enc.Encode(doc)
 }
 
-// SpanRecordsFromEvents reconstructs span records from a journal's "span"
-// events — the path /trace.json (over the journal ring) and mnsim-journal
-// export (over a journal file) use to turn a journaled run into a Perfetto
-// timeline. Span events that do not decode, or have no span ID or name,
-// are skipped. A span without start_us starts at its event's time minus
-// its duration: the event is emitted at span end.
-func SpanRecordsFromEvents(events []Event) []SpanRecord {
-	var recs []SpanRecord
+// SpanEvents decodes a journal's "span" events — the path /trace.json
+// (over the journal ring) and mnsim-journal export (over a journal file)
+// use to turn a journaled run into a Perfetto timeline. Span events that do
+// not decode, or have no span ID or name, are skipped. A missing name or
+// path is filled from the other, and a span without start_us starts at its
+// event's time minus its duration: the event is emitted at span end.
+func SpanEvents(events []Event) []SpanEvent {
+	var recs []SpanEvent
 	for _, ev := range events {
 		var s SpanEvent
 		if ev.Type != EvSpan || ev.Decode(&s) != nil || s.Span == 0 || s.Name == "" && s.Path == "" {
 			continue
 		}
-		r := SpanRecord{Name: s.Name, Path: s.Path, SpanIDs: s.SpanIDs,
-			StartNS: int64(s.StartUS * 1e3), DurNS: int64(s.DurUS * 1e3)}
-		if r.Name == "" {
-			r.Name = r.Path
+		if s.Name == "" {
+			s.Name = s.Path
 		}
-		if r.Path == "" {
-			r.Path = r.Name
+		if s.Path == "" {
+			s.Path = s.Name
 		}
-		if r.StartNS == 0 {
-			r.StartNS = ev.TNS - r.DurNS
+		if s.StartUS == 0 {
+			s.StartUS = float64(ev.TNS)/1e3 - s.DurUS
 		}
-		recs = append(recs, r)
+		recs = append(recs, s)
 	}
 	return recs
 }
 
-// SpanStats aggregates span records per path, as the tracer aggregates the
-// spans it ends: the post-hoc equivalent of the live /trace endpoint.
-func SpanStats(recs []SpanRecord) []SpanStat {
+// SpanStats aggregates spans per path, as the tracer aggregates the spans
+// it ends: the post-hoc equivalent of the live /trace endpoint.
+func SpanStats(recs []SpanEvent) []SpanStat {
 	t := NewTracer()
 	for _, r := range recs {
-		d := time.Duration(r.DurNS)
+		d := time.Duration(r.DurUS * 1e3)
 		t.fold(r.Path, spanAgg{count: 1, total: d, min: d, max: d})
 	}
 	return t.Stats()

@@ -194,11 +194,11 @@ func TestTraceEventsOffRecordsNothing(t *testing.T) {
 // shape: complete "X" events, µs timestamps relative to the earliest span,
 // IDs in wire form, concurrent root chains on distinct lanes.
 func TestWriteTraceEventsFormat(t *testing.T) {
-	recs := []SpanRecord{
-		{Name: "sweep", Path: "sweep", SpanIDs: SpanIDs{Trace: 1, Span: 10}, StartNS: 1000, DurNS: 9000},
-		{Name: "candidate", Path: "sweep/candidate", SpanIDs: SpanIDs{Trace: 1, Span: 11, Parent: 10}, StartNS: 2000, DurNS: 3000},
+	recs := []SpanEvent{
+		{Name: "sweep", Path: "sweep", SpanIDs: SpanIDs{Trace: 1, Span: 10}, StartUS: 1, DurUS: 9},
+		{Name: "candidate", Path: "sweep/candidate", SpanIDs: SpanIDs{Trace: 1, Span: 11, Parent: 10}, StartUS: 2, DurUS: 3},
 		// A second root chain overlapping the first → its own lane.
-		{Name: "other", Path: "other", SpanIDs: SpanIDs{Trace: 1, Span: 20}, StartNS: 1500, DurNS: 4000},
+		{Name: "other", Path: "other", SpanIDs: SpanIDs{Trace: 1, Span: 20}, StartUS: 1.5, DurUS: 4},
 	}
 	var sb strings.Builder
 	if err := WriteTraceEventsTo(&sb, recs); err != nil {
@@ -277,7 +277,7 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := SpanRecordsFromEvents(events)
+	recs := SpanEvents(events)
 	if len(recs) != 2 {
 		t.Fatalf("got %d span records from journal, want 2", len(recs))
 	}
@@ -290,7 +290,7 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 		t.Fatalf("IDs did not survive the journal: %+v (want %+v under parent %x)",
 			got, child.IDs(), parent.IDs().Span)
 	}
-	if got.DurNS < 0 || got.StartNS <= 0 {
+	if got.DurUS < 0 || got.StartUS <= 0 {
 		t.Fatalf("timing did not survive: %+v", got)
 	}
 }
@@ -299,22 +299,26 @@ func TestSpanJournalRoundTrip(t *testing.T) {
 // error, so stale tooling fails loudly instead of misparsing.
 func TestReadJournalRefusesNewerSchema(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "future.jsonl")
-	lines := fmt.Sprintf(`{"seq":1,"t_ns":1,"type":"journal","data":{"schema_version":%d}}
+	// The version as an integer, as a float, and beside a header field of
+	// a type this build does not expect.
+	for _, header := range []string{`{"schema_version":%d}`, `{"schema_version":%d.0}`, `{"schema_version":%d,"pid":"node-1:42"}`} {
+		lines := fmt.Sprintf(`{"seq":1,"t_ns":1,"type":"journal","data":`+header+`}
 {"seq":2,"t_ns":2,"type":"solve_end","id":"solve-1"}
 `, JournalSchemaVersion+1)
-	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadJournalFile(path)
-	var sv *SchemaVersionError
-	if !errors.As(err, &sv) {
-		t.Fatalf("got %v, want *SchemaVersionError", err)
-	}
-	if sv.Version != JournalSchemaVersion+1 {
-		t.Fatalf("error version %d, want %d", sv.Version, JournalSchemaVersion+1)
-	}
-	if !strings.Contains(sv.Error(), "newer than supported") {
-		t.Fatalf("error text %q", sv.Error())
+		if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadJournalFile(path)
+		var sv *SchemaVersionError
+		if !errors.As(err, &sv) {
+			t.Fatalf("header %s: got %v, want *SchemaVersionError", header, err)
+		}
+		if sv.Version != JournalSchemaVersion+1 {
+			t.Fatalf("header %s: error version %d, want %d", header, sv.Version, JournalSchemaVersion+1)
+		}
+		if !strings.Contains(sv.Error(), "newer than supported") {
+			t.Fatalf("error text %q", sv.Error())
+		}
 	}
 	// Current and older versions still read, the retired solve_start and
 	// newton_iter events of versions 1 and 2 included.
