@@ -207,56 +207,71 @@ func (c *Crossbar) solveZeroWire(ctx context.Context, vin []float64, ops *linalg
 	return res, nil
 }
 
-// assembly holds the crossbar's MNA operator and the right-hand side
-// that Newton iteration restamps.
+// assembly holds the crossbar's MNA operator, its source currents, and
+// the one right-hand-side buffer that every linear solve through it reads.
 type assembly struct {
-	op      *linalg.CrossbarOp
-	rhsBase []float64 // source contributions, constant across iterations
-	// rhsFull is restamp's reusable output buffer (rhsBase + Newton
-	// equivalent currents); kept on the assembly so a state-cached
-	// operator also reuses the per-iteration right-hand side.
-	rhsFull []float64
+	op *linalg.CrossbarOp
+	// src[m] is row m's source current gw·vin[m], injected at row node
+	// (m, 0); constant across iterations.
+	src []float64
+	// rhs is the right-hand side of the next linear solve: the sources
+	// alone (sources), or with the Newton equivalent currents (restamp).
+	// Kept on the assembly so a state-cached operator also reuses it.
+	rhs []float64
 }
 
 // assemble allocates the operator and stamps it at the calibrated cell
 // conductances.
 func (c *Crossbar) assemble(vin []float64, ops *linalg.OpCount) *assembly {
-	a := &assembly{op: linalg.NewCrossbarOp(c.M, c.N), rhsBase: make([]float64, 2*c.M*c.N)}
+	a := &assembly{op: linalg.NewCrossbarOp(c.M, c.N), src: make([]float64, c.M), rhs: make([]float64, 2*c.M*c.N)}
 	c.stampValues(a, vin, ops)
 	return a
 }
 
-// stampValues (re)writes the operator and the source right-hand side from
-// the current crossbar parameters and drive vector: wire and sense
-// conductances, calibrated cell conductances, and the source currents. A
-// fresh assembly and a SolverState-cached one both fill values here, so
-// the matrix a solve starts from is bit-identical either way.
+// stampValues (re)writes the operator and the source currents from the
+// current crossbar parameters and drive vector: wire and sense
+// conductances, calibrated cell conductances, and gw·vin. A fresh assembly
+// and a SolverState-cached one both fill values here, so the matrix a
+// solve starts from is bit-identical either way.
 //
 // Hot path, must not allocate (all buffers live in the assembly).
 //
 //lint:hotpath
 func (c *Crossbar) stampValues(a *assembly, vin []float64, ops *linalg.OpCount) {
 	gw := c.wireG()
-	for i := range a.rhsBase {
-		a.rhsBase[i] = 0
-	}
-	for m := 0; m < c.M; m++ {
-		a.rhsBase[c.rowNode(m, 0)] += gw * vin[m]
+	for m := range a.src {
+		a.src[m] = gw * vin[m]
 	}
 	a.op.StampWires(gw, 1/c.RSense)
 	// Cells start from the calibrated linear conductance.
 	for m := 0; m < c.M; m++ {
 		for n := 0; n < c.N; n++ {
-			a.op.SetCell(m*c.N+n, 1/c.R[m][n])
+			a.op.SetCell(m, n, 1/c.R[m][n])
 		}
 	}
 	// Modeled stamping cost: one conductance inversion per cell; the
-	// wire-only diagonal and the RHS written once; per cell, the
-	// conductance write and its two diagonal entries (wire-only read,
-	// write).
+	// N + M wire-only sums and the M sources written once; per cell, the
+	// conductance write and its two diagonal writes.
 	cells := int64(c.M) * int64(c.N)
 	ops.CountFlops(cells)
-	ops.CountBytes(24*int64(len(a.rhsBase)) + 40*cells)
+	ops.CountBytes(8*int64(c.N+2*c.M) + 24*cells)
+}
+
+// sources writes the source-only right-hand side into the assembly's
+// buffer and returns it: zero everywhere but the row nodes (m, 0), which
+// get 0 + src[m] — the bits of a vector cleared and then stamped. The
+// returned slice is valid until the next write through this assembly.
+//
+//lint:hotpath
+func (c *Crossbar) sources(a *assembly, ops *linalg.OpCount) []float64 {
+	clear(a.rhs)
+	for m, s := range a.src {
+		a.rhs[c.rowNode(m, 0)] += s
+	}
+	// Modeled traffic: the clear, then per source its read and the
+	// entry's read and write.
+	ops.CountBytes(8*int64(len(a.rhs)) + 24*int64(len(a.src)))
+	return a.rhs
 }
 
 // restamp rewrites the memristor companion-model conductances for the
@@ -273,16 +288,11 @@ func (c *Crossbar) stampValues(a *assembly, vin []float64, ops *linalg.OpCount) 
 //
 //lint:hotpath
 func (c *Crossbar) restamp(a *assembly, v []float64, ops *linalg.OpCount) []float64 {
-	// The returned slice aliases a.rhsFull and is valid until the next
-	// restamp through this assembly; the inner solve consumes it within the
-	// same Newton iteration. The copy from rhsBase fully overwrites it, so
+	// The returned slice is the assembly's right-hand-side buffer, valid
+	// until the next write through this assembly; the inner solve consumes
+	// it within the same Newton iteration. sources fully overwrites it, so
 	// reuse is bit-identical to a fresh allocation.
-	if cap(a.rhsFull) < len(a.rhsBase) {
-		//lint:ignore noalloc sized once per assembly, reused by every later restamp
-		a.rhsFull = make([]float64, len(a.rhsBase))
-	}
-	rhs := a.rhsFull[:len(a.rhsBase)]
-	copy(rhs, a.rhsBase)
+	rhs := c.sources(a, ops)
 	vr, vc := c.Dev.ReadVoltage, c.Dev.NonlinearVc
 	sr := math.Sinh(vr / vc)
 	for m := 0; m < c.M; m++ {
@@ -293,18 +303,18 @@ func (c *Crossbar) restamp(a *assembly, v []float64, ops *linalg.OpCount) []floa
 			sh, ch := device.SinhCosh(vd / vc)
 			g := amp / vc * ch            // Model.Conductance
 			ieq := float64(amp*sh) - g*vd // Model.Current − g·vd
-			a.op.SetCell(i, g)
+			a.op.SetCell(m, n, g)
 			rhs[i] -= ieq
 			rhs[j] += ieq
 		}
 	}
 	// Modeled stamping cost: per cell, one transcendental device
 	// evaluation plus five arithmetic ops; traffic is the conductance
-	// write, the two diagonal entries (wire-only read, write), two
-	// node-voltage reads and two RHS updates, plus the RHS base copy.
+	// write, the two diagonal writes, two node-voltage reads and two RHS
+	// updates (sources charges the source-only part).
 	cells := int64(c.M) * int64(c.N)
 	ops.CountFlops(cells * (deviceEvalFlops + 5))
-	ops.CountBytes(cells*(8+32+48) + 16*int64(len(rhs)))
+	ops.CountBytes(cells * (8 + 16 + 48))
 	return rhs
 }
 
@@ -506,7 +516,7 @@ func (r *solveRun) setup() error {
 		x0 = r.st.v
 		r.diag.WarmStart = true
 	}
-	v, it, err := linalg.SolveCG(r.a.op, r.a.rhsBase, x0, r.cgOptions())
+	v, it, err := linalg.SolveCG(r.a.op, r.c.sources(r.a, &r.diag.Cost.Assembly), x0, r.cgOptions())
 	if err != nil {
 		return fmt.Errorf("circuit: linear solve: %w", err)
 	}

@@ -211,3 +211,39 @@ func TestAnalyzeDecayRate(t *testing.T) {
 		t.Error("flat trajectory not flagged stagnated")
 	}
 }
+
+// TestStampTrafficModel pins the byte and flop model of the phases that
+// stamp and factor, for a cold non-linear solve: the stamp writes the
+// N + M wire-only sums, the M sources and 24 bytes per cell; writing the
+// source-only right-hand side costs a clear of the 2·M·N nodes plus 24
+// bytes per source, once for the setup solve and once in every restamp;
+// a restamp moves 72 bytes per cell; the ΔV scan is one streaming pass
+// per Newton step; a factorization writes the chain couplings (8 bytes
+// per node) and factors at 32 bytes per element, reading the operator's
+// diagonal with no pivot copy.
+func TestStampTrafficModel(t *testing.T) {
+	c, vin := costCrossbar(8, 6)
+	res, err := c.Solve(vin, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := res.Diag.Cost
+	m, n := int64(c.M), int64(c.N)
+	cells, nodes := m*n, 2*m*n
+	restamps := int64(len(res.Diag.CGIters))
+	factors := 1 + int64(res.Diag.PrecondRefreshes)
+	sources := 8*nodes + 24*m
+	for _, p := range []struct {
+		name         string
+		got          linalg.OpCount
+		flops, bytes int64
+	}{
+		{"assembly", cost.Assembly, cells, 8*(n+2*m) + 24*cells + sources},
+		{"newton update", cost.NewtonUpdate, restamps * (cells*(deviceEvalFlops+5) + 2*nodes), restamps * (72*cells + sources + 24*nodes)},
+		{"precond", cost.Precond, factors * (4*nodes - 3*(m+n)), factors * (8*nodes + 32*nodes)},
+	} {
+		if p.got.Flops != p.flops || p.got.Bytes != p.bytes {
+			t.Errorf("%s: %d flops, %d bytes; want %d, %d", p.name, p.got.Flops, p.got.Bytes, p.flops, p.bytes)
+		}
+	}
+}

@@ -58,7 +58,7 @@ func TestCGBudgetExhaustion(t *testing.T) {
 	m := linalg.NewCrossbarOp(2, 2)
 	m.StampWires(1, 1)
 	for k := range m.G {
-		m.SetCell(k, 0.5)
+		m.SetCell(k/m.N, k%m.N, 0.5)
 	}
 	_, _, err := linalg.SolveCG(m, []float64{1, 2, 3, 4, 5, 6, 7, 8}, nil, linalg.CGOptions{Tol: 1e-16, MaxIter: 1})
 	if !errors.Is(err, linalg.ErrNoConvergence) {

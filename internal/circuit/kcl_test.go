@@ -22,10 +22,10 @@ func kclBalance(c *Crossbar, vin, v []float64) (worst, branch, bound float64) {
 	wires := linalg.NewCrossbarOp(c.M, c.N)
 	wires.StampWires(gw, gs)
 	for k := range wires.G {
-		wires.SetCell(k, 0)
+		wires.SetCell(k/wires.N, k%wires.N, 0)
 	}
 	f := wires.MulVec(v, nil)
-	src := make([]float64, len(v)) // the source injections, rhsBase
+	src := make([]float64, len(v)) // the source injections, as sources writes them
 	for m := 0; m < c.M; m++ {
 		src[c.rowNode(m, 0)] = gw * vin[m]
 		branch = math.Max(branch, math.Abs(gw*(vin[m]-v[c.rowNode(m, 0)])))

@@ -38,6 +38,7 @@ func TestRestampMatchesModel(t *testing.T) {
 				for k, v := range [][]float64{res.NodeV, wild} {
 					name := fmt.Sprintf("seed %d %s %dx%d point %d", seed, dev.Name, c.M, c.N, k)
 					a := c.assemble(vin, nil)
+					base := append([]float64(nil), c.sources(a, nil)...)
 					rhs := c.restamp(a, v, nil)
 					for m := 0; m < c.M; m++ {
 						for n := 0; n < c.N; n++ {
@@ -50,8 +51,8 @@ func TestRestampMatchesModel(t *testing.T) {
 								got, want float64
 							}{
 								{"G", a.op.G[i], g},
-								{"row rhs", rhs[i], a.rhsBase[i] - ieq},
-								{"column rhs", rhs[j], a.rhsBase[j] + ieq},
+								{"row rhs", rhs[i], base[i] - ieq},
+								{"column rhs", rhs[j], base[j] + ieq},
 							} {
 								if math.Float64bits(e.got) != math.Float64bits(e.want) {
 									t.Fatalf("%s cell (%d,%d): %s = %v, model gives %v", name, m, n, e.what, e.got, e.want)

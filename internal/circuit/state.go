@@ -21,8 +21,9 @@ import "mnsim/internal/linalg"
 // solves is the warm-start vector. A solve with a fresh state is
 // bit-identical to a solve with a nil one.
 type SolverState struct {
-	// Cached assembly (operator and right-hand-side buffers), valid for
-	// any crossbar of the same shape; values are re-stamped every solve.
+	// Cached assembly (operator, source currents and right-hand-side
+	// buffer), valid for any crossbar of the same shape; values are
+	// re-stamped every solve.
 	asm *assembly
 	// Cached block preconditioner, tied to asm's shape and refactored
 	// from the current operator at every solve.

@@ -117,36 +117,45 @@ func (c *Crossbar) settle(ctx context.Context, vin []float64, opt TransientOptio
 	if err != nil {
 		return out, fmt.Errorf("circuit: preconditioner: %w", err)
 	}
-	// DC target for the settling criterion.
-	final, _, err := linalg.SolveCG(op, a.rhsBase, nil, linalg.CGOptions{Tol: 1e-10, Precond: pre})
+	// Every solve of the run, the DC target's included, shares one CGWork;
+	// each step's solution aliases it, and the ping-pong keeps the
+	// previous step's v valid as the next step's warm start.
+	work := &linalg.CGWork{}
+	// DC target for the settling criterion: only the outputs are read.
+	dc, _, err := linalg.SolveCG(op, c.sources(a, nil), nil, linalg.CGOptions{Tol: 1e-10, Precond: pre, Work: work})
 	if err != nil {
 		return out, fmt.Errorf("circuit: DC solve: %w", err)
 	}
+	final := c.extractVOut(dc)
 	// Backward Euler: (G + C/dt)·v_{t+dt} = C/dt·v_t + b. The DC target is
 	// solved, so G itself is no longer needed: add C/dt to its diagonal in
-	// place, after every stamped term.
-	capDt := capsOverDt(c, opt)
-	addDiagonal(op, capDt)
+	// place, after every stamped term. C/dt takes two values: the wire
+	// capacitance's on the row nodes, and with the cell capacitance on the
+	// column nodes (the second half of the node numbering).
+	rowCapDt, colCapDt := opt.NodeCap/opt.Dt, (opt.NodeCap+opt.CellCap)/opt.Dt
+	half := c.M * c.N
+	rowDiag, colDiag := op.Diag[:half], op.Diag[half:]
+	for i := range rowDiag {
+		rowDiag[i] += rowCapDt
+	}
+	for i := range colDiag {
+		colDiag[i] += colCapDt
+	}
 	// The stepping matrix is constant, so one refresh preconditions every
 	// step of the integration.
 	if err := pre.Refresh(op, nil); err != nil {
 		return out, fmt.Errorf("circuit: preconditioner: %w", err)
 	}
-	n2 := len(capDt)
-	v := make([]float64, n2) // discharged start
-	rhs := make([]float64, n2)
-	// Each step's solution aliases work; the ping-pong keeps the previous
-	// step's v valid as the next step's warm start.
-	work := &linalg.CGWork{}
+	// The DC solution's buffer, cleared, is the discharged start.
+	v := dc
+	clear(v)
 	// settled also records the worst remaining output deviation in volts,
 	// so a non-settle failure can say how far from done it still was.
 	settled := func() bool {
 		ok := true
 		worst := 0.0
-		for n := 0; n < c.N; n++ {
-			idx := c.colNode(c.M-1, n)
-			f := final[idx]
-			d := math.Abs(v[idx] - f)
+		for n, f := range final {
+			d := math.Abs(v[c.colNode(c.M-1, n)] - f)
 			if d > worst {
 				worst = d
 			}
@@ -161,9 +170,13 @@ func (c *Crossbar) settle(ctx context.Context, vin []float64, opt TransientOptio
 		if err := ctx.Err(); err != nil {
 			return out, fmt.Errorf("circuit: transient step %d: %w", step, err)
 		}
-		copy(rhs, a.rhsBase)
-		for i := 0; i < n2; i++ {
-			rhs[i] += capDt[i] * v[i]
+		rhs := c.sources(a, nil)
+		rhsRow, rhsCol := rhs[:half], rhs[half:]
+		for i := range rhsRow {
+			rhsRow[i] += rowCapDt * v[i]
+		}
+		for i := range rhsCol {
+			rhsCol[i] += colCapDt * v[half+i]
 		}
 		var it int
 		v, it, err = linalg.SolveCG(op, rhs, v, linalg.CGOptions{Tol: 1e-9, Precond: pre, Work: work})
@@ -178,30 +191,4 @@ func (c *Crossbar) settle(ctx context.Context, vin []float64, opt TransientOptio
 		}
 	}
 	return out, &NotSettledError{Steps: opt.MaxSteps, LastMaxDV: out.lastMaxDV}
-}
-
-// capsOverDt returns C/dt for every node: the wire capacitance everywhere,
-// plus the cell capacitance on the column nodes (the second half of the
-// node numbering). Computed once, so each step's C/dt·v term is a single
-// multiply.
-func capsOverDt(c *Crossbar, opt TransientOptions) []float64 {
-	n2 := 2 * c.M * c.N
-	half := c.M * c.N // column nodes start here
-	capDt := make([]float64, n2)
-	for i := range capDt {
-		ci := opt.NodeCap
-		if i >= half {
-			ci += opt.CellCap
-		}
-		capDt[i] = ci / opt.Dt
-	}
-	return capDt
-}
-
-// addDiagonal adds d[i] to the operator's diagonal in place, after every
-// term already stamped there.
-func addDiagonal(op *linalg.CrossbarOp, d []float64) {
-	for i, v := range d {
-		op.Diag[i] += v
-	}
 }

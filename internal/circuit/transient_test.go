@@ -161,7 +161,8 @@ func referenceSettleSteps(t *testing.T, c *Crossbar, vin []float64, opt Transien
 		t.Fatal(err)
 	}
 	tight := linalg.CGOptions{Tol: 1e-13, Precond: pre}
-	final, _, err := linalg.SolveCG(a.op, a.rhsBase, nil, tight)
+	src := append([]float64(nil), lin.sources(a, nil)...)
+	final, _, err := linalg.SolveCG(a.op, src, nil, tight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func referenceSettleSteps(t *testing.T, c *Crossbar, vin []float64, opt Transien
 	v, rhs := make([]float64, n2), make([]float64, n2)
 	for step := 1; step <= 100000; step++ {
 		for i := range rhs {
-			rhs[i] = a.rhsBase[i] + capDt[i]*v[i]
+			rhs[i] = src[i] + capDt[i]*v[i]
 		}
 		if v, _, err = linalg.SolveCG(a.op, rhs, v, tight); err != nil {
 			t.Fatal(err)

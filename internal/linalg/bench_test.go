@@ -21,7 +21,7 @@ func crossbarSystem(m, n int, seed int64, step bool) (*CrossbarOp, []float64) {
 		rhs[i*n] = gw * 0.3 * rng.Float64()
 	}
 	for k := range a.G {
-		a.SetCell(k, 1e-7+(1e-5-1e-7)*float64(rng.Intn(128))/127)
+		a.SetCell(k/a.N, k%a.N, 1e-7+(1e-5-1e-7)*float64(rng.Intn(128))/127)
 	}
 	if step {
 		for i, c := range stepCaps(m, n) {

@@ -53,31 +53,36 @@ type CGOptions struct {
 	// apply cost and bumps PrecondApplies.
 	Ops *OpCount
 	// Work, when non-nil, supplies reusable scratch for the solve's working
-	// vectors, eliminating the five length-N allocations a cold call makes.
+	// vectors, eliminating the four length-N allocations a cold call makes.
 	// See CGWork for the aliasing contract on the returned solution.
 	Work *CGWork
 }
 
-// CGWork is reusable scratch storage for SolveCG: the five length-N working
-// vectors a solve needs (solution, residual, preconditioned residual,
-// search direction, A·p). With CGOptions.Work set, the solution SolveCG
-// returns aliases Work storage; successive solves alternate between two
-// solution buffers, so the previous result stays valid across exactly one
-// further call — the v/vNew ping-pong a Newton loop needs. Callers keeping
-// a solution longer than that must copy it. Like every solver structure in
-// this package, a CGWork serves one goroutine at a time.
+// CGWork is reusable scratch storage for SolveCG: the length-N working
+// vectors a solve needs, five in all — two solution buffers, the residual,
+// the search direction, and one buffer that holds the preconditioned
+// residual z and the product A·p in turn. A·p lives from the SpMV to the
+// residual update and z from the preconditioner apply to the direction
+// update, so the two never hold a value at the same time. With
+// CGOptions.Work set, the solution SolveCG returns aliases Work storage;
+// successive solves alternate between the two solution buffers, so the
+// previous result stays valid across exactly one further call — the
+// v/vNew ping-pong a Newton loop needs. Callers keeping a solution longer
+// than that must copy it. Like every solver structure in this package, a
+// CGWork serves one goroutine at a time.
 type CGWork struct {
-	xs          [2][]float64
-	flip        int
-	r, z, p, ap []float64
+	xs      [2][]float64
+	flip    int
+	r, z, p []float64
 }
 
 // take returns the working vectors sized n, growing the underlying buffers
-// as needed; x is zeroed, matching a fresh allocation. A nil receiver
-// returns all nils, and SolveCG falls back to per-call allocation.
-func (w *CGWork) take(n int) (x, r, z, p, ap []float64) {
+// as needed; x is zeroed, matching a fresh allocation, and z is also the
+// A·p buffer. A nil receiver returns all nils, and SolveCG falls back to
+// per-call allocation.
+func (w *CGWork) take(n int) (x, r, z, p []float64) {
 	if w == nil {
-		return nil, nil, nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	w.xs[w.flip] = growVec(w.xs[w.flip], n)
 	x = w.xs[w.flip]
@@ -88,8 +93,7 @@ func (w *CGWork) take(n int) (x, r, z, p, ap []float64) {
 	w.r = growVec(w.r, n)
 	w.z = growVec(w.z, n)
 	w.p = growVec(w.p, n)
-	w.ap = growVec(w.ap, n)
-	return x, w.r, w.z, w.p, w.ap
+	return x, w.r, w.z, w.p
 }
 
 // growVec returns buf resized to n, reallocating only when capacity is
@@ -135,7 +139,7 @@ func SolveCG(a *CrossbarOp, b, x0 []float64, opt CGOptions) ([]float64, int, err
 	// With scratch the vectors come pre-sized from the work pool (x zeroed);
 	// without it each is allocated at its historical site below, so cold
 	// early-exit paths stay as cheap as they always were.
-	x, wr, wz, wp, wap := opt.Work.take(n)
+	x, wr, wz, wp := opt.Work.take(n)
 	if x == nil {
 		//lint:ignore noalloc cold fallback when no CGWork scratch is supplied
 		x = make([]float64, n)
@@ -196,11 +200,8 @@ func SolveCG(a *CrossbarOp, b, x0 []float64, opt CGOptions) ([]float64, int, err
 	ops.CountBytes(16 * int64(n))
 	rz := Dot(r, z)
 	ops.CountDot(n)
-	ap := wap
-	if ap == nil {
-		//lint:ignore noalloc cold fallback when no CGWork scratch is supplied
-		ap = make([]float64, n)
-	}
+	// z is dead until the next apply: its storage holds A·p meanwhile.
+	ap := z
 	for it := 1; it <= opt.MaxIter; it++ {
 		pap := a.mulVecDot(p, ap)
 		ops.CountSpMV(nnz, n)

@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -151,6 +153,73 @@ func TestUpdateCGBitIdentical(t *testing.T) {
 		if !sameBits(x, wantX) || !sameBits(r, wantR) ||
 			math.Float64bits(math.Sqrt(rr)) != math.Float64bits(Norm2(wantR)) {
 			t.Fatalf("n=%d: fused update·norm differs from AXPY, AXPY, Norm2", n)
+		}
+	}
+}
+
+// TestCGWorkSequenceMatchesFresh drives one CGWork through a Newton-style
+// sequence of solves — cold, warm from the previous answer against a
+// moved right-hand side, after a C/dt shift of the diagonal, against a
+// zero right-hand side, and into a NaN-diagonal breakdown — and checks
+// that every call returns the bits, iteration count and error of the same
+// call on freshly allocated vectors. The work's z buffer also holds A·p,
+// so a lifetime overlap between the two would show here, under the block
+// preconditioner and under the Jacobi fallback alike.
+func TestCGWorkSequenceMatchesFresh(t *testing.T) {
+	for _, block := range []bool{true, false} {
+		a, rhs := crossbarSystem(9, 7, 5, false)
+		var pre *BlockJacobi
+		opt := CGOptions{Tol: 1e-10}
+		if block {
+			var err error
+			if pre, err = NewBlockJacobi(a, nil); err != nil {
+				t.Fatal(err)
+			}
+			opt.Precond = pre
+		}
+		work := &CGWork{}
+		// solve runs one step both ways, compares them and returns the
+		// shared run's answer, the next step's warm start.
+		solve := func(name string, b, x0 []float64) ([]float64, error) {
+			t.Helper()
+			name = fmt.Sprintf("block=%v %s", block, name)
+			fresh, itF, errF := SolveCG(a, b, x0, opt)
+			shared := opt
+			shared.Work = work
+			x, it, err := SolveCG(a, b, x0, shared)
+			if it != itF || fmt.Sprint(err) != fmt.Sprint(errF) {
+				t.Fatalf("%s: shared work gave %d iterations, err %v; fresh %d, err %v", name, it, err, itF, errF)
+			}
+			var bd, bdF *BreakdownError
+			if errors.As(err, &bd) != errors.As(errF, &bdF) || bd != nil && (bd.Iter != bdF.Iter || math.Float64bits(bd.PAp) != math.Float64bits(bdF.PAp)) {
+				t.Fatalf("%s: breakdown %+v, fresh %+v", name, bd, bdF)
+			}
+			if !sameBits(x, fresh) {
+				t.Fatalf("%s: shared work's solution differs from fresh allocation", name)
+			}
+			return x, err
+		}
+		x, _ := solve("cold", rhs, nil)
+		moved := make([]float64, len(rhs))
+		for i := range moved {
+			moved[i] = rhs[i] * (1 + 1e-3*math.Sin(float64(i)))
+		}
+		x, _ = solve("warm", moved, x)
+		for i, c := range stepCaps(a.M, a.N) {
+			a.Diag[i] += c
+		}
+		if pre != nil {
+			if err := pre.Refresh(a, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		x, _ = solve("shifted", moved, x)
+		x, _ = solve("cold on used work", rhs, nil)
+		x, _ = solve("zero rhs", make([]float64, len(rhs)), x)
+		a.Diag[3] = math.NaN()
+		var bd *BreakdownError
+		if _, err := solve("nan diagonal", rhs, x); !errors.As(err, &bd) {
+			t.Fatalf("block=%v: NaN diagonal gave %v, want a breakdown", block, err)
 		}
 	}
 }

@@ -5,7 +5,9 @@ import "fmt"
 // CrossbarOp is the modified-nodal-analysis conductance matrix of an M×N
 // memristor crossbar, held as its stencil instead of as stored entries.
 // The matrix is fixed by the wire-segment conductance GW, the M·N cell
-// conductances G and the node diagonal Diag; nothing else is stored.
+// conductances G and the node diagonal Diag. Beside them the operator
+// stores only the N + M wire-only diagonal sums that SetCell adds a cell
+// to: 2·M·N + M·N + N + M floats in all.
 //
 // Node numbering: row node (m, n) is m·N + n and column node (m, n) is
 // M·N + m·N + n, so cell k = m·N + n joins row node k to column node
@@ -32,8 +34,12 @@ type CrossbarOp struct {
 	G []float64
 	// Diag is the node diagonal, row nodes then column nodes.
 	Diag []float64
-	// wire is the diagonal without the cell terms, set by StampWires;
-	// SetCell adds a cell's conductance to it.
+	// wire is the diagonal without the cell terms, set by StampWires. It
+	// depends on a node's position alone: wire[n] is the sum of every row
+	// node in column n (the last column has no right segment), wire[N+m]
+	// that of every column node in row m (the first row has no up segment,
+	// the last ends in the sense conductance). SetCell adds a cell's
+	// conductance to it.
 	wire []float64
 }
 
@@ -43,7 +49,7 @@ func NewCrossbarOp(m, n int) *CrossbarOp {
 	if m <= 0 || n <= 0 {
 		panic(fmt.Sprintf("linalg: invalid crossbar shape %dx%d", m, n))
 	}
-	return &CrossbarOp{M: m, N: n, G: make([]float64, m*n), Diag: make([]float64, 2*m*n), wire: make([]float64, 2*m*n)}
+	return &CrossbarOp{M: m, N: n, G: make([]float64, m*n), Diag: make([]float64, 2*m*n), wire: make([]float64, n+m)}
 }
 
 // Len is the number of unknowns, 2·M·N.
@@ -55,39 +61,32 @@ func (a *CrossbarOp) Len() int { return len(a.Diag) }
 func (a *CrossbarOp) NNZ() int { return 8*a.M*a.N - 2*a.M - 2*a.N }
 
 // StampWires sets the wire conductance gw and recomputes the wire-only
-// diagonal with sense conductance gs. A row node sums its left segment (or
-// its source) and then its right segment; a column node sums its up
+// diagonal sums with sense conductance gs. A row node sums its left segment
+// (or its source) and then its right segment; a column node sums its up
 // segment and then its down segment (or its sense conductance). Diag
 // follows once every cell is set with SetCell.
 func (a *CrossbarOp) StampWires(gw, gs float64) {
 	a.GW = gw
-	mn, n := a.M*a.N, a.N
-	rows, cols := a.wire[:mn], a.wire[mn:]
+	rows, cols := a.wire[:a.N], a.wire[a.N:]
 	for i := range a.wire {
 		a.wire[i] = gw + gw
 	}
-	for i := n - 1; i < mn; i += n {
-		rows[i] = gw // no right segment (with N = 1, the source alone)
-	}
-	for i := range cols[:n] {
-		cols[i] = gw // no up segment
-	}
+	rows[a.N-1] = gw // no right segment (with N = 1, the source alone)
+	cols[0] = gw     // no up segment
 	end := gw + gs
 	if a.M == 1 {
 		end = gs
 	}
-	for i := range cols[mn-n:] {
-		cols[mn-n+i] = end
-	}
+	cols[a.M-1] = end
 }
 
-// SetCell sets cell k's conductance and the diagonal of its two nodes to
-// their wire-only sums plus g.
-func (a *CrossbarOp) SetCell(k int, g float64) {
+// SetCell sets the conductance of the cell in crossbar row m, column n,
+// and the diagonal of its two nodes to their wire-only sums plus g.
+func (a *CrossbarOp) SetCell(m, n int, g float64) {
+	k := m*a.N + n
 	a.G[k] = g
-	a.Diag[k] = a.wire[k] + g
-	j := len(a.G) + k
-	a.Diag[j] = a.wire[j] + g
+	a.Diag[k] = a.wire[n] + g
+	a.Diag[len(a.G)+k] = a.wire[a.N+m] + g
 }
 
 // Families returns the wire chains as preconditioner chain families: each

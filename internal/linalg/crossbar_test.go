@@ -104,7 +104,7 @@ func randomOp(m, n int, step bool, rng *rand.Rand) (*CrossbarOp, sortedRows) {
 	gs := 1e-4 + rng.Float64()*1e-2
 	a.StampWires(0.5+rng.Float64()*3, gs)
 	for k := range a.G {
-		a.SetCell(k, 1e-7+rng.Float64()*1e-4)
+		a.SetCell(k/a.N, k%a.N, 1e-7+rng.Float64()*1e-4)
 	}
 	var caps []float64
 	if step {
@@ -179,8 +179,8 @@ func TestCrossbarOpMatchesSortedRows(t *testing.T) {
 func TestCrossbarOpMulVec(t *testing.T) {
 	a := NewCrossbarOp(1, 2)
 	a.StampWires(1, 1)
-	a.SetCell(0, 0.5)
-	a.SetCell(1, 0.25)
+	a.SetCell(0, 0, 0.5)
+	a.SetCell(0, 1, 0.25)
 	// Rows: r0 [2.5 −1 −0.5 0], r1 [−1 1.25 0 −0.25],
 	// c0 [−0.5 0 1.5 0], c1 [0 −0.25 0 1.25].
 	y := a.MulVec([]float64{1, 2, 3, 4}, make([]float64, 1))
@@ -202,7 +202,7 @@ func TestDiagonal(t *testing.T) {
 		gs := 1 / (1 + rng.Float64())
 		a.StampWires(1/(0.1+rng.Float64()), gs)
 		for k := range a.G {
-			a.SetCell(k, rng.Float64())
+			a.SetCell(k/a.N, k%a.N, rng.Float64())
 		}
 		ref := newSortedRows(a.Len(), assemblyTrips(a, gs, nil))
 		for i, d := range a.Diag {

@@ -66,36 +66,48 @@ type Family struct {
 //
 // The factor is stored per global index, so a family's chains interleave
 // in it exactly as they do in the vectors and every kernel walks memory
-// at unit stride.
+// at unit stride. It stores what Apply reads, L's subdiagonal and its
+// reciprocal pivots, two floats per unknown; the pivots themselves are
+// read from the operator's diagonal while factoring and kept only as long
+// as the next element of their chain needs them.
 type BlockJacobi struct {
 	m, n     int // the crossbar shape
 	families []Family
-	// diag[i] and sub[i] are the chain entries of unknown i: its diagonal
-	// and its coupling to the previous element of the same chain (zero at
-	// a chain head). Refresh reads them from the operator and factors them
-	// in place into L's diagonal and subdiagonal.
-	diag, sub []float64
+	// sub[i] is unknown i's coupling to the previous element of its chain
+	// (zero at a chain head). Refresh writes it from the operator and
+	// factors it in place into L's subdiagonal.
+	sub []float64
 	// rdiag caches 1/L[i,i]. Substitution is a loop-carried dependency
 	// chain, so replacing its per-element division with a multiply by the
 	// cached reciprocal is the difference between ~30 and ~8 cycles per
 	// element; the one extra rounding it introduces is far inside CG's
 	// convergence tolerance.
 	rdiag []float64
+	// piv is the factor's scratch: the latest pivot L[i,i] of each chain
+	// of the family being factored, as many floats as its widest family
+	// has chains.
+	piv []float64
 }
 
 // NewBlockJacobi builds the preconditioner over a's wire chains
 // (CrossbarOp.Families) and factors it with Refresh.
 func NewBlockJacobi(a *CrossbarOp, ops *OpCount) (*BlockJacobi, error) {
-	p := &BlockJacobi{
-		m: a.M, n: a.N, families: a.Families(),
-		diag:  make([]float64, a.Len()),
-		sub:   make([]float64, a.Len()),
-		rdiag: make([]float64, a.Len()),
-	}
+	p := newChainPrecond(a.Families(), a.Len())
+	p.m, p.n = a.M, a.N
 	if err := p.Refresh(a, ops); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// newChainPrecond allocates an unfactored preconditioner over families
+// that partition [0, n).
+func newChainPrecond(fams []Family, n int) *BlockJacobi {
+	chains := 0
+	for _, f := range fams {
+		chains = max(chains, f.Chains)
+	}
+	return &BlockJacobi{families: fams, sub: make([]float64, n), rdiag: make([]float64, n), piv: make([]float64, chains)}
 }
 
 // Refresh reads the chain entries of the (re-stamped) operator, which must
@@ -105,22 +117,21 @@ func (p *BlockJacobi) Refresh(a *CrossbarOp, ops *OpCount) error {
 	if a.M != p.m || a.N != p.n {
 		return fmt.Errorf("linalg: preconditioner built for a %dx%d crossbar, operator is %dx%d", p.m, p.n, a.M, a.N)
 	}
-	copy(p.diag, a.Diag)
 	for i := range p.sub {
 		p.sub[i] = -a.GW
 	}
 	for _, f := range p.families {
 		clear(p.sub[f.Start : f.Start+f.Chains]) // chain heads
 	}
-	ops.CountBytes(32 * int64(len(p.diag))) // source read + entry write, two entries per unknown
-	return p.factor(ops)
+	ops.CountBytes(8 * int64(len(p.sub))) // coupling write; the factor reads the diagonal
+	return p.factor(a.Diag, ops)
 }
 
-// factor factors every family's chains in place.
-func (p *BlockJacobi) factor(ops *OpCount) error {
+// factor factors every family's chains, with diagonal diag, in place.
+func (p *BlockJacobi) factor(diag []float64, ops *OpCount) error {
 	for fi, f := range p.families {
 		ops.CountChainFactor(f.Chains, f.Len)
-		if i, pivot := p.factorFamily(f); i >= 0 {
+		if i, pivot := p.factorFamily(f, diag); i >= 0 {
 			return fmt.Errorf("linalg: chain family %d (start %d, %d chains of %d): %w (pivot %g at chain %d element %d)",
 				fi, f.Start, f.Chains, f.Len, ErrNotSPD, pivot, i%f.Chains, i/f.Chains)
 		}
@@ -128,23 +139,28 @@ func (p *BlockJacobi) factor(ops *OpCount) error {
 	return nil
 }
 
-// factorFamily overwrites one family's entries with the Cholesky factor of
-// each of its chains and fills their reciprocal pivots. Each element costs
-// l = a/d′, d = √(a − l·l), 1/d against its predecessor's pivot d′, the
-// order of a scalar tridiagonal Cholesky; the loop runs over the
-// interleaved range once, so every chain advances one element per Chains
-// indices. A pivot that is not strictly positive stops the factorization
-// and is returned with its offset in the family; otherwise the offset is
-// −1. A failed factor is left partially overwritten — callers discard it.
+// factorFamily overwrites one family's subdiagonal with the Cholesky
+// factor of each of its chains, whose diagonal is diag's, and fills their
+// reciprocal pivots. Each element costs l = a/d′, d = √(a − l·l), 1/d
+// against its predecessor's pivot d′, the order of a scalar tridiagonal
+// Cholesky; the loop runs over the interleaved range once, so every chain
+// advances one element per Chains indices, and d′ is the chain's slot in
+// the pivot scratch. A pivot that is not strictly positive stops the
+// factorization and is returned with its offset in the family; otherwise
+// the offset is −1. A failed factor is left partially overwritten —
+// callers discard it.
 //
 //lint:hotpath
-func (p *BlockJacobi) factorFamily(f Family) (int, float64) {
+func (p *BlockJacobi) factorFamily(f Family, diag []float64) (int, float64) {
 	s, end := f.Chains, f.Start+f.Chains*f.Len
-	d, l, rd := p.diag[f.Start:end], p.sub[f.Start:end], p.rdiag[f.Start:end]
+	d, l, rd := diag[f.Start:end], p.sub[f.Start:end], p.rdiag[f.Start:end]
+	l, rd = l[:len(d)], rd[:len(d)]
+	piv := p.piv[:s]
+	c := 0 // the chain of element i
 	for i := range d {
 		a := d[i]
 		if i >= s {
-			li := l[i] / d[i-s]
+			li := l[i] / piv[c]
 			l[i] = li
 			a -= li * li
 		}
@@ -152,8 +168,12 @@ func (p *BlockJacobi) factorFamily(f Family) (int, float64) {
 			return i, a
 		}
 		di := math.Sqrt(a)
-		d[i] = di
+		piv[c] = di
 		rd[i] = 1 / di
+		c++
+		if c == s {
+			c = 0
+		}
 	}
 	return -1, 0
 }
@@ -180,7 +200,7 @@ func (p *BlockJacobi) Apply(r, z []float64, ops *OpCount) {
 		fams = fams[1:]
 	}
 	// The r→z copy pass, which the cost model charges 32 bytes per unknown.
-	ops.CountBytes(32 * int64(len(p.diag)))
+	ops.CountBytes(32 * int64(len(p.sub)))
 	ops.CountPrecondApply()
 }
 

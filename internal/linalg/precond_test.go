@@ -17,7 +17,7 @@ func wireOnly(m, n int, gw, gs float64) *CrossbarOp {
 	a := NewCrossbarOp(m, n)
 	a.StampWires(gw, gs)
 	for k := range a.G {
-		a.SetCell(k, 0)
+		a.SetCell(k/a.N, k%a.N, 0)
 	}
 	return a
 }
@@ -59,7 +59,7 @@ func TestBlockJacobiRefresh(t *testing.T) {
 	}
 	a.StampWires(2.5, 0.1)
 	for k := range a.G {
-		a.SetCell(k, 0)
+		a.SetCell(k/a.N, k%a.N, 0)
 	}
 	if err := p.Refresh(a, nil); err != nil {
 		t.Fatal(err)
@@ -255,8 +255,9 @@ func TestSolveCGWarmStartPerturbed(t *testing.T) {
 // families, which must partition [0, len(diag)), with the given chain
 // entries (sub zero at chain heads).
 func chainPrecond(fams []Family, diag, sub []float64) (*BlockJacobi, error) {
-	p := &BlockJacobi{families: fams, diag: diag, sub: sub, rdiag: make([]float64, len(diag))}
-	return p, p.factor(nil)
+	p := newChainPrecond(fams, len(diag))
+	copy(p.sub, sub)
+	return p, p.factor(diag, nil)
 }
 
 // randomChains draws a random diagonally dominant (so SPD) chain matrix
@@ -296,10 +297,12 @@ func wireFamilies(m, n int) []Family {
 // refChainFactor is the scalar bandwidth-1 Cholesky of one chain with
 // diagonal a and subdiagonal b (b[0] unused), element by element in the
 // order l = b/d′, d = √(a − l·l), 1/d — the oracle the interleaved family
-// factor must match bit for bit.
-func refChainFactor(a, b []float64) (d, l, rd []float64, err error) {
+// factor must match bit for bit. It returns what the preconditioner
+// stores: L's subdiagonal and reciprocal pivots.
+func refChainFactor(a, b []float64) (l, rd []float64, err error) {
 	n := len(a)
-	d, l, rd = make([]float64, n), make([]float64, n), make([]float64, n)
+	d := make([]float64, n)
+	l, rd = make([]float64, n), make([]float64, n)
 	for k := 0; k < n; k++ {
 		s := a[k]
 		if k > 0 {
@@ -307,12 +310,12 @@ func refChainFactor(a, b []float64) (d, l, rd []float64, err error) {
 			s -= l[k] * l[k]
 		}
 		if !(s > 0) {
-			return nil, nil, nil, ErrNotSPD
+			return nil, nil, ErrNotSPD
 		}
 		d[k] = math.Sqrt(s)
 		rd[k] = 1 / d[k]
 	}
-	return d, l, rd, nil
+	return l, rd, nil
 }
 
 // refChainSolve overwrites x with the chain's solve by scalar forward and
@@ -388,14 +391,13 @@ func TestBlockJacobiMatchesChainReference(t *testing.T) {
 						sub[k] = sys.ref.at(i, i-f.Chains)
 					}
 				}
-				d, l, rd, err := refChainFactor(diag, sub)
+				l, rd, err := refChainFactor(diag, sub)
 				if err != nil {
 					t.Fatalf("%s: reference factor: %v", sys.name, err)
 				}
 				refChainSolve(l, rd, x)
 				for k, i := range idx {
-					same := math.Float64bits(p.diag[i]) == math.Float64bits(d[k]) &&
-						math.Float64bits(p.rdiag[i]) == math.Float64bits(rd[k]) &&
+					same := math.Float64bits(p.rdiag[i]) == math.Float64bits(rd[k]) &&
 						(k == 0 || math.Float64bits(p.sub[i]) == math.Float64bits(l[k]))
 					if !same {
 						t.Fatalf("%s: factor differs at index %d (chain %d element %d)", sys.name, i, c, k)
