@@ -15,7 +15,7 @@ import (
 // bytes, that anything it accepts round-trips (re-marshalling the accepted
 // events as JSONL and re-reading them yields the same events), and that the
 // typed decoders the readers use take every accepted event without a
-// panic. Mirrors the config and nvsim fuzzers.
+// panic. Mirrors the config and solver-snapshot fuzzers.
 func FuzzReadJournal(f *testing.F) {
 	// v2 header + a span pair.
 	f.Add([]byte(`{"seq":1,"t_ns":10,"type":"journal","data":{"schema_version":2,"tool":"mnsim-sim"}}
