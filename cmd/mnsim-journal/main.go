@@ -9,7 +9,6 @@
 //	mnsim-journal summarize run.jsonl              # per-type / per-span stats
 //	mnsim-journal slowest -n 5 run.jsonl           # slowest solves + cost breakdown
 //	mnsim-journal outliers run.jsonl               # stagnated / decay-anomalous solves
-//	mnsim-journal resources run.jsonl              # resource samples + spike/solve correlation
 //	mnsim-journal timeline cand-64x16@45 run.jsonl # one candidate's causal chain
 //	mnsim-journal export -o trace.json run.jsonl   # journal -> Chrome trace events
 package main
@@ -40,7 +39,6 @@ func usage() error {
   mnsim-journal summarize <journal.jsonl>
   mnsim-journal slowest [-n 10] <journal.jsonl>
   mnsim-journal outliers <journal.jsonl>
-  mnsim-journal resources [-n 5] <journal.jsonl>
   mnsim-journal timeline <candidate-id> <journal.jsonl>
   mnsim-journal export [-o trace.json] <journal.jsonl>`)
 }
@@ -71,16 +69,6 @@ func run(w io.Writer, args []string) error {
 			return usage()
 		}
 		return outliers(w, rest[0])
-	case "resources":
-		fs := flag.NewFlagSet("resources", flag.ContinueOnError)
-		n := fs.Int("n", 5, "how many slow solves to correlate against resource spikes")
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		if fs.NArg() != 1 {
-			return usage()
-		}
-		return resources(w, fs.Arg(0), *n)
 	case "timeline":
 		if len(rest) != 2 {
 			return usage()
@@ -220,11 +208,9 @@ func candidateOutcomes(events []telemetry.Event) map[string]int {
 
 // --- solve extraction -------------------------------------------------------
 
-// solve is one solve_end event: its envelope's ID and time (the solve's
-// end) and its payload.
+// solve is one solve_end event: its envelope's ID and its payload.
 type solve struct {
-	id  string
-	tns int64
+	id string
 	circuit.SolveEnd
 }
 
@@ -235,7 +221,7 @@ func solveEnds(events []telemetry.Event) ([]solve, error) {
 		if ev.Type != telemetry.EvSolveEnd {
 			continue
 		}
-		s := solve{id: ev.ID, tns: ev.TNS}
+		s := solve{id: ev.ID}
 		if err := ev.Decode(&s.SolveEnd); err != nil {
 			return nil, fmt.Errorf("solve_end %s: %w", ev.ID, err)
 		}
@@ -350,98 +336,6 @@ func outliers(w io.Writer, path string) error {
 		return nil
 	}
 	return t.Render(w)
-}
-
-// --- resources --------------------------------------------------------------
-
-// resources summarizes the resource_sample stream — peaks, run-scoped
-// allocation/GC deltas, pressure and stall counts — then correlates the
-// slowest solves with the runtime state around them: for each of the top-n
-// solves, the peak live heap and the GC cycles retired inside the solve's
-// wall-clock window. A solve that is slow *and* coincides with a heap spike
-// or a GC burst is memory-bound, not math-bound.
-func resources(w io.Writer, path string, n int) error {
-	events, err := telemetry.ReadJournalFile(path)
-	if err != nil {
-		return err
-	}
-	samples := telemetry.ResourceSamples(events)
-	if len(samples) == 0 {
-		return fmt.Errorf("%s: no resource_sample events (run with -resource-interval)", path)
-	}
-	first, last := samples[0], samples[len(samples)-1]
-	var peakHeap uint64
-	var maxGoroutines int64
-	var maxSchedP99 float64
-	for _, s := range samples {
-		peakHeap = max(peakHeap, s.HeapLiveBytes)
-		maxGoroutines = max(maxGoroutines, s.Goroutines)
-		maxSchedP99 = max(maxSchedP99, s.SchedLatencyP99US)
-	}
-	pressures, stalls := 0, 0
-	for _, ev := range events {
-		switch ev.Type {
-		case telemetry.EvMemPressure:
-			pressures++
-		case telemetry.EvWatchdogStall:
-			stalls++
-		}
-	}
-	spanMS := float64(last.TNS-first.TNS) / 1e6
-	t := &report.Table{Title: "Resource samples", Headers: []string{"Metric", "Value"}}
-	t.AddRow("Samples", len(samples))
-	t.AddRow("Span", fmt.Sprintf("%.1f ms", spanMS))
-	t.AddRow("Peak live heap", telemetry.FormatByteSize(peakHeap))
-	t.AddRow("Final heap goal", telemetry.FormatByteSize(last.HeapGoalBytes))
-	t.AddRow("Max goroutines", maxGoroutines)
-	t.AddRow("Allocated", fmt.Sprintf("%s (%d objects)",
-		telemetry.FormatByteSize(last.TotalAllocBytes-first.TotalAllocBytes), last.TotalAllocObjects-first.TotalAllocObjects))
-	t.AddRow("GC cycles", last.GCCycles-first.GCCycles)
-	t.AddRow("GC pause", fmt.Sprintf("%.3f ms", float64(last.GCPauseTotalNS-first.GCPauseTotalNS)/1e6))
-	t.AddRow("GC CPU fraction", fmt.Sprintf("%.4f", last.GCCPUFraction))
-	t.AddRow("Max sched p99", fmt.Sprintf("%.1f us", maxSchedP99))
-	t.AddRow("Mem pressure events", pressures)
-	t.AddRow("Watchdog stalls", stalls)
-	if err := t.Render(w); err != nil {
-		return err
-	}
-
-	solves, err := solveEnds(events)
-	if err != nil || len(solves) == 0 {
-		return err
-	}
-	sort.SliceStable(solves, func(i, j int) bool { return solves[i].DurUS > solves[j].DurUS })
-	if n > len(solves) {
-		n = len(solves)
-	}
-	ct := &report.Table{
-		Title:   fmt.Sprintf("Slowest %d solves vs runtime state", n),
-		Headers: []string{"Solve", "Dur (us)", "Heap in window", "GC cycles", "Goroutines"},
-	}
-	for _, s := range solves[:n] {
-		end := s.tns
-		start := end - int64(s.DurUS*1e3)
-		// Samples inside the solve window, widened to the bracketing samples
-		// so short solves between two ticks still get runtime context.
-		lo := sort.Search(len(samples), func(i int) bool { return samples[i].TNS >= start })
-		hi := sort.Search(len(samples), func(i int) bool { return samples[i].TNS > end })
-		if lo > 0 {
-			lo--
-		}
-		if hi >= len(samples) {
-			hi = len(samples) - 1
-		}
-		var heap uint64
-		var gor int64
-		for _, smp := range samples[lo : hi+1] {
-			heap = max(heap, smp.HeapLiveBytes)
-			gor = max(gor, smp.Goroutines)
-		}
-		cycles := samples[hi].GCCycles - samples[lo].GCCycles
-		ct.AddRow(s.id, fmt.Sprintf("%.1f", s.DurUS), telemetry.FormatByteSize(heap), cycles, gor)
-	}
-	fmt.Fprintln(w)
-	return ct.Render(w)
 }
 
 // --- timeline ---------------------------------------------------------------

@@ -95,86 +95,53 @@ func TestSlowest(t *testing.T) {
 	}
 }
 
-// writeResourceJournal produces a journal carrying resource_sample events
-// bracketing a journaled solve, plus one mem_pressure event — the shape a
-// run with -resource-interval and -mem-soft-limit leaves behind.
-func writeResourceJournal(t *testing.T) string {
-	t.Helper()
-	j := telemetry.DefaultJournal()
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	if err := j.Open(path); err != nil {
+// TestReadsRetiredResourceEvents reads a schema-3 journal written by the
+// last build that had the resource sampler: its resource_sample,
+// mem_pressure and watchdog_stall events no longer have a writer, but
+// ReadJournalFile carries them through with their bytes, summarize counts
+// them by type, and export builds the timeline from the spans around them.
+func TestReadsRetiredResourceEvents(t *testing.T) {
+	const path = "testdata/v3-resource-events.jsonl"
+	events, err := telemetry.ReadJournalFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		j.Close()
-		j.Reset()
-	})
-	sample := func(heap, allocB, allocO, cycles uint64, gor int64) {
-		telemetry.EmitEvent(telemetry.EvResourceSample, "", &telemetry.ResourceSample{
-			HeapLiveBytes:     heap,
-			HeapGoalBytes:     heap * 2,
-			TotalAllocBytes:   allocB,
-			TotalAllocObjects: allocO,
-			Goroutines:        gor,
-			GCCycles:          cycles,
-			GCPauseTotalNS:    int64(cycles) * 50_000,
-			GCCPUFraction:     0.01,
-			SchedLatencyP99US: 120.0,
-		})
+	if len(events) != 13 {
+		t.Fatalf("read %d events, want 13", len(events))
 	}
-	sample(10<<20, 100<<20, 1000, 3, 4)
-	dev := device.RRAM()
-	r := make([][]float64, 4)
-	for i := range r {
-		r[i] = make([]float64, 4)
-		for k := range r[i] {
-			r[i][k] = 150e3
-		}
+	if ev := events[8]; ev.Type != "mem_pressure" ||
+		string(ev.Data) != `{"heap_live_bytes":50331648,"limit_bytes":33554432,"heap_profile":"heap-pressure-001.pprof"}` {
+		t.Fatalf("retired event not carried through: %s %s", ev.Type, ev.Data)
 	}
-	c := &circuit.Crossbar{M: 4, N: 4, R: r, WireR: 0.5, RSense: 1500, Dev: dev}
-	if _, err := c.Solve([]float64{0.3, 0.2, 0.1, 0.3}, circuit.SolveOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	sample(48<<20, 180<<20, 2500, 7, 9)
-	telemetry.EmitEvent(telemetry.EvMemPressure, "", &telemetry.MemPressureEvent{
-		HeapLiveBytes: 48 << 20,
-		LimitBytes:    32 << 20,
-		HeapProfile:   "heap-pressure-1.pprof",
-	})
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestResources(t *testing.T) {
-	path := writeResourceJournal(t)
-	out := runCmd(t, "resources", "-n", "2", path)
+	out := runCmd(t, "summarize", path)
 	for _, want := range []string{
-		"Resource samples",
-		"Peak live heap",
-		"48.0 MiB",                // peak of the two samples
-		"80.0 MiB (1500 objects)", // run-scoped alloc delta
-		"Mem pressure events",
-		"Slowest 1 solves vs runtime state",
+		"13 events, schema v3",
+		"mem_pressure     1",
+		"resource_sample  2",
+		"watchdog_stall   1",
+		"Solves: 1 total, 1 ok",
+		"Candidates: 1 ok",
 	} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("resources output missing %q:\n%s", want, out)
+			t.Fatalf("summarize output missing %q:\n%s", want, out)
 		}
 	}
-	// The correlation row must attribute the in-window GC cycles (7-3=4)
-	// and peak heap to the solve.
-	if !strings.Contains(out, "4") {
-		t.Fatalf("correlation table missing GC delta:\n%s", out)
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	runCmd(t, "export", "-o", trace, path)
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestResourcesNoSamples(t *testing.T) {
-	path, _ := writeTracedJournal(t)
-	var sb strings.Builder
-	err := run(&sb, []string{"resources", path})
-	if err == nil || !strings.Contains(err.Error(), "no resource_sample events") {
-		t.Fatalf("want no-samples error, got %v", err)
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("exported trace is not valid JSON: %v", err)
+	}
+	if len(doc.TraceEvents) != 6 {
+		t.Fatalf("exported %d spans, want the journal's 6", len(doc.TraceEvents))
 	}
 }
 

@@ -106,28 +106,6 @@ func runShow(w io.Writer, path string) error {
 	if err := tab.Render(w); err != nil {
 		return err
 	}
-	// Resource rollup: peaks and run-scoped totals recorded by the
-	// runtime/metrics sampler when the run passed -resource-interval.
-	if r := m.Resources; r != nil {
-		fmt.Fprintln(w)
-		rt := &report.Table{Title: "Resource rollup", Headers: []string{"Field", "Value"}}
-		rt.AddRow("Samples", fmt.Sprintf("%d @ %dms", r.Samples, r.IntervalMS))
-		rt.AddRow("Peak live heap", telemetry.FormatByteSize(r.PeakHeapLiveBytes))
-		rt.AddRow("Max goroutines", r.MaxGoroutines)
-		rt.AddRow("Allocated", fmt.Sprintf("%s (%d objects)",
-			telemetry.FormatByteSize(r.TotalAllocBytes), r.TotalAllocObjects))
-		rt.AddRow("GC", fmt.Sprintf("%d cycles, %.3f ms pause, %.4f CPU fraction",
-			r.GCCycles, float64(r.GCPauseTotalNS)/1e6, r.GCCPUFraction))
-		if r.MemPressureEvents > 0 {
-			rt.AddRow("Mem pressure events", r.MemPressureEvents)
-		}
-		if r.WatchdogStalls > 0 {
-			rt.AddRow("Watchdog stalls", r.WatchdogStalls)
-		}
-		if err := rt.Render(w); err != nil {
-			return err
-		}
-	}
 	if len(m.Phases) == 0 {
 		return nil
 	}

@@ -45,7 +45,7 @@ func sampleManifest() telemetry.Manifest {
 				"mnsim_dse_candidates_total":          400,
 				"mnsim_dse_candidates_feasible_total": 100,
 			},
-			Gauges: map[string]float64{"mnsim_proc_goroutines": 4},
+			Gauges: map[string]float64{"mnsim_accuracy_mc_samples_per_second": 4},
 			Histograms: map[string]telemetry.HistogramSnapshot{
 				"mnsim_dse_candidate_eval_us": {Count: 400, Sum: 8e6},
 			},
@@ -201,49 +201,37 @@ func TestShowRendersManifest(t *testing.T) {
 	}
 }
 
-func TestShowRendersResourceRollup(t *testing.T) {
+// TestShowOldManifestWithResources shows a manifest written while the
+// resource sampler existed: its "resources" rollup is a key this build
+// no longer reads, and show must render the rest as for any manifest.
+func TestShowOldManifestWithResources(t *testing.T) {
 	dir := t.TempDir()
-	m := sampleManifest()
-	m.Resources = &telemetry.ResourceRollup{
-		Samples:           120,
-		IntervalMS:        1000,
-		PeakHeapLiveBytes: 96 << 20,
-		MaxGoroutines:     17,
-		TotalAllocBytes:   3 << 30,
-		TotalAllocObjects: 4_200_000,
-		GCCycles:          58,
-		GCPauseTotalNS:    2_400_000,
-		GCCPUFraction:     0.013,
-		MemPressureEvents: 2,
-		WatchdogStalls:    1,
+	b, err := json.Marshal(sampleManifest())
+	if err != nil {
+		t.Fatal(err)
 	}
-	path := writeManifest(t, dir, "run.json", m)
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["resources"] = json.RawMessage(`{"samples":120,"interval_ms":1000,"peak_heap_live_bytes":100663296,` +
+		`"max_goroutines":17,"total_alloc_bytes":3221225472,"total_alloc_objects":4200000,"gc_cycles":58,` +
+		`"gc_pause_total_ns":2400000,"gc_cpu_fraction":0.013,"mem_pressure_events":2,"watchdog_stalls":1}`)
+	if b, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "run.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
 	if err := runShow(&sb, path); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{
-		"Resource rollup",
-		"120 @ 1000ms",
-		"96.0 MiB",
-		"3.0 GiB (4200000 objects)",
-		"58 cycles",
-		"Mem pressure events",
-		"Watchdog stalls",
-	} {
+	for _, want := range []string{"mnsim-dse", "Phases by total wall time", "dse.explore"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("show output missing %q:\n%s", want, out)
 		}
-	}
-	// A manifest without a rollup must not render the section at all.
-	m.Resources = nil
-	path = writeManifest(t, dir, "plain.json", m)
-	sb.Reset()
-	if err := runShow(&sb, path); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), "Resource rollup") {
-		t.Error("rollup section rendered for a manifest without resources")
 	}
 }

@@ -189,7 +189,7 @@ func MonteCarloContext(ctx context.Context, p crossbar.Params, opt MCOptions) (M
 		}
 		telMCTrials.Add(int64(opt.Trials))
 	}()
-	// Live trial progress for /progress and the -progress stderr line.
+	// Trial phase: journaled at its start and finish with the trial count.
 	prog := telemetry.StartPhase("mc.trials", int64(opt.Trials))
 	defer prog.Finish()
 	runID := ""

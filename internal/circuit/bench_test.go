@@ -1,7 +1,6 @@
 package circuit
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -118,14 +117,11 @@ func BenchmarkSolveWarm(b *testing.B) {
 }
 
 // BenchmarkSolveOverhead times what the observability layers cost a
-// 64×64 solve: "plain" is the bare solve, "journaled" records to the
+// 64×64 solve: "plain" is the bare solve, and "journaled" records to the
 // ring-only journal, so it times the per-phase sub-spans and encodes the
-// solve_end and span events, and "sampled" runs
-// the runtime/metrics sampler concurrently at its default 1s cadence. The
-// sampler's acceptance budget is 5% on ns/op against plain; journaled
-// measures what recording one solve costs and has no budget. Bit-identity
-// is asserted separately in TestTracingNumericallyNeutral and
-// TestResourceSamplingNumericallyNeutral.
+// solve_end and span events. Journaled measures what recording one solve
+// costs and has no budget. Bit-identity is asserted separately in
+// TestTracingNumericallyNeutral.
 func BenchmarkSolveOverhead(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -141,16 +137,6 @@ func BenchmarkSolveOverhead(b *testing.B) {
 				j.Reset()
 				telemetry.DefaultTracer().ResetTraceEvents()
 			})
-		}},
-		{"sampled", func(b *testing.B) {
-			// The benchmark body re-runs during iteration-count
-			// calibration; the sampler from the previous invocation is
-			// still up then, so an already-running error is expected and
-			// fine — the registered Stop is idempotent either way.
-			s := telemetry.DefaultResourceSampler()
-			if err := s.Start(context.Background(), telemetry.ResourceConfig{}); err == nil {
-				b.Cleanup(s.Stop)
-			}
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

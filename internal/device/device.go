@@ -314,16 +314,6 @@ func SinhCosh(x float64) (sinh, cosh float64) {
 	return sinh, cosh
 }
 
-// WorstCaseR applies the maximum device-variation deviation to a calibrated
-// resistance: (1 ± Variation) · r, choosing the sign that moves the value
-// away from the ideal in the requested direction (+1 or -1).
-func (m Model) WorstCaseR(r float64, sign int) float64 {
-	if sign >= 0 {
-		return r * (1 + m.Variation)
-	}
-	return r * (1 - m.Variation)
-}
-
 // CellArea returns the layout area of one cell in square micrometres,
 // following the paper's Eq. 7 (MOS-accessed) and Eq. 8 (cross-point):
 //

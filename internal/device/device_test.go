@@ -181,17 +181,6 @@ func TestConductanceMatchesDerivative(t *testing.T) {
 	}
 }
 
-func TestWorstCaseR(t *testing.T) {
-	m := RRAM()
-	m.Variation = 0.2
-	if got := m.WorstCaseR(1000, +1); math.Abs(got-1200) > 1e-9 {
-		t.Errorf("+sigma: %v", got)
-	}
-	if got := m.WorstCaseR(1000, -1); math.Abs(got-800) > 1e-9 {
-		t.Errorf("-sigma: %v", got)
-	}
-}
-
 func TestCellArea(t *testing.T) {
 	m := RRAM() // 1T1R, W/L=2, F=45nm
 	f := 0.045

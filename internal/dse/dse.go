@@ -333,8 +333,8 @@ func Explore(ctx context.Context, base arch.Design, layers []arch.LayerDims, spa
 	}
 	ctx, sweep := telemetry.StartSpan(ctx, "dse.explore")
 	defer sweep.End()
-	// Live sweep progress: one tick per grid point, whatever its outcome,
-	// so /progress and the -progress line show done/total and an ETA.
+	// Sweep phase: one tick per grid point, whatever its outcome, so the
+	// journaled finish records how many points the sweep visited.
 	prog := telemetry.StartPhase("dse.candidates", int64(total))
 	defer prog.Finish()
 	// Index-addressed result slots keep the output in sequential sweep

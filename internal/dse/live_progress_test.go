@@ -14,11 +14,11 @@ import (
 )
 
 // TestExploreLiveProgress is the acceptance test for the live
-// observability server: while a sweep is running, /progress must report
-// the dse.candidates phase with nonzero done, done < total, and a
-// non-negative ETA. The real evaluator finishes a small sweep in
-// milliseconds — too fast to scrape reliably — so it is swapped for a
-// slow stub via the evalCandidate package variable.
+// observability server: while a sweep is running, /events must hold the
+// dse.candidates phase's start (total 9) and no finish yet, and some but
+// not all of the sweep's candidate_eval events. The real evaluator finishes
+// a small sweep in milliseconds — too fast to scrape reliably — so it is
+// swapped for a slow stub via the evalCandidate package variable.
 func TestExploreLiveProgress(t *testing.T) {
 	saved := evalCandidate
 	evalCandidate = func(ctx context.Context, pl *arch.Plan, p int, a *arch.Accelerator) (arch.Report, error) {
@@ -36,11 +36,17 @@ func TestExploreLiveProgress(t *testing.T) {
 	if err := fs.Parse([]string{"-serve", "localhost:0"}); err != nil {
 		t.Fatal(err)
 	}
+	// The ring is process-wide: start from an empty one, so that only this
+	// sweep's events are seen.
+	telemetry.DefaultJournal().Reset()
 	if err := f.StartContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Finish()
-	url := "http://" + f.Addr() + "/progress"
+	defer func() {
+		f.Finish()
+		telemetry.DefaultJournal().Reset()
+	}()
+	url := "http://" + f.Addr() + "/events"
 
 	space := Space{
 		CrossbarSizes: []int{32, 64, 128},
@@ -53,13 +59,6 @@ func TestExploreLiveProgress(t *testing.T) {
 		done <- err
 	}()
 
-	type phase struct {
-		Name       string  `json:"name"`
-		Total      int64   `json:"total"`
-		Done       int64   `json:"done"`
-		Running    bool    `json:"running"`
-		ETASeconds float64 `json:"eta_seconds"`
-	}
 	sawMidSweep := false
 	deadline := time.Now().Add(10 * time.Second)
 poll:
@@ -82,26 +81,36 @@ poll:
 			t.Fatal(err)
 		}
 		var doc struct {
-			Phases []phase `json:"phases"`
+			Events []telemetry.Event `json:"events"`
 		}
 		if err := json.Unmarshal(body, &doc); err != nil {
-			t.Fatalf("/progress malformed: %v\n%s", err, body)
+			t.Fatalf("/events malformed: %v\n%s", err, body)
 		}
-		for _, p := range doc.Phases {
-			if p.Name != "dse.candidates" || !p.Running {
-				continue
+		var started, finished bool
+		evals := 0
+		for _, ev := range doc.Events {
+			switch {
+			case ev.Type == telemetry.EvPhase && ev.ID == "dse.candidates":
+				var pe telemetry.PhaseEvent
+				if err := ev.Decode(&pe); err != nil {
+					t.Fatal(err)
+				}
+				if pe.Total != 9 {
+					t.Fatalf("phase total = %d, want 9", pe.Total)
+				}
+				started = started || pe.Action == "start"
+				finished = finished || pe.Action == "finish"
+			case ev.Type == telemetry.EvCandidateEval:
+				evals++
 			}
-			if p.Total != 9 {
-				t.Fatalf("phase total = %d, want 9", p.Total)
-			}
-			if p.Done > 0 && p.Done < p.Total && p.ETASeconds >= 0 {
-				sawMidSweep = true
-			}
+		}
+		if started && !finished && evals > 0 && evals < 9 {
+			sawMidSweep = true
 		}
 		time.Sleep(time.Millisecond)
 	}
 	if !sawMidSweep {
-		t.Fatal("never observed a mid-sweep /progress snapshot with 0 < done < total and an ETA")
+		t.Fatal("never observed a mid-sweep /events snapshot with the phase started and 0 < candidates < 9")
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)

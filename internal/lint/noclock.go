@@ -11,9 +11,8 @@ import (
 // original solve bit for bit. A single time.Now there (say, a timing
 // heuristic that switches solver paths) makes replay diverge
 // unreproducibly. Wall-clock reads belong in internal/telemetry — spans,
-// the journal, and the resource sampler (whose tick loop, stall watchdog,
-// and profile rotation are wall-clock driven by design) — which observe
-// the numerics from the outside without feeding time back into them.
+// the journal and sweep phases — which observe the numerics from the
+// outside without feeding time back into them.
 var NoClock = &Analyzer{
 	Name:       "noclock",
 	Doc:        "no time.Now/time.Since in the numerical packages (circuit, linalg, crossbar, device); time via telemetry spans",

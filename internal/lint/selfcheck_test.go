@@ -21,10 +21,9 @@ func TestSelfCheck(t *testing.T) {
 }
 
 // TestTelemetryStaysClean pins the telemetry package — the one sanctioned
-// home for wall-clock reads (spans, journal timestamps, the resource
-// sampler's tick/watchdog/profile machinery) — to the rest of the lint
-// rules. Being exempt from noclock by scope is not a blanket exemption:
-// the sampler and watchdog code must still pass norawrand, ctxloop,
+// home for wall-clock reads (spans, journal timestamps, sweep phases) — to
+// the rest of the lint rules. Being exempt from noclock by scope is not a
+// blanket exemption: the package must still pass norawrand, ctxloop,
 // nofloateq, noprint, and errdrop in strict mode.
 func TestTelemetryStaysClean(t *testing.T) {
 	res, err := Run(Options{

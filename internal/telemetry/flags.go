@@ -4,14 +4,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"time"
 )
 
-// Flags bundles the 11 observability flags every MNSIM CLI shares:
+// Flags bundles the 6 observability flags every MNSIM CLI shares:
 //
 //	-metrics-out file   write the metrics registry on exit
 //	                    (Prometheus text; JSON when the path ends in .json)
@@ -24,26 +23,13 @@ import (
 //	                    mnsim-journal export turns its span events into
 //	                    a Perfetto timeline
 //	-serve addr         serve the observability endpoints (/metrics,
-//	                    /metrics.json, /trace, /trace.json, /progress,
-//	                    /runinfo, /events, /resources.json, /healthz,
-//	                    /debug/pprof/*); the journal records to its ring
+//	                    /metrics.json, /trace, /trace.json, /runinfo,
+//	                    /events, /healthz, /debug/pprof/*); the journal
+//	                    records to its ring
 //	-serve-hold d       keep the -serve server up for d after the run so
-//	                    a scraper can take a final sample
-//	-progress           print a rate-limited live progress line to stderr
+//	                    a scraper can take a final sample (a sweep ends in
+//	                    milliseconds; CI's smokes scrape through this hold)
 //	-log-level level    default-logger verbosity (debug|info|warn|error|off)
-//	-resource-interval d  sample runtime/metrics (heap, GC, goroutines,
-//	                    scheduler latency) every d; exports to the registry,
-//	                    the journal (resource_sample events, which
-//	                    /resources.json serves), and manifest rollups
-//	-mem-soft-limit sz  soft memory watermark ("64MiB", "1GB", plain bytes):
-//	                    live heap at or above it journals mem_pressure and
-//	                    captures a heap profile
-//	-stall-timeout d    stall watchdog: no journal/progress activity for d
-//	                    journals watchdog_stall and captures a goroutine
-//	                    profile
-//	-profile-dir dir    continuous profiling: every 30s, rotate the CPU
-//	                    profile and write a heap profile under dir, each
-//	                    recorded as a manifest artifact
 //
 // Wire them with AddFlags before flag.Parse, call StartContext after
 // parsing with the CLI's signal context (cancelling it shuts the servers
@@ -57,29 +43,15 @@ type Flags struct {
 	Journal    string
 	ServeAddr  string
 	ServeHold  time.Duration
-	Progress   bool
 	LogLevel   string
-
-	ResourceInterval time.Duration
-	MemSoftLimit     string
-	StallTimeout     time.Duration
-	ProfileDir       string
 
 	// Run is the manifest-identity record the CLI fills in after parsing
 	// (SetTool, SetSeed, SetWorkers, SetConfigHash, SetError).
 	Run *RunInfo
 
-	// ProgressOut overrides the -progress destination (default os.Stderr);
-	// ProgressInterval overrides the print cadence. Both exist for tests.
-	ProgressOut      io.Writer
-	ProgressInterval time.Duration
-
 	ctx       context.Context
 	servers   []*http.Server
 	serveAddr string
-	progStop  chan struct{}
-	progDone  chan struct{}
-	sampling  bool
 }
 
 // AddFlags registers the shared observability flags on fs.
@@ -92,29 +64,19 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Journal, "journal", "",
 		"record the flight-recorder event journal (JSONL) to this file; solver divergence / non-settle snapshots are written next to it")
 	fs.StringVar(&f.ServeAddr, "serve", "",
-		"serve the observability endpoints on this address (e.g. localhost:6060): /metrics, /metrics.json, /trace, /progress, /runinfo, /events, /healthz, /debug/pprof/*")
+		"serve the observability endpoints on this address (e.g. localhost:6060): /metrics, /metrics.json, /trace, /trace.json, /runinfo, /events, /healthz, /debug/pprof/*")
 	fs.DurationVar(&f.ServeHold, "serve-hold", 0,
 		"keep the -serve server up this long after the run completes, for a final scrape (Ctrl-C ends the hold early)")
-	fs.BoolVar(&f.Progress, "progress", false,
-		"print a live, rate-limited progress line (done/total, rate, ETA) to stderr")
 	fs.StringVar(&f.LogLevel, "log-level", "",
 		"structured-log verbosity: debug, info, warn (default), error, off")
-	fs.DurationVar(&f.ResourceInterval, "resource-interval", 0,
-		"sample runtime resources (heap, GC, goroutines, scheduler latency) at this interval; 0 disables unless a watchdog or -profile-dir needs the tick")
-	fs.StringVar(&f.MemSoftLimit, "mem-soft-limit", "",
-		"soft memory watermark (e.g. 64MiB, 1GB): live heap at or above it journals a mem_pressure event and captures a heap profile")
-	fs.DurationVar(&f.StallTimeout, "stall-timeout", 0,
-		"stall watchdog: no journal/progress activity for this long journals a watchdog_stall event and captures a goroutine profile")
-	fs.StringVar(&f.ProfileDir, "profile-dir", "",
-		"continuous profiling: every 30s, rotate the CPU profile and write a heap profile under this directory, recorded as manifest artifacts")
 	return f
 }
 
-// StartContext applies the log level, brings up the observability
-// server, and starts the -progress printer. Listens happen
-// synchronously so a bad -serve address fails the run
-// immediately instead of dying silently in a goroutine. Cancelling ctx
-// (the CLIs pass their SIGINT context) shuts the servers down gracefully.
+// StartContext applies the log level, opens the journal, and brings up
+// the observability server. Listens happen synchronously so a bad -serve
+// address fails the run immediately instead of dying silently in a
+// goroutine. Cancelling ctx (the CLIs pass their SIGINT context) shuts the
+// servers down gracefully.
 func (f *Flags) StartContext(ctx context.Context) error {
 	f.ctx = ctx
 	if f.LogLevel != "" {
@@ -153,31 +115,6 @@ func (f *Flags) StartContext(ctx context.Context) error {
 		}
 		f.serveAddr = addr
 		Log().Info("observability serving", "addr", addr)
-	}
-	if f.Progress {
-		f.startProgressPrinter(ctx)
-	}
-	// Resource sampler: any of the resource flags turns it on (the
-	// watchdogs and profiler ride the sampling tick); with none set it
-	// never starts, so an uninstrumented run pays nothing.
-	if f.ResourceInterval > 0 || f.MemSoftLimit != "" || f.StallTimeout > 0 || f.ProfileDir != "" {
-		memLimit, err := ParseByteSize(f.MemSoftLimit)
-		if err != nil {
-			return err
-		}
-		cfg := ResourceConfig{
-			Interval:          f.ResourceInterval,
-			MemSoftLimitBytes: memLimit,
-			StallTimeout:      f.StallTimeout,
-			ProfileDir:        f.ProfileDir,
-		}
-		if f.Run != nil {
-			cfg.Artifact = f.Run.SetArtifact
-		}
-		if err := defaultResources.Start(ctx, cfg); err != nil {
-			return err
-		}
-		f.sampling = true
 	}
 	return nil
 }
@@ -219,98 +156,11 @@ func (f *Flags) listenAndServe(ctx context.Context, addr string, mux *http.Serve
 // with "-serve localhost:0" this is where the kernel put the server.
 func (f *Flags) Addr() string { return f.serveAddr }
 
-// isTerminal reports whether w is an interactive terminal (a character
-// device), which selects the carriage-return rewriting progress style.
-func isTerminal(w io.Writer) bool {
-	file, ok := w.(*os.File)
-	if !ok {
-		return false
-	}
-	fi, err := file.Stat()
-	return err == nil && fi.Mode()&os.ModeCharDevice != 0
-}
-
-// startProgressPrinter launches the -progress goroutine: on a TTY it
-// rewrites one status line in place a few times a second; on a pipe it
-// prints a plain line every couple of seconds (and only when the line
-// changed), so redirected stderr stays readable.
-func (f *Flags) startProgressPrinter(ctx context.Context) {
-	w := f.ProgressOut
-	if w == nil {
-		w = os.Stderr
-	}
-	tty := isTerminal(w)
-	interval := f.ProgressInterval
-	if interval <= 0 {
-		if tty {
-			interval = 200 * time.Millisecond
-		} else {
-			interval = 2 * time.Second
-		}
-	}
-	f.progStop = make(chan struct{})
-	f.progDone = make(chan struct{})
-	// Printer goroutine. Termination edges: the f.progStop and ctx.Done
-	// select arms in the loop body — Close closes progStop and joins on
-	// progDone, so the printer never outlives the Flags.
-	go func() {
-		defer close(f.progDone)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		last := ""
-		printed := false
-		emit := func() {
-			line := FormatStatusLine(defaultProgress.Statuses())
-			if line == "" || line == last {
-				return
-			}
-			if tty {
-				// \r returns to column 0, ESC[K clears the stale tail.
-				fmt.Fprintf(w, "\r\x1b[K%s", line)
-				printed = true
-			} else {
-				fmt.Fprintln(w, line)
-			}
-			last = line
-		}
-		for {
-			select {
-			case <-f.progStop:
-				if tty && printed {
-					fmt.Fprintln(w) // leave the final line visible
-				}
-				return
-			case <-ctx.Done():
-				if tty && printed {
-					fmt.Fprintln(w)
-				}
-				return
-			case <-tick.C:
-				emit()
-			}
-		}
-	}()
-}
-
-// Finish stops the progress printer, writes the requested dump files
-// (metrics, then the run manifest, which snapshots the final metrics),
-// honours -serve-hold, and stops the servers. A failed dump does not stop
-// the later ones; the first error encountered is returned.
+// Finish writes the requested dump files (metrics, then the run manifest,
+// which snapshots the final metrics), honours -serve-hold, and stops the
+// servers. A failed dump does not stop the later ones; the first error
+// encountered is returned.
 func (f *Flags) Finish() error {
-	if f.progStop != nil {
-		close(f.progStop)
-		<-f.progDone
-		f.progStop, f.progDone = nil, nil
-	}
-	// Stop the sampler before any dump is written: its final flush must be
-	// in the journal, and its rollup in the manifest.
-	if f.sampling {
-		defaultResources.Stop()
-		if f.Run != nil {
-			f.Run.SetResources(defaultResources.Rollup())
-		}
-		f.sampling = false
-	}
 	var first error
 	record := func(kind, path string) {
 		if f.Run != nil {

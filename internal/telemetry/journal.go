@@ -44,6 +44,9 @@ import (
 //	    unknown event types through untouched and skip them in typed
 //	    processing, never error. Bump the version only when the envelope
 //	    (seq/t_ns/type/id/data) or an existing event's meaning changes.
+//	    The same contract later retired those three types, with the
+//	    resource sampler that wrote them, without a bump: a journal that
+//	    holds them still reads, and they pass through as unknown types.
 //	3 — one solve_end per circuit solve, carrying the former solve_start
 //	    keys and the solve's Diagnostics under "diag". solve_start,
 //	    newton_iter and solve_end's cost/flops/warm_start/
@@ -81,35 +84,23 @@ const (
 	EvCandidateEval EventType = "candidate_eval"
 	// EvMCTrial records one Monte-Carlo accuracy trial.
 	EvMCTrial EventType = "mc_trial"
-	// EvPhase records progress-phase boundaries (start/finish) and
+	// EvPhase records sweep-phase boundaries (start/finish) and
 	// experiment summaries.
 	EvPhase EventType = "phase"
 	// EvSpan records one completed trace span (schema v2): name, path,
 	// trace/span/parent IDs in hex wire form, start_us and dur_us.
 	EvSpan EventType = "span"
-	// EvResourceSample records one resource-sampler observation: heap,
-	// allocation totals, goroutines, GC pause/CPU, scheduler latency.
-	EvResourceSample EventType = "resource_sample"
-	// EvWatchdogStall records a stall-watchdog firing: no journal/progress
-	// activity for the configured window; carries the quiet duration and
-	// the goroutine-profile capture path.
-	EvWatchdogStall EventType = "watchdog_stall"
-	// EvMemPressure records a soft-memory-watermark crossing: live heap at
-	// or above -mem-soft-limit; carries the heap size, the limit, and the
-	// heap-profile capture path.
-	EvMemPressure EventType = "mem_pressure"
 )
 
 // Event is one journal record: the envelope (seq, t_ns, type, id) every
 // event shares, and Data, the encoded bytes of the event's payload struct.
 // Each payload is one struct, declared next to the code that emits it:
-// JournalHeader, SpanEvent, PhaseEvent, ResourceSample, MemPressureEvent
-// and WatchdogStallEvent in this package, circuit.SolveEnd and
-// circuit.TransientSettle, dse.CandidateEval, accuracy.MCTrial, and the
-// validate package's phase summaries. A reader decodes Data into that
-// struct (Decode); an event of a type it does not know passes through with
-// its bytes untouched. Envelope keys come in field order, data keys in the
-// payload struct's field order.
+// JournalHeader, SpanEvent and PhaseEvent in this package,
+// circuit.SolveEnd and circuit.TransientSettle, dse.CandidateEval,
+// accuracy.MCTrial, and the validate package's phase summaries. A reader
+// decodes Data into that struct (Decode); an event of a type it does not
+// know passes through with its bytes untouched. Envelope keys come in field
+// order, data keys in the payload struct's field order.
 type Event struct {
 	// Seq is the process-wide monotonically increasing event number.
 	Seq int64 `json:"seq"`
@@ -269,15 +260,6 @@ func (j *Journal) Emit(typ EventType, id string, data any) {
 	if !j.enabled.Load() {
 		return
 	}
-	// Journal traffic is the stall watchdog's primary liveness signal: a
-	// journaled run that stops emitting has stopped doing observable work.
-	// The sampler's own events are excluded — periodic resource samples
-	// would otherwise re-arm the watchdog forever.
-	switch typ {
-	case EvResourceSample, EvWatchdogStall, EvMemPressure:
-	default:
-		noteActivity()
-	}
 	now := time.Now().UnixNano()
 	j.mu.Lock()
 	j.seq++
@@ -305,13 +287,6 @@ func (j *Journal) Emit(typ EventType, id string, data any) {
 		}
 		j.mu.Unlock()
 	}
-}
-
-// Path returns the backing file path ("" when ring-only).
-func (j *Journal) Path() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.path
 }
 
 // SaveSnapshot writes payload as an indented JSON document next to the
@@ -381,21 +356,6 @@ func (j *Journal) ringEvents() []Event {
 		}
 	}
 	return events
-}
-
-// ResourceSamples decodes a journal's resource_sample events, oldest
-// first, each stamped with its envelope's time; samples that do not decode
-// are skipped. /resources.json serves those in the journal ring.
-func ResourceSamples(events []Event) []ResourceSample {
-	out := []ResourceSample{}
-	for _, ev := range events {
-		var smp ResourceSample
-		if ev.Type == EvResourceSample && ev.Decode(&smp) == nil {
-			smp.TNS = ev.TNS
-			out = append(out, smp)
-		}
-	}
-	return out
 }
 
 // Reset clears the ring buffer and counters of a closed journal; test

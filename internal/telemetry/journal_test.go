@@ -58,8 +58,7 @@ func TestJournalSchemaGolden(t *testing.T) {
 // Every event type constant must be a valid JSONL journal line producer.
 func TestJournalEventTypes(t *testing.T) {
 	j, path := newTestJournal(t, 16)
-	types := []EventType{EvSolveEnd, EvTransientSettle, EvCandidateEval, EvMCTrial, EvPhase, EvSpan,
-		EvResourceSample, EvWatchdogStall, EvMemPressure}
+	types := []EventType{EvSolveEnd, EvTransientSettle, EvCandidateEval, EvMCTrial, EvPhase, EvSpan}
 	for i, typ := range types {
 		j.Emit(typ, fmt.Sprintf("id-%d", i), map[string]any{"k": i})
 	}

@@ -30,7 +30,6 @@ type RunInfo struct {
 	workers    int
 	runErr     error
 	artifacts  map[string]string
-	resources  *ResourceRollup
 }
 
 // NewRunInfo returns a RunInfo stamped with the current time and the
@@ -88,15 +87,6 @@ func (r *RunInfo) SetArtifact(kind, path string) {
 		r.artifacts = map[string]string{}
 	}
 	r.artifacts[kind] = path
-	r.mu.Unlock()
-}
-
-// SetResources records the resource sampler's run-level rollup (peak heap,
-// max goroutines, GC totals); nil leaves the manifest's resources block
-// absent, as for any unsampled run.
-func (r *RunInfo) SetResources(res *ResourceRollup) {
-	r.mu.Lock()
-	r.resources = res
 	r.mu.Unlock()
 }
 
@@ -178,11 +168,6 @@ type Manifest struct {
 
 	Phases  []SpanStat      `json:"phases"`
 	Metrics MetricsSnapshot `json:"metrics"`
-
-	// Resources is the resource sampler's run-level rollup; absent (nil)
-	// for runs that never sampled. Adding it stays within manifest schema
-	// version 1: consumers that predate it ignore the extra key.
-	Resources *ResourceRollup `json:"resources,omitempty"`
 }
 
 // Manifest freezes the run info plus the default tracer's span aggregates
@@ -215,10 +200,6 @@ func (r *RunInfo) Manifest() Manifest {
 		for k, v := range r.artifacts {
 			m.Artifacts[k] = v
 		}
-	}
-	if r.resources != nil {
-		res := *r.resources
-		m.Resources = &res
 	}
 	r.mu.Unlock()
 	return m

@@ -7,10 +7,11 @@ import (
 )
 
 // The observability server behind the -serve flag: one http.Server whose
-// mux exposes the live metrics registry, span aggregates, sweep progress,
-// run identity, a health probe, and net/http/pprof — everything mounted
-// on a private mux, never http.DefaultServeMux, so two listeners (or a
-// library user embedding the handlers) can never race over global state.
+// mux exposes the live metrics registry, span aggregates, the journal
+// ring, run identity, a health probe, and net/http/pprof — everything
+// mounted on a private mux, never http.DefaultServeMux, so two listeners
+// (or a library user embedding the handlers) can never race over global
+// state.
 
 // jsonHandler wraps a WriteJSON-style dump as an HTTP handler.
 func jsonHandler(write func(w http.ResponseWriter) error) http.HandlerFunc {
@@ -30,12 +31,9 @@ func jsonHandler(write func(w http.ResponseWriter) error) http.HandlerFunc {
 //	/trace.json     the causal span timeline as Chrome trace-event JSON,
 //	                built from the "span" events in the journal ring
 //	                (save and open in Perfetto / chrome://tracing)
-//	/progress       live sweep phases: total/done, rate, ETA
 //	/events         the flight-recorder ring buffer (most recent journal
-//	                events) with total/dropped counts
-//	/resources.json the resource samples (heap, GC, goroutines, scheduler
-//	                latency) built from the "resource_sample" events in the
-//	                journal ring, plus the sampler's rollup so far
+//	                events, a sweep's phase start among them) with
+//	                total/dropped counts
 //	/runinfo        tool, args, seed, workers, Go/OS version, elapsed
 //	/healthz        liveness probe ("ok")
 //	/debug/pprof/*  net/http/pprof profiles
@@ -58,14 +56,8 @@ func NewServeMux(run *RunInfo) *http.ServeMux {
 	mux.HandleFunc("/trace.json", jsonHandler(func(w http.ResponseWriter) error {
 		return WriteTraceEventsTo(w, SpanEvents(defaultJournal.ringEvents()))
 	}))
-	mux.HandleFunc("/progress", jsonHandler(func(w http.ResponseWriter) error {
-		return defaultProgress.WriteJSON(w)
-	}))
 	mux.HandleFunc("/events", jsonHandler(func(w http.ResponseWriter) error {
 		return defaultJournal.WriteEventsJSON(w)
-	}))
-	mux.HandleFunc("/resources.json", jsonHandler(func(w http.ResponseWriter) error {
-		return defaultResources.WriteJSON(w)
 	}))
 	if run != nil {
 		mux.HandleFunc("/runinfo", jsonHandler(func(w http.ResponseWriter) error {

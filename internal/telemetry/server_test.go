@@ -59,7 +59,7 @@ func TestServeEndpoints(t *testing.T) {
 	_, sp := StartSpan(context.Background(), "servetest.span")
 	sp.End()
 	ph := StartPhase("servetest.phase", 10)
-	ph.Add(4)
+	defer ph.Finish()
 
 	status, ct, body := get(t, base+"/metrics")
 	if status != http.StatusOK || !strings.Contains(ct, "text/plain") {
@@ -82,24 +82,23 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("/trace status %d body:\n%s", status, body)
 	}
 
-	status, _, body = get(t, base+"/progress")
-	if status != http.StatusOK {
-		t.Fatalf("/progress status %d", status)
+	// -serve turns the ring-only journal on, so the running phase's start
+	// is in /events.
+	status, _, body = get(t, base+"/events")
+	var ring struct {
+		Events []Event `json:"events"`
 	}
-	var prog struct {
-		Phases []PhaseStatus `json:"phases"`
-	}
-	if err := json.Unmarshal([]byte(body), &prog); err != nil {
-		t.Fatalf("/progress malformed: %v\n%s", err, body)
+	if err := json.Unmarshal([]byte(body), &ring); status != http.StatusOK || err != nil {
+		t.Fatalf("/events status %d (%v):\n%s", status, err, body)
 	}
 	found := false
-	for _, p := range prog.Phases {
-		if p.Name == "servetest.phase" && p.Done == 4 && p.Total == 10 {
-			found = true
-		}
+	for _, ev := range ring.Events {
+		var pe PhaseEvent
+		found = found || (ev.Type == EvPhase && ev.ID == "servetest.phase" &&
+			ev.Decode(&pe) == nil && pe == PhaseEvent{Action: "start", Total: 10})
 	}
 	if !found {
-		t.Fatalf("/progress missing live phase: %s", body)
+		t.Fatalf("/events lacks the live phase's start:\n%s", body)
 	}
 
 	status, _, body = get(t, base+"/runinfo")

@@ -16,16 +16,16 @@
 //     (count / total / min / max), the run manifest's "phases";
 //
 //   - the flight-recorder Journal: typed JSONL events, one per solve,
-//     candidate, trial, span and resource sample, kept in one bounded ring
+//     candidate, trial, span and phase boundary, kept in one bounded ring
 //     and optionally a file. Each event's payload is one struct, declared
 //     next to the code that emits it (see Event), which Emit encodes and
 //     every reader decodes (Event.Decode). It is the one switch for
 //     per-event recording (a span is journaled exactly when it records),
-//     and every per-event view — /events, /trace.json, /resources.json,
-//     mnsim-journal — is derived from it;
+//     and every per-event view — /events, /trace.json, mnsim-journal — is
+//     derived from it;
 //
-//   - live sweep progress, a resource sampler with watchdogs, the run
-//     manifest, and a log/slog logger on stderr (Log).
+//   - sweep phases (StartPhase), journaled at their start and finish, the
+//     run manifest, and a log/slog logger on stderr (Log).
 //
 // Only the observers register metrics: circuit's solve observer, the DSE
 // sweep and the Monte-Carlo sampler hold theirs as package-level variables

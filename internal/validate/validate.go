@@ -110,7 +110,7 @@ func TableIIContext(ctx context.Context, opt TableIIOptions) ([]Row, error) {
 		return nil, err
 	}
 
-	// Live progress: one tick per weight-sample stream plus the
+	// Phase: one tick per weight-sample stream plus the
 	// transient-latency and JPEG-accuracy tasks.
 	nTasks := len(d.streams) + 2
 	prog := telemetry.StartPhase("validate.table2", int64(nTasks))
