@@ -22,7 +22,7 @@ import (
 	"mnsim/internal/validate"
 )
 
-// Golden pins of the paper's outputs: Fig. 5, Tables IV–VII and Figs 6–9,
+// Golden pins of the paper's outputs: Fig. 5, Tables II and IV–VII and Figs 6–9,
 // each reduced to an FNV-1a digest of the exact bits of every number in it
 // and compared with testdata/golden.json. Any change to any digit of any
 // output fails the test. The pins are linux/amd64 bits: on other
@@ -117,6 +117,18 @@ func goldenOutputs(t *testing.T, workers int) map[string]string {
 		for _, p := range pts {
 			d.ints(p.Size, p.WireNode)
 			d.floats(p.Model, p.Circuit)
+		}
+	})
+
+	// Table II at paper scale: 20 weight samples × 100 inputs on 128×128
+	// layers, the default options.
+	t2, err := validate.TableIIContext(context.Background(), validate.TableIIOptions{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin("table2", func(d *digest) {
+		for _, r := range t2 {
+			d.floats(r.Model, r.Circuit)
 		}
 	})
 
