@@ -53,7 +53,8 @@ func usage(w io.Writer) {
   mnsim-runs diff [-threshold 0.10] [-fail] old-run.json new-run.json
 
 "diff" compares every counter, gauge, histogram, and span phase of two
-run manifests; deltas beyond -threshold (relative) are flagged with '!'.
+run manifests; deltas beyond -threshold (relative) are flagged with '!',
+except on wall-time rows (wall_seconds, phase_us) under 100 ms in both runs.
 With -fail the exit status is 3 when any delta is flagged, for CI gates.`)
 }
 
@@ -187,20 +188,26 @@ func presence[V any](a, b map[string]V, name string) string {
 	return ""
 }
 
+// timeFloorSeconds is the wall time under which a timing row (the run's
+// wall_seconds or a phase's total) is never flagged: a run or phase that
+// takes a few milliseconds moves by tens of percent with scheduling alone.
+const timeFloorSeconds = 0.1
+
 // diffManifests compares every shared (and one-sided) series of the two
 // manifests: wall time, span phases (total wall time), counters, gauges,
 // and histogram count/mean. Rows beyond threshold, and one-sided rows, are
-// flagged.
+// flagged, except timing rows whose larger value is under timeFloorSeconds.
 func diffManifests(a, b telemetry.Manifest, threshold float64) []diffRow {
 	var rows []diffRow
-	add := func(kind, name, only string, av, bv float64) {
+	// floor is the larger value under which a delta is not flagged.
+	add := func(kind, name, only string, av, bv, floor float64) {
 		d := relDelta(av, bv)
 		rows = append(rows, diffRow{
 			kind: kind, name: name, a: av, b: bv, delta: d, only: only,
-			flagged: only != "" || math.Abs(d) > threshold,
+			flagged: only != "" || (math.Abs(d) > threshold && math.Max(math.Abs(av), math.Abs(bv)) >= floor),
 		})
 	}
-	add("run", "wall_seconds", "", a.WallSeconds, b.WallSeconds)
+	add("run", "wall_seconds", "", a.WallSeconds, b.WallSeconds, timeFloorSeconds)
 
 	aPhases := map[string]telemetry.SpanStat{}
 	for _, p := range a.Phases {
@@ -211,15 +218,15 @@ func diffManifests(a, b telemetry.Manifest, threshold float64) []diffRow {
 		bPhases[p.Name] = p
 	}
 	for _, name := range sortedKeys(aPhases, bPhases) {
-		add("phase_us", name, presence(aPhases, bPhases, name), aPhases[name].TotalUS, bPhases[name].TotalUS)
+		add("phase_us", name, presence(aPhases, bPhases, name), aPhases[name].TotalUS, bPhases[name].TotalUS, timeFloorSeconds*1e6)
 	}
 	for _, name := range sortedKeys(a.Metrics.Counters, b.Metrics.Counters) {
 		add("counter", name, presence(a.Metrics.Counters, b.Metrics.Counters, name),
-			float64(a.Metrics.Counters[name]), float64(b.Metrics.Counters[name]))
+			float64(a.Metrics.Counters[name]), float64(b.Metrics.Counters[name]), 0)
 	}
 	for _, name := range sortedKeys(a.Metrics.Gauges, b.Metrics.Gauges) {
 		add("gauge", name, presence(a.Metrics.Gauges, b.Metrics.Gauges, name),
-			a.Metrics.Gauges[name], b.Metrics.Gauges[name])
+			a.Metrics.Gauges[name], b.Metrics.Gauges[name], 0)
 	}
 	hmean := func(h telemetry.HistogramSnapshot) float64 {
 		if h.Count == 0 {
@@ -230,8 +237,8 @@ func diffManifests(a, b telemetry.Manifest, threshold float64) []diffRow {
 	for _, name := range sortedKeys(a.Metrics.Histograms, b.Metrics.Histograms) {
 		ah, bh := a.Metrics.Histograms[name], b.Metrics.Histograms[name]
 		only := presence(a.Metrics.Histograms, b.Metrics.Histograms, name)
-		add("hist_count", name, only, float64(ah.Count), float64(bh.Count))
-		add("hist_mean", name, only, hmean(ah), hmean(bh))
+		add("hist_count", name, only, float64(ah.Count), float64(bh.Count), 0)
+		add("hist_mean", name, only, hmean(ah), hmean(bh), 0)
 	}
 	return rows
 }

@@ -100,6 +100,37 @@ func TestDiffFlagsBeyondThreshold(t *testing.T) {
 	}
 }
 
+// Timing rows whose larger value is under 100 ms are never flagged, however
+// far they move; at or above the floor they are, and other series have none.
+func TestDiffTimeFloor(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name           string
+		wallA, wallB   float64 // seconds
+		phaseA, phaseB float64 // µs
+		want           int
+	}{
+		{"under the floor", 0.0205, 0.005, 99e3, 17e3, 0},
+		{"at the floor", 0.1, 0.025, 100e3, 18e3, 2},
+		{"above the floor", 0.5, 0.12, 4e5, 1e5, 2},
+	} {
+		a, b := sampleManifest(), sampleManifest()
+		a.WallSeconds, b.WallSeconds = tc.wallA, tc.wallB
+		a.Phases[0].TotalUS, b.Phases[0].TotalUS = tc.phaseA, tc.phaseB
+		// A counter with tiny values has no floor.
+		a.Metrics.Counters["mnsim_dse_candidates_feasible_total"] = 4
+		b.Metrics.Counters["mnsim_dse_candidates_feasible_total"] = 1
+		var sb strings.Builder
+		flagged, err := runDiff(&sb, writeManifest(t, dir, "a.json", a), writeManifest(t, dir, "b.json", b), 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flagged != tc.want+1 {
+			t.Errorf("%s: flagged = %d, want %d timing rows and the counter:\n%s", tc.name, flagged, tc.want, sb.String())
+		}
+	}
+}
+
 // A one-sided series reads "new" or "gone" by which manifest holds it,
 // whatever the sign of its value, and is flagged; a series both hold that
 // grew from 0 reads "from 0".

@@ -99,7 +99,9 @@ type Result struct {
 	// CGIters is the cumulative number of conjugate-gradient iterations.
 	CGIters int
 	// NodeV holds all node voltages (row nodes then column nodes) for
-	// callers that need cell operating points.
+	// callers that need cell operating points. A solve through a
+	// SolverState returns the state's stored operating point here, valid
+	// until the next solve through that state; copy it to keep it longer.
 	NodeV []float64
 	// Diag is the solve's numerical diagnostics: solver path, per-Newton
 	// residual/CG trajectory, and (with SolveOptions.Diagnostics) the
@@ -329,10 +331,10 @@ type SolveOptions struct {
 	// default 1e-10.
 	CGTol float64
 	// State, when non-nil, carries reusable solver structures across
-	// repeated solves of same-shaped crossbars: the operator's buffers,
-	// the block preconditioner, and the previous operating point
+	// solves: the operator's buffers, the block preconditioner, the CG
+	// scratch, and the previous operating point of the same crossbar
 	// (warm start). A state must be used from one strictly sequential
-	// solve stream; see SolverState.
+	// solve stream, and Result.NodeV then aliases it; see SolverState.
 	State *SolverState `json:"-"`
 	// Diagnostics additionally computes the Jacobian condition estimate on
 	// successful solves (Diagnostics.CondEstimate); the estimate always
@@ -460,37 +462,15 @@ type solveRun struct {
 // assemble builds (or, through a state, restamps) the MNA system and
 // factors the block-Jacobi preconditioner from the current calibrated
 // matrix. Both are rebuilt from the crossbar at every solve start, so no
-// numeric state beyond the warm vector crosses solves.
+// numeric state beyond the warm vector crosses solves. The factorization
+// is then frozen across Newton iterations (modified Newton) and refreshed
+// only when CG effort regresses.
 func (r *solveRun) assemble(vin []float64) error {
-	c, st, cost := r.c, r.st, r.diag.Cost
-	if st != nil && st.asm != nil && st.asm.op.M == c.M && st.asm.op.N == c.N {
-		// Reuse the cached operator: restamping it is bit-identical to a
-		// fresh assembly.
-		r.a = st.asm
-		c.stampValues(r.a, vin, &cost.Assembly)
-	} else {
-		r.a = c.assemble(vin, &cost.Assembly)
-		if st != nil {
-			st.asm, st.pre = r.a, nil
-		}
-	}
-	// The factorization is then frozen across Newton iterations (modified
-	// Newton) and refreshed only when CG effort regresses.
-	if st != nil && st.pre != nil {
-		r.pre = st.pre
-		if err := r.pre.Refresh(r.a.op, &cost.Precond); err != nil {
-			return fmt.Errorf("circuit: preconditioner: %w", err)
-		}
-		return nil
-	}
-	pre, err := linalg.NewBlockJacobi(r.a.op, &cost.Precond)
+	a, pre, err := r.st.prepare(r.c, vin, &r.diag.Cost.Assembly, &r.diag.Cost.Precond)
 	if err != nil {
 		return fmt.Errorf("circuit: preconditioner: %w", err)
 	}
-	r.pre = pre
-	if st != nil {
-		st.pre = pre
-	}
+	r.a, r.pre = a, pre
 	return nil
 }
 
@@ -595,17 +575,16 @@ func (r *solveRun) result(vin []float64) *Result {
 		diag.CondEstimate = JSONFinite(linalg.EstimateCond(r.a.op, &diag.Cost.Diagnostics))
 	}
 	diag.analyze()
-	res := &Result{NewtonIters: r.newtonIters, CGIters: r.cgIters, NodeV: r.v, Diag: diag}
-	if r.st != nil {
-		// With a state, v aliases its reusable CG/warm scratch; the result
-		// outlives the next solve through the state, so it gets its own
-		// storage.
-		res.NodeV = append([]float64(nil), r.v...)
+	// With a state, v aliases its reusable CG scratch; NodeV is the
+	// state's stored copy, valid until the next solve through it.
+	return &Result{
+		VOut:        c.extractVOut(r.v),
+		Power:       c.sourcePower(vin, r.v),
+		NewtonIters: r.newtonIters,
+		CGIters:     r.cgIters,
+		NodeV:       r.st.store(c, r.v),
+		Diag:        diag,
 	}
-	res.VOut = c.extractVOut(r.v)
-	res.Power = c.sourcePower(vin, r.v)
-	r.st.store(c, res)
-	return res
 }
 
 // extractVOut reads the sense-node voltages of the solved network.

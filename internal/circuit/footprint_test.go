@@ -91,3 +91,36 @@ func TestSettleTimeFootprint(t *testing.T) {
 	}
 	t.Logf("%dx%d settle: %d B/op, %.2f vectors", size, size, got, float64(got)/float64(vec))
 }
+
+// TestWarmSolveFootprint bounds a warm re-solve through a state at 64×64.
+// Its vectors of 2·M·N floats all live in the state, and the result's
+// NodeV is the state's stored point, not a copy: what is left is the
+// result, its outputs and the diagnostics, under a quarter of one vector.
+// A per-solve copy of the operating point (one vector) fails the bound.
+func TestWarmSolveFootprint(t *testing.T) {
+	const size = 64
+	c, base := benchCrossbar(size)
+	vin := append([]float64(nil), base...)
+	st := NewSolverState()
+	if _, err := c.Solve(vin, SolveOptions{State: st}); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	got := bytesPerOp(t, func() error {
+		// BenchmarkSolveWarm's drift: every solve does warm work.
+		i++
+		for m := range vin {
+			vin[m] = base[m] * (1 + 1e-3*float64(i%7+1))
+		}
+		res, err := c.Solve(vin, SolveOptions{State: st})
+		if err == nil && !res.Diag.WarmStart {
+			err = fmt.Errorf("solve %d did not warm-start", i)
+		}
+		return err
+	})
+	vec := int64(16 * size * size)
+	if bound := vec / 4; got > bound {
+		t.Errorf("warm re-solve allocates %d B, bound %d (%.2f vectors)", got, bound, float64(got)/float64(vec))
+	}
+	t.Logf("%dx%d warm re-solve: %d B/op, %.3f vectors", size, size, got, float64(got)/float64(vec))
+}

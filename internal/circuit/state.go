@@ -1,25 +1,34 @@
-// SolverState: reusable solver structures for repeated solves of the same
-// crossbar — the warm-start half of the fast solver core. A state carries
-// the operator's buffers, the factored block preconditioner, and the last
-// converged operating point, so a solve stream such as Table II validation
-// (validate.TableII) allocates once instead of per solve and starts Newton
-// from where the previous solve ended.
+// SolverState: reusable solver structures for a sequential stream of
+// solves — the warm-start half of the fast solver core. A state carries
+// the operator's buffers, the factored block preconditioner, the CG
+// scratch, and the last converged operating point, so a solve stream such
+// as one Table II pool worker's (validate.TableII) allocates once instead
+// of per solve, and a re-solve of the same crossbar starts Newton from
+// where the previous solve ended.
 package circuit
 
 import "mnsim/internal/linalg"
 
 // SolverState is the cross-solve cache a caller threads through
-// SolveOptions.State. It is owned by one goroutine at a time: the
-// parallel engines (DSE, Monte-Carlo) deliberately do not share states
-// across workers, because the sequential-equals-parallel determinism
-// contract requires every evaluation's numerics to be independent of
-// execution order. Use one state per strictly sequential solve stream.
+// SolveOptions.State (and TransientOptions.State). It is owned by one
+// goroutine at a time: the parallel engines give each pool worker its own
+// state and never share one across workers. Use one state per strictly
+// sequential solve stream; the stream may mix crossbars of any shape and
+// settling runs.
 //
 // Numerically, reuse is conservative by construction: the matrix values
 // and the preconditioner factorization are always rebuilt from the current
 // crossbar at solve start, so the only floating-point input that crosses
-// solves is the warm-start vector. A solve with a fresh state is
-// bit-identical to a solve with a nil one.
+// solves is the warm-start vector. The warm point is keyed to the
+// *Crossbar whose solve stored it: only a later solve of that same
+// crossbar value warm-starts from it, and a solve of any other crossbar
+// through the state is bit-identical to a solve with a fresh state (or a
+// nil one), reusing the state's buffers. A settling run never reads or
+// writes the warm point.
+//
+// A converged solve through a state returns the stored point itself as
+// Result.NodeV: it is valid until the next solve through the state, and a
+// caller that keeps it longer copies it (WarmV returns a copy).
 type SolverState struct {
 	// Cached assembly (operator, source currents and right-hand-side
 	// buffer), valid for any crossbar of the same shape; values are
@@ -29,12 +38,10 @@ type SolverState struct {
 	// from the current operator at every solve.
 	pre *linalg.BlockJacobi
 	// v is the operating point of the last converged solve — the warm
-	// start of the next one. vM/vN record the crossbar shape it came from:
-	// a vector from a different topology is never reused even when the
-	// node counts coincide (e.g. 6×4 vs 4×6). Zero shape means
-	// WarmState-seeded — trusted by length alone, for replays.
-	v      []float64
-	vM, vN int
+	// start of the next solve of vc, the crossbar that stored it. A nil vc
+	// means WarmState-seeded: trusted by length alone, for replays.
+	v  []float64
+	vc *Crossbar
 	// vwarm is the scratch the solve copies v into at warm start, so the
 	// Newton loop's working vector never aliases the stored operating point.
 	vwarm []float64
@@ -83,20 +90,50 @@ func (s *SolverState) warmCopy() []float64 {
 }
 
 // warmFor reports whether the state holds a warm-start vector usable for
-// this crossbar.
+// this crossbar: one stored by a solve of c, or a WarmState seed of c's
+// length.
 func (s *SolverState) warmFor(c *Crossbar) bool {
 	if s == nil || len(s.v) != 2*c.M*c.N {
 		return false
 	}
-	return (s.vM == c.M && s.vN == c.N) || (s.vM == 0 && s.vN == 0)
+	return s.vc == c || s.vc == nil
 }
 
-// store records a converged solve's operating point as the warm start of
-// the next solve through the state, reusing the stored vector's buffer.
-func (s *SolverState) store(c *Crossbar, res *Result) {
+// store records a converged solve's operating point v as the warm start of
+// the next solve of c through the state, reusing the stored vector's
+// buffer, and returns the stored point. Without a state it returns v.
+func (s *SolverState) store(c *Crossbar, v []float64) []float64 {
 	if s == nil {
-		return
+		return v
 	}
-	s.v = append(s.v[:0], res.NodeV...)
-	s.vM, s.vN = c.M, c.N
+	s.v = append(s.v[:0], v...)
+	s.vc = c
+	return s.v
+}
+
+// prepare returns c's MNA system stamped for vin and a block
+// preconditioner factored from it. Through a state both are the state's
+// own, reused when c has their shape and replaced (and kept) when it does
+// not; either way they are bit-identical to a fresh assembly and
+// factorization. A nil state allocates both.
+func (s *SolverState) prepare(c *Crossbar, vin []float64, asmOps, preOps *linalg.OpCount) (*assembly, *linalg.BlockJacobi, error) {
+	if s == nil {
+		a := c.assemble(vin, asmOps)
+		pre, err := linalg.NewBlockJacobi(a.op, preOps)
+		return a, pre, err
+	}
+	if s.asm != nil && s.asm.op.M == c.M && s.asm.op.N == c.N {
+		c.stampValues(s.asm, vin, asmOps)
+	} else {
+		s.asm, s.pre = c.assemble(vin, asmOps), nil
+	}
+	if s.pre != nil {
+		return s.asm, s.pre, s.pre.Refresh(s.asm.op, preOps)
+	}
+	pre, err := linalg.NewBlockJacobi(s.asm.op, preOps)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.pre = pre
+	return s.asm, pre, nil
 }

@@ -1,13 +1,49 @@
 package circuit
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"mnsim/internal/device"
+	"mnsim/internal/tech"
 )
+
+// sameSolve fails t unless got is want bit for bit: outputs, power,
+// operating point, iteration counts and the whole encoded diagnostics.
+func sameSolve(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	sameBits := func(what string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %s has %d values, want %d", name, what, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: %s[%d] = %v, want %v", name, what, i, a[i], b[i])
+			}
+		}
+	}
+	sameBits("VOut", got.VOut, want.VOut)
+	sameBits("NodeV", got.NodeV, want.NodeV)
+	sameBits("Power", []float64{got.Power}, []float64{want.Power})
+	if got.NewtonIters != want.NewtonIters || got.CGIters != want.CGIters {
+		t.Fatalf("%s: %d Newton / %d CG iterations, want %d / %d", name, got.NewtonIters, got.CGIters, want.NewtonIters, want.CGIters)
+	}
+	gd, err := json.Marshal(got.Diag.JSONSafe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := json.Marshal(want.Diag.JSONSafe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gd) != string(wd) {
+		t.Fatalf("%s: diagnostics\n%s\nwant\n%s", name, gd, wd)
+	}
+}
 
 // TestSolverStateDeterminism is the state-reuse bit-identity contract:
 // solving the same crossbar with and without a reused SolverState yields
@@ -152,6 +188,136 @@ func TestSolverStateShapeChange(t *testing.T) {
 	}
 }
 
+// TestSolverStateOtherCrossbar: the warm point is keyed to the crossbar
+// that stored it. Through a state that last solved crossbar A, a solve of
+// a same-shape crossbar B is cold and bit-identical to a fresh-state solve
+// of B, Linear or not; B's re-solve then warm-starts from B's point.
+func TestSolverStateOtherCrossbar(t *testing.T) {
+	dev := device.RRAM()
+	rng := rand.New(rand.NewSource(3))
+	for _, linear := range []bool{false, true} {
+		a := &Crossbar{M: 12, N: 10, R: randomR(12, 10, dev, rng), WireR: 2.5, RSense: 1e3, Dev: dev, Linear: linear}
+		b := &Crossbar{M: 12, N: 10, R: randomR(12, 10, dev, rng), WireR: 2.5, RSense: 1e3, Dev: dev, Linear: linear}
+		vin := make([]float64, 12)
+		for i := range vin {
+			vin[i] = 2 * dev.ReadVoltage * rng.Float64()
+		}
+		st := NewSolverState()
+		if _, err := a.Solve(vin, SolveOptions{State: st}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Solve(vin, SolveOptions{State: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := b.Solve(vin, SolveOptions{State: NewSolverState()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSolve(t, "B after A", got, want)
+		if got.Diag.WarmStart {
+			t.Fatal("B's solve warm-started from A's operating point")
+		}
+		vin[0] *= 1.01
+		again, err := b.Solve(vin, SolveOptions{State: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Diag.WarmStart {
+			t.Fatal("B's re-solve did not warm-start from B's operating point")
+		}
+	}
+}
+
+// TestSolverStateSettleNeutral: a settling run through a state borrows its
+// buffers only. Its settle time is a stateless run's, a solve after it
+// through the same state is bit-identical to a fresh-state solve, and it
+// leaves a stored warm point, and so the next warm solve, as it was.
+func TestSolverStateSettleNeutral(t *testing.T) {
+	c, vin := benchCrossbar(16)
+	wire := tech.MustInterconnect(45)
+	topt := TransientOptions{NodeCap: wire.SegmentC, CellCap: c.Dev.CellCap}
+	st := NewSolverState()
+	// A state that solved another shape first, so every buffer is resized.
+	other, otherVin := costCrossbar(8, 6)
+	if _, err := other.Solve(otherVin, SolveOptions{State: st}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.SettleTime(vin, topt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topt.State = st
+	got, err := c.SettleTime(vin, topt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("settle time through a state %v, stateless %v", got, want)
+	}
+	after, err := c.Solve(vin, SolveOptions{State: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := c.Solve(vin, SolveOptions{State: NewSolverState()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSolve(t, "solve after settle", after, fresh)
+
+	// Warm point: c's, stored by the solve above. Settle, then re-solve a
+	// drifted input; a twin state that never settled must agree.
+	twin := NewSolverState()
+	if _, err := c.Solve(vin, SolveOptions{State: twin}); err != nil {
+		t.Fatal(err)
+	}
+	warmV := st.WarmV()
+	if _, err := c.SettleTime(vin, topt); err != nil {
+		t.Fatal(err)
+	}
+	sameSolve(t, "warm point after settle", &Result{NodeV: st.WarmV()}, &Result{NodeV: warmV})
+	vin[0] *= 1.01
+	warm, err := c.Solve(vin, SolveOptions{State: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := c.Solve(vin, SolveOptions{State: twin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Diag.WarmStart {
+		t.Fatal("the re-solve after a settling run did not warm-start")
+	}
+	sameSolve(t, "warm solve after settle", warm, ref)
+}
+
+// TestSolverStateNodeVIsWarmPoint: through a state, Result.NodeV is the
+// stored operating point itself (so WarmV reads it back), with a
+// stateless solve's bits; the next solve through the state overwrites it.
+func TestSolverStateNodeVIsWarmPoint(t *testing.T) {
+	c, vin := costCrossbar(8, 6)
+	bare, err := c.Solve(vin, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewSolverState()
+	res, err := c.Solve(vin, SolveOptions{State: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSolve(t, "stateful NodeV", &Result{NodeV: res.NodeV}, &Result{NodeV: bare.NodeV})
+	sameSolve(t, "WarmV", &Result{NodeV: st.WarmV()}, &Result{NodeV: res.NodeV})
+	if &res.NodeV[0] != &st.v[0] {
+		t.Fatal("stateful NodeV is a copy of the state's operating point")
+	}
+	vin[0] *= 1.05
+	next, err := c.Solve(vin, SolveOptions{State: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSolve(t, "NodeV after the next solve", &Result{NodeV: res.NodeV}, &Result{NodeV: next.NodeV})
+}
+
 // TestPrecondSelection: the block-Jacobi preconditioner is the solve's
 // inner preconditioner, and its work is booked where it happens — band
 // factorizations in the precond phase, applies in the CG loop.
@@ -294,13 +460,14 @@ func TestWarmDivergenceSnapshotReplays(t *testing.T) {
 	vin := []float64{0.3, 0.3}
 	opt := SolveOptions{MaxNewton: 5}
 
-	// Seed a warm state from a converged solve of a tamer input.
+	// Seed a warm state from a converged solve of the same crossbar (the
+	// warm point is keyed to it) with a tame device and input.
 	st := NewSolverState()
-	tame := *c
-	tame.Dev = device.RRAM()
-	if _, err := tame.Solve([]float64{0.05, 0.05}, SolveOptions{State: st}); err != nil {
+	c.Dev = device.RRAM()
+	if _, err := c.Solve([]float64{0.05, 0.05}, SolveOptions{State: st}); err != nil {
 		t.Fatal(err)
 	}
+	c.Dev = dev
 	warmV := st.WarmV()
 
 	optSt := opt

@@ -28,6 +28,11 @@ type TransientOptions struct {
 	Dt float64
 	// MaxSteps bounds the integration; default 100000.
 	MaxSteps int
+	// State, when non-nil, lends the run its assembly, block
+	// preconditioner and CG scratch (the same contract as
+	// SolveOptions.State). The run never reads or writes the state's warm
+	// point, and its settle time is bit-identical to a run without one.
+	State *SolverState `json:"-"`
 }
 
 // SettleTime measures the crossbar's output settling latency by transient
@@ -105,22 +110,20 @@ type settleOutcome struct {
 // that exhausts opt.MaxSteps returns a *NotSettledError.
 func (c *Crossbar) settle(ctx context.Context, vin []float64, opt TransientOptions) (settleOutcome, error) {
 	out := settleOutcome{opt: opt}
-	lin := *c
-	lin.Linear = true
-	a := lin.assemble(vin, nil)
-	op := a.op
-	// The conductance matrix shares the crossbar's wire-chain structure, so
-	// the block preconditioner serves both the DC target solve and — after
-	// a refresh against the capacitance-augmented matrix, which only adds
-	// to the same diagonal — every backward-Euler step.
-	pre, err := linalg.NewBlockJacobi(op, nil)
+	// The linear (calibrated) conductance matrix shares the crossbar's
+	// wire-chain structure, so the block preconditioner serves both the DC
+	// target solve and — after a refresh against the capacitance-augmented
+	// matrix, which only adds to the same diagonal — every backward-Euler
+	// step.
+	a, pre, err := opt.State.prepare(c, vin, nil, nil)
 	if err != nil {
 		return out, fmt.Errorf("circuit: preconditioner: %w", err)
 	}
+	op := a.op
 	// Every solve of the run, the DC target's included, shares one CGWork;
 	// each step's solution aliases it, and the ping-pong keeps the
 	// previous step's v valid as the next step's warm start.
-	work := &linalg.CGWork{}
+	work := opt.State.cgWork()
 	// DC target for the settling criterion: only the outputs are read.
 	dc, _, err := linalg.SolveCG(op, c.sources(a, nil), nil, linalg.CGOptions{Tol: 1e-10, Precond: pre, Work: work})
 	if err != nil {

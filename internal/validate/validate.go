@@ -88,10 +88,13 @@ func TableII(opt TableIIOptions) ([]Row, error) {
 // generator in a fixed order. The independent circuit work then runs as
 // index-addressed tasks on the worker pool: task 0 is the transient (the
 // longest, so it starts first), task 1 the JPEG inference, and tasks
-// 2…WeightSamples+1 the weight-sample streams, each with its own
-// SolverState. Last, the per-solve powers are summed in the sequential
-// (weight sample, input sample) order, so the rows do not depend on the
-// worker count or on scheduling.
+// 2…WeightSamples+1 the weight-sample streams. Each pool worker solves
+// its transient and streams through one SolverState, so a run holds one
+// solver buffer set per worker, not per stream; the state warm-starts a
+// solve only from the same crossbar's previous one, so every stream's
+// first solve is cold whichever worker runs it. Last, the per-solve powers
+// are summed in the sequential (weight sample, input sample) order, so the
+// rows do not depend on the worker count or on scheduling.
 func TableIIContext(ctx context.Context, opt TableIIOptions) ([]Row, error) {
 	if opt.WeightSamples <= 0 {
 		opt.WeightSamples = 20
@@ -116,9 +119,14 @@ func TableIIContext(ctx context.Context, opt TableIIOptions) ([]Row, error) {
 	prog := telemetry.StartPhase("validate.table2", int64(nTasks))
 	defer prog.Finish()
 
+	// pool.Run runs at most min(workers, tasks) tasks at once, so a free
+	// list of that many states never runs dry and a receive never blocks.
+	free := solverStates(min(pool.Resolve(opt.Workers), nTasks))
 	var rcSettle, modelAcc, circuitAcc float64
 	err = pool.Run(ctx, nTasks, opt.Workers, func(tctx context.Context, t int) error {
 		defer prog.Inc()
+		st := <-free
+		defer func() { free <- st }()
 		switch t {
 		case 0:
 			// Latency: transient settling of the full RC grid, against the
@@ -128,7 +136,7 @@ func TableIIContext(ctx context.Context, opt TableIIOptions) ([]Row, error) {
 			vin := make([]float64, opt.Size)
 			fill(vin, p.VDrive)
 			var err error
-			rcSettle, err = d.lat.SettleTimeContext(sctx, vin, circuit.TransientOptions{NodeCap: wire.SegmentC, CellCap: dev.CellCap})
+			rcSettle, err = d.lat.SettleTimeContext(sctx, vin, circuit.TransientOptions{NodeCap: wire.SegmentC, CellCap: dev.CellCap, State: st})
 			if err != nil {
 				return fmt.Errorf("validate: transient: %w", err)
 			}
@@ -143,7 +151,7 @@ func TableIIContext(ctx context.Context, opt TableIIOptions) ([]Row, error) {
 			w := t - 2
 			sctx, sp := telemetry.StartSpanKeyed(tctx, "validate.table2.weights", strconv.Itoa(w))
 			defer sp.End()
-			return d.streams[w].run(sctx, p.AvgDriveRMS())
+			return d.streams[w].run(sctx, st, p.AvgDriveRMS())
 		}
 	})
 	if err != nil {
@@ -175,6 +183,15 @@ func TableIIContext(ctx context.Context, opt TableIIOptions) ([]Row, error) {
 			&table2Summary{Action: "summary", Rows: len(rows), WorstRelError: worstAbsRowError(rows)})
 	}
 	return rows, nil
+}
+
+// solverStates returns a free list holding n new solver states.
+func solverStates(n int) chan *circuit.SolverState {
+	free := make(chan *circuit.SolverState, n)
+	for range n {
+		free <- circuit.NewSolverState()
+	}
+	return free
 }
 
 // table2Summary is the data of the phase event that closes Table II.
@@ -236,12 +253,12 @@ type weightStream struct {
 }
 
 // run solves the stream's compute and read drives in input-sample order
-// through one SolverState, so the 2·inputs solves of the crossbar share
-// the assembled pattern, the block preconditioner, and warm starts.
+// through the worker's SolverState st, so the 2·inputs solves of the
+// crossbar share the state's buffers and warm-start from each other; the
+// first is cold, since st last solved another crossbar (or none).
 // readDrive is the level of the read row: the RMS of the uniform compute
 // drive, a deterministic level, so one row per sample still averages.
-func (s *weightStream) run(ctx context.Context, readDrive float64) error {
-	st := circuit.NewSolverState()
+func (s *weightStream) run(ctx context.Context, st *circuit.SolverState, readDrive float64) error {
 	vin := make([]float64, s.c.M)
 	for k, cv := range s.compVin {
 		res, err := s.c.SolveContext(ctx, cv, circuit.SolveOptions{State: st})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -117,17 +118,30 @@ func TestFig5UnknownNode(t *testing.T) {
 }
 
 // The rows are bit-identical at every worker count: the inputs are drawn
-// before the fan-out and the powers are summed in sequential order.
+// before the fan-out and the powers are summed in sequential order. Each
+// pool worker solves through one SolverState, so how the transient and
+// the weight streams share states depends on the worker count: at Size 64
+// with 6 tasks, 6 workers give each task a state of its own and 1 worker
+// one state for all.
 func TestTableIIParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("circuit-level validation is slow")
 	}
-	for _, seed := range []int64{1, 7} {
+	for _, tc := range []struct {
+		opt     TableIIOptions
+		workers []int
+	}{
+		{TableIIOptions{WeightSamples: 3, InputSamples: 6, Size: 32, Seed: 1}, []int{1, 2, 8}},
+		{TableIIOptions{WeightSamples: 3, InputSamples: 6, Size: 32, Seed: 7}, []int{1, 2, 8}},
+		{TableIIOptions{WeightSamples: 4, InputSamples: 12, Size: 64, Seed: 3}, []int{1, 2, 3, 6}},
+	} {
 		var want []Row
-		for _, workers := range []int{1, 2, 8} {
-			rows, err := TableII(TableIIOptions{WeightSamples: 3, InputSamples: 6, Size: 32, Seed: seed, Workers: workers})
+		for _, workers := range tc.workers {
+			opt := tc.opt
+			opt.Workers = workers
+			rows, err := TableII(opt)
 			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+				t.Fatalf("%+v: %v", opt, err)
 			}
 			if want == nil {
 				want = rows
@@ -138,11 +152,55 @@ func TestTableIIParallelDeterminism(t *testing.T) {
 				if r.Metric != w.Metric ||
 					math.Float64bits(r.Model) != math.Float64bits(w.Model) ||
 					math.Float64bits(r.Circuit) != math.Float64bits(w.Circuit) {
-					t.Errorf("seed %d workers %d: %+v, workers 1 gave %+v", seed, workers, r, w)
+					t.Errorf("%+v: %+v, workers 1 gave %+v", opt, r, w)
 				}
 			}
 		}
 	}
+}
+
+// tableIIBytes returns the bytes one TableII call with opt allocates,
+// after a first call that warms up what the process keeps.
+func tableIIBytes(t *testing.T, opt TableIIOptions) uint64 {
+	t.Helper()
+	if _, err := TableII(opt); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := TableII(opt); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A Table II run at Size 64 on one worker holds one solver buffer set
+// (about 12 vectors of 2·64·64 floats, 64 KiB each), its drawn inputs
+// (about 3 vectors), the JPEG network's stateless solves and each solve's
+// result and diagnostics: it reads ~1.9 MB, 28.5 vectors, bounded at 34.
+// A transient with buffers of its own (+9.6 vectors), a buffer set per
+// weight stream or a copied operating point per solve (6.3 MB, 97
+// vectors, before the worker states) fails the bound. Doubling the weight
+// samples at 3 inputs each adds the new samples' drawn inputs (a 64×64
+// resistance matrix is half a vector) and their solves' results, not
+// solver buffers: under one vector per added sample.
+func TestTableIIFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("circuit-level validation is slow")
+	}
+	const size = 64
+	vec := uint64(16 * size * size)
+	four := tableIIBytes(t, TableIIOptions{WeightSamples: 4, InputSamples: 12, Size: size, Seed: 1, Workers: 1})
+	if bound := 34 * vec; four > bound {
+		t.Errorf("Table II at Size %d allocates %d B, bound %d (%.1f vectors)", size, four, bound, float64(four)/float64(vec))
+	}
+	eight := tableIIBytes(t, TableIIOptions{WeightSamples: 8, InputSamples: 24, Size: size, Seed: 1, Workers: 1})
+	perSample := (float64(eight) - float64(four)) / 4
+	if perSample > float64(vec) {
+		t.Errorf("each added weight sample allocates %.0f B (%.2f vectors), bound one vector (%d B)", perSample, perSample/float64(vec), vec)
+	}
+	t.Logf("Size %d, workers 1: %d B (%.1f vectors); %.0f B per added weight sample", size, four, float64(four)/float64(vec), perSample)
 }
 
 // Cancelling mid-run aborts every in-flight task, the transient included,
