@@ -4,6 +4,10 @@
 // timelines, and post-hoc conversion of any journaled run into a Chrome
 // trace-event file for Perfetto.
 //
+// A solve_end, transient_settle or mc_trial event's id is the 16-hex ID of
+// the span it ran in (its data's span_id). An id is an opaque string here,
+// so journals that numbered solves "solve-N" read alike.
+//
 // Usage:
 //
 //	mnsim-journal summarize run.jsonl              # per-type / per-span stats
@@ -40,7 +44,11 @@ func usage() error {
   mnsim-journal slowest [-n 10] <journal.jsonl>
   mnsim-journal outliers <journal.jsonl>
   mnsim-journal timeline <candidate-id> <journal.jsonl>
-  mnsim-journal export [-o trace.json] <journal.jsonl>`)
+  mnsim-journal export [-o trace.json] <journal.jsonl>
+
+A solve is named by the 16-hex ID of its circuit.solve span (the span_id
+in its solve_end data and in export's trace args); a candidate by its
+candidate ID (cand-64x16@45).`)
 }
 
 func run(w io.Writer, args []string) error {

@@ -47,8 +47,8 @@ func writeTracedJournal(t *testing.T) (path, candidate string) {
 		t.Fatal(err)
 	}
 	evalUS := int64(12)
-	telemetry.EmitEventCtx(cctx, telemetry.EvCandidateEval, candidate,
-		&dse.CandidateEval{Outcome: "ok", EvalUS: &evalUS})
+	telemetry.EmitEvent(telemetry.EvCandidateEval, candidate,
+		&dse.CandidateEval{SpanIDs: cs.IDs(), Outcome: "ok", EvalUS: &evalUS})
 	cs.End()
 	root.End()
 	if err := j.Close(); err != nil {

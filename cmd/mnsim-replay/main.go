@@ -2,11 +2,14 @@
 // asserts the recorded outcome is reproduced bit for bit. It accepts a
 // snapshot file written next to a journal (-journal on any mnsim CLI) or a
 // journal .jsonl, in which case every snapshot the journal references is
-// replayed in order.
+// replayed in order. A snapshot is named <journal>.snap-<id>.<kind>.json,
+// <id> the id of the failed solve's or settling run's journal event (its
+// span's ID); replay finds snapshots through the events' snapshot paths
+// and reads no ID.
 //
 // Usage:
 //
-//	mnsim-replay run.jsonl.snap-1.divergence.json         # replay one snapshot
+//	mnsim-replay run.jsonl.snap-25e9e1603b55d8a5.divergence.json  # replay one snapshot
 //	mnsim-replay -v run.jsonl                             # replay a whole journal, verbose
 //	mnsim-replay -sp out.sp snap.json                     # also emit the SPICE netlist
 //	mnsim-replay -force-divergence -journal run.jsonl     # capture a known-bad solve

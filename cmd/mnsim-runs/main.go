@@ -18,6 +18,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 
 	"mnsim/internal/report"
 	"mnsim/internal/telemetry"
@@ -54,7 +55,9 @@ func usage(w io.Writer) {
 
 "diff" compares every counter, gauge, histogram, and span phase of two
 run manifests; deltas beyond -threshold (relative) are flagged with '!',
-except on wall-time rows (wall_seconds, phase_us) under 100 ms in both runs.
+except on wall-time rows (wall_seconds, phase_us) under 100 ms in both runs
+and on the means of timing histograms (names ending _us or _seconds) whose
+sums are under 100 ms in both runs.
 With -fail the exit status is 3 when any delta is flagged, for CI gates.`)
 }
 
@@ -189,25 +192,45 @@ func presence[V any](a, b map[string]V, name string) string {
 }
 
 // timeFloorSeconds is the wall time under which a timing row (the run's
-// wall_seconds or a phase's total) is never flagged: a run or phase that
-// takes a few milliseconds moves by tens of percent with scheduling alone.
+// wall_seconds, a phase's total, or the mean of a timing histogram whose
+// sums are under it) is never flagged: a run or phase that takes a few
+// milliseconds moves by tens of percent with scheduling alone.
 const timeFloorSeconds = 0.1
+
+// reachesTimeFloor reports whether the larger of two timings, in a unit
+// perSecond of which make a second, reaches timeFloorSeconds.
+func reachesTimeFloor(a, b, perSecond float64) bool {
+	return math.Max(math.Abs(a), math.Abs(b)) >= timeFloorSeconds*perSecond
+}
+
+// histogramUnit returns how many of a timing histogram's unit, named by
+// its suffix, make a second, and 0 for a histogram of anything else.
+func histogramUnit(name string) float64 {
+	switch {
+	case strings.HasSuffix(name, "_us"):
+		return 1e6
+	case strings.HasSuffix(name, "_seconds"):
+		return 1
+	}
+	return 0
+}
 
 // diffManifests compares every shared (and one-sided) series of the two
 // manifests: wall time, span phases (total wall time), counters, gauges,
 // and histogram count/mean. Rows beyond threshold, and one-sided rows, are
-// flagged, except timing rows whose larger value is under timeFloorSeconds.
+// flagged, except timing rows under timeFloorSeconds.
 func diffManifests(a, b telemetry.Manifest, threshold float64) []diffRow {
 	var rows []diffRow
-	// floor is the larger value under which a delta is not flagged.
-	add := func(kind, name, only string, av, bv, floor float64) {
+	// timed is false for a timing row under the floor, whose delta is not
+	// flagged.
+	add := func(kind, name, only string, av, bv float64, timed bool) {
 		d := relDelta(av, bv)
 		rows = append(rows, diffRow{
 			kind: kind, name: name, a: av, b: bv, delta: d, only: only,
-			flagged: only != "" || (math.Abs(d) > threshold && math.Max(math.Abs(av), math.Abs(bv)) >= floor),
+			flagged: only != "" || (math.Abs(d) > threshold && timed),
 		})
 	}
-	add("run", "wall_seconds", "", a.WallSeconds, b.WallSeconds, timeFloorSeconds)
+	add("run", "wall_seconds", "", a.WallSeconds, b.WallSeconds, reachesTimeFloor(a.WallSeconds, b.WallSeconds, 1))
 
 	aPhases := map[string]telemetry.SpanStat{}
 	for _, p := range a.Phases {
@@ -218,15 +241,16 @@ func diffManifests(a, b telemetry.Manifest, threshold float64) []diffRow {
 		bPhases[p.Name] = p
 	}
 	for _, name := range sortedKeys(aPhases, bPhases) {
-		add("phase_us", name, presence(aPhases, bPhases, name), aPhases[name].TotalUS, bPhases[name].TotalUS, timeFloorSeconds*1e6)
+		av, bv := aPhases[name].TotalUS, bPhases[name].TotalUS
+		add("phase_us", name, presence(aPhases, bPhases, name), av, bv, reachesTimeFloor(av, bv, 1e6))
 	}
 	for _, name := range sortedKeys(a.Metrics.Counters, b.Metrics.Counters) {
 		add("counter", name, presence(a.Metrics.Counters, b.Metrics.Counters, name),
-			float64(a.Metrics.Counters[name]), float64(b.Metrics.Counters[name]), 0)
+			float64(a.Metrics.Counters[name]), float64(b.Metrics.Counters[name]), true)
 	}
 	for _, name := range sortedKeys(a.Metrics.Gauges, b.Metrics.Gauges) {
 		add("gauge", name, presence(a.Metrics.Gauges, b.Metrics.Gauges, name),
-			a.Metrics.Gauges[name], b.Metrics.Gauges[name], 0)
+			a.Metrics.Gauges[name], b.Metrics.Gauges[name], true)
 	}
 	hmean := func(h telemetry.HistogramSnapshot) float64 {
 		if h.Count == 0 {
@@ -237,8 +261,9 @@ func diffManifests(a, b telemetry.Manifest, threshold float64) []diffRow {
 	for _, name := range sortedKeys(a.Metrics.Histograms, b.Metrics.Histograms) {
 		ah, bh := a.Metrics.Histograms[name], b.Metrics.Histograms[name]
 		only := presence(a.Metrics.Histograms, b.Metrics.Histograms, name)
-		add("hist_count", name, only, float64(ah.Count), float64(bh.Count), 0)
-		add("hist_mean", name, only, hmean(ah), hmean(bh), 0)
+		add("hist_count", name, only, float64(ah.Count), float64(bh.Count), true)
+		unit := histogramUnit(name)
+		add("hist_mean", name, only, hmean(ah), hmean(bh), unit == 0 || reachesTimeFloor(ah.Sum, bh.Sum, unit))
 	}
 	return rows
 }

@@ -129,6 +129,30 @@ func TestDiffTimeFloor(t *testing.T) {
 			t.Errorf("%s: flagged = %d, want %d timing rows and the counter:\n%s", tc.name, flagged, tc.want, sb.String())
 		}
 	}
+	// A timing histogram's mean is a timing row, floored on its sums: the
+	// paper sweep's per-candidate evaluation going from 0.34 to 0.72 µs
+	// over 6,570 candidates sums to under 5 ms and is not flagged; a mean
+	// that doubles over sums above 100 ms is. Its count is unchanged.
+	for _, tc := range []struct {
+		name         string
+		meanA, meanB float64 // µs
+		want         int
+	}{
+		{"histogram under the floor", 0.34, 0.72, 0},
+		{"histogram above the floor", 20, 40, 1},
+	} {
+		a, b := sampleManifest(), sampleManifest()
+		a.Metrics.Histograms["mnsim_dse_candidate_eval_us"] = telemetry.HistogramSnapshot{Count: 6570, Sum: 6570 * tc.meanA}
+		b.Metrics.Histograms["mnsim_dse_candidate_eval_us"] = telemetry.HistogramSnapshot{Count: 6570, Sum: 6570 * tc.meanB}
+		var sb strings.Builder
+		flagged, err := runDiff(&sb, writeManifest(t, dir, "a.json", a), writeManifest(t, dir, "b.json", b), 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flagged != tc.want {
+			t.Errorf("%s: flagged = %d, want %d:\n%s", tc.name, flagged, tc.want, sb.String())
+		}
+	}
 }
 
 // A one-sided series reads "new" or "gone" by which manifest holds it,

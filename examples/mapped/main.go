@@ -84,7 +84,7 @@ func main() {
 
 	// The Monte-Carlo view of one crossbar's error distribution.
 	mc, err := accuracy.MonteCarlo(crossbar.New(64, 64, d.Dev, d.Wire),
-		accuracy.MCOptions{Trials: 2000, Sigma: 0.1, Rng: rng})
+		accuracy.MCOptions{Trials: 2000, Sigma: 0.1, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,11 +14,11 @@
 //
 // # Seeding contract
 //
-// The statistical extension (MonteCarlo) is deterministic by default: when
-// MCOptions.Rng is nil, each call builds a fresh generator seeded with
-// DefaultSeed, so two runs with identical options produce bit-identical
-// results. Callers that want decorrelated runs must pass their own
-// explicitly seeded *rand.Rand.
+// The statistical extension (MonteCarlo) is a pure function of its
+// options: trial t draws from its own generator, seeded from
+// (MCOptions.Seed, t), so two runs with identical options produce
+// bit-identical results at any worker count. A zero Seed selects
+// DefaultSeed; callers that want decorrelated runs pass distinct seeds.
 package accuracy
 
 import (

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"mnsim/internal/crossbar"
 	"mnsim/internal/pool"
@@ -20,8 +19,8 @@ var (
 	telMCSamplesSec = telemetry.GetGauge("mnsim_accuracy_mc_samples_per_second")
 )
 
-// DefaultSeed seeds the per-trial streams MonteCarlo derives when
-// MCOptions.Rng is nil; see the seeding contract on MCOptions.
+// DefaultSeed is the base of the per-trial streams when MCOptions.Seed is
+// zero; see the seeding contract on MCOptions.Seed.
 const DefaultSeed = 1
 
 // MCOptions tunes a Monte-Carlo accuracy run.
@@ -32,19 +31,14 @@ type MCOptions struct {
 	// cell's deviation uniformly from [-sigma, +sigma] (Eq. 16's random
 	// factor, sampled instead of worst-cased).
 	Sigma float64
-	// Rng supplies randomness in the legacy shared-stream mode: every trial
-	// draws from this one generator in sequence, which forces the run onto
-	// a single worker. Leave it nil to use the seeded per-trial streams
-	// (see Seed), which shard across workers deterministically.
-	Rng *rand.Rand
-	// Seed is the base of the per-trial stream family used when Rng is nil:
-	// trial t draws from a generator seeded with a splitmix64 mix of
-	// (Seed, t), so the sampled distribution is a pure function of
-	// (options, trial index) and parallel runs are bit-identical to
-	// sequential ones. Zero selects DefaultSeed.
+	// Seed is the base of the per-trial stream family: trial t draws from
+	// a generator seeded with a splitmix64 mix of (Seed, t), so the
+	// sampled distribution is a pure function of (options, trial index)
+	// and parallel runs are bit-identical to sequential ones. Zero selects
+	// DefaultSeed.
 	Seed int64
 	// Workers bounds the goroutines sharding the trials; <= 0 selects
-	// runtime.GOMAXPROCS(0). Ignored (forced sequential) when Rng is set.
+	// runtime.GOMAXPROCS(0).
 	Workers int
 }
 
@@ -65,12 +59,10 @@ type MCResult struct {
 // depend on it, because every trial re-seeds its own stream.
 const mcShardSize = 64
 
-// mcSeq numbers Monte-Carlo runs process-wide for journal correlation ids.
-var mcSeq atomic.Int64
-
 // MCTrial is the data of an mc_trial event: one trial's |error| under the
-// IDs of the enclosing run span. NaN cannot be JSON-encoded, so a
-// degenerate trial is flagged instead of carrying its sample value.
+// IDs of the enclosing accuracy.montecarlo span, whose ID the event also
+// takes. NaN cannot be JSON-encoded, so a degenerate trial is flagged
+// instead of carrying its sample value.
 type MCTrial struct {
 	Trial      int      `json:"trial"`
 	AbsErr     *float64 `json:"abs_err,omitempty"`
@@ -78,14 +70,14 @@ type MCTrial struct {
 	telemetry.SpanIDs
 }
 
-// emitTrialEvent journals one mc_trial outcome, stamped with the enclosing
-// run span's trace/span IDs from ctx.
-func emitTrialEvent(ctx context.Context, runID string, t int, absErr float64, ok bool) {
+// emitTrialEvent journals one mc_trial outcome under the enclosing run
+// span in ctx.
+func emitTrialEvent(ctx context.Context, t int, absErr float64, ok bool) {
 	ev := &MCTrial{Trial: t, Degenerate: !ok}
 	if ok {
 		ev.AbsErr = &absErr
 	}
-	telemetry.EmitEventCtx(ctx, telemetry.EvMCTrial, runID, ev)
+	telemetry.EmitEventCtx(ctx, telemetry.EvMCTrial, ev)
 }
 
 // trialSeed derives trial t's generator seed from the base seed with the
@@ -164,10 +156,10 @@ func MonteCarlo(p crossbar.Params, opt MCOptions) (MCResult, error) {
 
 // MonteCarloContext is MonteCarlo with a caller-supplied context.
 //
-// Trials shard across a bounded worker pool (MCOptions.Workers). In the
-// default seeded mode each trial draws from its own deterministic stream
-// (see MCOptions.Seed), and per-trial results land in an index-addressed
-// slice, so the returned MCResult is bit-identical for every worker count.
+// Trials shard across a bounded worker pool (MCOptions.Workers). Each
+// trial draws from its own deterministic stream (see MCOptions.Seed), and
+// per-trial results land in an index-addressed slice, so the returned
+// MCResult is bit-identical for every worker count.
 // Cancelling ctx aborts the run with a wrapped ctx.Err().
 func MonteCarloContext(ctx context.Context, p crossbar.Params, opt MCOptions) (MCResult, error) {
 	if err := p.Validate(); err != nil {
@@ -192,29 +184,35 @@ func MonteCarloContext(ctx context.Context, p crossbar.Params, opt MCOptions) (M
 	// Trial phase: journaled at its start and finish with the trial count.
 	prog := telemetry.StartPhase("mc.trials", int64(opt.Trials))
 	defer prog.Finish()
-	runID := ""
-	if telemetry.JournalOn() {
-		runID = fmt.Sprintf("mc-%d", mcSeq.Add(1))
+	// The journal switch is read once: a run that starts unjournaled
+	// journals no trial.
+	journaled := telemetry.JournalOn()
+	seed := opt.Seed
+	if seed == 0 {
+		seed = DefaultSeed
 	}
 	gs := 1 / p.RSense
 	wire := WireTerm(p.Rows, p.Cols, p.Wire.SegmentR)
 	// samples[t] is trial t's |error|, NaN for a degenerate trial; the
 	// index addressing keeps the result independent of completion order.
 	samples := make([]float64, opt.Trials)
-	if opt.Rng != nil {
-		// Legacy shared-stream mode: every trial consumes the caller's one
-		// generator in sequence, so the run is inherently sequential.
+	shards := (opt.Trials + mcShardSize - 1) / mcShardSize
+	err := pool.Run(ctx, shards, opt.Workers, func(tctx context.Context, shard int) error {
 		s := newMCScratch(p.Rows)
-		for t := 0; t < opt.Trials; t++ {
-			if err := ctx.Err(); err != nil {
-				return MCResult{}, fmt.Errorf("accuracy: Monte-Carlo aborted: %w", err)
+		rng := rand.New(rand.NewSource(1))
+		lo := shard * mcShardSize
+		hi := min(lo+mcShardSize, opt.Trials)
+		for t := lo; t < hi; t++ {
+			if err := tctx.Err(); err != nil {
+				return err
 			}
-			v, ok, err := s.trial(p, opt.Sigma, gs, wire, opt.Rng)
+			rng.Seed(trialSeed(seed, t))
+			v, ok, err := s.trial(p, opt.Sigma, gs, wire, rng)
 			if err != nil {
-				return MCResult{}, err
+				return err
 			}
-			if runID != "" {
-				emitTrialEvent(ctx, runID, t, v, ok)
+			if journaled {
+				emitTrialEvent(tctx, t, v, ok)
 			}
 			if !ok {
 				v = math.NaN()
@@ -222,43 +220,10 @@ func MonteCarloContext(ctx context.Context, p crossbar.Params, opt MCOptions) (M
 			samples[t] = v
 			prog.Inc()
 		}
-	} else {
-		seed := opt.Seed
-		if seed == 0 {
-			seed = DefaultSeed
-		}
-		shards := (opt.Trials + mcShardSize - 1) / mcShardSize
-		err := pool.Run(ctx, shards, opt.Workers, func(tctx context.Context, shard int) error {
-			s := newMCScratch(p.Rows)
-			rng := rand.New(rand.NewSource(1))
-			lo := shard * mcShardSize
-			hi := lo + mcShardSize
-			if hi > opt.Trials {
-				hi = opt.Trials
-			}
-			for t := lo; t < hi; t++ {
-				if err := tctx.Err(); err != nil {
-					return err
-				}
-				rng.Seed(trialSeed(seed, t))
-				v, ok, err := s.trial(p, opt.Sigma, gs, wire, rng)
-				if err != nil {
-					return err
-				}
-				if runID != "" {
-					emitTrialEvent(tctx, runID, t, v, ok)
-				}
-				if !ok {
-					v = math.NaN()
-				}
-				samples[t] = v
-				prog.Inc()
-			}
-			return nil
-		})
-		if err != nil {
-			return MCResult{}, fmt.Errorf("accuracy: Monte-Carlo aborted: %w", err)
-		}
+		return nil
+	})
+	if err != nil {
+		return MCResult{}, fmt.Errorf("accuracy: Monte-Carlo aborted: %w", err)
 	}
 	// Compact out the degenerate trials in index order, then sort.
 	errs := compactFinite(samples)

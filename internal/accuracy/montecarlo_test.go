@@ -4,14 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"runtime"
 	"testing"
 )
 
 func TestMonteCarloBasics(t *testing.T) {
 	p := refParams(64, 45)
-	res, err := MonteCarlo(p, MCOptions{Trials: 500, Sigma: 0.1, Rng: rand.New(rand.NewSource(1))})
+	res, err := MonteCarlo(p, MCOptions{Trials: 500, Sigma: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +34,7 @@ func TestMonteCarloBracketedByModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MonteCarlo(p, MCOptions{Trials: 2000, Sigma: 0, Rng: rand.New(rand.NewSource(2))})
+	res, err := MonteCarlo(p, MCOptions{Trials: 2000, Sigma: 0, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +49,11 @@ func TestMonteCarloBracketedByModel(t *testing.T) {
 // Variation widens the distribution.
 func TestMonteCarloVariationWidens(t *testing.T) {
 	p := refParams(64, 45)
-	tight, err := MonteCarlo(p, MCOptions{Trials: 1500, Sigma: 0, Rng: rand.New(rand.NewSource(3))})
+	tight, err := MonteCarlo(p, MCOptions{Trials: 1500, Sigma: 0, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := MonteCarlo(p, MCOptions{Trials: 1500, Sigma: 0.3, Rng: rand.New(rand.NewSource(3))})
+	wide, err := MonteCarlo(p, MCOptions{Trials: 1500, Sigma: 0.3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +67,15 @@ func TestMonteCarloVariationWidens(t *testing.T) {
 
 func TestMonteCarloErrors(t *testing.T) {
 	p := refParams(16, 45)
-	rng := rand.New(rand.NewSource(1))
-	if _, err := MonteCarlo(p, MCOptions{Trials: 0, Rng: rng}); err == nil {
+	if _, err := MonteCarlo(p, MCOptions{Trials: 0}); err == nil {
 		t.Error("0 trials accepted")
 	}
-	if _, err := MonteCarlo(p, MCOptions{Trials: 10, Sigma: 0.9, Rng: rng}); err == nil {
+	if _, err := MonteCarlo(p, MCOptions{Trials: 10, Sigma: 0.9}); err == nil {
 		t.Error("huge sigma accepted")
 	}
 	bad := p
 	bad.Rows = 0
-	if _, err := MonteCarlo(bad, MCOptions{Trials: 10, Rng: rng}); err == nil {
+	if _, err := MonteCarlo(bad, MCOptions{Trials: 10}); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -85,11 +83,11 @@ func TestMonteCarloErrors(t *testing.T) {
 // Determinism: the same seed reproduces the same distribution.
 func TestMonteCarloDeterministic(t *testing.T) {
 	p := refParams(32, 45)
-	a, err := MonteCarlo(p, MCOptions{Trials: 200, Sigma: 0.1, Rng: rand.New(rand.NewSource(9))})
+	a, err := MonteCarlo(p, MCOptions{Trials: 200, Sigma: 0.1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MonteCarlo(p, MCOptions{Trials: 200, Sigma: 0.1, Rng: rand.New(rand.NewSource(9))})
+	b, err := MonteCarlo(p, MCOptions{Trials: 200, Sigma: 0.1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +96,8 @@ func TestMonteCarloDeterministic(t *testing.T) {
 	}
 }
 
-// The seeding contract: a nil Rng selects the per-trial stream family based
-// on Seed (zero meaning DefaultSeed), so repeated runs are bit-identical to
+// The seeding contract: the per-trial stream family is based on Seed, zero
+// meaning DefaultSeed, so repeated runs with no Seed are bit-identical to
 // each other and to an explicit Seed: DefaultSeed run.
 func TestMonteCarloNilRngDeterministic(t *testing.T) {
 	p := refParams(32, 45)
@@ -113,7 +111,7 @@ func TestMonteCarloNilRngDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatalf("nil-Rng runs differ: %+v vs %+v", a, b)
+		t.Fatalf("unseeded runs differ: %+v vs %+v", a, b)
 	}
 	opt.Seed = DefaultSeed
 	c, err := MonteCarlo(p, opt)
@@ -159,10 +157,7 @@ func TestMonteCarloCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := MonteCarloContext(ctx, p, MCOptions{Trials: 500, Sigma: 0.1, Workers: 4}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("seeded mode: want context.Canceled, got %v", err)
-	}
-	if _, err := MonteCarloContext(ctx, p, MCOptions{Trials: 500, Sigma: 0.1, Rng: rand.New(rand.NewSource(1))}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("legacy Rng mode: want context.Canceled, got %v", err)
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 

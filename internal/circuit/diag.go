@@ -11,7 +11,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync/atomic"
 
 	"mnsim/internal/device"
 	"mnsim/internal/linalg"
@@ -255,13 +254,6 @@ func (e *NotSettledError) Error() string {
 // Unwrap makes errors.Is(err, ErrNotSettled) hold.
 func (e *NotSettledError) Unwrap() error { return ErrNotSettled }
 
-// solveSeq numbers solves process-wide for journal correlation ids.
-var solveSeq atomic.Int64
-
-func nextSolveID(prefix string) string {
-	return fmt.Sprintf("%s-%d", prefix, solveSeq.Add(1))
-}
-
 // SnapshotSchemaVersion identifies the snapshot layout; bump it on any
 // incompatible change so mnsim-replay can refuse documents it does not
 // understand.
@@ -412,11 +404,12 @@ func (c *Crossbar) newTransientSnapshot(vin []float64, out settleOutcome, err er
 	return s
 }
 
-// saveSnapshot hands a snapshot to the journal's snapshot sink; it returns
-// the written path ("" when the journal has no backing file) and never
-// fails the solve — a snapshot problem is logged, not propagated.
-func saveSnapshot(kind string, s *Snapshot) string {
-	path, err := telemetry.DefaultJournal().SaveSnapshot(kind, s)
+// saveSnapshot hands a snapshot of the work span sp times to the journal's
+// snapshot sink, which names it by the span's ID; it returns the written
+// path ("" when the journal has no backing file) and never fails the solve
+// — a snapshot problem is logged, not propagated.
+func saveSnapshot(sp *telemetry.Span, kind string, s *Snapshot) string {
+	path, err := telemetry.DefaultJournal().SaveSnapshot(sp.IDs().Span, kind, s)
 	if err != nil {
 		telemetry.Log().Warn("solver snapshot write failed", "kind", kind, "err", err)
 		return ""

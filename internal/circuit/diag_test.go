@@ -70,9 +70,16 @@ func TestDivergenceJournalAndSnapshot(t *testing.T) {
 	if end.OK {
 		t.Errorf("solve_end ok=true for diverged solve")
 	}
+	// The event and its snapshot are named by the solve span's ID.
+	if id := telemetry.FormatID(uint64(end.Span)); events[5].ID != id {
+		t.Fatalf("solve_end id %q, want its span's ID %q", events[5].ID, id)
+	}
 	snaps := telemetry.JournalSnapshotPaths(path, events)
 	if len(snaps) != 1 {
 		t.Fatalf("journal references %d snapshots, want 1", len(snaps))
+	}
+	if want := path + ".snap-" + events[5].ID + ".divergence.json"; snaps[0] != want {
+		t.Fatalf("snapshot %q, want %q", snaps[0], want)
 	}
 	snap, err := LoadSnapshot(snaps[0])
 	if err != nil {
@@ -177,6 +184,11 @@ func TestNotSettledJournalAndSnapshot(t *testing.T) {
 	snaps := telemetry.JournalSnapshotPaths(path, events)
 	if len(snaps) != 1 {
 		t.Fatalf("journal references %d snapshots, want 1", len(snaps))
+	}
+	for _, ev := range events {
+		if want := path + ".snap-" + ev.ID + ".transient.json"; ev.Type == telemetry.EvTransientSettle && snaps[0] != want {
+			t.Fatalf("snapshot %q, want %q", snaps[0], want)
+		}
 	}
 	snap, err := LoadSnapshot(snaps[0])
 	if err != nil {

@@ -68,14 +68,11 @@ func (o *solveObserver) endPhase() { o.phase.End() }
 
 // finish observes a finished solve — success, divergence, CG failure, or
 // cancellation alike — and passes its outcome through. A journaled solve
-// is one solve_end event: the solve's inputs, its outcome and its whole
-// Diagnostics under "diag", so a failed solve still records the Newton
-// steps it completed.
+// is one solve_end event, named by its circuit.solve span's ID: the
+// solve's inputs, its outcome and its whole Diagnostics under "diag", so a
+// failed solve still records the Newton steps it completed.
 func (o *solveObserver) finish(c *Crossbar, vin []float64, opt SolveOptions, res *Result, diag *Diagnostics, err error) (*Result, error) {
-	jid := ""
-	if telemetry.JournalOn() {
-		jid = nextSolveID("solve")
-	}
+	journaled := telemetry.JournalOn()
 	o.endPhase()
 	if diag.Path == pathZeroWire {
 		telZeroWireSolve.Inc()
@@ -91,7 +88,7 @@ func (o *solveObserver) finish(c *Crossbar, vin []float64, opt SolveOptions, res
 		telDiverged.Inc()
 		telemetry.Log().Warn("newton iteration diverged",
 			"size", fmt.Sprintf("%dx%d", c.M, c.N), "max_newton", opt.MaxNewton, "tol", opt.Tol)
-		if jid != "" {
+		if journaled {
 			snap := c.NewSnapshot(vin, opt, nil, err)
 			if diag.WarmStart {
 				// Record the warm-start vector the trajectory began from (a
@@ -99,7 +96,7 @@ func (o *solveObserver) finish(c *Crossbar, vin []float64, opt SolveOptions, res
 				// reproduces it bit-identically.
 				snap.WarmV = opt.State.WarmV()
 			}
-			snapPath = saveSnapshot("divergence", snap)
+			snapPath = saveSnapshot(o.span, "divergence", snap)
 		}
 	}
 	// solve_end is emitted after the span closes so it can carry the
@@ -121,7 +118,7 @@ func (o *solveObserver) finish(c *Crossbar, vin []float64, opt SolveOptions, res
 		telPhasePrecond.Observe(float64(diag.Cost.Precond.Flops))
 		telPhaseDiag.Observe(float64(diag.Cost.Diagnostics.Flops))
 	}
-	if jid == "" {
+	if !journaled {
 		return res, err
 	}
 	end := &SolveEnd{M: c.M, N: c.N, WireR: c.WireR, RSense: c.RSense, Linear: c.Linear,
@@ -133,7 +130,7 @@ func (o *solveObserver) finish(c *Crossbar, vin []float64, opt SolveOptions, res
 	if err != nil {
 		end.Err = err.Error()
 	}
-	telemetry.EmitEventCtx(o.ctx, telemetry.EvSolveEnd, jid, end)
+	telemetry.EmitEventCtx(o.ctx, telemetry.EvSolveEnd, end)
 	return res, err
 }
 
@@ -160,26 +157,31 @@ type SolveEnd struct {
 	telemetry.SpanIDs
 }
 
-// settleObserver watches one settling run. Its journal ID is drawn once,
-// before the run: a run that starts unjournaled journals nothing, even if
-// the journal opens while it integrates.
+// settleObserver watches one settling run from its circuit.settle span. It
+// reads the journal switch once, before the run: a run that starts
+// unjournaled journals no transient_settle, even if the journal opens
+// while it integrates.
 type settleObserver struct {
-	jid string
+	ctx    context.Context
+	span   *telemetry.Span
+	traced bool
 }
 
-func startSettle() settleObserver {
-	if telemetry.JournalOn() {
-		return settleObserver{jid: nextSolveID("transient")}
-	}
-	return settleObserver{}
+// startSettle opens a settling run's circuit.settle span, nested under any
+// span already open in ctx, as startSolve opens a solve's.
+func startSettle(ctx context.Context) settleObserver {
+	ctx, sp := telemetry.StartSpan(ctx, "circuit.settle")
+	return settleObserver{ctx: ctx, span: sp, traced: telemetry.JournalOn()}
 }
 
 // finish observes a finished settling run and passes its outcome through.
 // A journaled run that settles or runs out of steps is one
-// transient_settle event; a run out of steps also writes a snapshot of
-// itself. Other failures journal nothing.
+// transient_settle event, named by its circuit.settle span's ID; a run
+// out of steps also writes a snapshot of itself. Other failures journal
+// nothing.
 func (o settleObserver) finish(c *Crossbar, vin []float64, out settleOutcome, err error) (float64, error) {
-	if o.jid == "" {
+	o.span.End()
+	if !o.traced {
 		return out.settle, err
 	}
 	// The numeric run returns a non-settle unwrapped.
@@ -190,18 +192,19 @@ func (o settleObserver) finish(c *Crossbar, vin []float64, out settleOutcome, er
 		ev.SettleSeconds, ev.Dt = out.settle, out.opt.Dt
 	case notSettled:
 		ev.LastMaxDV, ev.Err = JSONFinite(out.lastMaxDV), nerr.Error()
-		ev.Snapshot = saveSnapshot("transient", c.newTransientSnapshot(vin, out, nerr))
+		ev.Snapshot = saveSnapshot(o.span, "transient", c.newTransientSnapshot(vin, out, nerr))
 	default:
 		return out.settle, err
 	}
-	telemetry.EmitEvent(telemetry.EvTransientSettle, o.jid, ev)
+	telemetry.EmitEventCtx(o.ctx, telemetry.EvTransientSettle, ev)
 	return out.settle, err
 }
 
-// TransientSettle is the data of a transient_settle event. A run that
-// settled records its settle time and step size; one that ran out of steps
-// records the output deviation still left (above zero, or it would have
-// settled), its error and the snapshot written.
+// TransientSettle is the data of a transient_settle event: the IDs of the
+// run's circuit.settle span and the run's outcome. A run that settled
+// records its settle time and step size; one that ran out of steps records
+// the output deviation still left (above zero, or it would have settled),
+// its error and the snapshot written.
 type TransientSettle struct {
 	OK            bool    `json:"ok"`
 	Steps         int     `json:"steps"`
@@ -211,4 +214,5 @@ type TransientSettle struct {
 	LastMaxDV     float64 `json:"last_max_dv,omitempty"`
 	Err           string  `json:"err,omitempty"`
 	Snapshot      string  `json:"snapshot,omitempty"`
+	telemetry.SpanIDs
 }

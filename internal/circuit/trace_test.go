@@ -106,11 +106,65 @@ func TestSolveTraceChain(t *testing.T) {
 	if end.Span != solve.Span {
 		t.Fatalf("solve_end span_id %x, want %x", end.Span, solve.Span)
 	}
+	if ends[0].ID != telemetry.FormatID(uint64(solve.Span)) {
+		t.Fatalf("solve_end id %q, want its span's ID %x", ends[0].ID, solve.Span)
+	}
 	if end.Trace != solve.Trace {
 		t.Fatalf("solve_end trace_id %x", end.Trace)
 	}
 	if end.DurUS <= 0 {
 		t.Fatalf("solve_end dur_us = %v", end.DurUS)
+	}
+}
+
+// A settling run under a caller's span opens a circuit.settle span nested
+// under it, and its transient_settle event carries that span's IDs and
+// takes its ID.
+func TestSettleTraceChain(t *testing.T) {
+	path := withTestJournal(t)
+	withTestTracing(t)
+	c := &Crossbar{M: 4, N: 4, R: uniformR(4, 4, 150e3), WireR: 0.5, RSense: 1500, Dev: device.RRAM()}
+	ctx, parent := telemetry.StartSpan(context.Background(), "latency")
+	if _, err := c.SettleTimeContext(ctx, []float64{0.3, 0.2, 0.1, 0.3}, TransientOptions{NodeCap: 1e-15}); err != nil {
+		t.Fatal(err)
+	}
+	parent.End()
+	telemetry.DefaultJournal().Close()
+	events, err := telemetry.ReadJournalFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var settle *telemetry.SpanEvent
+	recs := telemetry.SpanEvents(events)
+	for i := range recs {
+		if recs[i].Path == "latency/circuit.settle" {
+			settle = &recs[i]
+		}
+	}
+	if settle == nil {
+		t.Fatalf("no latency/circuit.settle span; have %v", pathsOf(recs))
+	}
+	if settle.Parent != parent.IDs().Span || settle.Trace != parent.IDs().Trace {
+		t.Fatalf("settle span detached: %+v vs parent span %x", settle, parent.IDs().Span)
+	}
+	var settles []telemetry.Event
+	for _, ev := range events {
+		if ev.Type == telemetry.EvTransientSettle {
+			settles = append(settles, ev)
+		}
+	}
+	if len(settles) != 1 {
+		t.Fatalf("%d transient_settle events, want 1", len(settles))
+	}
+	var ts TransientSettle
+	if err := settles[0].Decode(&ts); err != nil || !ts.OK {
+		t.Fatalf("transient_settle %s (%v)", settles[0].Data, err)
+	}
+	if ts.SpanIDs != settle.SpanIDs {
+		t.Fatalf("transient_settle IDs %+v, want its settle span's %+v", ts.SpanIDs, settle.SpanIDs)
+	}
+	if settles[0].ID != telemetry.FormatID(uint64(settle.Span)) {
+		t.Fatalf("transient_settle id %q, want its span's ID %x", settles[0].ID, settle.Span)
 	}
 }
 

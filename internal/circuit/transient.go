@@ -88,7 +88,7 @@ func (c *Crossbar) SettleTimeContext(ctx context.Context, vin []float64, opt Tra
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("circuit: transient: %w", err)
 	}
-	o := startSettle()
+	o := startSettle(ctx)
 	out, err := c.settle(ctx, vin, opt)
 	return o.finish(c, vin, out, err)
 }

@@ -341,14 +341,14 @@ func TestSettleTimeJournalsCGIters(t *testing.T) {
 	}
 }
 
-// A settling run draws its journal ID once, before it integrates: a run
-// that starts with the journal off journals nothing, even when the journal
-// opens before the run finishes.
+// A settling run reads the journal switch once, before it integrates: a
+// run that starts with the journal off journals no transient_settle, even
+// when the journal opens before the run finishes.
 func TestSettleUnjournaledAtStartJournalsNothing(t *testing.T) {
 	if telemetry.JournalOn() {
 		t.Fatal("journal already on")
 	}
-	o := startSettle()
+	o := startSettle(context.Background())
 	path := withTestJournal(t)
 	c := &Crossbar{M: 2, N: 2, R: uniformR(2, 2, 1e3), WireR: 1, RSense: 100, Linear: true}
 	out := settleOutcome{steps: 1, cgIters: 2, lastMaxDV: 0.1, opt: TransientOptions{NodeCap: 1e-15, MaxSteps: 1, Dt: 1e-15}}

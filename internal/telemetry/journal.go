@@ -52,7 +52,11 @@ import (
 //	    newton_iter and solve_end's cost/flops/warm_start/
 //	    precond_refreshes/decay_rate/stagnated keys are gone. Version-1
 //	    and -2 journals still read; their solve_end events have no "diag"
-//	    for the solve analyses to show.
+//	    for the solve analyses to show. Later, without a bump, solve_end,
+//	    transient_settle and mc_trial events took their span's ID in place
+//	    of a finishing-order number ("solve-17"), and snapshot files that
+//	    ID in place of a per-journal count ("snap-1"): no reader parses an
+//	    event ID or a snapshot name, so journals of either form read alike.
 const JournalSchemaVersion = 3
 
 // SchemaVersionError reports a journal written by a newer tool than the
@@ -108,8 +112,13 @@ type Event struct {
 	TNS int64 `json:"t_ns"`
 	// Type is the event type.
 	Type EventType `json:"type"`
-	// ID names the logical operation an event records (e.g. solve
-	// "solve-17" or candidate "cand-64x16@45").
+	// ID names the logical operation an event records. A solve_end,
+	// transient_settle or mc_trial event takes the ID of its span in wire
+	// form (its data's span_id, e.g. "3f1c0a9be2d47751"), a candidate_eval
+	// its candidate ("cand-64x16@45"), a phase event its phase name.
+	// Journals before that scheme numbered solves, settles and Monte-Carlo
+	// runs in finishing order ("solve-17", "transient-3", "mc-1"); readers
+	// treat an ID as an opaque string, so those still read.
 	ID string `json:"id,omitempty"`
 	// Data is the encoded payload.
 	Data json.RawMessage `json:"data,omitempty"`
@@ -157,10 +166,9 @@ type Journal struct {
 	seq  int64
 	// ring holds the last events as their encoded lines, without the
 	// newline: the exact bytes the file gets.
-	ring  ring[json.RawMessage]
-	tool  string
-	seed  *int64
-	snaps int
+	ring ring[json.RawMessage]
+	tool string
+	seed *int64
 }
 
 // NewJournal returns a disabled journal with the given ring capacity
@@ -205,7 +213,6 @@ func (j *Journal) Open(path string) error {
 	}
 	j.f = f
 	j.path = path
-	j.snaps = 0
 	j.mu.Unlock()
 	j.enabled.Store(true)
 	j.Emit(EvJournal, "", &JournalHeader{SchemaVersion: JournalSchemaVersion, PID: os.Getpid()})
@@ -290,17 +297,18 @@ func (j *Journal) Emit(typ EventType, id string, data any) {
 }
 
 // SaveSnapshot writes payload as an indented JSON document next to the
-// journal file, named <journal>.snap-<n>.<kind>.json, atomically (temp
-// file + rename). It returns "" with a nil error when the journal has no
-// backing file — ring-only recording has nowhere durable to put state.
-func (j *Journal) SaveSnapshot(kind string, payload any) (string, error) {
+// journal file, named <journal>.snap-<id>.<kind>.json with id the wire form
+// of the ID of the span the snapshotted work ran in, the ID its journal
+// event takes, atomically (temp file + rename). It returns "" with a nil
+// error when the journal has no backing file — ring-only recording has
+// nowhere durable to put state.
+func (j *Journal) SaveSnapshot(id ID, kind string, payload any) (string, error) {
 	j.mu.Lock()
 	if j.f == nil || j.path == "" {
 		j.mu.Unlock()
 		return "", nil
 	}
-	j.snaps++
-	path := fmt.Sprintf("%s.snap-%d.%s.json", j.path, j.snaps, kind)
+	path := j.path + ".snap-" + FormatID(uint64(id)) + "." + kind + ".json"
 	j.mu.Unlock()
 	err := writeFileAtomic(path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
@@ -358,11 +366,11 @@ func (j *Journal) ringEvents() []Event {
 	return events
 }
 
-// Reset clears the ring buffer and counters of a closed journal; test
+// Reset clears the ring buffer and event count of a closed journal; test
 // helper, not part of the recording lifecycle.
 func (j *Journal) Reset() {
 	j.mu.Lock()
-	j.ring, j.seq, j.snaps = ring[json.RawMessage]{size: j.ring.size}, 0, 0
+	j.ring, j.seq = ring[json.RawMessage]{size: j.ring.size}, 0
 	j.tool, j.seed = "", nil
 	j.mu.Unlock()
 }

@@ -360,23 +360,22 @@ func TestJournalDisabledNoOp(t *testing.T) {
 	if !strings.Contains(sb.String(), `"total": 0`) {
 		t.Fatalf("disabled journal recorded: %s", sb.String())
 	}
-	if path, err := j.SaveSnapshot("divergence", map[string]int{"x": 1}); err != nil || path != "" {
+	if path, err := j.SaveSnapshot(1, "divergence", map[string]int{"x": 1}); err != nil || path != "" {
 		t.Fatalf("SaveSnapshot on disabled journal: path %q err %v", path, err)
 	}
 }
 
-// Snapshots land next to the journal file and carry the payload verbatim.
+// Snapshots land next to the journal file, named by the ID of the span
+// whose work they record and their kind, and carry the payload verbatim.
 func TestJournalSaveSnapshot(t *testing.T) {
 	j, path := newTestJournal(t, 4)
-	snapPath, err := j.SaveSnapshot("divergence", map[string]any{"m": 2, "vin": []float64{0.25, 0.5}})
+	const id = ID(0x3f1c0a9be2d47751)
+	snapPath, err := j.SaveSnapshot(id, "divergence", map[string]any{"m": 2, "vin": []float64{0.25, 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Dir(snapPath) != filepath.Dir(path) {
-		t.Fatalf("snapshot %q not next to journal %q", snapPath, path)
-	}
-	if !strings.Contains(filepath.Base(snapPath), "divergence") {
-		t.Fatalf("snapshot name %q missing kind", snapPath)
+	if want := path + ".snap-3f1c0a9be2d47751.divergence.json"; snapPath != want {
+		t.Fatalf("snapshot %q, want %q", snapPath, want)
 	}
 	b, err := os.ReadFile(snapPath)
 	if err != nil {
@@ -390,7 +389,7 @@ func TestJournalSaveSnapshot(t *testing.T) {
 		t.Fatalf("payload mangled: %v", back)
 	}
 	// Journal-referenced snapshot discovery.
-	j.Emit(EvSolveEnd, "solve-1", map[string]any{"ok": false, "snapshot": snapPath})
+	j.Emit(EvSolveEnd, FormatID(uint64(id)), map[string]any{"ok": false, "snapshot": snapPath})
 	j.Close()
 	events, err := ReadJournalFile(path)
 	if err != nil {

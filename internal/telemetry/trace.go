@@ -53,8 +53,9 @@ func fnv64(s string) uint64 {
 // form used in journal events and trace-event args (a JSON number would
 // round uint64 through float64 and corrupt the ID).
 func FormatID(id uint64) string {
-	b, _ := ID(id).MarshalText()
-	return string(b)
+	var b [16]byte
+	ID(id).put(&b)
+	return string(b[:])
 }
 
 // ParseID parses the 16-hex-digit wire form back into an ID.
@@ -162,12 +163,17 @@ type ID uint64
 
 // MarshalText returns the wire form of id.
 func (id ID) MarshalText() ([]byte, error) {
-	b := make([]byte, 16)
+	b := new([16]byte)
+	id.put(b)
+	return b[:], nil
+}
+
+// put writes the wire form of id into b.
+func (id ID) put(b *[16]byte) {
 	for i := len(b) - 1; i >= 0; i-- {
 		b[i] = "0123456789abcdef"[id&15]
 		id >>= 4
 	}
-	return b, nil
 }
 
 // UnmarshalText parses the wire form.
@@ -191,19 +197,22 @@ func (ids *SpanIDs) spanIDs() *SpanIDs { return ids }
 // Traced is a payload that embeds SpanIDs.
 type Traced interface{ spanIDs() *SpanIDs }
 
-// EmitEventCtx is EmitEvent for a payload that embeds SpanIDs: it sets them
-// to the IDs of the active span in ctx, or with no span open to the run's
-// trace ID alone, so every journaled event of a run is at least
-// trace-joinable. It is the bridge that makes solve and trial events
-// joinable against the span timeline. A no-op while the journal is
+// EmitEventCtx is EmitEvent for a payload that embeds SpanIDs, recorded
+// under the active span in ctx: it sets the payload's IDs to that span's
+// and names the event by the span's ID in wire form (FormatID), so an
+// event's id equals its data's span_id. Span IDs derive from the call
+// tree, not from the order work finishes, so a parallel run names its
+// events as a serial run does. With no span open the payload gets the
+// run's trace ID alone, so every journaled event of a run is at least
+// trace-joinable, and the event no id. A no-op while the journal is
 // disabled (data is not touched then).
-func EmitEventCtx(ctx context.Context, typ EventType, id string, data Traced) {
+func EmitEventCtx(ctx context.Context, typ EventType, data Traced) {
 	if !defaultJournal.Enabled() {
 		return
 	}
-	ids := SpanIDs{Trace: defaultTracer.currentTraceID()}
+	ids, id := SpanIDs{Trace: defaultTracer.currentTraceID()}, ""
 	if s := SpanFromContext(ctx); s != nil {
-		ids = s.id
+		ids, id = s.id, FormatID(uint64(s.id.Span))
 	}
 	*data.spanIDs() = ids
 	defaultJournal.Emit(typ, id, data)

@@ -338,7 +338,8 @@ func TestReadJournalRefusesNewerSchema(t *testing.T) {
 }
 
 // EmitEventCtx stamps the enclosing trace/span IDs into event payloads —
-// the join key between the event stream and the span timeline.
+// the join key between the event stream and the span timeline — and names
+// the event by its span's ID in wire form.
 func TestEmitEventCtxStampsIDs(t *testing.T) {
 	defaultJournal.Reset()
 	defaultTracer.ResetTraceEvents()
@@ -357,9 +358,9 @@ func TestEmitEventCtxStampsIDs(t *testing.T) {
 		M int `json:"m"`
 		SpanIDs
 	}
-	EmitEventCtx(ctx, EvSolveEnd, "solve-1", &probe{M: 4})
-	// No span in scope → trace ID only.
-	EmitEventCtx(context.Background(), EvPhase, "", &probe{})
+	EmitEventCtx(ctx, EvSolveEnd, &probe{M: 4})
+	// No span in scope → trace ID only, and no event ID.
+	EmitEventCtx(context.Background(), EvPhase, &probe{})
 	sp.End()
 	defaultJournal.Close()
 	events, err := ReadJournalFile(path)
@@ -381,6 +382,12 @@ func TestEmitEventCtxStampsIDs(t *testing.T) {
 	}
 	if solve.M != 4 {
 		t.Fatalf("payload lost: %s", events[1].Data)
+	}
+	if want := FormatID(uint64(sp.IDs().Span)); events[1].ID != want {
+		t.Fatalf("solve_end id %q, want its span's ID %q", events[1].ID, want)
+	}
+	if events[2].ID != "" {
+		t.Fatalf("spanless event id %q, want none", events[2].ID)
 	}
 	if err := events[2].Decode(&spanless); err != nil || spanless.Trace != sp.IDs().Trace {
 		t.Fatalf("spanless event missing trace ID: %s (%v)", events[2].Data, err)

@@ -442,7 +442,10 @@ func Fig5(sizes, nodes []int) ([]Fig5Point, error) {
 // Fig5Context runs the Fig. 5 sweep on a bounded worker pool: every
 // (node, size) grid point is an independent deterministic solve, and the
 // index-addressed result slice preserves the sequential output order for
-// any worker count. Cancelling ctx aborts the in-flight solves.
+// any worker count. Each point solves under its own validate.fig5.point
+// span, keyed by size@node, so the spans and journal events of a point
+// have the same IDs whichever worker runs it, and in whatever order.
+// Cancelling ctx aborts the in-flight solves.
 func Fig5Context(ctx context.Context, sizes, nodes []int, workers int) ([]Fig5Point, error) {
 	dev := device.RRAM()
 	points, err := fig5Grid(sizes, nodes)
@@ -455,6 +458,8 @@ func Fig5Context(ctx context.Context, sizes, nodes []int, workers int) ([]Fig5Po
 	err = pool.Run(ctx, len(points), workers, func(tctx context.Context, i int) error {
 		defer prog.Inc()
 		size, node, wire := points[i].size, points[i].node, points[i].wire
+		pctx, sp := telemetry.StartSpanKeyed(tctx, "validate.fig5.point", strconv.Itoa(size)+"@"+strconv.Itoa(node))
+		defer sp.End()
 		p := crossbar.New(size, size, dev, wire)
 		model, err := accuracy.WorstCaseColumn(p)
 		if err != nil {
@@ -472,7 +477,7 @@ func Fig5Context(ctx context.Context, sizes, nodes []int, workers int) ([]Fig5Po
 		for i := range vin {
 			vin[i] = p.VDrive
 		}
-		res, err := c.SolveContext(tctx, vin, circuit.SolveOptions{})
+		res, err := c.SolveContext(pctx, vin, circuit.SolveOptions{})
 		if err != nil {
 			return fmt.Errorf("validate: fig5 size %d node %d: %w", size, node, err)
 		}

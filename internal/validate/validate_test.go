@@ -228,8 +228,9 @@ func TestTableIICancel(t *testing.T) {
 // 64, 4 weight samples × 12 inputs), journaled as
 // `mnsim-validate -journal` runs it, records each circuit solve as one
 // solve_end event and nothing else per solve: no solve_start, no
-// newton_iter. Each span is one "span" event, the only record kept of it.
-// The event mix is pinned at seed 5.
+// newton_iter. Each span is one "span" event, the only record kept of it,
+// the settling run's circuit.settle span among them. The event mix is
+// pinned at seed 5.
 func TestTableIIRecordedEventMix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("circuit-level validation is slow")
@@ -265,7 +266,7 @@ func TestTableIIRecordedEventMix(t *testing.T) {
 	if got := byType[telemetry.EvSolveEnd]; got != 28 {
 		t.Errorf("%d solve_end events, want one per circuit solve: 28", got)
 	}
-	if len(events) != 131 {
-		t.Errorf("%d journal events, want 131", len(events))
+	if len(events) != 132 {
+		t.Errorf("%d journal events, want 132", len(events))
 	}
 }

@@ -88,12 +88,11 @@ func BenchmarkFuncsimSample(b *testing.B) {
 }
 
 // BenchmarkMonteCarlo measures the statistical accuracy engine per 1000
-// trials.
+// trials on one worker.
 func BenchmarkMonteCarlo(b *testing.B) {
 	p := crossbar.New(64, 64, device.RRAM(), tech.MustInterconnect(45))
-	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < b.N; i++ {
-		if _, err := accuracy.MonteCarlo(p, accuracy.MCOptions{Trials: 1000, Sigma: 0.1, Rng: rng}); err != nil {
+		if _, err := accuracy.MonteCarlo(p, accuracy.MCOptions{Trials: 1000, Sigma: 0.1, Seed: 3, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
