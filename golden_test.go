@@ -22,9 +22,9 @@ import (
 	"mnsim/internal/validate"
 )
 
-// Golden pins of the paper's outputs: Fig. 5, Tables II and IV–VII and Figs 6–9,
-// each reduced to an FNV-1a digest of the exact bits of every number in it
-// and compared with testdata/golden.json. Any change to any digit of any
+// Golden pins of the paper's outputs: Fig. 5, Tables II–VII (Table III's
+// circuit side only) and Figs 6–9, each reduced to an FNV-1a digest of the
+// exact bits of every number in it and compared with testdata/golden.json. Any change to any digit of any
 // output fails the test. The pins are linux/amd64 bits: on other
 // architectures the Go compiler may fuse a multiply and an add into one
 // instruction, which rounds once instead of twice, so the test skips there.
@@ -92,7 +92,7 @@ func optima(t *testing.T, cands []Candidate) []Candidate {
 
 // goldenOutputs computes every pinned output with the given worker count,
 // from the setups of the matching benchmarks in bench_test.go, and returns
-// their digests by name. Table VII and Fig. 6 take no worker count.
+// their digests by name. Tables III and VII and Fig. 6 take no worker count.
 func goldenOutputs(t *testing.T, workers int) map[string]string {
 	t.Helper()
 	out := map[string]string{}
@@ -129,6 +129,18 @@ func goldenOutputs(t *testing.T, workers int) map[string]string {
 	pin("table2", func(d *digest) {
 		for _, r := range t2 {
 			d.floats(r.Model, r.Circuit)
+		}
+	})
+
+	// Table III's circuit side at mnsim-validate's default sizes and seed:
+	// each row's size and CG iteration count. The timings are wall time.
+	t3, err := validate.TableIIIContext(context.Background(), []int{16, 32, 64, 128, 256}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin("table3", func(d *digest) {
+		for _, r := range t3 {
+			d.ints(r.Size, r.CircuitIters)
 		}
 	})
 
