@@ -209,23 +209,18 @@ func (c *Crossbar) solveZeroWire(ctx context.Context, vin []float64, ops *linalg
 	return res, nil
 }
 
-// assembly holds the crossbar's MNA operator, its source currents, and
-// the one right-hand-side buffer that every linear solve through it reads.
+// assembly holds the crossbar's MNA operator and its source currents.
 type assembly struct {
 	op *linalg.CrossbarOp
 	// src[m] is row m's source current gw·vin[m], injected at row node
 	// (m, 0); constant across iterations.
 	src []float64
-	// rhs is the right-hand side of the next linear solve: the sources
-	// alone (sources), or with the Newton equivalent currents (restamp).
-	// Kept on the assembly so a state-cached operator also reuses it.
-	rhs []float64
 }
 
 // assemble allocates the operator and stamps it at the calibrated cell
 // conductances.
 func (c *Crossbar) assemble(vin []float64, ops *linalg.OpCount) *assembly {
-	a := &assembly{op: linalg.NewCrossbarOp(c.M, c.N), src: make([]float64, c.M), rhs: make([]float64, 2*c.M*c.N)}
+	a := &assembly{op: linalg.NewCrossbarOp(c.M, c.N), src: make([]float64, c.M)}
 	c.stampValues(a, vin, ops)
 	return a
 }
@@ -253,32 +248,36 @@ func (c *Crossbar) stampValues(a *assembly, vin []float64, ops *linalg.OpCount) 
 	}
 	// Modeled stamping cost: one conductance inversion per cell; the
 	// N + M wire-only sums and the M sources written once; per cell, the
-	// conductance write and its two diagonal writes.
+	// conductance write and its two diagonal entries, charged as the
+	// writes of a stored diagonal (see linalg's cost model).
 	cells := int64(c.M) * int64(c.N)
 	ops.CountFlops(cells)
 	ops.CountBytes(8*int64(c.N+2*c.M) + 24*cells)
 }
 
-// sources writes the source-only right-hand side into the assembly's
-// buffer and returns it: zero everywhere but the row nodes (m, 0), which
+// sources writes the source-only right-hand side into rhs, of length
+// 2·M·N, and returns it: zero everywhere but the row nodes (m, 0), which
 // get 0 + src[m] — the bits of a vector cleared and then stamped. The
-// returned slice is valid until the next write through this assembly.
+// solvers pass their CG work's residual buffer (linalg.CGWork.RHS), which
+// the next SolveCG reads as b.
 //
 //lint:hotpath
-func (c *Crossbar) sources(a *assembly, ops *linalg.OpCount) []float64 {
-	clear(a.rhs)
+func (c *Crossbar) sources(a *assembly, rhs []float64, ops *linalg.OpCount) []float64 {
+	clear(rhs)
 	for m, s := range a.src {
-		a.rhs[c.rowNode(m, 0)] += s
+		rhs[c.rowNode(m, 0)] += s
 	}
 	// Modeled traffic: the clear, then per source its read and the
 	// entry's read and write.
-	ops.CountBytes(8*int64(len(a.rhs)) + 24*int64(len(a.src)))
-	return a.rhs
+	ops.CountBytes(8*int64(len(rhs)) + 24*int64(len(a.src)))
+	return rhs
 }
 
 // restamp rewrites the memristor companion-model conductances for the
-// current voltage estimate and returns the full right-hand side (source
-// terms plus Newton equivalent current sources).
+// current voltage estimate and writes the full right-hand side (source
+// terms plus Newton equivalent current sources) into rhs, which it
+// returns. sources fully overwrites rhs first, so a reused buffer gives
+// the bits of a fresh one.
 //
 // Each cell costs one fused device evaluation that reproduces
 // Model.Conductance and Model.Current bit for bit: the prefactor's
@@ -289,12 +288,8 @@ func (c *Crossbar) sources(a *assembly, ops *linalg.OpCount) []float64 {
 // architecture that fuses multiply-adds cannot contract it into ieq.
 //
 //lint:hotpath
-func (c *Crossbar) restamp(a *assembly, v []float64, ops *linalg.OpCount) []float64 {
-	// The returned slice is the assembly's right-hand-side buffer, valid
-	// until the next write through this assembly; the inner solve consumes
-	// it within the same Newton iteration. sources fully overwrites it, so
-	// reuse is bit-identical to a fresh allocation.
-	rhs := c.sources(a, ops)
+func (c *Crossbar) restamp(a *assembly, rhs, v []float64, ops *linalg.OpCount) []float64 {
+	c.sources(a, rhs, ops)
 	vr, vc := c.Dev.ReadVoltage, c.Dev.NonlinearVc
 	sr := math.Sinh(vr / vc)
 	for m := 0; m < c.M; m++ {
@@ -312,8 +307,9 @@ func (c *Crossbar) restamp(a *assembly, v []float64, ops *linalg.OpCount) []floa
 	}
 	// Modeled stamping cost: per cell, one transcendental device
 	// evaluation plus five arithmetic ops; traffic is the conductance
-	// write, the two diagonal writes, two node-voltage reads and two RHS
-	// updates (sources charges the source-only part).
+	// write, the two diagonal entries (charged as stored-diagonal writes),
+	// two node-voltage reads and two RHS updates (sources charges the
+	// source-only part).
 	cells := int64(c.M) * int64(c.N)
 	ops.CountFlops(cells * (deviceEvalFlops + 5))
 	ops.CountBytes(cells * (8 + 16 + 48))
@@ -496,7 +492,8 @@ func (r *solveRun) setup() error {
 		x0 = r.st.v
 		r.diag.WarmStart = true
 	}
-	v, it, err := linalg.SolveCG(r.a.op, r.c.sources(r.a, &r.diag.Cost.Assembly), x0, r.cgOptions())
+	rhs := r.c.sources(r.a, r.work.RHS(r.a.op.Len()), &r.diag.Cost.Assembly)
+	v, it, err := linalg.SolveCG(r.a.op, rhs, x0, r.cgOptions())
 	if err != nil {
 		return fmt.Errorf("circuit: linear solve: %w", err)
 	}
@@ -522,7 +519,7 @@ func (r *solveRun) newton(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("circuit: Newton iteration aborted: %w", err)
 		}
-		rhs := c.restamp(a, r.v, &cost.NewtonUpdate)
+		rhs := c.restamp(a, r.work.RHS(len(r.v)), r.v, &cost.NewtonUpdate)
 		if needRefresh {
 			// The frozen factorization fell behind the Newton stamps;
 			// refactor against the current matrix and re-baseline.

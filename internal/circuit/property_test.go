@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mnsim/internal/device"
+	"mnsim/internal/linalg"
 )
 
 // As the wire resistance shrinks, the outputs approach the zero-wire
@@ -109,6 +110,101 @@ func TestOutputFollowsCellCurrentDirection(t *testing.T) {
 		}
 		if up == 0 || down == 0 {
 			t.Errorf("trial %d: %d cells raised the output and %d lowered it; want both", trial, up, down)
+		}
+	}
+}
+
+// In Linear mode the network is linear and homogeneous: scaling every
+// input by k scales every output by k and the source power by k². A
+// power-of-two or sign scale is exact in floating point at every step of
+// the solve (each CG scalar is a ratio in which the scale cancels), so
+// the outputs are k times the unscaled ones bit for bit; any other scale
+// holds to the CG tolerance.
+func TestLinearOutputsScaleWithInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dev := device.RRAM()
+	for _, sz := range [][2]int{{4, 3}, {8, 8}, {16, 5}} {
+		m, n := sz[0], sz[1]
+		c := &Crossbar{M: m, N: n, R: randomR(m, n, dev, rng), WireR: 0.1 + 5*rng.Float64(), RSense: 150, Dev: dev, Linear: true}
+		vin := make([]float64, m)
+		for i := range vin {
+			vin[i] = 0.3 * rng.Float64()
+		}
+		base, err := c.Solve(vin, SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		peak := linalg.NormInf(base.VOut)
+		for _, k := range []float64{2, 0.25, -1, 3, 0.1} {
+			exact := k == 2 || k == 0.25 || k == -1
+			scaled := make([]float64, m)
+			for i, v := range vin {
+				scaled[i] = k * v
+			}
+			res, err := c.Solve(scaled, SolveOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range res.VOut {
+				want := k * base.VOut[j]
+				if exact && math.Float64bits(v) != math.Float64bits(want) {
+					t.Errorf("%dx%d k=%g: VOut[%d] = %v, want %v bit for bit", m, n, k, j, v, want)
+				}
+				if d := math.Abs(v - want); d > 1e-8*math.Abs(k)*peak {
+					t.Errorf("%dx%d k=%g: VOut[%d] = %v, k·VOut = %v (off by %.3g V)", m, n, k, j, v, want, d)
+				}
+			}
+			if want := k * k * base.Power; math.Abs(res.Power-want) > 1e-8*math.Abs(want) {
+				t.Errorf("%dx%d k=%g: power %v W, k²·power %v W", m, n, k, res.Power, want)
+			}
+		}
+	}
+}
+
+// With ideal wires the crossbar computes I = G·V: each column's current
+// into its sense resistor is Σ_m g_mn·(v_m − V_n), which IdealOut solves
+// for V_n in closed form. As the wire resistance shrinks, Linear-mode
+// outputs approach IdealOut linearly in WireR, down to the solver's
+// tolerance floor of 10·Tol. The range stops at 1 mΩ, where CG's stopping
+// rule stops resolving the cell currents (ROADMAP item 6).
+func TestLinearOutputsApproachIdealOut(t *testing.T) {
+	const floor = 10 * 1e-9 // 10 × the default SolveOptions.Tol
+	rng := rand.New(rand.NewSource(6))
+	dev := device.RRAM()
+	for _, sz := range [][2]int{{4, 3}, {8, 8}, {16, 5}} {
+		m, n := sz[0], sz[1]
+		r := randomR(m, n, dev, rng)
+		vin := make([]float64, m)
+		for i := range vin {
+			vin[i] = 0.3 * rng.Float64()
+		}
+		c := &Crossbar{M: m, N: n, R: r, RSense: 150, Dev: dev, Linear: true}
+		ideal, err := c.IdealOut(vin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gap := func(wireR float64) float64 {
+			c.WireR = wireR
+			res, err := c.Solve(vin, SolveOptions{})
+			if err != nil {
+				t.Fatalf("%dx%d WireR=%g: %v", m, n, wireR, err)
+			}
+			d := 0.0
+			for k, v := range res.VOut {
+				d = math.Max(d, math.Abs(v-ideal[k]))
+			}
+			return d
+		}
+		// The gap at 1 Ω sets the slope; each decade down must shrink the
+		// gap with it.
+		slope := gap(1)
+		if slope == 0 || slope > 1e-3 {
+			t.Fatalf("%dx%d: gap %g V to IdealOut at WireR = 1 Ω", m, n, slope)
+		}
+		for _, w := range []float64{0.1, 0.01, 1e-3} {
+			if g := gap(w); g > 2*slope*w+floor {
+				t.Errorf("%dx%d WireR=%g: gap %.3g V to IdealOut, want ≤ %.3g", m, n, w, g, 2*slope*w+floor)
+			}
 		}
 	}
 }

@@ -38,8 +38,8 @@ func TestRestampMatchesModel(t *testing.T) {
 				for k, v := range [][]float64{res.NodeV, wild} {
 					name := fmt.Sprintf("seed %d %s %dx%d point %d", seed, dev.Name, c.M, c.N, k)
 					a := c.assemble(vin, nil)
-					base := append([]float64(nil), c.sources(a, nil)...)
-					rhs := c.restamp(a, v, nil)
+					base := c.sources(a, make([]float64, len(v)), nil)
+					rhs := c.restamp(a, make([]float64, len(v)), v, nil)
 					for m := 0; m < c.M; m++ {
 						for n := 0; n < c.N; n++ {
 							i, j := c.rowNode(m, n), c.colNode(m, n)

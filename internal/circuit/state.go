@@ -30,9 +30,10 @@ import "mnsim/internal/linalg"
 // Result.NodeV: it is valid until the next solve through the state, and a
 // caller that keeps it longer copies it (WarmV returns a copy).
 type SolverState struct {
-	// Cached assembly (operator, source currents and right-hand-side
-	// buffer), valid for any crossbar of the same shape; values are
-	// re-stamped every solve.
+	// Cached assembly (operator and source currents), valid for any
+	// crossbar of the same shape; values are re-stamped every solve. The
+	// right-hand side of each linear solve is built in work's residual
+	// buffer.
 	asm *assembly
 	// Cached block preconditioner, tied to asm's shape and refactored
 	// from the current operator at every solve.

@@ -122,28 +122,24 @@ func (c *Crossbar) settle(ctx context.Context, vin []float64, opt TransientOptio
 	op := a.op
 	// Every solve of the run, the DC target's included, shares one CGWork;
 	// each step's solution aliases it, and the ping-pong keeps the
-	// previous step's v valid as the next step's warm start.
+	// previous step's v valid as the next step's warm start. Each
+	// right-hand side is built in the work's residual buffer.
 	work := opt.State.cgWork()
+	n2 := op.Len()
 	// DC target for the settling criterion: only the outputs are read.
-	dc, _, err := linalg.SolveCG(op, c.sources(a, nil), nil, linalg.CGOptions{Tol: 1e-10, Precond: pre, Work: work})
+	dc, _, err := linalg.SolveCG(op, c.sources(a, work.RHS(n2), nil), nil, linalg.CGOptions{Tol: 1e-10, Precond: pre, Work: work})
 	if err != nil {
 		return out, fmt.Errorf("circuit: DC solve: %w", err)
 	}
 	final := c.extractVOut(dc)
 	// Backward Euler: (G + C/dt)·v_{t+dt} = C/dt·v_t + b. The DC target is
-	// solved, so G itself is no longer needed: add C/dt to its diagonal in
-	// place, after every stamped term. C/dt takes two values: the wire
+	// solved, so G itself is no longer needed: shift its diagonal by C/dt,
+	// added after every stamped term. C/dt takes two values: the wire
 	// capacitance's on the row nodes, and with the cell capacitance on the
 	// column nodes (the second half of the node numbering).
 	rowCapDt, colCapDt := opt.NodeCap/opt.Dt, (opt.NodeCap+opt.CellCap)/opt.Dt
 	half := c.M * c.N
-	rowDiag, colDiag := op.Diag[:half], op.Diag[half:]
-	for i := range rowDiag {
-		rowDiag[i] += rowCapDt
-	}
-	for i := range colDiag {
-		colDiag[i] += colCapDt
-	}
+	op.SetDiagShift(rowCapDt, colCapDt)
 	// The stepping matrix is constant, so one refresh preconditions every
 	// step of the integration.
 	if err := pre.Refresh(op, nil); err != nil {
@@ -173,7 +169,7 @@ func (c *Crossbar) settle(ctx context.Context, vin []float64, opt TransientOptio
 		if err := ctx.Err(); err != nil {
 			return out, fmt.Errorf("circuit: transient step %d: %w", step, err)
 		}
-		rhs := c.sources(a, nil)
+		rhs := c.sources(a, work.RHS(n2), nil)
 		rhsRow, rhsCol := rhs[:half], rhs[half:]
 		for i := range rhsRow {
 			rhsRow[i] += rowCapDt * v[i]

@@ -161,7 +161,7 @@ func referenceSettleSteps(t *testing.T, c *Crossbar, vin []float64, opt Transien
 		t.Fatal(err)
 	}
 	tight := linalg.CGOptions{Tol: 1e-13, Precond: pre}
-	src := append([]float64(nil), lin.sources(a, nil)...)
+	src := lin.sources(a, make([]float64, 2*c.M*c.N), nil)
 	final, _, err := linalg.SolveCG(a.op, src, nil, tight)
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +173,8 @@ func referenceSettleSteps(t *testing.T, c *Crossbar, vin []float64, opt Transien
 		if i >= half {
 			capDt[i] = (opt.NodeCap + opt.CellCap) / opt.Dt
 		}
-		a.op.Diag[i] += capDt[i]
 	}
+	a.op.SetDiagShift(capDt[0], capDt[half])
 	if err := pre.Refresh(a.op, nil); err != nil {
 		t.Fatal(err)
 	}

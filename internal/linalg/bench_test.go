@@ -24,22 +24,17 @@ func crossbarSystem(m, n int, seed int64, step bool) (*CrossbarOp, []float64) {
 		a.SetCell(k/a.N, k%a.N, 1e-7+(1e-5-1e-7)*float64(rng.Intn(128))/127)
 	}
 	if step {
-		for i, c := range stepCaps(m, n) {
-			a.Diag[i] += c
-		}
+		a.SetDiagShift(stepShift(m))
 	}
 	return a, rhs
 }
 
-// stepCaps is C/dt per node of crossbarSystem's stepping matrix.
-func stepCaps(m, n int) []float64 {
+// stepShift is C/dt on the row nodes and on the column nodes of
+// crossbarSystem's m-row stepping matrix.
+func stepShift(m int) (row, col float64) {
 	const nodeCap, cellCap = 1.1e-16, 2e-15
 	dt := 1500 * float64(m) * (nodeCap + cellCap) / 50
-	caps := make([]float64, 2*m*n)
-	for i := 0; i < m*n; i++ {
-		caps[i], caps[m*n+i] = nodeCap/dt, (nodeCap+cellCap)/dt
-	}
-	return caps
+	return nodeCap / dt, (nodeCap + cellCap) / dt
 }
 
 // benchSystems are the two matrices a Table II op spends its solver time
@@ -155,13 +150,13 @@ func TestKernelsAllocateNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		z := make([]float64, a.Len())
+		z, ax := make([]float64, a.Len()), make([]float64, a.N)
 		kernels := []struct {
 			name string
 			run  func()
 		}{
 			{"MulVec", func() { a.MulVec(rhs, z) }},
-			{"residual", func() { a.residual(rhs, rhs, z) }},
+			{"residual", func() { a.residual(rhs, rhs, z, ax) }},
 			{"mulVecDot", func() { a.mulVecDot(rhs, z) }},
 			{"Refresh", func() {
 				if err := p.Refresh(a, nil); err != nil {

@@ -61,28 +61,45 @@ type CGOptions struct {
 // CGWork is reusable scratch storage for SolveCG: the length-N working
 // vectors a solve needs, five in all — two solution buffers, the residual,
 // the search direction, and one buffer that holds the preconditioned
-// residual z and the product A·p in turn. A·p lives from the SpMV to the
-// residual update and z from the preconditioner apply to the direction
-// update, so the two never hold a value at the same time. With
-// CGOptions.Work set, the solution SolveCG returns aliases Work storage;
-// successive solves alternate between the two solution buffers, so the
-// previous result stays valid across exactly one further call — the
-// v/vNew ping-pong a Newton loop needs. Callers keeping a solution longer
-// than that must copy it. Like every solver structure in this package, a
-// CGWork serves one goroutine at a time.
+// residual z and the product A·p in turn — plus the residual pass's
+// scratch of one crossbar row (N floats) of A·x. A·p lives from the SpMV
+// to the residual update and z from the preconditioner apply to the
+// direction update, so the two never hold a value at the same time. With
+// CGOptions.Work set,
+// the solution SolveCG returns aliases Work storage; successive solves
+// alternate between the two solution buffers, so the previous result
+// stays valid across exactly one further call — the v/vNew ping-pong a
+// Newton loop needs. Callers keeping a solution longer than that must copy
+// it.
+//
+// The residual buffer can also carry the right-hand side in: a caller
+// builds b in RHS(n) and passes it to SolveCG, which reads b there before
+// it overwrites it with the residual. Like every solver structure in this
+// package, a CGWork serves one goroutine at a time.
 type CGWork struct {
 	xs      [2][]float64
 	flip    int
 	r, z, p []float64
+	ax      []float64
+}
+
+// RHS returns the work's residual buffer sized n, for the caller to write
+// the right-hand side of the next SolveCG through this work into and pass
+// as b. Its contents are unspecified until written, and the solve
+// overwrites them, so it holds b for one solve only.
+func (w *CGWork) RHS(n int) []float64 {
+	w.r = growVec(w.r, n)
+	return w.r
 }
 
 // take returns the working vectors sized n, growing the underlying buffers
-// as needed; x is zeroed, matching a fresh allocation, and z is also the
-// A·p buffer. A nil receiver returns all nils, and SolveCG falls back to
-// per-call allocation.
-func (w *CGWork) take(n int) (x, r, z, p []float64) {
+// as needed, and the residual pass's scratch sized blk; x is zeroed,
+// matching a fresh allocation, z is also the A·p buffer, and r keeps its
+// contents when it is already sized (an aliased b). A nil receiver returns
+// all nils, and SolveCG falls back to per-call allocation.
+func (w *CGWork) take(n, blk int) (x, r, z, p, ax []float64) {
 	if w == nil {
-		return nil, nil, nil, nil
+		return nil, nil, nil, nil, nil
 	}
 	w.xs[w.flip] = growVec(w.xs[w.flip], n)
 	x = w.xs[w.flip]
@@ -93,13 +110,15 @@ func (w *CGWork) take(n int) (x, r, z, p []float64) {
 	w.r = growVec(w.r, n)
 	w.z = growVec(w.z, n)
 	w.p = growVec(w.p, n)
-	return x, w.r, w.z, w.p
+	w.ax = growVec(w.ax, blk)
+	return x, w.r, w.z, w.p, w.ax
 }
 
 // growVec returns buf resized to n, reallocating only when capacity is
 // short. Contents are unspecified — every SolveCG use fully overwrites the
-// vector before reading it, which is what keeps buffer reuse bit-identical
-// to fresh allocation.
+// vector before reading it (a right-hand side built in RHS is read as b,
+// the one input), which is what keeps buffer reuse bit-identical to fresh
+// allocation.
 func growVec(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)
@@ -113,6 +132,12 @@ func growVec(buf []float64, n int) []float64 {
 // dominant, so CG converges in far fewer iterations than N. x0 may be nil;
 // a non-nil x0 that already meets the tolerance is returned bit-unchanged
 // after zero iterations — the contract warm-started re-solves rely on.
+//
+// b may be opt.Work's residual buffer (CGWork.RHS): the first residual
+// pass reads each b[i], folding it into ‖b‖, before it writes r[i], so the
+// solve returns the bits and iteration count it returns for a separate b.
+// b is not read again and, when aliased, holds the residual afterwards.
+// Any other b is left unchanged.
 //
 // The iteration loop is the simulator's hottest code: with CGWork
 // scratch it runs allocation-free (PR 9's bench gate pins allocs/op),
@@ -139,7 +164,7 @@ func SolveCG(a *CrossbarOp, b, x0 []float64, opt CGOptions) ([]float64, int, err
 	// With scratch the vectors come pre-sized from the work pool (x zeroed);
 	// without it each is allocated at its historical site below, so cold
 	// early-exit paths stay as cheap as they always were.
-	x, wr, wz, wp := opt.Work.take(n)
+	x, wr, wz, wp, ax := opt.Work.take(n, a.N)
 	if x == nil {
 		//lint:ignore noalloc cold fallback when no CGWork scratch is supplied
 		x = make([]float64, n)
@@ -161,10 +186,15 @@ func SolveCG(a *CrossbarOp, b, x0 []float64, opt CGOptions) ([]float64, int, err
 		//lint:ignore noalloc cold fallback when no CGWork scratch is supplied
 		r = make([]float64, n)
 	}
-	rr := a.residual(b, x, r)
+	if ax == nil {
+		//lint:ignore noalloc cold fallback when no CGWork scratch is supplied
+		ax = make([]float64, a.N)
+	}
+	// One pass: r = b − A·x, r·r and b·b, whose root is Norm2(b)'s bits.
+	rr, bb := a.residual(b, x, r, ax)
 	ops.CountSpMV(nnz, n)
 	ops.CountVecOp(n, 1) // r = b − A·x
-	normB := Norm2(b)
+	normB := math.Sqrt(bb)
 	ops.CountNorm(n)
 	if normB == 0 {
 		// b = 0 → the unique SPD solution is x = 0. Never echo a non-zero

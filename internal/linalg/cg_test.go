@@ -33,7 +33,7 @@ func TestSolveCGRandomSPD(t *testing.T) {
 }
 
 func TestSolveCGZeroRHS(t *testing.T) {
-	m := diagOp([]float64{1, 1})
+	m := diagOp([]float64{1}, 1)
 	x, iters, err := SolveCG(m, []float64{0, 0}, nil, CGOptions{})
 	if err != nil || iters != 0 {
 		t.Fatalf("zero rhs: %v, %d", err, iters)
@@ -61,12 +61,11 @@ func TestSolveCGWarmStart(t *testing.T) {
 }
 
 func TestSolveCGErrors(t *testing.T) {
-	m := diagOp([]float64{1, 1})
+	m := diagOp([]float64{1}, 1)
 	if _, _, err := SolveCG(m, []float64{1}, nil, CGOptions{}); err == nil {
 		t.Error("short rhs should fail")
 	}
-	zeroDiag := testOp(1, 1)
-	zeroDiag.Diag[1] = 0
+	zeroDiag := diagOp([]float64{1}, 0)
 	if _, _, err := SolveCG(zeroDiag, []float64{1, 1}, nil, CGOptions{}); err == nil {
 		t.Error("zero diagonal should fail")
 	}
@@ -130,10 +129,17 @@ func TestResidualBitIdentical(t *testing.T) {
 		for i := range want {
 			want[i] = b[i] - want[i]
 		}
-		r := randomVec(a.Len(), rng)
-		rr := a.residual(b, x, r)
-		if !sameBits(r, want) || math.Float64bits(math.Sqrt(rr)) != math.Float64bits(Norm2(want)) {
+		r, ax := randomVec(a.Len(), rng), randomVec(a.N, rng)
+		rr, bb := a.residual(b, x, r, ax)
+		if !sameBits(r, want) || math.Float64bits(math.Sqrt(rr)) != math.Float64bits(Norm2(want)) ||
+			math.Float64bits(math.Sqrt(bb)) != math.Float64bits(Norm2(b)) {
 			t.Fatalf("case %d: fused residual differs from MulVec, subtract, Norm2", ci)
+		}
+		// b aliased to r: the same bits, b read before r overwrites it.
+		alias := append([]float64(nil), b...)
+		rr2, bb2 := a.residual(alias, x, alias, ax)
+		if !sameBits(alias, want) || math.Float64bits(rr2) != math.Float64bits(rr) || math.Float64bits(bb2) != math.Float64bits(bb) {
+			t.Fatalf("case %d: residual with b aliased to r differs", ci)
 		}
 	}
 }
@@ -205,9 +211,7 @@ func TestCGWorkSequenceMatchesFresh(t *testing.T) {
 			moved[i] = rhs[i] * (1 + 1e-3*math.Sin(float64(i)))
 		}
 		x, _ = solve("warm", moved, x)
-		for i, c := range stepCaps(a.M, a.N) {
-			a.Diag[i] += c
-		}
+		a.SetDiagShift(stepShift(a.M))
 		if pre != nil {
 			if err := pre.Refresh(a, nil); err != nil {
 				t.Fatal(err)
@@ -216,9 +220,85 @@ func TestCGWorkSequenceMatchesFresh(t *testing.T) {
 		x, _ = solve("shifted", moved, x)
 		x, _ = solve("cold on used work", rhs, nil)
 		x, _ = solve("zero rhs", make([]float64, len(rhs)), x)
-		a.Diag[3] = math.NaN()
+		_, col := stepShift(a.M)
+		a.SetDiagShift(math.NaN(), col)
 		var bd *BreakdownError
 		if _, err := solve("nan diagonal", rhs, x); !errors.As(err, &bd) {
+			t.Fatalf("block=%v: NaN diagonal gave %v, want a breakdown", block, err)
+		}
+	}
+}
+
+// TestSolveCGAliasedRHS: a right-hand side built in the work's residual
+// buffer (CGWork.RHS) and passed as b solves to the bits, iteration count
+// and error of the same solve with a separate b, and a separate b is left
+// unchanged — cold, warm, a warm start already inside the tolerance, a
+// zero right-hand side and a breakdown, under the block preconditioner and
+// the Jacobi fallback.
+func TestSolveCGAliasedRHS(t *testing.T) {
+	for _, block := range []bool{true, false} {
+		a, rhs := crossbarSystem(9, 7, 6, false)
+		opt := CGOptions{Tol: 1e-10}
+		if block {
+			pre, err := NewBlockJacobi(a, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Precond = pre
+		}
+		sep, alias := opt, opt
+		sep.Work, alias.Work = &CGWork{}, &CGWork{}
+		// solve runs one step with a separate b and with b in the residual
+		// buffer, compares them and returns the answer and its count.
+		solve := func(name string, b, x0 []float64) ([]float64, int, error) {
+			t.Helper()
+			name = fmt.Sprintf("block=%v %s", block, name)
+			keep := append([]float64(nil), b...)
+			want, itW, errW := SolveCG(a, b, x0, sep)
+			if !sameBits(b, keep) {
+				t.Fatalf("%s: a separate b was written", name)
+			}
+			want = append([]float64(nil), want...)
+			ab := alias.Work.RHS(len(b))
+			copy(ab, b)
+			got, it, err := SolveCG(a, ab, x0, alias)
+			if it != itW || fmt.Sprint(err) != fmt.Sprint(errW) {
+				t.Fatalf("%s: aliased b gave %d iterations, err %v; separate %d, err %v", name, it, err, itW, errW)
+			}
+			var bd, bdW *BreakdownError
+			if errors.As(err, &bd) != errors.As(errW, &bdW) || bd != nil && (bd.Iter != bdW.Iter || math.Float64bits(bd.PAp) != math.Float64bits(bdW.PAp)) {
+				t.Fatalf("%s: breakdown %+v, separate %+v", name, bd, bdW)
+			}
+			if !sameBits(got, want) {
+				t.Fatalf("%s: aliased b's solution differs from a separate b's", name)
+			}
+			return append([]float64(nil), got...), it, err
+		}
+		x, it, _ := solve("cold", rhs, nil)
+		if it == 0 {
+			t.Fatalf("block=%v: cold solve took no iterations", block)
+		}
+		moved := make([]float64, len(rhs))
+		for i := range moved {
+			moved[i] = rhs[i] * (1 + 1e-3*math.Sin(float64(i)))
+		}
+		x, it, _ = solve("warm", moved, x)
+		if it == 0 {
+			t.Fatalf("block=%v: warm solve took no iterations", block)
+		}
+		tol := alias.Tol
+		sep.Tol, alias.Tol = 1e-6, 1e-6
+		if _, it, _ = solve("warm early exit", moved, x); it != 0 {
+			t.Fatalf("block=%v: a converged warm start took %d iterations", block, it)
+		}
+		sep.Tol, alias.Tol = tol, tol
+		if x, _, _ = solve("zero rhs", make([]float64, len(rhs)), x); NormInf(x) != 0 {
+			t.Fatalf("block=%v: zero right-hand side gave a non-zero solution", block)
+		}
+		_, col := stepShift(a.M)
+		a.SetDiagShift(math.NaN(), col)
+		var bd *BreakdownError
+		if _, _, err := solve("nan diagonal", rhs, nil); !errors.As(err, &bd) {
 			t.Fatalf("block=%v: NaN diagonal gave %v, want a breakdown", block, err)
 		}
 	}

@@ -5,11 +5,13 @@ import (
 	"testing"
 )
 
-// diagOp is a 1×(len(d)/2) crossbar operator with no wire or cell
-// coupling: the diagonal matrix diag(d).
-func diagOp(d []float64) *CrossbarOp {
-	a := NewCrossbarOp(1, len(d)/2)
-	copy(a.Diag, d)
+// diagOp is a 1×len(rows) crossbar operator with no wire or cell
+// coupling: the diagonal matrix with rows on the row nodes and col on
+// every column node, whose wire-only sums they are.
+func diagOp(rows []float64, col float64) *CrossbarOp {
+	a := NewCrossbarOp(1, len(rows))
+	copy(a.wire, rows)
+	a.wire[len(rows)] = col
 	return a
 }
 
@@ -17,9 +19,10 @@ func diagOp(d []float64) *CrossbarOp {
 func TestEstimateCondDiagonal(t *testing.T) {
 	d := make([]float64, 10)
 	for i := range d {
-		d[i] = float64(i + 1) // spectrum 1..10, κ = 10
+		d[i] = float64(i + 1)
 	}
-	cond := EstimateCond(diagOp(d), nil)
+	// Column nodes at 1: the spectrum is 1..10, κ = 10.
+	cond := EstimateCond(diagOp(d, 1), nil)
 	if cond < 7 || cond > 13 {
 		t.Fatalf("diagonal κ estimate %.3g, want ~10", cond)
 	}
@@ -34,9 +37,7 @@ func TestEstimateCondTridiagonal(t *testing.T) {
 	const n = 8
 	m := NewCrossbarOp(1, n)
 	m.GW = 1
-	for i := range m.Diag {
-		m.Diag[i] = 2
-	}
+	m.SetDiagShift(2, 2)
 	lmin, lmax := ExtremeEigenEstimates(m, nil)
 	wantMin := 2 - 2*math.Cos(math.Pi/9)
 	wantMax := 2 - 2*math.Cos(8*math.Pi/9)
@@ -57,8 +58,8 @@ func TestEstimateCondTridiagonal(t *testing.T) {
 // the replay contract extends to diagnostics.
 func TestEstimateCondDeterministic(t *testing.T) {
 	d := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	a := EstimateCond(diagOp(d), nil)
-	b := EstimateCond(diagOp(d), nil)
+	a := EstimateCond(diagOp(d, 5), nil)
+	b := EstimateCond(diagOp(d, 5), nil)
 	if a != b {
 		t.Fatalf("estimate not deterministic: %v vs %v", a, b)
 	}

@@ -97,8 +97,8 @@ func (r sortedRows) at(i, j int) float64 {
 }
 
 // randomOp stamps an m×n operator with random wire, sense and cell
-// conductances, adds random C/dt terms to its diagonal when step is set,
-// and returns it with its reference matrix.
+// conductances, shifts its diagonal by random row and column C/dt terms
+// when step is set, and returns it with its reference matrix.
 func randomOp(m, n int, step bool, rng *rand.Rand) (*CrossbarOp, sortedRows) {
 	a := NewCrossbarOp(m, n)
 	gs := 1e-4 + rng.Float64()*1e-2
@@ -108,13 +108,35 @@ func randomOp(m, n int, step bool, rng *rand.Rand) (*CrossbarOp, sortedRows) {
 	}
 	var caps []float64
 	if step {
-		caps = make([]float64, a.Len())
-		for i := range caps {
-			caps[i] = rng.Float64() * 1e-2
-			a.Diag[i] += caps[i]
-		}
+		row, col := rng.Float64()*1e-2, rng.Float64()*1e-2
+		a.SetDiagShift(row, col)
+		caps = shiftCaps(a, row, col)
 	}
 	return a, newSortedRows(a.Len(), assemblyTrips(a, gs, caps))
+}
+
+// shiftCaps is a diagonal shift spread per node: row on a's row nodes, col
+// on its column nodes.
+func shiftCaps(a *CrossbarOp, row, col float64) []float64 {
+	caps := make([]float64, a.Len())
+	for i := range caps {
+		caps[i] = row
+		if i >= len(a.G) {
+			caps[i] = col
+		}
+	}
+	return caps
+}
+
+// sameDiag reports the first entry where a's derived diagonal differs in
+// bits from ref's, or −1.
+func sameDiag(a *CrossbarOp, ref sortedRows) int {
+	for i, d := range a.diag() {
+		if math.Float64bits(d) != math.Float64bits(ref.at(i, i)) {
+			return i
+		}
+	}
+	return -1
 }
 
 // opShapes covers single rows and columns, M ≠ N both ways, and a square.
@@ -137,15 +159,19 @@ func testVec(n int, rng *rand.Rand) []float64 {
 	return v
 }
 
-// TestCrossbarOpMatchesSortedRows pins MulVec, residual and mulVecDot by
-// Float64bits against the reference's row sums, on every shape, with and
-// without the C/dt-augmented diagonal, at random and all-zero x.
+// TestCrossbarOpMatchesSortedRows pins the derived diagonal, MulVec,
+// residual and mulVecDot by Float64bits against the reference, on every
+// shape, with and without the C/dt shift of the diagonal, at random and
+// all-zero x.
 func TestCrossbarOpMatchesSortedRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, sh := range opShapes {
 		for _, step := range []bool{false, true} {
 			name := fmt.Sprintf("%dx%d step=%v", sh[0], sh[1], step)
 			a, ref := randomOp(sh[0], sh[1], step, rng)
+			if i := sameDiag(a, ref); i >= 0 {
+				t.Fatalf("%s: derived diagonal entry %d = %v, reference %v", name, i, a.diag()[i], ref.at(i, i))
+			}
 			for _, x := range [][]float64{testVec(a.Len(), rng), make([]float64, a.Len())} {
 				want := ref.mulVec(x)
 				if y := a.MulVec(x, nil); !sameBits(y, want) {
@@ -160,13 +186,15 @@ func TestCrossbarOpMatchesSortedRows(t *testing.T) {
 					t.Fatalf("%s: mulVecDot differs from the sorted-row sums (dot %v vs %v)", name, dot, wantDot)
 				}
 				b := testVec(a.Len(), rng)
-				wantR, wantRR := make([]float64, a.Len()), 0.0
+				wantR, wantRR, wantBB := make([]float64, a.Len()), 0.0, 0.0
 				for i := range want {
 					wantR[i] = b[i] - want[i]
 					wantRR += wantR[i] * wantR[i]
+					wantBB += b[i] * b[i]
 				}
 				r := testVec(a.Len(), rng)
-				if rr := a.residual(b, x, r); !sameBits(r, wantR) || math.Float64bits(rr) != math.Float64bits(wantRR) {
+				rr, bb := a.residual(b, x, r, testVec(a.N, rng))
+				if !sameBits(r, wantR) || math.Float64bits(rr) != math.Float64bits(wantRR) || math.Float64bits(bb) != math.Float64bits(wantBB) {
 					t.Fatalf("%s: residual differs from the sorted-row sums", name)
 				}
 			}
@@ -205,25 +233,31 @@ func TestDiagonal(t *testing.T) {
 			a.SetCell(k/a.N, k%a.N, rng.Float64())
 		}
 		ref := newSortedRows(a.Len(), assemblyTrips(a, gs, nil))
-		for i, d := range a.Diag {
-			if math.Float64bits(d) != math.Float64bits(ref.at(i, i)) {
-				t.Fatalf("%v: Diag[%d] = %v, reference %v", sh, i, d, ref.at(i, i))
-			}
+		if i := sameDiag(a, ref); i >= 0 {
+			t.Fatalf("%v: diagonal entry %d = %v, reference %v", sh, i, a.diag()[i], ref.at(i, i))
 		}
 	}
 }
 
-// TestAddDiagonalMatchesRebuild: a diagonal term added to Diag in place
-// after stamping (the transient's C/dt) gives the bits of a rebuild that
-// stamps it last.
+// TestAddDiagonalMatchesRebuild: a diagonal shift (the transient's C/dt)
+// gives the bits of a rebuild that stamps it last; a re-stamp clears it,
+// and a second shift replaces the first rather than adding to it.
 func TestAddDiagonalMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for _, sh := range opShapes {
 		a, ref := randomOp(sh[0], sh[1], true, rng)
-		for i, d := range a.Diag {
-			if math.Float64bits(d) != math.Float64bits(ref.at(i, i)) {
-				t.Fatalf("%v: Diag[%d] = %v in place, rebuilt %v", sh, i, d, ref.at(i, i))
-			}
+		if i := sameDiag(a, ref); i >= 0 {
+			t.Fatalf("%v: shifted diagonal entry %d = %v, rebuilt %v", sh, i, a.diag()[i], ref.at(i, i))
+		}
+		gs := 1 / (1 + rng.Float64())
+		a.StampWires(a.GW, gs)
+		if i := sameDiag(a, newSortedRows(a.Len(), assemblyTrips(a, gs, nil))); i >= 0 {
+			t.Fatalf("%v: re-stamped diagonal entry %d = %v keeps a shift", sh, i, a.diag()[i])
+		}
+		a.SetDiagShift(1e-3, 2e-3)
+		a.SetDiagShift(3e-3, 5e-3)
+		if i := sameDiag(a, newSortedRows(a.Len(), assemblyTrips(a, gs, shiftCaps(a, 3e-3, 5e-3)))); i >= 0 {
+			t.Fatalf("%v: replaced shift, diagonal entry %d = %v", sh, i, a.diag()[i])
 		}
 	}
 }

@@ -35,6 +35,18 @@ package linalg
 //   - CountPrecondApply(): one whole-preconditioner application (the
 //     per-kind arithmetic is charged by the kernels it invokes; this only
 //     bumps the invocation counter).
+//
+// The derived diagonal: CrossbarOp stores no diagonal, and every reader
+// derives an entry as (wire + G[k]) + shift, two adds. The model charges
+// each entry as the stored value it replaces and does not count the adds:
+// an SpMV charges it among its nnz entries, the stamp (in package
+// circuit) charges the two diagonal writes per cell a stored layout made,
+// and a chain factorization or Jacobi setup charges its diagonal read.
+// BlockJacobi.Refresh derives the diagonal into its reciprocal-pivot
+// storage and factors it there; that pass is charged as the factor's
+// diagonal read. So every count equals the stored-diagonal layout's and
+// stays comparable across baselines; the derivation's cost shows in wall
+// time only.
 type OpCount struct {
 	// Flops is the floating-point operation count (adds, multiplies,
 	// divides, and square roots each count one; see the package cost model

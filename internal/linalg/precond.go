@@ -21,12 +21,13 @@ type jacobiPrecond struct {
 	inv []float64
 }
 
-// newJacobiPrecond inverts the matrix diagonal, charging the diagonal read
-// and the inversion to ops.
+// newJacobiPrecond inverts the matrix diagonal, written into the inverse's
+// own storage, charging the diagonal read and the inversion to ops.
 func newJacobiPrecond(a *CrossbarOp, ops *OpCount) (*jacobiPrecond, error) {
 	ops.CountBytes(8 * int64(a.Len())) // diagonal read
 	inv := make([]float64, a.Len())
-	for i, d := range a.Diag {
+	a.diagonal(inv)
+	for i, d := range inv {
 		if d == 0 {
 			return nil, fmt.Errorf("linalg: zero diagonal at %d, Jacobi preconditioner undefined", i)
 		}
@@ -67,9 +68,10 @@ type Family struct {
 // The factor is stored per global index, so a family's chains interleave
 // in it exactly as they do in the vectors and every kernel walks memory
 // at unit stride. It stores what Apply reads, L's subdiagonal and its
-// reciprocal pivots, two floats per unknown; the pivots themselves are
-// read from the operator's diagonal while factoring and kept only as long
-// as the next element of their chain needs them.
+// reciprocal pivots, two floats per unknown. Refresh writes the operator's
+// diagonal into the reciprocal pivots' storage and factors it there; the
+// pivots themselves are kept only as long as the next element of their
+// chain needs them.
 type BlockJacobi struct {
 	m, n     int // the crossbar shape
 	families []Family
@@ -77,7 +79,8 @@ type BlockJacobi struct {
 	// (zero at a chain head). Refresh writes it from the operator and
 	// factors it in place into L's subdiagonal.
 	sub []float64
-	// rdiag caches 1/L[i,i]. Substitution is a loop-carried dependency
+	// rdiag caches 1/L[i,i], factored in place from the operator's
+	// diagonal. Substitution is a loop-carried dependency
 	// chain, so replacing its per-element division with a multiply by the
 	// cached reciprocal is the difference between ~30 and ~8 cycles per
 	// element; the one extra rounding it introduces is far inside CG's
@@ -111,8 +114,9 @@ func newChainPrecond(fams []Family, n int) *BlockJacobi {
 }
 
 // Refresh reads the chain entries of the (re-stamped) operator, which must
-// have the shape the preconditioner was built for — the diagonal and the
-// constant −GW wire coupling — and refactors every chain in place.
+// have the shape the preconditioner was built for — the diagonal, written
+// into rdiag, and the constant −GW wire coupling — and refactors every
+// chain in place.
 func (p *BlockJacobi) Refresh(a *CrossbarOp, ops *OpCount) error {
 	if a.M != p.m || a.N != p.n {
 		return fmt.Errorf("linalg: preconditioner built for a %dx%d crossbar, operator is %dx%d", p.m, p.n, a.M, a.N)
@@ -124,10 +128,12 @@ func (p *BlockJacobi) Refresh(a *CrossbarOp, ops *OpCount) error {
 		clear(p.sub[f.Start : f.Start+f.Chains]) // chain heads
 	}
 	ops.CountBytes(8 * int64(len(p.sub))) // coupling write; the factor reads the diagonal
-	return p.factor(a.Diag, ops)
+	a.diagonal(p.rdiag)
+	return p.factor(p.rdiag, ops)
 }
 
-// factor factors every family's chains, with diagonal diag, in place.
+// factor factors every family's chains, with diagonal diag, in place; diag
+// may be rdiag itself.
 func (p *BlockJacobi) factor(diag []float64, ops *OpCount) error {
 	for fi, f := range p.families {
 		ops.CountChainFactor(f.Chains, f.Len)
@@ -141,7 +147,8 @@ func (p *BlockJacobi) factor(diag []float64, ops *OpCount) error {
 
 // factorFamily overwrites one family's subdiagonal with the Cholesky
 // factor of each of its chains, whose diagonal is diag's, and fills their
-// reciprocal pivots. Each element costs l = a/d′, d = √(a − l·l), 1/d
+// reciprocal pivots; it reads diag[i] before it writes rdiag[i], so diag
+// may be rdiag. Each element costs l = a/d′, d = √(a − l·l), 1/d
 // against its predecessor's pivot d′, the order of a scalar tridiagonal
 // Cholesky; the loop runs over the interleaved range once, so every chain
 // advances one element per Chains indices, and d′ is the chain's slot in

@@ -173,7 +173,7 @@ func TestSolveCGZeroRHSWithWarmStart(t *testing.T) {
 // p·Ap ≤ 0; the solver must return a typed breakdown error rather than
 // silently producing NaNs or spinning to MaxIter.
 func TestSolveCGBreakdownOnIndefinite(t *testing.T) {
-	a := diagOp([]float64{1, -1})
+	a := diagOp([]float64{1}, -1)
 	x, _, err := SolveCG(a, []float64{0, 1}, nil, CGOptions{MaxIter: 50})
 	if err == nil {
 		t.Fatal("indefinite solve succeeded")
@@ -203,9 +203,7 @@ func TestSolveCGWarmStartPerturbed(t *testing.T) {
 	// diagonal at 4: a tridiagonal row chain and 16 decoupled nodes.
 	a := NewCrossbarOp(1, 16)
 	a.GW = 1
-	for i := range a.Diag {
-		a.Diag[i] = 4
-	}
+	a.SetDiagShift(4, 4)
 	b := make([]float64, 32)
 	for i := range b {
 		b[i] = math.Cos(float64(i))
@@ -216,9 +214,7 @@ func TestSolveCGWarmStartPerturbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Perturb the system slightly (as a Newton restamp would).
-	for i := range a.Diag {
-		a.Diag[i] = 4.01
-	}
+	a.SetDiagShift(4.01, 4.01)
 	xCold2, itCold2, err := SolveCG(a, b, nil, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +347,8 @@ func TestBlockJacobiMatchesChainReference(t *testing.T) {
 			a, _ := crossbarSystem(sh[0], sh[1], int64(sh[0]*100+sh[1]), step)
 			var caps []float64
 			if step {
-				caps = stepCaps(sh[0], sh[1])
+				row, col := stepShift(sh[0])
+				caps = shiftCaps(a, row, col)
 			}
 			fams := wireFamilies(sh[0], sh[1])
 			if !reflect.DeepEqual(a.Families(), fams) {
@@ -457,7 +454,7 @@ func TestBlockJacobiRejectsIndefinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Diag[0] = math.NaN()
+	a.SetDiagShift(math.NaN(), 0)
 	if err := p.Refresh(a, nil); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("NaN pivot refresh err = %v, want ErrNotSPD", err)
 	}
