@@ -10,6 +10,7 @@
 package mnsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime/debug"
@@ -104,7 +105,7 @@ func BenchmarkTableIII_Circuit(b *testing.B) {
 	for _, size := range []int{16, 32, 64, 128} {
 		b.Run(fmt.Sprintf("size%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rows, err := validate.TableIII([]int{size}, int64(i))
+				rows, err := validate.TableIIIContext(context.Background(), []int{size}, int64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -213,14 +214,18 @@ func BenchmarkTableVI(b *testing.B) {
 // BenchmarkTableVII simulates the PRIME FF-subarray and the ISAAC tile.
 func BenchmarkTableVII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := custom.TableVII()
+		prime, err := custom.PRIME()
+		if err != nil {
+			b.Fatal(err)
+		}
+		isaac, err := custom.ISAAC()
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(rows[0].AreaMM2, "prime_mm2")
-			b.ReportMetric(rows[1].AreaMM2, "isaac_mm2")
-			b.ReportMetric(rows[1].Latency*1e6, "isaac_us")
+			b.ReportMetric(prime.AreaMM2, "prime_mm2")
+			b.ReportMetric(isaac.AreaMM2, "isaac_mm2")
+			b.ReportMetric(isaac.Latency*1e6, "isaac_us")
 		}
 	}
 }
@@ -230,7 +235,7 @@ func BenchmarkTableVII(b *testing.B) {
 // fit RMSE (paper: < 0.01).
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := validate.Fig5([]int{8, 16, 32, 64}, []int{90, 45, 28, 18})
+		pts, err := validate.Fig5Context(context.Background(), []int{8, 16, 32, 64}, []int{90, 45, 28, 18}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

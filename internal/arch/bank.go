@@ -137,11 +137,6 @@ func (b *Bank) build(d *Design, bp *bankPlan, u *Unit) {
 	b.SampleEnergy = b.PassPerf.DynamicEnergy * float64(layer.Passes)
 }
 
-// Power returns the bank's average power while streaming computation.
-func (b *Bank) Power() float64 {
-	return b.PassPerf.DynamicEnergy/b.PassPerf.Latency + b.PassPerf.StaticPower
-}
-
 // Accuracy evaluates the bank's crossbar computing error with the
 // behaviour-level accuracy model: the merged worst/average voltage error
 // rates of the layer's tiled crossbars, before quantization.

@@ -100,15 +100,3 @@ func ProgramNetwork(a *Accelerator) []Instruction {
 	}
 	return prog
 }
-
-// InferSample returns the COMPUTE program of one input sample: every bank
-// runs its per-sample pass count.
-func InferSample(a *Accelerator) []Instruction {
-	var prog []Instruction
-	for i, b := range a.Banks {
-		for p := 0; p < b.Layer.Passes; p++ {
-			prog = append(prog, Instruction{Op: OpCompute, Bank: i})
-		}
-	}
-	return prog
-}

@@ -63,76 +63,3 @@ func TestInnerPipelineEnergyOverheadSmall(t *testing.T) {
 		t.Fatalf("pipeline energy overhead %v outside [0, 10%%]", overhead)
 	}
 }
-
-func TestTrainingPlanValidate(t *testing.T) {
-	good := TrainingPlan{Epochs: 1, SamplesPerEpoch: 10, UpdateFraction: 0.1}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []TrainingPlan{
-		{Epochs: 0, SamplesPerEpoch: 1, UpdateFraction: 0.1},
-		{Epochs: 1, SamplesPerEpoch: 0, UpdateFraction: 0.1},
-		{Epochs: 1, SamplesPerEpoch: 1, UpdateFraction: -0.1},
-		{Epochs: 1, SamplesPerEpoch: 1, UpdateFraction: 1.1},
-	}
-	for i, p := range bad {
-		p := p
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
-func TestTrainingCost(t *testing.T) {
-	d := refDesign(128, 0)
-	a, err := NewAccelerator(d, []LayerDims{{Rows: 512, Cols: 512, Passes: 1}}, [2]int{128, 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := TrainingCost(a, TrainingPlan{Epochs: 10, SamplesPerEpoch: 1000, UpdateFraction: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Time <= 0 || rep.Energy <= 0 {
-		t.Fatalf("report: %+v", rep)
-	}
-	// The high-writing-cost problem: updates dominate the energy budget.
-	if rep.WriteEnergy <= rep.ComputeEnergy {
-		t.Errorf("write energy %v should dominate compute energy %v", rep.WriteEnergy, rep.ComputeEnergy)
-	}
-	if math.Abs(rep.WritesPerCell-0.05*10*1000) > 1e-9 {
-		t.Errorf("writes per cell = %v", rep.WritesPerCell)
-	}
-	if rep.EnduranceConsumed <= 0 {
-		t.Errorf("endurance consumed = %v", rep.EnduranceConsumed)
-	}
-	// A longer run consumes proportionally more endurance.
-	rep2, err := TrainingCost(a, TrainingPlan{Epochs: 20, SamplesPerEpoch: 1000, UpdateFraction: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rep2.EnduranceConsumed/rep.EnduranceConsumed-2) > 1e-9 {
-		t.Errorf("endurance not linear in epochs: %v vs %v", rep2.EnduranceConsumed, rep.EnduranceConsumed)
-	}
-	if _, err := TrainingCost(a, TrainingPlan{}); err == nil {
-		t.Error("invalid plan accepted")
-	}
-}
-
-// Endurance guard: zero endurance disables the ratio rather than dividing
-// by zero.
-func TestTrainingCostZeroEndurance(t *testing.T) {
-	d := refDesign(64, 0)
-	d.Dev.Endurance = 0
-	a, err := NewAccelerator(d, []LayerDims{{Rows: 64, Cols: 64, Passes: 1}}, [2]int{128, 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := TrainingCost(a, TrainingPlan{Epochs: 1, SamplesPerEpoch: 1, UpdateFraction: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.EnduranceConsumed != 0 {
-		t.Fatalf("endurance consumed = %v, want 0", rep.EnduranceConsumed)
-	}
-}

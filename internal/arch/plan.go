@@ -15,7 +15,7 @@ import (
 // layer shapes and the ADC precision only). A design-space sweep rebuilds
 // one plan in place (Reset) per (wire node, crossbar size) and fills each
 // parallelism's accelerator from it with Into, into storage it reuses; At,
-// NewAccelerator, NewBank and NewUnit run through the same two steps, so
+// NewAccelerator and NewBank run through the same two steps, so
 // every module formula lives in one place. Whatever was filled from a plan
 // points into it and is valid until the plan's next rebuild.
 type Plan struct {

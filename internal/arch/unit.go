@@ -1,8 +1,6 @@
 package arch
 
 import (
-	"fmt"
-
 	"mnsim/internal/crossbar"
 	"mnsim/internal/periph"
 )
@@ -41,29 +39,6 @@ type Unit struct {
 	ReadOp, WriteOp periph.Perf
 
 	readPath periph.Perf // one MUX+ADC read path, for Breakdown
-}
-
-// NewUnit builds a computation unit for a weight block of the given logical
-// shape.
-func NewUnit(d *Design, rows, cols int) (*Unit, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if rows < 1 || rows > d.CrossbarSize || cols < 1 {
-		return nil, fmt.Errorf("arch: unit block %dx%d incompatible with crossbar size %d", rows, cols, d.CrossbarSize)
-	}
-	if physCols := cols * d.CellsPerWeight(); physCols > d.CrossbarSize {
-		return nil, fmt.Errorf("arch: block needs %d physical columns, crossbar has %d", physCols, d.CrossbarSize)
-	}
-	m := new(modules)
-	if err := m.init(d); err != nil {
-		return nil, err
-	}
-	u := new(Unit)
-	if err := u.build(d, m, rows, cols); err != nil {
-		return nil, err
-	}
-	return u, nil
 }
 
 // build assembles the unit of design d for a rows×cols weight block from the
@@ -133,12 +108,6 @@ func (u *Unit) build(d *Design, m *modules, rows, cols int) error {
 	u.ReadOp.Area, u.ReadOp.StaticPower = u.Compute.Area, u.Compute.StaticPower
 	u.WriteOp.Area, u.WriteOp.StaticPower = u.Compute.Area, u.Compute.StaticPower
 	return nil
-}
-
-// ComputePower returns the unit's average power while computing
-// continuously: per-op energy over per-op latency plus leakage.
-func (u *Unit) ComputePower() float64 {
-	return u.Compute.DynamicEnergy/u.Compute.Latency + u.Compute.StaticPower
 }
 
 func bitsFor(v int) int {

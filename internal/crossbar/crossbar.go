@@ -144,13 +144,6 @@ func (p Params) ComputeEnergy() float64 {
 	return p.ComputePower() * p.Latency()
 }
 
-// WorstRParallel returns the approximate worst-case column parallel
-// resistance of Eq. 10: all cells at R_min and the farthest column from the
-// inputs, (R_min + (M+N)·r) / M.
-func (p Params) WorstRParallel() float64 {
-	return (p.Dev.RMin + float64(p.Rows+p.Cols)*p.Wire.SegmentR) / float64(p.Rows)
-}
-
 // IdealMVM computes the interconnect-free analog matrix–vector product of
 // Eq. 1–2: out_n = Σ_m g[m][n]·vin[m] / (g_s + Σ_m g[m][n]), where g holds
 // cell conductances in siemens. It is the fixed-point "ideal result" that
@@ -205,17 +198,6 @@ func (p Params) MapWeights(w [][]float64) (g, r [][]float64, err error) {
 	}
 	return g, r, nil
 }
-
-// BlocksFor returns how many crossbars of this size tile a weight matrix
-// with `rows` inputs and `cols` outputs: blocks along the row (input) axis,
-// along the column (output) axis, and the total.
-func (p Params) BlocksFor(rows, cols int) (rowBlocks, colBlocks, total int) {
-	rowBlocks = ceilDiv(rows, p.Rows)
-	colBlocks = ceilDiv(cols, p.Cols)
-	return rowBlocks, colBlocks, rowBlocks * colBlocks
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // LayoutCoefficient is the area-correction factor derived from the paper's
 // 130 nm 32×32 1T1R layout (Fig. 6): measured 3420 um² vs. the model's

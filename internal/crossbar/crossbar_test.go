@@ -112,14 +112,6 @@ func TestComputeEnergy(t *testing.T) {
 	}
 }
 
-func TestWorstRParallel(t *testing.T) {
-	p := refParams(64, 32)
-	want := (p.Dev.RMin + 96*p.Wire.SegmentR) / 64
-	if got := p.WorstRParallel(); math.Abs(got-want)/want > 1e-12 {
-		t.Fatalf("WorstRParallel = %v, want %v", got, want)
-	}
-}
-
 func TestIdealMVMKnown(t *testing.T) {
 	p := refParams(2, 2)
 	g := [][]float64{{1e-5, 2e-5}, {3e-5, 4e-5}}
@@ -200,22 +192,6 @@ func TestMapWeights(t *testing.T) {
 	}
 	if _, _, err := p.MapWeights([][]float64{{0}, {0, 0}}); err == nil {
 		t.Error("ragged weights should fail")
-	}
-}
-
-func TestBlocksFor(t *testing.T) {
-	p := refParams(128, 128)
-	rb, cb, tot := p.BlocksFor(2048, 1024)
-	if rb != 16 || cb != 8 || tot != 128 {
-		t.Fatalf("BlocksFor(2048,1024) = %d,%d,%d", rb, cb, tot)
-	}
-	rb, cb, tot = p.BlocksFor(100, 100)
-	if rb != 1 || cb != 1 || tot != 1 {
-		t.Fatalf("BlocksFor(100,100) = %d,%d,%d", rb, cb, tot)
-	}
-	rb, cb, tot = p.BlocksFor(129, 1)
-	if rb != 2 || cb != 1 || tot != 2 {
-		t.Fatalf("BlocksFor(129,1) = %d,%d,%d", rb, cb, tot)
 	}
 }
 

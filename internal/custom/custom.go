@@ -4,7 +4,8 @@
 // with a different connection (peripherals merged into reconfigurable
 // units); ISAAC imports the publication's own module costs as customized
 // modules and a 22-stage inner pipeline, exactly the procedure the paper
-// describes.
+// describes. The two results are Table VII's rows; as the paper cautions,
+// they are not comparable (the network scales differ).
 package custom
 
 import (
@@ -148,18 +149,4 @@ func ISAAC() (Result, error) {
 		Latency:       latency,
 		Accuracy:      1 - rep.AvgRate,
 	}, nil
-}
-
-// TableVII runs both case studies. The paper's caveat applies verbatim:
-// the two rows are not comparable (the network scales differ).
-func TableVII() ([]Result, error) {
-	prime, err := PRIME()
-	if err != nil {
-		return nil, err
-	}
-	isaac, err := ISAAC()
-	if err != nil {
-		return nil, err
-	}
-	return []Result{prime, isaac}, nil
 }

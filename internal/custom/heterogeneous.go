@@ -1,8 +1,6 @@
 package custom
 
 import (
-	"fmt"
-
 	"mnsim/internal/arch"
 	"mnsim/internal/periph"
 )
@@ -69,17 +67,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// Validate sanity-checks the customization against its full-featured
-// origin: dropping the digital merge and neuron chain must shrink both the
-// area and the pass latency.
-func (s *SynapseOnly) Validate() error {
-	if s.Perf.Area >= s.Bank.PassPerf.Area {
-		return fmt.Errorf("custom: synapse-only area %g not below the full bank %g", s.Perf.Area, s.Bank.PassPerf.Area)
-	}
-	if s.Perf.Latency >= s.Bank.PassPerf.Latency {
-		return fmt.Errorf("custom: synapse-only latency %g not below the full bank %g", s.Perf.Latency, s.Bank.PassPerf.Latency)
-	}
-	return nil
 }

@@ -31,8 +31,13 @@ func TestSynapseOnlyCustomization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
+	// Dropping the digital merge and neuron chain must shrink both the
+	// area and the pass latency of the full-featured bank.
+	if s.Perf.Area >= s.Bank.PassPerf.Area {
+		t.Errorf("synapse-only area %g not below the full bank %g", s.Perf.Area, s.Bank.PassPerf.Area)
+	}
+	if s.Perf.Latency >= s.Bank.PassPerf.Latency {
+		t.Errorf("synapse-only latency %g not below the full bank %g", s.Perf.Latency, s.Bank.PassPerf.Latency)
 	}
 	if s.CPUTransferBits != 512*8 {
 		t.Errorf("transfer = %d bits", s.CPUTransferBits)

@@ -193,15 +193,6 @@ func (m Model) LevelResistance(lvl int) (float64, error) {
 	return 1 / g, nil
 }
 
-// LevelConductance is the conductance of programming level lvl in siemens.
-func (m Model) LevelConductance(lvl int) (float64, error) {
-	r, err := m.LevelResistance(lvl)
-	if err != nil {
-		return 0, err
-	}
-	return 1 / r, nil
-}
-
 // HarmonicMeanR returns the harmonic mean of RMin and RMax. MNSIM uses it
 // as the average-case resistance of all cells when estimating computation
 // power (Section V.A).
@@ -327,12 +318,6 @@ func (m Model) CellArea() float64 {
 	default:
 		return 4 * f * f
 	}
-}
-
-// ReadEnergy returns the energy of reading (computing through) one cell for
-// duration dt at the read voltage, assuming average-case resistance.
-func (m Model) ReadEnergy(dt float64) float64 {
-	return m.ReadVoltage * m.ReadVoltage / m.HarmonicMeanR() * dt
 }
 
 // WriteEnergy returns the programming energy of one cell, V²/R·t at the

@@ -92,14 +92,17 @@ func TestLevelResistanceEndpoints(t *testing.T) {
 // linear in i, which is what makes the crossbar an analog MVM engine.
 func TestLevelsLinearInConductance(t *testing.T) {
 	m := RRAM()
-	g0, _ := m.LevelConductance(0)
-	g1, _ := m.LevelConductance(1)
-	step := g1 - g0
-	for i := 2; i < m.Levels(); i++ {
-		gi, err := m.LevelConductance(i)
+	levelG := func(i int) float64 {
+		r, err := m.LevelResistance(i)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return 1 / r
+	}
+	g0, g1 := levelG(0), levelG(1)
+	step := g1 - g0
+	for i := 2; i < m.Levels(); i++ {
+		gi := levelG(i)
 		want := g0 + float64(i)*step
 		if math.Abs(gi-want)/want > 1e-9 {
 			t.Fatalf("level %d conductance %v, want %v", i, gi, want)
@@ -237,10 +240,12 @@ func TestQuantizeMonotone(t *testing.T) {
 
 func TestEnergies(t *testing.T) {
 	m := RRAM()
-	if e := m.ReadEnergy(10e-9); e <= 0 {
-		t.Errorf("ReadEnergy = %v", e)
+	// A 10 ns read through an average-case cell at the read voltage.
+	read := m.ReadVoltage * m.ReadVoltage / m.HarmonicMeanR() * 10e-9
+	if read <= 0 {
+		t.Errorf("read energy = %v", read)
 	}
-	if e := m.WriteEnergy(); e <= m.ReadEnergy(10e-9) {
-		t.Errorf("WriteEnergy %v should exceed a 10ns ReadEnergy %v (high-writing-cost problem)", e, m.ReadEnergy(10e-9))
+	if e := m.WriteEnergy(); e <= read {
+		t.Errorf("WriteEnergy %v should exceed a 10ns read's %v (high-writing-cost problem)", e, read)
 	}
 }

@@ -22,10 +22,11 @@ func TestConductanceMomentsMatchSampling(t *testing.T) {
 	const trials = 200000
 	var s1, s2 float64
 	for i := 0; i < trials; i++ {
-		g, err := m.LevelConductance(rng.Intn(m.Levels()))
+		r, err := m.LevelResistance(rng.Intn(m.Levels()))
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := 1 / r
 		s1 += g
 		s2 += g * g
 	}

@@ -520,52 +520,6 @@ func Best(cands []Candidate, obj Objective) *Candidate {
 	return best
 }
 
-// zeroOptimumEps is the absolute tolerance window (scaled by the caller's
-// fractional tolerance) used by BestWithSecondary when the primary optimum
-// is zero or near-zero and a multiplicative window would have zero width.
-// 1e-9 is far below any physically meaningful metric value here (areas in
-// mm², energies in joules, latencies in seconds, error rates in [0,1]).
-const zeroOptimumEps = 1e-9
-
-// BestWithSecondary implements the paper's secondary-target rule
-// (Section VII.C.1: "the user can set a secondary optimization target for
-// accuracy optimization" — digital-module choices that do not move the
-// primary metric can still improve another one). Among feasible candidates
-// whose primary metric lies within tolerance (fractional) of the optimum,
-// it returns the one minimising the secondary objective. Like Best, it
-// skips a candidate whose primary or secondary metric is NaN.
-func BestWithSecondary(cands []Candidate, primary, secondary Objective, tolerance float64) *Candidate {
-	first := Best(cands, primary)
-	if first == nil {
-		return nil
-	}
-	if tolerance < 0 {
-		tolerance = 0
-	}
-	m0 := primary.metric(first)
-	limit := m0 * (1 + tolerance)
-	// A multiplicative window collapses to zero width when the optimum is
-	// zero (e.g. a 0% error rate under MaxAccuracy) or so small that the
-	// product underflows back to m0. Fall back to an additive epsilon scaled
-	// by the tolerance so near-optimal candidates still qualify.
-	if tolerance > 0 && limit-m0 <= 0 {
-		limit = m0 + tolerance*zeroOptimumEps
-	}
-	var best *Candidate
-	var least float64
-	for i := range cands {
-		c := &cands[i]
-		pm, sm := primary.metric(c), secondary.metric(c)
-		if !c.Feasible || pm > limit || math.IsNaN(pm) || math.IsNaN(sm) {
-			continue
-		}
-		if best == nil || sm < least {
-			best, least = c, sm
-		}
-	}
-	return best
-}
-
 // Pareto returns the candidates not dominated on (area, pipeline latency) —
 // the trade-off front of Fig. 8. The result is sorted by area.
 //

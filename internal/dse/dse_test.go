@@ -142,6 +142,42 @@ func TestBestRespectsFeasibility(t *testing.T) {
 	}
 }
 
+// feasibleSet builds feasible candidates from (area, energy) pairs, each
+// named by its place (CrossbarSize = index + 1).
+func feasibleSet(pairs ...[2]float64) []Candidate {
+	cands := make([]Candidate, len(pairs))
+	for i, p := range pairs {
+		cands[i] = Candidate{CrossbarSize: i + 1, Feasible: true}
+		cands[i].Report.AreaMM2, cands[i].Report.EnergyPerSample = p[0], p[1]
+	}
+	return cands
+}
+
+// TestBestSkipsNaN: a NaN metric compares false either way, so it would
+// win by coming first; Best skips it wherever it is.
+func TestBestSkipsNaN(t *testing.T) {
+	nan := math.NaN()
+	pick := func(c *Candidate) int {
+		if c == nil {
+			return 0
+		}
+		return c.CrossbarSize
+	}
+	for _, tc := range []struct {
+		name string
+		set  []Candidate
+		want int // the place of the pick, 0 for nil
+	}{
+		{"NaN first", feasibleSet([2]float64{nan, 0}, [2]float64{5, 0}, [2]float64{1, 0}), 3},
+		{"NaN last", feasibleSet([2]float64{5, 0}, [2]float64{1, 0}, [2]float64{nan, 0}), 2},
+		{"all NaN", feasibleSet([2]float64{nan, 0}, [2]float64{nan, 0}), 0},
+	} {
+		if got := pick(Best(tc.set, MinArea)); got != tc.want {
+			t.Errorf("Best, %s: picked candidate %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestParetoFront(t *testing.T) {
 	cands := explore(t)
 	front := Pareto(cands)

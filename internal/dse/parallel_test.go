@@ -88,29 +88,6 @@ func TestExploreAllEvalFailed(t *testing.T) {
 	}
 }
 
-// TestBestWithSecondaryZeroOptimum regresses the zero-width tolerance
-// window: when the primary optimum is exactly 0, metric*(1+tolerance)
-// collapses to 0 and no near-tie could ever qualify for the secondary pass.
-func TestBestWithSecondaryZeroOptimum(t *testing.T) {
-	cands := []Candidate{
-		{CrossbarSize: 8, Feasible: true,
-			Report: arch.Report{AreaMM2: 0, EnergyPerSample: 5}},
-		{CrossbarSize: 16, Feasible: true,
-			Report: arch.Report{AreaMM2: 1e-12, EnergyPerSample: 1}},
-		{CrossbarSize: 32, Feasible: true,
-			Report: arch.Report{AreaMM2: 3, EnergyPerSample: 0.1}},
-	}
-	best := BestWithSecondary(cands, MinArea, MinEnergy, 0.2)
-	if best == nil {
-		t.Fatal("no candidate selected")
-	}
-	// The 1e-12-area candidate is within the epsilon window of the zero
-	// optimum and has the better secondary metric, so it must win.
-	if best.CrossbarSize != 16 {
-		t.Fatalf("want the near-tied low-energy candidate (size 16), got size %d", best.CrossbarSize)
-	}
-}
-
 // TestExploreEvalSpinNeutral: the synthetic per-candidate work must not
 // change any evaluated result, only its cost.
 func TestExploreEvalSpinNeutral(t *testing.T) {

@@ -273,8 +273,8 @@ func SolveCG(a *CrossbarOp, b, x0 []float64, opt CGOptions) ([]float64, int, err
 }
 
 // updateCG applies CG's two vector updates, x += α·p and r += (−α)·ap, and
-// returns the new r·r: bit-identical to AXPY(α, p, x), AXPY(−α, ap, r) and
-// Norm2(r)'s sum of squares, in one pass.
+// returns the new r·r, bit-identical to Norm2(r)'s sum of squares, in one
+// pass.
 //
 //lint:hotpath
 func updateCG(alpha float64, p, ap, x, r []float64) float64 {

@@ -146,16 +146,8 @@ func TestVectorHelpers(t *testing.T) {
 	if Norm2([]float64{3, 4}) != 5 {
 		t.Error("Norm2")
 	}
-	if NormInf([]float64{-7, 2}) != 7 {
-		t.Error("NormInf")
-	}
 	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Error("Dot")
-	}
-	y := []float64{1, 1}
-	AXPY(2, []float64{1, 2}, y)
-	if y[0] != 3 || y[1] != 5 {
-		t.Errorf("AXPY = %v", y)
 	}
 }
 
@@ -166,15 +158,6 @@ func TestDotPanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	Dot([]float64{1}, []float64{1, 2})
-}
-
-func TestAXPYPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AXPY length mismatch should panic")
-		}
-	}()
-	AXPY(1, []float64{1}, []float64{1, 2})
 }
 
 // Property: Norm2 is absolutely homogeneous: ‖αv‖ = |α|·‖v‖.

@@ -18,17 +18,6 @@ func Norm2(v []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// NormInf returns the maximum-magnitude element of v.
-func NormInf(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Dot returns the inner product of a and b.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -39,14 +28,4 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
 }

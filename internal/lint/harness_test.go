@@ -48,12 +48,16 @@ func collectWants(t *testing.T, u *Unit) []*wantAnn {
 	return out
 }
 
+// fixtureLoader loads every fixture, so the standard-library packages
+// the fixtures import are type-checked once per test binary.
+var fixtureLoader = NewLoader()
+
 // loadFixture type-checks the fixture package under testdata/src/dir,
 // assigning it the given import path (fake paths let path-scoped
 // analyzers fire).
 func loadFixture(t *testing.T, dir, path string) *Unit {
 	t.Helper()
-	u, err := NewLoader().Load(filepath.Join("testdata", "src", dir), path, false)
+	u, err := fixtureLoader.Load(filepath.Join("testdata", "src", dir), path, false)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
@@ -61,6 +65,11 @@ func loadFixture(t *testing.T, dir, path string) *Unit {
 		t.Fatalf("fixture %s has no Go files", dir)
 	}
 	return u
+}
+
+// runAnalyzers runs the analyzers over one unit, untimed.
+func runAnalyzers(u *Unit, analyzers []*Analyzer) []Diagnostic {
+	return runAnalyzersTimed(u, analyzers, nil)
 }
 
 // checkFixture runs one analyzer over a fixture and compares the

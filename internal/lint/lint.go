@@ -212,10 +212,6 @@ func dedupDiagnostics(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-func runAnalyzers(u *Unit, analyzers []*Analyzer) []Diagnostic {
-	return runAnalyzersTimed(u, analyzers, nil)
-}
-
 func runAnalyzersTimed(u *Unit, analyzers []*Analyzer, wall map[string]time.Duration) []Diagnostic {
 	var out []Diagnostic
 	for _, a := range analyzers {
@@ -408,13 +404,39 @@ type Unit struct {
 // themselves compiled from source, and caches them across Load calls.
 type Loader struct {
 	fset *token.FileSet
-	imp  types.Importer
+	imp  *cachedImporter
 }
 
 // NewLoader returns a Loader with a fresh file set and import cache.
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
-	return &Loader{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+	src := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	return &Loader{fset: fset, imp: &cachedImporter{src: src, pkgs: map[string]*types.Package{}}}
+}
+
+// cachedImporter answers a repeated import path from its own map. The
+// source importer resolves every import through go/build, which lists the
+// package's directory and parses each file's header, before it consults
+// its own cache.
+type cachedImporter struct {
+	src  types.ImporterFrom
+	pkgs map[string]*types.Package
+}
+
+func (c *cachedImporter) Import(path string) (*types.Package, error) {
+	return c.ImportFrom(path, "", 0)
+}
+
+func (c *cachedImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if pkg, ok := c.pkgs[path]; ok {
+		return pkg, nil
+	}
+	pkg, err := c.src.ImportFrom(path, dir, mode)
+	if err != nil {
+		return nil, err
+	}
+	c.pkgs[path] = pkg
+	return pkg, nil
 }
 
 // Load parses dir's package and type-checks it under the given import

@@ -277,12 +277,6 @@ func (img *Image) Reconstruct() ([][]float64, error) {
 	return out, nil
 }
 
-// WriteProgram returns the controller WRITE instruction covering this
-// image's cell count on the given bank.
-func (img *Image) WriteProgram(bank int) []arch.Instruction {
-	return []arch.Instruction{{Op: arch.OpWrite, Bank: bank, Count: img.CellCount()}}
-}
-
 // CellCount returns the number of programmed cells in the image.
 func (img *Image) CellCount() int {
 	total := 0

@@ -231,17 +231,13 @@ func TestWriteProgramAndCellCount(t *testing.T) {
 	if got := img.CellCount(); got != 2*64*64 {
 		t.Fatalf("cell count = %d", got)
 	}
-	prog := img.WriteProgram(0)
-	if len(prog) != 1 || prog[0].Op != arch.OpWrite || prog[0].Count != img.CellCount() {
-		t.Fatalf("program: %+v", prog)
-	}
-	// The program runs on a matching accelerator.
+	// A WRITE of the image's cells runs on a matching accelerator.
 	a, err := arch.NewAccelerator(d, []arch.LayerDims{{Rows: 64, Cols: 64, Passes: 1}}, [2]int{128, 128})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl := arch.Controller{Accel: a}
-	if _, err := ctl.Run(prog); err != nil {
+	if _, err := ctl.Run([]arch.Instruction{{Op: arch.OpWrite, Bank: 0, Count: img.CellCount()}}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -21,9 +21,6 @@ type Activation func(float64) float64
 // Sigmoid is the DNN reference neuron.
 func Sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-4*x)) }
 
-// ReLU is the CNN reference neuron.
-func ReLU(x float64) float64 { return math.Max(0, x) }
-
 // Identity passes values through (for regression-style output layers).
 func Identity(x float64) float64 { return x }
 
@@ -51,15 +48,6 @@ func RandomFCNet(name string, rng *rand.Rand, widths ...int) (*FCNet, error) {
 		net.Weights = append(net.Weights, w)
 	}
 	return net, nil
-}
-
-// Shapes returns the per-layer (rows, cols) weight shapes.
-func (n *FCNet) Shapes() [][2]int {
-	out := make([][2]int, len(n.Weights))
-	for l, w := range n.Weights {
-		out[l] = [2]int{len(w), len(w[0])}
-	}
-	return out
 }
 
 // Quantize rounds v ∈ [-1,1] to a signed fixed-point value with the given

@@ -101,17 +101,6 @@ func CaffeNet() Network {
 	}
 }
 
-// MLP returns a plain fully-connected network with the given layer widths,
-// e.g. MLP("jpeg", 64, 16, 64) for the paper's JPEG-encoding validation
-// application.
-func MLP(name string, widths ...int) Network {
-	n := Network{Name: name}
-	for i := 0; i+1 < len(widths); i++ {
-		n.Layers = append(n.Layers, Layer{Type: FC, In: widths[i], Out: widths[i+1]})
-	}
-	return n
-}
-
 // NeuromorphicLayers counts the layers that hold Conv kernels or FC weights
 // — the computation banks of the accelerator (e.g. CaffeNet's 8, VGG-16's
 // 16).

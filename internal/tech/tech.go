@@ -4,8 +4,7 @@
 // The original MNSIM pulls per-node device and wire parameters from CACTI,
 // NVSim, and the Predictive Technology Model (PTM). Those tools are consumed
 // purely as lookup tables of technology constants, so this package embeds
-// equivalent per-node tables (130 nm down to 18 nm) together with the
-// standard constant-field scaling rules used to interpolate between nodes.
+// equivalent per-node tables (130 nm down to 18 nm).
 //
 // Two independent axes are modelled, matching the paper's configuration list
 // (Table I): the CMOS logic node (CMOS_Tech, used for peripheral circuits)
@@ -15,7 +14,6 @@ package tech
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -151,95 +149,4 @@ func InterconnectNodes() []int {
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(out)))
 	return out
-}
-
-// InterpolateNode returns CMOS parameters for a feature size between the
-// tabulated nodes by log-linear interpolation of each parameter against
-// feature size. Tabulated nodes return exactly their table entry; sizes
-// outside the table are rejected (extrapolating device physics is not
-// meaningful).
-func InterpolateNode(featureNM float64) (CMOSNode, error) {
-	//lint:ignore nofloateq exact integrality test: tabulated nodes must return their table entry bit-for-bit, never an interpolation
-	if n, ok := cmosNodes[int(featureNM)]; ok && featureNM == float64(int(featureNM)) {
-		return n, nil
-	}
-	nodes := Nodes() // descending
-	if featureNM > float64(nodes[0]) || featureNM < float64(nodes[len(nodes)-1]) {
-		return CMOSNode{}, fmt.Errorf("tech: %gnm outside the tabulated range [%d, %d]", featureNM, nodes[len(nodes)-1], nodes[0])
-	}
-	var lo, hi CMOSNode
-	for i := 0; i+1 < len(nodes); i++ {
-		if featureNM <= float64(nodes[i]) && featureNM >= float64(nodes[i+1]) {
-			hi, lo = cmosNodes[nodes[i]], cmosNodes[nodes[i+1]]
-			break
-		}
-	}
-	t := math.Log(featureNM/lo.FeatureNM) / math.Log(hi.FeatureNM/lo.FeatureNM)
-	lerp := func(a, b float64) float64 { return math.Exp(math.Log(a) + t*(math.Log(b)-math.Log(a))) }
-	return CMOSNode{
-		FeatureNM:   featureNM,
-		Vdd:         lerp(lo.Vdd, hi.Vdd),
-		GateDelay:   lerp(lo.GateDelay, hi.GateDelay),
-		GateCap:     lerp(lo.GateCap, hi.GateCap),
-		GateLeakage: lerp(lo.GateLeakage, hi.GateLeakage),
-		RegEnergy:   lerp(lo.RegEnergy, hi.RegEnergy),
-		RegArea:     lerp(lo.RegArea, hi.RegArea),
-	}, nil
-}
-
-// InterpolateWire returns interconnect parameters between the tabulated
-// nodes by log-linear interpolation, mirroring InterpolateNode.
-func InterpolateWire(featureNM float64) (WireTech, error) {
-	//lint:ignore nofloateq exact integrality test: tabulated nodes must return their table entry bit-for-bit, never an interpolation
-	if w, ok := wireNodes[int(featureNM)]; ok && featureNM == float64(int(featureNM)) {
-		return w, nil
-	}
-	nodes := InterconnectNodes()
-	if featureNM > float64(nodes[0]) || featureNM < float64(nodes[len(nodes)-1]) {
-		return WireTech{}, fmt.Errorf("tech: %gnm outside the tabulated interconnect range [%d, %d]", featureNM, nodes[len(nodes)-1], nodes[0])
-	}
-	var lo, hi WireTech
-	for i := 0; i+1 < len(nodes); i++ {
-		if featureNM <= float64(nodes[i]) && featureNM >= float64(nodes[i+1]) {
-			hi, lo = wireNodes[nodes[i]], wireNodes[nodes[i+1]]
-			break
-		}
-	}
-	t := math.Log(featureNM/lo.FeatureNM) / math.Log(hi.FeatureNM/lo.FeatureNM)
-	lerp := func(a, b float64) float64 { return math.Exp(math.Log(a) + t*(math.Log(b)-math.Log(a))) }
-	return WireTech{
-		FeatureNM: featureNM,
-		SegmentR:  lerp(lo.SegmentR, hi.SegmentR),
-		SegmentC:  lerp(lo.SegmentC, hi.SegmentC),
-	}, nil
-}
-
-// ScaleArea converts an area measured at node `from` (nm) to the equivalent
-// area at node `to` using quadratic feature scaling. It is used when a
-// customized module provides its footprint at a different node than the
-// simulated design (e.g. the ISAAC case study at 32 nm).
-func ScaleArea(area float64, from, to int) float64 {
-	r := float64(to) / float64(from)
-	return area * r * r
-}
-
-// ScaleDelay converts a delay from one node to another using linear feature
-// scaling, the first-order constant-field rule.
-func ScaleDelay(d float64, from, to int) float64 {
-	return d * float64(to) / float64(from)
-}
-
-// ScaleEnergy converts a switching energy from one node to another. Under
-// constant-field scaling, capacitance scales linearly with feature size and
-// Vdd^2 with the tabulated supply ratio when both nodes are known; otherwise
-// the cubic feature approximation is used.
-func ScaleEnergy(e float64, from, to int) float64 {
-	nf, okf := cmosNodes[from]
-	nt, okt := cmosNodes[to]
-	r := float64(to) / float64(from)
-	if okf && okt {
-		v := nt.Vdd / nf.Vdd
-		return e * r * v * v
-	}
-	return e * r * r * r
 }

@@ -1,10 +1,6 @@
 package tech
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNodeKnown(t *testing.T) {
 	for _, f := range Nodes() {
@@ -81,53 +77,6 @@ func TestWireResistanceIncreases(t *testing.T) {
 		if small.SegmentC >= big.SegmentC {
 			t.Errorf("SegmentC not decreasing from %dnm to %dnm", nodes[i-1], nodes[i])
 		}
-	}
-}
-
-func TestScaleAreaQuadratic(t *testing.T) {
-	got := ScaleArea(100, 90, 45)
-	if math.Abs(got-25) > 1e-9 {
-		t.Fatalf("ScaleArea(100, 90, 45) = %v, want 25", got)
-	}
-}
-
-func TestScaleDelayLinear(t *testing.T) {
-	got := ScaleDelay(10e-12, 90, 45)
-	if math.Abs(got-5e-12) > 1e-21 {
-		t.Fatalf("ScaleDelay = %v, want 5e-12", got)
-	}
-}
-
-func TestScaleEnergyUsesVddWhenKnown(t *testing.T) {
-	e90 := 1e-15
-	got := ScaleEnergy(e90, 90, 45)
-	n90, n45 := MustNode(90), MustNode(45)
-	want := e90 * (45.0 / 90.0) * (n45.Vdd / n90.Vdd) * (n45.Vdd / n90.Vdd)
-	if math.Abs(got-want)/want > 1e-12 {
-		t.Fatalf("ScaleEnergy = %v, want %v", got, want)
-	}
-}
-
-func TestScaleEnergyFallbackCubic(t *testing.T) {
-	got := ScaleEnergy(8, 100, 50) // unknown nodes -> cubic rule
-	if math.Abs(got-1) > 1e-12 {
-		t.Fatalf("ScaleEnergy fallback = %v, want 1", got)
-	}
-}
-
-// Property: scaling round-trips are identity for any positive value.
-func TestScaleRoundTrip(t *testing.T) {
-	f := func(v float64) bool {
-		v = math.Abs(v)
-		if v == 0 || v > 1e300 || math.IsInf(v, 0) || math.IsNaN(v) {
-			return true
-		}
-		a := ScaleArea(ScaleArea(v, 90, 45), 45, 90)
-		d := ScaleDelay(ScaleDelay(v, 90, 45), 45, 90)
-		return math.Abs(a-v) <= 1e-9*v && math.Abs(d-v) <= 1e-9*v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -168,7 +168,7 @@ func TableIIContext(ctx context.Context, opt TableIIOptions) ([]Row, error) {
 
 	// --- Computation energy of the 3-layer ANN (two layers of crossbars):
 	// power × settling window on both sides.
-	modelEnergy := 2 * p.ComputePower() * p.Latency()
+	modelEnergy := 2 * p.ComputeEnergy()
 	circuitEnergy := 2 * compPower * settle
 
 	rows := []Row{
@@ -322,14 +322,8 @@ type SpeedRow struct {
 	CircuitIters int
 }
 
-// TableIII runs the speed comparison for the given sizes (paper: 16–256).
-// It is TableIIIContext with a background context.
-func TableIII(sizes []int, seed int64) ([]SpeedRow, error) {
-	return TableIIIContext(context.Background(), sizes, seed)
-}
-
-// TableIIIContext is TableIII with a caller-supplied context. The timing
-// loop stays strictly sequential — it measures per-solve wall time, which
+// TableIIIContext runs the speed comparison for the given sizes (paper:
+// 16–256). The timing loop stays strictly sequential — it measures per-solve wall time, which
 // sharing cores would distort.
 func TableIIIContext(ctx context.Context, sizes []int, seed int64) ([]SpeedRow, error) {
 	rng := rand.New(rand.NewSource(seed + 2))
@@ -432,14 +426,9 @@ type Fig5Point struct {
 	Model, Circuit float64
 }
 
-// Fig5 sweeps crossbar size × interconnect node, returning the model curve
-// and the circuit-level scatter of the worst-case output error rate. It is
-// Fig5Context with a background context and the default worker count.
-func Fig5(sizes, nodes []int) ([]Fig5Point, error) {
-	return Fig5Context(context.Background(), sizes, nodes, 0)
-}
-
-// Fig5Context runs the Fig. 5 sweep on a bounded worker pool: every
+// Fig5Context sweeps crossbar size × interconnect node, returning the
+// model curve and the circuit-level scatter of the worst-case output error
+// rate. It runs on a bounded worker pool (0 workers: the default): every
 // (node, size) grid point is an independent deterministic solve, and the
 // index-addressed result slice preserves the sequential output order for
 // any worker count. Each point solves under its own validate.fig5.point

@@ -60,7 +60,7 @@ func TestTableIIISpeedUp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("circuit-level timing is slow")
 	}
-	rows, err := TableIII([]int{16, 32, 64}, 1)
+	rows, err := TableIIIContext(context.Background(), []int{16, 32, 64}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFig5Fit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("circuit-level sweep is slow")
 	}
-	pts, err := Fig5([]int{16, 32, 64}, []int{45, 22})
+	pts, err := Fig5Context(context.Background(), []int{16, 32, 64}, []int{45, 22}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestFig5Fit(t *testing.T) {
 }
 
 func TestFig5UnknownNode(t *testing.T) {
-	if _, err := Fig5([]int{8}, []int{77}); err == nil {
+	if _, err := Fig5Context(context.Background(), []int{8}, []int{77}, 0); err == nil {
 		t.Fatal("unknown node accepted")
 	}
 }
